@@ -6,7 +6,7 @@ PP := PYTHONPATH=src
 
 .PHONY: test differential shard-differential partition-differential \
 	incremental-differential \
-	lane-differential backend-differential bench-smoke bench \
+	lane-differential bench-smoke bench \
 	bench-frontend bench-core bench-incremental bench-fleet \
 	bench-lanes profile server-smoke fleet-smoke
 
@@ -16,12 +16,15 @@ test:
 
 # The standing oracle + batch-engine suites (fast subset for CI jobs
 # that iterate on solver fast paths).  Includes the front-end golden
-# equivalence suite: the batched lexer and token-stream parser must
-# stay byte-identical to the frozen reference scanner.
+# equivalence suite (the batched lexer and token-stream parser must
+# stay byte-identical to the frozen reference scanner), the fused
+# solver against the per-kind oracle, and the .cka arena-image and
+# container-loader round trips.
 differential:
 	$(PP) $(PY) -m pytest -q tests/test_differential.py tests/test_batch.py \
 	    tests/test_linearity_guard.py tests/test_persist_roundtrip.py \
-	    tests/test_frontend_equivalence.py tests/test_fused_differential.py
+	    tests/test_frontend_equivalence.py tests/test_fused_differential.py \
+	    tests/test_arena_image.py
 
 # The sharded-solver oracle: byte-equality against the monolithic
 # pipeline over the differential corpus, the fuzz sweep (shard counts
@@ -57,14 +60,6 @@ incremental-differential:
 lane-differential:
 	$(PP) $(PY) -m pytest -q tests/test_lanes.py
 
-# The bit-plane backend oracles: chooser gates, NumPy-less fallback,
-# byte-identity fuzz across backends, .cka arena-image round-trips,
-# and the backend axis of the fused differential sweep.  Passes with
-# or without NumPy installed (vectorized cases skip without it).
-backend-differential:
-	$(PP) $(PY) -m pytest -q tests/test_bitplane.py \
-	    tests/test_fused_differential.py
-
 # One tiny batch benchmark plus the shard-benchmark smoke (which
 # writes BENCH_shard.json), timing assertions disabled — keeps the
 # benchmark suite import-clean without paying for a real measurement
@@ -97,11 +92,10 @@ bench-frontend:
 	$(PP) $(PY) -m pytest -q benchmarks/test_bench_frontend.py -s
 
 # The fused middle-end measurement (E12 + E16): writes BENCH_core.json
-# at the repo root and asserts the ≥1.5x fused-vs-legacy solve and
-# ≥1.25x end-to-end claims on the 10k workload, plus the backend
-# matrix (bigint / numpy / auto at low and high density) and the
+# at the repo root and asserts the ≥1.5x fused-vs-per-kind solve and
+# ≥1.25x end-to-end claims on the 10k workload, plus the
 # mmap-vs-pickle warm-start claim.  Resize with CK_CORE_BENCH_PROCS /
-# CK_CORE_BENCH_REPEATS; CK_CORE_BENCH_50K=1 adds the 50k matrix row.
+# CK_CORE_BENCH_REPEATS.
 bench-core:
 	$(PP) $(PY) -m pytest -q benchmarks/test_bench_core.py -s
 

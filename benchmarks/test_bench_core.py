@@ -1,8 +1,9 @@
 """Middle-end solver benchmark (E12): the fused-arena claims.
 
-Measures the fused one-pass MOD+USE solve against the legacy per-kind
-path on the same resolved programs, per phase, at two scales (1k and
-10k procedures):
+Measures the fused one-pass MOD+USE solve against the paper's per-kind
+solvers (the oracle :func:`repro.baselines.per_kind.analyze_per_kind`,
+called "legacy" in the record) on the same resolved programs, per
+phase, at two scales (1k and 10k procedures):
 
 * **Solve phase** — combined ``rmod + imod_plus + gmod + dmod`` wall
   time, fused vs legacy.  Claim: ≥1.5x at the 10k workload.  The fused
@@ -22,31 +23,15 @@ reported, and each path's summary is dropped before the other path
 runs — at 10k scale a retained summary holds hundreds of MB of masks
 and its heap pressure alone visibly taxes the successor measurement.
 
-**E16 — backend matrix and warm starts.**  The same record carries:
-
-* ``backends`` — the solver backends (``bigint`` / ``numpy`` / ``auto``)
-  on the same workloads, at low and high interprocedural density per
-  scale, each measured *cold* (arena rebuilt per round) and *warm*
-  (one arena reused, plane caches intact).  Claims: ``auto`` never
-  loses to ``bigint`` by more than 5% (+10 ms timer grace) on any
-  recorded cell, and the vectorized backend wins ≥1.5x on at least
-  one solve phase at the dense 10k workload **on a warm arena** — the
-  lowering cost (levelized structures, initial-state planes) is
-  per-arena and one-time, so server sessions and ``.cka`` warm starts
-  run in the warm regime.  An explicit ``numpy`` run whose transient
-  plane budget would exceed ``CK_BENCH_PLANE_CAP_MB`` (default 2048)
-  is recorded as skipped instead of run — no silent truncation, no
-  benchmark OOM.
-* ``warm_start`` — loading the dense 10k arena from its memory-mapped
-  ``.cka`` image vs unpickling the equivalent pickle blob vs a cold
-  build.  Claim: mmap ≥5x faster than unpickling.
+**E16 — warm starts.**  The same record carries ``warm_start``:
+loading the dense 10k arena from its memory-mapped ``.cka`` image vs
+unpickling the equivalent pickle blob vs a cold build.  Claim: mmap
+≥5x faster than unpickling.
 
 The result is written to ``BENCH_core.json`` at the repo root.
 
 Environment knobs: ``CK_CORE_BENCH_PROCS`` (default 10000) and
-``CK_CORE_BENCH_REPEATS`` (default 3) resize the slow test;
-``CK_CORE_BENCH_50K=1`` adds the (slow to generate) 50k row to the
-backend matrix.
+``CK_CORE_BENCH_REPEATS`` (default 3) resize the slow test.
 """
 
 from __future__ import annotations
@@ -63,7 +48,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
-from repro.core import bitplane
+from repro.baselines.per_kind import analyze_per_kind
 from repro.core.arena import (
     arena_from_image,
     arena_image_nbytes,
@@ -116,7 +101,10 @@ def _measure_path(resolved, fused: bool, repeats: int) -> Tuple[Dict, Dict]:
         for _ in range(repeats):
             clear_arena_cache()
             tick = time.perf_counter()
-            summary = analyze_side_effects(resolved, fused=fused)
+            if fused:
+                summary = analyze_side_effects(resolved)
+            else:
+                summary = analyze_per_kind(resolved)
             elapsed = time.perf_counter() - tick
             if elapsed < best_total:
                 best_total = elapsed
@@ -202,27 +190,14 @@ def measure_end_to_end(num_procs: int, num_globals: int) -> Dict:
 
 
 # ---------------------------------------------------------------------------
-# E16: the backend matrix and zero-copy warm starts.
+# E16: zero-copy warm starts.
 # ---------------------------------------------------------------------------
-
-#: Hard cap on the transient plane footprint an *explicit* ``numpy``
-#: benchmark run may allocate.  ``auto`` carries its own budget gate,
-#: but the benchmark forces ``numpy`` unconditionally — without this a
-#: wide-sparse 50k workload would allocate tens of GB of planes.
-PLANE_CAP_BYTES = (
-    int(os.environ.get("CK_BENCH_PLANE_CAP_MB", "2048")) * 1024 * 1024
-)
-
-BACKEND_MATRIX = ("bigint",) + (
-    ("numpy",) if bitplane.HAVE_NUMPY else ()
-) + ("auto",)
 
 
 def _dense_config(num_procs: int, num_globals: int) -> GeneratorConfig:
     """The density-*high* workload: every variable is a global or a
     formal, so the whole universe is interprocedurally shared and the
-    plane rows are population-dense — the regime the chooser's density
-    gate is meant to admit."""
+    fixed-width image rows are population-dense."""
     return GeneratorConfig(
         seed=DEFAULT_SEED,
         num_procs=num_procs,
@@ -237,137 +212,6 @@ def _dense_config(num_procs: int, num_globals: int) -> GeneratorConfig:
         recursion_prob=0.05,
         control_flow_prob=0.0,
     )
-
-
-def _measure_backend(resolved, backend: str, repeats: int) -> Dict:
-    """Best-of-``repeats`` fused solve on one backend, measured twice
-    over: *cold* rounds rebuild the arena every time (same methodology
-    as :func:`_measure_path`), *warm* rounds reuse one arena so the
-    cached plane structures survive — the regime a server session or a
-    ``.cka`` warm start lives in, and the one where the vectorized
-    kernels' one-time lowering cost is already paid."""
-    best_total = float("inf")
-    best_timings: Dict[str, float] = {}
-    warm_total = float("inf")
-    warm_timings: Dict[str, float] = {}
-    plan = backend
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            clear_arena_cache()
-            tick = time.perf_counter()
-            summary = analyze_side_effects(resolved, backend=backend)
-            elapsed = time.perf_counter() - tick
-            if elapsed < best_total:
-                best_total = elapsed
-                best_timings = dict(summary.timings)
-            plan = summary.backend
-            del summary
-        # Warm rounds: one arena build up front, then solve-only laps
-        # (plane caches and levelized structures persist between laps).
-        clear_arena_cache()
-        arena = get_arena(resolved)
-        analyze_side_effects(resolved, backend=backend, arena=arena)
-        for _ in range(repeats):
-            tick = time.perf_counter()
-            summary = analyze_side_effects(resolved, backend=backend, arena=arena)
-            elapsed = time.perf_counter() - tick
-            if elapsed < warm_total:
-                warm_total = elapsed
-                warm_timings = dict(summary.timings)
-            del summary
-        del arena
-    finally:
-        gc.enable()
-        clear_arena_cache()
-    return {
-        "plan": plan,
-        "total_s": best_total,
-        "solve_s": sum(best_timings.get(phase, 0.0) for phase in SOLVE_PHASES),
-        "timings": {
-            phase: best_timings[phase]
-            for phase in REPORT_PHASES
-            if phase in best_timings
-        },
-        "warm_total_s": warm_total,
-        "warm_solve_s": sum(
-            warm_timings.get(phase, 0.0) for phase in SOLVE_PHASES
-        ),
-        "warm_timings": {
-            phase: warm_timings[phase]
-            for phase in REPORT_PHASES
-            if phase in warm_timings
-        },
-    }
-
-
-def measure_backend_cell(resolved, repeats: int) -> Dict:
-    """Every backend on one workload, with speedups vs the big-int
-    column (overall solve and per phase)."""
-    clear_arena_cache()
-    plane_budget = bitplane.plane_budget_bytes(get_arena(resolved), 2)
-    clear_arena_cache()
-    cell: Dict = {"plane_budget_bytes": plane_budget, "backends": {}}
-    for backend in BACKEND_MATRIX:
-        if backend == "numpy" and plane_budget > PLANE_CAP_BYTES:
-            cell["backends"][backend] = {
-                "skipped": "plane budget %d bytes exceeds the %d-byte"
-                " benchmark cap" % (plane_budget, PLANE_CAP_BYTES)
-            }
-            continue
-        cell["backends"][backend] = _measure_backend(resolved, backend, repeats)
-    base = cell["backends"]["bigint"]
-    for backend, record in cell["backends"].items():
-        if "skipped" in record or backend == "bigint":
-            continue
-        record["solve_speedup_vs_bigint"] = base["solve_s"] / max(
-            record["solve_s"], 1e-9
-        )
-        record["total_speedup_vs_bigint"] = base["total_s"] / max(
-            record["total_s"], 1e-9
-        )
-        record["phase_speedup_vs_bigint"] = {
-            phase: base["timings"][phase] / max(record["timings"][phase], 1e-9)
-            for phase in SOLVE_PHASES
-            if phase in base["timings"] and phase in record["timings"]
-        }
-        record["warm_phase_speedup_vs_bigint"] = {
-            phase: base["warm_timings"][phase]
-            / max(record["warm_timings"][phase], 1e-9)
-            for phase in SOLVE_PHASES
-            if phase in base["warm_timings"]
-            and phase in record["warm_timings"]
-        }
-    return cell
-
-
-def measure_backend_matrix(
-    scales: Tuple[Tuple[str, int, int], ...], repeats: int
-) -> Dict:
-    """``{scale: {density: cell}}`` over low- and high-density
-    workloads at every requested scale."""
-    matrix: Dict = {}
-    for label, num_procs, num_globals in scales:
-        row: Dict = {}
-        for density, config in (
-            ("low", _config_for(num_procs, num_globals)),
-            ("high", _dense_config(num_procs, max(num_globals // 2, 50))),
-        ):
-            resolved = generate_resolved(config)
-            cell = measure_backend_cell(resolved, repeats)
-            cell["workload"] = {
-                "num_procs": num_procs,
-                "num_globals": config.num_globals,
-                "num_variables": len(resolved.variables),
-                "num_call_sites": resolved.num_call_sites,
-                "density": density,
-            }
-            row[density] = cell
-            del resolved
-            clear_arena_cache()
-        matrix[label] = row
-    return matrix
 
 
 def measure_warm_start(num_procs: int, num_globals: int) -> Dict:
@@ -435,12 +279,11 @@ def measure_core_benchmark(
     ),
     repeats: int = 3,
     end_to_end: bool = True,
-    backend_scales: Optional[Tuple[Tuple[str, int, int], ...]] = None,
     warm_start_procs: Optional[int] = None,
 ) -> Dict:
     """Run every middle-end measurement; returns the BENCH record."""
     result: Dict = {
-        "schema": "ck-bench-core/2",
+        "schema": "ck-bench-core/3",
         "repeats": repeats,
         "scales": {},
     }
@@ -449,9 +292,6 @@ def measure_core_benchmark(
     if end_to_end:
         last_label, last_procs, last_globals = scales[-1]
         result["end_to_end"] = measure_end_to_end(last_procs, last_globals)
-    if backend_scales is None:
-        backend_scales = scales
-    result["backends"] = measure_backend_matrix(backend_scales, repeats)
     if warm_start_procs is None:
         warm_start_procs = scales[-1][1]
     result["warm_start"] = measure_warm_start(
@@ -493,23 +333,19 @@ def test_core_bench_smoke():
     assert scale["fused"]["solve_s"] > 0
     assert scale["condensations"] == {"beta": 1, "call": 1}
     assert scale["condensations_warm"] == {"call": 1}
-    # The backend matrix and warm-start blocks ride the same record.
-    for density in ("low", "high"):
-        cell = result["backends"]["smoke"][density]
-        for backend in BACKEND_MATRIX:
-            assert backend in cell["backends"], (density, backend)
+    # The warm-start block rides the same record.
     warm = result["warm_start"]
     assert warm["unpickle_s"] > 0 and warm["mmap_load_s"] > 0
     assert warm["image_bytes_estimate"] <= warm["image_bytes"]
     path = write_bench_json(result)
-    assert json.loads(path.read_text())["schema"] == "ck-bench-core/2"
+    assert json.loads(path.read_text())["schema"] == "ck-bench-core/3"
 
 
 def test_core_bench_10k():
     """The tentpole claims: ≥1.5x on the combined MOD+USE solve phase
-    at the 10k workload vs the legacy per-kind path, ≥1.25x end to end
-    vs the recorded pre-arena baseline, and exactly one condensation
-    per graph per analysis."""
+    at the 10k workload vs the per-kind oracle, ≥1.25x end to end vs
+    the recorded pre-arena baseline, exactly one condensation per graph
+    per analysis, and an mmap warm start ≥5x faster than unpickling."""
     num_procs = int(os.environ.get("CK_CORE_BENCH_PROCS", DEFAULT_PROCS))
     repeats = int(os.environ.get("CK_CORE_BENCH_REPEATS", 3))
     big_label = "10k" if num_procs == DEFAULT_PROCS else str(num_procs)
@@ -517,12 +353,7 @@ def test_core_bench_10k():
         ("1k", 1000, 200),
         (big_label, num_procs, DEFAULT_GLOBALS),
     )
-    backend_scales = scales
-    if os.environ.get("CK_CORE_BENCH_50K") == "1":
-        backend_scales = scales + (("50k", 50_000, 1024),)
-    result = measure_core_benchmark(
-        scales=scales, repeats=repeats, backend_scales=backend_scales
-    )
+    result = measure_core_benchmark(scales=scales, repeats=repeats)
     write_bench_json(result)
     big = result["scales"][big_label]
     print(
@@ -550,59 +381,6 @@ def test_core_bench_10k():
             assert speedup >= 1.25, (
                 "end-to-end only %.2fx the recorded baseline" % speedup
             )
-
-    # E16 claims.  ``auto`` may never lose meaningfully to ``bigint``
-    # on any recorded cell — its whole job is to pick the winner.  The
-    # 10 ms absolute grace keeps sub-100ms cells (1k scale) from
-    # flaking on timer noise alone.
-    for label, row in result["backends"].items():
-        for density, cell in row.items():
-            auto = cell["backends"]["auto"]
-            base = cell["backends"]["bigint"]
-            assert auto["total_s"] <= base["total_s"] * 1.05 + 0.010, (
-                "auto loses to bigint at %s/%s: %.3fs vs %.3fs"
-                % (label, density, auto["total_s"], base["total_s"])
-            )
-    if bitplane.HAVE_NUMPY and num_procs == DEFAULT_PROCS:
-        # The kernel claim is a *warm-arena* claim: the levelized
-        # structures and initial-state planes are per-arena caches, so
-        # a cold solve pays a one-time lowering cost that the server's
-        # sessions and the ``.cka`` warm starts amortize away.  On a
-        # warm arena the vectorized RMOD kernel must win ≥1.5x.
-        dense = result["backends"][big_label]["high"]["backends"]["numpy"]
-        best_phase = max(dense["warm_phase_speedup_vs_bigint"].values())
-        print(
-            "dense 10k warm-arena phase speedups (numpy vs bigint): %s"
-            % ", ".join(
-                "%s %.2fx" % (phase, ratio)
-                for phase, ratio in sorted(
-                    dense["warm_phase_speedup_vs_bigint"].items()
-                )
-            )
-        )
-        assert best_phase >= 1.5, (
-            "vectorized backend best warm-arena phase speedup only"
-            " %.2fx at the dense 10k workload" % best_phase
-        )
-        # The stacked GMOD quotient sweep (all kind planes in one
-        # gather/reduceat per level) must be measured on every recorded
-        # numpy cell — and must stay within sanity of the big-int
-        # column, whose skew-exploiting ints are hard to beat on the
-        # gmod phase at this width.
-        for label, row in result["backends"].items():
-            for density, cell in row.items():
-                record = cell["backends"]["numpy"]
-                if "skipped" in record:
-                    continue
-                for speedups in (
-                    record["phase_speedup_vs_bigint"],
-                    record["warm_phase_speedup_vs_bigint"],
-                ):
-                    assert "gmod" in speedups, (label, density)
-                    assert speedups["gmod"] > 0.1, (
-                        "stacked gmod sweep collapsed at %s/%s: %.3fx"
-                        % (label, density, speedups["gmod"])
-                    )
         warm = result["warm_start"]
         print(
             "warm start @%s: cold %.3fs unpickle %.3fs mmap %.4fs"

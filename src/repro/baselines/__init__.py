@@ -12,7 +12,10 @@
   ``O(N·(N+E))``, an independent oracle for two-level programs;
 * :mod:`repro.baselines.dyck` — Dyck-reachability alias baseline, a
   coarser origin-set closure used only as a differential precision
-  oracle against pair propagation (``ALIAS(q) ⊆ DYCK(q)``).
+  oracle against pair propagation (``ALIAS(q) ⊆ DYCK(q)``);
+* :mod:`repro.baselines.per_kind` — the paper's per-kind solvers run
+  one effect kind at a time, the set-and-tally oracle the fused
+  production driver is held to.
 """
 
 from repro.baselines.dyck import (
@@ -28,6 +31,7 @@ from repro.baselines.iterative import (
 )
 from repro.baselines.swift import solve_rmod_swift
 from repro.baselines.naive import solve_gmod_naive
+from repro.baselines.per_kind import analyze_per_kind
 
 __all__ = [
     "solve_direct_equation1",
@@ -36,6 +40,7 @@ __all__ = [
     "solve_rmod_iterative",
     "solve_rmod_swift",
     "solve_gmod_naive",
+    "analyze_per_kind",
     "compare_precision",
     "compute_dyck_aliases",
     "dyck_origins",

@@ -63,8 +63,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         lanes = tuple(parse_lane_names(args.lanes))
     resolved = compile_source(source)
     summary = analyze_side_effects(
-        resolved, gmod_method=args.gmod_method, lanes=lanes,
-        backend=args.backend,
+        resolved, gmod_method=args.gmod_method, lanes=lanes
     )
     if args.dot_callgraph:
         print(summary.call_graph.to_dot())
@@ -73,8 +72,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(summary.binding_graph.to_dot())
         return 0
     print(summary.report())
-    if args.backend != "auto":
-        print("\nbackend plan: %s" % summary.backend)
     if lanes:
         from repro.lanes.driver import lane_payloads
 
@@ -293,70 +290,31 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             % (args.gen_procs, args.gen_globals, args.seed)
         )
 
-    backends = ["bigint", "numpy"] if args.backend == "both" else [args.backend]
-    if args.shards and args.backend != "auto":
-        print(
-            "note: --backend is ignored with --shards (the sharded solver"
-            " is big-int only)",
-            file=sys.stderr,
-        )
-        backends = ["auto"]
-
-    per_backend = {}
     profiler = cProfile.Profile()
     profiler.enable()
-    for backend in backends:
-        for _ in range(args.repeat):
-            if args.shards:
-                from repro.shard.solve import analyze_side_effects_sharded
+    for _ in range(args.repeat):
+        if args.shards:
+            from repro.shard.solve import analyze_side_effects_sharded
 
-                summary = analyze_side_effects_sharded(
-                    source, num_shards=args.shards, jobs=args.jobs
-                )
-            else:
-                summary = analyze_side_effects(
-                    source, gmod_method=args.gmod_method, backend=backend
-                )
-        per_backend[backend] = (summary.backend, summary.timings or {})
+            summary = analyze_side_effects_sharded(
+                source, num_shards=args.shards, jobs=args.jobs
+            )
+        else:
+            summary = analyze_side_effects(source, gmod_method=args.gmod_method)
     profiler.disable()
 
-    def _phase_rows(timings):
-        split_front_end = {"lex", "parse", "resolve"} <= timings.keys()
-        for phase, seconds in timings.items():
-            if phase == "total":
-                continue
-            if phase == "compile" and split_front_end:
-                continue  # Sum of lex+parse+resolve; shown via its parts.
-            yield phase, seconds
-
-    if len(backends) == 1:
-        plan, timings = per_backend[backends[0]]
-        total = timings.get("total", 0.0)
-        print("\nper-phase breakdown (last run, backend plan %s):" % plan)
-        for phase, seconds in _phase_rows(timings):
-            share = (100.0 * seconds / total) if total else 0.0
-            print("  %-16s %8.4fs  %5.1f%%" % (phase, seconds, share))
-        print("  %-16s %8.4fs" % ("total", total))
-    else:
-        # Side-by-side: one analysis per backend, same workload, so the
-        # per-phase columns are directly comparable.
-        left, right = backends
-        left_plan, left_timings = per_backend[left]
-        right_plan, right_timings = per_backend[right]
-        print(
-            "\nper-phase breakdown (last run each; plans: %s=%s, %s=%s):"
-            % (left, left_plan, right, right_plan)
-        )
-        print("  %-16s %10s %10s %9s" % ("phase", left, right, "ratio"))
-        phases = [p for p, _ in _phase_rows(left_timings)]
-        for phase, _ in _phase_rows(right_timings):
-            if phase not in phases:
-                phases.append(phase)
-        for phase in phases + ["total"]:
-            a = left_timings.get(phase, 0.0)
-            b = right_timings.get(phase, 0.0)
-            ratio = ("%8.2fx" % (a / b)) if b else "        -"
-            print("  %-16s %9.4fs %9.4fs %s" % (phase, a, b, ratio))
+    timings = summary.timings or {}
+    split_front_end = {"lex", "parse", "resolve"} <= timings.keys()
+    total = timings.get("total", 0.0)
+    print("\nper-phase breakdown (last run):")
+    for phase, seconds in timings.items():
+        if phase == "total":
+            continue
+        if phase == "compile" and split_front_end:
+            continue  # Sum of lex+parse+resolve; shown via its parts.
+        share = (100.0 * seconds / total) if total else 0.0
+        print("  %-16s %8.4fs  %5.1f%%" % (phase, seconds, share))
+    print("  %-16s %8.4fs" % ("total", total))
 
     print("\ncProfile hot spots (%s, top %d):" % (args.sort, args.top))
     buffer = io.StringIO()
@@ -591,11 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--gmod-method", choices=GMOD_METHODS, default="auto",
         help="global-phase solver (default: auto)",
     )
-    analyze_cmd.add_argument(
-        "--backend", choices=("auto", "bigint", "numpy"), default="auto",
-        help="dense-phase mask backend: big-int solvers, vectorized"
-             " bit planes, or per-workload choice (default: auto)",
-    )
     analyze_cmd.add_argument("--sections", action="store_true",
                              help="also print regular sections per call site")
     analyze_cmd.add_argument("--lattice", choices=("figure3", "ranges"),
@@ -684,13 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile_cmd.add_argument(
         "--gmod-method", choices=GMOD_METHODS, default="auto",
         help="global-phase solver (default: auto)",
-    )
-    profile_cmd.add_argument(
-        "--backend", choices=("auto", "bigint", "numpy", "both"),
-        default="auto",
-        help="dense-phase mask backend; 'both' runs big-int and"
-             " vectorized back to back and prints the per-phase times"
-             " side by side",
     )
     profile_cmd.add_argument(
         "--shards", type=int, default=0,

@@ -15,7 +15,7 @@ The fused one-pass MOD+USE solve carries a *pair of masks per node* —
 one per-kind lane, advanced side by side inside a single traversal —
 so the graph bookkeeping (DFS frames, lowlinks, stacks, site/binding
 decoding) is paid once instead of once per kind, while each lane's
-masks stay exactly as wide as the legacy per-kind masks.  (Packing the
+masks stay exactly as wide as the per-kind solvers' masks.  (Packing the
 lanes into one wide int was measured and rejected: a packed value is
 forced to ``K × |V|`` bits even when the underlying sets are small, so
 at 10k-procedure scale it *loses* to the per-kind path on big-int byte
@@ -229,7 +229,7 @@ class ProgramArena:
         """Per pid: the *positive* complement of ``LOCAL(p)`` over the
         universe width — ``GMOD(q) & strip[q]`` is equation (4)'s
         ``GMOD(q) − LOCAL(q)``, kind-independent, so one table serves
-        every lane.  The legacy path negates ``LOCAL`` per edge; the
+        every lane.  The per-kind solver negates ``LOCAL`` per edge; the
         fused path pays the negation once per procedure."""
         if self._strip is None:
             limit = (1 << self.width) - 1
@@ -246,10 +246,8 @@ class ProgramArena:
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        # Plane caches hold NumPy arrays (sometimes views over a mapped
-        # arena image) and the image holds open file handles — neither
-        # belongs in a pickle.  A restored arena re-lowers on demand.
-        state.pop("_plane_cache", None)
+        # A backing arena image holds open file handles, which do not
+        # belong in a pickle.
         state.pop("_arena_image", None)
         return state
 
@@ -536,10 +534,7 @@ def clear_arena_cache() -> None:
 # file and rebuilds the arena against a freshly compiled
 # ``ResolvedProgram`` — the int tables materialize through one
 # C-level ``array.frombytes`` each, the masks through one
-# ``int.from_bytes`` per row, and (when NumPy is present) the
-# mask sections additionally become zero-copy ``uint64`` plane views
-# over the mapped buffer, pre-populating the bit-plane backend's
-# plane cache so a vectorized solve starts without any lowering work.
+# ``int.from_bytes`` per row.
 
 #: First bytes of every arena image file.
 ARENA_IMAGE_MAGIC = b"CKAI"
@@ -585,8 +580,8 @@ def arena_image_nbytes(arena: ProgramArena) -> int:
     """The (near-exact) on-disk size of this arena's ``.cka`` image.
 
     Mask sections are fixed-width — ``words × 8`` bytes per row no
-    matter how sparse the row — because that is what makes them
-    mappable as planes.  On a wide-sparse universe that fixed width is
+    matter how sparse the row — because that is what lets a reader
+    index a row in place.  On a wide-sparse universe that fixed width is
     the whole file, so writers gate on this estimate instead of
     producing a multi-gigabyte image nobody will map profitably.
     """
@@ -697,11 +692,7 @@ class ArenaImage:
     platform allows, with a plain read fallback.
 
     Section accessors materialize on demand: :meth:`i32` and
-    :meth:`masks` build Python lists (no NumPy needed),
-    :meth:`mask_plane` returns a read-only zero-copy ``uint64`` view
-    over the mapped buffer (None when NumPy is absent).  Keep the
-    image alive as long as any plane view is — the arena built from it
-    holds a reference for exactly that reason.
+    :meth:`masks` build Python lists from the mapped bytes.
     """
 
     def __init__(self, path: str):
@@ -806,24 +797,9 @@ class ArenaImage:
         offset, rows = self._offsets[name]
         return read_mask_section(self._buffer, offset, rows, self.words)
 
-    def mask_plane(self, name: str):
-        """Zero-copy read-only ``(rows, words)`` uint64 view over the
-        mapped section, or None when NumPy is unavailable."""
-        from repro.core.bitplane import HAVE_NUMPY
-
-        if not HAVE_NUMPY:
-            return None
-        import numpy as np
-
-        offset, rows = self._offsets[name]
-        return np.frombuffer(
-            self._buffer, dtype="<u8", count=rows * self.words, offset=offset
-        ).reshape(rows, self.words)
-
     def close(self) -> None:
-        # Plane views over the mapped buffer keep it referenced; mmap
-        # handles close-with-exports by raising, so tolerate that and
-        # let GC finish the job when the last view dies.
+        # A memoryview still borrowing the mapped buffer makes close
+        # raise; tolerate that and let GC finish the job.
         if self._mm is not None:
             try:
                 self._mm.close()
@@ -858,10 +834,7 @@ def arena_from_image(
     multi-graph objects are rebuilt from the flat tables in the same
     event order ``ProgramArena.build`` would produce, so the result is
     field-for-field identical to a cold build (the image differential
-    test asserts it).  When NumPy is present, the mask sections also
-    pre-populate the arena's bit-plane cache with zero-copy views over
-    the mapped buffer, so a vectorized warm solve skips the lowering
-    entirely.
+    test asserts it).
     """
     if expect_digest is not None and image.digest != expect_digest:
         raise ValueError(
@@ -966,20 +939,7 @@ def arena_from_image(
     arena._scc = {}
     arena._condensations = {}
     arena._strip = image.masks("strip")
-
-    # Zero-copy warm start for the bit-plane backend: the image's mask
-    # sections are already laid out as plane rows, so the plane cache
-    # adopts views over the mapped buffer instead of re-lowering.
-    from repro.core import bitplane
-
-    if bitplane.HAVE_NUMPY:
-        cache = bitplane.arena_plane_cache(arena)
-        cache["strip"] = image.mask_plane("strip")
-        cache["site_lmod"] = image.mask_plane("site_lmod")
-        cache["site_luse"] = image.mask_plane("site_luse")
-        cache["initial_mod"] = image.mask_plane("imod")
-        cache["initial_use"] = image.mask_plane("iuse")
-    # The views (if any) borrow the mapped buffer: the arena keeps the
-    # image alive for as long as it lives.
+    # The arena remembers its backing image, so a writer can tell it
+    # is already on disk (see the daemon's session persistence).
     arena._arena_image = image
     return arena

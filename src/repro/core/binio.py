@@ -18,9 +18,9 @@ list.
 The *aligned raw section* helpers at the bottom serve the arena image:
 fixed-width little-endian rows (``int32`` index tables, 64-bit-limb
 mask rows) starting on an 8-byte boundary, so a reader may interpret a
-memory-mapped section in place — ``numpy.frombuffer`` over the mapped
-buffer is a zero-copy view, and the big-int materialization is one
-``int.from_bytes`` per row over a memoryview slice.
+memory-mapped section in place: an int table is one
+``array.frombytes``, and a mask row is one ``int.from_bytes`` over a
+memoryview slice.
 """
 
 from __future__ import annotations
@@ -211,9 +211,9 @@ def write_mask_section(
     out: bytearray, masks: Sequence[int], words: int
 ) -> None:
     """Append an aligned raw section of fixed-width mask rows: each
-    row is ``words`` little-endian 64-bit limbs — the exact limb layout
-    both ``int.to_bytes(..., "little")`` and a ``uint64`` NumPy plane
-    row use, so either consumer reads the section without rewriting."""
+    row is ``words`` little-endian 64-bit limbs, the limb layout of
+    ``int.to_bytes(..., "little")``, so rows read back without
+    rewriting."""
     pad_to_alignment(out)
     nbytes = words * 8
     out += b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
@@ -223,8 +223,7 @@ def read_mask_section(
     buffer, offset: int, rows: int, words: int
 ) -> List[int]:
     """Materialize a mask-row section as big-ints — one
-    ``int.from_bytes`` per row over a shared memoryview (no NumPy
-    required; a plane consumer views the same bytes in place)."""
+    ``int.from_bytes`` per row over a shared memoryview."""
     nbytes = words * 8
     view = memoryview(buffer)[offset : offset + rows * nbytes]
     return [

@@ -85,7 +85,7 @@ def compute_dmod_fused(
     in real programs, and this is the dominant cost of the legacy
     sweep.
 
-    Counter identity: the legacy path charges one bit-vector step per
+    Counter identity: the per-kind solver charges one bit-vector step per
     site (the pass-through union) and one single-bit step per
     by-reference binding, per kind — both structural, so each counter
     receives ``num_sites`` and ``total_refs`` in one add each.

@@ -207,9 +207,9 @@ def findgmod_fused(
     Each node carries one mask per kind, advanced side by side: the
     DFS bookkeeping — frames, lowlinks, the component stack, the edge
     classification — runs once instead of once per kind, while each
-    lane's set operations stay exactly the legacy ones.  The
+    lane's set operations stay exactly the per-kind ones.  The
     ``−LOCAL(q)`` operand is the arena's precomputed *positive* strip
-    mask (the per-edge ``~`` of the legacy path paid once per
+    mask (the per-edge ``~`` of the per-kind solver paid once per
     procedure instead).
 
     Counter identity: Theorem 2's tallies are structural — line 8 fires

@@ -397,7 +397,7 @@ def findgmod_per_level_fused(
     """The per-level repetition for every kind at once.
 
     Each problem's filtered graph and its Tarjan pass are built once
-    and shared by all kinds (the legacy path rebuilds them per kind);
+    and shared by all kinds (the per-kind solver rebuilds them per kind);
     every tally here is structural — one per member seed, one per
     cross-component edge, one per node fold — so each kind's counter
     receives the identical total.

@@ -69,7 +69,7 @@ def compute_imod_plus_fused(
     RMOD verdict).  The result is one per-pid ``IMOD+`` mask row per
     kind — the site/binding decode runs once and feeds every lane.
 
-    Counter identity: the legacy path charges one single-bit RMOD test
+    Counter identity: the per-kind solver charges one single-bit RMOD test
     per by-reference binding per kind, so each counter receives exactly
     the total reference-binding count.
     """

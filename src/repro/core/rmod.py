@@ -143,7 +143,7 @@ def solve_rmod_fused(
     list plus the packed K-bit node vector (consumed directly by
     :func:`repro.core.imod_plus.compute_imod_plus_fused`).
 
-    Counter identity with the legacy path: Figure 1 charges one
+    Counter identity with the per-kind solver: Figure 1 charges one
     single-bit step per node in each of steps (init), (2) and (4) and
     one per β edge in step (3) — all structural, identical for every
     kind — so each kind's counter receives exactly ``3·Nβ + Eβ``, the

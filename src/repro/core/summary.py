@@ -53,12 +53,14 @@ class SideEffectSummary:
     #: this summary (:mod:`repro.shard`); None for monolithic runs.
     shard_info: Optional[Dict] = None
     #: Per-kind operation tallies (the program total ``counter`` is
-    #: their fold plus the kind-independent phases).  Populated by both
-    #: pipeline paths so the differential suite can compare the fused
-    #: and legacy tallies kind by kind; not serialized.
+    #: their fold plus the kind-independent phases).  Populated by the
+    #: pipeline and by the per-kind oracle
+    #: (:mod:`repro.baselines.per_kind`) so the differential suite can
+    #: compare their tallies kind by kind; not serialized.
     kind_counters: Optional[Dict[EffectKind, OpCounter]] = None
-    #: Snapshot of the arena's condensation-pass counts taken when this
-    #: analysis finished (fused path only); not serialized.
+    #: Condensation passes this analysis ran on the arena, per graph
+    #: (None for the sharded solver and the per-kind oracle); not
+    #: serialized.
     condensations: Optional[Dict[str, int]] = None
     #: Fine-grained dependency index driving demand-driven incremental
     #: updates (:mod:`repro.core.depindex`).  Built lazily by
@@ -72,14 +74,6 @@ class SideEffectSummary:
     #: payload's ``lanes`` block and, on request, into per-lane v4
     #: container trailer sections.
     lanes: Optional[Dict[str, object]] = None
-    #: Solve plan that produced the dense phases: ``"bigint"`` (the
-    #: big-int fused/legacy solvers), ``"numpy"`` (every dense phase on
-    #: the vectorized bit-plane kernels, :mod:`repro.core.bitplane`) or
-    #: ``"hybrid"`` (vectorized RMOD, big-int mask phases — what
-    #: ``backend="auto"`` picks on plane-friendly workloads).
-    #: Informational — the sets and counters are identical either way;
-    #: not serialized.
-    backend: str = "bigint"
 
     # -- mask accessors -------------------------------------------------------
 

@@ -13,7 +13,13 @@ import socket
 import time
 from typing import Any, Dict, Optional
 
-from repro.server.protocol import MAX_PAYLOAD_DEFAULT, decode, encode
+from repro.server.protocol import (
+    E_PAYLOAD_TOO_LARGE,
+    MAX_PAYLOAD_DEFAULT,
+    ProtocolError,
+    decode,
+    encode,
+)
 
 
 class ServerError(Exception):
@@ -51,7 +57,14 @@ class ServerClient:
 
     def request_raw(self, verb: str, **fields: Any) -> Dict[str, Any]:
         """Send one request, return the decoded response dict as-is
-        (``ok`` may be false; nothing raises but transport errors)."""
+        (``ok`` may be false; nothing raises but transport errors).
+
+        A reply longer than ``max_payload`` bytes raises
+        :class:`ProtocolError` (``payload_too_large``) and closes the
+        connection: the unread tail would otherwise be taken for the
+        next reply."""
+        if self._file.closed:
+            raise ConnectionError("client connection is closed")
         self._next_id += 1
         message: Dict[str, Any] = {"verb": verb, "id": self._next_id}
         message.update(fields)
@@ -60,6 +73,15 @@ class ServerClient:
         line = self._file.readline(self.max_payload + 1)
         if not line:
             raise ConnectionError("server closed the connection")
+        if not line.endswith(b"\n"):
+            self.close()
+            if len(line) <= self.max_payload:
+                raise ConnectionError("server closed the connection mid-reply")
+            raise ProtocolError(
+                E_PAYLOAD_TOO_LARGE,
+                "reply exceeds the client's max_payload of %d bytes;"
+                " connection closed" % self.max_payload,
+            )
         return decode(line)
 
     def request(self, verb: str, **fields: Any) -> Dict[str, Any]:

@@ -915,37 +915,17 @@ def analyze_side_effects_sharded(
     stays open for reuse.
     """
     from repro.core.aliases import compute_aliases, factor_aliases_into
+    from repro.core.arena import get_arena
     from repro.core.dmod import compute_dmod
     from repro.core.imod_plus import compute_imod_plus
+    from repro.core.pipeline import mark_phase, run_front_end
     from repro.core.summary import EffectSolution, SideEffectSummary
 
     timings: Dict[str, float] = {}
     started = time.perf_counter()
-
-    def _mark(phase: str, since: float) -> float:
-        now = time.perf_counter()
-        timings[phase] = timings.get(phase, 0.0) + (now - since)
-        return now
-
-    tick = started
-    if isinstance(program, str):
-        from repro.lang.lexer import tokenize_stream
-        from repro.lang.parser import parse_token_stream
-        from repro.lang.semantic import analyze as semantic_analyze
-
-        stream = tokenize_stream(program)
-        tick = _mark("lex", tick)
-        ast = parse_token_stream(stream)
-        tick = _mark("parse", tick)
-        resolved = semantic_analyze(ast)
-        tick = _mark("resolve", tick)
-        timings["compile"] = timings["lex"] + timings["parse"] + timings["resolve"]
-    else:
-        resolved = program
-        tick = _mark("compile", tick)
+    resolved, tick = run_front_end(program, timings, started)
 
     counter = OpCounter()
-    from repro.core.arena import get_arena
 
     # The shared lowering: graphs, local sets, and — crucially here —
     # the two cached condensations the partitioner would otherwise
@@ -955,9 +935,9 @@ def analyze_side_effects_sharded(
     call_graph = arena.call_graph
     binding_graph = arena.binding_graph
     local = arena.local
-    tick = _mark("graphs", tick)
+    tick = mark_phase(timings, "graphs", tick)
     aliases = compute_aliases(resolved, universe, counter)
-    tick = _mark("aliases", tick)
+    tick = mark_phase(timings, "aliases", tick)
 
     beta_plan = partition_graph(
         binding_graph.num_formals,
@@ -985,7 +965,7 @@ def analyze_side_effects_sharded(
         call_plan,
         carrier=narrow_carrier(resolved, universe),
     )
-    tick = _mark("partition", tick)
+    tick = mark_phase(timings, "partition", tick)
 
     own_runner = runner is None
     active = runner if runner is not None else ShardRunner(jobs)
@@ -998,17 +978,17 @@ def analyze_side_effects_sharded(
                 binding_graph, local, kind, beta_system, active, counter
             )
             rmod_stats.accumulate(stats)
-            tick = _mark("rmod", tick)
+            tick = mark_phase(timings, "rmod", tick)
             imod_plus = compute_imod_plus(resolved, local, rmod, kind, counter)
-            tick = _mark("imod_plus", tick)
+            tick = mark_phase(timings, "imod_plus", tick)
             gmod, stats = solve_gmod_sharded(
                 call_graph, imod_plus, universe, kind, call_system, active, counter
             )
             gmod_stats.accumulate(stats)
-            tick = _mark("gmod", tick)
+            tick = mark_phase(timings, "gmod", tick)
             dmod = compute_dmod(resolved, gmod, universe, kind, counter)
             mod = factor_aliases_into(dmod, aliases, resolved, counter)
-            tick = _mark("dmod", tick)
+            tick = mark_phase(timings, "dmod", tick)
             solutions[kind] = EffectSolution(
                 kind=kind,
                 rmod=rmod,

@@ -3,8 +3,9 @@
 The strongest statement the incremental solver makes is *byte
 identity*: after any edit, the summary produced by
 ``incremental_update`` serializes to exactly the bytes a from-scratch
-analysis of the same source would produce — under both the fused
-arena solver and the original per-kind solvers.  A single hand-picked
+analysis of the same source would produce — from both the fused
+arena solver and the per-kind oracle
+(:func:`repro.baselines.per_kind.analyze_per_kind`).  A single hand-picked
 edit cannot pin that; a randomized *sequence* of structural edits can,
 because each step chains the previous incremental output as the next
 baseline, so any drift (a stale mask, a missed invalidation, an
@@ -35,6 +36,7 @@ from typing import List
 
 import pytest
 
+from repro.baselines.per_kind import analyze_per_kind
 from repro.core.incremental import incremental_update
 from repro.core.persist import summary_to_bytes, summary_to_dict
 from repro.core.pipeline import analyze_side_effects
@@ -259,7 +261,8 @@ FUZZ_CASES = [
 )
 def test_edit_sequence_oracle(config, seed):
     """20 random edits; after each, the chained incremental summary is
-    byte-identical to from-scratch analyses on BOTH solver paths."""
+    byte-identical to from-scratch analyses by the fused solver and
+    the per-kind oracle."""
     fuzzer = EditFuzzer(config, seed)
     summary = analyze_side_effects(pretty(fuzzer.program))
     for step in range(20):
@@ -267,8 +270,8 @@ def test_edit_sequence_oracle(config, seed):
         source = pretty(fuzzer.program)
         summary, stats = incremental_update(summary, compile_source(source))
         got = summary_to_bytes(summary)
-        fused = summary_to_bytes(analyze_side_effects(source, fused=True))
-        legacy = summary_to_bytes(analyze_side_effects(source, fused=False))
+        fused = summary_to_bytes(analyze_side_effects(source))
+        legacy = summary_to_bytes(analyze_per_kind(compile_source(source)))
         context = "step %d (%s), config seed %d, fuzz seed %d" % (
             step, op, config.seed, seed)
         assert got == fused, "fused-path divergence at " + context

@@ -159,11 +159,6 @@ class TestLaneRegistry:
         with pytest.raises(ValueError):
             parse_lane_names("sections,warp")
 
-    def test_lanes_require_fused_pipeline(self):
-        resolved = generate_resolved(GeneratorConfig(seed=1, num_procs=8))
-        with pytest.raises(ValueError, match="fused"):
-            analyze_side_effects(resolved, fused=False, lanes=("sections",))
-
 
 class TestOneCondensation:
     def test_three_lane_run_single_condensation(self):

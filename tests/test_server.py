@@ -20,6 +20,7 @@ from repro.core.persist import summary_to_dict
 from repro.core.pipeline import analyze_side_effects
 from repro.server import (
     PROTOCOL_VERSION,
+    ProtocolError,
     ServerClient,
     ServerConfig,
     ServerError,
@@ -126,6 +127,22 @@ class TestProtocol:
                 assert response["error"]["code"] == "payload_too_large"
                 # Framing is unrecoverable: the server hangs up.
                 assert reader.readline() == b""
+
+    def test_oversized_reply_fails_cleanly(self, server):
+        """A reply over the client's cap raises an error naming the cap
+        and closes the connection, so its unread tail is never taken
+        for the next reply."""
+        source = pretty(generate_program(
+            GeneratorConfig(seed=4, num_procs=500, num_globals=60)))
+        with ServerClient(port=server.port, max_payload=64 * 1024) as small:
+            with pytest.raises(ProtocolError, match="max_payload of 65536") as excinfo:
+                small.analyze(source)
+            assert excinfo.value.code == "payload_too_large"
+            with pytest.raises(ConnectionError):
+                small.ping()
+        with ServerClient(port=server.port) as fresh:
+            assert fresh.analyze(source)["ok"]
+            assert fresh.ping()["ok"]
 
 
 class TestAnalyze:
