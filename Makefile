@@ -18,13 +18,14 @@ test:
 # that iterate on solver fast paths).  Includes the front-end golden
 # equivalence suite (the batched lexer and token-stream parser must
 # stay byte-identical to the frozen reference scanner), the fused
-# solver against the per-kind oracle, and the .cka arena-image and
-# container-loader round trips.
+# solver against the per-kind oracle, the .cka arena-image and
+# container-loader round trips, and the mask-native summary writer
+# against the dict-route encoder (byte identity).
 differential:
 	$(PP) $(PY) -m pytest -q tests/test_differential.py tests/test_batch.py \
 	    tests/test_linearity_guard.py tests/test_persist_roundtrip.py \
 	    tests/test_frontend_equivalence.py tests/test_fused_differential.py \
-	    tests/test_arena_image.py
+	    tests/test_arena_image.py tests/test_persist_writer.py
 
 # The sharded-solver oracle: byte-equality against the monolithic
 # pipeline over the differential corpus, the fuzz sweep (shard counts

@@ -17,8 +17,9 @@ Subcommands:
   recompilation after an edit;
 * ``profile [FILE]`` — run one full analysis under ``cProfile`` and
   print the per-phase timing breakdown (lex / parse / resolve /
-  graphs / solvers) plus the hottest functions; with no file, a
-  generated workload is profiled (``--gen-procs``);
+  graphs / solvers), the time ``summary_to_bytes`` takes to persist
+  the result, plus the hottest functions; with no file, a generated
+  workload is profiled (``--gen-procs``);
 * ``batch DIR``      — analyze every ``.ck`` file under a directory in
   parallel, with a content-hash summary cache and a corpus stats
   report (see :mod:`repro.service`); ``--shards N`` switches every
@@ -271,6 +272,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import cProfile
     import io
     import pstats
+    import time
 
     if args.file:
         with open(args.file) as handle:
@@ -315,6 +317,18 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         share = (100.0 * seconds / total) if total else 0.0
         print("  %-16s %8.4fs  %5.1f%%" % (phase, seconds, share))
     print("  %-16s %8.4fs" % ("total", total))
+
+    # Writing the container is the rest of what a batch run pays from
+    # source to bytes on disk; timed outside the profiler.
+    from repro.core.persist import summary_to_bytes
+
+    start = time.perf_counter()
+    summary_to_bytes(summary)
+    persist = time.perf_counter() - start
+    print(
+        "  %-16s %8.4fs  %5.1f%% of source to bytes (%.4fs)"
+        % ("persist", persist, 100.0 * persist / (total + persist), total + persist)
+    )
 
     print("\ncProfile hot spots (%s, top %d):" % (args.sort, args.top))
     buffer = io.StringIO()

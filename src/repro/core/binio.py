@@ -96,11 +96,24 @@ def write_mask(out: bytearray, mask: int) -> None:
     out += blob
 
 
+def _checked_end(data, pos: int, length: int) -> int:
+    """``pos + length``, provided ``data`` holds that many bytes: a
+    slice past the end would silently come back short."""
+    end = pos + length
+    if end > len(data):
+        raise ValueError(
+            "truncated data: a %d-byte field at offset %d runs past the "
+            "end (%d bytes)" % (length, pos, len(data))
+        )
+    return end
+
+
 def read_mask(data, pos: int) -> Tuple[int, int]:
     """Read a length-prefixed mask blob; returns ``(mask, next
-    position)``."""
+    position)``.  Raises :class:`ValueError` if the blob runs past the
+    end of ``data``."""
     length, pos = read_varint(data, pos)
-    end = pos + length
+    end = _checked_end(data, pos, length)
     return int.from_bytes(data[pos:end], "little"), end
 
 
@@ -158,9 +171,10 @@ def write_bytes(out: bytearray, blob: bytes) -> None:
 
 def read_bytes(data, pos: int) -> Tuple[bytes, int]:
     """Read a length-prefixed byte string; returns ``(bytes, next
-    position)``."""
+    position)``.  Raises :class:`ValueError` if the string runs past the
+    end of ``data``."""
     length, pos = read_varint(data, pos)
-    end = pos + length
+    end = _checked_end(data, pos, length)
     return bytes(data[pos:end]), end
 
 

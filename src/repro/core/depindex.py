@@ -560,7 +560,16 @@ def index_to_bytes(index: DependencyIndex) -> bytes:
 
 def index_from_bytes(data: bytes) -> DependencyIndex:
     """Deserialize an index blob; raises :class:`ValueError` with an
-    explicit message on a magic or version mismatch."""
+    explicit message on a magic or version mismatch, and on a truncated
+    or corrupt blob."""
+    try:
+        return _index_from_bytes(data)
+    except IndexError as exc:
+        # A varint, list or mask table running off the blob.
+        raise ValueError("corrupt dependency index: %s" % exc) from exc
+
+
+def _index_from_bytes(data: bytes) -> DependencyIndex:
     magic = bytes(data[: len(INDEX_MAGIC)])
     if magic != INDEX_MAGIC:
         raise ValueError(

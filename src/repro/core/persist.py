@@ -6,7 +6,9 @@ between compiler runs.  This module round-trips the per-procedure and
 per-site sets through a plain-dict (JSON-safe) form keyed by qualified
 names, so a summary written by one process can be loaded against a
 freshly parsed copy of the same program — or diffed against the next
-version's summary by the recompilation analysis.
+version's summary by the recompilation analysis.  The binary container
+holds the same payload; :func:`summary_to_bytes` writes it straight
+from the solution masks, never listing a set's names.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 import json
 import struct
 import warnings
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_right
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.binio import (
     read_bytes,
@@ -24,6 +27,7 @@ from repro.core.binio import (
     write_signed,
     write_varint,
 )
+from repro.core.bitvec import iter_bits
 from repro.core.summary import SideEffectSummary
 from repro.core.varsets import EffectKind
 from repro.lang.symbols import ResolvedProgram
@@ -135,48 +139,19 @@ def summary_to_dict(summary: SideEffectSummary, include_sections: bool = False) 
         "program": resolved.program.name,
         "procedures": {},
         "call_sites": [],
-        # Inner pairs sorted by name: a frozenset's iteration order
-        # depends on its construction history, and the serialized form
-        # must not (a set rebuilt from the dependency index would
-        # otherwise serialize differently than the identical set built
-        # by the alias solver).
         "aliases": {
-            proc.qualified_name: sorted(
-                sorted(
-                    [
-                        resolved.variables[a].qualified_name,
-                        resolved.variables[b].qualified_name,
-                    ]
-                )
-                for a, b in summary.aliases.pairs_of(proc)
-            )
+            proc.qualified_name: _alias_names(summary, proc)
             for proc in resolved.procs
         },
     }
     if include_sections:
-        from repro.core.arena import get_arena
-        from repro.core.varsets import EffectKind as _Kind
-        from repro.sections import analyze_sections
-
-        section_analysis = analyze_sections(
-            resolved, _Kind.MOD, universe, summary.call_graph,
-            condensation=get_arena(resolved).call_condensation(),
-        )
-        payload["sections"] = {
-            "lattice": "figure3",
-            "sites": [
-                section_analysis.describe_site(site)
-                for site in resolved.call_sites
-            ],
-        }
+        payload["sections"] = _sections_payload(summary)
     for proc in resolved.procs:
         entry: Dict = {"level": proc.level}
         for kind, solution in summary.solutions.items():
             tag = kind.value
             entry["g%s" % tag] = universe.to_names(solution.gmod[proc.pid])
-            entry["r%s" % tag] = [
-                formal.name for formal in solution.rmod.formals_of(proc.pid)
-            ]
+            entry["r%s" % tag] = _rmod_names(solution, proc)
         payload["procedures"][proc.qualified_name] = entry
     for site in resolved.call_sites:
         entry = {
@@ -193,6 +168,44 @@ def summary_to_dict(summary: SideEffectSummary, include_sections: bool = False) 
     return payload
 
 
+def _alias_names(summary: SideEffectSummary, proc) -> List[List[str]]:
+    """A procedure's alias pairs as name pairs.
+
+    Inner pairs sorted by name: a frozenset's iteration order depends on
+    its construction history, and the serialized form must not (a set
+    rebuilt from the dependency index would otherwise serialize
+    differently than the identical set built by the alias solver).
+    """
+    names = summary.universe.names
+    return sorted(
+        sorted([names[a], names[b]]) for a, b in summary.aliases.pairs_of(proc)
+    )
+
+
+def _rmod_names(solution, proc) -> List[str]:
+    """``RMOD(p)`` (or ``RUSE``) as formal names, position-ascending."""
+    return [formal.name for formal in solution.rmod.formals_of(proc.pid)]
+
+
+def _sections_payload(summary: SideEffectSummary) -> Dict:
+    """The Section 6 regular sections of every call site (a separate
+    solve over the Figure 3 lattice)."""
+    from repro.core.arena import get_arena
+    from repro.sections import analyze_sections
+
+    resolved = summary.resolved
+    section_analysis = analyze_sections(
+        resolved, EffectKind.MOD, summary.universe, summary.call_graph,
+        condensation=get_arena(resolved).call_condensation(),
+    )
+    return {
+        "lattice": "figure3",
+        "sites": [
+            section_analysis.describe_site(site) for site in resolved.call_sites
+        ],
+    }
+
+
 def summary_to_json(summary: SideEffectSummary, indent: Optional[int] = None) -> str:
     return json.dumps(summary_to_dict(summary), indent=indent, sort_keys=True)
 
@@ -202,8 +215,14 @@ def summary_to_bytes(
     include_sections: bool = False,
     include_index: bool = False,
     include_lanes: bool = False,
+    sections: Optional[Dict[int, bytes]] = None,
 ) -> bytes:
     """Serialize a live summary to the binary container.
+
+    The container is written straight from the solution masks (see
+    :class:`_MaskWriter`), byte-identical to
+    ``encode_summary_payload(summary_to_dict(summary, include_sections),
+    sections)`` without building that payload.
 
     ``include_index`` additionally embeds the fine-grained dependency
     index as a v4 trailer section (building and caching it on the
@@ -211,16 +230,17 @@ def summary_to_bytes(
     incremental updates without re-deriving it.  ``include_lanes``
     embeds one tagged trailer section per persistable lane the summary
     was solved with (``summary.lanes``); lanes the analysis never ran
-    are simply absent — a loader re-solves on demand.  Without either
-    flag the output is a plain v3 container, byte-identical to earlier
+    are simply absent — a loader re-solves on demand.  ``sections``
+    adds caller-owned trailer sections (tag → blob), such as the
+    analysis server's :data:`SECTION_SESSION_META`.  With none of the
+    three the output is a plain v3 container, byte-identical to earlier
     writers.
     """
-    payload = summary_to_dict(summary, include_sections)
-    sections: Dict[int, bytes] = {}
+    trailer: Dict[int, bytes] = dict(sections or {})
     if include_lanes and summary.lanes:
         from repro.lanes.driver import lane_blobs
 
-        sections.update(lane_blobs(summary.lanes))
+        trailer.update(lane_blobs(summary.lanes))
     if include_index:
         from repro.core.arena import peek_arena
         from repro.core.depindex import build_dependency_index, index_to_bytes
@@ -231,13 +251,273 @@ def summary_to_bytes(
                 summary, arena=peek_arena(summary.resolved)
             )
             summary.dep_index = index
-        sections[SECTION_DEP_INDEX] = index_to_bytes(index)
-    return encode_summary_payload(payload, sections=sections or None)
+        trailer[SECTION_DEP_INDEX] = index_to_bytes(index)
+    strings, intern = _string_table()
+    body = _summary_body(summary, include_sections, intern)
+    return _container(strings, body, trailer)
+
+
+def _summary_body(
+    summary: SideEffectSummary, include_sections: bool, intern
+) -> bytearray:
+    """The tagged body of :func:`summary_to_dict`'s payload, written in
+    the order :func:`_encode_value` would walk that payload, so every
+    string is interned at the same table index."""
+    resolved = summary.resolved
+    solutions = list(summary.solutions.items())
+    sets = _MaskWriter(summary.universe.names, intern)
+    # Keyed like the payload's dicts: a procedure sharing a qualified
+    # name with an earlier one (the main program and a procedure named
+    # after the program) keeps the first one's slot and the last one's
+    # entry.
+    procs_by_name = {}
+    for proc in resolved.procs:
+        procs_by_name[proc.qualified_name] = proc
+    body = bytearray()
+
+    def key(text: str) -> None:
+        write_varint(body, intern(text))
+
+    def value(item) -> None:
+        _encode_value(item, body, intern)
+
+    body.append(_T_DICT)
+    write_varint(body, 6 if include_sections else 5)
+    key("version")
+    value(FORMAT_VERSION)
+    key("program")
+    value(resolved.program.name)
+
+    key("procedures")
+    body.append(_T_DICT)
+    write_varint(body, len(procs_by_name))
+    for name, proc in procs_by_name.items():
+        key(name)
+        body.append(_T_DICT)
+        write_varint(body, 1 + 2 * len(solutions))
+        key("level")
+        value(proc.level)
+        for kind, solution in solutions:
+            key("g%s" % kind.value)
+            body += sets.encode(solution.gmod[proc.pid])
+            key("r%s" % kind.value)
+            value(_rmod_names(solution, proc))
+
+    key("call_sites")
+    body.append(_T_LIST)
+    write_varint(body, len(resolved.call_sites))
+    for site in resolved.call_sites:
+        body.append(_T_DICT)
+        write_varint(body, 4 + 2 * len(solutions))
+        key("site_id")
+        value(site.site_id)
+        key("caller")
+        value(site.caller.qualified_name)
+        key("callee")
+        value(site.callee.qualified_name)
+        key("line")
+        value(site.line)
+        for kind, solution in solutions:
+            key("d%s" % kind.value)
+            body += sets.encode(solution.dmod[site.site_id])
+            key(kind.value)
+            body += sets.encode(solution.mod[site.site_id])
+
+    key("aliases")
+    body.append(_T_DICT)
+    write_varint(body, len(procs_by_name))
+    for name, proc in procs_by_name.items():
+        key(name)
+        value(_alias_names(summary, proc))
+
+    if include_sections:
+        key("sections")
+        value(_sections_payload(summary))
+    return body
+
+
+#: Shortest uid run :class:`_MaskWriter` maps with one shift.
+_MIN_RUN = 8
+
+class _MaskWriter:
+    """Writes variable masks as the container's name-list values without
+    listing the names.
+
+    The dict route turns a mask into its qualified names in uid order
+    and interns each one.  This writer interns the same names in the
+    same order — a mask's not-yet-seen uids, uid-ascending, by name
+    through the shared ``intern``, so a variable named like a payload
+    key or a procedure gets the index the dict route gives it — and
+    then maps the mask's bits to table indices directly.  Every stretch
+    of at least :data:`_MIN_RUN` consecutive uids interned to
+    consecutive indices is kept as one run, whose bits move with one
+    shift; only bits outside the runs are mapped one by one.  On the
+    generated shapes the globals, interned together by the main
+    program's GMOD, form one run.
+
+    A mask's bytes are final once its uids are interned, so each
+    distinct mask is encoded once.
+    """
+
+    def __init__(self, names: List[str], intern) -> None:
+        self.names = names
+        self.intern = intern
+        #: uid → string-table index, -1 until first written.
+        self.index = [-1] * len(names)
+        self.seen = 0
+        #: Runs as ``(uid_lo, width, index_lo)``, uid-ascending; a uid
+        #: ``u`` in a run sits at index ``index_lo + u - uid_lo``.
+        self.runs: List[Tuple[int, int, int]] = []
+        self.run_starts: List[int] = []
+        self.in_runs = 0
+        self.encoded: Dict[int, bytes] = {}
+
+    def encode(self, mask: int) -> bytes:
+        blob = self.encoded.get(mask)
+        if blob is None:
+            fresh = mask & ~self.seen
+            if fresh:
+                self._intern(fresh)
+            blob = self.encoded[mask] = self._write(mask)
+        return blob
+
+    def _intern(self, fresh: int) -> None:
+        index, names, intern = self.index, self.names, self.intern
+        lo = base = -1
+        width = 0
+        for uid in iter_bits(fresh):
+            at = intern(names[uid])
+            index[uid] = at
+            if uid == lo + width and at == base + width:
+                width += 1
+            else:
+                self._add_run(lo, width, base)
+                lo, base, width = uid, at, 1
+        self._add_run(lo, width, base)
+        self.seen |= fresh
+
+    def _add_run(self, lo: int, width: int, base: int) -> None:
+        if width >= _MIN_RUN:
+            at = bisect_right(self.run_starts, lo)
+            self.run_starts.insert(at, lo)
+            self.runs.insert(at, (lo, width, base))
+            self.in_runs |= ((1 << width) - 1) << lo
+
+    def _write(self, mask: int) -> bytes:
+        if not mask:
+            return bytes((_T_LIST, 0))  # The generic encoder's empty list.
+        # Pieces of the mask in uid order: (first uid, first index, last
+        # index, member offsets from the first index as a bit mask).
+        pieces = []
+        covered = mask & self.in_runs
+        rest = covered
+        while rest:
+            uid = (rest & -rest).bit_length() - 1
+            lo, width, base = self.runs[bisect_right(self.run_starts, uid) - 1]
+            end = lo + width
+            part = (rest >> uid) & ((1 << (end - uid)) - 1)
+            first = base + uid - lo
+            pieces.append((uid, first, first + part.bit_length() - 1, part))
+            rest = rest >> end << end
+        index = self.index
+        for uid in iter_bits(mask ^ covered):
+            at = index[uid]
+            pieces.append((uid, at, at, 1))
+        pieces.sort()
+        count = mask.bit_count()
+        out = bytearray()
+        last = -1
+        for _uid, first, top, _part in pieces:
+            if first <= last:
+                # Not table-ascending: the generic encoder's list form.
+                names = [self.names[uid] for uid in iter_bits(mask)]
+                _encode_value(names, out, self.intern)
+                return bytes(out)
+            last = top
+        first = pieces[0][1]
+
+        def offsets() -> int:
+            bits = 0
+            for _uid, at, _top, part in pieces:
+                bits |= part << (at - first)
+            return bits
+
+        def gaps(out: bytearray) -> None:
+            previous = first
+            for _uid, at, top, part in pieces:
+                if at != first:
+                    write_varint(out, at - previous - 1)
+                if part != 1:
+                    out += _bit_gaps(part)
+                previous = top
+
+        _write_ascending(out, first, last, count, offsets, gaps)
+        return bytes(out)
 
 
 # ---------------------------------------------------------------------------
 # Binary container (format v3)
 # ---------------------------------------------------------------------------
+
+
+def _write_ascending(
+    body: bytearray,
+    first: int,
+    last: int,
+    count: int,
+    offsets: Callable[[], int],
+    gaps: Callable[[bytearray], None],
+) -> None:
+    """Write ``count`` strictly ascending string-table indices from
+    ``first`` to ``last`` in the denser of the two layouts — the one
+    rule both the generic encoder and the mask writer follow.
+
+    ``offsets()`` returns the indices as a bit mask whose bit 0 is
+    ``first``; ``gaps(out)`` appends, as varints, each later index's
+    distance from the one before, minus one.  Only the chosen layout's
+    callback runs.
+    """
+    span = last - first + 1
+    if span <= 8 * count:
+        # Dense: a bit mask over [first, last] costs at most one byte
+        # per member, while delta varints cost at least one.
+        body.append(_T_STRLIST_MASK)
+        write_varint(body, first)
+        write_bytes(body, offsets().to_bytes((span + 7) >> 3, "little"))
+    else:
+        body.append(_T_STRLIST_DELTA)
+        write_varint(body, count)
+        write_varint(body, first)
+        gaps(body)
+
+
+def _bit_gaps(bits: int) -> bytes:
+    """The delta varints between consecutive set bits of ``bits``
+    (whose bit 0 is set), from the zero runs of its binary string."""
+    gaps = list(map(len, bin(bits)[:1:-1].split("1")[1:-1]))
+    if max(gaps, default=0) < 0x80:
+        return bytes(gaps)  # One byte per varint.
+    out = bytearray()
+    for gap in gaps:
+        write_varint(out, gap)
+    return bytes(out)
+
+
+def _index_offsets(indices: List[int], first: int) -> int:
+    """Ascending table indices as a bit mask whose bit 0 is ``first``."""
+    bits = bytearray(((indices[-1] - first) >> 3) + 1)
+    for index in indices:
+        offset = index - first
+        bits[offset >> 3] |= 1 << (offset & 7)
+    return int.from_bytes(bits, "little")
+
+
+def _index_gaps(out: bytearray, indices: List[int]) -> None:
+    """Append the delta varints of an ascending index list."""
+    previous = indices[0]
+    for index in indices[1:]:
+        write_varint(out, index - previous - 1)
+        previous = index
 
 
 def _encode_value(value, body: bytearray, intern) -> None:
@@ -268,26 +548,11 @@ def _encode_value(value, body: bytearray, intern) -> None:
                 previous = index
             if ascending:
                 first = indices[0]
-                span = indices[-1] - first + 1
-                if span <= 8 * len(indices):
-                    # Dense: a bit mask over [first, last] costs at most
-                    # one byte per member, while delta varints cost at
-                    # least one.
-                    body.append(_T_STRLIST_MASK)
-                    write_varint(body, first)
-                    mask_bits = bytearray((span + 7) >> 3)
-                    for index in indices:
-                        offset = index - first
-                        mask_bits[offset >> 3] |= 1 << (offset & 7)
-                    write_bytes(body, bytes(mask_bits))
-                else:
-                    body.append(_T_STRLIST_DELTA)
-                    write_varint(body, len(indices))
-                    write_varint(body, first)
-                    previous = first
-                    for index in indices[1:]:
-                        write_varint(body, index - previous - 1)
-                        previous = index
+                _write_ascending(
+                    body, first, indices[-1], len(indices),
+                    lambda: _index_offsets(indices, first),
+                    lambda out: _index_gaps(out, indices),
+                )
                 return
             # Not table-ascending (e.g. alias name pairs): fall through
             # to the generic list form, which preserves order exactly.
@@ -311,23 +576,10 @@ def _encode_value(value, body: bytearray, intern) -> None:
         )
 
 
-def encode_summary_payload(
-    payload: Dict, sections: Optional[Dict[int, bytes]] = None
-) -> bytes:
-    """Encode a summary payload dict (the :func:`summary_to_dict` shape)
-    into the binary container.
-
-    Round-trips exactly: ``decode_summary_payload(encode_summary_payload(p))
-    == p`` for any JSON-safe payload.  Strings are interned in a table
-    written once; name-set lists collapse to delta varints or bit masks
-    whenever their interned indices are ascending (which they are for
-    every ``universe.to_names`` product, since those share one stable
-    emission order).
-
-    ``sections`` maps section tags (e.g. :data:`SECTION_DEP_INDEX`) to
-    opaque blobs appended as a v4 trailer; when empty or None the output
-    is a v3 container, byte-for-byte what pre-v4 writers produced.
-    """
+def _string_table():
+    """An empty string table: ``(strings, intern)``, where
+    ``intern(text)`` returns the index of ``text``, appending it on
+    first sight."""
     strings: List[str] = []
     index_of: Dict[str, int] = {}
 
@@ -339,8 +591,14 @@ def encode_summary_payload(
             strings.append(text)
         return found
 
-    body = bytearray()
-    _encode_value(payload, body, intern)
+    return strings, intern
+
+
+def _container(
+    strings: List[str], body: bytearray, sections: Optional[Dict[int, bytes]]
+) -> bytes:
+    """Magic, header, string table, body and — when there are sections
+    — the v4 trailer."""
     table = bytearray()
     write_varint(table, len(strings))
     for text in strings:
@@ -363,6 +621,33 @@ def encode_summary_payload(
         + bytes(body)
         + trailer
     )
+
+
+def encode_summary_payload(
+    payload: Dict, sections: Optional[Dict[int, bytes]] = None
+) -> bytes:
+    """Encode a summary payload dict (the :func:`summary_to_dict` shape)
+    into the binary container.
+
+    Round-trips exactly: ``decode_summary_payload(encode_summary_payload(p))
+    == p`` for any JSON-safe payload.  Strings are interned in a table
+    written once; name-set lists collapse to delta varints or bit masks
+    whenever their interned indices are ascending (which they are for
+    every ``universe.to_names`` product, since those share one stable
+    emission order).
+
+    ``sections`` maps section tags (e.g. :data:`SECTION_DEP_INDEX`) to
+    opaque blobs appended as a v4 trailer; when empty or None the output
+    is a v3 container, byte-for-byte what pre-v4 writers produced.
+
+    :func:`summary_to_bytes` writes the same bytes for a live summary
+    without building the payload; this generic form serves cache
+    records and is the writer's test oracle.
+    """
+    strings, intern = _string_table()
+    body = bytearray()
+    _encode_value(payload, body, intern)
+    return _container(strings, body, sections)
 
 
 def _decode_value(data, pos: int, strings: List[str]):
@@ -430,13 +715,20 @@ def decode_summary_container(data: bytes) -> "Tuple[Dict, Dict[int, bytes]]":
 
     Raises :class:`ValueError` with an explicit message when the magic
     or the container version does not match — a future writer and this
-    reader must fail loudly, never misread.
+    reader must fail loudly, never misread — and on every truncated or
+    corrupt container: no other exception class escapes.
     """
     magic = data[: len(BINARY_MAGIC)]
     if magic != BINARY_MAGIC:
         raise ValueError(
             "not a binary summary: expected magic %r, found %r"
             % (BINARY_MAGIC, bytes(magic))
+        )
+    table_start = len(BINARY_MAGIC) + _HEADER.size
+    if len(data) < table_start:
+        raise ValueError(
+            "truncated binary summary: %d bytes, the header alone needs %d"
+            % (len(data), table_start)
         )
     version, table_len, body_len = _HEADER.unpack_from(data, len(BINARY_MAGIC))
     if version not in (_SECTIONLESS_BINARY_VERSION, BINARY_FORMAT_VERSION):
@@ -445,7 +737,6 @@ def decode_summary_container(data: bytes) -> "Tuple[Dict, Dict[int, bytes]]":
             "supports versions %d and %d); re-export the summary or upgrade"
             % (version, _SECTIONLESS_BINARY_VERSION, BINARY_FORMAT_VERSION)
         )
-    table_start = len(BINARY_MAGIC) + _HEADER.size
     body_start = table_start + table_len
     expected = body_start + body_len
     if len(data) < expected:
@@ -453,20 +744,33 @@ def decode_summary_container(data: bytes) -> "Tuple[Dict, Dict[int, bytes]]":
             "truncated binary summary: header promises %d bytes, found %d"
             % (expected, len(data))
         )
-    count, pos = read_varint(data, table_start)
-    strings: List[str] = []
-    for _ in range(count):
-        blob, pos = read_bytes(data, pos)
-        strings.append(blob.decode("utf-8"))
-    payload, _ = _decode_value(data, body_start, strings)
-    sections: Dict[int, bytes] = {}
-    if version >= BINARY_FORMAT_VERSION:
-        pos = expected
-        count, pos = read_varint(data, pos)
+    try:
+        count, pos = read_varint(data, table_start)
+        strings: List[str] = []
         for _ in range(count):
-            tag, pos = read_varint(data, pos)
             blob, pos = read_bytes(data, pos)
-            sections[tag] = blob
+            strings.append(blob.decode("utf-8"))
+        if pos != body_start:
+            raise ValueError(
+                "corrupt binary summary: string table ends at byte %d, "
+                "header says %d" % (pos, body_start)
+            )
+        payload, pos = _decode_value(data, body_start, strings)
+        if pos != expected:
+            raise ValueError(
+                "corrupt binary summary: body ends at byte %d, header says %d"
+                % (pos, expected)
+            )
+        sections: Dict[int, bytes] = {}
+        if version >= BINARY_FORMAT_VERSION:
+            count, pos = read_varint(data, pos)
+            for _ in range(count):
+                tag, pos = read_varint(data, pos)
+                blob, pos = read_bytes(data, pos)
+                sections[tag] = blob
+    except (IndexError, struct.error) as exc:
+        # A varint, string index or float running off the data.
+        raise ValueError("corrupt binary summary: %s" % exc) from exc
     return payload, sections
 
 

@@ -12,7 +12,7 @@ objects.
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Iterable, List, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from repro.core.bitvec import iter_bits, mask_of
 from repro.lang.symbols import ProcSymbol, ResolvedProgram, VarSymbol
@@ -52,6 +52,7 @@ class VariableUniverse:
         for var in resolved.variables:
             self.level_mask[var.level] |= 1 << var.uid
         self._visible_cache: Dict[int, int] = {}
+        self._names: Optional[List[str]] = None
 
     @classmethod
     def spliced(
@@ -85,9 +86,18 @@ class VariableUniverse:
             self.formal_mask[pid] = mask_of(v.uid for v in proc.formals)
         self.level_mask = list(level_mask)
         self._visible_cache = {}
+        self._names = None
         return self
 
     # -- translations -------------------------------------------------------
+
+    @property
+    def names(self) -> List[str]:
+        """Qualified variable names, uid-indexed (built on first use:
+        ``VarSymbol.qualified_name`` formats a fresh string per call)."""
+        if self._names is None:
+            self._names = [var.qualified_name for var in self.resolved.variables]
+        return self._names
 
     def to_symbols(self, mask: int) -> List[VarSymbol]:
         """Decode a mask to its symbols, uid-ascending."""
@@ -95,7 +105,8 @@ class VariableUniverse:
 
     def to_names(self, mask: int) -> List[str]:
         """Decode a mask to qualified names, uid-ascending."""
-        return [symbol.qualified_name for symbol in self.to_symbols(mask)]
+        names = self.names
+        return [names[uid] for uid in iter_bits(mask)]
 
     def mask_of_symbols(self, symbols: Iterable[VarSymbol]) -> int:
         return mask_of(symbol.uid for symbol in symbols)

@@ -452,34 +452,21 @@ class AnalysisServer:
         """Write a session's summary + dependency index + metadata as a
         v4 container (atomic rename) — runs on the solver pool."""
         from repro.core.arena import peek_arena
-        from repro.core.depindex import build_dependency_index, index_to_bytes
-        from repro.core.persist import (
-            SECTION_DEP_INDEX,
-            SECTION_SESSION_META,
-            encode_summary_payload,
-            summary_to_dict,
-        )
+        from repro.core.persist import SECTION_SESSION_META, summary_to_bytes
 
         summary = session.summary
-        index = getattr(summary, "dep_index", None)
-        if index is None:
-            index = build_dependency_index(
-                summary, arena=peek_arena(summary.resolved)
-            )
-            summary.dep_index = index
         meta = {"name": session.name, "gmod_method": session.gmod_method,
                 "key": session.key, "lanes": list(session.lanes)}
-        sections = {
-            SECTION_DEP_INDEX: index_to_bytes(index),
-            SECTION_SESSION_META: json.dumps(
-                meta, sort_keys=True
-            ).encode("utf-8"),
-        }
-        if summary.lanes:
-            from repro.lanes.driver import lane_blobs
-
-            sections.update(lane_blobs(summary.lanes))
-        blob = encode_summary_payload(summary_to_dict(summary), sections=sections)
+        blob = summary_to_bytes(
+            summary,
+            include_index=True,
+            include_lanes=True,
+            sections={
+                SECTION_SESSION_META: json.dumps(
+                    meta, sort_keys=True
+                ).encode("utf-8"),
+            },
+        )
         path = self._session_state_path(session.name)
         tmp = path + ".tmp"
         with open(tmp, "wb") as handle:

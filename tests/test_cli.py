@@ -250,3 +250,14 @@ class TestShard:
                      "--jobs", "1", "--shards", "2"]) == 0
         out = capsys.readouterr().out
         assert "ok" in out
+
+
+class TestProfile:
+    def test_persist_row_follows_the_phase_table(self, chain_file, capsys):
+        assert main(["profile", chain_file, "--top", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        total = next(i for i, line in enumerate(lines) if line.split()[:1] == ["total"])
+        persist = lines[total + 1].split()
+        assert persist[0] == "persist"
+        assert persist[1].endswith("s") and persist[2].endswith("%")
+        assert "of source to bytes" in lines[total + 1]

@@ -76,6 +76,16 @@ class TestBlobRoundTrip:
         with pytest.raises(ValueError, match="magic"):
             index_from_bytes(b"NOPE" + b"\x00" * 16)
 
+    def test_every_cut_is_a_value_error(self):
+        """A truncated blob fails cleanly at every cut point, never with
+        an ``IndexError`` from a read off its end."""
+        _summary, index = _indexed_summary(pretty(generate_program(NESTED)))
+        blob = index_to_bytes(index)
+        assert index.tree_shard_of_pid is not None  # The v2 tree trailer too.
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                index_from_bytes(blob[:cut])
+
     def test_version_mismatch_is_loud(self):
         _summary, index = _indexed_summary(patterns.chain(3))
         blob = bytearray(index_to_bytes(index))

@@ -10,6 +10,8 @@ by the cache.
 from __future__ import annotations
 
 import json
+import random
+import struct
 
 import pytest
 
@@ -17,7 +19,11 @@ from repro import analyze_side_effects
 from repro.core.persist import (
     BINARY_FORMAT_VERSION,
     FORMAT_VERSION,
+    SECTION_DEP_INDEX,
+    SECTION_LANE_REFALIAS,
+    SECTION_LANE_SECTIONS,
     LoadedSummary,
+    decode_summary_container,
     decode_summary_payload,
     encode_summary_payload,
     loads_summary_payload,
@@ -207,6 +213,30 @@ class TestBinaryContainer:
         with pytest.raises(ValueError, match="container version"):
             decode_summary_payload(bytes(blob))
 
+    def test_name_list_layouts_are_pinned(self):
+        """The on-disk layout rule, as literal bytes: a bit mask while it
+        costs at most a byte per member (span 16 for 2 names still is),
+        delta varints past that, the generic list when indices are not
+        ascending."""
+        payload = {
+            "fill": ["s%d" % i for i in range(16)],
+            "dense": ["s0", "s15"],
+            "sparse": ["fill", "s15"],
+            "shuffled": ["s1", "s0"],
+            "empty": [],
+        }
+        body = bytes.fromhex(
+            "0705"
+            "00" "090102ffff"  # fill: MASK from index 1, 16 bits
+            "11" "0901020180"  # dense: MASK from 1, bits 0 and 15
+            "12" "0802000f"  # sparse: DELTA, 2 names, from 0, gap 15
+            "13" "060205020501"  # shuffled: LIST of STR 2, STR 1
+            "14" "0600"  # empty: LIST of 0
+        )
+        blob = encode_summary_payload(payload)
+        assert blob.endswith(body)
+        assert decode_summary_payload(blob) == payload
+
     def test_wrong_magic_is_explicit(self):
         with pytest.raises(ValueError, match="magic"):
             decode_summary_payload(b"NOPE" + b"\0" * 20)
@@ -245,3 +275,65 @@ class TestBinaryContainer:
             json.dump(record, handle)
         assert cache.get(key) == record["result"]
         assert cache.stats.hits == 1
+
+
+class TestDamagedContainer:
+    """A truncated or corrupt container ends in :class:`ValueError` or
+    a decoded payload — never another exception class, never a section
+    quietly cut short."""
+
+    @pytest.fixture(scope="class")
+    def rich_blob(self):
+        summary = analyze_side_effects(
+            compile_source(SOURCE), lanes=("sections", "refalias")
+        )
+        return summary_to_bytes(summary, include_index=True, include_lanes=True)
+
+    def test_header_cut_short(self, summary):
+        blob = summary_to_bytes(summary)
+        for cut in range(4, 22):
+            with pytest.raises(ValueError, match="truncated"):
+                decode_summary_container(blob[:cut])
+
+    def test_every_cut_of_a_v4_container(self, rich_blob):
+        _payload, sections = decode_summary_container(rich_blob)
+        assert rich_blob[4] == BINARY_FORMAT_VERSION
+        assert {
+            SECTION_DEP_INDEX, SECTION_LANE_SECTIONS, SECTION_LANE_REFALIAS
+        } <= set(sections)
+        for cut in range(len(rich_blob)):
+            with pytest.raises(ValueError):
+                decode_summary_container(rich_blob[:cut])
+
+    @pytest.mark.parametrize("with_trailer", [False, True], ids=["v3", "v4"])
+    def test_bit_flips(self, summary, rich_blob, with_trailer):
+        """Seeded single-bit flips: in the body of a v3 container, and
+        anywhere past the header of a v4 one."""
+        blob = rich_blob if with_trailer else summary_to_bytes(summary)
+        _version, table_len, _body_len = struct.unpack_from("<HQQ", blob, 4)
+        start = 22 if with_trailer else 22 + table_len
+        rng = random.Random(4242)
+        decoded = rejected = 0
+        for _ in range(400):
+            damaged = bytearray(blob)
+            damaged[rng.randrange(start, len(blob))] ^= 1 << rng.randrange(8)
+            try:
+                decode_summary_container(bytes(damaged))
+            except ValueError:
+                rejected += 1
+            else:
+                decoded += 1
+        assert rejected and decoded
+
+    def test_cache_counts_a_torn_entry_invalid(self, tmp_path, summary):
+        cache = SummaryCache(str(tmp_path))
+        key = content_key(SOURCE)
+        cache.put(key, {"summary": summary_to_dict(summary)})
+        path = cache.path_for(key)
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(blob[:10])
+        assert cache.get(key) is None
+        assert cache.stats.invalid == 1
+        assert cache.stats.misses == 1

@@ -593,6 +593,20 @@ class TestSessionPersistence:
                     c.update("corrupt", self.EDIT)
                 assert excinfo.value.code == "unknown_session"
 
+    def test_torn_state_file_is_unknown_session(self, tmp_path):
+        """A state file cut short inside its trailer is corrupt state,
+        not an internal error."""
+        path = self._open_session(str(tmp_path), name="torn")
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(blob[:-200])
+        with ServerThread(ServerConfig(port=0, state_dir=str(tmp_path))) as h:
+            with ServerClient(port=h.port) as c:
+                with pytest.raises(ServerError) as excinfo:
+                    c.update("torn", self.EDIT)
+                assert excinfo.value.code == "unknown_session"
+
     def test_no_state_dir_forgets_sessions_on_restart(self):
         with ServerThread(ServerConfig(port=0)) as handle:
             with ServerClient(port=handle.port) as c:
