@@ -19,13 +19,15 @@ test:
 # equivalence suite (the batched lexer and token-stream parser must
 # stay byte-identical to the frozen reference scanner), the fused
 # solver against the per-kind oracle, the .cka arena-image and
-# container-loader round trips, and the mask-native summary writer
-# against the dict-route encoder (byte identity).
+# container-loader round trips, the mask-native summary writer
+# against the dict-route encoder (byte identity), and the alias mask
+# drain against the pair-set oracle (table identity).
 differential:
 	$(PP) $(PY) -m pytest -q tests/test_differential.py tests/test_batch.py \
 	    tests/test_linearity_guard.py tests/test_persist_roundtrip.py \
 	    tests/test_frontend_equivalence.py tests/test_fused_differential.py \
-	    tests/test_arena_image.py tests/test_persist_writer.py
+	    tests/test_arena_image.py tests/test_persist_writer.py \
+	    tests/test_aliases.py
 
 # The sharded-solver oracle: byte-equality against the monolithic
 # pipeline over the differential corpus, the fuzz sweep (shard counts

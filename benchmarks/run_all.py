@@ -294,6 +294,7 @@ def a1_incremental(num_procs=600):
 
     # Phase profile: why the speedup is Amdahl-bounded.
     from repro.core.aliases import compute_aliases
+    from repro.core.arena import get_arena
     from repro.core.local import LocalAnalysis
     from repro.core.gmod import findgmod
     from repro.core.imod_plus import compute_imod_plus
@@ -306,7 +307,7 @@ def a1_incremental(num_procs=600):
     t_graphs, call_graph = timed(build_call_graph, old_resolved)
     t_beta, beta = timed(build_binding_graph, old_resolved)
     t_local, local = timed(LocalAnalysis, old_resolved, universe)
-    t_alias, _ = timed(compute_aliases, old_resolved, universe)
+    t_alias, _ = timed(compute_aliases, get_arena(old_resolved))
     t_rmod, rmod = timed(solve_rmod, beta, local)
     t_iplus, imod_plus = timed(compute_imod_plus, old_resolved, local, rmod)
     t_gmod, _ = timed(findgmod, call_graph, imod_plus, universe)

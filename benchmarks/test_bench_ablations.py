@@ -88,11 +88,10 @@ def test_a2_constprop_kill_policy(benchmark, kill_policy):
 
 def test_a3_alias_fixpoint_cost(benchmark):
     from repro.core.aliases import compute_aliases
+    from repro.core.arena import get_arena
 
     workload = build_workload(flat_config(800))
-    result = benchmark(
-        compute_aliases, workload["resolved"], workload["universe"]
-    )
+    result = benchmark(compute_aliases, get_arena(workload["resolved"]))
     assert result.total_pairs() >= 0
 
 

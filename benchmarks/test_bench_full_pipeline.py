@@ -14,6 +14,7 @@ from repro.core.dmod import compute_dmod
 from repro.core.pipeline import analyze_side_effects
 from repro.core.varsets import EffectKind
 from repro.core.aliases import compute_aliases
+from repro.core.arena import get_arena
 
 from bench_util import build_workload, flat_config
 
@@ -47,5 +48,5 @@ def test_dmod_projection_phase(benchmark, num_procs):
 @pytest.mark.parametrize("num_procs", [800])
 def test_alias_phase(benchmark, num_procs):
     workload = build_workload(flat_config(num_procs))
-    result = benchmark(compute_aliases, workload["resolved"], workload["universe"])
+    result = benchmark(compute_aliases, get_arena(workload["resolved"]))
     assert result.total_pairs() >= 0

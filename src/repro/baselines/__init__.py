@@ -15,9 +15,12 @@
   oracle against pair propagation (``ALIAS(q) ⊆ DYCK(q)``);
 * :mod:`repro.baselines.per_kind` — the paper's per-kind solvers run
   one effect kind at a time, the set-and-tally oracle the fused
-  production driver is held to.
+  production driver is held to;
+* :mod:`repro.baselines.alias_pairs` — the pair-set alias worklist,
+  the table-for-table oracle of the production mask drain.
 """
 
+from repro.baselines.alias_pairs import compute_alias_pairs
 from repro.baselines.dyck import (
     compare_precision,
     compute_dyck_aliases,
@@ -41,6 +44,7 @@ __all__ = [
     "solve_rmod_swift",
     "solve_gmod_naive",
     "analyze_per_kind",
+    "compute_alias_pairs",
     "compare_precision",
     "compute_dyck_aliases",
     "dyck_origins",

@@ -154,9 +154,9 @@ def compare_precision(
     dyck = compute_dyck_aliases(resolved, universe)
     dyck_only: List[Set[Pair]] = []
     alias_only: List[Set[Pair]] = []
-    for pid in range(resolved.num_procs):
-        precise = aliases.pairs[pid]
-        coarse = dyck[pid]
+    for proc in resolved.procs:
+        precise = aliases.pairs_of(proc)
+        coarse = dyck[proc.pid]
         dyck_only.append(coarse - precise)
         alias_only.append(precise - coarse)
     return PrecisionReport(

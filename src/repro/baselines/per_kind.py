@@ -7,7 +7,8 @@ oracle runs the original transcriptions instead, once per kind, over
 graphs built straight from the resolved program: Figure 1 ``RMOD``,
 equation (5) ``IMOD+``, the named global-phase solver (Figure 2's
 ``findgmod`` or a Section 4 multi-level solver), equation (2) ``DMOD``
-and Section 5 alias factoring.
+and Section 5 alias factoring over the pair-set alias oracle
+(:func:`repro.baselines.alias_pairs.compute_alias_pairs`).
 
 The differential suites hold the fused driver to this oracle: every
 set, and every per-kind :class:`~repro.core.bitvec.OpCounter` tally,
@@ -22,7 +23,8 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterable
 
-from repro.core.aliases import compute_aliases, factor_aliases_into
+from repro.baselines.alias_pairs import compute_alias_pairs
+from repro.core.aliases import factor_aliases_into
 from repro.core.bitvec import OpCounter
 from repro.core.dmod import compute_dmod
 from repro.core.gmod import findgmod
@@ -78,7 +80,7 @@ def analyze_per_kind(
     binding_graph = build_binding_graph(resolved)
     local = LocalAnalysis(resolved, universe)
     tick = mark_phase(timings, "graphs", started)
-    aliases = compute_aliases(resolved, universe, counter)
+    aliases = compute_alias_pairs(resolved, universe)
     tick = mark_phase(timings, "aliases", tick)
 
     kind_list = list(kinds)

@@ -23,6 +23,13 @@ with by-reference bindings ``a_i ↦ f_i``:
    hold on entry to the enclosing procedure still holds, for the
    statically-linked instances, when a nested procedure is entered.
 
+``ALIAS(p)`` is held as a *partner table* (uid → mask of the uids it
+may be aliased to, symmetric) plus a *domain mask* (the table's key
+set), the two structures the factoring step consumes.  Pairs are never
+enumerated while solving: rules 2 and 4 read one table entry, rule 5
+ORs the parent's table into the child's entry by entry, and
+:meth:`AliasResult.pairs_of` derives pair sets only on demand.
+
 Then, per the paper's step (2)::
 
     ∀ x ∈ DMOD(s):  if ⟨x, y⟩ ∈ ALIAS(p)  then  add y to MOD(s)
@@ -34,372 +41,215 @@ the paper notes is unavoidable for any summary computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.core.bitvec import OpCounter, mask_of
-from repro.core.varsets import VariableUniverse
+from repro.core.bitvec import OpCounter
 from repro.lang.symbols import ProcSymbol, ResolvedProgram, VarSymbol
 
 Pair = FrozenSet[int]  # A pair of variable uids (frozenset of size 2).
+
+#: One procedure's carried alias state: its partner table and domain.
+Carried = Tuple[Dict[int, int], int]
 
 
 def _pair(a: int, b: int) -> Pair:
     return frozenset((a, b))
 
 
+def iter_pairs(table: Dict[int, int]) -> Iterator[Tuple[int, int]]:
+    """The pairs of a partner table as ``(a, b)`` with ``a < b``, in
+    ascending ``(a, b)`` order (each pair once)."""
+    for a in sorted(table):
+        higher = table[a] >> (a + 1)
+        while higher:
+            low = higher & -higher
+            yield a, a + low.bit_length()
+            higher ^= low
+
+
+def named_pairs(table: Dict[int, int], names: Sequence[str]) -> List[List[str]]:
+    """A partner table's pairs as name pairs: each pair sorted by
+    name, the list sorted — the serialized ``aliases`` form."""
+    out = []
+    for a, b in iter_pairs(table):
+        first, second = names[a], names[b]
+        out.append([first, second] if first < second else [second, first])
+    out.sort()
+    return out
+
+
 @dataclass
 class AliasResult:
-    """``ALIAS(p)`` for every procedure, as sets of uid pairs."""
+    """``ALIAS(p)`` for every procedure, as partner tables."""
 
-    resolved: ResolvedProgram
-    pairs: List[Set[Pair]]
     #: Per pid: uid -> mask of uids it may be aliased to on entry.
-    partner_mask: List[Dict[int, int]] = field(default_factory=list)
+    partner_mask: List[Dict[int, int]]
     #: Per pid: mask of uids that have at least one alias partner (the
     #: key set of ``partner_mask[pid]`` as a mask).  Lets the factoring
     #: step detect "no pair of this set is aliased" with one AND.
-    domain_mask: List[int] = field(default_factory=list)
+    domain_mask: List[int]
 
     def pairs_of(self, proc: ProcSymbol) -> Set[Pair]:
-        return self.pairs[proc.pid]
+        return {_pair(a, b) for a, b in iter_pairs(self.partner_mask[proc.pid])}
 
     def total_pairs(self) -> int:
-        return sum(len(pair_set) for pair_set in self.pairs)
+        return sum(
+            mask.bit_count() for table in self.partner_mask for mask in table.values()
+        ) // 2
 
     def may_alias(self, proc: ProcSymbol, a: VarSymbol, b: VarSymbol) -> bool:
-        return _pair(a.uid, b.uid) in self.pairs[proc.pid]
-
-    def domains(self) -> List[int]:
-        """``domain_mask``, derived from ``partner_mask`` when this
-        result was built by hand (tests construct AliasResult directly)."""
-        if not self.domain_mask and self.partner_mask:
-            self.domain_mask = [
-                mask_of(partners.keys()) for partners in self.partner_mask
-            ]
-        return self.domain_mask
+        return bool((self.partner_mask[proc.pid].get(a.uid, 0) >> b.uid) & 1)
 
 
 def compute_aliases(
-    resolved: ResolvedProgram,
-    universe: VariableUniverse,
-    counter: Optional[OpCounter] = None,
-    initial_pairs: Optional[List[Set[Pair]]] = None,
-    seed_pids: Optional[List[int]] = None,
+    arena,
+    carried: Optional[Sequence[Optional[Carried]]] = None,
+    seeds: Optional[Iterable[int]] = None,
 ) -> AliasResult:
-    """Fixpoint of the introduction rules over the call multi-graph.
+    """Least fixpoint of the introduction rules over the call
+    multi-graph of ``arena`` (a :class:`~repro.core.arena.ProgramArena`).
 
-    ``initial_pairs``/``seed_pids`` support warm starts for incremental
-    re-analysis: pair sets known to be final may be pre-seeded and the
-    worklist restricted to the procedures whose contributions may have
-    changed (the caller is responsible for the region argument — see
-    :mod:`repro.core.incremental`).  Pre-seeded values must be *subsets
-    or exact*: the rules only ever add pairs.
+    A worklist drains procedures whose table changed: every pid is
+    pushed in ascending order and popped LIFO, so the highest pid
+    drains first.  Popping ``p`` applies rule 5 to each procedure
+    nested in ``p`` and rules 1–4 to each call site in ``p``.
+
+    Warm starts, for incremental re-analysis: ``carried[pid]`` is
+    ``None`` for a table to re-derive, or the ``(table, domain)`` known
+    to be final for that procedure — used by reference and never
+    written, since a final table gains nothing.  ``seeds`` then
+    replaces the all-pid start with those pids (sorted, highest first);
+    the caller is responsible for the region argument (see
+    :mod:`repro.core.incremental`).  The least fixpoint is unique, so a
+    warm start is value-identical to a cold one.
     """
-    if counter is None:
-        counter = OpCounter()
+    resolved = arena.resolved
+    universe = arena.universe
+    procs = resolved.procs
     num_procs = resolved.num_procs
-    if initial_pairs is not None:
-        pairs = [set(pair_set) for pair_set in initial_pairs]
+    partner_mask: List[Dict[int, int]] = []
+    domain_mask: List[int] = []
+    if carried is None:
+        partner_mask = [{} for _ in range(num_procs)]
+        domain_mask = [0] * num_procs
     else:
-        pairs = [set() for _ in range(num_procs)]
+        for entry in carried:
+            table, domain = ({}, 0) if entry is None else entry
+            partner_mask.append(table)
+            domain_mask.append(domain)
 
-    # The pair sets are mirrored into per-procedure partner masks
-    # (uid -> mask of alias partners) and a domain mask (the key set as
-    # a mask), maintained incrementally.  Membership tests and rule 4's
-    # "every caller pair containing actual_i" become single AND/shift
-    # operations instead of scans over the whole pair set — that scan
-    # made the fixpoint quadratic in the pair count.
-    partner_mask: List[Dict[int, int]] = [{} for _ in range(num_procs)]
-    domain_mask: List[int] = [0] * num_procs
-    for pid in range(num_procs):
-        partners = partner_mask[pid]
-        for pair in pairs[pid]:
-            a, b = tuple(pair)
-            partners[a] = partners.get(a, 0) | (1 << b)
-            partners[b] = partners.get(b, 0) | (1 << a)
-            domain_mask[pid] |= (1 << a) | (1 << b)
+    # Per-caller by-reference bindings as (formal uid, actual uid)
+    # lists, decoded lazily from the arena's flat site tables: a warm
+    # drain only touches its region and frontier.  Sites without a
+    # by-reference binding introduce nothing and are dropped.
+    site_callee = arena.site_callee
+    ref_heads = arena.site_ref_heads
+    ref_formal = arena.ref_formal_uid
+    ref_base = arena.ref_base_uid
+    site_ids: List[List[int]] = [[] for _ in range(num_procs)]
+    for sid, caller_pid in enumerate(arena.site_caller):
+        if ref_heads[sid] != ref_heads[sid + 1]:
+            site_ids[caller_pid].append(sid)
+    decoded: List[Optional[List]] = [None] * num_procs
+    extant: List[Optional[int]] = [None] * num_procs
 
-    def _add_pair(pid: int, a: int, b: int) -> None:
-        pairs[pid].add(frozenset((a, b)))
-        partners = partner_mask[pid]
-        partners[a] = partners.get(a, 0) | (1 << b)
-        partners[b] = partners.get(b, 0) | (1 << a)
-        domain_mask[pid] |= (1 << a) | (1 << b)
-
-    # Per-site by-reference bindings as uid pairs, derived once — the
-    # worklist revisits a caller many times and the formal/base symbols
-    # never change.
-    sites_by_caller: List[List] = [[] for _ in range(num_procs)]
-    for site in resolved.call_sites:
-        callee = site.callee
-        ref = [
-            (callee.formals[b.position].uid, b.base.uid)
-            for b in site.bindings
-            if b.by_reference
-        ]
-        sites_by_caller[site.caller.pid].append((callee.pid, ref))
-
-    extant_uid_mask: List[int] = [universe.extant_mask(p) for p in resolved.procs]
-
-    # Worklist of pids whose ALIAS set changed (all procs first: rules
-    # 1 and 3 fire without any caller pairs).
-    if seed_pids is not None:
-        worklist = list(seed_pids)
+    if seeds is None:
+        worklist = list(range(num_procs))
+        queued = [True] * num_procs
+    else:
+        worklist = sorted(seeds)
         queued = [False] * num_procs
         for pid in worklist:
             queued[pid] = True
-    else:
-        worklist = list(range(num_procs))
-        queued = [True] * num_procs
     while worklist:
         caller_pid = worklist.pop()
         queued[caller_pid] = False
+        table = partner_mask[caller_pid]
         # Rule 5: nested procedures inherit the enclosing procedure's
-        # pairs (every member is still extant one level down).
-        for nested in resolved.procs[caller_pid].nested:
-            new_pairs = pairs[caller_pid] - pairs[nested.pid]
-            if new_pairs:
-                for pair in new_pairs:
-                    a, b = tuple(pair)
-                    _add_pair(nested.pid, a, b)
-                if not queued[nested.pid]:
-                    queued[nested.pid] = True
-                    worklist.append(nested.pid)
-        # Snapshot: on self-recursive sites the caller's and callee's
-        # partner tables are the same object, and rules 2/4 read one
-        # while rule insertions grow the other.  New pairs are picked
-        # up by the worklist requeue.
-        caller_partners = dict(partner_mask[caller_pid])
-        for callee_pid, ref in sites_by_caller[caller_pid]:
-            callee_extant = extant_uid_mask[callee_pid]
-            callee_partners = partner_mask[callee_pid]
+        # pairs (every member is still extant one level down).  The
+        # tables are symmetric, so an entry-wise OR adds both halves
+        # of every pair.
+        if table:
+            for nested in procs[caller_pid].nested:
+                nested_pid = nested.pid
+                nested_table = partner_mask[nested_pid]
+                added = False
+                for a, mask in table.items():
+                    old = nested_table.get(a, 0)
+                    merged = old | mask
+                    if merged != old:
+                        nested_table[a] = merged
+                        added = True
+                if added:
+                    domain_mask[nested_pid] |= domain_mask[caller_pid]
+                    if not queued[nested_pid]:
+                        queued[nested_pid] = True
+                        worklist.append(nested_pid)
+
+        sites = decoded[caller_pid]
+        if sites is None:
+            sites = decoded[caller_pid] = [
+                (
+                    site_callee[sid],
+                    [
+                        (ref_formal[r], ref_base[r])
+                        for r in range(ref_heads[sid], ref_heads[sid + 1])
+                    ],
+                )
+                for sid in site_ids[caller_pid]
+            ]
+        # The caller's table is read live: on a self-recursive site it
+        # is also the table being grown, and any pair read early is in
+        # the fixpoint anyway; the growth requeues the caller.
+        for callee_pid, ref in sites:
+            callee_extant = extant[callee_pid]
+            if callee_extant is None:
+                callee_extant = extant[callee_pid] = universe.extant_mask(
+                    procs[callee_pid]
+                )
+            callee_table = partner_mask[callee_pid]
             added = False
             for index, (formal_uid, actual_uid) in enumerate(ref):
-                formal_partners = callee_partners.get(formal_uid, 0)
-                # Rule 3: actual still extant inside the callee.
-                if (
-                    (callee_extant >> actual_uid) & 1
-                    and actual_uid != formal_uid
-                    and not (formal_partners >> actual_uid) & 1
-                ):
-                    _add_pair(callee_pid, formal_uid, actual_uid)
-                    formal_partners |= 1 << actual_uid
-                    added = True
-                aliased_to_actual = caller_partners.get(actual_uid, 0)
-                # Rules 1 and 2: two actuals aliased in the caller.
+                aliased_to_actual = table.get(actual_uid, 0)
+                # Rules 3 and 4: the actual itself and its partners in
+                # the caller, where still extant inside the callee.
+                new_bits = (aliased_to_actual | (1 << actual_uid)) & callee_extant
+                # Rules 1 and 2: two actuals that are the same variable
+                # or aliased in the caller.
                 for formal_j_uid, actual_j_uid in ref[index + 1:]:
-                    same = actual_uid == actual_j_uid
-                    known = (aliased_to_actual >> actual_j_uid) & 1
-                    if (same or known) and formal_uid != formal_j_uid:
-                        if not (formal_partners >> formal_j_uid) & 1:
-                            _add_pair(callee_pid, formal_uid, formal_j_uid)
-                            formal_partners |= 1 << formal_j_uid
-                            added = True
-                # Rule 4: actual aliased in the caller to a variable
-                # still extant inside the callee.  One AND finds every
-                # candidate; only genuinely new pairs are walked.
-                new_bits = (
-                    aliased_to_actual
-                    & callee_extant
-                    & ~formal_partners
-                    & ~(1 << formal_uid)
-                )
+                    if actual_j_uid == actual_uid or (
+                        (aliased_to_actual >> actual_j_uid) & 1
+                    ):
+                        new_bits |= 1 << formal_j_uid
+                formal_bit = 1 << formal_uid
+                old = callee_table.get(formal_uid, 0)
+                new_bits &= ~(old | formal_bit)
+                if not new_bits:
+                    continue
+                callee_table[formal_uid] = old | new_bits
+                domain_mask[callee_pid] |= new_bits | formal_bit
+                added = True
                 while new_bits:
                     low = new_bits & -new_bits
                     other = low.bit_length() - 1
-                    _add_pair(callee_pid, formal_uid, other)
-                    formal_partners |= low
+                    callee_table[other] = callee_table.get(other, 0) | formal_bit
                     new_bits ^= low
-                    added = True
             if added and not queued[callee_pid]:
                 queued[callee_pid] = True
                 worklist.append(callee_pid)
 
-    return AliasResult(
-        resolved=resolved,
-        pairs=pairs,
-        partner_mask=partner_mask,
-        domain_mask=domain_mask,
-    )
-
-
-class LazyPartnerTables:
-    """A list-like view of per-procedure partner tables, materialized
-    per pid on first access from the backing pair sets.
-
-    The incremental alias path carries final pair sets forward by
-    reference; rebuilding every partner table eagerly costs more than
-    the whole warm fixpoint (each entry is a big-int of universe
-    width), while only the procedures the worklist or the per-site
-    factoring actually touches need one.  Entries for procedures whose
-    pairs are re-derived are written through :meth:`materialize` before
-    mutation, so shared state is never modified.
-    """
-
-    def __init__(self, pairs: List[Set[Pair]]):
-        self._pairs = pairs
-        self._tables: Dict[int, Dict[int, int]] = {}
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def __getitem__(self, pid: int) -> Dict[int, int]:
-        table = self._tables.get(pid)
-        if table is None:
-            table = {}
-            for pair in self._pairs[pid]:
-                a, b = tuple(pair)
-                table[a] = table.get(a, 0) | (1 << b)
-                table[b] = table.get(b, 0) | (1 << a)
-            self._tables[pid] = table
-        return table
-
-    def materialize(self, pid: int, table: Dict[int, int]) -> None:
-        self._tables[pid] = table
-
-
-def compute_aliases_incremental(
-    arena,
-    carried_pairs: List[Optional[Set[Pair]]],
-    carried_domains: Sequence[int],
-    seed_pids: List[int],
-    counter: Optional[OpCounter] = None,
-) -> AliasResult:
-    """Warm alias fixpoint with structural sharing of final pair sets.
-
-    ``carried_pairs[pid]`` is the previous version's final pair set for
-    a procedure outside the forward-affected region — shared **by
-    reference**, never copied: pairs flow caller → callee and parent →
-    nested, so a procedure not forward-reachable from any edit has no
-    path from a changed contribution and its set is already the least
-    fixpoint.  Region procedures pass ``None`` and are re-derived from
-    scratch (which is what makes shrinking edits exact).  Valid only
-    when the uid space is unchanged; the caller falls back to
-    :func:`compute_aliases` with remapped initial pairs otherwise.
-
-    The result is value-identical to a from-scratch
-    :func:`compute_aliases` — the least fixpoint is unique and every
-    carried set already holds its final value.
-    """
-    if counter is None:
-        counter = OpCounter()
-    resolved = arena.resolved
-    universe = arena.universe
-    num_procs = resolved.num_procs
-
-    pairs: List[Set[Pair]] = [
-        set() if carried is None else carried for carried in carried_pairs
-    ]
-    partner_mask = LazyPartnerTables(pairs)
-    domain_mask: List[int] = [
-        0 if carried_pairs[pid] is None else carried_domains[pid]
-        for pid in range(num_procs)
-    ]
-
-    def _add_pair(pid: int, a: int, b: int) -> None:
-        pairs[pid].add(frozenset((a, b)))
-        partners = partner_mask[pid]
-        partners[a] = partners.get(a, 0) | (1 << b)
-        partners[b] = partners.get(b, 0) | (1 << a)
-        domain_mask[pid] |= (1 << a) | (1 << b)
-
-    # Per-caller site decode, lazily, from the arena's flat tables —
-    # the worklist only ever touches the region and its frontier.
-    site_callee = arena.site_callee
-    ref_heads = arena.site_ref_heads
-    ref_formal_uid = arena.ref_formal_uid
-    ref_base_uid = arena.ref_base_uid
-    by_caller: List[List[int]] = [[] for _ in range(num_procs)]
-    for sid, caller_pid in enumerate(arena.site_caller):
-        by_caller[caller_pid].append(sid)
-    site_cache: Dict[int, List] = {}
-
-    def _sites_of(pid: int) -> List:
-        cached = site_cache.get(pid)
-        if cached is None:
-            cached = []
-            for sid in by_caller[pid]:
-                ref = [
-                    (ref_formal_uid[r], ref_base_uid[r])
-                    for r in range(ref_heads[sid], ref_heads[sid + 1])
-                ]
-                cached.append((site_callee[sid], ref))
-            site_cache[pid] = cached
-        return cached
-
-    extant_cache: Dict[int, int] = {}
-
-    def _extant(pid: int) -> int:
-        cached = extant_cache.get(pid)
-        if cached is None:
-            cached = universe.extant_mask(resolved.procs[pid])
-            extant_cache[pid] = cached
-        return cached
-
-    worklist = list(seed_pids)
-    queued = [False] * num_procs
-    for pid in worklist:
-        queued[pid] = True
-    while worklist:
-        caller_pid = worklist.pop()
-        queued[caller_pid] = False
-        for nested in resolved.procs[caller_pid].nested:
-            new_pairs = pairs[caller_pid] - pairs[nested.pid]
-            if new_pairs:
-                for pair in new_pairs:
-                    a, b = tuple(pair)
-                    _add_pair(nested.pid, a, b)
-                if not queued[nested.pid]:
-                    queued[nested.pid] = True
-                    worklist.append(nested.pid)
-        caller_partners = dict(partner_mask[caller_pid])
-        for callee_pid, ref in _sites_of(caller_pid):
-            callee_extant = _extant(callee_pid)
-            callee_partners = partner_mask[callee_pid]
-            added = False
-            for index, (formal_uid, actual_uid) in enumerate(ref):
-                formal_partners = callee_partners.get(formal_uid, 0)
-                if (
-                    (callee_extant >> actual_uid) & 1
-                    and actual_uid != formal_uid
-                    and not (formal_partners >> actual_uid) & 1
-                ):
-                    _add_pair(callee_pid, formal_uid, actual_uid)
-                    formal_partners |= 1 << actual_uid
-                    added = True
-                aliased_to_actual = caller_partners.get(actual_uid, 0)
-                for formal_j_uid, actual_j_uid in ref[index + 1:]:
-                    same = actual_uid == actual_j_uid
-                    known = (aliased_to_actual >> actual_j_uid) & 1
-                    if (same or known) and formal_uid != formal_j_uid:
-                        if not (formal_partners >> formal_j_uid) & 1:
-                            _add_pair(callee_pid, formal_uid, formal_j_uid)
-                            formal_partners |= 1 << formal_j_uid
-                            added = True
-                new_bits = (
-                    aliased_to_actual
-                    & callee_extant
-                    & ~formal_partners
-                    & ~(1 << formal_uid)
-                )
-                while new_bits:
-                    low = new_bits & -new_bits
-                    other = low.bit_length() - 1
-                    _add_pair(callee_pid, formal_uid, other)
-                    formal_partners |= low
-                    new_bits ^= low
-                    added = True
-            if added and not queued[callee_pid]:
-                queued[callee_pid] = True
-                worklist.append(callee_pid)
-
-    return AliasResult(
-        resolved=resolved,
-        pairs=pairs,
-        partner_mask=partner_mask,
-        domain_mask=domain_mask,
-    )
+    return AliasResult(partner_mask=partner_mask, domain_mask=domain_mask)
 
 
 def factor_aliases_into(
@@ -412,7 +262,7 @@ def factor_aliases_into(
     alias pairs (one expansion step, as the paper specifies)."""
     if counter is None:
         counter = OpCounter()
-    domains = aliases.domains()
+    domains = aliases.domain_mask
     partner_mask = aliases.partner_mask
     result: List[int] = []
     for site in resolved.call_sites:
@@ -450,7 +300,7 @@ def factor_aliases_fused(
     per-uid), so each kind's counter is charged exactly the legacy
     tally: one bit-vector step per expanded member of that kind's set.
     """
-    domains = aliases.domains()
+    domains = aliases.domain_mask
     partner_mask = aliases.partner_mask
     site_caller = arena.site_caller
     num_sites = len(site_caller)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 def write_varint(out: bytearray, value: int) -> None:
@@ -149,16 +149,32 @@ def write_mask_adaptive(out: bytearray, mask: int) -> None:
         write_mask(out, mask)
 
 
-def read_mask_adaptive(data, pos: int) -> Tuple[int, int]:
-    """Inverse of :func:`write_mask_adaptive`."""
+def read_mask_adaptive(
+    data, pos: int, width: Optional[int] = None
+) -> Tuple[int, int]:
+    """Inverse of :func:`write_mask_adaptive`.
+
+    With ``width``, a set bit at or past it raises :class:`ValueError`:
+    one flipped bit in a sparse gap varint would otherwise become a
+    mask of billions of bits.
+    """
     popcount, pos = read_varint(data, pos)
     if popcount == 0:
-        return read_mask(data, pos)
+        mask, pos = read_mask(data, pos)
+        if width is not None and mask.bit_length() > width:
+            raise ValueError("mask bit past the width %d" % width)
+        return mask, pos
+    if width is not None and popcount > width:
+        raise ValueError("%d mask bits exceed the width %d" % (popcount, width))
     mask = 0
     position = -1
     for _ in range(popcount):
         gap, pos = read_varint(data, pos)
         position += gap + 1
+        if width is not None and position >= width:
+            raise ValueError(
+                "mask bit %d past the width %d" % (position, width)
+            )
         mask |= 1 << position
     return mask, pos
 

@@ -39,6 +39,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.aliases import iter_pairs
 from repro.core.binio import (
     read_bytes,
     read_mask_adaptive,
@@ -304,14 +305,8 @@ def build_dependency_index(summary, arena=None) -> "DependencyIndex":
                 ref_base_uid.append(binding.base.uid)
             site_ref_heads[site.site_id + 1] = len(ref_formal_uid)
 
-    alias_pairs: List[List[Tuple[int, int]]] = []
-    alias_domains: List[int] = []
-    domains = summary.aliases.domains()
-    for pid in range(num_procs):
-        alias_pairs.append(
-            sorted(tuple(sorted(pair)) for pair in summary.aliases.pairs[pid])
-        )
-        alias_domains.append(domains[pid] if pid < len(domains) else 0)
+    alias_pairs = [list(iter_pairs(table)) for table in summary.aliases.partner_mask]
+    alias_domains = list(summary.aliases.domain_mask)
 
     gmod_method = ""
     if kind_list:
@@ -428,11 +423,11 @@ def _write_mask_list(out: bytearray, masks: List[int]) -> None:
         write_mask_adaptive(out, mask)
 
 
-def _read_mask_list(data, pos: int) -> Tuple[List[int], int]:
+def _read_mask_list(data, pos: int, width: int) -> Tuple[List[int], int]:
     count, pos = read_varint(data, pos)
     masks: List[int] = []
     for _ in range(count):
-        mask, pos = read_mask_adaptive(data, pos)
+        mask, pos = read_mask_adaptive(data, pos, width)
         masks.append(mask)
     return masks, pos
 
@@ -452,11 +447,13 @@ def _write_mask_delta(out: bytearray, masks: List[int],
         write_mask_adaptive(out, mask ^ base)
 
 
-def _read_mask_delta(data, pos: int, bases: List[int]) -> Tuple[List[int], int]:
+def _read_mask_delta(
+    data, pos: int, bases: List[int], width: int
+) -> Tuple[List[int], int]:
     count, pos = read_varint(data, pos)
     masks: List[int] = []
     for index in range(count):
-        delta, pos = read_mask_adaptive(data, pos)
+        delta, pos = read_mask_adaptive(data, pos, width)
         masks.append(delta ^ bases[index])
     return masks, pos
 
@@ -598,29 +595,32 @@ def _index_from_bytes(data: bytes) -> DependencyIndex:
         digest, pos = read_bytes(data, pos)
         fingerprints.append(digest)
     var_names, pos = _read_str_list(data, pos)
-    universe_global, pos = read_mask_adaptive(data, pos)
-    universe_local, pos = _read_mask_list(data, pos)
-    universe_formal, pos = _read_mask_list(data, pos)
-    universe_level, pos = _read_mask_list(data, pos)
+    # Every mask is over the variable uids: a bit at or past the
+    # width is corruption, and decoding it would allocate that many.
+    width = len(var_names)
+    universe_global, pos = read_mask_adaptive(data, pos, width)
+    universe_local, pos = _read_mask_list(data, pos, width)
+    universe_formal, pos = _read_mask_list(data, pos, width)
+    universe_level, pos = _read_mask_list(data, pos, width)
 
     num_kinds = len(kinds)
-    imod_plain, pos = _read_mask_list(data, pos)
-    iuse_plain, pos = _read_mask_list(data, pos)
+    imod_plain, pos = _read_mask_list(data, pos, width)
+    iuse_plain, pos = _read_mask_list(data, pos, width)
     imod_ext: List[List[int]] = []
     for _ in range(num_kinds):
-        row, pos = _read_mask_list(data, pos)
+        row, pos = _read_mask_list(data, pos, width)
         imod_ext.append(row)
     imod_plus: List[List[int]] = []
     for k in range(num_kinds):
-        row, pos = _read_mask_delta(data, pos, imod_ext[k])
+        row, pos = _read_mask_delta(data, pos, imod_ext[k], width)
         imod_plus.append(row)
     gmod: List[List[int]] = []
     for k in range(num_kinds):
-        row, pos = _read_mask_delta(data, pos, imod_plus[k])
+        row, pos = _read_mask_delta(data, pos, imod_plus[k], width)
         gmod.append(row)
     exports: List[List[int]] = []
     for k in range(num_kinds):
-        row, pos = _read_mask_delta(data, pos, gmod[k])
+        row, pos = _read_mask_delta(data, pos, gmod[k], width)
         exports.append(row)
 
     beta_node_uid, pos = _read_int_list(data, pos)
@@ -630,13 +630,19 @@ def _index_from_bytes(data: bytes) -> DependencyIndex:
     alias_pairs: List[List[Tuple[int, int]]] = []
     for _ in range(count):
         pairs, pos = _read_pair_list(data, pos)
+        for a, b in pairs:
+            if not a < b < width:
+                raise ValueError(
+                    "alias pair (%d, %d) out of order or past the width %d"
+                    % (a, b, width)
+                )
         alias_pairs.append(pairs)
-    alias_domains, pos = _read_mask_list(data, pos)
+    alias_domains, pos = _read_mask_list(data, pos, width)
 
     site_caller, pos = _read_int_list(data, pos)
     site_callee, pos = _read_int_list(data, pos)
-    site_lmod, pos = _read_mask_list(data, pos)
-    site_luse, pos = _read_mask_list(data, pos)
+    site_lmod, pos = _read_mask_list(data, pos, width)
+    site_luse, pos = _read_mask_list(data, pos, width)
     site_ref_heads, pos = _read_int_list(data, pos)
     ref_formal_uid, pos = _read_int_list(data, pos)
     ref_base_uid, pos = _read_int_list(data, pos)
@@ -647,11 +653,11 @@ def _index_from_bytes(data: bytes) -> DependencyIndex:
             site_local[sid] | exports[k][site_callee[sid]]
             for sid in range(len(site_local))
         ]
-        row, pos = _read_mask_delta(data, pos, bases)
+        row, pos = _read_mask_delta(data, pos, bases, width)
         dmod.append(row)
     mod: List[List[int]] = []
     for k in range(num_kinds):
-        row, pos = _read_mask_delta(data, pos, dmod[k])
+        row, pos = _read_mask_delta(data, pos, dmod[k], width)
         mod.append(row)
 
     call_comp_of, pos = _read_int_list(data, pos)

@@ -38,8 +38,9 @@ that problem *by condensation region*, driven by a persisted
      procedures *and* the old callees of their (and removed
      procedures') former call sites — a rewired or deleted site starves
      its old callee of pair inflow, so pairs can shrink there; final
-     pair sets outside the cone are carried by reference (copy-on-write;
-     pairs only flow caller → callee and parent → nested);
+     partner tables outside the cone are carried into the one alias
+     solver by reference, or remapped when the uid space changed
+     (pairs only flow caller → callee and parent → nested);
    * **DMOD/MOD** — a call site is copied from the index unless its
      caller was edited, its callee's ``GMOD`` changed, or its caller's
      alias pairs changed.
@@ -55,7 +56,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.aliases import compute_aliases, compute_aliases_incremental
+from repro.core.aliases import AliasResult, Carried, compute_aliases
 from repro.core.arena import (
     ProgramArena,
     get_arena,
@@ -63,7 +64,7 @@ from repro.core.arena import (
     patch_arena,
     peek_arena,
 )
-from repro.core.bitvec import OpCounter, iter_bits
+from repro.core.bitvec import OpCounter, iter_bits, mask_of
 from repro.core.depindex import (
     DependencyIndex,
     build_dependency_index,
@@ -240,15 +241,34 @@ def _remap_mask(mask: int, permutation: Optional[List[int]]) -> int:
     return out
 
 
-def _remap_pairs(pair_set, permutation: List[int]) -> Set:
-    """Translate alias pairs between uid spaces, dropping pairs with a
-    vanished member."""
-    remapped = set()
-    for pair in pair_set:
-        new_uids = [permutation[uid] for uid in pair]
-        if all(uid >= 0 for uid in new_uids) and len(set(new_uids)) == 2:
-            remapped.add(frozenset(new_uids))
+def _remap_table(
+    table: Dict[int, int], permutation: Optional[List[int]]
+) -> Dict[int, int]:
+    """Translate an alias partner table between uid spaces, dropping
+    every pair with a vanished member (the table itself when the
+    permutation is None)."""
+    if permutation is None:
+        return table
+    remapped: Dict[int, int] = {}
+    for uid, partners in table.items():
+        new_uid = permutation[uid]
+        if new_uid >= 0:
+            new_partners = _remap_mask(partners, permutation)
+            if new_partners:
+                remapped[new_uid] = new_partners
     return remapped
+
+
+def _tables_from_pairs(pair_lists) -> List[Dict[int, int]]:
+    """Partner tables from the dependency index's ``(a, b)`` lists."""
+    tables: List[Dict[int, int]] = []
+    for pairs in pair_lists:
+        table: Dict[int, int] = {}
+        for a, b in pairs:
+            table[a] = table.get(a, 0) | (1 << b)
+            table[b] = table.get(b, 0) | (1 << a)
+        tables.append(table)
+    return tables
 
 
 def _full_resolve(
@@ -281,17 +301,16 @@ def incremental_update_from_index(
     kinds: Iterable[EffectKind] = (EffectKind.MOD, EffectKind.USE),
     dirty_hint: Optional[Iterable[str]] = None,
     reloaded: bool = False,
-    live_alias_pairs=None,
-    live_alias_domains=None,
+    live_aliases: Optional[AliasResult] = None,
 ) -> Tuple[SideEffectSummary, UpdateStats]:
     """Re-analyse ``new_resolved`` against a dependency index.
 
     The index is self-contained: this function runs without the old
     program version in memory, which is what keeps the server's
-    ``update`` verb warm across process restarts.  ``live_alias_pairs``
-    / ``live_alias_domains`` optionally donate the previous summary's
-    in-memory alias state so the copy-on-write path shares sets instead
-    of re-materializing them from the index.
+    ``update`` verb warm across process restarts.  ``live_aliases``
+    optionally donates the previous summary's in-memory alias tables,
+    so tables outside the re-derived cone are shared instead of
+    rebuilt from the index.
 
     Returns the new summary — byte-identical to a from-scratch solve —
     and the reuse statistics.
@@ -795,7 +814,7 @@ def incremental_update_from_index(
         counter.bit_vector_steps += len(region_pids)
     timings["gmod"] = time.perf_counter() - t0
 
-    # -- aliases: copy-on-write outside the forward cone ----------------------
+    # -- aliases: carried tables outside the forward cone ---------------------
     t0 = time.perf_counter()
     # Cone roots: the binding-dirty procedures, plus the old callees of
     # their (and removed procedures') former call sites — a rewired or
@@ -832,56 +851,39 @@ def incremental_update_from_index(
         affected_fwd = [False] * num_procs
         alias_seeds = set()
 
-    old_alias_sets = live_alias_pairs
-    old_alias_domains = live_alias_domains
-    if old_alias_sets is None:
-        old_alias_sets = [
-            {frozenset(pair) for pair in pairs} for pairs in index.alias_pairs
-        ]
-        old_alias_domains = index.alias_domains
-    if permutation is None:
-        carried: List[Optional[Set]] = [None] * num_procs
-        carried_domains = [0] * num_procs
-        for pid in range(num_procs):
-            old_pid = old_pid_for[pid]
-            if affected_fwd[pid] or old_pid is None:
-                continue
-            carried[pid] = old_alias_sets[old_pid]
-            carried_domains[pid] = old_alias_domains[old_pid]
-        aliases = compute_aliases_incremental(
-            arena, carried, carried_domains, sorted(alias_seeds)
-        )
+    if live_aliases is not None:
+        old_tables = live_aliases.partner_mask
+        old_domains = live_aliases.domain_mask
     else:
-        initial: List[Set] = [set() for _ in range(num_procs)]
-        for pid in range(num_procs):
-            old_pid = old_pid_for[pid]
-            if affected_fwd[pid] or old_pid is None:
-                continue
-            initial[pid] = _remap_pairs(old_alias_sets[old_pid], permutation)
-        aliases = compute_aliases(
-            new_resolved, universe, initial_pairs=initial,
-            seed_pids=sorted(alias_seeds),
-        )
+        old_tables = _tables_from_pairs(index.alias_pairs)
+        old_domains = index.alias_domains
+    carried: List[Optional[Carried]] = [None] * num_procs
+    for pid in range(num_procs):
+        old_pid = old_pid_for[pid]
+        if affected_fwd[pid] or old_pid is None:
+            continue
+        if permutation is None:
+            carried[pid] = (old_tables[old_pid], old_domains[old_pid])
+        else:
+            table = _remap_table(old_tables[old_pid], permutation)
+            carried[pid] = (table, mask_of(table))
+    aliases = compute_aliases(arena, carried, alias_seeds)
 
     alias_changed: Set[int] = set()
     for pid in range(num_procs):
         if not affected_fwd[pid]:
             continue
         old_pid = old_pid_for[pid]
-        if old_pid is None:
-            alias_changed.add(pid)
-            continue
-        old_pairs = old_alias_sets[old_pid]
-        if permutation is not None:
-            old_pairs = _remap_pairs(old_pairs, permutation)
-        if aliases.pairs[pid] != old_pairs:
+        if old_pid is None or aliases.partner_mask[pid] != _remap_table(
+            old_tables[old_pid], permutation
+        ):
             alias_changed.add(pid)
     timings["aliases"] = time.perf_counter() - t0
 
     # -- DMOD/MOD: copy untouched call sites ----------------------------------
     t0 = time.perf_counter()
     site_local = [arena.site_local(kind) for kind in kind_list]
-    domains = aliases.domains()
+    domains = aliases.domain_mask
     partner_mask = aliases.partner_mask
     dmod_rows: List[List[int]] = [[0] * num_sites for _ in kind_list]
     mod_rows: List[List[int]] = [[0] * num_sites for _ in kind_list]
@@ -1013,6 +1015,5 @@ def incremental_update(
         new_resolved,
         kinds=kinds,
         dirty_hint=dirty_hint,
-        live_alias_pairs=old_summary.aliases.pairs,
-        live_alias_domains=old_summary.aliases.domains(),
+        live_aliases=old_summary.aliases,
     )

@@ -19,6 +19,7 @@ import warnings
 from bisect import bisect_right
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.aliases import named_pairs
 from repro.core.binio import (
     read_bytes,
     read_signed,
@@ -169,17 +170,9 @@ def summary_to_dict(summary: SideEffectSummary, include_sections: bool = False) 
 
 
 def _alias_names(summary: SideEffectSummary, proc) -> List[List[str]]:
-    """A procedure's alias pairs as name pairs.
-
-    Inner pairs sorted by name: a frozenset's iteration order depends on
-    its construction history, and the serialized form must not (a set
-    rebuilt from the dependency index would otherwise serialize
-    differently than the identical set built by the alias solver).
-    """
-    names = summary.universe.names
-    return sorted(
-        sorted([names[a], names[b]]) for a, b in summary.aliases.pairs_of(proc)
-    )
+    """A procedure's alias pairs as name pairs, walked off its partner
+    table (each pair sorted by name, the list sorted)."""
+    return named_pairs(summary.aliases.partner_mask[proc.pid], summary.universe.names)
 
 
 def _rmod_names(solution, proc) -> List[str]:
@@ -812,8 +805,17 @@ def decode_lane_sections(sections: Dict[int, bytes]) -> Dict[str, object]:
     to its per-procedure partner tables.
 
     Call :func:`split_unknown_sections` first if the container may come
-    from a newer writer.
+    from a newer writer.  A truncated or corrupt blob raises
+    :class:`ValueError`.
     """
+    try:
+        return _decode_lane_sections(sections)
+    except IndexError as exc:
+        # A varint, mask or string table running off the blob.
+        raise ValueError("corrupt lane section: %s" % exc) from exc
+
+
+def _decode_lane_sections(sections: Dict[int, bytes]) -> Dict[str, object]:
     out: Dict[str, object] = {}
     blob = sections.get(SECTION_LANE_SECTIONS)
     if blob is not None:

@@ -127,6 +127,8 @@ def analyze_side_effects(
     ``lanes`` names extra effect lanes (:mod:`repro.lanes`, e.g.
     ``("sections", "refalias")``) advanced through the same arena after
     the MOD/USE phases; finalized lane states land in ``summary.lanes``.
+    The ``refalias`` lane is a view of this run's alias result, not a
+    second fixpoint.
     Lane mode resolves ``gmod_method "auto"`` to the
     condensation-consuming ``"reference"`` solver so the whole run —
     GMOD phase and every lane — shares **one** cached call-graph
@@ -148,7 +150,7 @@ def analyze_side_effects(
     if arena is None or arena.resolved is not resolved:
         arena = get_arena(resolved)
     tick = mark_phase(timings, "graphs", tick)
-    aliases = compute_aliases(resolved, arena.universe, counter)
+    aliases = compute_aliases(arena)
     tick = mark_phase(timings, "aliases", tick)
 
     method = gmod_method
@@ -199,7 +201,7 @@ def analyze_side_effects(
         # Before the condensation snapshot: a lane that triggered an
         # extra pass would show up in ``summary.condensations``, which
         # the lane framework's counter test pins at one pass per graph.
-        lane_states = solve_lanes(arena, lane_names, timings)
+        lane_states = solve_lanes(arena, lane_names, aliases, timings)
     after = arena.snapshot_condensations()
     condensations = {
         name: count - before.get(name, 0)
@@ -304,7 +306,10 @@ def analyze_source_payload(
             from repro.lanes.driver import solve_lanes
 
             summary.lanes = solve_lanes(
-                get_arena(summary.resolved), lane_names, summary.timings
+                get_arena(summary.resolved),
+                lane_names,
+                summary.aliases,
+                summary.timings,
             )
         return payload_from_summary(summary)
     return payload_from_summary(

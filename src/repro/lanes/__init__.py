@@ -11,9 +11,10 @@ lanes:
   fused lane (:mod:`repro.lanes.sections_lane`), value-identical to the
   standalone :func:`repro.sections.solver.analyze_sections`;
 * ``refalias`` — a GPG-lite reference-parameter alias lane
-  (:mod:`repro.lanes.refalias`), value-identical to
-  :func:`repro.core.aliases.compute_aliases` and consumable by the
-  Section 5 alias factoring.
+  (:mod:`repro.lanes.refalias`): a view of the run's
+  :func:`repro.core.aliases.compute_aliases` result, handed in through
+  the :class:`LaneContext`; it publishes the partner tables and runs
+  no fixpoint of its own.
 
 The Dyck-reachability alias baseline lives under
 :mod:`repro.baselines.dyck` — it is a precision oracle only, never a

@@ -16,8 +16,9 @@ The shared walk structure:
   component iterated until every still-active lane reports quiescence
   (a lane that stabilised early is not swept again — lanes are
   independent, so its facts cannot change);
-* *down* lanes (caller → callee) then drain over the same condensation
-  in reverse order.
+* *down* lanes (caller → callee) then run once each; the shipped one,
+  ``refalias``, adopts the run's :class:`~repro.core.aliases.AliasResult`
+  handed in through the context instead of solving anything.
 
 Trivial components (a single procedure with no self call) take exactly
 one sweep, mirroring the standalone sections solver's early exit.
@@ -41,9 +42,11 @@ class LaneContext:
     components: Sequence[Sequence[int]]
     #: Per pid: site ids of the procedure's call sites, in site order.
     sites_by_caller: List[List[int]]
+    #: The run's alias result (:func:`repro.core.aliases.compute_aliases`).
+    aliases: object
 
     @classmethod
-    def build(cls, arena) -> "LaneContext":
+    def build(cls, arena, aliases) -> "LaneContext":
         component_of, components = arena.call_condensation()
         sites_by_caller: List[List[int]] = [
             [] for _ in range(arena.resolved.num_procs)
@@ -55,6 +58,7 @@ class LaneContext:
             component_of=component_of,
             components=components,
             sites_by_caller=sites_by_caller,
+            aliases=aliases,
         )
 
     def is_trivial_component(self, comp_index: int) -> bool:
@@ -71,17 +75,20 @@ class LaneContext:
 def solve_lanes(
     arena,
     lane_names: Sequence[str],
+    aliases,
     timings: Dict[str, float] = None,
 ) -> Dict[str, object]:
     """Advance every named lane to its fixpoint on the shared arena.
 
-    Returns ``{lane name: finalized lane state}`` in request order.
-    ``timings``, when given, receives one ``lane.<name>`` entry per
-    lane plus the shared-walk total under ``lanes``.
+    ``aliases`` is the run's alias result, which lanes read instead of
+    re-deriving.  Returns ``{lane name: finalized lane state}`` in
+    request order.  ``timings``, when given, receives one
+    ``lane.<name>`` entry per lane plus the shared-walk total under
+    ``lanes``.
     """
     specs = [get_lane(name) for name in lane_names]
     started = time.perf_counter()
-    ctx = LaneContext.build(arena)
+    ctx = LaneContext.build(arena, aliases)
     states = {spec.name: spec.make_state(arena) for spec in specs}
     lane_clock = {spec.name: 0.0 for spec in specs}
 

@@ -20,8 +20,9 @@ lane-specific transfer functions:
   per-procedure fact changed.  The driver owns the component walk and
   the per-component fixpoint loop, shared across every up lane.
 * ``direction == "down"`` (caller → callee, like alias pairs): the
-  state must implement ``solve_down(ctx)`` — the driver hands it the
-  shared condensation for scheduling and it drains to its fixpoint.
+  state must implement ``solve_down(ctx)`` — the driver calls it once
+  with the shared context (condensation, per-caller sites and the
+  run's alias result).
 
 Both shapes then implement ``finalize(ctx)`` (post-fixpoint
 projections), ``to_payload()`` (a JSON-safe block for the service

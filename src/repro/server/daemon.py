@@ -672,7 +672,10 @@ class AnalysisServer:
                             from repro.lanes.driver import solve_lanes
 
                             live.lanes = solve_lanes(
-                                get_arena(live.resolved), lanes, live.timings
+                                get_arena(live.resolved),
+                                lanes,
+                                live.aliases,
+                                live.timings,
                             )
                     else:
                         warm = None

@@ -225,7 +225,8 @@ def _analyze_fleet_task(
             from repro.lanes.driver import solve_lanes
 
             summary.lanes = solve_lanes(
-                get_arena(summary.resolved), lanes, summary.timings
+                get_arena(summary.resolved), lanes, summary.aliases,
+                summary.timings,
             )
         return {
             "status": STATUS_OK,

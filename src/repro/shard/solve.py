@@ -936,7 +936,7 @@ def analyze_side_effects_sharded(
     binding_graph = arena.binding_graph
     local = arena.local
     tick = mark_phase(timings, "graphs", tick)
-    aliases = compute_aliases(resolved, universe, counter)
+    aliases = compute_aliases(arena)
     tick = mark_phase(timings, "aliases", tick)
 
     beta_plan = partition_graph(

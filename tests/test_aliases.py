@@ -1,19 +1,30 @@
-"""Alias-pair analysis and the DMOD → MOD factoring step (Section 5)."""
+"""Alias-pair analysis and the DMOD → MOD factoring step (Section 5).
+
+The production solver keeps partner masks only; the pair-set worklist
+(:func:`repro.baselines.alias_pairs.compute_alias_pairs`) is its
+oracle, table for table, on the 30-program sweep and the corpus.
+"""
 
 import pytest
 
+from repro.baselines.alias_pairs import compute_alias_pairs
 from repro.core.aliases import compute_aliases
+from repro.core.arena import clear_arena_cache, get_arena
 from repro.core.pipeline import analyze_side_effects
-from repro.core.varsets import EffectKind, VariableUniverse
+from repro.core.varsets import EffectKind
 from repro.lang.semantic import compile_source
+from repro.workloads import corpus
+from repro.workloads.generator import generate_resolved
+from repro.workloads.patterns import deep_nest
 
 from tests.helpers import names
+from tests.test_differential import CONFIGS, _config_id
 
 
 def alias_pairs(source, proc_name):
     resolved = compile_source(source)
-    universe = VariableUniverse(resolved)
-    result = compute_aliases(resolved, universe)
+    result = compute_aliases(get_arena(resolved))
+    assert_matches_oracle(resolved, result)
     proc = resolved.proc_named(proc_name)
     rendered = set()
     for pair in result.pairs_of(proc):
@@ -22,6 +33,19 @@ def alias_pairs(source, proc_name):
         )
         rendered.add((first, second))
     return rendered
+
+
+def assert_matches_oracle(resolved, result, universe=None):
+    """Production tables equal the pair-set oracle's, and the pairs
+    derived from them equal the oracle's own pair sets."""
+    if universe is None:
+        universe = get_arena(resolved).universe
+    oracle = compute_alias_pairs(resolved, universe)
+    assert result.partner_mask == oracle.partner_mask
+    assert result.domain_mask == oracle.domain_mask
+    for proc in resolved.procs:
+        assert result.pairs_of(proc) == oracle.pairs[proc.pid]
+    assert result.total_pairs() == oracle.total_pairs()
 
 
 class TestIntroductionRules:
@@ -275,8 +299,7 @@ class TestModFactoring:
             begin call f(g) end
             """
         )
-        universe = VariableUniverse(resolved)
-        result = compute_aliases(resolved, universe)
+        result = compute_aliases(get_arena(resolved))
         f = resolved.proc_named("f")
         x = resolved.var_named("f::x")
         g = resolved.var_named("g")
@@ -285,3 +308,62 @@ class TestModFactoring:
         assert partners[g.uid] >> x.uid & 1
         assert result.may_alias(f, x, g)
         assert result.total_pairs() == 1
+
+
+class TestOneSolver:
+    """The mask drain against the pair-set oracle, and the shapes it
+    pins."""
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=_config_id)
+    def test_sweep_matches_oracle(self, config):
+        resolved = generate_resolved(config)
+        clear_arena_cache()
+        summary = analyze_side_effects(resolved)
+        assert_matches_oracle(resolved, summary.aliases, summary.universe)
+
+    @pytest.mark.parametrize("name", sorted(corpus.ALL))
+    def test_corpus_matches_oracle(self, name, corpus_programs):
+        resolved = corpus_programs[name]
+        clear_arena_cache()
+        summary = analyze_side_effects(resolved)
+        assert_matches_oracle(resolved, summary.aliases, summary.universe)
+
+    @pytest.mark.parametrize("depth", [1, 2, 5, 13, 40, 80])
+    def test_deep_nest_pair_count(self, depth):
+        """Tower level k aliases every pair of {g, x_1..x_k}: the total
+        is the tetrahedral number d(d+1)(d+2)/6."""
+        resolved = compile_source(deep_nest(depth))
+        result = compute_aliases(get_arena(resolved))
+        assert result.total_pairs() == depth * (depth + 1) * (depth + 2) // 6
+        if depth <= 13:
+            assert_matches_oracle(resolved, result)
+
+    def test_warm_start_matches_cold(self):
+        """Carrying final tables and seeding a cone gives the cold
+        result; carried tables are used by reference, never written."""
+        resolved = generate_resolved(CONFIGS[7])
+        arena = get_arena(resolved)
+        cold = compute_aliases(arena)
+        nested = [proc for proc in resolved.procs if proc.parent is not None]
+        cone = {nested[0].pid} if nested else {resolved.procs[-1].pid}
+        carried = [
+            None if pid in cone else (dict(cold.partner_mask[pid]),
+                                      cold.domain_mask[pid])
+            for pid in range(resolved.num_procs)
+        ]
+        snapshot = [None if entry is None else dict(entry[0])
+                    for entry in carried]
+        seeds = set(cone)
+        for proc in resolved.procs:
+            if proc.pid in cone and proc.parent is not None:
+                seeds.add(proc.parent.pid)
+        for site in resolved.call_sites:
+            if site.callee.pid in cone:
+                seeds.add(site.caller.pid)
+        warm = compute_aliases(arena, carried, seeds)
+        assert warm.partner_mask == cold.partner_mask
+        assert warm.domain_mask == cold.domain_mask
+        for pid, entry in enumerate(carried):
+            if entry is not None:
+                assert warm.partner_mask[pid] is entry[0]
+                assert entry[0] == snapshot[pid]

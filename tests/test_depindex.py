@@ -86,6 +86,66 @@ class TestBlobRoundTrip:
             with pytest.raises(ValueError):
                 index_from_bytes(blob[:cut])
 
+    def test_mask_bit_past_the_width_is_a_value_error(self):
+        """Every index mask is over the variable uids: a sparse gap
+        pointing past ``len(var_names)`` is corruption, rejected before
+        the mask is built (a flipped high bit in the gap varint would
+        otherwise allocate a mask billions of bits wide)."""
+        _summary, index = _indexed_summary(patterns.chain(3))
+        width = len(index.var_names)
+        index.universe_global = 1 << (width + 5000)  # Sparse: one set bit.
+        with pytest.raises(ValueError, match="past the width"):
+            index_from_bytes(index_to_bytes(index))
+
+    def test_alias_pair_past_the_width_is_a_value_error(self):
+        _summary, index = _indexed_summary(patterns.chain(3))
+        width = len(index.var_names)
+        for bad in [(width - 1, width), (1, 0), (0, 0)]:
+            index.alias_pairs[0] = [bad]
+            with pytest.raises(ValueError, match="alias pair"):
+                index_from_bytes(index_to_bytes(index))
+
+    def test_bit_flips_end_in_value_error_or_an_index(self):
+        """400 seeded single-bit flips of a nested program's index, in
+        a child process capped at 2 GiB of address space: each ends in
+        ``ValueError`` or a decoded index, never a ``MemoryError``."""
+        import subprocess
+        import sys
+        import textwrap
+
+        code = textwrap.dedent(
+            """
+            import random
+            import resource
+
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            from repro.core.depindex import (
+                build_dependency_index, index_from_bytes, index_to_bytes)
+            from repro.core.pipeline import analyze_side_effects
+            from repro.workloads.generator import (
+                GeneratorConfig, generate_resolved)
+
+            resolved = generate_resolved(GeneratorConfig(
+                seed=3, num_procs=30, max_depth=3, nesting_prob=0.4,
+                prob_arg_global=0.4))
+            blob = index_to_bytes(
+                build_dependency_index(analyze_side_effects(resolved)))
+            rng = random.Random(1)
+            decoded = rejected = 0
+            for _ in range(400):
+                damaged = bytearray(blob)
+                damaged[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
+                try:
+                    index_from_bytes(bytes(damaged))
+                except ValueError:
+                    rejected += 1
+                else:
+                    decoded += 1
+            assert rejected and decoded, (rejected, decoded)
+            """
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=300)
+
     def test_version_mismatch_is_loud(self):
         _summary, index = _indexed_summary(patterns.chain(3))
         blob = bytearray(index_to_bytes(index))

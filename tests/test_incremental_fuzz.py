@@ -36,6 +36,7 @@ from typing import List
 
 import pytest
 
+from repro.baselines.alias_pairs import compute_alias_pairs
 from repro.baselines.per_kind import analyze_per_kind
 from repro.core.incremental import incremental_update
 from repro.core.persist import summary_to_bytes, summary_to_dict
@@ -262,7 +263,8 @@ FUZZ_CASES = [
 def test_edit_sequence_oracle(config, seed):
     """20 random edits; after each, the chained incremental summary is
     byte-identical to from-scratch analyses by the fused solver and
-    the per-kind oracle."""
+    the per-kind oracle, and its alias tables (carried, remapped or
+    re-derived) equal the pair-set oracle's."""
     fuzzer = EditFuzzer(config, seed)
     summary = analyze_side_effects(pretty(fuzzer.program))
     for step in range(20):
@@ -276,6 +278,9 @@ def test_edit_sequence_oracle(config, seed):
             step, op, config.seed, seed)
         assert got == fused, "fused-path divergence at " + context
         assert got == legacy, "legacy-path divergence at " + context
+        oracle = compute_alias_pairs(summary.resolved, summary.universe)
+        assert summary.aliases.partner_mask == oracle.partner_mask, context
+        assert summary.aliases.domain_mask == oracle.domain_mask, context
         assert stats.total_procs == summary.resolved.num_procs
 
 

@@ -5,8 +5,9 @@ Three pillars, matching the lane framework's contract:
 * **differential identity** — every lane, advanced through the fused
   multi-lane driver, must be *value-identical* to its standalone
   reference solver across the 30-program differential sweep and the
-  corpus/fuzz programs (sections vs :func:`analyze_sections`, refalias
-  vs :func:`compute_aliases`);
+  corpus/fuzz programs (sections vs :func:`analyze_sections`; refalias
+  is a view of the run's aliases, which must equal the pair-set oracle
+  :func:`compute_alias_pairs`);
 * **one condensation** — an N-lane fused run performs exactly one
   Tarjan-equivalent pass per graph (counter-asserted, including with a
   third synthetic lane registered just for the test);
@@ -26,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.alias_pairs import compute_alias_pairs
 from repro.baselines.dyck import compare_precision, compute_dyck_aliases
 from repro.core.aliases import compute_aliases, factor_aliases_fused
 from repro.core.arena import clear_arena_cache, get_arena
@@ -87,14 +89,16 @@ def _assert_lanes_match_reference(resolved, summary):
     assert use_lane.site_sections == use_reference.site_sections
     assert use_lane.to_payload()["kind"] == EffectKind.USE.value
 
-    # Refalias lane vs Banning pair propagation.
+    # The refalias lane is the run's own alias tables, which equal
+    # the pair-set oracle's.
     ref_lane = summary.lanes["refalias"]
-    oracle = compute_aliases(resolved, summary.universe)
+    assert ref_lane.partner is summary.aliases.partner_mask
+    assert ref_lane.domain is summary.aliases.domain_mask
+    oracle = compute_alias_pairs(resolved, summary.universe)
     assert ref_lane.partner == oracle.partner_mask
     assert list(ref_lane.domain) == list(oracle.domain_mask)
-    assert ref_lane.pairs() == oracle.pairs
-    # And the pipeline's own aliases (whatever path produced them).
-    assert ref_lane.pairs() == summary.aliases.pairs
+    for proc in resolved.procs:
+        assert summary.aliases.pairs_of(proc) == oracle.pairs[proc.pid]
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=_config_id)
@@ -223,6 +227,32 @@ class TestOneCondensation:
 
 
 class TestRefAliasFactoring:
+    def test_lane_is_a_view_with_one_fixpoint(self, monkeypatch):
+        """The lane's tables *are* the run's alias tables, and the
+        alias fixpoint runs once per analysis."""
+        import repro.core.aliases as aliases_module
+        import repro.core.pipeline as pipeline_module
+
+        calls = []
+        original = aliases_module.compute_aliases
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(aliases_module, "compute_aliases", counting)
+        monkeypatch.setattr(pipeline_module, "compute_aliases", counting)
+        resolved = generate_resolved(
+            GeneratorConfig(seed=33, num_procs=20, max_depth=2,
+                            nesting_prob=0.4, prob_arg_global=0.4)
+        )
+        clear_arena_cache()
+        summary = analyze_side_effects(resolved, lanes=("refalias",))
+        assert len(calls) == 1
+        lane = summary.lanes["refalias"]
+        assert lane.partner is summary.aliases.partner_mask
+        assert lane.to_alias_result() is summary.aliases
+
     def test_lane_masks_feed_fused_factoring(self):
         """The lane's AliasResult drives ``factor_aliases_fused`` to
         the same per-site MOD expansion the pipeline computed."""
@@ -358,6 +388,24 @@ class TestLanePayloadPlumbing:
         # The refalias lane block agrees with the summary's aliases.
         assert laned["lanes"]["refalias"]["pairs"] == laned["summary"]["aliases"]
 
+    def test_sharded_route_lanes_match_monolithic(self):
+        """The sharded route hands its own alias result to the lanes;
+        the lane block is the monolithic one."""
+        from repro.core.pipeline import analyze_source_payload
+        from repro.lang.pretty import pretty
+        from repro.workloads.generator import generate_program
+
+        source = pretty(generate_program(
+            GeneratorConfig(seed=39, num_procs=16, max_depth=3,
+                            nesting_prob=0.5, prob_arg_global=0.4)
+        ))
+        clear_arena_cache()
+        sharded = analyze_source_payload(source, shards=3, lanes=ALL_LANES)
+        clear_arena_cache()
+        plain = analyze_source_payload(source, lanes=ALL_LANES)
+        assert _canon(sharded["lanes"]) == _canon(plain["lanes"])
+        assert sharded["lanes"]["refalias"]["total_pairs"] > 0
+
     def test_lane_timings_recorded(self):
         resolved = generate_resolved(GeneratorConfig(seed=36, num_procs=12))
         clear_arena_cache()
@@ -379,14 +427,15 @@ class TestLanePayloadPlumbing:
         analyze_side_effects(resolved, gmod_method="reference")
         arena = get_arena(resolved)
         before = dict(arena.condensation_counts)
-        states = solve_lanes(arena, ALL_LANES)
+        states = solve_lanes(arena, ALL_LANES, compute_aliases(arena))
         assert dict(arena.condensation_counts) == before
         assert list(lane_payloads(states)) == list(ALL_LANES)
 
     def test_lane_context_sites_by_caller(self):
         resolved = generate_resolved(GeneratorConfig(seed=38, num_procs=10))
         clear_arena_cache()
-        ctx = LaneContext.build(get_arena(resolved))
+        arena = get_arena(resolved)
+        ctx = LaneContext.build(arena, compute_aliases(arena))
         flattened = sorted(
             sid for sids in ctx.sites_by_caller for sid in sids
         )
@@ -430,8 +479,8 @@ end
         assert report.subset_holds
         # The coarse result must be at least as large everywhere.
         dyck = compute_dyck_aliases(resolved, summary.universe)
-        for pid in range(resolved.num_procs):
-            assert summary.aliases.pairs[pid] <= dyck[pid]
+        for proc in resolved.procs:
+            assert summary.aliases.pairs_of(proc) <= dyck[proc.pid]
 
     def test_dyck_never_in_fast_path(self):
         """The fast path must not import the baseline: analyzing with

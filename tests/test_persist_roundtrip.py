@@ -22,7 +22,9 @@ from repro.core.persist import (
     SECTION_DEP_INDEX,
     SECTION_LANE_REFALIAS,
     SECTION_LANE_SECTIONS,
+    SECTION_LANE_SECTIONS_USE,
     LoadedSummary,
+    decode_lane_sections,
     decode_summary_container,
     decode_summary_payload,
     encode_summary_payload,
@@ -319,6 +321,43 @@ class TestDamagedContainer:
             damaged[rng.randrange(start, len(blob))] ^= 1 << rng.randrange(8)
             try:
                 decode_summary_container(bytes(damaged))
+            except ValueError:
+                rejected += 1
+            else:
+                decoded += 1
+        assert rejected and decoded
+
+    @pytest.fixture(scope="class")
+    def lane_blobs(self):
+        from repro.lanes.driver import lane_blobs
+
+        summary = analyze_side_effects(
+            compile_source(SOURCE),
+            lanes=("sections", "refalias", "sections-use"),
+        )
+        return lane_blobs(summary.lanes)
+
+    @pytest.mark.parametrize(
+        "tag",
+        [SECTION_LANE_SECTIONS, SECTION_LANE_REFALIAS, SECTION_LANE_SECTIONS_USE],
+        ids=["sections", "refalias", "sections-use"],
+    )
+    def test_lane_blob_cuts_and_flips(self, lane_blobs, tag):
+        """Every cut of a lane trailer blob, and 400 seeded bit flips,
+        end in ``ValueError`` or a decoded value — never the
+        ``IndexError`` of a read off the end."""
+        blob = lane_blobs[tag]
+        assert decode_lane_sections({tag: blob})
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                decode_lane_sections({tag: blob[:cut]})
+        rng = random.Random(tag)
+        decoded = rejected = 0
+        for _ in range(400):
+            damaged = bytearray(blob)
+            damaged[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
+            try:
+                decode_lane_sections({tag: bytes(damaged)})
             except ValueError:
                 rejected += 1
             else:

@@ -62,13 +62,13 @@ def assert_sections_sound(resolved, trace, lattice="figure3"):
     by the section of one of its alias partners in the caller (the
     sectioned site tables are alias-free, exactly as DMOD is)."""
     from repro.core.aliases import compute_aliases
-    from repro.core.varsets import VariableUniverse
+    from repro.core.arena import get_arena
 
     analyses = {
         "mod": analyze_sections(resolved, EffectKind.MOD, lattice=lattice),
         "use": analyze_sections(resolved, EffectKind.USE, lattice=lattice),
     }
-    aliases = compute_aliases(resolved, VariableUniverse(resolved))
+    aliases = compute_aliases(get_arena(resolved))
     checked = 0
     for obs in trace.element_observations:
         table = analyses[obs.kind].site_sections[obs.site_id]

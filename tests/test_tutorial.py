@@ -6,7 +6,8 @@ import pytest
 
 from repro import analyze_side_effects, compile_source
 from repro.core.aliases import compute_aliases
-from repro.core.varsets import EffectKind, VariableUniverse
+from repro.core.arena import get_arena
+from repro.core.varsets import EffectKind
 from repro.graphs.binding import build_binding_graph
 from repro.lang.interp import run_program
 
@@ -130,15 +131,15 @@ class TestStep6DmodAliasesMod:
 
     def test_alias_pairs(self, tutor):
         resolved, _ = tutor
-        aliases = compute_aliases(resolved, VariableUniverse(resolved))
+        aliases = compute_aliases(get_arena(resolved))
         post_pairs = {
             tuple(sorted(resolved.variables[u].qualified_name for u in pair))
-            for pair in aliases.pairs[resolved.proc_named("post").pid]
+            for pair in aliases.pairs_of(resolved.proc_named("post"))
         }
         assert post_pairs == {("post::amount", "total")}
         acc_pairs = {
             tuple(sorted(resolved.variables[u].qualified_name for u in pair))
-            for pair in aliases.pairs[resolved.proc_named("accumulate").pid]
+            for pair in aliases.pairs_of(resolved.proc_named("accumulate"))
         }
         assert ("accumulate::amount", "accumulate::sink") in acc_pairs
 
