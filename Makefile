@@ -133,8 +133,10 @@ profile:
 	$(PP) $(PY) -m repro.cli profile --gen-procs 2000 --gen-globals 200
 
 # End-to-end daemon check: spawn `ck-analyze serve` as a real OS
-# process, run one analyze + one query through the client, shut it
-# down cleanly, and verify the --metrics-json dump.
+# process with --state-dir, open a laned session, run one update + one
+# query through the client, shut it down cleanly and verify the
+# --metrics-json dump; then restart on the same state dir and check the
+# next update reloads the index and keeps the lanes.
 server-smoke:
 	$(PP) $(PY) tests/server_smoke.py
 

@@ -29,6 +29,7 @@ cheap to build — one sweep over the call sites and one over β.
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.local import LocalAnalysis, lmod_of, luse_of
@@ -541,7 +542,14 @@ ARENA_IMAGE_MAGIC = b"CKAI"
 
 #: Bump when the section layout changes; readers reject mismatches
 #: loudly (a stale image degrades to a cold build, never a misread).
-ARENA_IMAGE_VERSION = 1
+#:
+#: History: 1 = magic, version, digest, counts, sections; 2 = a CRC-32
+#: of every byte after it follows the version, and readers check the
+#: file length against the header's layout.
+ARENA_IMAGE_VERSION = 2
+
+#: Bytes before the checksummed part: magic, version, CRC-32.
+_IMAGE_PREFIX = len(ARENA_IMAGE_MAGIC) + 2 + 4
 
 #: ``(name, kind)`` of every section, in file order.  ``i32`` sections
 #: hold int32 entries; ``mask`` sections hold fixed-width mask rows.
@@ -627,6 +635,7 @@ def write_arena_image(arena: ProgramArena, path: str, digest: bytes = b"") -> No
     out = bytearray()
     out += ARENA_IMAGE_MAGIC
     out += ARENA_IMAGE_VERSION.to_bytes(2, "little")
+    out += bytes(4)  # The CRC-32, filled in once the rest is written.
     write_bytes(out, digest)
     for value in (
         arena.call_csr.num_nodes,
@@ -674,6 +683,8 @@ def write_arena_image(arena: ProgramArena, path: str, digest: bytes = b"") -> No
         else:
             write_mask_section(out, tables[name], words)
     pad_to_alignment(out)
+    checksum = zlib.crc32(memoryview(out)[_IMAGE_PREFIX:])
+    out[_IMAGE_PREFIX - 4 : _IMAGE_PREFIX] = checksum.to_bytes(4, "little")
 
     directory = _os.path.dirname(path) or "."
     fd, tmp_path = _tempfile.mkstemp(dir=directory, suffix=".cka.tmp")
@@ -691,14 +702,16 @@ class ArenaImage:
     """A ``.cka`` file opened for reading — memory-mapped when the
     platform allows, with a plain read fallback.
 
-    Section accessors materialize on demand: :meth:`i32` and
-    :meth:`masks` build Python lists from the mapped bytes.
+    Opening checks the magic, the version, the CRC-32 over every byte
+    after it and the file length against the header's layout, so a
+    damaged or truncated image raises :class:`ValueError` here and
+    never rebuilds into a wrong arena.  Section accessors materialize
+    on demand: :meth:`i32` and :meth:`masks` build Python lists from
+    the mapped bytes.
     """
 
     def __init__(self, path: str):
         import mmap as _mmap
-
-        from repro.core.binio import aligned, read_bytes, read_varint
 
         self.path = path
         self._handle = open(path, "rb")
@@ -713,7 +726,16 @@ class ArenaImage:
             self._handle.seek(0)
             buffer = self._handle.read()
         self._buffer = buffer
+        try:
+            self._read_header(buffer)
+        except BaseException:
+            self.close()
+            raise
 
+    def _read_header(self, buffer) -> None:
+        from repro.core.binio import aligned, read_bytes, read_varint
+
+        path = self.path
         if bytes(buffer[:4]) != ARENA_IMAGE_MAGIC:
             raise ValueError(
                 "not an arena image: expected magic %r in %s"
@@ -725,12 +747,22 @@ class ArenaImage:
                 "unsupported arena image version %d in %s (this reader "
                 "supports version %d)" % (version, path, ARENA_IMAGE_VERSION)
             )
-        pos = 6
-        self.digest, pos = read_bytes(buffer, pos)
-        values = []
-        for _ in range(9):
-            value, pos = read_varint(buffer, pos)
-            values.append(value)
+        stored = int.from_bytes(bytes(buffer[_IMAGE_PREFIX - 4 : _IMAGE_PREFIX]), "little")
+        if len(buffer) < _IMAGE_PREFIX or (
+            zlib.crc32(memoryview(buffer)[_IMAGE_PREFIX:]) != stored
+        ):
+            raise ValueError(
+                "arena image %s fails its checksum (damaged or truncated)" % path
+            )
+        pos = _IMAGE_PREFIX
+        try:  # A checksummed header can still be cut short by its writer.
+            self.digest, pos = read_bytes(buffer, pos)
+            values = []
+            for _ in range(9):
+                value, pos = read_varint(buffer, pos)
+                values.append(value)
+        except IndexError as exc:
+            raise ValueError("corrupt arena image %s: %s" % (path, exc)) from exc
         (
             self.num_procs,
             self.num_sites,
@@ -742,11 +774,17 @@ class ArenaImage:
             self.width,
             self.words,
         ) = values
-        self._offsets = self._layout(aligned(pos))
+        self._offsets, end = self._layout(aligned(pos))
+        if aligned(end) != len(buffer):
+            raise ValueError(
+                "arena image %s is %d bytes, its header lays out %d"
+                % (path, len(buffer), aligned(end))
+            )
 
-    def _layout(self, pos: int) -> Dict[str, Tuple[int, int]]:
-        """``{name: (byte offset, entry count)}`` for every section,
-        resolved from the header counts."""
+    def _layout(self, pos: int) -> Tuple[Dict[str, Tuple[int, int]], int]:
+        """``({name: (byte offset, entry count)}, end)`` for every
+        section, resolved from the header counts; ``end`` is the byte
+        after the last section."""
         from repro.core.binio import aligned
 
         counts = {
@@ -783,7 +821,7 @@ class ArenaImage:
             count = counts[name]
             offsets[name] = (pos, count)
             pos += count * (4 if kind == "i32" else row_bytes)
-        return offsets
+        return offsets, pos
 
     def i32(self, name: str) -> List[int]:
         from repro.core.binio import read_i32_section

@@ -72,6 +72,7 @@ from repro.core.depindex import (
     fingerprint_text,
     fingerprints_equal,
 )
+from repro.core.persist import carry_render
 from repro.core.rmod import RmodResult
 from repro.core.summary import EffectSolution, SideEffectSummary
 from repro.core.varsets import EffectKind
@@ -1001,6 +1002,11 @@ def incremental_update(
     that tracks its own edits.  The hint must cover every change; it is
     trusted.
 
+    The new summary's render is seeded from ``old_summary``'s when the
+    variable names are unchanged (:func:`repro.core.persist.carry_render`),
+    so rendering it names only the sets the edit changed, and an edit
+    that changed none returns the previous payload and container body.
+
     Returns the new summary (byte-identical to a from-scratch run — the
     fuzz oracle asserts it) and the reuse statistics.
     """
@@ -1010,10 +1016,12 @@ def incremental_update(
             old_summary, arena=peek_arena(old_summary.resolved)
         )
         old_summary.dep_index = index
-    return incremental_update_from_index(
+    summary, stats = incremental_update_from_index(
         index,
         new_resolved,
         kinds=kinds,
         dirty_hint=dirty_hint,
         live_aliases=old_summary.aliases,
     )
+    carry_render(old_summary, summary)
+    return summary, stats

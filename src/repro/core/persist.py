@@ -129,50 +129,146 @@ _FLOAT = struct.Struct("<d")
 def summary_to_dict(summary: SideEffectSummary, include_sections: bool = False) -> Dict:
     """A JSON-safe dictionary of every externally meaningful set.
 
+    The payload is **read-only**: entries with equal masks share one
+    name list, and the payload itself is kept on the summary (see
+    :class:`_Render`) and may be returned again — by a later call, or
+    for a successor summary whose sets all came out equal (see
+    :func:`carry_render`).  Copy before editing.
+
     ``include_sections`` additionally solves and embeds the Section 6
     regular-section analysis (Figure 3 lattice) per call site — opt-in
     because it is a separate solve, not a projection of the summary.
+    Such a payload is rendered afresh and never kept.
     """
+    if include_sections:
+        payload = _render(summary, None).payload
+        payload["sections"] = _sections_payload(summary)
+        return payload
+    render = _render(summary, summary.render)
+    summary.render = render
+    return render.payload
+
+
+class _Render:
+    """One plain :func:`summary_to_dict` render, kept on
+    ``summary.render`` for the next one.
+
+    ``names`` maps each distinct mask of the payload to its name list
+    and ``aliases`` maps each non-empty partner table, by identity, to
+    its name pairs.  Both are functions of the universe's names alone
+    (partner tables are final once solved, and carried between
+    summaries by reference, never written), so a summary naming its
+    variables alike can look its sets up here instead of listing them.
+    ``head`` is the container's string table and body, written from
+    ``payload`` (a pure function of it) once :func:`summary_to_bytes`
+    has run.
+
+    A ``carried`` render is a predecessor's, seeded by
+    :func:`carry_render`: its maps serve this summary's first render,
+    but its payload and head are the predecessor's until that render
+    finds the new payload equal.
+    """
+
+    __slots__ = ("kinds", "payload", "names", "aliases", "head", "carried")
+
+    def __init__(self, kinds, payload, names, aliases, head=None, carried=False):
+        self.kinds: Tuple[EffectKind, ...] = kinds
+        self.payload: Dict = payload
+        self.names: Dict[int, List[str]] = names
+        self.aliases: Dict[int, Tuple[Dict[int, int], List[List[str]]]] = aliases
+        self.head: Optional[Tuple[bytes, bytes]] = head
+        self.carried: bool = carried
+
+
+def carry_render(old: SideEffectSummary, new: SideEffectSummary) -> None:
+    """Seed ``new``'s next render with ``old``'s, when both universes
+    name their variables alike.  The seed shares ``old``'s maps, payload
+    and head by reference and points at nothing else, so no chain of
+    predecessors stays reachable; the first render drops it."""
+    render = old.render
+    if render is not None and old.universe.names == new.universe.names:
+        new.render = _Render(
+            render.kinds, render.payload, render.names, render.aliases,
+            render.head, carried=True,
+        )
+
+
+def _render(summary: SideEffectSummary, previous: Optional[_Render]) -> _Render:
+    """Build the plain payload, naming each distinct mask once — from
+    ``previous``'s maps where they hold it — and return the predecessor's
+    payload object (and head) instead when the two are equal, key order
+    included."""
     resolved = summary.resolved
     universe = summary.universe
-    payload: Dict = {
-        "version": FORMAT_VERSION,
-        "program": resolved.program.name,
-        "procedures": {},
-        "call_sites": [],
-        "aliases": {
-            proc.qualified_name: _alias_names(summary, proc)
-            for proc in resolved.procs
-        },
-    }
-    if include_sections:
-        payload["sections"] = _sections_payload(summary)
+    known = previous.names if previous is not None else {}
+    known_pairs = previous.aliases if previous is not None else {}
+    names: Dict[int, List[str]] = {}
+    pairs: Dict[int, Tuple[Dict[int, int], List[List[str]]]] = {}
+
+    def named(mask: int) -> List[str]:
+        found = names.get(mask)
+        if found is None:
+            found = known.get(mask)
+            if found is None:
+                found = universe.to_names(mask)
+            names[mask] = found
+        return found
+
+    def alias_names(table: Dict[int, int]) -> List[List[str]]:
+        if not table:
+            return []
+        key = id(table)
+        found = known_pairs.get(key)
+        if found is None or found[0] is not table:
+            found = (table, named_pairs(table, universe.names))
+        pairs[key] = found
+        return found[1]
+
+    solutions = [(kind.value, solution) for kind, solution in summary.solutions.items()]
+    partner_mask = summary.aliases.partner_mask
+    procedures: Dict = {}
+    aliases: Dict = {}
     for proc in resolved.procs:
         entry: Dict = {"level": proc.level}
-        for kind, solution in summary.solutions.items():
-            tag = kind.value
-            entry["g%s" % tag] = universe.to_names(solution.gmod[proc.pid])
-            entry["r%s" % tag] = _rmod_names(solution, proc)
-        payload["procedures"][proc.qualified_name] = entry
+        for tag, solution in solutions:
+            entry["g" + tag] = named(solution.gmod[proc.pid])
+            entry["r" + tag] = _rmod_names(solution, proc)
+        procedures[proc.qualified_name] = entry
+        aliases[proc.qualified_name] = alias_names(partner_mask[proc.pid])
+    call_sites = []
     for site in resolved.call_sites:
+        sid = site.site_id
         entry = {
-            "site_id": site.site_id,
+            "site_id": sid,
             "caller": site.caller.qualified_name,
             "callee": site.callee.qualified_name,
             "line": site.line,
         }
-        for kind, solution in summary.solutions.items():
-            tag = kind.value
-            entry["d%s" % tag] = universe.to_names(solution.dmod[site.site_id])
-            entry[tag] = universe.to_names(solution.mod[site.site_id])
-        payload["call_sites"].append(entry)
-    return payload
-
-
-def _alias_names(summary: SideEffectSummary, proc) -> List[List[str]]:
-    """A procedure's alias pairs as name pairs, walked off its partner
-    table (each pair sorted by name, the list sorted)."""
-    return named_pairs(summary.aliases.partner_mask[proc.pid], summary.universe.names)
+        for tag, solution in solutions:
+            entry["d" + tag] = named(solution.dmod[sid])
+            entry[tag] = named(solution.mod[sid])
+        call_sites.append(entry)
+    payload: Dict = {
+        "version": FORMAT_VERSION,
+        "program": resolved.program.name,
+        "procedures": procedures,
+        "call_sites": call_sites,
+        "aliases": aliases,
+    }
+    kinds = tuple(summary.solutions)
+    head = None
+    if (
+        previous is not None
+        and previous.kinds == kinds
+        and payload == previous.payload
+        and list(procedures) == list(previous.payload["procedures"])
+    ):
+        # Shared lists compare by identity, so the comparison walks the
+        # entries only.  Dict equality ignores key order, which the
+        # container keeps: hence the kinds and procedure-order checks.
+        payload = previous.payload
+        head = previous.head
+    return _Render(kinds, payload, names, pairs, head)
 
 
 def _rmod_names(solution, proc) -> List[str]:
@@ -228,6 +324,11 @@ def summary_to_bytes(
     analysis server's :data:`SECTION_SESSION_META`.  With none of the
     three the output is a plain v3 container, byte-identical to earlier
     writers.
+
+    Once the summary has rendered its own payload (see
+    :class:`_Render`), the string table and body are written once and
+    kept with it; a successor whose render returned that same payload
+    reuses them by reference, and only the trailer is rebuilt.
     """
     trailer: Dict[int, bytes] = dict(sections or {})
     if include_lanes and summary.lanes:
@@ -245,9 +346,21 @@ def summary_to_bytes(
             )
             summary.dep_index = index
         trailer[SECTION_DEP_INDEX] = index_to_bytes(index)
+    render = summary.render
+    if include_sections or render is None or render.carried:
+        return _container(*_summary_head(summary, include_sections), trailer)
+    if render.head is None:
+        render.head = _summary_head(summary, False)
+    return _container(*render.head, trailer)
+
+
+def _summary_head(
+    summary: SideEffectSummary, include_sections: bool
+) -> Tuple[bytes, bytes]:
+    """The container's string table and body, written from the masks."""
     strings, intern = _string_table()
     body = _summary_body(summary, include_sections, intern)
-    return _container(strings, body, trailer)
+    return _table_bytes(strings), bytes(body)
 
 
 def _summary_body(
@@ -319,9 +432,10 @@ def _summary_body(
     key("aliases")
     body.append(_T_DICT)
     write_varint(body, len(procs_by_name))
+    partner_mask = summary.aliases.partner_mask
     for name, proc in procs_by_name.items():
         key(name)
-        value(_alias_names(summary, proc))
+        value(named_pairs(partner_mask[proc.pid], summary.universe.names))
 
     if include_sections:
         key("sections")
@@ -587,15 +701,20 @@ def _string_table():
     return strings, intern
 
 
-def _container(
-    strings: List[str], body: bytearray, sections: Optional[Dict[int, bytes]]
-) -> bytes:
-    """Magic, header, string table, body and — when there are sections
-    — the v4 trailer."""
+def _table_bytes(strings: List[str]) -> bytes:
+    """The container's string table: a count, then each string."""
     table = bytearray()
     write_varint(table, len(strings))
     for text in strings:
         write_bytes(table, text.encode("utf-8"))
+    return bytes(table)
+
+
+def _container(
+    table: bytes, body: bytes, sections: Optional[Dict[int, bytes]]
+) -> bytes:
+    """Magic, header, string table, body and — when there are sections
+    — the v4 trailer."""
     if not sections:
         version = _SECTIONLESS_BINARY_VERSION
         trailer = b""
@@ -607,13 +726,13 @@ def _container(
             write_varint(trailer_buf, tag)
             write_bytes(trailer_buf, sections[tag])
         trailer = bytes(trailer_buf)
-    return (
-        BINARY_MAGIC
-        + _HEADER.pack(version, len(table), len(body))
-        + bytes(table)
-        + bytes(body)
-        + trailer
-    )
+    return b"".join((
+        BINARY_MAGIC,
+        _HEADER.pack(version, len(table), len(body)),
+        table,
+        body,
+        trailer,
+    ))
 
 
 def encode_summary_payload(
@@ -640,7 +759,7 @@ def encode_summary_payload(
     strings, intern = _string_table()
     body = bytearray()
     _encode_value(payload, body, intern)
-    return _container(strings, body, sections)
+    return _container(_table_bytes(strings), body, sections)
 
 
 def _decode_value(data, pos: int, strings: List[str]):

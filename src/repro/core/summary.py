@@ -74,6 +74,13 @@ class SideEffectSummary:
     #: payload's ``lanes`` block and, on request, into per-lane v4
     #: container trailer sections.
     lanes: Optional[Dict[str, object]] = None
+    #: The last plain render (:func:`repro.core.persist.summary_to_dict`):
+    #: its read-only payload, the name list of each distinct mask in it
+    #: and, once written, the binary container's string table and body.
+    #: :func:`repro.core.incremental.incremental_update` seeds it from
+    #: the predecessor's render until this summary's first render
+    #: replaces it.  Never serialized.
+    render: Optional[object] = field(default=None, repr=False, compare=False)
 
     # -- mask accessors -------------------------------------------------------
 

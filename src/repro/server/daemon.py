@@ -507,11 +507,11 @@ class AnalysisServer:
         )
 
     def _load_session_state(self, name: str):
-        """``(dep_index or None, gmod_method)`` for a persisted session,
-        or ``None`` when nothing usable is on disk.  A legacy container
-        without an index section (or an index this reader cannot parse)
-        degrades to ``(None, method)`` — the update falls back to a
-        full re-solve instead of failing the session."""
+        """``(dep_index or None, gmod_method, lanes)`` for a persisted
+        session, or ``None`` when nothing usable is on disk.  A legacy
+        container without an index section (or an index this reader
+        cannot parse) degrades to ``(None, method, lanes)`` — the update
+        falls back to a full re-solve instead of failing the session."""
         if not self.config.state_dir:
             return None
         from repro.core.depindex import index_from_bytes
@@ -538,12 +538,14 @@ class AnalysisServer:
             sections, context="session state %r" % name
         )
         method = "auto"
+        lanes: tuple = ()
         meta_blob = sections.get(SECTION_SESSION_META)
         if meta_blob is not None:
             try:
                 meta = json.loads(meta_blob.decode("utf-8"))
                 method = meta.get("gmod_method", method)
-            except (ValueError, UnicodeDecodeError):
+                lanes = self._lanes(meta)
+            except (ValueError, UnicodeDecodeError, ProtocolError):
                 pass
         index = None
         index_blob = sections.get(SECTION_DEP_INDEX)
@@ -552,7 +554,7 @@ class AnalysisServer:
                 index = index_from_bytes(index_blob)
             except ValueError:
                 index = None  # Version drift → full-re-solve downgrade.
-        return index, method
+        return index, method, lanes
 
     def _warm_session_arena(self, name: str, key: str, source: str):
         """``(resolved, arena)`` rebuilt zero-copy from the session's
@@ -771,10 +773,11 @@ class AnalysisServer:
                     "no session %r; open one with analyze+session first"
                     % session_name,
                 )
-            reloaded_index, method = state
+            reloaded_index, method, lanes = state
         else:
             method = session.gmod_method
-        key = content_key(source, method)
+            lanes = session.lanes
+        key = content_key(source, method, lanes)
         sleep = self._request_sleep(request)
         old_summary = session.summary if session is not None else None
 
@@ -797,6 +800,19 @@ class AnalysisServer:
                     set(),
                     reloaded=True,
                 )
+            if lanes:
+                # The incremental engine solves MOD+USE only; the
+                # session's lanes ride the updated arena, as on the
+                # sharded analyze path.
+                from repro.core.arena import get_arena
+                from repro.lanes.driver import solve_lanes
+
+                new_summary.lanes = solve_lanes(
+                    get_arena(new_summary.resolved),
+                    lanes,
+                    new_summary.aliases,
+                    new_summary.timings,
+                )
             return new_summary, payload_from_summary(new_summary), stats
 
         new_summary, payload, stats = await self._run_heavy(work)
@@ -809,6 +825,7 @@ class AnalysisServer:
                 gmod_method=method,
                 summary=new_summary,
                 payload=payload,
+                lanes=lanes,
             )
             self.sessions.put(session)
         session.key = key
@@ -824,7 +841,7 @@ class AnalysisServer:
             self.disk_cache.put(key, payload)
         await self._save_session_state(session)
 
-        return ok_response(
+        response = ok_response(
             request_id,
             "update",
             key=key,
@@ -832,6 +849,9 @@ class AnalysisServer:
             update_stats=session.last_update,
             session=session.brief(),
         )
+        if payload.get("lanes") is not None:
+            response["lanes"] = payload["lanes"]
+        return response
 
     async def _verb_query(self, request_id: Any, request: Dict) -> Dict:
         session_name = require_str(request, "session")

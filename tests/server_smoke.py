@@ -1,12 +1,16 @@
 """CI smoke for the analysis daemon, run as a real OS process.
 
 Launches ``ck-analyze serve`` as a subprocess on an ephemeral port
-(with ``--state-dir`` so sessions persist), performs one ``analyze`` +
-one ``update`` + one ``query`` through the client, shuts it down with
-the ``shutdown`` verb, and asserts a zero exit status plus a written
-``--metrics-json`` dump carrying the incremental region counters.
-Invoked by ``make server-smoke`` and the CI workflow — not collected
-by pytest (no ``test_`` prefix).
+(with ``--state-dir`` so sessions persist), opens a session with the
+``sections`` and ``refalias`` lanes, performs one ``update`` (whose
+reply must carry both lanes) + one ``query`` through the client, shuts
+it down with the ``shutdown`` verb, and asserts a zero exit status plus
+a written ``--metrics-json`` dump carrying the incremental region
+counters.  It then starts a second daemon on the same ``--state-dir``
+and updates the session again: the update must reload the persisted
+dependency index and still carry both lanes.  Invoked by ``make
+server-smoke`` and the CI workflow — not collected by pytest (no
+``test_`` prefix).
 """
 
 from __future__ import annotations
@@ -27,10 +31,12 @@ from repro.server.client import wait_for_server  # noqa: E402
 from repro.workloads import patterns  # noqa: E402
 
 
-def main() -> int:
-    workdir = tempfile.mkdtemp()
-    metrics_path = os.path.join(workdir, "metrics.json")
-    state_dir = os.path.join(workdir, "state")
+#: The effect lanes the smoke session is opened with.
+LANES = ["refalias", "sections"]
+
+
+def start_daemon(state_dir: str, metrics_path: str):
+    """``ck-analyze serve`` as an OS process; returns ``(process, port)``."""
     env = dict(os.environ, PYTHONPATH=REPO_SRC)
     daemon = subprocess.Popen(
         [
@@ -43,23 +49,40 @@ def main() -> int:
         text=True,
         env=env,
     )
+    banner = daemon.stdout.readline()
+    match = re.search(r"listening on ([\d.]+):(\d+)", banner)
+    if not match:
+        daemon.kill()
+        daemon.wait()
+        raise AssertionError("unexpected banner: %r" % banner)
+    return daemon, int(match.group(2))
+
+
+def stop_daemon(daemon) -> None:
+    if daemon.poll() is None:
+        daemon.kill()
+        daemon.wait()
+
+
+def main() -> int:
+    workdir = tempfile.mkdtemp()
+    metrics_path = os.path.join(workdir, "metrics.json")
+    state_dir = os.path.join(workdir, "state")
+    source = patterns.chain(5)
+    edited = source.replace(
+        "proc c1(x)\n  begin", "proc c1(x)\n  begin\n    g := 9"
+    )
+    daemon, port = start_daemon(state_dir, metrics_path)
     try:
-        banner = daemon.stdout.readline()
-        match = re.search(r"listening on ([\d.]+):(\d+)", banner)
-        assert match, "unexpected banner: %r" % banner
-        port = int(match.group(2))
-
         with wait_for_server(port) as client:
-            source = patterns.chain(5)
-            analyzed = client.analyze(source, session="smoke")
+            analyzed = client.analyze(source, session="smoke", lanes=",".join(LANES))
             assert analyzed["ok"] and analyzed["num_procs"] == 6
+            assert sorted(analyzed["lanes"]) == LANES
 
-            edited = source.replace(
-                "proc c1(x)\n  begin", "proc c1(x)\n  begin\n    g := 9"
-            )
             updated = client.update("smoke", edited)
             assert updated["ok"]
             assert updated["update_stats"]["reuse_fraction"] > 0.0
+            assert sorted(updated["lanes"]) == LANES, "update dropped the lanes"
 
             result = client.query("smoke", "who_modifies", variable="g")["result"]
             assert "chain" in result["procedures"]
@@ -83,13 +106,27 @@ def main() -> int:
         assert incremental["region_procs"] >= 1
         assert incremental["total_sccs"] > 0
         assert 0.0 < incremental["scc_reuse_fraction"] <= 1.0
-        print("server smoke: ok (port %d, %d requests)"
-              % (port, sum(metrics["requests"].values())))
-        return 0
+        requests = sum(metrics["requests"].values())
     finally:
-        if daemon.poll() is None:
-            daemon.kill()
-            daemon.wait()
+        stop_daemon(daemon)
+
+    # A second daemon on the same state directory resumes the session
+    # from its persisted index, lanes included.
+    daemon, port = start_daemon(state_dir, metrics_path)
+    try:
+        with wait_for_server(port) as client:
+            resumed = client.update("smoke", source)
+            assert resumed["update_stats"]["index_reloaded"] is True
+            assert sorted(resumed["lanes"]) == LANES, "restart dropped the lanes"
+            assert client.query("smoke", "lanes")["result"] == LANES
+            client.shutdown()
+        returncode = daemon.wait(timeout=30)
+        assert returncode == 0, "restarted daemon exited with %d" % returncode
+    finally:
+        stop_daemon(daemon)
+    print("server smoke: ok (port %d, %d requests, restart resumed the session)"
+          % (port, requests))
+    return 0
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@ container loader.
 
 * the **``.cka`` arena image** — write → mmap → rebuild must reproduce
   the arena field for field and analysis for analysis, refuse stale
-  digests, foreign bytes, version drift and the wrong program, and
-  stay out of pickles;
+  digests, foreign bytes, version drift and the wrong program, refuse
+  every cut and bit flip when opened (its CRC-32 and length check),
+  and stay out of pickles;
 * the **container loader** — v4 payloads and legacy JSON files load
   through the same mmap path, and torn or missing files fail with the
   documented exception classes;
@@ -19,9 +20,11 @@ sizes the tier-1 suite can afford.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
+import zlib
 
 import pytest
 
@@ -164,6 +167,80 @@ class TestArenaImage:
         assert getattr(clone, "_arena_image", None) is None
         assert clone.call_csr.heads == rebuilt.call_csr.heads
         rebuilt._arena_image.close()
+
+
+class TestDamagedImage:
+    """A cut or bit-flipped image ends in ValueError, never in an arena
+    that analyzes to a wrong summary: the loader checks a CRC-32 over
+    every byte after the checksum field and the file length against
+    the header's layout."""
+
+    @pytest.fixture(scope="class")
+    def image(self, tmp_path_factory):
+        resolved = generate_resolved(
+            GeneratorConfig(seed=3, num_procs=30, max_depth=3, nesting_prob=0.4)
+        )
+        clear_arena_cache()
+        path = str(tmp_path_factory.mktemp("image") / "arena.cka")
+        write_arena_image(get_arena(resolved), path, digest=b"rev")
+        with open(path, "rb") as handle:
+            data = handle.read()
+        with load_arena_image(path) as image:
+            arena = arena_from_image(resolved, image, expect_digest=b"rev")
+            assert summary_to_bytes(
+                analyze_side_effects(resolved, arena=arena)
+            ) == summary_to_bytes(analyze_side_effects(resolved))
+        return resolved, data
+
+    @staticmethod
+    def _assert_refused(resolved, blob, path):
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        with pytest.raises(ValueError):
+            with load_arena_image(path) as image:
+                arena_from_image(resolved, image, expect_digest=b"rev")
+
+    def test_every_cut(self, image, tmp_path):
+        resolved, data = image
+        path = _image_path(tmp_path)
+        for length in range(len(data)):
+            self._assert_refused(resolved, data[:length], path)
+
+    def test_bit_flips(self, image, tmp_path):
+        resolved, data = image
+        path = _image_path(tmp_path)
+        rng = random.Random(1)
+        for _ in range(300):
+            blob = bytearray(data)
+            blob[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
+            self._assert_refused(resolved, bytes(blob), path)
+
+    @staticmethod
+    def _sealed(blob: bytes) -> bytes:
+        """``blob`` with its CRC-32 field recomputed, as a writer that
+        laid it out wrong would have sealed it."""
+        start = len(ARENA_IMAGE_MAGIC) + 2
+        crc = zlib.crc32(blob[start + 4:]).to_bytes(4, "little")
+        return blob[:start] + crc + blob[start + 4:]
+
+    def test_length_must_match_the_layout(self, image, tmp_path):
+        _resolved, data = image
+        path = _image_path(tmp_path)
+        assert self._sealed(data) == data
+        for blob in (data + bytes(8), data[:-8]):
+            with open(path, "wb") as handle:
+                handle.write(self._sealed(blob))
+            with pytest.raises(ValueError, match="lays out"):
+                load_arena_image(path)
+
+    def test_header_cut_short_under_a_matching_checksum(self, image, tmp_path):
+        _resolved, data = image
+        path = _image_path(tmp_path)
+        for length in (10, 12):
+            with open(path, "wb") as handle:
+                handle.write(self._sealed(data[:length]))
+            with pytest.raises(ValueError, match="corrupt arena image|truncated"):
+                load_arena_image(path)
 
 
 # ---------------------------------------------------------------------------

@@ -701,3 +701,47 @@ end
         assert _canon(decoded["sections"]) == _canon(
             reference.lanes["sections"].to_payload()
         )
+
+    def test_update_keeps_lanes_across_a_restart(self, tmp_path):
+        """A laned session keeps its lanes through ``update``, in memory
+        and after a restart: the reply's lane blocks equal a fresh laned
+        analysis of the edited source, ``query select=lanes`` still
+        lists them, and the state file carries their sections."""
+        from repro.core.persist import (
+            SECTION_LANE_REFALIAS,
+            SECTION_LANE_SECTIONS,
+            decode_summary_container,
+        )
+        from repro.lanes.driver import lane_blobs
+        from repro.server import ServerClient, ServerConfig, ServerThread
+
+        lanes = ("sections", "refalias")
+        edited = self.SOURCE.replace("  a := g\n", "  a := g\n  h := b\n")
+        assert edited != self.SOURCE
+
+        def check(client, reply, source, path):
+            reference = analyze_side_effects(source, lanes=lanes)
+            assert _canon(reply["lanes"]) == _canon(
+                payload_from_summary(reference)["lanes"]
+            )
+            assert client.query("laned", "lanes")["result"] == ["refalias", "sections"]
+            with open(path, "rb") as fh:
+                _payload, sections = decode_summary_container(fh.read())
+            expected = lane_blobs(reference.lanes)
+            for tag in (SECTION_LANE_SECTIONS, SECTION_LANE_REFALIAS):
+                assert sections[tag] == expected[tag]
+
+        config = ServerConfig(port=0, state_dir=str(tmp_path))
+        with ServerThread(config) as handle:
+            path = handle.server._session_state_path("laned")
+            with ServerClient(port=handle.port) as c:
+                c.analyze(self.SOURCE, session="laned", lanes=",".join(lanes))
+                reply = c.update("laned", edited)
+                assert reply["update_stats"]["index_reloaded"] is False
+                check(c, reply, edited, path)
+        with ServerThread(ServerConfig(port=0, state_dir=str(tmp_path))) as handle:
+            with ServerClient(port=handle.port) as c:
+                reply = c.update("laned", self.SOURCE)
+                assert reply["update_stats"]["index_reloaded"] is True
+                assert reply["session"]["lanes"] == list(lanes)
+                check(c, reply, self.SOURCE, path)

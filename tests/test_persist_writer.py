@@ -9,17 +9,28 @@ nesting, incremental summaries over spliced universes, every trailer
 combination, the analysis server's state file, empty sets, programs
 without call sites, and names that collide with payload keys,
 procedure names or each other.
+
+The render carried across ``incremental_update`` is pinned here too:
+after every edit the carried payload and container equal a scratch
+render's, an edit that moves no set returns the predecessor's payload
+and container body, one that moves some reuses every unchanged name
+list, no chain of predecessors stays alive, and the payload's readers
+leave the shared lists alone.
 """
 
 from __future__ import annotations
 
+import copy
+import gc
 import itertools
 import json
 import random
+import weakref
 
 import pytest
 
 import repro.core.persist as persist
+from repro.core.arena import get_arena
 from repro.core.bitvec import iter_bits
 from repro.core.depindex import index_to_bytes
 from repro.core.incremental import incremental_update
@@ -31,15 +42,20 @@ from repro.core.persist import (
     summary_to_bytes,
     summary_to_dict,
 )
-from repro.core.pipeline import analyze_side_effects
+from repro.core.pipeline import analyze_side_effects, payload_from_summary
 from repro.core.varsets import EffectKind, VariableUniverse
+from repro.lang.nodes import Assign, IntLit, VarRef
 from repro.lang.pretty import pretty
 from repro.lang.semantic import compile_source
-from repro.lanes.driver import lane_blobs
-from repro.workloads.generator import GeneratorConfig, generate_resolved
+from repro.lanes.driver import lane_blobs, solve_lanes
+from repro.workloads.generator import (
+    GeneratorConfig,
+    generate_program,
+    generate_resolved,
+)
 from repro.workloads.patterns import deep_nest
 from tests.test_differential import CONFIGS, _config_id
-from tests.test_incremental_fuzz import FUZZ_CASES, EditFuzzer
+from tests.test_incremental_fuzz import FUZZ_CASES, EditFuzzer, _walk_bodies
 
 #: Every name here is also a payload key, the program's name, a
 #: procedure's name or a formal's name; ``level`` is both the program
@@ -269,23 +285,317 @@ def test_mask_writer_matches_generic_lists():
 
 def test_server_state_file(tmp_path):
     """The daemon's ``--state-dir`` container is the dict route's bytes
-    with the index, lane and session-metadata sections."""
+    with the index, lane and session-metadata sections — when the
+    session opens, after an update that moves no set (whose table and
+    body are the predecessor's) and after one that inserts a line."""
     from repro.server.client import ServerClient
     from repro.server.daemon import ServerConfig, ServerThread
 
-    source = COLLISIONS
+    versions = [
+        COLLISIONS,
+        COLLISIONS.replace("  g1 := 1\n", "  g1 := 7\n"),
+        COLLISIONS.replace("    f0 := 1\n", "    f0 := 1\n    g4 := f0\n"),
+    ]
+    assert len(set(versions)) == 3
+    written = []
+    payloads = []
     with ServerThread(ServerConfig(port=0, state_dir=str(tmp_path))) as handle:
         with ServerClient(port=handle.port) as client:
-            client.analyze(source, session="s", lanes="sections,refalias")
-        session = handle.server.sessions.get("s")
-        with open(handle.server._session_state_path("s"), "rb") as state:
-            blob = state.read()
-    summary = session.summary
-    meta = {"name": "s", "gmod_method": session.gmod_method,
-            "key": session.key, "lanes": ["sections", "refalias"]}
-    sections = {
-        SECTION_DEP_INDEX: index_to_bytes(summary.dep_index),
-        SECTION_SESSION_META: json.dumps(meta, sort_keys=True).encode("utf-8"),
-    }
-    sections.update(lane_blobs(summary.lanes))
-    assert blob == _dict_route(summary, sections=sections)
+            for step, source in enumerate(versions):
+                if step == 0:
+                    client.analyze(source, session="s", lanes="sections,refalias")
+                else:
+                    assert sorted(client.update("s", source)["lanes"]) == [
+                        "refalias", "sections"]
+                session = handle.server.sessions.get("s")
+                with open(handle.server._session_state_path("s"), "rb") as state:
+                    written.append((state.read(), session.summary, session.key))
+                payloads.append(session.payload["summary"])
+        assert session.updates == 2
+    assert payloads[1] is payloads[0] and payloads[2] is not payloads[1]
+    for step, (blob, summary, key) in enumerate(written):
+        meta = {"name": "s", "gmod_method": session.gmod_method,
+                "key": key, "lanes": ["sections", "refalias"]}
+        sections = {
+            SECTION_DEP_INDEX: index_to_bytes(summary.dep_index),
+            SECTION_SESSION_META: json.dumps(meta, sort_keys=True).encode("utf-8"),
+        }
+        sections.update(lane_blobs(summary.lanes))
+        assert len(sections) == 4, step
+        assert blob == _dict_route(summary, sections=sections), step
+        scratch = summary_to_dict(analyze_side_effects(versions[step]))
+        assert decode_summary_container(blob)[0] == scratch, step
+
+
+# ---------------------------------------------------------------------------
+# The render carried across incremental_update.
+# ---------------------------------------------------------------------------
+
+
+def _literal_edit(program, rng) -> str:
+    """Change one ``x := k`` literal: no set moves and no line shifts."""
+    stmts = [
+        stmt
+        for body in _walk_bodies(program)
+        for stmt in body
+        if isinstance(stmt, Assign) and isinstance(stmt.value, IntLit)
+    ]
+    stmt = rng.choice(stmts)
+    stmt.value = IntLit((stmt.value.value + rng.randint(1, 9)) % 10)
+    return "literal"
+
+
+def _insert_line(program, rng) -> str:
+    """Assign a literal to a global at the top of one procedure: every
+    later line shifts, and the sets the assignment reaches move, while
+    the variable names stay put."""
+    proc = rng.choice(program.procs)
+    target = rng.choice(program.globals).name
+    proc.body.insert(0, Assign(target=VarRef(target), value=IntLit(1)))
+    return "insert(%s: %s)" % (proc.name, target)
+
+
+def _named_sets(summary, payload):
+    """``(mask, name list)`` of every set in ``summary``'s payload."""
+    procedures = payload["procedures"]
+    sites = payload["call_sites"]
+    for kind, solution in summary.solutions.items():
+        for proc in summary.resolved.procs:
+            entry = procedures[proc.qualified_name]
+            yield solution.gmod[proc.pid], entry["g" + kind.value]
+        for sid, entry in enumerate(sites):
+            yield solution.dmod[sid], entry["d" + kind.value]
+            yield solution.mod[sid], entry[kind.value]
+
+
+def _lists_by_mask(summary, payload):
+    """mask → the one list naming it (every entry with that mask)."""
+    lists = {}
+    for mask, names in _named_sets(summary, payload):
+        assert lists.setdefault(mask, names) is names
+    return lists
+
+
+SESSION_META = {SECTION_SESSION_META: b'{"name": "s"}'}
+
+
+@pytest.mark.parametrize(
+    "config, seed", FUZZ_CASES[:2] + FUZZ_CASES[3:],
+    ids=["small-a", "small-b", "nested"],
+)
+def test_carried_render_matches_scratch(config, seed):
+    """Literal edits, line-inserting edits and the fuzzer's structural
+    edits (new, deleted and renamed variables permute the uid space),
+    chained: each step's dict is a scratch render's, key order
+    included, and its laned, indexed container is the dict route's."""
+    fuzzer = EditFuzzer(config, seed)
+    rng = random.Random(seed)
+    summary = analyze_side_effects(pretty(fuzzer.program))
+    payload = summary_to_dict(summary)
+    summary_to_bytes(summary, include_index=True)
+    edits = (_literal_edit, _insert_line, _literal_edit, None)
+    seen = {"reused": 0, "moved": 0, "permuted": 0}
+    for step in range(16):
+        edit = edits[step % len(edits)]
+        op = fuzzer.step() if edit is None else edit(fuzzer.program, rng)
+        source = pretty(fuzzer.program)
+        names = summary.universe.names
+        previous = payload
+        summary, _stats = incremental_update(summary, compile_source(source))
+        summary.lanes = solve_lanes(
+            get_arena(summary.resolved), ("sections", "refalias"), summary.aliases
+        )
+        context = "step %d (%s)" % (step, op)
+        scratch = analyze_side_effects(source)
+        # Written before its first render, a summary cannot know whether
+        # its predecessor's container head still holds.
+        assert summary_to_bytes(summary) == summary_to_bytes(scratch), context
+        payload = summary_to_dict(summary)
+        assert payload == summary_to_dict(scratch), context
+        assert encode_summary_payload(payload) == summary_to_bytes(scratch), context
+        blob = summary_to_bytes(
+            summary, include_index=True, include_lanes=True, sections=SESSION_META
+        )
+        sections = dict(SESSION_META)
+        sections[SECTION_DEP_INDEX] = index_to_bytes(summary.dep_index)
+        sections.update(lane_blobs(summary.lanes))
+        assert blob == encode_summary_payload(payload, sections), context
+        assert summary_to_dict(summary) is payload, context
+        if summary.universe.names != names:
+            seen["permuted"] += 1
+        elif payload is previous:
+            seen["reused"] += 1
+        else:
+            seen["moved"] += 1
+    assert all(seen.values()), seen
+
+
+def _sized_program(seed=21):
+    return generate_program(
+        GeneratorConfig(seed=seed, num_procs=40, num_globals=20,
+                        max_depth=2, nesting_prob=0.3)
+    )
+
+
+def test_literal_edit_returns_the_predecessors_payload_and_body(monkeypatch):
+    rng = random.Random(3)
+    program = _sized_program()
+    old = analyze_side_effects(pretty(program))
+    payload = summary_to_dict(old)
+    first = summary_to_bytes(old, include_index=True, sections=SESSION_META)
+    _literal_edit(program, rng)
+    new, stats = incremental_update(old, compile_source(pretty(program)))
+    assert stats.dirty_procs
+    assert summary_to_dict(new) is payload
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the body was rewritten")
+
+    monkeypatch.setattr(persist, "_summary_body", refuse)
+    blob = summary_to_bytes(new, include_index=True, sections=SESSION_META)
+    monkeypatch.undo()
+    sections = dict(SESSION_META)
+    sections[SECTION_DEP_INDEX] = index_to_bytes(new.dep_index)
+    assert blob == encode_summary_payload(payload, sections)
+    # The head is the predecessor's; the index trailer is rebuilt (its
+    # fingerprints saw the edit).
+    _version, table_len, body_len = persist._HEADER.unpack_from(first, 4)
+    head_end = 4 + persist._HEADER.size + table_len + body_len
+    assert blob[:head_end] == first[:head_end]
+    assert blob[head_end:] != first[head_end:]
+
+
+def test_set_changing_edit_keeps_every_unchanged_list():
+    program = _sized_program()
+    old = analyze_side_effects(pretty(program))
+    old_payload = summary_to_dict(old)
+    before = _lists_by_mask(old, old_payload)
+    # A global the procedure's GMOD lacks, assigned on a new first line.
+    gmod = old.solution(EffectKind.MOD).gmod
+    pid_of = {proc.qualified_name: proc.pid for proc in old.resolved.procs}
+    decl, var = next(
+        (decl, var)
+        for decl in program.procs
+        for var in old.resolved.variables
+        if var.is_global and not (gmod[pid_of[decl.name]] >> var.uid) & 1
+    )
+    decl.body.insert(0, Assign(target=VarRef(var.name), value=IntLit(1)))
+    new, _stats = incremental_update(old, compile_source(pretty(program)))
+    assert new.universe.names == old.universe.names
+    payload = summary_to_dict(new)
+    assert payload != old_payload
+    assert payload == summary_to_dict(analyze_side_effects(pretty(program)))
+    after = _lists_by_mask(new, payload)
+    kept = [mask for mask in after if mask in before]
+    assert kept and len(kept) < len(after)
+    for mask in kept:
+        assert after[mask] is before[mask]
+
+
+def test_chained_updates_leave_the_first_summary_collectable():
+    rng = random.Random(5)
+    program = _sized_program(seed=22)
+    summary = analyze_side_effects(pretty(program))
+    summary_to_dict(summary)
+    summary_to_bytes(summary, include_index=True)
+    first = weakref.ref(summary)
+    for step in range(30):
+        (_insert_line if step % 3 == 2 else _literal_edit)(program, rng)
+        summary, _stats = incremental_update(summary, compile_source(pretty(program)))
+        summary_to_dict(summary)
+        summary_to_bytes(summary, include_index=True)
+    gc.collect()
+    assert first() is None
+
+
+#: Two procedures that declare no variable and call nothing: swapping
+#: them keeps every uid and every set, so the payloads compare equal,
+#: but the ``procedures`` and ``aliases`` key orders swap.
+SWAPPABLE = """
+program swap
+  global g, h
+  proc a()
+  begin
+    g := 1
+  end
+  proc b()
+  begin
+    h := 2
+  end
+begin
+  call a()
+  call b()
+end
+"""
+
+
+def test_reordered_payload_is_not_the_predecessors():
+    """Dict equality ignores key order and the container keeps it, so
+    a reorder — of the procedures, or of the kinds — renders afresh."""
+    swapped = SWAPPABLE.replace(
+        "  proc a()\n  begin\n    g := 1\n  end\n", ""
+    ).replace("begin\n  call a()", "  proc a()\n  begin\n    g := 1\n  end\nbegin\n  call a()")
+    assert sorted(swapped.split("\n")) == sorted(SWAPPABLE.split("\n"))
+    old = analyze_side_effects(SWAPPABLE)
+    old_payload = summary_to_dict(old)
+    summary_to_bytes(old)
+    new, _stats = incremental_update(old, compile_source(swapped))
+    assert new.universe.names == old.universe.names
+    payload = summary_to_dict(new)
+    assert payload == old_payload and payload is not old_payload
+    assert list(payload["procedures"]) == ["swap", "b", "a"]
+    assert summary_to_bytes(new) == summary_to_bytes(analyze_side_effects(swapped))
+
+    use_first = analyze_side_effects(SWAPPABLE, kinds=(EffectKind.USE, EffectKind.MOD))
+    use_payload = summary_to_dict(use_first)
+    summary_to_bytes(use_first)
+    new, _stats = incremental_update(use_first, compile_source(SWAPPABLE))
+    payload = summary_to_dict(new)
+    assert payload == use_payload and payload is not use_payload
+    assert summary_to_bytes(new) == summary_to_bytes(analyze_side_effects(SWAPPABLE))
+
+
+def test_payload_readers_leave_the_shared_lists_alone(tmp_path):
+    """The query verbs, the recompilation analysis and the batch cache
+    round trip read a payload whose lists are shared between entries
+    and between summaries; none of them may write it."""
+    from repro.extensions.recompilation import (
+        recompilation_report,
+        recompilation_set,
+    )
+    from repro.server.client import ServerClient
+    from repro.server.daemon import ServerConfig, ServerThread
+    from repro.service.cache import SummaryCache
+
+    old = analyze_side_effects(COLLISIONS)
+    old_payload = summary_to_dict(old)
+    edited = COLLISIONS.replace("    f0 := 1\n", "    f0 := 1\n    g4 := f0\n")
+    new, _stats = incremental_update(old, compile_source(edited))
+    new_payload = summary_to_dict(new)
+    frozen = copy.deepcopy((old_payload, new_payload))
+    assert recompilation_set(old_payload, new_payload, edited=["level"])
+    recompilation_report(old_payload, new_payload)
+    cache = SummaryCache(str(tmp_path / "cache"))
+    result = payload_from_summary(new)
+    cache.put("k", result)
+    assert cache.get("k") == result
+    assert (old_payload, new_payload) == frozen
+
+    with ServerThread(ServerConfig(port=0)) as handle:
+        with ServerClient(port=handle.port) as client:
+            client.analyze(COLLISIONS, session="s", lanes="refalias")
+            payload = handle.server.sessions.get("s").payload
+            frozen = copy.deepcopy(payload)
+            for select, fields in (
+                ("procedures", {}),
+                ("proc", {"proc": "p"}),
+                ("site", {"site": 0}),
+                ("sites", {}),
+                ("lanes", {}),
+                ("lane", {"lane": "refalias"}),
+                ("who_modifies", {"variable": "gmod"}),
+                ("who_modifies", {"variable": "g2", "kind": "use"}),
+            ):
+                client.query("s", select, **fields)
+            assert payload == frozen
+
