@@ -4,11 +4,10 @@
 PY ?= python
 PP := PYTHONPATH=src
 
-.PHONY: test differential shard-differential partition-differential \
-	incremental-differential \
+.PHONY: test differential incremental-differential \
 	lane-differential bench-smoke bench \
-	bench-frontend bench-core bench-incremental bench-fleet \
-	bench-lanes profile server-smoke fleet-smoke
+	bench-frontend bench-core bench-incremental \
+	bench-lanes profile server-smoke
 
 # Tier-1 gate: the full unit/integration/property suite.
 test:
@@ -29,24 +28,6 @@ differential:
 	    tests/test_arena_image.py tests/test_persist_writer.py \
 	    tests/test_aliases.py
 
-# The sharded-solver oracle: byte-equality against the monolithic
-# pipeline over the differential corpus, the fuzz sweep (shard counts
-# 1/2/4/8, both strategies), the partitioner edge cases, and the
-# binary wire codec round-trips.
-shard-differential:
-	$(PP) $(PY) -m pytest -q tests/test_shard.py tests/test_shard_equivalence.py \
-	    tests/test_shard_wire.py
-
-# The structure-aware partitioner oracles: separator-tree structural
-# invariants (SCCs never split, callee-first waves, sound scopes, a
-# well-formed tree), boundary-variable quality vs greedy over the
-# 30-program sweep and the 10k scale-free workload, and the shard
-# equivalence fuzz asserting byte-identity across every --partition
-# mode at shard counts 1/2/4/8.
-partition-differential:
-	$(PP) $(PY) -m pytest -q tests/test_separator.py \
-	    tests/test_shard_equivalence.py
-
 # The incremental-engine oracle: randomized edit-sequence fuzzing
 # (byte-identity against scratch on both solver paths after every
 # step), the invalidation-region soundness property, the incremental
@@ -63,22 +44,18 @@ incremental-differential:
 lane-differential:
 	$(PP) $(PY) -m pytest -q tests/test_lanes.py
 
-# One tiny batch benchmark plus the shard-benchmark smoke (which
-# writes BENCH_shard.json), timing assertions disabled — keeps the
-# benchmark suite import-clean without paying for a real measurement
-# run.
+# One tiny batch benchmark plus the front-end, core, incremental and
+# lane benchmark smokes (each writes its BENCH_*.json), timing
+# assertions disabled — keeps the benchmark suite import-clean without
+# paying for a real measurement run.
 bench-smoke:
 	$(PP) $(PY) -m pytest -q benchmarks/test_bench_batch.py -k smoke \
-	    --benchmark-disable
-	$(PP) $(PY) -m pytest -q benchmarks/test_bench_shard.py -k smoke \
 	    --benchmark-disable
 	$(PP) $(PY) -m pytest -q benchmarks/test_bench_frontend.py -k smoke \
 	    --benchmark-disable
 	$(PP) $(PY) -m pytest -q benchmarks/test_bench_core.py -k smoke \
 	    --benchmark-disable
 	$(PP) $(PY) -m pytest -q benchmarks/test_bench_incremental.py -k smoke \
-	    --benchmark-disable
-	$(PP) $(PY) -m pytest -q benchmarks/test_bench_fleet.py -k smoke \
 	    --benchmark-disable
 	$(PP) $(PY) -m pytest -q benchmarks/test_bench_lanes.py -k smoke \
 	    --benchmark-disable
@@ -111,14 +88,6 @@ bench-core:
 bench-incremental:
 	$(PP) $(PY) -m pytest -q benchmarks/test_bench_incremental.py -s
 
-# The distributed-fleet measurement (E14): writes BENCH_fleet.json at
-# the repo root — loopback workers vs the in-process shard pool vs
-# monolithic, byte-identical across all three.  Resize with
-# CK_FLEET_BENCH_PROCS / CK_FLEET_BENCH_REPEATS /
-# CK_FLEET_BENCH_SHARDS / CK_FLEET_BENCH_WORKERS.
-bench-fleet:
-	$(PP) $(PY) -m pytest -q benchmarks/test_bench_fleet.py -s
-
 # The effect-lane measurement (E15): writes BENCH_lanes.json at the
 # repo root — 0/1/2/3-lane fused runs vs a standalone sections solve,
 # asserting the sections lane costs < 40% of the separate solve and
@@ -139,10 +108,3 @@ profile:
 # next update reloads the index and keeps the lanes.
 server-smoke:
 	$(PP) $(PY) tests/server_smoke.py
-
-# End-to-end fleet check: a `batch --fleet` coordinator plus two
-# `ck-analyze worker` OS processes over loopback TCP, run twice —
-# healthy, then with one worker SIGKILLed mid-run — asserting per-file
-# summary byte-equality against a fleetless run in both topologies.
-fleet-smoke:
-	$(PP) $(PY) tests/fleet_smoke.py

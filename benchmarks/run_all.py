@@ -1,4 +1,4 @@
-"""Regenerate every experiment table (E1–E10) in one run.
+"""Regenerate every experiment table (E1–E15) in one run.
 
 Usage::
 
@@ -10,14 +10,13 @@ pre-built inputs (program generation excluded).
 
 Besides the human-readable tables, a run leaves artifacts in ``--out``
 (default: the repo root): ``bench_report.txt`` (the full table text),
-``BENCH_shard.json`` (the sharded-solver comparison), the E12 run
-refreshes ``BENCH_core.json`` (fused vs legacy middle end), the E13
-run refreshes ``BENCH_incremental.json`` (demand-driven update vs
-scratch), the E14 run refreshes ``BENCH_fleet.json`` (loopback fleet
-vs process pool), the E15 run refreshes ``BENCH_lanes.json`` (marginal
-cost per added effect lane), and ``BENCH_all.json`` aggregates
-per-experiment wall times plus the shard, core, incremental, fleet,
-and lane records — the perf-trajectory document CI uploads.
+the E12 run refreshes ``BENCH_core.json`` (fused vs legacy middle
+end), the E13 run refreshes ``BENCH_incremental.json`` (demand-driven
+update vs scratch), the E15 run refreshes ``BENCH_lanes.json``
+(marginal cost per added effect lane), and ``BENCH_all.json``
+aggregates per-experiment wall times plus the core, incremental and
+lane records.  E10 (sharded solver) and E14 (fleet) are retired with
+the code they measured; EXPERIMENTS.md keeps their last numbers.
 """
 
 from __future__ import annotations
@@ -486,57 +485,6 @@ def e13_incremental(quick: bool):
     return result
 
 
-def e14_fleet(quick: bool):
-    header("E14", "Distributed fleet vs process pool, bit-identical  "
-                  "[fleet/]")
-    from test_bench_fleet import measure_fleet_benchmark, write_bench_json
-
-    result = measure_fleet_benchmark(
-        num_procs=2000 if quick else 10000,
-        num_globals=400 if quick else 2000,
-        repeats=1 if quick else 2,
-    )
-    write_bench_json(result)
-    print(f"{'mode':>24} {'best(s)':>9} {'speedup':>8}")
-    print(f"{'monolithic':>24} {result['monolithic_s']:>9.3f} {'1.00x':>8}")
-    print(f"{'pool jobs=%d' % result['pool_jobs']:>24} "
-          f"{result['pool_s']:>9.3f} {result['speedup_pool']:>7.2f}x")
-    print(f"{'fleet %d loopback wkrs' % result['workers']:>24} "
-          f"{result['fleet_s']:>9.3f} {result['speedup_fleet']:>7.2f}x")
-    counters = result["counters"]
-    print("counters: %d tasks, %d steals, %d reassigned, %d retries, "
-          "%d local" % (
-              counters["tasks_completed"], counters["steals"],
-              counters["reassigned"], counters["retries"],
-              counters["local_tasks"]))
-    print("-> every topology produced byte-identical summaries; loopback "
-          "workers share the GIL, so fleet_s vs pool_s is the protocol + "
-          "scheduling overhead, not a scaling claim.")
-    return result
-
-
-def e10_shard(quick: bool):
-    header("E10", "Sharded solver vs monolithic, bit-identical  [shard/]")
-    from test_bench_shard import measure_shard_benchmark
-
-    result = measure_shard_benchmark(
-        num_procs=2000 if quick else 10000,
-        num_globals=400 if quick else 2000,
-        repeats=2 if quick else 3,
-    )
-    print(f"{'mode':>20} {'best(s)':>9} {'speedup':>8}")
-    print(f"{'monolithic':>20} {result['monolithic_s']:>9.3f} {'1.00x':>8}")
-    print(f"{'sharded jobs=1':>20} {result['sharded_sequential_s']:>9.3f} "
-          f"{result['speedup_sequential']:>7.2f}x")
-    print(f"{'sharded jobs=%d' % result['parallel_jobs']:>20} "
-          f"{result['sharded_parallel_s']:>9.3f} "
-          f"{result['speedup_parallel']:>7.2f}x")
-    print("-> every mode produced bit-identical RMOD/GMOD masks; the "
-          "sharded direct path avoids findgmod's full-width ~LOCAL "
-          "negation per edge, which is the win on wide universes.")
-    return result
-
-
 def e15_lanes(quick: bool):
     header("E15", "Effect lanes: marginal cost per added lane  [lanes/]")
     from test_bench_lanes import measure_lanes_benchmark, write_bench_json
@@ -603,10 +551,8 @@ def main() -> int:
         ("E7", e7_precision),
         ("E8", lambda: e8_sections(ranks)),
         ("E9", e9_section_precision),
-        ("E10", lambda: e10_shard(args.quick)),
         ("E12", lambda: e12_core(args.quick)),
         ("E13", lambda: e13_incremental(args.quick)),
-        ("E14", lambda: e14_fleet(args.quick)),
         ("E15", lambda: e15_lanes(args.quick)),
         ("A1", a1_incremental),
         ("A2", a2_constprop),
@@ -619,24 +565,18 @@ def main() -> int:
     original_stdout = sys.stdout
     sys.stdout = _Tee(original_stdout, buffer)
     wall: dict = {}
-    shard_result = None
     core_result = None
     incremental_result = None
-    fleet_result = None
     lanes_result = None
     try:
         for name, run in experiments:
             tick = time.perf_counter()
             returned = run()
             wall[name] = time.perf_counter() - tick
-            if name == "E10":
-                shard_result = returned
-            elif name == "E12":
+            if name == "E12":
                 core_result = returned
             elif name == "E13":
                 incremental_result = returned
-            elif name == "E14":
-                fleet_result = returned
             elif name == "E15":
                 lanes_result = returned
         print()
@@ -644,25 +584,19 @@ def main() -> int:
         sys.stdout = original_stdout
 
     (out_dir / "bench_report.txt").write_text(buffer.getvalue())
-    with open(out_dir / "BENCH_shard.json", "w") as handle:
-        json.dump(shard_result, handle, indent=2, sort_keys=True)
-        handle.write("\n")
     aggregate = {
         "schema": "ck-bench-all/1",
         "quick": args.quick,
         "experiment_seconds": wall,
-        "shard": shard_result,
         "core": core_result,
         "incremental": incremental_result,
-        "fleet": fleet_result,
         "lanes": lanes_result,
     }
     with open(out_dir / "BENCH_all.json", "w") as handle:
         json.dump(aggregate, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print("wrote %s, %s, %s"
-          % (out_dir / "bench_report.txt", out_dir / "BENCH_shard.json",
-             out_dir / "BENCH_all.json"))
+    print("wrote %s, %s"
+          % (out_dir / "bench_report.txt", out_dir / "BENCH_all.json"))
     return 0
 
 

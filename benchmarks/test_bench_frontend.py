@@ -17,7 +17,7 @@ captured on the pre-fast-path code at commit f81de5c):
 * **Bit-mask micro-kernels** — ``popcount`` (now ``int.bit_count``)
   and ``iter_bits`` over wide masks, in calls/second.
 
-Timing methodology matches the shard bench: the automatic collector is
+Timing methodology matches the core bench: the automatic collector is
 paused inside timed regions (the live heap at 10k is millions of
 objects; a stray generation-2 collection charges a multi-hundred-ms
 scan to whichever measurement crosses the threshold), and per-pass
@@ -27,8 +27,6 @@ flattered by comparison since pausing GC can only *lower* measured
 times, never raise the speedup denominators.
 
 The result is written to ``BENCH_frontend.json`` at the repo root.
-The shard-parallel speedup from ``BENCH_shard.json`` is folded in when
-that file exists, so the one document carries every fast-path figure.
 
 Environment knobs: ``CK_FRONTEND_BENCH_PROCS`` (default 10000) and
 ``CK_FRONTEND_BENCH_REPEATS`` (default 3) resize the slow test.
@@ -224,14 +222,6 @@ def measure_frontend_benchmark(
             result["end_to_end_speedup_vs_baseline"] = (
                 baseline["end_to_end_s"] / end_to_end_s
             )
-
-    shard_path = REPO_ROOT / "BENCH_shard.json"
-    if shard_path.exists():
-        try:
-            shard = json.loads(shard_path.read_text())
-            result["shard_parallel_speedup"] = shard.get("speedup_parallel")
-        except ValueError:
-            pass
     return result
 
 

@@ -22,22 +22,11 @@ Subcommands:
   workload is profiled (``--gen-procs``);
 * ``batch DIR``      — analyze every ``.ck`` file under a directory in
   parallel, with a content-hash summary cache and a corpus stats
-  report (see :mod:`repro.service`); ``--shards N`` switches every
-  file to the sharded solver;
-* ``shard FILE``     — run the sharded whole-program solve
-  (partition → boundary summaries → hierarchical stitch, see
-  :mod:`repro.shard`) and print the summary plus partition stats;
+  report (see :mod:`repro.service`);
 * ``serve``          — run the long-lived analysis daemon: TCP,
   line-delimited JSON, incremental sessions (see :mod:`repro.server`);
-  ``--fleet-port`` additionally hosts a fleet coordinator so sharded
-  analyze requests fan out to connected workers;
 * ``query``          — one request against a running daemon, response
-  printed as JSON (scripting surface of :mod:`repro.server.client`);
-* ``worker``         — join an analysis fleet: dial a coordinator
-  (``batch --fleet`` or ``serve --fleet-port``) and execute shard
-  tasks until told to stop (see :mod:`repro.fleet`);
-* ``store``          — run the content-addressed summary store: a
-  shared cache tier fleet front-ends consult before analyzing.
+  printed as JSON (scripting surface of :mod:`repro.server.client`).
 """
 
 from __future__ import annotations
@@ -208,66 +197,6 @@ def _cmd_recompile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_shard(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.shard.solve import analyze_side_effects_sharded
-
-    with open(args.file) as handle:
-        source = handle.read()
-    summary = analyze_side_effects_sharded(
-        source,
-        num_shards=args.shards,
-        jobs=args.jobs,
-        strategy=args.strategy,
-    )
-    info = summary.shard_info or {}
-    if args.stats_json:
-        print(json.dumps(info, indent=2, sort_keys=True))
-        return 0
-    print(summary.report())
-    print(
-        "\nshard plan (strategy=%s, requested=%d, jobs=%d):"
-        % (info.get("strategy", args.strategy),
-           info.get("requested_shards", args.shards),
-           info.get("jobs", args.jobs))
-    )
-    for label, key in (("binding graph (RMOD)", "beta"), ("call graph (GMOD)", "call")):
-        plan = info.get(key)
-        if not plan:
-            continue
-        print(
-            "  %-20s %d shard(s), sizes %s, %d/%d edges cut,"
-            " %d components (largest %d)"
-            % (label, plan["num_shards"], plan["shard_sizes"],
-               plan["cut_edges"], plan["num_edges"],
-               plan["num_components"], plan["largest_component"])
-        )
-        sep = plan.get("separator")
-        if sep:
-            print(
-                "  %-20s tree %d nodes (depth %d), %d wave(s)"
-                " (width %d), boundary %d%s"
-                % ("  separator", sep["tree_nodes"], sep["tree_depth"],
-                   sep["num_waves"], sep["max_wave_width"],
-                   sep["boundary_total"],
-                   " [greedy fallback]" if sep["fallback"] else "")
-            )
-    for key in ("rmod", "gmod"):
-        stats = info.get(key)
-        if not stats:
-            continue
-        print(
-            "  %-20s boundary=%d engines: %d maskless / %d masked;"
-            " summarize %.4fs stitch %.4fs backsub %.4fs"
-            % (key.upper(), stats["boundary_nodes"],
-               stats["maskless_shards"], stats["masked_shards"],
-               stats["summarize_time"], stats["stitch_time"],
-               stats["backsub_time"])
-        )
-    return 0
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     import cProfile
     import io
@@ -295,14 +224,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     profiler = cProfile.Profile()
     profiler.enable()
     for _ in range(args.repeat):
-        if args.shards:
-            from repro.shard.solve import analyze_side_effects_sharded
-
-            summary = analyze_side_effects_sharded(
-                source, num_shards=args.shards, jobs=args.jobs
-            )
-        else:
-            summary = analyze_side_effects(source, gmod_method=args.gmod_method)
+        summary = analyze_side_effects(source, gmod_method=args.gmod_method)
     profiler.disable()
 
     timings = summary.timings or {}
@@ -338,12 +260,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_endpoint(text: str, default_host: str = "127.0.0.1"):
-    """``[HOST:]PORT`` → ``(host, port)``."""
-    host, _, port = text.rpartition(":")
-    return host or default_host, int(port)
-
-
 def _cmd_batch(args: argparse.Namespace) -> int:
     import os
 
@@ -362,53 +278,16 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not args.no_cache:
         base = args.dir if os.path.isdir(args.dir) else os.path.dirname(args.dir) or "."
         cache_dir = args.cache_dir or os.path.join(base, ".ck-cache")
-    fleet = None
-    remote_store = None
-    try:
-        if args.fleet:
-            from repro.fleet import FleetCoordinator
-
-            host, port = _parse_endpoint(args.fleet)
-            fleet = FleetCoordinator(host=host, port=port).start()
-            # Parseable by scripts that launched us with port 0.
-            print(
-                "ck-analyze batch: fleet coordinator on %s:%d"
-                % (fleet.host, fleet.port),
-                flush=True,
-            )
-            if args.fleet_min_workers:
-                joined = fleet.wait_for_workers(
-                    args.fleet_min_workers, timeout=args.fleet_wait
-                )
-                print(
-                    "ck-analyze batch: %d/%d fleet worker(s) connected"
-                    % (joined, args.fleet_min_workers),
-                    flush=True,
-                )
-        if args.fleet_store:
-            from repro.fleet import RemoteSummaryStore
-
-            host, port = _parse_endpoint(args.fleet_store)
-            remote_store = RemoteSummaryStore(host, port)
-        report = run_batch(
-            args.dir,
-            jobs=args.jobs,
-            gmod_method=args.gmod_method,
-            cache_dir=cache_dir,
-            timeout=args.timeout,
-            pattern=args.pattern,
-            cache_max_entries=args.cache_max_entries,
-            shards=args.shards if args.shards else None,
-            fleet=fleet,
-            remote_store=remote_store,
-            lanes=lanes,
-            partition=args.partition,
-        )
-    finally:
-        if fleet is not None:
-            fleet.stop()
-        if remote_store is not None:
-            remote_store.close()
+    report = run_batch(
+        args.dir,
+        jobs=args.jobs,
+        gmod_method=args.gmod_method,
+        cache_dir=cache_dir,
+        timeout=args.timeout,
+        pattern=args.pattern,
+        cache_max_entries=args.cache_max_entries,
+        lanes=lanes,
+    )
     if not report.results:
         # An empty corpus is a misconfiguration (wrong directory or
         # pattern), not a successful run of zero files.
@@ -454,11 +333,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         cache_max_entries=args.cache_max_entries,
         drain_timeout=args.drain_timeout,
-        shard_jobs=args.shard_jobs,
         state_dir=args.state_dir,
-        fleet_port=args.fleet_port,
-        fleet_host=args.fleet_host,
-        fleet_store=args.fleet_store,
     )
     server = AnalysisServer(config)
 
@@ -466,12 +341,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host, port = await server.start()
         # Parseable by scripts that launched us with --port 0.
         print("ck-analyze serve: listening on %s:%d" % (host, port), flush=True)
-        if server.fleet is not None:
-            print(
-                "ck-analyze serve: fleet coordinator on %s:%d"
-                % (server.fleet.host, server.fleet.port),
-                flush=True,
-            )
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGINT, signal.SIGTERM):
             try:
@@ -512,10 +381,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         fields["kind"] = args.kind
     if args.gmod_method:
         fields["gmod_method"] = args.gmod_method
-    if args.shards is not None:
-        fields["shards"] = args.shards
-    if args.partition:
-        fields["partition"] = args.partition
     try:
         with ServerClient(
             port=args.port, host=args.host, timeout=args.timeout
@@ -526,28 +391,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         return 1
     print(json.dumps(response, indent=2, sort_keys=True))
     return 0 if response.get("ok") else 1
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.fleet.worker import run_worker
-
-    host, port = _parse_endpoint(args.connect)
-    return run_worker(
-        host,
-        port,
-        name=args.name,
-        max_tasks=args.max_tasks,
-        reconnect=args.reconnect,
-        reconnect_delay=args.reconnect_delay,
-    )
-
-
-def _cmd_store(args: argparse.Namespace) -> int:
-    from repro.fleet.store import serve_store
-
-    return serve_store(
-        args.dir, host=args.host, port=args.port, max_entries=args.max_entries
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -653,14 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="global-phase solver (default: auto)",
     )
     profile_cmd.add_argument(
-        "--shards", type=int, default=0,
-        help="profile the sharded solver with this many shards (0 = monolithic)",
-    )
-    profile_cmd.add_argument(
-        "--jobs", type=int, default=1,
-        help="shard worker processes (with --shards)",
-    )
-    profile_cmd.add_argument(
         "--top", type=int, default=15,
         help="cProfile rows to print (default 15)",
     )
@@ -706,67 +541,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--pattern", default="*.ck", help="source file glob (default: *.ck)"
     )
     batch_cmd.add_argument(
-        "--shards", type=int, default=0,
-        help="solve every file with the sharded subsystem "
-             "(0 = monolithic; summaries are bit-identical either way)",
-    )
-    batch_cmd.add_argument(
-        "--partition", choices=("separator", "greedy", "chunk"),
-        default="greedy",
-        help="shard partitioner strategy (with --shards; summaries are"
-             " bit-identical across strategies)",
-    )
-    batch_cmd.add_argument(
         "--lanes", default="",
         help="extra effect lanes to solve per file, comma-separated "
              "(e.g. sections,refalias); lane blocks ride the payloads "
              "and the stats report",
     )
-    batch_cmd.add_argument(
-        "--fleet", default="",
-        help="host a fleet coordinator on [HOST:]PORT (0 = ephemeral) and"
-             " fan per-shard work out to connected ck-analyze workers;"
-             " results stay bit-identical to the in-process run",
-    )
-    batch_cmd.add_argument(
-        "--fleet-min-workers", type=int, default=0,
-        help="wait for this many workers before starting (with --fleet)",
-    )
-    batch_cmd.add_argument(
-        "--fleet-wait", type=float, default=30.0,
-        help="max seconds to wait for --fleet-min-workers (default 30)",
-    )
-    batch_cmd.add_argument(
-        "--fleet-store", default="",
-        help="consult a fleet summary store at [HOST:]PORT after a local"
-             " cache miss and publish fresh results to it",
-    )
     batch_cmd.set_defaults(func=_cmd_batch)
-
-    shard_cmd = sub.add_parser(
-        "shard", help="analyze one file with the sharded whole-program solver"
-    )
-    shard_cmd.add_argument("file")
-    shard_cmd.add_argument(
-        "--shards", type=int, default=4,
-        help="requested shard count (clamped to the SCC count; default 4)",
-    )
-    shard_cmd.add_argument(
-        "--jobs", type=int, default=1,
-        help="shard worker processes (0 = one per CPU, 1 = in-process)",
-    )
-    shard_cmd.add_argument(
-        "--partition", "--strategy", dest="strategy",
-        choices=("separator", "greedy", "chunk"), default="greedy",
-        help="partitioner strategy: separator (nested dissection with"
-             " wave schedule), greedy edge-cut (default), or chunk"
-             " (contiguous topological)",
-    )
-    shard_cmd.add_argument(
-        "--stats-json", action="store_true",
-        help="print the shard_info block as JSON instead of the report",
-    )
-    shard_cmd.set_defaults(func=_cmd_shard)
 
     serve_cmd = sub.add_parser(
         "serve", help="run the analysis daemon (line-delimited JSON over TCP)"
@@ -813,11 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="grace period for in-flight requests on shutdown",
     )
     serve_cmd.add_argument(
-        "--shard-jobs", type=int, default=1,
-        help="shard worker processes for analyze requests with 'shards'"
-             " (default 1: in-process)",
-    )
-    serve_cmd.add_argument(
         "--state-dir", default="",
         help="persist session summaries + dependency indexes here so"
              " incremental sessions survive a daemon restart",
@@ -825,20 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument(
         "--metrics-json", default="",
         help="write the final stats snapshot to this path on exit",
-    )
-    serve_cmd.add_argument(
-        "--fleet-port", type=int, default=None,
-        help="also host a fleet coordinator on this port (0 = ephemeral);"
-             " sharded analyze requests fan out to connected workers",
-    )
-    serve_cmd.add_argument(
-        "--fleet-host", default="127.0.0.1",
-        help="fleet coordinator bind host (with --fleet-port)",
-    )
-    serve_cmd.add_argument(
-        "--fleet-store", default="",
-        help="consult a fleet summary store at [HOST:]PORT between the"
-             " disk cache and a fresh solve",
     )
     serve_cmd.set_defaults(func=_cmd_serve)
 
@@ -867,57 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
     query_cmd.add_argument(
         "--gmod-method", default="", choices=("",) + GMOD_METHODS,
     )
-    query_cmd.add_argument(
-        "--shards", type=int, default=None,
-        help="solve with the sharded subsystem (analyze verb)",
-    )
-    query_cmd.add_argument(
-        "--partition", default="",
-        choices=("", "separator", "greedy", "chunk"),
-        help="shard partitioner strategy (with --shards)",
-    )
     query_cmd.set_defaults(func=_cmd_query)
 
-    worker_cmd = sub.add_parser(
-        "worker", help="join an analysis fleet and execute shard tasks"
-    )
-    worker_cmd.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="coordinator address (from batch --fleet / serve --fleet-port)",
-    )
-    worker_cmd.add_argument(
-        "--name", default="", help="worker name shown in fleet stats"
-    )
-    worker_cmd.add_argument(
-        "--max-tasks", type=int, default=None,
-        help="drain and exit after this many tasks (rolling restarts)",
-    )
-    worker_cmd.add_argument(
-        "--reconnect", action="store_true",
-        help="redial the coordinator when the connection drops",
-    )
-    worker_cmd.add_argument(
-        "--reconnect-delay", type=float, default=1.0,
-        help="seconds between redial attempts (default 1)",
-    )
-    worker_cmd.set_defaults(func=_cmd_worker)
-
-    store_cmd = sub.add_parser(
-        "store", help="run the fleet's content-addressed summary store"
-    )
-    store_cmd.add_argument(
-        "--dir", required=True, help="cache directory backing the store"
-    )
-    store_cmd.add_argument("--host", default="127.0.0.1")
-    store_cmd.add_argument(
-        "--port", type=int, default=0,
-        help="TCP port (0 = ephemeral; the bound port is printed)",
-    )
-    store_cmd.add_argument(
-        "--max-entries", type=int, default=None,
-        help="bound the backing cache (LRU eviction; default unbounded)",
-    )
-    store_cmd.set_defaults(func=_cmd_store)
     return parser
 
 

@@ -8,8 +8,8 @@ call multi-graph, per-site binding walks through ``CallSite`` /
 :class:`ProgramArena` lowers a resolved program **once** into
 compressed-sparse-row int arrays and per-site flat binding tables, and
 caches the SCC condensation of each graph so every consumer — the fused
-solvers, the sections solver, the shard partitioner, incremental
-re-analysis — shares a single ``tarjan_scc``-equivalent pass per graph.
+solvers, the sections solver, the effect lanes, incremental re-analysis
+— shares a single ``tarjan_scc``-equivalent pass per graph.
 
 The fused one-pass MOD+USE solve carries a *pair of masks per node* —
 one per-kind lane, advanced side by side inside a single traversal —
@@ -176,7 +176,7 @@ class ProgramArena:
     def call_condensation(self) -> Tuple[List[int], List[List[int]]]:
         """``(component_of, components)`` of the call multi-graph —
         computed once, shared by the reference GMOD solver, the
-        sections solver, and the shard partitioner."""
+        sections solver, and the effect lanes."""
         return self._scc_of("call", self.call_csr)
 
     def _condense_full(self, name: str, csr: CSRGraph) -> Condensation:
@@ -486,8 +486,8 @@ _ARENA_CACHE_LIMIT = 16
 
 def get_arena(resolved: ResolvedProgram) -> ProgramArena:
     """The shared arena for ``resolved`` — built once per program,
-    then reused by every analysis (monolithic, sharded, incremental,
-    sections) that sees the same resolved object."""
+    then reused by every analysis (pipeline, incremental, sections,
+    lanes) that sees the same resolved object."""
     key = id(resolved)
     arena = _ARENA_CACHE.get(key)
     if arena is not None and arena.resolved is resolved:

@@ -1,13 +1,14 @@
 """Low-level binary encoding primitives shared by the serialization
 fast paths.
 
-Three consumers: the versioned binary summary container
-(:mod:`repro.core.persist`, format v3), the shard boundary-summary
-wire format (:mod:`repro.shard.wire`), and the ``.cka`` arena image
-(:mod:`repro.core.arena`).  All speak the same dialect — unsigned
-LEB128 varints, zigzag-mapped signed ints, and big-int bit masks as
-little-endian minimal-length byte strings — so a byte layout debugged
-once works everywhere.
+Four consumers: the versioned binary summary container
+(:mod:`repro.core.persist`, format v3), its v4 effect-lane trailer
+sections (:mod:`repro.lanes`, through the signed-mask strips), the
+dependency index (:mod:`repro.core.depindex`), and the ``.cka`` arena
+image (:mod:`repro.core.arena`).  All speak the same dialect —
+unsigned LEB128 varints, zigzag-mapped signed ints, and big-int bit
+masks as little-endian minimal-length byte strings — so a byte layout
+debugged once works everywhere.
 
 Bit masks are the workhorse: the analysis represents variable sets as
 arbitrary-precision ints, and ``int.to_bytes``/``int.from_bytes`` move
@@ -115,6 +116,27 @@ def read_mask(data, pos: int) -> Tuple[int, int]:
     length, pos = read_varint(data, pos)
     end = _checked_end(data, pos, length)
     return int.from_bytes(data[pos:end], "little"), end
+
+
+def write_signed_mask(out: bytearray, mask: int) -> None:
+    """Append a possibly-negative mask: a flag byte, then the
+    length-prefixed magnitude of ``mask`` (flag 0) or ``~mask``
+    (flag 1), both non-negative."""
+    if mask >= 0:
+        out.append(0)
+        write_mask(out, mask)
+    else:
+        out.append(1)
+        write_mask(out, ~mask)
+
+
+def read_signed_mask(data, pos: int) -> Tuple[int, int]:
+    """Inverse of :func:`write_signed_mask`; returns ``(mask, next
+    position)``.  A strip cut short raises :class:`IndexError` (flag
+    byte or length varint) or :class:`ValueError` (magnitude)."""
+    flag = data[pos]
+    mask, pos = read_mask(data, pos + 1)
+    return (~mask if flag else mask), pos
 
 
 def write_mask_adaptive(out: bytearray, mask: int) -> None:

@@ -24,9 +24,8 @@ old program's pid/uid/site-id spaces:
   ``DMOD``/``MOD`` masks (so untouched call sites are copied, not
   recomputed),
 * and the SCC-level structure of both graphs — component membership
-  plus the deduplicated component edge lists — built with the same
-  :func:`repro.graphs.scc.condense` machinery the shard partitioner
-  uses for its region boundaries.
+  plus the deduplicated component edge lists, from
+  :func:`repro.graphs.scc.condense`.
 
 Everything is keyed by qualified names or plain ints, never by live
 symbol objects, so an index deserialized in a fresh process can drive
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.aliases import iter_pairs
 from repro.core.binio import (
@@ -56,14 +55,12 @@ INDEX_MAGIC = b"CKDI"
 
 #: Schema version of the serialized index.  Bumped independently of the
 #: summary container version; an unknown version raises, never
-#: misreads.  Version 2 appends the call-graph separator-tree trailer;
-#: version-1 blobs still read (their tree fields come back ``None``).
+#: misreads.  Version 2 appended a trailer behind a presence byte that
+#: once held a call-graph separator tree.  This writer always emits the
+#: byte as 0 (no tree); the reader accepts version-1 blobs (no byte)
+#: and version-2 blobs, and never interprets a tree an older writer
+#: left behind.
 INDEX_FORMAT_VERSION = 2
-
-#: Shard budget for the persisted call-graph separator tree.  Small on
-#: purpose: the tree exists to bound incremental region scans and to
-#: seed warm shard plans, not to saturate a worker pool.
-TREE_SHARDS = 8
 
 
 def fingerprint_text(proc: ProcSymbol) -> str:
@@ -183,21 +180,6 @@ class DependencyIndex:
     beta_comp_of: List[int]
     beta_comp_edges: List[Tuple[int, int]]
 
-    # -- call-graph separator tree (version-2 trailer) ------------------------
-    #: Snapshot of the call graph's
-    #: :class:`~repro.shard.separator.PartitionHierarchy`, in the old
-    #: pid space.  All five fields are ``None`` on an index read from a
-    #: version-1 blob (or built for an empty program); consumers must
-    #: treat that as "no tree" and fall back to whole-graph scans.
-    tree_parent: Optional[List[int]] = None  # tree node → parent (-1 root)
-    tree_kind: Optional[List[int]] = None  # tree node → KIND_* small int
-    tree_node_of_shard: Optional[List[int]] = None  # shard → owning leaf
-    tree_shard_of_pid: Optional[List[int]] = None  # pid → call-graph shard
-    #: shard → sorted shards whose members may call into it (direct
-    #: quotient predecessors + itself); the incremental engine closes
-    #: these transitively to bound its caller scans.
-    tree_scopes: Optional[List[List[int]]] = None
-
     @property
     def num_procs(self) -> int:
         return len(self.proc_names)
@@ -236,8 +218,7 @@ def build_dependency_index(summary, arena=None) -> "DependencyIndex":
     ``arena`` (the program's :class:`~repro.core.arena.ProgramArena`)
     is optional: when available its cached condensations and flat site
     tables are reused; otherwise everything is derived from the summary
-    itself, using the same :func:`~repro.graphs.scc.condense` pass the
-    shard partitioner runs for its region boundaries.
+    itself, condensing both graphs with :func:`~repro.graphs.scc.condense`.
     """
     resolved = summary.resolved
     universe = summary.universe
@@ -312,30 +293,6 @@ def build_dependency_index(summary, arena=None) -> "DependencyIndex":
     if kind_list:
         gmod_method = summary.solutions[kind_list[0]].gmod_method
 
-    # The call graph's separator tree, the same structure the shard
-    # solver schedules by.  Persisting it lets the incremental engine
-    # bound its caller scans by tree scopes instead of walking the
-    # whole graph, without repartitioning at edit time.
-    from repro.shard.partition import partition_graph
-
-    tree_parent = tree_kind = tree_node_of_shard = None
-    tree_shard_of_pid = tree_scopes = None
-    if num_procs:
-        tree_plan = partition_graph(
-            num_procs,
-            summary.call_graph.successors,
-            TREE_SHARDS,
-            strategy="separator",
-            condensation=call_cond,
-        )
-        hierarchy = tree_plan.hierarchy
-        if hierarchy is not None:
-            tree_parent = [node.parent for node in hierarchy.nodes]
-            tree_kind = [node.kind for node in hierarchy.nodes]
-            tree_node_of_shard = list(hierarchy.node_of_shard)
-            tree_shard_of_pid = list(tree_plan.shard_of)
-            tree_scopes = [list(scope) for scope in hierarchy.scopes]
-
     return DependencyIndex(
         program=resolved.program.name,
         gmod_method=gmod_method,
@@ -374,11 +331,6 @@ def build_dependency_index(summary, arena=None) -> "DependencyIndex":
         call_comp_edges=_comp_edges(call_cond),
         beta_comp_of=list(beta_cond.component_of),
         beta_comp_edges=_comp_edges(beta_cond),
-        tree_parent=tree_parent,
-        tree_kind=tree_kind,
-        tree_node_of_shard=tree_node_of_shard,
-        tree_shard_of_pid=tree_shard_of_pid,
-        tree_scopes=tree_scopes,
     )
 
 
@@ -539,19 +491,7 @@ def index_to_bytes(index: DependencyIndex) -> bytes:
     _write_int_list(out, index.beta_comp_of)
     _write_pair_list(out, index.beta_comp_edges)
 
-    # Version-2 trailer: the call-graph separator tree, behind a
-    # presence byte (empty programs carry no tree).
-    if index.tree_shard_of_pid is None:
-        out.append(0)
-    else:
-        out.append(1)
-        _write_int_list(out, index.tree_parent)
-        _write_int_list(out, index.tree_kind)
-        _write_int_list(out, index.tree_node_of_shard)
-        _write_int_list(out, index.tree_shard_of_pid)
-        write_varint(out, len(index.tree_scopes))
-        for scope in index.tree_scopes:
-            _write_int_list(out, scope)
+    out.append(0)  # Version-2 trailer presence byte: no tree.
     return bytes(out)
 
 
@@ -665,21 +605,10 @@ def _index_from_bytes(data: bytes) -> DependencyIndex:
     beta_comp_of, pos = _read_int_list(data, pos)
     beta_comp_edges, pos = _read_pair_list(data, pos)
 
-    tree_parent = tree_kind = tree_node_of_shard = None
-    tree_shard_of_pid = tree_scopes = None
-    if version >= 2:
-        has_tree = data[pos]
-        pos += 1
-        if has_tree:
-            tree_parent, pos = _read_int_list(data, pos)
-            tree_kind, pos = _read_int_list(data, pos)
-            tree_node_of_shard, pos = _read_int_list(data, pos)
-            tree_shard_of_pid, pos = _read_int_list(data, pos)
-            count, pos = read_varint(data, pos)
-            tree_scopes = []
-            for _ in range(count):
-                scope, pos = _read_int_list(data, pos)
-                tree_scopes.append(scope)
+    if version >= 2 and pos >= len(data):
+        raise ValueError("corrupt dependency index: no version-2 trailer byte")
+    # Whatever follows that byte is an older writer's separator tree;
+    # nothing reads it.
 
     return DependencyIndex(
         program=program,
@@ -716,9 +645,4 @@ def _index_from_bytes(data: bytes) -> DependencyIndex:
         call_comp_edges=call_comp_edges,
         beta_comp_of=beta_comp_of,
         beta_comp_edges=beta_comp_edges,
-        tree_parent=tree_parent,
-        tree_kind=tree_kind,
-        tree_node_of_shard=tree_node_of_shard,
-        tree_shard_of_pid=tree_shard_of_pid,
-        tree_scopes=tree_scopes,
     )

@@ -106,12 +106,6 @@ class UpdateStats:
     cutoff_sccs: int = 0
     #: Members of re-solved call components.
     region_procs: int = 0
-    #: True when the caller scan was bounded by the dependency index's
-    #: persisted separator-tree scopes instead of the whole call graph.
-    tree_scoped: bool = False
-    #: Procedures whose out-edges the caller scan visited (0 when the
-    #: scan never ran — every re-solved component hit the cutoff).
-    tree_scan_procs: int = 0
     #: β condensation accounting for the RMOD re-solve.
     beta_total_sccs: int = 0
     beta_affected_sccs: int = 0
@@ -142,8 +136,6 @@ class UpdateStats:
             "affected_sccs": self.affected_sccs,
             "cutoff_sccs": self.cutoff_sccs,
             "region_procs": self.region_procs,
-            "tree_scoped": self.tree_scoped,
-            "tree_scan_procs": self.tree_scan_procs,
             "beta_total_sccs": self.beta_total_sccs,
             "beta_affected_sccs": self.beta_affected_sccs,
             "beta_region_nodes": self.beta_region_nodes,
@@ -692,46 +684,6 @@ def incremental_update_from_index(
     for pid in gmod_seeds:
         candidate[component_of[pid]] = True
     reverse_adj: Optional[List[List[int]]] = None
-    # Tree-scoped caller scan.  When the pid space is pinned
-    # (``patchable``) every clean procedure keeps its call edges
-    # bit-for-bit — callee resolution is a function of the proc-name
-    # nesting, which any structural edit perturbs — so new edges
-    # originate only in dirty procedures, whose shards seed the region.
-    # Any caller of a changed export therefore lies in the transitive
-    # predecessor closure, over the persisted separator tree's shard
-    # quotient, of the shards holding ``gmod_seeds``.  Building the
-    # reverse adjacency from those shards alone turns the one full
-    # O(N + E) scan into a region-sized one; procedures outside the
-    # closure can never be marked, so soundness is preserved exactly.
-    scan_pids: Optional[List[int]] = None
-    tree_shard_of = index.tree_shard_of_pid
-    tree_scopes = index.tree_scopes
-    if (
-        patchable
-        and gmod_seeds
-        and tree_shard_of is not None
-        and tree_scopes is not None
-        and len(tree_shard_of) == num_procs
-    ):
-        in_scope = [False] * len(tree_scopes)
-        stack: List[int] = []
-        for pid in gmod_seeds:
-            shard = tree_shard_of[pid]
-            if not in_scope[shard]:
-                in_scope[shard] = True
-                stack.append(shard)
-        while stack:
-            for pred in tree_scopes[stack.pop()]:
-                if not in_scope[pred]:
-                    in_scope[pred] = True
-                    stack.append(pred)
-        if not all(in_scope):
-            scan_pids = [
-                pid
-                for pid in range(num_procs)
-                if in_scope[tree_shard_of[pid]]
-            ]
-    tree_scan_procs = 0
     affected_sccs = 0
     cutoff_sccs = 0
     region_pids: Set[int] = set()
@@ -801,12 +753,12 @@ def incremental_update_from_index(
             cutoff_sccs += 1
             continue
         if reverse_adj is None:
+            # One O(N + E) pass over the whole call CSR, the bound the
+            # paper's linear-time solve already pays.
             reverse_adj = [[] for _ in range(num_procs)]
-            scan = scan_pids if scan_pids is not None else range(num_procs)
-            for node in scan:
+            for node in range(num_procs):
                 for target in csucc[cheads[node]:cheads[node + 1]]:
                     reverse_adj[target].append(node)
-            tree_scan_procs = len(scan)
         for member in members:
             if changed_export[member]:
                 for caller in reverse_adj[member]:
@@ -960,8 +912,6 @@ def incremental_update_from_index(
         cutoff_sccs=cutoff_sccs,
         region_procs=sum(len(components[c]) for c in range(len(components))
                          if comp_affected[c]),
-        tree_scoped=scan_pids is not None,
-        tree_scan_procs=tree_scan_procs,
         beta_total_sccs=beta_total_sccs,
         beta_affected_sccs=beta_affected_sccs,
         beta_region_nodes=beta_region_nodes,

@@ -897,7 +897,8 @@ def split_unknown_sections(
     loud-but-safe: one :class:`UnknownSectionWarning` naming the tags,
     then the caller proceeds with the known sections only and re-solves
     whatever the skipped data carried.  Never an exception — a newer
-    fleet member must not brick an older reader's cache.
+    build sharing a cache directory must not brick an older reader's
+    cache.
     """
     known = {tag: blob for tag, blob in sections.items() if tag in KNOWN_SECTION_TAGS}
     unknown = {tag: blob for tag, blob in sections.items() if tag not in KNOWN_SECTION_TAGS}

@@ -252,13 +252,9 @@ def payload_from_summary(summary: SideEffectSummary) -> Dict:
         "num_procs": summary.resolved.num_procs,
         "num_call_sites": summary.resolved.num_call_sites,
     }
-    # Only sharded runs carry partition statistics; omitting the key
-    # otherwise keeps monolithic payloads byte-identical to before.
-    if summary.shard_info is not None:
-        payload["shard_info"] = summary.shard_info
-    # Same contract for effect lanes: the ``lanes`` block exists exactly
-    # when the analysis ran with lanes, so lane-less payloads stay
-    # byte-identical to pre-lane writers.
+    # The ``lanes`` block exists exactly when the analysis ran with
+    # lanes, so lane-less payloads stay byte-identical to pre-lane
+    # writers.
     if summary.lanes:
         from repro.lanes.driver import lane_payloads
 
@@ -269,9 +265,6 @@ def payload_from_summary(summary: SideEffectSummary) -> Dict:
 def analyze_source_payload(
     source: str,
     gmod_method: str = "auto",
-    shards: Optional[int] = None,
-    shard_jobs: int = 1,
-    shard_strategy: str = "greedy",
     lanes: Sequence[str] = (),
 ) -> Dict:
     """Analyze source text and return a JSON-safe, picklable payload.
@@ -281,58 +274,21 @@ def analyze_source_payload(
     so :class:`concurrent.futures.ProcessPoolExecutor` workers can call
     it directly.
 
-    ``shards`` routes the solve through the sharded subsystem
-    (:func:`repro.shard.solve.analyze_side_effects_sharded`, which
-    ignores ``gmod_method``); the ``summary`` field of the payload is
-    bit-identical either way — only ``timings``/``shard_info`` differ.
-
     ``lanes`` adds the named effect lanes (:mod:`repro.lanes`) and their
-    ``lanes`` payload block.  Sharded runs solve the lanes on the
-    coordinator's arena after the stitch — lanes ride the whole-program
-    condensation, which the sharded path shares.
+    ``lanes`` payload block.
     """
-    lane_names = list(lanes)
-    if shards is not None:
-        from repro.shard.solve import analyze_side_effects_sharded
-
-        summary = analyze_side_effects_sharded(
-            source,
-            num_shards=shards,
-            jobs=shard_jobs,
-            strategy=shard_strategy,
-        )
-        if lane_names:
-            from repro.core.arena import get_arena
-            from repro.lanes.driver import solve_lanes
-
-            summary.lanes = solve_lanes(
-                get_arena(summary.resolved),
-                lane_names,
-                summary.aliases,
-                summary.timings,
-            )
-        return payload_from_summary(summary)
-    return payload_from_summary(
-        analyze_side_effects(source, gmod_method=gmod_method, lanes=lane_names)
+    summary = analyze_side_effects(
+        source, gmod_method=gmod_method, lanes=list(lanes)
     )
+    return payload_from_summary(summary)
 
 
 def analyze_file_payload(
     path: str,
     gmod_method: str = "auto",
-    shards: Optional[int] = None,
-    shard_jobs: int = 1,
-    shard_strategy: str = "greedy",
     lanes: Sequence[str] = (),
 ) -> Dict:
     """:func:`analyze_source_payload` over a file path (picklable)."""
     with open(path) as handle:
         source = handle.read()
-    return analyze_source_payload(
-        source,
-        gmod_method=gmod_method,
-        shards=shards,
-        shard_jobs=shard_jobs,
-        shard_strategy=shard_strategy,
-        lanes=lanes,
-    )
+    return analyze_source_payload(source, gmod_method=gmod_method, lanes=lanes)

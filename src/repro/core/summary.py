@@ -49,9 +49,6 @@ class SideEffectSummary:
     #: Per-phase wall times (seconds) recorded by the pipeline driver;
     #: keys like ``compile``, ``graphs``, ``rmod``, ``gmod``, ``total``.
     timings: Dict[str, float] = field(default_factory=dict)
-    #: Partition/stitch statistics when the sharded solver produced
-    #: this summary (:mod:`repro.shard`); None for monolithic runs.
-    shard_info: Optional[Dict] = None
     #: Per-kind operation tallies (the program total ``counter`` is
     #: their fold plus the kind-independent phases).  Populated by the
     #: pipeline and by the per-kind oracle
@@ -59,8 +56,7 @@ class SideEffectSummary:
     #: compare their tallies kind by kind; not serialized.
     kind_counters: Optional[Dict[EffectKind, OpCounter]] = None
     #: Condensation passes this analysis ran on the arena, per graph
-    #: (None for the sharded solver and the per-kind oracle); not
-    #: serialized.
+    #: (None for the per-kind oracle); not serialized.
     condensations: Optional[Dict[str, int]] = None
     #: Fine-grained dependency index driving demand-driven incremental
     #: updates (:mod:`repro.core.depindex`).  Built lazily by

@@ -2,10 +2,10 @@
 
 ``solve_lanes`` advances every requested lane through **one** traversal
 of the arena's cached call-graph condensation — the same Tarjan output
-the reference GMOD solver, the standalone sections path, and the shard
-partitioner consume — so N lanes cost exactly the same number of
-condensation passes as zero lanes: the counter-asserted invariant of
-the lane framework (``tests/test_lanes.py``).
+the reference GMOD solver and the standalone sections path consume —
+so N lanes cost exactly the same number of condensation passes as zero
+lanes: the counter-asserted invariant of the lane framework
+(``tests/test_lanes.py``).
 
 The shared walk structure:
 

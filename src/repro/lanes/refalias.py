@@ -20,7 +20,12 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.aliases import AliasResult, named_pairs
-from repro.core.binio import read_varint, write_varint
+from repro.core.binio import (
+    read_signed_mask,
+    read_varint,
+    write_signed_mask,
+    write_varint,
+)
 from repro.lanes.spec import LaneSpec, register_lane
 
 
@@ -82,11 +87,8 @@ class RefAliasLaneState:
 
 def refalias_tables_to_blob(partner: List[Dict[int, int]]) -> bytes:
     """Binary form of the partner tables: per procedure, a varint entry
-    count and (uid varint, partner mask) strips via the shard wire
-    codec's signed-mask encoding.  Domain masks are derivable and not
-    stored."""
-    from repro.shard.wire import write_signed_mask
-
+    count and (uid varint, partner mask) strips in the signed-mask
+    encoding.  Domain masks are derivable and not stored."""
     out = bytearray()
     write_varint(out, len(partner))
     for table in partner:
@@ -98,8 +100,6 @@ def refalias_tables_to_blob(partner: List[Dict[int, int]]) -> bytes:
 
 
 def refalias_tables_from_blob(data: bytes) -> List[Dict[int, int]]:
-    from repro.shard.wire import read_signed_mask
-
     pos = 0
     num_procs, pos = read_varint(data, pos)
     partner: List[Dict[int, int]] = []

@@ -27,7 +27,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.binio import read_bytes, read_varint, write_bytes, write_varint
+from repro.core.binio import (
+    read_bytes,
+    read_signed_mask,
+    read_varint,
+    write_bytes,
+    write_signed_mask,
+    write_varint,
+)
 from repro.core.bitvec import OpCounter
 from repro.core.varsets import EffectKind
 from repro.lanes.spec import LaneSpec, register_lane
@@ -232,11 +239,9 @@ class SectionsLaneState:
 
 
 def sections_payload_to_blob(payload: Dict) -> bytes:
-    """Binary form of the sections lane block: the non-⊥ masks ride the
-    shard wire codec's signed-mask strips, the rendered site sections
-    ride length-prefixed UTF-8."""
-    from repro.shard.wire import write_signed_mask
-
+    """Binary form of the sections lane block: the non-⊥ masks ride
+    signed-mask strips, the rendered site sections ride length-prefixed
+    UTF-8."""
     out = bytearray()
     write_bytes(out, payload["lattice"].encode("utf-8"))
     write_bytes(out, payload["kind"].encode("utf-8"))
@@ -252,8 +257,6 @@ def sections_payload_to_blob(payload: Dict) -> bytes:
 
 
 def sections_payload_from_blob(data: bytes) -> Dict:
-    from repro.shard.wire import read_signed_mask
-
     pos = 0
     lattice, pos = read_bytes(data, pos)
     kind, pos = read_bytes(data, pos)

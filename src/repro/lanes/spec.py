@@ -27,7 +27,8 @@ lane-specific transfer functions:
 Both shapes then implement ``finalize(ctx)`` (post-fixpoint
 projections), ``to_payload()`` (a JSON-safe block for the service
 surfaces), and ``to_blob()`` (a compact binary form for the v4
-container trailer, built on the shard wire codec's mask strips).
+container trailer, built on :mod:`repro.core.binio`'s signed-mask
+strips).
 """
 
 from __future__ import annotations

@@ -186,11 +186,11 @@ def analyze_sections(
     else:
         # Route through the arena's cached condensation instead of a
         # private Tarjan run: any consumer that already condensed this
-        # program's call graph (the fused pipeline, a lane solve, the
-        # shard partitioner) has paid for the pass, and re-deriving it
-        # here was the one place the one-condensation-per-graph
-        # invariant leaked (the fused+sections dependence tester ran
-        # two passes per program before this).
+        # program's call graph (the fused pipeline, a lane solve) has
+        # paid for the pass, and re-deriving it here was the one place
+        # the one-condensation-per-graph invariant leaked (the
+        # fused+sections dependence tester ran two passes per program
+        # before this).
         from repro.core.arena import get_arena
 
         component_of, components = get_arena(resolved).call_condensation()

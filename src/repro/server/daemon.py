@@ -105,20 +105,6 @@ class ServerConfig:
     #: invalidated region — incremental serving survives restarts.
     state_dir: str = ""
     drain_timeout: float = 10.0  # Grace period for in-flight work.
-    #: Shard worker processes for ``analyze`` requests that carry a
-    #: ``"shards"`` field (1 = solve shards in-process; the solver
-    #: thread pool is the daemon's primary concurrency).
-    shard_jobs: int = 1
-    #: Fleet coordinator port (None = no fleet; 0 = ephemeral).  When
-    #: set the daemon hosts a :class:`repro.fleet.FleetCoordinator`;
-    #: ``ck-analyze worker`` processes dial in and sharded analyze
-    #: requests fan their per-shard work out to them.  With no workers
-    #: connected the solve runs in-process — never fails.
-    fleet_port: Optional[int] = None
-    fleet_host: str = "127.0.0.1"
-    #: ``HOST:PORT`` of a fleet summary store to consult between the
-    #: disk cache and a fresh solve ("" = none).
-    fleet_store: str = ""
     #: Test hook: honor a ``"sleep": seconds`` request field inside the
     #: worker (deterministic timeout/overload tests).  Never enable in
     #: production serving.
@@ -138,10 +124,6 @@ class ServerConfig:
             "cache_max_entries": self.cache_max_entries,
             "state_dir": self.state_dir,
             "drain_timeout": self.drain_timeout,
-            "shard_jobs": self.shard_jobs,
-            "fleet_port": self.fleet_port,
-            "fleet_host": self.fleet_host,
-            "fleet_store": self.fleet_store,
         }
 
 
@@ -164,11 +146,6 @@ class AnalysisServer:
         if self.config.state_dir:
             os.makedirs(self.config.state_dir, exist_ok=True)
         self.address: Tuple[str, int] = (self.config.host, self.config.port)
-        #: Fleet pieces, live between start() and shutdown when
-        #: configured (see ServerConfig.fleet_port / fleet_store).
-        self.fleet = None
-        self.remote_store = None
-        self._store_lock = threading.Lock()
         self._server: Optional[asyncio.AbstractServer] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._semaphore: Optional[asyncio.Semaphore] = None
@@ -189,19 +166,6 @@ class AnalysisServer:
             max_workers=self.config.max_concurrent,
             thread_name_prefix="ck-solver",
         )
-        if self.config.fleet_port is not None:
-            from repro.fleet.coordinator import FleetCoordinator
-
-            self.fleet = FleetCoordinator(
-                host=self.config.fleet_host, port=self.config.fleet_port
-            ).start()
-        if self.config.fleet_store:
-            from repro.fleet.store import RemoteSummaryStore
-
-            host, _, port = self.config.fleet_store.rpartition(":")
-            self.remote_store = RemoteSummaryStore(
-                host or "127.0.0.1", int(port)
-            )
         self._server = await asyncio.start_server(
             self._handle_connection,
             host=self.config.host,
@@ -238,10 +202,6 @@ class AnalysisServer:
                 await asyncio.wait(tasks, timeout=1.0)
             if self._executor is not None:
                 self._executor.shutdown(wait=False)
-            if self.fleet is not None:
-                self.fleet.stop()
-            if self.remote_store is not None:
-                self.remote_store.close()
 
     async def run(self) -> None:
         await self.start()
@@ -378,34 +338,6 @@ class AnalysisServer:
             return max(0.0, float(request.get("sleep", 0)))
         except (TypeError, ValueError):
             return 0.0
-
-    @staticmethod
-    def _shards(request: Dict[str, Any]) -> Optional[int]:
-        shards = request.get("shards")
-        if shards is None:
-            return None
-        if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
-            raise ProtocolError(
-                E_BAD_REQUEST,
-                "field 'shards' must be a positive integer, got %r" % (shards,),
-            )
-        return shards
-
-    @staticmethod
-    def _partition(request: Dict[str, Any]) -> str:
-        """Shard partitioner strategy from the optional ``partition``
-        field (used with ``shards``; summaries are bit-identical
-        across strategies, so it never feeds the cache key)."""
-        from repro.shard.partition import STRATEGIES
-
-        strategy = request.get("partition", "greedy")
-        if strategy not in STRATEGIES:
-            raise ProtocolError(
-                E_BAD_REQUEST,
-                "field 'partition' must be one of %s, got %r"
-                % (STRATEGIES, strategy),
-            )
-        return strategy
 
     @staticmethod
     def _gmod_method(request: Dict[str, Any]) -> str:
@@ -596,33 +528,17 @@ class AnalysisServer:
     async def _verb_ping(self, request_id: Any, request: Dict) -> Dict:
         return ok_response(request_id, "ping", protocol=PROTOCOL_VERSION)
 
-    def _store_get(self, key: str):
-        """Serialized access to the (not thread-safe) store client from
-        the solver threads; an unreachable store is a miss."""
-        with self._store_lock:
-            return self.remote_store.get(key)
-
-    def _store_put(self, key: str, payload: Dict) -> None:
-        with self._store_lock:
-            self.remote_store.put(key, payload)
-
     async def _verb_analyze(self, request_id: Any, request: Dict) -> Dict:
         source = require_str(request, "source")
         method = self._gmod_method(request)
-        shards = self._shards(request)
-        partition = self._partition(request)
         lanes = self._lanes(request)
         session_name = request.get("session")
         if session_name is not None and not isinstance(session_name, str):
             raise ProtocolError(E_BAD_REQUEST, "field 'session' must be a string")
-        # The cache key is deliberately blind to ``shards``: the sharded
-        # and monolithic solvers produce bit-identical summaries (the
-        # differential suite asserts it), so a cached payload answers a
-        # sharded request exactly.  ``lanes`` does feed the key — a
-        # laned payload carries extra blocks a lane-less one does not.
+        # ``lanes`` feeds the key: a laned payload carries extra blocks
+        # a lane-less one does not.
         key = content_key(source, method, lanes)
         sleep = self._request_sleep(request)
-        shard_jobs = self.config.shard_jobs
 
         cached: Any = False
         summary = None
@@ -643,79 +559,33 @@ class AnalysisServer:
                 def work():
                     if sleep:
                         time.sleep(sleep)
-                    # The fleet store is a payload-only tier like the
-                    # disk cache, so sessions (which need the live
-                    # summary) skip it.  Consulted off the event loop:
-                    # its get is a blocking round trip.
-                    if self.remote_store is not None and session_name is None:
-                        hit = self._store_get(key)
-                        if hit is not None:
-                            return None, hit
-                    if shards is not None:
-                        from repro.shard.solve import analyze_side_effects_sharded
-
-                        runner = None
-                        if self.fleet is not None:
-                            from repro.fleet.coordinator import FleetRunner
-
-                            runner = FleetRunner(self.fleet)
-                        live = analyze_side_effects_sharded(
-                            source,
-                            num_shards=shards,
-                            jobs=shard_jobs,
-                            strategy=partition,
-                            runner=runner,
+                    warm = None
+                    if session_name is not None:
+                        # A re-opened session for an unchanged file: the
+                        # persisted arena image skips the arena build;
+                        # only the solve phases run cold.
+                        warm = self._warm_session_arena(
+                            session_name, key, source
                         )
-                        if lanes:
-                            # The sharded solver has no lane support of
-                            # its own; lanes ride the coordinator-side
-                            # arena, same as the batch path.
-                            from repro.core.arena import get_arena
-                            from repro.lanes.driver import solve_lanes
-
-                            live.lanes = solve_lanes(
-                                get_arena(live.resolved),
-                                lanes,
-                                live.aliases,
-                                live.timings,
-                            )
+                    if warm is not None:
+                        resolved, arena = warm
+                        live = analyze_side_effects(
+                            resolved,
+                            gmod_method=method,
+                            arena=arena,
+                            lanes=lanes,
+                        )
                     else:
-                        warm = None
-                        if session_name is not None:
-                            # A re-opened session for an unchanged file:
-                            # the persisted arena image skips the arena
-                            # build; only the solve phases run cold.
-                            warm = self._warm_session_arena(
-                                session_name, key, source
-                            )
-                        if warm is not None:
-                            resolved, arena = warm
-                            live = analyze_side_effects(
-                                resolved,
-                                gmod_method=method,
-                                arena=arena,
-                                lanes=lanes,
-                            )
-                        else:
-                            live = analyze_side_effects(
-                                source, gmod_method=method, lanes=lanes
-                            )
+                        live = analyze_side_effects(
+                            source, gmod_method=method, lanes=lanes
+                        )
                     return live, payload_from_summary(live)
 
                 summary, payload = await self._run_heavy(work)
-                if summary is None:
-                    cached = "store"
-                    if self.disk_cache is not None:
-                        self.disk_cache.put(key, payload)
-                else:
-                    self.metrics.observe_phases(summary.timings)
-                    if shards is not None:
-                        self.metrics.observe_sharded(payload.get("shard_info"))
-                    self.lru.put(key, (summary, payload))
-                    if self.disk_cache is not None:
-                        self.disk_cache.put(key, payload)
-                    if self.remote_store is not None:
-                        self._store_put(key, payload)
+                self.metrics.observe_phases(summary.timings)
+                self.lru.put(key, (summary, payload))
+                if self.disk_cache is not None:
+                    self.disk_cache.put(key, payload)
 
         response = ok_response(
             request_id,
@@ -726,8 +596,6 @@ class AnalysisServer:
             num_procs=payload["num_procs"],
             num_call_sites=payload["num_call_sites"],
         )
-        if payload.get("shard_info") is not None:
-            response["shard_info"] = payload["shard_info"]
         if payload.get("lanes") is not None:
             response["lanes"] = payload["lanes"]
         if session_name is not None:
@@ -802,8 +670,7 @@ class AnalysisServer:
                 )
             if lanes:
                 # The incremental engine solves MOD+USE only; the
-                # session's lanes ride the updated arena, as on the
-                # sharded analyze path.
+                # session's lanes ride the updated arena.
                 from repro.core.arena import get_arena
                 from repro.lanes.driver import solve_lanes
 
@@ -951,12 +818,6 @@ class AnalysisServer:
                     else None
                 ),
                 "sessions": self.sessions.to_dict(),
-                "fleet": self.fleet.stats() if self.fleet is not None else None,
-                "remote_store": (
-                    self.remote_store.stats.to_dict()
-                    if self.remote_store is not None
-                    else None
-                ),
             }
         )
         return snapshot

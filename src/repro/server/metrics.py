@@ -70,10 +70,6 @@ class ServerMetrics:
         #: every non-cached ``analyze`` this daemon performed.
         self.phase_seconds: Dict[str, float] = {}
         self.analyses = 0
-        self.sharded_analyses = 0
-        #: ``shard_info`` of the most recent sharded analyze (partition
-        #: shape + per-phase solver stats), for the ``stats`` verb.
-        self.last_shard_info: Optional[Dict] = None
         self.incremental_updates = 0
         self.reused_procs = 0
         self.affected_procs = 0
@@ -104,11 +100,6 @@ class ServerMetrics:
         for phase, seconds in timings.items():
             self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds
 
-    def observe_sharded(self, shard_info: Optional[Dict]) -> None:
-        self.sharded_analyses += 1
-        if shard_info is not None:
-            self.last_shard_info = shard_info
-
     def observe_update(self, stats) -> None:
         """Accumulate one ``UpdateStats`` from an ``update`` request."""
         self.incremental_updates += 1
@@ -136,10 +127,6 @@ class ServerMetrics:
             },
             "phase_seconds": dict(self.phase_seconds),
             "analyses": self.analyses,
-            "sharded": {
-                "analyses": self.sharded_analyses,
-                "last_shard_info": self.last_shard_info,
-            },
             "incremental": {
                 "updates": self.incremental_updates,
                 "reused_procs": self.reused_procs,

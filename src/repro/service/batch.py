@@ -17,16 +17,6 @@ Workers run :func:`repro.core.pipeline.analyze_source_payload`, a
 module-level picklable entry point, via
 :class:`concurrent.futures.ProcessPoolExecutor`.
 
-Fleet mode (``batch --fleet``) replaces the process pool with a
-distributed fan-out: the driver hosts a
-:class:`~repro.fleet.coordinator.FleetCoordinator`, remote workers
-dial in, and each file is solved through the sharded pipeline with a
-:class:`~repro.fleet.coordinator.FleetRunner` so the per-shard work
-spreads across the fleet.  A
-:class:`~repro.fleet.store.RemoteSummaryStore` adds a shared cache
-tier consulted between the local disk cache and a fresh solve, and
-populated on every fresh result — so one node's work warms the whole
-fleet.  Payloads stay byte-identical across all of these paths.
 """
 
 from __future__ import annotations
@@ -53,16 +43,12 @@ def _analyze_task(task) -> Dict:
     """Worker body: analyze one source, never raise.
 
     Every failure mode becomes a structured error record so one bad
-    file cannot take down the pool or the run.  ``shards`` (None =
-    monolithic) selects the sharded solver; workers always run it
-    in-process (``shard_jobs=1``) — the batch pool is the only layer
-    of process fan-out.
+    file cannot take down the pool or the run.
     """
-    path, source, gmod_method, shards, lanes, partition = task
+    path, source, gmod_method, lanes = task
     try:
         result = analyze_source_payload(
-            source, gmod_method=gmod_method, shards=shards, shard_jobs=1,
-            shard_strategy=partition, lanes=lanes,
+            source, gmod_method=gmod_method, lanes=lanes
         )
         return {"status": STATUS_OK, "path": path, "result": result}
     except CkError as error:
@@ -87,9 +73,6 @@ class FileResult:
     error: str = ""
     key: str = ""  # Content-hash cache key ("" if the source was unreadable).
     elapsed: float = 0.0  # Wall seconds spent obtaining this result.
-    #: True when the result came from the fleet summary store (a
-    #: remote hit is also counted in ``cached``).
-    remote: bool = False
 
     @property
     def ok(self) -> bool:
@@ -106,8 +89,6 @@ class FileResult:
             entry["error"] = self.error
         if self.key:
             entry["key"] = self.key
-        if self.remote:
-            entry["remote"] = True
         if self.result is not None:
             entry["timings"] = self.result["timings"]
             entry["ops"] = self.result["ops"]
@@ -129,15 +110,9 @@ class BatchReport:
     wall_time: float = 0.0
     cache_dir: str = ""
     cache_stats: Optional[CacheStats] = None
-    #: Shard count per file (None = monolithic solver).
-    shards: Optional[int] = None
     #: Extra effect lanes requested for every file (lane names, request
     #: order); () for plain MOD+USE runs.
     lanes: tuple = ()
-    #: Coordinator snapshot when the run used a fleet (None otherwise).
-    fleet_stats: Optional[Dict] = None
-    #: Remote summary store client stats (None when no store was used).
-    store_stats: Optional[Dict] = None
 
     def _count(self, status: str) -> int:
         return sum(1 for r in self.results if r.status == status)
@@ -175,14 +150,11 @@ class BatchReport:
             "root": self.root,
             "gmod_method": self.gmod_method,
             "jobs": self.jobs,
-            "shards": self.shards,
             "lanes": list(self.lanes),
             "wall_time": self.wall_time,
             "files": [r.to_dict(include_summaries) for r in self.results],
             "cache": self.cache_stats.to_dict() if self.cache_stats else None,
             "cache_dir": self.cache_dir,
-            "fleet": self.fleet_stats,
-            "remote_store": self.store_stats,
         }
 
 
@@ -204,45 +176,6 @@ def discover_files(root: str, pattern: str = "*.ck") -> List[str]:
     return found
 
 
-def _analyze_fleet_task(
-    path: str, source: str, shards: int, runner, lanes=(),
-    partition: str = "greedy",
-) -> Dict:
-    """Fleet-mode body: solve one file through the sharded pipeline
-    with the per-shard maps spread across the fleet.  Same outcome
-    envelope and failure isolation as :func:`_analyze_task`.  Lanes
-    ride the coordinator-side arena (the lane masks themselves reuse
-    the shard wire codec, but the lane fixpoints are not fanned out)."""
-    from repro.core.pipeline import payload_from_summary
-    from repro.shard.solve import analyze_side_effects_sharded
-
-    try:
-        summary = analyze_side_effects_sharded(
-            source, num_shards=shards, runner=runner, strategy=partition
-        )
-        if lanes:
-            from repro.core.arena import get_arena
-            from repro.lanes.driver import solve_lanes
-
-            summary.lanes = solve_lanes(
-                get_arena(summary.resolved), lanes, summary.aliases,
-                summary.timings,
-            )
-        return {
-            "status": STATUS_OK,
-            "path": path,
-            "result": payload_from_summary(summary),
-        }
-    except CkError as error:
-        message = "%s: %s" % (type(error).__name__, error)
-        return {"status": STATUS_ERROR, "path": path, "error": message}
-    except Exception as error:
-        message = "".join(
-            traceback.format_exception_only(type(error), error)
-        ).strip()
-        return {"status": STATUS_ERROR, "path": path, "error": message}
-
-
 def run_batch(
     root: Union[str, Sequence[str]],
     jobs: Optional[int] = None,
@@ -251,11 +184,7 @@ def run_batch(
     timeout: Optional[float] = None,
     pattern: str = "*.ck",
     cache_max_entries: Optional[int] = None,
-    shards: Optional[int] = None,
-    fleet=None,
-    remote_store=None,
     lanes: Sequence[str] = (),
-    partition: str = "greedy",
 ) -> BatchReport:
     """Analyze a corpus; the batch engine's programmatic entry point.
 
@@ -267,30 +196,10 @@ def run_batch(
     driver turns to it (pool mode only); a file that exceeds it gets a
     ``timeout`` record and the run continues.  ``cache_max_entries``
     bounds the cache directory (LRU eviction; None = unbounded).
-    ``shards`` switches every file to the sharded solver (workers stay
-    single-process inside; the batch pool is the only fan-out).  The
-    cache key is unchanged by ``shards``: summaries are bit-identical
-    across solvers, so a hit may legitimately return a payload the
-    other solver produced (``shard_info``/``timings`` reflect the
-    producing run).
-
-    ``fleet`` (a started :class:`~repro.fleet.FleetCoordinator`, not
-    owned by this call) replaces the process pool: files are solved in
-    the driver through the sharded pipeline with the per-shard maps
-    fanned out to the fleet's workers — with zero workers connected the
-    solve degrades to in-process, never fails.  ``remote_store`` (a
-    :class:`~repro.fleet.RemoteSummaryStore`) is consulted after a
-    local cache miss and populated on every fresh result; summaries
-    are bit-identical regardless of which tier answered.
 
     ``lanes`` requests extra effect lanes (:mod:`repro.lanes`) for
     every file; lane blocks ride the per-file payloads and the cache
     key, so laned and lane-less runs never serve each other's entries.
-
-    ``partition`` selects the shard partitioner strategy (with
-    ``shards``/``fleet``): ``"greedy"``, ``"chunk"``, or
-    ``"separator"``.  Like ``shards`` itself it does not enter the
-    cache key — summaries are bit-identical across strategies.
     """
     if gmod_method not in GMOD_METHODS:
         raise ValueError(
@@ -337,16 +246,6 @@ def run_batch(
                 record.cached = True
                 record.result = hit
                 continue
-        if remote_store is not None:
-            hit = remote_store.get(key)
-            if hit is not None:
-                record.status = STATUS_OK
-                record.cached = True
-                record.remote = True
-                record.result = hit
-                if cache is not None:
-                    cache.put(key, hit)  # Warm the local tier too.
-                continue
         sources[path] = source
         work.append(record)
 
@@ -359,30 +258,14 @@ def run_batch(
         record.result = outcome.get("result")
         record.error = outcome.get("error", "")
         record.elapsed = elapsed
-        if record.status == STATUS_OK:
-            if cache is not None:
-                cache.put(record.key, record.result)
-            if remote_store is not None:
-                remote_store.put(record.key, record.result)
+        if record.status == STATUS_OK and cache is not None:
+            cache.put(record.key, record.result)
 
-    if fleet is not None:
-        from repro.fleet.coordinator import FleetRunner
-
-        runner = FleetRunner(fleet)
-        fleet_shards = shards or 4
-        for record in work:
-            tick = time.perf_counter()
-            outcome = _analyze_fleet_task(
-                record.path, sources[record.path], fleet_shards, runner,
-                lanes, partition,
-            )
-            _apply(record, outcome, time.perf_counter() - tick)
-    elif effective_jobs <= 1:
+    if effective_jobs <= 1:
         for record in work:
             tick = time.perf_counter()
             outcome = _analyze_task(
-                (record.path, sources[record.path], gmod_method, shards,
-                 lanes, partition)
+                (record.path, sources[record.path], gmod_method, lanes)
             )
             _apply(record, outcome, time.perf_counter() - tick)
     else:
@@ -394,7 +277,7 @@ def run_batch(
                     executor.submit(
                         _analyze_task,
                         (record.path, sources[record.path], gmod_method,
-                         shards, lanes, partition),
+                         lanes),
                     ),
                 )
                 for record in work
@@ -423,10 +306,5 @@ def run_batch(
         wall_time=time.perf_counter() - started,
         cache_dir=cache_dir or "",
         cache_stats=cache.stats if cache is not None else None,
-        shards=shards,
         lanes=lanes,
-        fleet_stats=fleet.stats() if fleet is not None else None,
-        store_stats=(
-            remote_store.stats.to_dict() if remote_store is not None else None
-        ),
     )

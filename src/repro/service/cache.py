@@ -30,7 +30,6 @@ cannot grow the directory without limit.
 from __future__ import annotations
 
 import hashlib
-import mmap
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -40,7 +39,6 @@ from repro.core.persist import (
     FORMAT_VERSION,
     encode_summary_payload,
     load_summary_payload_file,
-    loads_summary_payload,
 )
 
 #: Version of the cache *record* envelope (not the summary payload —
@@ -89,40 +87,6 @@ class CacheStats:
             "evictions": self.evictions,
             "hit_rate": self.hit_rate(),
         }
-
-
-def encode_record(key: str, result: Dict) -> bytes:
-    """One cache record envelope as bytes — the unit both the disk
-    cache and the fleet summary store exchange."""
-    return encode_summary_payload(
-        {
-            "cache_schema": CACHE_SCHEMA_VERSION,
-            "format_version": FORMAT_VERSION,
-            "key": key,
-            "result": result,
-        }
-    )
-
-
-def validate_record_blob(key: str, blob: bytes) -> Optional[Dict]:
-    """Decode a record envelope and return its result payload, or None
-    when the blob is torn, stale-schema, or keyed for something else.
-
-    Both ends of the fleet store run this: the server refuses to store
-    junk, the client refuses to trust a server it didn't write to."""
-    try:
-        record = loads_summary_payload(blob)
-    except ValueError:
-        return None
-    if (
-        not isinstance(record, dict)
-        or record.get("cache_schema") != CACHE_SCHEMA_VERSION
-        or record.get("format_version") != FORMAT_VERSION
-        or record.get("key") != key
-        or "result" not in record
-    ):
-        return None
-    return record["result"]
 
 
 class SummaryCache:
@@ -190,9 +154,14 @@ class SummaryCache:
 
     def put(self, key: str, result: Dict) -> None:
         """Store one analysis payload under ``key`` (atomic write)."""
-        self._write_blob(key, encode_record(key, result))
-
-    def _write_blob(self, key: str, blob: bytes) -> None:
+        blob = encode_summary_payload(
+            {
+                "cache_schema": CACHE_SCHEMA_VERSION,
+                "format_version": FORMAT_VERSION,
+                "key": key,
+                "result": result,
+            }
+        )
         fd, tmp_path = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
@@ -204,62 +173,6 @@ class SummaryCache:
             raise
         self.stats.stores += 1
         self._evict_over_limit()
-
-    # -- raw record access (the fleet summary store service) -----------------
-
-    def get_blob(self, key: str) -> Optional[bytes]:
-        """The raw record envelope for ``key``, validated; None on
-        miss.  Validation decodes in place over a memory map — a fleet
-        store thrashing through static blobs re-reads hot pages, not
-        whole files — and the bytes are materialized once, for the
-        wire.  Legacy ``.json`` entries are served re-read through the
-        normal path so the store never ships a format the client would
-        reject."""
-        blob = None
-        validated = False
-        try:
-            with open(self.path_for(key), "rb") as handle:
-                try:
-                    buffer = mmap.mmap(
-                        handle.fileno(), 0, access=mmap.ACCESS_READ
-                    )
-                except (ValueError, OSError):
-                    blob = handle.read()
-                    validated = validate_record_blob(key, blob) is not None
-                else:
-                    try:
-                        if validate_record_blob(key, buffer) is not None:
-                            blob = bytes(buffer)
-                            validated = True
-                    finally:
-                        buffer.close()
-        except OSError:
-            pass
-        if validated and blob is not None:
-            self.stats.hits += 1
-            try:
-                os.utime(self.path_for(key), None)
-            except OSError:
-                pass
-            return blob
-        result = self.get(key)  # Legacy-path fallback + stats accounting.
-        if result is None:
-            return None
-        return encode_record(key, result)
-
-    def put_blob(self, key: str, blob: bytes) -> bool:
-        """Store a raw record envelope; False (and no write) when the
-        blob does not validate for ``key``."""
-        if validate_record_blob(key, blob) is None:
-            self.stats.invalid += 1
-            return False
-        self._write_blob(key, blob)
-        return True
-
-    def has(self, key: str) -> bool:
-        return os.path.exists(self.path_for(key)) or os.path.exists(
-            self.legacy_path_for(key)
-        )
 
     def _evict_over_limit(self) -> None:
         """Drop least-recently-used entries past ``max_entries``.

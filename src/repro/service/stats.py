@@ -11,18 +11,16 @@ This docstring is the one authoritative catalogue of every top-level
 stats-JSON key (mirrored as a table in the README; the schema-check
 test pins the two against :data:`STATS_KEYS`).
 
-Stats JSON schema (``STATS_SCHEMA_VERSION`` 1)::
+Stats JSON schema (``STATS_SCHEMA_VERSION`` 2)::
 
     {
-      "schema": 1,            # STATS_SCHEMA_VERSION of the writer
+      "schema": 2,            # STATS_SCHEMA_VERSION of the writer
       "corpus": {"root", "files", "ok", "errors", "timeouts",
                  "cached", "analyzed", "procs", "call_sites"},
       "phases": {phase: seconds, ...},        # summed over analyzed files
       "ops": {"bit_vector_steps", "single_bit_steps", "meet_operations"},
       "cache": {"hits", "misses", "stores", "invalid", "evictions",
                 "hit_rate"} | null,           # null: run had no cache dir
-      "fleet": {...} | null,                  # coordinator snapshot
-      "remote_store": {...} | null,           # store client tallies
       "lanes": {"requested": [name, ...],     # [] for lane-less runs
                 "per_lane": {name: {"files",  # files carrying the lane
                                     "seconds"}}},  # summed lane.<name> time
@@ -39,8 +37,6 @@ Key-by-key:
   cached) files; includes ``lane.<name>`` entries when lanes ran.
 * ``ops`` — the paper's operation tallies, summed likewise.
 * ``cache`` — local summary-cache accounting, or null without a cache.
-* ``fleet`` — fleet coordinator snapshot, or null off-fleet.
-* ``remote_store`` — remote summary-store client stats, or null.
 * ``lanes`` — which extra effect lanes the run requested and what they
   cost: per lane, the number of payloads carrying its block and the
   summed ``lane.<name>`` solver seconds.
@@ -56,7 +52,7 @@ from typing import Dict
 
 from repro.service.batch import BatchReport
 
-STATS_SCHEMA_VERSION = 1
+STATS_SCHEMA_VERSION = 2
 
 OP_KEYS = ("bit_vector_steps", "single_bit_steps", "meet_operations")
 
@@ -69,8 +65,6 @@ STATS_KEYS = (
     "phases",
     "ops",
     "cache",
-    "fleet",
-    "remote_store",
     "lanes",
     "throughput",
     "files",
@@ -125,8 +119,6 @@ def aggregate_stats(report: BatchReport) -> Dict:
         "phases": phases,
         "ops": ops,
         "cache": report.cache_stats.to_dict() if report.cache_stats else None,
-        "fleet": report.fleet_stats,
-        "remote_store": report.store_stats,
         "lanes": {
             "requested": list(report.lanes),
             "per_lane": per_lane,
@@ -188,27 +180,6 @@ def render_stats(report: BatchReport) -> str:
                 stats["cache"]["hits"],
                 stats["cache"]["misses"],
                 100.0 * stats["cache"]["hit_rate"],
-            )
-        )
-    if stats["remote_store"] is not None:
-        store = stats["remote_store"]
-        lines.append(
-            "store: %d hits / %d misses, %d stored, %d errors"
-            % (store["hits"], store["misses"], store["stores"], store["errors"])
-        )
-    if stats["fleet"] is not None:
-        fleet = stats["fleet"]
-        counters = fleet["counters"]
-        lines.append(
-            "fleet: %d workers, %d tasks (%d steals, %d reassigned,"
-            " %d retries, %d local)"
-            % (
-                fleet["live_workers"],
-                counters["tasks_completed"],
-                counters["steals"],
-                counters["reassigned"],
-                counters["retries"],
-                counters["local_tasks"],
             )
         )
     return "\n".join(lines)

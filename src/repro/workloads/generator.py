@@ -393,10 +393,10 @@ def large_scale_config(
 ) -> GeneratorConfig:
     """A scale-free, flat configuration for 1k–50k-procedure programs.
 
-    The shape the shard benchmark and the equivalence fuzz sweep use:
-    wide variable universe (many globals → long bit vectors for the
-    monolithic solver), dense scale-free call structure, a pinch of
-    recursion so the partitioner sees nontrivial SCCs, and no control
+    The shape the large-scale benchmarks and ``profile`` use: wide
+    variable universe (many globals → long bit vectors), dense
+    scale-free call structure, a pinch of recursion so the solvers see
+    nontrivial SCCs, and no control
     flow (it is irrelevant to the side-effect problems but expensive
     to generate at this size).
     """

@@ -62,18 +62,6 @@ class TestEquivalence:
         auto = run_batch(corpus_dir, jobs=1, gmod_method="auto")
         assert _summaries(reference) == _summaries(auto)
 
-    def test_sharded_batch_is_bit_identical(self, corpus_dir):
-        mono = run_batch(corpus_dir, jobs=1, cache_dir=None)
-        sharded = run_batch(corpus_dir, jobs=1, cache_dir=None, shards=4)
-        assert sharded.ok_count == N_FILES
-        assert sharded.shards == 4
-        assert sharded.to_dict()["shards"] == 4
-        assert _summaries(mono) == _summaries(sharded)
-        for record in sharded.results:
-            assert record.result["shard_info"]["requested_shards"] == 4
-        for record in mono.results:
-            assert "shard_info" not in record.result
-
 
 class TestCache:
     def test_warm_run_is_all_hits_and_byte_identical(self, corpus_dir, tmp_path):

@@ -215,41 +215,56 @@ class TestSectionsLatticeFlag:
 
 
 class TestShard:
-    def test_shard_prints_summary_and_plan(self, chain_file, capsys):
-        assert main(["shard", chain_file, "--shards", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "GMOD" in out
-        assert "shard plan (strategy=greedy, requested=2" in out
-        assert "binding graph (RMOD)" in out
-        assert "call graph (GMOD)" in out
-
-    def test_shard_matches_analyze_output_sets(self, chain_file, capsys):
-        assert main(["analyze", chain_file]) == 0
-        mono = capsys.readouterr().out
-        assert main(["shard", chain_file, "--shards", "4",
-                     "--strategy", "chunk"]) == 0
-        sharded = capsys.readouterr().out
-        # The per-procedure report is identical; the shard run merely
-        # appends its plan block.
-        assert sharded.startswith(mono)
-
-    def test_shard_stats_json(self, chain_file, capsys):
-        import json as json_module
-
-        assert main(["shard", chain_file, "--shards", "2", "--stats-json"]) == 0
-        info = json_module.loads(capsys.readouterr().out)
-        assert info["requested_shards"] == 2
-        assert "beta" in info and "call" in info
-        assert info["rmod"]["num_shards"] >= 1
-
     def test_batch_shards_flag(self, tmp_path, capsys):
+        """``batch --shards`` is an unknown argument, not a no-op: the
+        same run without it succeeds."""
         source_dir = tmp_path / "corpus"
         source_dir.mkdir()
         (source_dir / "a.ck").write_text(patterns.chain(3))
-        assert main(["batch", str(source_dir), "--no-cache",
-                     "--jobs", "1", "--shards", "2"]) == 0
+        argv = ["batch", str(source_dir), "--no-cache", "--jobs", "1"]
+        with pytest.raises(SystemExit) as raised:
+            main(argv + ["--shards", "2"])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert "ok" in capsys.readouterr().out
+
+
+class TestRetiredSurface:
+    """The sharded solver, the fleet and the summary store are gone:
+    their subcommands and flags are unknown arguments, not no-ops."""
+
+    def test_help_lists_no_retired_subcommand(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
         out = capsys.readouterr().out
-        assert "ok" in out
+        for name in ("shard", "worker", "store"):
+            assert name not in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["shard", "x.ck"],
+            ["worker", "--connect", "127.0.0.1:1"],
+            ["store", "--dir", "d"],
+            ["batch", "d", "--partition", "greedy"],
+            ["batch", "d", "--fleet", "0"],
+            ["batch", "d", "--fleet-store", "127.0.0.1:1"],
+            ["serve", "--shard-jobs", "2"],
+            ["serve", "--fleet-port", "0"],
+            ["profile", "--shards", "2"],
+            ["profile", "--jobs", "2"],
+            ["query", "analyze", "--shards", "2"],
+            ["query", "analyze", "--partition", "greedy"],
+        ],
+        ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv),
+    )
+    def test_retired_arguments_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err or "unrecognized arguments" in err
 
 
 class TestProfile:

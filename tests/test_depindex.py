@@ -20,7 +20,6 @@ from repro.core.depindex import (
     index_from_bytes,
     index_to_bytes,
 )
-from repro.shard.separator import KIND_LEAF
 from repro.core.incremental import (
     incremental_update,
     incremental_update_from_index,
@@ -81,7 +80,6 @@ class TestBlobRoundTrip:
         an ``IndexError`` from a read off its end."""
         _summary, index = _indexed_summary(pretty(generate_program(NESTED)))
         blob = index_to_bytes(index)
-        assert index.tree_shard_of_pid is not None  # The v2 tree trailer too.
         for cut in range(len(blob)):
             with pytest.raises(ValueError):
                 index_from_bytes(blob[:cut])
@@ -222,8 +220,7 @@ class TestRestoredIndexUpdates:
 
 def _two_island_source(length: int = 40) -> str:
     """Two disjoint call chains under one main: edits in island ``a``
-    can never affect island ``b``, so a tree-scoped caller scan has a
-    real region to cut away."""
+    can never affect island ``b``."""
     lines = ["program islands", "  global ga", "  global gb",
              "  global gc", ""]
     for side in ("a", "b"):
@@ -240,79 +237,137 @@ def _two_island_source(length: int = 40) -> str:
     return "\n".join(lines) + "\n"
 
 
-class TestSeparatorTreeTrailer:
-    """The version-2 trailer: the call-graph separator tree ships with
-    the index and bounds the incremental caller scan."""
+#: The separator tree an older writer persisted for
+#: ``_two_island_source(12)``, verbatim: node → parent (-1 the root),
+#: node → kind (0 region, 1 group, 3 leaf), shard → leaf, pid → shard,
+#: and each shard's scope.
+ISLANDS_TREE = (
+    [-1, 0, 1, 1, 3, 3, 0, 6, 7, 7, 9, 9, 6, 12, 12],
+    [0, 0, 3, 1, 3, 3, 1, 0, 3, 0, 3, 3, 0, 3, 3],
+    [2, 4, 5, 8, 10, 11, 13, 14],
+    [0, 0, 1, 1, 1, 3, 3, 3, 4, 4, 5, 5, 5,
+     0, 2, 2, 2, 6, 6, 6, 7, 7, 7, 7, 7],
+    [[0], [0, 1], [0, 2], [1, 3], [3, 4], [4, 5], [2, 6], [6, 7]],
+)
 
-    def test_tree_fields_populated_and_sound(self):
+
+def _root_over_leaves(shard_of_pid, num_shards: int):
+    """A one-level tree: a root region over one leaf per shard, each
+    shard its own scope."""
+    return ([-1] + [0] * num_shards, [0] + [3] * num_shards,
+            list(range(1, num_shards + 1)), shard_of_pid,
+            [[shard] for shard in range(num_shards)])
+
+
+def _with_legacy_tree(blob: bytes, tree) -> bytes:
+    """``blob`` with the separator-tree trailer an older writer put
+    behind the version-2 presence byte: the parent, kind, shard → leaf
+    and pid → shard lists of ``tree``, then its scopes.  Every int
+    list is a count then ``value + 1`` varints."""
+    from repro.core.binio import write_varint
+
+    def int_list(out, items):
+        write_varint(out, len(items))
+        for item in items:
+            write_varint(out, item + 1)
+
+    parent, kind, node_of_shard, shard_of_pid, scopes = tree
+    out = bytearray(blob)
+    assert out[-1] == 0  # This writer's tree-absent presence byte.
+    out[-1] = 1
+    for items in (parent, kind, node_of_shard, shard_of_pid):
+        int_list(out, items)
+    write_varint(out, len(scopes))
+    for scope in scopes:
+        int_list(out, scope)
+    return bytes(out)
+
+
+class TestSeparatorTreeTrailer:
+    """The version-2 trailer once held the call graph's separator
+    tree.  The writer emits only the presence byte, as 0; the reader
+    accepts version-1 blobs (no byte) and never interprets a tree an
+    older writer left behind."""
+
+    def test_writer_emits_no_tree(self):
         _summary, index = _indexed_summary(pretty(generate_program(NESTED)))
-        num_procs = len(index.proc_names)
-        assert index.tree_parent is not None
-        assert len(index.tree_parent) == len(index.tree_kind)
-        assert index.tree_parent.count(-1) == 1  # One root.
-        num_shards = len(index.tree_node_of_shard)
-        assert len(index.tree_scopes) == num_shards
-        assert len(index.tree_shard_of_pid) == num_procs
-        assert all(0 <= s < num_shards for s in index.tree_shard_of_pid)
-        for shard_id, node_id in enumerate(index.tree_node_of_shard):
-            assert index.tree_kind[node_id] == KIND_LEAF
-        for shard_id, scope in enumerate(index.tree_scopes):
-            assert shard_id in scope  # Every shard is in its own scope.
-            assert all(0 <= s < num_shards for s in scope)
+        blob = index_to_bytes(index)
+        assert blob[len(INDEX_MAGIC)] == INDEX_FORMAT_VERSION == 2
+        assert blob[-1] == 0  # The tree-absent presence byte.
 
     def test_version_1_blob_reads_with_tree_fields_none(self):
-        from dataclasses import replace
-
+        """A version-1 blob, which never had tree fields, reads back
+        as the same index."""
         _summary, index = _indexed_summary(patterns.chain(5))
-        bare = replace(index, tree_parent=None, tree_kind=None,
-                       tree_node_of_shard=None, tree_shard_of_pid=None,
-                       tree_scopes=None)
-        blob = bytearray(index_to_bytes(bare))
-        assert blob[-1] == 0  # The tree-absent presence byte.
-        # A version-1 blob is exactly this minus the trailer.
+        blob = bytearray(index_to_bytes(index))
+        # A version-1 blob is exactly this minus the presence byte.
         blob[len(INDEX_MAGIC)] = 1
-        again = index_from_bytes(bytes(blob[:-1]))
-        assert again == bare
-        # And the presence byte alone round-trips a tree-less v2 blob.
-        assert index_from_bytes(index_to_bytes(bare)) == bare
+        assert index_from_bytes(bytes(blob[:-1])) == index
 
-    def test_tree_scoped_update_bounds_the_caller_scan(self):
-        base = _two_island_source(40)
-        edited = base.replace("ga := 1", "ga := 1\n    gc := 1")
-        assert edited != base
-        old, index = _indexed_summary(base)
-        reloaded, stats = incremental_update_from_index(
-            index_from_bytes(index_to_bytes(index)),
-            compile_source(edited), reloaded=True)
-        assert summary_to_bytes(reloaded) == summary_to_bytes(
-            analyze_side_effects(edited))
-        # The edit lives in island ``a``; the persisted tree proves
-        # island ``b``'s shards are outside every affected scope, so
-        # the reverse-adjacency build skips them.
-        assert stats.tree_scoped
-        assert 0 < stats.tree_scan_procs < stats.total_procs
-        assert stats.to_dict()["tree_scan_procs"] == stats.tree_scan_procs
+    def test_tree_fields_populated_and_sound(self):
+        """A populated, sound tree an older writer persisted loads as
+        the tree-less index: no tree field survives the read."""
+        from dataclasses import fields
+
+        parent, kind, node_of_shard, shard_of_pid, scopes = ISLANDS_TREE
+        _summary, index = _indexed_summary(_two_island_source(12))
+        # The recorded tree is the well-formed one an older writer
+        # built for this program, not a corrupt trailer.
+        num_shards = len(node_of_shard)
+        assert parent.count(-1) == 1 and len(parent) == len(kind)
+        assert all(kind[node] == 3 for node in node_of_shard)
+        assert len(shard_of_pid) == len(index.proc_names)
+        assert all(0 <= shard < num_shards for shard in shard_of_pid)
+        assert all(shard in scope for shard, scope in enumerate(scopes))
+
+        loaded = index_from_bytes(
+            _with_legacy_tree(index_to_bytes(index), ISLANDS_TREE))
+        assert loaded == index
+        assert not any(f.name.startswith("tree_") for f in fields(loaded))
 
     def test_tree_scoped_update_matches_full_scan_region(self):
-        """Tree-scoped and unscoped paths must agree on the re-solve
-        region and the bytes — the tree only prunes the scan."""
+        """An update from a blob carrying an older writer's tree and
+        one from the same blob without it agree on the re-solve region
+        and the bytes: the caller scan is the whole call graph either
+        way."""
         base = _two_island_source(12)
         edited = base.replace("ga := 1", "ga := 1\n    gc := 1")
-        old, index = _indexed_summary(base)
+        assert edited != base
+        _old, index = _indexed_summary(base)
         blob = index_to_bytes(index)
 
-        from dataclasses import replace
-
-        scoped, scoped_stats = incremental_update_from_index(
-            index_from_bytes(blob), compile_source(edited), reloaded=True)
-        stripped = replace(
-            index_from_bytes(blob), tree_parent=None, tree_kind=None,
-            tree_node_of_shard=None, tree_shard_of_pid=None,
-            tree_scopes=None)
+        treed, treed_stats = incremental_update_from_index(
+            index_from_bytes(_with_legacy_tree(blob, ISLANDS_TREE)),
+            compile_source(edited), reloaded=True)
         full, full_stats = incremental_update_from_index(
-            stripped, compile_source(edited), reloaded=True)
+            index_from_bytes(blob), compile_source(edited), reloaded=True)
 
-        assert summary_to_bytes(scoped) == summary_to_bytes(full)
-        assert not full_stats.tree_scoped
-        assert full_stats.tree_scan_procs in (0, full_stats.total_procs)
-        assert scoped_stats.region_procs == full_stats.region_procs
+        assert summary_to_bytes(treed) == summary_to_bytes(full)
+        assert summary_to_bytes(full) == summary_to_bytes(
+            analyze_side_effects(edited))
+        assert treed_stats.region_procs == full_stats.region_procs
+        assert 0 < full_stats.region_procs < full_stats.total_procs
+
+    def test_out_of_range_legacy_tree_is_ignored(self):
+        """A well-formed trailer whose pid → shard map names a shard
+        past its two scopes once crashed the next update with an
+        ``IndexError``.  Now it loads as the tree-less index, and an
+        update from it equals a scratch solve."""
+        source = pretty(generate_program(NESTED))
+        _summary, index = _indexed_summary(source)
+        num_procs = len(index.proc_names)
+        shard_of_pid = [0] * (num_procs - 1) + [num_procs + 6]
+        blob = _with_legacy_tree(
+            index_to_bytes(index), _root_over_leaves(shard_of_pid, 2))
+        loaded = index_from_bytes(blob)
+        assert loaded == index
+
+        edited = source.replace(":= 1", ":= 4", 1)
+        assert edited != source
+        updated, stats = incremental_update_from_index(
+            loaded, compile_source(edited), reloaded=True)
+        assert summary_to_bytes(updated) == summary_to_bytes(
+            analyze_side_effects(edited))
+        assert stats.index_reloaded and not stats.full_resolve
+        assert "tree_scoped" not in stats.to_dict()
+        assert "tree_scan_procs" not in stats.to_dict()

@@ -158,10 +158,10 @@ def test_condensation_counts_per_level_method():
 
 
 def test_sections_and_partitioner_share_the_arena_condensation():
-    """The §6 sections solver and the shard partitioner reuse the
-    arena's call-graph condensation instead of running their own."""
+    """The §6 sections solver reuses the arena's call-graph
+    condensation instead of running its own.  (The shard partitioner
+    that once shared it too is gone; the sections half stays.)"""
     from repro.sections.dependence import DependenceTester
-    from repro.shard.partition import partition_graph
 
     resolved = generate_resolved(_flat_config())
     clear_arena_cache()
@@ -173,15 +173,6 @@ def test_sections_and_partitioner_share_the_arena_condensation():
     tester = DependenceTester(resolved)  # Solves both MOD and USE.
     assert arena.snapshot_condensations() == base
     assert tester.mod.grs and tester.use.grs
-
-    plan = partition_graph(
-        arena.call_csr.num_nodes,
-        arena.call_graph.successors,
-        4,
-        condensation=arena.call_condense_full(),
-    )
-    assert arena.snapshot_condensations() == base
-    assert plan.num_nodes == resolved.num_procs
 
 
 def test_arena_pickle_round_trip():

@@ -113,7 +113,7 @@ class TestStructuralControl:
 
 class TestScaleFree:
     """The large-scale preferential-attachment mode behind
-    large_scale_config (the shard benchmark workload)."""
+    large_scale_config (the large-scale benchmark workload)."""
 
     def test_determinism(self):
         config = large_scale_config(300, seed=42)

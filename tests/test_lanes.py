@@ -389,10 +389,12 @@ class TestLanePayloadPlumbing:
         assert laned["lanes"]["refalias"]["pairs"] == laned["summary"]["aliases"]
 
     def test_sharded_route_lanes_match_monolithic(self):
-        """The sharded route hands its own alias result to the lanes;
-        the lane block is the monolithic one."""
+        """A stale client that still asks the daemon for a sharded
+        solve gets the one lane block there is: the daemon ignores the
+        retired ``shards`` field like any unknown field."""
         from repro.core.pipeline import analyze_source_payload
         from repro.lang.pretty import pretty
+        from repro.server import ServerClient, ServerConfig, ServerThread
         from repro.workloads.generator import generate_program
 
         source = pretty(generate_program(
@@ -400,7 +402,12 @@ class TestLanePayloadPlumbing:
                             nesting_prob=0.5, prob_arg_global=0.4)
         ))
         clear_arena_cache()
-        sharded = analyze_source_payload(source, shards=3, lanes=ALL_LANES)
+        with ServerThread(ServerConfig(port=0)) as handle:
+            with ServerClient(port=handle.port) as client:
+                sharded = client.request_raw(
+                    "analyze", source=source, shards=3, lanes=list(ALL_LANES)
+                )
+        assert sharded["ok"], sharded.get("error")
         clear_arena_cache()
         plain = analyze_source_payload(source, lanes=ALL_LANES)
         assert _canon(sharded["lanes"]) == _canon(plain["lanes"])

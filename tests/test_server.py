@@ -193,40 +193,48 @@ class TestAnalyze:
 
 
 class TestShardedAnalyze:
-    def test_sharded_analyze_is_bit_identical(self, client):
+    """The daemon has one solve path.  A client that still sends the
+    retired ``shards``/``partition`` fields gets the one summary there
+    is: the daemon ignores them like any unknown field."""
+
+    def test_sharded_analyze_is_bit_identical(self):
         source = patterns.call_tree(4)
-        response = client.request_raw("analyze", source=source, shards=4)
-        assert response["ok"], response.get("error")
-        assert canon(response["summary"]) == canon(scratch_summary(source))
-        if response["cached"] is False:
-            info = response["shard_info"]
-            assert info["requested_shards"] == 4
-            assert info["beta"]["num_shards"] >= 1
+        with ServerThread(ServerConfig(port=0)) as handle:
+            with ServerClient(port=handle.port) as client:
+                stale = client.request_raw(
+                    "analyze", source=source, shards=4, partition="separator"
+                )
+        assert stale["ok"], stale.get("error")
+        assert stale["cached"] is False
+        assert "shard_info" not in stale
+        assert canon(stale["summary"]) == canon(scratch_summary(source))
 
     def test_shards_field_validated(self, client):
+        """No value of the retired fields is an error any more, the
+        malformed ones included."""
+        expected = canon(scratch_summary(patterns.chain(2)))
         for bad in (0, -2, "four", True):
             response = client.request_raw(
-                "analyze", source=patterns.chain(2), shards=bad
+                "analyze", source=patterns.chain(2), shards=bad, partition=bad
             )
-            assert not response["ok"]
-            assert response["error"]["code"] == "bad_request"
+            assert response["ok"], response.get("error")
+            assert canon(response["summary"]) == expected
 
     def test_sharded_metrics_in_stats(self):
-        config = ServerConfig(port=0)
-        with ServerThread(config) as handle:
+        """A stale sharded request leaves no sharded block and no shard
+        or fleet config keys in ``stats``."""
+        with ServerThread(ServerConfig(port=0)) as handle:
             with ServerClient(port=handle.port) as client:
-                client.request_raw(
-                    "analyze", source=patterns.ring(5), shards=2
-                )
+                client.request_raw("analyze", source=patterns.ring(5), shards=2)
                 stats = client.stats()
-        assert stats["config"]["shard_jobs"] == 1
-        sharded = stats["sharded"]
-        assert sharded["analyses"] == 1
-        assert sharded["last_shard_info"]["requested_shards"] == 2
+        assert "sharded" not in stats
+        assert not any(
+            key.startswith(("shard", "fleet")) for key in stats["config"]
+        )
 
     def test_cache_key_blind_to_shards(self):
-        # A monolithic analyze warms the LRU; the sharded request for
-        # the same source is a hit (identical summary, by design).
+        # A monolithic analyze warms the LRU; the stale sharded request
+        # for the same source is a hit with the same summary.
         config = ServerConfig(port=0)
         with ServerThread(config) as handle:
             with ServerClient(port=handle.port) as client:

@@ -1,157 +1,57 @@
-"""Unit tests for the shard subsystem: partitioner edge cases,
-partition invariants, the narrow carrier, and ShardedSystem structure.
+"""The narrow carrier of equation (4).
 
-The exactness of the sharded *solver* against the monolithic pipeline
-is covered by tests/test_shard_equivalence.py; this file pins down the
-partitioner's contract — the invariants the hierarchical solve's
-correctness argument leans on (DESIGN.md, "Sharded solving").
+``P(p) = GMOD(p) − LOCAL(p)`` is all a callee hands its callers, and
+it only carries variables that outlive some procedure's strip: the
+globals, plus the locals of procedures that have nested children
+(visible to a descendant, stripped only at their owner).  That set,
+the *narrow carrier*, is exactly the global mask for a flat program.
+These tests pin the bound on the seeds (``IMOD+``) and on the solved
+``GMOD`` sets.
+
+The module keeps the name it had when the sharded solver, since
+retired, used the carrier to size its boundary summaries.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.varsets import VariableUniverse
-from repro.graphs.scc import condense
+from repro.core.imod_plus import compute_imod_plus
+from repro.core.local import LocalAnalysis
+from repro.core.pipeline import analyze_side_effects
+from repro.core.rmod import solve_rmod
+from repro.core.varsets import EffectKind, VariableUniverse
+from repro.graphs.binding import build_binding_graph
 from repro.lang.semantic import compile_source
-from repro.shard.partition import STRATEGIES, ShardPlan, partition_graph
-from repro.shard.solve import ShardedSystem, narrow_carrier
 from repro.workloads.generator import (
     GeneratorConfig,
     generate_resolved,
     large_scale_config,
 )
 
-
-def ring(n):
-    """One giant SCC: 0 → 1 → ... → n-1 → 0."""
-    return [[(node + 1) % n] for node in range(n)]
+KINDS = (EffectKind.MOD, EffectKind.USE)
 
 
-def chain(n):
-    return [[node + 1] if node + 1 < n else [] for node in range(n)]
+def narrow_carrier(resolved, universe: VariableUniverse) -> int:
+    """The globals plus the locals of every procedure with a nested
+    child."""
+    has_children = [False] * resolved.num_procs
+    for proc in resolved.procs:
+        if proc.parent is not None:
+            has_children[proc.parent.pid] = True
+    carrier = universe.global_mask
+    for proc in resolved.procs:
+        if has_children[proc.pid]:
+            carrier |= universe.local_mask[proc.pid]
+    return carrier
 
 
-class TestPartitionEdgeCases:
-    def test_empty_graph_single_empty_shard(self):
-        plan = partition_graph(0, [], 4)
-        assert plan.num_shards == 1
-        assert plan.shards == [[]]
-        assert plan.shard_of == []
-        assert plan.cut_edges == 0
-        assert plan.quotient == [[]]
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_single_shard_is_trivial(self, strategy):
-        plan = partition_graph(6, chain(6), 1, strategy)
-        assert plan.num_shards == 1
-        assert plan.shard_of == [0] * 6
-        assert plan.cut_edges == 0
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_more_shards_than_nodes_clamps(self, strategy):
-        plan = partition_graph(3, chain(3), 10, strategy)
-        assert plan.requested_shards == 10
-        assert plan.num_shards <= 3
-        assert sorted(n for members in plan.shards for n in members) == [0, 1, 2]
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_giant_scc_never_split(self, strategy):
-        plan = partition_graph(12, ring(12), 4, strategy)
-        # One component → one shard, however many were requested.
-        assert plan.num_components == 1
-        assert plan.largest_component == 12
-        assert plan.num_shards == 1
-        assert plan.cut_edges == 0
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_isolated_nodes(self, strategy):
-        plan = partition_graph(8, [[] for _ in range(8)], 4, strategy)
-        assert plan.num_shards == 4
-        assert plan.cut_edges == 0
-        assert sorted(n for members in plan.shards for n in members) == list(range(8))
-
-    def test_invalid_strategy_rejected(self):
-        with pytest.raises(ValueError, match="strategy"):
-            partition_graph(3, chain(3), 2, "metis")
-
-    def test_invalid_shard_count_rejected(self):
-        with pytest.raises(ValueError, match="num_shards"):
-            partition_graph(3, chain(3), 0)
-
-
-class TestPartitionInvariants:
-    @pytest.fixture(scope="class")
-    def random_graph(self):
-        resolved = generate_resolved(
-            GeneratorConfig(seed=77, num_procs=60, recursion_prob=0.4)
-        )
-        from repro.graphs.callgraph import build_call_graph
-
-        graph = build_call_graph(resolved)
-        return graph.num_nodes, graph.successors
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("shards", [1, 2, 4, 8])
-    def test_sccs_never_span_shards(self, random_graph, strategy, shards):
-        num_nodes, successors = random_graph
-        plan = partition_graph(num_nodes, successors, shards, strategy)
-        cond = condense(num_nodes, successors)
-        for members in cond.components:
-            owners = {plan.shard_of[node] for node in members}
-            assert len(owners) == 1, "SCC split across shards %s" % owners
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_cut_edges_counts_cross_shard_multiedges(self, random_graph, strategy):
-        num_nodes, successors = random_graph
-        plan = partition_graph(num_nodes, successors, 4, strategy)
-        expected = sum(
-            1
-            for node in range(num_nodes)
-            for succ in successors[node]
-            if plan.shard_of[node] != plan.shard_of[succ]
-        )
-        assert plan.cut_edges == expected
-
-    def test_chunk_quotient_is_acyclic(self, random_graph):
-        num_nodes, successors = random_graph
-        plan = partition_graph(num_nodes, successors, 4, "chunk")
-        system = ShardedSystem(num_nodes, successors, None, plan)
-        assert system.quotient_acyclic
-
-    def test_plan_carries_condensation_but_not_in_dict(self, random_graph):
-        num_nodes, successors = random_graph
-        plan = partition_graph(num_nodes, successors, 4)
-        assert plan.condensation is not None
-        assert plan.condensation.num_components == plan.num_components
-        assert "condensation" not in plan.to_dict()
-
-    def test_hand_built_plan_without_condensation_still_solves(self):
-        # ShardedSystem must fall back to per-shard Tarjan when the
-        # plan was not produced by partition_graph.
-        successors = chain(4)
-        plan = ShardPlan(
-            requested_shards=2, strategy="chunk", num_nodes=4, num_edges=3,
-            shard_of=[0, 0, 1, 1], shards=[[0, 1], [2, 3]], cut_edges=1,
-            num_components=4, largest_component=1, quotient=[[1], []],
-        )
-        system = ShardedSystem(4, successors, None, plan)
-        from repro.shard.runner import ShardRunner
-
-        with ShardRunner(1) as runner:
-            values, _ = system.solve([0, 0, 0, 1], runner)
-        assert values == [1, 1, 1, 1]
-
-    def test_greedy_balances_within_slack(self):
-        config = large_scale_config(400, seed=3, num_globals=40)
-        resolved = generate_resolved(config)
-        from repro.graphs.callgraph import build_call_graph
-
-        graph = build_call_graph(resolved)
-        plan = partition_graph(graph.num_nodes, graph.successors, 4, "greedy")
-        sizes = [len(members) for members in plan.shards]
-        cap = -(-graph.num_nodes * 115 // (4 * 100))
-        assert max(sizes) <= max(cap, plan.largest_component)
+def _exports_within(summary, carrier: int) -> None:
+    """Every ``GMOD(p) − LOCAL(p)`` of ``summary`` lies in ``carrier``."""
+    local_mask = summary.universe.local_mask
+    for kind in KINDS:
+        gmod = summary.solutions[kind].gmod
+        for proc in summary.resolved.procs:
+            exported = gmod[proc.pid] & ~local_mask[proc.pid]
+            assert exported & ~carrier == 0, (kind, proc.qualified_name)
 
 
 class TestNarrowCarrier:
@@ -159,6 +59,7 @@ class TestNarrowCarrier:
         resolved = generate_resolved(large_scale_config(50, seed=5))
         universe = VariableUniverse(resolved)
         assert narrow_carrier(resolved, universe) == universe.global_mask
+        _exports_within(analyze_side_effects(resolved), universe.global_mask)
 
     def test_nested_program_adds_parent_locals(self):
         resolved = compile_source(
@@ -189,16 +90,18 @@ class TestNarrowCarrier:
         # ...while the leaf's locals do not.
         inner = resolved.proc_named("outer.inner")
         assert carrier & universe.local_mask[inner.pid] & ~universe.local_mask[outer.pid] == 0
+        # The parent local crosses the inner → outer edge and stops
+        # at its owner.
+        summary = analyze_side_effects(resolved)
+        gmod = summary.solutions[EffectKind.MOD].gmod
+        local_mask = summary.universe.local_mask
+        assert gmod[inner.pid] & ~local_mask[inner.pid] & local_mask[outer.pid]
+        assert gmod[outer.pid] & ~local_mask[outer.pid] == summary.universe.global_mask
+        _exports_within(summary, carrier)
 
     def test_carrier_covers_stripped_seeds(self):
-        # The soundness condition ShardedSystem relies on:
-        # IMOD+(p) & ~LOCAL(p) ⊆ carrier for every procedure.
-        from repro.core.imod_plus import compute_imod_plus
-        from repro.core.local import LocalAnalysis
-        from repro.core.rmod import solve_rmod
-        from repro.core.varsets import EffectKind
-        from repro.graphs.binding import build_binding_graph
-
+        # IMOD+(p) & ~LOCAL(p) ⊆ carrier for every procedure, and so
+        # for every GMOD(p) − LOCAL(p) the solve builds from them.
         config = GeneratorConfig(seed=31, num_procs=25, max_depth=3,
                                  nesting_prob=0.6)
         resolved = generate_resolved(config)
@@ -206,9 +109,11 @@ class TestNarrowCarrier:
         binding_graph = build_binding_graph(resolved)
         local = LocalAnalysis(resolved, universe)
         carrier = narrow_carrier(resolved, universe)
-        for kind in (EffectKind.MOD, EffectKind.USE):
+        assert carrier != universe.global_mask  # Nesting widens it.
+        for kind in KINDS:
             rmod = solve_rmod(binding_graph, local, kind)
             imod_plus = compute_imod_plus(resolved, local, rmod, kind)
             for proc in resolved.procs:
                 stripped = imod_plus[proc.pid] & ~universe.local_mask[proc.pid]
                 assert stripped & ~carrier == 0, proc.qualified_name
+        _exports_within(analyze_side_effects(resolved), carrier)

@@ -1,13 +1,20 @@
-"""The shard wire codec: byte-level round trips and solver equivalence.
+"""The mask codecs of :mod:`repro.core.binio`.
 
-The binary wire format (:mod:`repro.shard.wire`) replaces pickle at
-the process-pool boundary, so its contract is exact reproduction:
-decoding an encoded problem must rebuild every field the worker bodies
-read, and the wire-path summarize/backsub must return bit-identical
-results (and identical step counts) to the in-process functions they
-wrap.  The masked engine is exercised explicitly — its dependency
-masks are ``~strips`` compositions, i.e. *negative* ints, which is
-exactly what the signed-mask encoding exists for.
+Two encodings of bit masks live there.  *Signed-mask strips* carry the
+v4 container's effect-lane trailer sections (:mod:`repro.lanes`): a
+flag byte, then the length-prefixed magnitude of ``m`` or ``~m``.
+*Mask sections* carry the ``.cka`` arena image's mask tables: a list
+of masks as fixed-width rows of 64-bit little-endian limbs, starting
+on an 8-byte boundary.
+
+Both began as the shard wire format's mask codecs, which is where this
+module's name comes from; the sharded solver is gone and the codecs
+stayed.  Lane partner and section masks are non-negative today, but
+the strip codec is defined over every int, so negative masks of
+arbitrary width are first-class here, along with the degenerate shapes
+(zero, ``~0``, empty lists, all-zero lists) a structured corpus rarely
+produces.  A strip cut short must raise, and through the lane decoder
+it must raise :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -16,142 +23,61 @@ import random
 
 import pytest
 
-from repro.shard import wire
-from repro.shard.boundary import (
-    ShardProblem,
-    backsub_shard,
-    summarize_shard,
+from repro.core.binio import (
+    aligned,
+    read_mask_section,
+    read_signed_mask,
+    write_mask_section,
+    write_signed_mask,
 )
 
 
-def _cyclic_problem(masked: bool = False, emit: str = "value") -> ShardProblem:
-    """A 3-node shard with a biting 2-cycle, one import, strips, and
-    two exports — small enough to reason about, shaped to hit the
-    masked engine's interesting paths (cycle whose strip union
-    intersects the flowing values)."""
-    return ShardProblem(
-        shard_id=7,
-        nodes=[10, 11, 12],
-        succ=[[1], [0, 2], []],
-        cross=[[0], [], [0]],
-        imports=[42],
-        seeds=[0b0001, 0b0100, 0b10000],
-        strips=[0b0010, 0b1000, 0],
-        exports=[0, 2],
-        masked=masked,
-        emit=emit,
-        comp_of=[0, 0, 1],
-        comps=[[0, 1], [2]],
-        comp_bite=[0b1010, 0],
-    )
+def _round_trip(mask: int) -> None:
+    out = bytearray()
+    write_signed_mask(out, mask)
+    decoded, pos = read_signed_mask(bytes(out), 0)
+    assert decoded == mask
+    assert pos == len(out)
 
 
-def _acyclic_problem() -> ShardProblem:
-    """A maskless chain: no strips, no precomputed SCCs."""
-    return ShardProblem(
-        shard_id=0,
-        nodes=[0, 1, 2, 3],
-        succ=[[1], [2], [3], []],
-        cross=[[], [0], [], [1]],
-        imports=[9, 17],
-        seeds=[1, 2, 4, 8],
-        strips=None,
-        exports=[0, 1],
-    )
-
-
-def _single_node_problem(masked: bool = False, self_loop: bool = False) -> ShardProblem:
-    """The smallest legal shard: one node, optional self-loop."""
-    return ShardProblem(
-        shard_id=1,
-        nodes=[5],
-        succ=[[0] if self_loop else []],
-        cross=[[]],
-        imports=[],
-        seeds=[0b1],
-        strips=[0b10] if masked else None,
-        exports=[0],
-        masked=masked,
-        comp_of=[0] if masked else None,
-        comps=[[0]] if masked else None,
-        comp_bite=[0b10 if self_loop else 0] if masked else None,
-    )
-
-
-def _empty_universe_problem() -> ShardProblem:
-    """All-zero seeds, no imports: every value and mask encodes as 0."""
-    return ShardProblem(
-        shard_id=2,
-        nodes=[3, 4],
-        succ=[[1], []],
-        cross=[[], []],
-        imports=[],
-        seeds=[0, 0],
-        strips=None,
-        exports=[0, 1],
-    )
-
-
-class TestStaticRoundTrip:
-    @pytest.mark.parametrize("build", [_cyclic_problem, _acyclic_problem])
-    def test_all_worker_visible_fields_survive(self, build):
-        problem = build()
-        key, blob = wire.encode_static(problem)
-        assert isinstance(key, int)
-        decoded = wire.decode_static(blob)
-        assert decoded.shard_id == problem.shard_id
-        assert len(decoded.nodes) == len(problem.nodes)
-        assert decoded.succ == problem.succ
-        assert decoded.cross == problem.cross
-        assert len(decoded.imports) == len(problem.imports)
-        assert decoded.exports == problem.exports
-        assert decoded.strips == problem.strips
-        assert decoded.comps == problem.comps
-
-    def test_derived_scc_fields_reconstructed(self):
-        problem = _cyclic_problem()
-        decoded = wire.decode_static(wire.encode_static(problem)[1])
-        assert decoded.comp_of == problem.comp_of
-        assert decoded.comp_bite == problem.comp_bite
-
-    def test_keys_are_unique(self):
-        problem = _acyclic_problem()
-        keys = {wire.encode_static(problem)[0] for _ in range(5)}
-        assert len(keys) == 5
-
-    def test_worker_cache_is_bounded(self):
-        problem = _acyclic_problem()
-        for _ in range(wire._DECODED_LIMIT + 8):
-            key, blob = wire.encode_static(problem)
-            wire._cached_problem(key, blob)
-        assert len(wire._DECODED) <= wire._DECODED_LIMIT
+def _section_round_trip(masks, prefix: bytes = b"") -> None:
+    """``masks`` written as one mask section behind ``prefix`` read
+    back from the next aligned offset."""
+    words = max([1] + [-(-mask.bit_length() // 64) for mask in masks])
+    out = bytearray(prefix)
+    write_mask_section(out, masks, words)
+    offset = aligned(len(prefix))
+    assert len(out) == offset + len(masks) * words * 8
+    assert read_mask_section(bytes(out), offset, len(masks), words) == masks
 
 
 class TestMaskPrimitives:
     def test_mask_list_round_trip(self):
         masks = [0, 1, (1 << 300) | 5, 0xFFFF, 1 << 9999]
-        assert wire.decode_masks(wire.encode_masks(masks)) == masks
+        _section_round_trip(masks)
+        _section_round_trip(masks, prefix=b"\x01\x02\x03")
 
     def test_empty_mask_list(self):
-        assert wire.decode_masks(wire.encode_masks([])) == []
+        _section_round_trip([])
 
     @pytest.mark.parametrize(
         "mask", [0, 1, -1, -2, 0b1010, ~0b1010, 1 << 200, ~(1 << 200)]
     )
     def test_signed_mask_round_trip(self, mask):
+        _round_trip(mask)
+
+    @pytest.mark.parametrize("mask", [0, 1, -1, 0b1010, ~(1 << 200)])
+    def test_every_cut_raises(self, mask):
         out = bytearray()
-        wire._write_signed_mask(out, mask)
-        decoded, pos = wire._read_signed_mask(bytes(out), 0)
-        assert decoded == mask
-        assert pos == len(out)
+        write_signed_mask(out, mask)
+        for cut in range(len(out)):
+            with pytest.raises((IndexError, ValueError)):
+                read_signed_mask(bytes(out[:cut]), 0)
 
 
 class TestMaskFuzz:
-    """Deterministic fuzz of the signed-mask codec, independent of the
-    pipeline.  The masked engine composes ``~strips`` terms, so
-    negative masks of arbitrary width are first-class citizens here —
-    along with the degenerate shapes (zero, ~0, empty lists, empty
-    universes) a structured corpus rarely produces."""
+    """Deterministic fuzz of both mask codecs, independent of the
+    pipeline."""
 
     def test_signed_mask_fuzz_round_trip(self):
         rng = random.Random(0xC001)
@@ -160,11 +86,7 @@ class TestMaskFuzz:
             magnitude = rng.getrandbits(rng.randrange(1, 400))
             masks.append(magnitude if rng.random() < 0.5 else ~magnitude)
         for mask in masks:
-            out = bytearray()
-            wire._write_signed_mask(out, mask)
-            decoded, pos = wire._read_signed_mask(bytes(out), 0)
-            assert decoded == mask
-            assert pos == len(out)
+            _round_trip(mask)
 
     def test_signed_mask_fuzz_concatenated_stream(self):
         """Masks written back-to-back must read back in sequence —
@@ -176,11 +98,11 @@ class TestMaskFuzz:
             magnitude = rng.getrandbits(rng.randrange(0, 260))
             mask = magnitude if rng.random() < 0.5 else ~magnitude
             masks.append(mask)
-            wire._write_signed_mask(out, mask)
+            write_signed_mask(out, mask)
         blob = bytes(out)
         pos = 0
         for expected in masks:
-            decoded, pos = wire._read_signed_mask(blob, pos)
+            decoded, pos = read_signed_mask(blob, pos)
             assert decoded == expected
         assert pos == len(blob)
 
@@ -191,121 +113,37 @@ class TestMaskFuzz:
                 rng.getrandbits(rng.randrange(0, 300))
                 for _ in range(rng.randrange(0, 20))
             ]
-            assert wire.decode_masks(wire.encode_masks(masks)) == masks
+            _section_round_trip(masks, prefix=bytes(rng.randrange(0, 8)))
 
     def test_all_zero_mask_list(self):
-        masks = [0] * 17
-        assert wire.decode_masks(wire.encode_masks(masks)) == masks
+        _section_round_trip([0] * 17)
 
 
-class TestSolverEquivalence:
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_summarize_wire_matches_in_process(self, masked):
-        problem = _cyclic_problem(masked=masked)
-        reference = summarize_shard(_cyclic_problem(masked=masked))
-        key, blob = wire.encode_static(problem)
-        encoded = wire.summarize_shard_wire(
-            (key, blob, masked, wire.encode_masks(problem.seeds))
-        )
-        summary = wire.decode_summary(encoded, problem)
-        assert summary.shard_id == reference.shard_id
-        assert summary.const == reference.const
-        assert summary.deps == reference.deps
-        assert summary.steps == reference.steps
-        if masked:
-            # The engine this codec exists for: at least one dependency
-            # mask must be a negative ~strips composition.
-            assert any(
-                mask < 0
-                for entry in summary.deps.values()
-                for mask in entry.values()
-            )
+class TestLaneSectionTruncation:
+    """Every cut of a lane trailer section is a :class:`ValueError`
+    from :func:`repro.core.persist.decode_lane_sections`."""
 
-    @pytest.mark.parametrize("emit", ["value", "succ_or"])
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_backsub_wire_matches_in_process(self, masked, emit):
-        import_values = [0b110000]
-        problem = _cyclic_problem(masked=masked, emit=emit)
-        reference = backsub_shard(
-            (_cyclic_problem(masked=masked, emit=emit), import_values)
-        )
-        key, blob = wire.encode_static(problem)
-        encoded = wire.backsub_shard_wire(
-            (
-                key,
-                blob,
-                emit,
-                wire.encode_masks(problem.seeds),
-                wire.encode_masks(import_values),
-            )
-        )
-        result, export_values = wire.decode_backsub(encoded, problem)
-        assert result.shard_id == reference.shard_id
-        assert result.values == reference.values
-        assert result.steps == reference.steps
-        # Export values are raw P, independent of the emit mode.
-        value_ref = backsub_shard(
-            (_cyclic_problem(masked=masked, emit="value"), import_values)
-        )
-        assert export_values == [
-            value_ref.values[local] for local in problem.exports
-        ]
+    @pytest.fixture(scope="class")
+    def sections(self):
+        from repro.core.persist import decode_summary_container, summary_to_bytes
+        from repro.core.pipeline import analyze_side_effects
+        from repro.lang.pretty import pretty
+        from repro.workloads.generator import GeneratorConfig, generate_program
 
-    def test_edge_problems_match_in_process(self):
-        """Degenerate shard shapes — single node (with and without a
-        self-loop), empty universe, no imports/exports — must round
-        trip and solve identically to the in-process functions."""
-        for build in (
-            _single_node_problem,
-            lambda: _single_node_problem(self_loop=True),
-            lambda: _single_node_problem(masked=True, self_loop=True),
-            _empty_universe_problem,
-        ):
-            problem = build()
-            import_values = [0] * len(problem.imports)
-            reference = summarize_shard(build())
-            key, blob = wire.encode_static(problem)
-            summary = wire.decode_summary(
-                wire.summarize_shard_wire(
-                    (key, blob, problem.masked, wire.encode_masks(problem.seeds))
-                ),
-                problem,
-            )
-            assert summary.const == reference.const
-            assert summary.deps == reference.deps
-            back_reference = backsub_shard((build(), import_values))
-            result, export_values = wire.decode_backsub(
-                wire.backsub_shard_wire(
-                    (
-                        key,
-                        blob,
-                        "value",
-                        wire.encode_masks(problem.seeds),
-                        wire.encode_masks(import_values),
-                    )
-                ),
-                problem,
-            )
-            assert result.values == back_reference.values
-            assert export_values == [
-                back_reference.values[i] for i in problem.exports
-            ]
+        source = pretty(generate_program(GeneratorConfig(
+            seed=11, num_procs=8, num_globals=4, max_depth=2,
+            nesting_prob=0.4, prob_arg_global=0.4)))
+        summary = analyze_side_effects(
+            source, lanes=["sections", "refalias", "sections-use"])
+        _payload, sections = decode_summary_container(
+            summary_to_bytes(summary, include_lanes=True))
+        assert len(sections) == 3
+        return sections
 
-    def test_maskless_chain(self):
-        problem = _acyclic_problem()
-        import_values = [0b100000, 0b1000000]
-        reference = backsub_shard((_acyclic_problem(), import_values))
-        key, blob = wire.encode_static(problem)
-        encoded = wire.backsub_shard_wire(
-            (
-                key,
-                blob,
-                "value",
-                wire.encode_masks(problem.seeds),
-                wire.encode_masks(import_values),
-            )
-        )
-        result, export_values = wire.decode_backsub(encoded, problem)
-        assert result.values == reference.values
-        assert result.steps == reference.steps
-        assert export_values == [reference.values[i] for i in problem.exports]
+    def test_every_cut_is_a_value_error(self, sections):
+        from repro.core.persist import decode_lane_sections
+
+        for tag, blob in sections.items():
+            for cut in range(len(blob)):
+                with pytest.raises(ValueError):
+                    decode_lane_sections({tag: blob[:cut]})
