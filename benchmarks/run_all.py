@@ -37,8 +37,9 @@ from repro.baselines.iterative import solve_gmod_iterative, solve_rmod_iterative
 from repro.baselines.naive import solve_gmod_naive
 from repro.baselines.swift import solve_rmod_swift
 from repro.core.bitvec import OpCounter, popcount
+from repro.baselines.gmod_oracles import findgmod_per_level
 from repro.core.gmod import findgmod
-from repro.core.gmod_nested import findgmod_multilevel, findgmod_per_level
+from repro.core.gmod_nested import findgmod_multilevel
 from repro.core.pipeline import analyze_side_effects
 from repro.core.rmod import solve_rmod
 from repro.core.varsets import EffectKind

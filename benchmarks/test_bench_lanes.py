@@ -108,10 +108,12 @@ def measure_lanes_benchmark(
     _ensure_tracer()
     config = _config_for(num_procs, num_globals)
 
-    # Every fused run pins ``gmod_method="reference"`` — lane mode
-    # forces it anyway (the lanes share the reference method's cached
-    # condensation), so the lane-less baseline must use it too for the
-    # deltas to measure lanes and nothing else.
+    # Every run takes the default path.  Lane mode once forced the
+    # non-linear ``reference`` GMOD solver, the only one that read the
+    # arena's cached condensation, and the lane-less baseline pinned it
+    # too so the deltas measured lanes and nothing else.  Now the GMOD
+    # walk records the condensation the lanes read, so laned and
+    # lane-less runs solve GMOD the same way.
     variants = (
         ("base", ()),
         ("one_lane", ("refalias",)),
@@ -125,9 +127,7 @@ def measure_lanes_benchmark(
             clear_arena_cache()
             resolved = generate_resolved(config)  # Excluded from timing.
             tick = time.perf_counter()
-            summary = analyze_side_effects(
-                resolved, gmod_method="reference", lanes=lanes
-            )
+            summary = analyze_side_effects(resolved, lanes=lanes)
             best = min(best, time.perf_counter() - tick)
             assert summary.condensations == {"beta": 1, "call": 1}, (
                 "%s run condensed more than once: %r"
@@ -148,7 +148,7 @@ def measure_lanes_benchmark(
     for _ in range(repeats):
         clear_arena_cache()
         resolved = generate_resolved(config)
-        analyze_side_effects(resolved, gmod_method="reference")
+        analyze_side_effects(resolved)
         tick = time.perf_counter()
         analyze_sections(resolved, EffectKind.MOD)
         standalone = min(standalone, time.perf_counter() - tick)

@@ -9,11 +9,8 @@ single-DFS algorithm's per-edge work must stay flat as depth grows.
 
 import pytest
 
-from repro.core.gmod_nested import (
-    findgmod_multilevel,
-    findgmod_per_level,
-    solve_equation4_reference,
-)
+from repro.baselines.gmod_oracles import findgmod_per_level, solve_equation4_reference
+from repro.core.gmod_nested import findgmod_multilevel
 
 from bench_util import build_workload, nested_config
 

@@ -16,6 +16,9 @@
 * :mod:`repro.baselines.per_kind` — the paper's per-kind solvers run
   one effect kind at a time, the set-and-tally oracle the fused
   production driver is held to;
+* :mod:`repro.baselines.gmod_oracles` — the Section 4 GMOD solvers
+  production does not run: the condensation-plus-fixpoint reference
+  and the per-level repetition;
 * :mod:`repro.baselines.alias_pairs` — the pair-set alias worklist,
   the table-for-table oracle of the production mask drain.
 """
@@ -25,6 +28,10 @@ from repro.baselines.dyck import (
     compare_precision,
     compute_dyck_aliases,
     dyck_origins,
+)
+from repro.baselines.gmod_oracles import (
+    findgmod_per_level,
+    solve_equation4_reference,
 )
 from repro.baselines.iterative import (
     solve_direct_equation1,
@@ -44,6 +51,8 @@ __all__ = [
     "solve_rmod_swift",
     "solve_gmod_naive",
     "analyze_per_kind",
+    "findgmod_per_level",
+    "solve_equation4_reference",
     "compute_alias_pairs",
     "compare_precision",
     "compute_dyck_aliases",

@@ -35,7 +35,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core.pipeline import GMOD_METHODS, analyze_side_effects
+from repro.core.pipeline import analyze_side_effects
 from repro.core.varsets import EffectKind
 from repro.lang.errors import CkError
 from repro.lang.interp import Interpreter
@@ -52,9 +52,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
         lanes = tuple(parse_lane_names(args.lanes))
     resolved = compile_source(source)
-    summary = analyze_side_effects(
-        resolved, gmod_method=args.gmod_method, lanes=lanes
-    )
+    summary = analyze_side_effects(resolved, lanes=lanes)
     if args.dot_callgraph:
         print(summary.call_graph.to_dot())
         return 0
@@ -86,14 +84,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             else:
                 print("  %-10s solved (%.3fs)" % (name, spent))
     if args.sections:
-        from repro.core.arena import get_arena
         from repro.sections import analyze_sections
 
         print("\nregular sections (MOD, %s lattice):" % args.lattice)
         section_analysis = analyze_sections(
             resolved, EffectKind.MOD, summary.universe, summary.call_graph,
             lattice=args.lattice,
-            condensation=get_arena(resolved).call_condensation(),
         )
         for site in resolved.call_sites:
             rendered = section_analysis.describe_site(site)
@@ -224,7 +220,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     profiler = cProfile.Profile()
     profiler.enable()
     for _ in range(args.repeat):
-        summary = analyze_side_effects(source, gmod_method=args.gmod_method)
+        summary = analyze_side_effects(source)
     profiler.disable()
 
     timings = summary.timings or {}
@@ -281,7 +277,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     report = run_batch(
         args.dir,
         jobs=args.jobs,
-        gmod_method=args.gmod_method,
         cache_dir=cache_dir,
         timeout=args.timeout,
         pattern=args.pattern,
@@ -379,8 +374,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         fields["variable"] = args.variable
     if args.kind:
         fields["kind"] = args.kind
-    if args.gmod_method:
-        fields["gmod_method"] = args.gmod_method
     try:
         with ServerClient(
             port=args.port, host=args.host, timeout=args.timeout
@@ -402,10 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze_cmd = sub.add_parser("analyze", help="analyze a CK source file")
     analyze_cmd.add_argument("file")
-    analyze_cmd.add_argument(
-        "--gmod-method", choices=GMOD_METHODS, default="auto",
-        help="global-phase solver (default: auto)",
-    )
     analyze_cmd.add_argument("--sections", action="store_true",
                              help="also print regular sections per call site")
     analyze_cmd.add_argument("--lattice", choices=("figure3", "ranges"),
@@ -492,10 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile this many back-to-back runs (default 1)",
     )
     profile_cmd.add_argument(
-        "--gmod-method", choices=GMOD_METHODS, default="auto",
-        help="global-phase solver (default: auto)",
-    )
-    profile_cmd.add_argument(
         "--top", type=int, default=15,
         help="cProfile rows to print (default 15)",
     )
@@ -528,10 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch_cmd.add_argument(
         "--stats-json", default="",
         help="write the aggregated corpus stats report to this path",
-    )
-    batch_cmd.add_argument(
-        "--gmod-method", choices=GMOD_METHODS, default="auto",
-        help="global-phase solver (default: auto)",
     )
     batch_cmd.add_argument(
         "--timeout", type=float, default=None,
@@ -625,9 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     query_cmd.add_argument("--proc", default="", help="qualified procedure name")
     query_cmd.add_argument("--variable", default="", help="variable name")
     query_cmd.add_argument("--kind", default="", choices=("", "mod", "use"))
-    query_cmd.add_argument(
-        "--gmod-method", default="", choices=("",) + GMOD_METHODS,
-    )
     query_cmd.set_defaults(func=_cmd_query)
 
     return parser

@@ -55,7 +55,7 @@ from typing import (
 )
 
 from repro.core.bitvec import OpCounter
-from repro.lang.symbols import ProcSymbol, ResolvedProgram, VarSymbol
+from repro.lang.symbols import ProcSymbol, VarSymbol
 
 Pair = FrozenSet[int]  # A pair of variable uids (frozenset of size 2).
 
@@ -250,40 +250,6 @@ def compute_aliases(
                 worklist.append(callee_pid)
 
     return AliasResult(partner_mask=partner_mask, domain_mask=domain_mask)
-
-
-def factor_aliases_into(
-    dmod_masks: Sequence[int],
-    aliases: AliasResult,
-    resolved: ResolvedProgram,
-    counter: Optional[OpCounter] = None,
-) -> List[int]:
-    """Section 5 step (2): ``MOD(s)`` from ``DMOD(s)`` and the caller's
-    alias pairs (one expansion step, as the paper specifies)."""
-    if counter is None:
-        counter = OpCounter()
-    domains = aliases.domain_mask
-    partner_mask = aliases.partner_mask
-    result: List[int] = []
-    for site in resolved.call_sites:
-        mask = dmod_masks[site.site_id]
-        caller_pid = site.caller.pid
-        # One AND selects exactly the members of DMOD(s) that have an
-        # alias partner; only those are expanded.  The counter charges
-        # one bit-vector step per expanded member — the same tally as
-        # walking the partner table and testing each key against the
-        # mask, which is what this replaces.
-        hits = mask & domains[caller_pid]
-        expanded = mask
-        if hits:
-            partners = partner_mask[caller_pid]
-            counter.bit_vector_steps += hits.bit_count()
-            while hits:
-                low = hits & -hits
-                expanded |= partners[low.bit_length() - 1]
-                hits ^= low
-        result.append(expanded)
-    return result
 
 
 def factor_aliases_fused(

@@ -142,11 +142,10 @@ class ProgramArena:
             self.site_ref_heads[site.site_id + 1] = len(self.ref_formal_uid)
 
         #: How many ``tarjan_scc``-equivalent passes have run per graph
-        #: ("beta", "call", and "call:level<i>" for the per-level
-        #: solver's filtered graphs).  Cached condensations do not
-        #: re-count — the whole point — so one fused analysis adds
-        #: exactly one count per graph it touches, and a second
-        #: analysis of the same program adds none for the cached ones.
+        #: ("beta" and "call").  Cached condensations do not re-count —
+        #: the whole point — so one analysis adds exactly one count per
+        #: graph: β's Tarjan pass and the call graph's GMOD walk, which
+        #: runs on every analysis while β's pass stays cached.
         self.condensation_counts: Dict[str, int] = {}
         self._scc: Dict[str, Tuple[List[int], List[List[int]]]] = {}
         self._condensations: Dict[str, Condensation] = {}
@@ -175,9 +174,23 @@ class ProgramArena:
 
     def call_condensation(self) -> Tuple[List[int], List[List[int]]]:
         """``(component_of, components)`` of the call multi-graph —
-        computed once, shared by the reference GMOD solver, the
-        sections solver, and the effect lanes."""
+        the GMOD walk's record when an analysis has run (see
+        :meth:`adopt_call_condensation`), else one Tarjan pass; shared
+        by the sections solver, the effect lanes and the dependency
+        index."""
         return self._scc_of("call", self.call_csr)
+
+    def adopt_call_condensation(
+        self, component_of: List[int], components: List[List[int]]
+    ) -> None:
+        """Take a GMOD walk's components as the call graph's
+        condensation and count the walk as the graph's pass.
+
+        Both walks are Tarjan's algorithm rooted in pid order, so their
+        record equals :func:`tarjan_scc_csr` on :attr:`call_csr` — ids
+        and member order — and a cached record is kept as it is."""
+        self._scc.setdefault("call", (component_of, components))
+        self.note_condensation("call")
 
     def _condense_full(self, name: str, csr: CSRGraph) -> Condensation:
         cached = self._condensations.get(name)

@@ -181,28 +181,14 @@ def findgmod(
     )
 
 
-@dataclass
-class FusedGmodResult:
-    """One Figure 2 walk solving all kinds: one per-pid GMOD mask row
-    per kind plus the shared structural tallies."""
-
-    gmod: List[List[int]]
-    dfn: List[int]
-    component_of: List[int]
-    line8_count: int = 0
-    line17_count: int = 0
-    line22_count: int = 0
-
-
 def findgmod_fused(
     arena,
     imod_plus_rows: Sequence[Sequence[int]],
     num_kinds: int,
     counters: Sequence[OpCounter],
-    roots: Optional[Sequence[int]] = None,
-    restart: bool = True,
-) -> FusedGmodResult:
-    """Figure 2 over the arena's call CSR, all kinds in one walk.
+) -> List[List[int]]:
+    """Figure 2 over the arena's call CSR, all kinds in one walk; returns
+    one per-pid GMOD mask row per kind.
 
     Each node carries one mask per kind, advanced side by side: the
     DFS bookkeeping — frames, lowlinks, the component stack, the edge
@@ -216,8 +202,14 @@ def findgmod_fused(
     once per first visit, line 17 once per qualifying edge, line 22
     once per vertex — so they are identical for every kind; each kind's
     counter receives the same ``line8 + line17 + line22`` total the
-    legacy walk accumulates.  The walk is a Tarjan-adapted DFS, so it
-    registers one condensation-equivalent pass on the call graph.
+    legacy walk accumulates.
+
+    The walk is Tarjan's algorithm with the search roots in pid order
+    (main is pid 0), so the components it closes are exactly
+    :func:`~repro.graphs.scc.tarjan_scc_csr`'s, ids and member order
+    included.  It hands them to the arena as the call graph's one
+    condensation, which the sections solver, the effect lanes and the
+    dependency index then read instead of condensing again.
     """
     csr = arena.call_csr
     heads = csr.heads
@@ -230,25 +222,19 @@ def findgmod_fused(
     lowlink = [0] * num_nodes
     on_stack = [False] * num_nodes
     component_of = [-1] * num_nodes
+    components: List[List[int]] = []
     stack: List[int] = []
     next_dfn = 1
-    num_components = 0
-    line8 = line17 = line22 = 0
+    steps = 0
 
-    if roots is None:
-        roots = [arena.resolved.main.pid]
-    search_roots = list(roots)
-    if restart:
-        search_roots += list(range(num_nodes))
-
-    for root in search_roots:
+    for root in [arena.resolved.main.pid] + list(range(num_nodes)):
         if dfn[root] != 0:
             continue
         dfn[root] = lowlink[root] = next_dfn
         next_dfn += 1
         for k in range(num_kinds):
             rows[k][root] = imod_plus_rows[k][root]
-        line8 += 1
+        steps += 1
         stack.append(root)
         on_stack[root] = True
         frames: List[List[object]] = [[root, iter(succ[heads[root]:heads[root + 1]])]]
@@ -262,7 +248,7 @@ def findgmod_fused(
                     next_dfn += 1
                     for k in range(num_kinds):
                         rows[k][target] = imod_plus_rows[k][target]
-                    line8 += 1
+                    steps += 1
                     stack.append(target)
                     on_stack[target] = True
                     frames.append(
@@ -277,7 +263,7 @@ def findgmod_fused(
                     mask = strip[target]
                     for row in rows:
                         row[node] |= row[target] & mask
-                    line17 += 1
+                    steps += 1
             if descended:
                 continue
 
@@ -285,16 +271,19 @@ def findgmod_fused(
             if lowlink[node] == dfn[node]:
                 mask = strip[node]
                 outs = [row[node] & mask for row in rows]
+                comp_index = len(components)
+                component: List[int] = []
                 while True:
                     member = stack.pop()
                     on_stack[member] = False
-                    component_of[member] = num_components
+                    component_of[member] = comp_index
+                    component.append(member)
                     for k in range(num_kinds):
                         rows[k][member] |= outs[k]
-                    line22 += 1
+                    steps += 1
                     if member == node:
                         break
-                num_components += 1
+                components.append(component)
             if frames:
                 parent = frames[-1][0]
                 if lowlink[node] < lowlink[parent]:
@@ -302,18 +291,9 @@ def findgmod_fused(
                 mask = strip[node]
                 for row in rows:
                     row[parent] |= row[node] & mask
-                line17 += 1
+                steps += 1
 
-    arena.note_condensation("call")
-    total = line8 + line17 + line22
+    arena.adopt_call_condensation(component_of, components)
     for counter in counters:
-        counter.bit_vector_steps += total
-
-    return FusedGmodResult(
-        gmod=rows,
-        dfn=dfn,
-        component_of=component_of,
-        line8_count=line8,
-        line17_count=line17,
-        line22_count=line22,
-    )
+        counter.bit_vector_steps += steps
+    return rows

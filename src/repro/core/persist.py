@@ -279,13 +279,11 @@ def _rmod_names(solution, proc) -> List[str]:
 def _sections_payload(summary: SideEffectSummary) -> Dict:
     """The Section 6 regular sections of every call site (a separate
     solve over the Figure 3 lattice)."""
-    from repro.core.arena import get_arena
     from repro.sections import analyze_sections
 
     resolved = summary.resolved
     section_analysis = analyze_sections(
-        resolved, EffectKind.MOD, summary.universe, summary.call_graph,
-        condensation=get_arena(resolved).call_condensation(),
+        resolved, EffectKind.MOD, summary.universe, summary.call_graph
     )
     return {
         "lattice": "figure3",

@@ -8,7 +8,7 @@ The pipeline follows the paper's decomposition in order:
 4. form ``IMOD+`` (equation (5));
 5. solve the global-variable problem: Figure 2's ``findgmod`` when the
    program is two-level (no nested procedures), the Section 4
-   multi-level algorithm otherwise — or any solver the caller names;
+   multi-level algorithm otherwise;
 6. project ``DMOD`` per call site (equation (2));
 7. compute alias pairs and factor them in (Section 5, step (2)).
 
@@ -18,7 +18,10 @@ There is one solve path.  The program is lowered into a shared
 :class:`~repro.core.arena.ProgramArena` and every requested kind is
 solved in one pass per phase, one mask lane per kind advanced side by
 side — one graph traversal and one SCC condensation per graph, not one
-per kind.  Each kind's :class:`~repro.core.bitvec.OpCounter` tally in
+per kind.  The GMOD walk is itself Tarjan's algorithm over the call
+graph, and its components become the arena's call-graph condensation,
+so lanes and later consumers never condense that graph again.  Each
+kind's :class:`~repro.core.bitvec.OpCounter` tally in
 ``summary.kind_counters`` is exactly the step count of the paper's
 per-kind solver (see each fused solver's docstring), and
 ``summary.counter`` is their fold.  The per-kind transcriptions stay
@@ -37,19 +40,12 @@ from repro.core.arena import ProgramArena, get_arena
 from repro.core.bitvec import OpCounter
 from repro.core.dmod import compute_dmod_fused
 from repro.core.gmod import findgmod_fused
-from repro.core.gmod_nested import (
-    findgmod_multilevel_fused,
-    findgmod_per_level_fused,
-    solve_equation4_reference_fused,
-)
+from repro.core.gmod_nested import findgmod_multilevel_fused
 from repro.core.imod_plus import compute_imod_plus_fused
 from repro.core.rmod import solve_rmod_fused
 from repro.core.summary import EffectSolution, SideEffectSummary
 from repro.core.varsets import EffectKind
 from repro.lang.symbols import ResolvedProgram
-
-#: Selectable global-phase solvers (benchmarks exercise all of them).
-GMOD_METHODS = ("auto", "figure2", "multilevel", "per-level", "reference")
 
 
 def mark_phase(timings: Dict[str, float], phase: str, since: float) -> float:
@@ -87,37 +83,18 @@ def run_front_end(
     return resolved, tick
 
 
-def _solve_gmod_fused(method, arena, imod_plus_packed, num_kinds, counters):
-    if method == "figure2":
-        result = findgmod_fused(arena, imod_plus_packed, num_kinds, counters)
-        return result.gmod, "figure2"
-    if method == "multilevel":
-        gmod = findgmod_multilevel_fused(arena, imod_plus_packed, num_kinds, counters)
-        return gmod, "multilevel"
-    if method == "per-level":
-        gmod = findgmod_per_level_fused(arena, imod_plus_packed, num_kinds, counters)
-        return gmod, "per-level"
-    if method == "reference":
-        gmod = solve_equation4_reference_fused(
-            arena, imod_plus_packed, num_kinds, counters
-        )
-        return gmod, "reference"
-    raise ValueError("unknown GMOD method %r" % method)
-
-
 def analyze_side_effects(
     program: Union[str, ResolvedProgram],
     kinds: Iterable[EffectKind] = (EffectKind.MOD, EffectKind.USE),
-    gmod_method: str = "auto",
     arena: Optional[ProgramArena] = None,
     lanes: Sequence[str] = (),
 ) -> SideEffectSummary:
     """Run the complete analysis.
 
     ``program`` may be CK source text or an already-resolved program.
-    ``gmod_method`` selects the global-phase solver; ``"auto"`` picks
-    Figure 2 for two-level programs and the multi-level algorithm when
-    procedures nest deeper.
+    The global phase runs Figure 2 for two-level programs and the
+    multi-level algorithm when procedures nest deeper; each solution's
+    ``gmod_method`` records which walk ran.
 
     Every requested kind is solved in one shared pass per phase over
     the :class:`~repro.core.arena.ProgramArena`.  Pass ``arena`` to
@@ -128,22 +105,13 @@ def analyze_side_effects(
     ``("sections", "refalias")``) advanced through the same arena after
     the MOD/USE phases; finalized lane states land in ``summary.lanes``.
     The ``refalias`` lane is a view of this run's alias result, not a
-    second fixpoint.
-    Lane mode resolves ``gmod_method "auto"`` to the
-    condensation-consuming ``"reference"`` solver so the whole run —
-    GMOD phase and every lane — shares **one** cached call-graph
-    condensation (Figure 2's and the multi-level solver's embedded
-    Tarjan-adapted walks are their own pass, which would make a lane
-    run pay two).  An explicitly named method is honored as requested.
+    second fixpoint.  The lanes walk the components the GMOD walk
+    recorded, so a laned run still condenses each graph once.
     """
     timings: Dict[str, float] = {}
     started = time.perf_counter()
     resolved, tick = run_front_end(program, timings, started)
 
-    if gmod_method not in GMOD_METHODS:
-        raise ValueError(
-            "gmod_method must be one of %s, got %r" % (GMOD_METHODS, gmod_method)
-        )
     lane_names = list(lanes)
 
     counter = OpCounter()
@@ -153,15 +121,12 @@ def analyze_side_effects(
     aliases = compute_aliases(arena)
     tick = mark_phase(timings, "aliases", tick)
 
-    method = gmod_method
-    if method == "auto":
-        if lane_names:
-            # Lane mode: the reference solver consumes the arena's
-            # cached condensation, so GMOD and every lane share one
-            # Tarjan pass per graph (see the docstring).
-            method = "reference"
-        else:
-            method = "figure2" if resolved.max_nesting_level <= 1 else "multilevel"
+    # The walks are looked up here, at call time, so rebinding one on
+    # this module (as a tracer does) takes effect.
+    if resolved.max_nesting_level <= 1:
+        solve_gmod, used_method = findgmod_fused, "figure2"
+    else:
+        solve_gmod, used_method = findgmod_multilevel_fused, "multilevel"
 
     kind_list = list(kinds)
     num_kinds = len(kind_list)
@@ -173,9 +138,7 @@ def analyze_side_effects(
         arena, rmod_bits, kind_list, kind_counters
     )
     tick = mark_phase(timings, "imod_plus", tick)
-    gmod_rows, used_method = _solve_gmod_fused(
-        method, arena, imod_plus_rows, num_kinds, kind_counters
-    )
+    gmod_rows = solve_gmod(arena, imod_plus_rows, num_kinds, kind_counters)
     tick = mark_phase(timings, "gmod", tick)
     dmod_rows = compute_dmod_fused(arena, gmod_rows, kind_list, kind_counters)
     mod_rows = factor_aliases_fused(
@@ -262,11 +225,7 @@ def payload_from_summary(summary: SideEffectSummary) -> Dict:
     return payload
 
 
-def analyze_source_payload(
-    source: str,
-    gmod_method: str = "auto",
-    lanes: Sequence[str] = (),
-) -> Dict:
+def analyze_source_payload(source: str, lanes: Sequence[str] = ()) -> Dict:
     """Analyze source text and return a JSON-safe, picklable payload.
 
     This is the per-unit entry point for the batch service layer: a
@@ -277,18 +236,12 @@ def analyze_source_payload(
     ``lanes`` adds the named effect lanes (:mod:`repro.lanes`) and their
     ``lanes`` payload block.
     """
-    summary = analyze_side_effects(
-        source, gmod_method=gmod_method, lanes=list(lanes)
-    )
+    summary = analyze_side_effects(source, lanes=list(lanes))
     return payload_from_summary(summary)
 
 
-def analyze_file_payload(
-    path: str,
-    gmod_method: str = "auto",
-    lanes: Sequence[str] = (),
-) -> Dict:
+def analyze_file_payload(path: str, lanes: Sequence[str] = ()) -> Dict:
     """:func:`analyze_source_payload` over a file path (picklable)."""
     with open(path) as handle:
         source = handle.read()
-    return analyze_source_payload(source, gmod_method=gmod_method, lanes=lanes)
+    return analyze_source_payload(source, lanes=lanes)

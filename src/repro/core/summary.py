@@ -31,6 +31,9 @@ class EffectSolution:
     gmod: List[int]
     dmod: List[int]  # Per site_id.
     mod: List[int]  # Per site_id, alias-expanded.
+    #: Which solver produced ``gmod``, as a record: ``figure2`` or
+    #: ``multilevel`` (chosen by nesting depth), ``incremental``, or an
+    #: oracle's name in the per-kind baseline.
     gmod_method: str = ""
 
 

@@ -1,10 +1,10 @@
 """The multi-lane fused driver.
 
 ``solve_lanes`` advances every requested lane through **one** traversal
-of the arena's cached call-graph condensation — the same Tarjan output
-the reference GMOD solver and the standalone sections path consume —
-so N lanes cost exactly the same number of condensation passes as zero
-lanes: the counter-asserted invariant of the lane framework
+of the arena's cached call-graph condensation — the components the
+run's GMOD walk recorded, which the standalone sections path consumes
+too — so N lanes cost exactly the same number of condensation passes
+as zero lanes: the counter-asserted invariant of the lane framework
 (``tests/test_lanes.py``).
 
 The shared walk structure:

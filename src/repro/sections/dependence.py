@@ -56,24 +56,20 @@ class DependenceTester:
                  call_graph: Optional[CallMultiGraph] = None,
                  lattice=None):
         self.resolved = resolved
-        condensation = None
         if call_graph is None:
-            # Both kind runs share the arena's graph and its single
-            # Tarjan pass instead of condensing twice.
+            # Both kind runs share the arena's graph, as they share its
+            # call-graph condensation.
             from repro.core.arena import get_arena
 
             arena = get_arena(resolved)
             call_graph = arena.call_graph
-            condensation = arena.call_condensation()
             if universe is None:
                 universe = arena.universe
         self.mod = analyze_sections(resolved, EffectKind.MOD, universe,
-                                    call_graph, lattice=lattice,
-                                    condensation=condensation)
+                                    call_graph, lattice=lattice)
         self.use = analyze_sections(resolved, EffectKind.USE,
                                     self.mod.universe, call_graph,
-                                    lattice=lattice,
-                                    condensation=condensation)
+                                    lattice=lattice)
 
     def _site_tables(self, site: CallSite) -> Tuple[Dict[int, Section], Dict[int, Section]]:
         return (

@@ -147,7 +147,6 @@ def analyze_sections(
     universe: Optional[VariableUniverse] = None,
     call_graph: Optional[CallMultiGraph] = None,
     lattice=None,
-    condensation=None,
 ) -> SectionAnalysis:
     """Solve the sectioned side-effect system for ``resolved``.
 
@@ -155,10 +154,9 @@ def analyze_sections(
     :class:`repro.sections.framework.SectionLattice`, or one of the
     names ``"figure3"`` (default) / ``"ranges"``.
 
-    ``condensation``, when given, is a ``(component_of, components)``
-    pair for the call multi-graph (e.g. the program arena's shared
-    Tarjan pass) and skips the solver's own SCC run — the dependence
-    tester calls this twice (``MOD`` and ``USE``) on one graph.
+    Components come from the program arena's call-graph condensation:
+    the record an analysis's GMOD walk left there, or one Tarjan pass
+    shared with every later consumer.
     """
     if lattice is None:
         lattice = _default_lattice()
@@ -181,19 +179,9 @@ def analyze_sections(
     for site in resolved.call_sites:
         sites_by_caller[site.caller.pid].append(site)
 
-    if condensation is not None:
-        component_of, components = condensation
-    else:
-        # Route through the arena's cached condensation instead of a
-        # private Tarjan run: any consumer that already condensed this
-        # program's call graph (the fused pipeline, a lane solve) has
-        # paid for the pass, and re-deriving it here was the one place
-        # the one-condensation-per-graph invariant leaked (the
-        # fused+sections dependence tester ran two passes per program
-        # before this).
-        from repro.core.arena import get_arena
+    from repro.core.arena import get_arena
 
-        component_of, components = get_arena(resolved).call_condensation()
+    component_of, components = get_arena(resolved).call_condensation()
     component_iterations: List[int] = []
     for comp_index, members in enumerate(components):
         sweeps = 0

@@ -112,10 +112,9 @@ class ServerClient:
         self,
         source: str,
         session: Optional[str] = None,
-        gmod_method: str = "auto",
         **extra: Any,
     ) -> Dict[str, Any]:
-        fields: Dict[str, Any] = {"source": source, "gmod_method": gmod_method}
+        fields: Dict[str, Any] = {"source": source}
         if session is not None:
             fields["session"] = session
         fields.update(extra)

@@ -43,11 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.core.pipeline import (
-    GMOD_METHODS,
-    analyze_side_effects,
-    payload_from_summary,
-)
+from repro.core.pipeline import analyze_side_effects, payload_from_summary
 from repro.lang.errors import CkError
 from repro.server.lru import LRUCache
 from repro.server.metrics import ServerMetrics
@@ -340,16 +336,6 @@ class AnalysisServer:
             return 0.0
 
     @staticmethod
-    def _gmod_method(request: Dict[str, Any]) -> str:
-        method = request.get("gmod_method", "auto")
-        if method not in GMOD_METHODS:
-            raise ProtocolError(
-                E_BAD_REQUEST,
-                "gmod_method must be one of %s, got %r" % (GMOD_METHODS, method),
-            )
-        return method
-
-    @staticmethod
     def _lanes(request: Dict[str, Any]) -> tuple:
         """Validated effect-lane names from the optional ``lanes``
         field (a comma-joined string or a list of names)."""
@@ -387,8 +373,8 @@ class AnalysisServer:
         from repro.core.persist import SECTION_SESSION_META, summary_to_bytes
 
         summary = session.summary
-        meta = {"name": session.name, "gmod_method": session.gmod_method,
-                "key": session.key, "lanes": list(session.lanes)}
+        meta = {"name": session.name, "key": session.key,
+                "lanes": list(session.lanes)}
         blob = summary_to_bytes(
             summary,
             include_index=True,
@@ -439,11 +425,12 @@ class AnalysisServer:
         )
 
     def _load_session_state(self, name: str):
-        """``(dep_index or None, gmod_method, lanes)`` for a persisted
-        session, or ``None`` when nothing usable is on disk.  A legacy
-        container without an index section (or an index this reader
-        cannot parse) degrades to ``(None, method, lanes)`` — the update
-        falls back to a full re-solve instead of failing the session."""
+        """``(dep_index or None, lanes)`` for a persisted session, or
+        ``None`` when nothing usable is on disk.  A legacy container
+        without an index section (or an index this reader cannot parse)
+        degrades to ``(None, lanes)`` — the update falls back to a full
+        re-solve instead of failing the session.  Session metadata that
+        does not parse, or is not a JSON object, means no lanes."""
         if not self.config.state_dir:
             return None
         from repro.core.depindex import index_from_bytes
@@ -469,14 +456,13 @@ class AnalysisServer:
         sections, _future = split_unknown_sections(
             sections, context="session state %r" % name
         )
-        method = "auto"
         lanes: tuple = ()
         meta_blob = sections.get(SECTION_SESSION_META)
         if meta_blob is not None:
             try:
                 meta = json.loads(meta_blob.decode("utf-8"))
-                method = meta.get("gmod_method", method)
-                lanes = self._lanes(meta)
+                if isinstance(meta, dict):
+                    lanes = self._lanes(meta)
             except (ValueError, UnicodeDecodeError, ProtocolError):
                 pass
         index = None
@@ -486,7 +472,7 @@ class AnalysisServer:
                 index = index_from_bytes(index_blob)
             except ValueError:
                 index = None  # Version drift → full-re-solve downgrade.
-        return index, method, lanes
+        return index, lanes
 
     def _warm_session_arena(self, name: str, key: str, source: str):
         """``(resolved, arena)`` rebuilt zero-copy from the session's
@@ -530,14 +516,13 @@ class AnalysisServer:
 
     async def _verb_analyze(self, request_id: Any, request: Dict) -> Dict:
         source = require_str(request, "source")
-        method = self._gmod_method(request)
         lanes = self._lanes(request)
         session_name = request.get("session")
         if session_name is not None and not isinstance(session_name, str):
             raise ProtocolError(E_BAD_REQUEST, "field 'session' must be a string")
         # ``lanes`` feeds the key: a laned payload carries extra blocks
         # a lane-less one does not.
-        key = content_key(source, method, lanes)
+        key = content_key(source, lanes)
         sleep = self._request_sleep(request)
 
         cached: Any = False
@@ -570,15 +555,10 @@ class AnalysisServer:
                     if warm is not None:
                         resolved, arena = warm
                         live = analyze_side_effects(
-                            resolved,
-                            gmod_method=method,
-                            arena=arena,
-                            lanes=lanes,
+                            resolved, arena=arena, lanes=lanes
                         )
                     else:
-                        live = analyze_side_effects(
-                            source, gmod_method=method, lanes=lanes
-                        )
+                        live = analyze_side_effects(source, lanes=lanes)
                     return live, payload_from_summary(live)
 
                 summary, payload = await self._run_heavy(work)
@@ -608,7 +588,6 @@ class AnalysisServer:
                 session = Session(
                     name=session_name,
                     key=key,
-                    gmod_method=method,
                     summary=summary,
                     payload=payload,
                     analyzes=1,
@@ -641,11 +620,10 @@ class AnalysisServer:
                     "no session %r; open one with analyze+session first"
                     % session_name,
                 )
-            reloaded_index, method, lanes = state
+            reloaded_index, lanes = state
         else:
-            method = session.gmod_method
             lanes = session.lanes
-        key = content_key(source, method, lanes)
+        key = content_key(source, lanes)
         sleep = self._request_sleep(request)
         old_summary = session.summary if session is not None else None
 
@@ -689,7 +667,6 @@ class AnalysisServer:
             session = Session(
                 name=session_name,
                 key=key,
-                gmod_method=method,
                 summary=new_summary,
                 payload=payload,
                 lanes=lanes,

@@ -28,8 +28,7 @@ class Session:
     """One named incremental-analysis session."""
 
     name: str
-    key: str  # Content hash of the current source + solver choice.
-    gmod_method: str
+    key: str  # Content hash of the current source + lane choice.
     summary: SideEffectSummary
     payload: Dict
     created: float = field(default_factory=time.time)
@@ -45,7 +44,6 @@ class Session:
         return {
             "name": self.name,
             "key": self.key,
-            "gmod_method": self.gmod_method,
             "lanes": list(self.lanes),
             "num_procs": self.summary.resolved.num_procs,
             "analyzes": self.analyzes,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.core.pipeline import GMOD_METHODS, analyze_source_payload
+from repro.core.pipeline import analyze_source_payload
 from repro.lang.errors import CkError
 from repro.service.cache import CacheStats, SummaryCache, content_key
 
@@ -45,11 +45,9 @@ def _analyze_task(task) -> Dict:
     Every failure mode becomes a structured error record so one bad
     file cannot take down the pool or the run.
     """
-    path, source, gmod_method, lanes = task
+    path, source, lanes = task
     try:
-        result = analyze_source_payload(
-            source, gmod_method=gmod_method, lanes=lanes
-        )
+        result = analyze_source_payload(source, lanes=lanes)
         return {"status": STATUS_OK, "path": path, "result": result}
     except CkError as error:
         message = "%s: %s" % (type(error).__name__, error)
@@ -104,7 +102,6 @@ class BatchReport:
     """Everything a batch run produced, in sorted path order."""
 
     root: str
-    gmod_method: str
     jobs: int
     results: List[FileResult] = field(default_factory=list)
     wall_time: float = 0.0
@@ -148,7 +145,6 @@ class BatchReport:
     def to_dict(self, include_summaries: bool = False) -> Dict:
         return {
             "root": self.root,
-            "gmod_method": self.gmod_method,
             "jobs": self.jobs,
             "lanes": list(self.lanes),
             "wall_time": self.wall_time,
@@ -179,7 +175,6 @@ def discover_files(root: str, pattern: str = "*.ck") -> List[str]:
 def run_batch(
     root: Union[str, Sequence[str]],
     jobs: Optional[int] = None,
-    gmod_method: str = "auto",
     cache_dir: Optional[str] = None,
     timeout: Optional[float] = None,
     pattern: str = "*.ck",
@@ -201,10 +196,6 @@ def run_batch(
     every file; lane blocks ride the per-file payloads and the cache
     key, so laned and lane-less runs never serve each other's entries.
     """
-    if gmod_method not in GMOD_METHODS:
-        raise ValueError(
-            "gmod_method must be one of %s, got %r" % (GMOD_METHODS, gmod_method)
-        )
     lanes = tuple(lanes)
     if lanes:
         from repro.lanes import validate_lane_names
@@ -235,7 +226,7 @@ def run_batch(
             results.append(record)
             by_path[path] = record
             continue
-        key = content_key(source, gmod_method, lanes)
+        key = content_key(source, lanes)
         record = FileResult(path=path, status=STATUS_ERROR, key=key)
         results.append(record)
         by_path[path] = record
@@ -264,9 +255,7 @@ def run_batch(
     if effective_jobs <= 1:
         for record in work:
             tick = time.perf_counter()
-            outcome = _analyze_task(
-                (record.path, sources[record.path], gmod_method, lanes)
-            )
+            outcome = _analyze_task((record.path, sources[record.path], lanes))
             _apply(record, outcome, time.perf_counter() - tick)
     else:
         with ProcessPoolExecutor(max_workers=effective_jobs) as executor:
@@ -275,9 +264,7 @@ def run_batch(
                     record,
                     time.perf_counter(),
                     executor.submit(
-                        _analyze_task,
-                        (record.path, sources[record.path], gmod_method,
-                         lanes),
+                        _analyze_task, (record.path, sources[record.path], lanes)
                     ),
                 )
                 for record in work
@@ -300,7 +287,6 @@ def run_batch(
 
     return BatchReport(
         root=report_root,
-        gmod_method=gmod_method,
         jobs=effective_jobs,
         results=results,
         wall_time=time.perf_counter() - started,

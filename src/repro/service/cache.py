@@ -2,7 +2,7 @@
 
 A cache entry is keyed by the SHA-256 of the *resolved source bytes*
 plus everything that could change the answer: the persist format
-version, the cache record schema, and the GMOD solver requested.  Two
+version, the cache record schema, and the effect lanes requested.  Two
 consequences:
 
 * an unchanged file is never re-solved — a warm batch run is pure
@@ -46,16 +46,18 @@ from repro.core.persist import (
 CACHE_SCHEMA_VERSION = 1
 
 
-def content_key(source: str, gmod_method: str = "auto", lanes=()) -> str:
-    """SHA-256 cache key for one program source + solver choice.
+def content_key(source: str, lanes=()) -> str:
+    """SHA-256 cache key for one program source + lane choice.
 
     ``lanes`` (extra effect lanes solved alongside MOD+USE) feeds the
     key only when non-empty, so every pre-lane key — and every on-disk
-    entry hashed from one — stays valid verbatim.
+    entry hashed from one — stays valid verbatim.  The literal ``auto``
+    holds the slot where a GMOD solver choice once went, so keys hashed
+    before that choice was retired stay valid too.
     """
     hasher = hashlib.sha256()
     hasher.update(b"ck-summary-cache\0")
-    hasher.update(("%d\0%d\0%s\0" % (CACHE_SCHEMA_VERSION, FORMAT_VERSION, gmod_method)).encode())
+    hasher.update(("%d\0%d\0auto\0" % (CACHE_SCHEMA_VERSION, FORMAT_VERSION)).encode())
     if lanes:
         hasher.update(("lanes=%s\0" % ",".join(lanes)).encode())
     hasher.update(source.encode("utf-8"))

@@ -7,11 +7,11 @@ from repro.baselines.iterative import (
     solve_gmod_iterative,
     solve_rmod_iterative,
 )
+from repro.baselines.gmod_oracles import solve_equation4_reference
 from repro.baselines.naive import solve_gmod_naive
 from repro.baselines.swift import solve_rmod_swift
 from repro.core.bitvec import OpCounter
 from repro.core.gmod import findgmod
-from repro.core.gmod_nested import solve_equation4_reference
 from repro.core.imod_plus import compute_imod_plus
 from repro.core.local import LocalAnalysis
 from repro.core.rmod import solve_rmod

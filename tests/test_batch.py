@@ -57,11 +57,6 @@ class TestEquivalence:
         paths = [r.path for r in report.results]
         assert paths == sorted(paths)
 
-    def test_gmod_method_flows_through(self, corpus_dir):
-        reference = run_batch(corpus_dir, jobs=1, gmod_method="reference")
-        auto = run_batch(corpus_dir, jobs=1, gmod_method="auto")
-        assert _summaries(reference) == _summaries(auto)
-
 
 class TestCache:
     def test_warm_run_is_all_hits_and_byte_identical(self, corpus_dir, tmp_path):

@@ -21,10 +21,6 @@ class TestAnalyze:
         assert "RMOD" in out
         assert "site 0" in out
 
-    def test_analyze_with_method(self, chain_file, capsys):
-        assert main(["analyze", chain_file, "--gmod-method", "reference"]) == 0
-        assert "GMOD" in capsys.readouterr().out
-
     def test_sections_flag(self, tmp_path, capsys):
         path = tmp_path / "m.ck"
         path.write_text(
@@ -231,8 +227,9 @@ class TestShard:
 
 
 class TestRetiredSurface:
-    """The sharded solver, the fleet and the summary store are gone:
-    their subcommands and flags are unknown arguments, not no-ops."""
+    """The sharded solver, the fleet, the summary store and the GMOD
+    solver switch are gone: their subcommands and flags are unknown
+    arguments, not no-ops."""
 
     def test_help_lists_no_retired_subcommand(self, capsys):
         with pytest.raises(SystemExit):
@@ -256,6 +253,10 @@ class TestRetiredSurface:
             ["profile", "--jobs", "2"],
             ["query", "analyze", "--shards", "2"],
             ["query", "analyze", "--partition", "greedy"],
+            ["analyze", "x.ck", "--gmod-method", "reference"],
+            ["profile", "--gmod-method", "reference"],
+            ["batch", "d", "--gmod-method", "reference"],
+            ["query", "analyze", "--gmod-method", "reference"],
         ],
         ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv),
     )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import analyze_side_effects
+from repro.baselines.per_kind import analyze_per_kind
 from repro.core.varsets import EffectKind
 from repro.lang.interp import run_program
 from repro.workloads import corpus
@@ -34,14 +35,12 @@ class TestCorpusWideInvariants:
         assert summaries[name].call_graph.unreachable_procs() == []
 
     @pytest.mark.parametrize("name", sorted(corpus.ALL))
-    def test_every_solver_agrees(self, name, corpus_programs):
-        reference = analyze_side_effects(
-            corpus_programs[name], gmod_method="reference"
-        )
-        for method in ("multilevel", "per-level"):
-            other = analyze_side_effects(corpus_programs[name], gmod_method=method)
+    def test_every_solver_agrees(self, name, corpus_programs, summaries):
+        production = summaries[name]
+        for method in ("reference", "multilevel", "per-level"):
+            other = analyze_per_kind(corpus_programs[name], gmod_method=method)
             for kind in (EffectKind.MOD, EffectKind.USE):
-                assert other.solutions[kind].gmod == reference.solutions[kind].gmod
+                assert other.solutions[kind].gmod == production.solutions[kind].gmod
 
 
 class TestSchedulerFacts:

@@ -1,17 +1,18 @@
-"""Differential harness: every GMOD solver against every baseline.
+"""Differential harness: the production GMOD walk against every baseline.
 
 The standing oracle for all future performance work: across ~30 seeded
 generator programs that sweep nesting depth, recursion, and aliasing
-density, the pipeline's GMOD/DMOD/MOD sets must be *identical* under
-``figure2``, ``multilevel``, and ``per-level``, and must equal both
-the closed-form reference (:func:`solve_equation4_reference`) and the
+density, the pipeline's GMOD/DMOD/MOD sets must be *identical* to the
+per-kind oracle's under ``multilevel`` and ``per-level``
+(:func:`repro.baselines.per_kind.analyze_per_kind`), to the
+closed-form reference (:func:`solve_equation4_reference`), and to the
 iterative Kam–Ullman fixed points of :mod:`repro.baselines.iterative`.
 Any fast-path optimisation that changes an answer fails here first.
 
 ``figure2`` is stated by the paper for two-level programs only (the
 Section 4 algorithms exist precisely because it misses up-level
 formals under deeper nesting), so it joins the comparison exactly when
-the program is flat — the same guard the pipeline's ``auto`` mode uses.
+the program is flat — the same guard the pipeline uses to pick its walk.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import replace
 import pytest
 
 from repro.baselines.iterative import solve_direct_equation1, solve_gmod_iterative
+from repro.baselines.per_kind import analyze_per_kind
 from repro.core.pipeline import analyze_side_effects
 from repro.core.varsets import EffectKind
 from repro.workloads.generator import GeneratorConfig, generate_resolved
@@ -64,18 +66,18 @@ def _config_id(config: GeneratorConfig) -> str:
 @pytest.mark.parametrize("config", CONFIGS, ids=_config_id)
 def test_all_solvers_agree(config):
     resolved = generate_resolved(config)
-    reference = analyze_side_effects(resolved, gmod_method="reference")
-    methods = list(MULTILEVEL_METHODS)
+    production = analyze_side_effects(resolved)
+    methods = ["reference", *MULTILEVEL_METHODS]
     if resolved.max_nesting_level <= 1:
         methods.append("figure2")
-    fast = {
-        method: analyze_side_effects(resolved, gmod_method=method)
+    oracles = {
+        method: analyze_per_kind(resolved, gmod_method=method)
         for method in methods
     }
     for kind in (EffectKind.MOD, EffectKind.USE):
-        oracle = reference.solutions[kind]
-        for method, summary in fast.items():
-            solution = summary.solutions[kind]
+        solution = production.solutions[kind]
+        for method, summary in oracles.items():
+            oracle = summary.solutions[kind]
             assert solution.gmod == oracle.gmod, (kind, method, "GMOD")
             assert solution.dmod == oracle.dmod, (kind, method, "DMOD")
             assert solution.mod == oracle.mod, (kind, method, "MOD")
@@ -84,13 +86,13 @@ def test_all_solvers_agree(config):
         # classical systems: equation (4) by worklist iteration, and
         # the undecomposed equation (1) with the full binding function.
         iterated = solve_gmod_iterative(
-            reference.call_graph, oracle.imod_plus, reference.universe, kind
+            production.call_graph, solution.imod_plus, production.universe, kind
         )
-        assert iterated == oracle.gmod, (kind, "iterative eq4")
+        assert iterated == solution.gmod, (kind, "iterative eq4")
         direct = solve_direct_equation1(
-            resolved, reference.local, reference.universe, kind
+            resolved, production.local, production.universe, kind
         )
-        assert direct == oracle.gmod, (kind, "direct eq1")
+        assert direct == solution.gmod, (kind, "direct eq1")
 
 
 def test_sweep_covers_the_claimed_shapes():

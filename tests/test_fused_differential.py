@@ -2,16 +2,19 @@
 
 The fused solver (``analyze_side_effects``) must be **bit-identical**
 to the paper's per-kind solvers run one kind at a time
-(:func:`repro.baselines.per_kind.analyze_per_kind`) — every set (RMOD,
-IMOD+, GMOD, DMOD, MOD), per site and per procedure, *and* every
-per-kind :class:`~repro.core.bitvec.OpCounter` tally, so the Theorem
-2/4 exact-equality guards in ``test_linearity_guard.py`` speak for the
-production path.  Any fused-path optimisation that changes an answer
+(:func:`repro.baselines.per_kind.analyze_per_kind`) under ``auto``,
+the walk production runs — every set (RMOD, IMOD+, GMOD, DMOD, MOD),
+per site and per procedure, *and* every per-kind
+:class:`~repro.core.bitvec.OpCounter` tally, so the Theorem 2/4
+exact-equality guards in ``test_linearity_guard.py`` speak for the
+production path.  Its GMOD sets must also equal those of every other
+per-kind solver.  Any fused-path optimisation that changes an answer
 or a tally fails here first.
 
 Also covered: the arena's condensation accounting (exactly one
 ``tarjan_scc``-equivalent pass per graph per analysis, shared across
-kinds and across subsystems), arena pickling, and a 50k-procedure
+kinds and across subsystems — the GMOD walk's components *are* the
+call graph's condensation), arena pickling, and a 50k-procedure
 deep-chain regression guarding the iterative (non-recursive) graph
 traversals.
 """
@@ -24,9 +27,12 @@ import pytest
 
 from repro.baselines.per_kind import analyze_per_kind
 from repro.core.arena import clear_arena_cache, get_arena
+from repro.core.depindex import build_dependency_index
 from repro.core.pipeline import analyze_side_effects
 from repro.core.varsets import EffectKind
+from repro.graphs.scc import tarjan_scc_csr
 from repro.lang.semantic import compile_source
+from repro.sections.dependence import DependenceTester
 from repro.workloads.generator import GeneratorConfig, generate_resolved
 from repro.workloads.patterns import chain
 from tests.test_differential import CONFIGS, _config_id
@@ -65,27 +71,32 @@ def _assert_summaries_identical(fused, legacy, resolved, tag_base):
         assert fused.use(site) == legacy.use(site), (tag_base, site)
 
 
-def _assert_fused_identical(resolved, method):
-    fused = analyze_side_effects(resolved, gmod_method=method)
-    legacy = analyze_per_kind(resolved, gmod_method=method)
-    _assert_summaries_identical(fused, legacy, resolved, (method, "legacy"))
+def _assert_fused_identical(resolved):
+    """Sets and tallies against the oracle's ``auto``; GMOD sets against
+    each of its solvers."""
+    fused = analyze_side_effects(resolved)
+    for method in _methods_for(resolved):
+        legacy = analyze_per_kind(resolved, gmod_method=method)
+        if method == "auto":
+            _assert_summaries_identical(fused, legacy, resolved, (method, "legacy"))
+            continue
+        for kind in KINDS:
+            assert fused.solutions[kind].gmod == legacy.solutions[kind].gmod, (
+                method, kind
+            )
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=_config_id)
 def test_fused_matches_legacy_generated(config):
-    """Bit-identity over the 30-program structural sweep, under every
-    applicable GMOD solver."""
-    resolved = generate_resolved(config)
-    for method in _methods_for(resolved):
-        _assert_fused_identical(resolved, method)
+    """Bit-identity over the 30-program structural sweep."""
+    _assert_fused_identical(generate_resolved(config))
 
 
 def test_fused_matches_legacy_corpus(corpus_programs):
     """Bit-identity over the hand-written corpus (includes the deeply
     nested and aliasing-heavy programs)."""
-    for name, resolved in corpus_programs.items():
-        for method in _methods_for(resolved):
-            _assert_fused_identical(resolved, method)
+    for resolved in corpus_programs.values():
+        _assert_fused_identical(resolved)
 
 
 def test_single_kind_slices_match_the_fused_pair():
@@ -93,11 +104,9 @@ def test_single_kind_slices_match_the_fused_pair():
     the same masks and the same tallies as that kind's slot of the
     fused MOD+USE run."""
     resolved = generate_resolved(CONFIGS[0])
-    both = analyze_side_effects(resolved, gmod_method="reference")
+    both = analyze_side_effects(resolved)
     for kind in KINDS:
-        alone = analyze_side_effects(
-            resolved, kinds=(kind,), gmod_method="reference"
-        )
+        alone = analyze_side_effects(resolved, kinds=(kind,))
         assert alone.solutions[kind].gmod == both.solutions[kind].gmod
         assert alone.solutions[kind].mod == both.solutions[kind].mod
         assert alone.kind_counters[kind] == both.kind_counters[kind]
@@ -125,36 +134,38 @@ def test_condensation_counts_walk_methods():
     ):
         resolved = generate_resolved(config)
         clear_arena_cache()
-        first = analyze_side_effects(resolved, gmod_method=method)
+        first = analyze_side_effects(resolved)
+        assert first.solutions[EffectKind.MOD].gmod_method == method
         assert first.condensations == {"beta": 1, "call": 1}, method
-        second = analyze_side_effects(resolved, gmod_method=method)
+        second = analyze_side_effects(resolved)
         assert second.condensations == {"call": 1}, method
 
 
-def test_condensation_counts_reference_method():
-    """The reference solver consumes the arena's cached call-graph
-    condensation, so a re-analysis runs no Tarjan pass at all."""
-    resolved = generate_resolved(_nested_config())
+def _assert_one_call_condensation(resolved, tag):
+    """After one analysis, the consumers of the call graph's
+    condensation read the GMOD walk's record: no further pass, and the
+    record is exactly Tarjan's."""
     clear_arena_cache()
-    first = analyze_side_effects(resolved, gmod_method="reference")
-    assert first.condensations == {"beta": 1, "call": 1}
-    second = analyze_side_effects(resolved, gmod_method="reference")
-    assert second.condensations == {}
+    summary = analyze_side_effects(resolved)
+    assert summary.condensations == {"beta": 1, "call": 1}, tag
+    arena = get_arena(resolved)
+    counts = dict(arena.condensation_counts)
+    record = arena.call_condensation()
+    build_dependency_index(summary, arena)
+    DependenceTester(resolved)
+    assert arena.condensation_counts == counts, tag
+    csr = arena.call_csr
+    assert record == tarjan_scc_csr(csr.num_nodes, csr.heads, csr.succ), tag
 
 
-def test_condensation_counts_per_level_method():
-    """The per-level solver condenses one *filtered* graph per nesting
-    level — a distinct graph each, so one pass per graph per analysis."""
-    resolved = generate_resolved(_nested_config())
-    assert resolved.max_nesting_level >= 2
-    clear_arena_cache()
-    first = analyze_side_effects(resolved, gmod_method="per-level")
-    assert first.condensations.pop("beta") == 1
-    assert first.condensations, "expected per-level filtered graphs"
-    assert all(
-        name.startswith("call:level") and count == 1
-        for name, count in first.condensations.items()
-    )
+@pytest.mark.parametrize("config", CONFIGS, ids=_config_id)
+def test_one_call_graph_condensation_per_analysis(config):
+    _assert_one_call_condensation(generate_resolved(config), _config_id(config))
+
+
+def test_one_call_graph_condensation_per_analysis_corpus(corpus_programs):
+    for name, resolved in corpus_programs.items():
+        _assert_one_call_condensation(resolved, name)
 
 
 def test_sections_and_partitioner_share_the_arena_condensation():
@@ -166,7 +177,7 @@ def test_sections_and_partitioner_share_the_arena_condensation():
     resolved = generate_resolved(_flat_config())
     clear_arena_cache()
     arena = get_arena(resolved)
-    analyze_side_effects(resolved, gmod_method="reference", arena=arena)
+    analyze_side_effects(resolved, arena=arena)
     base = arena.snapshot_condensations()
     assert base == {"beta": 1, "call": 1}
 
@@ -181,7 +192,7 @@ def test_arena_pickle_round_trip():
     resolved = generate_resolved(_nested_config())
     clear_arena_cache()
     arena = get_arena(resolved)
-    baseline = analyze_side_effects(resolved, gmod_method="reference", arena=arena)
+    baseline = analyze_side_effects(resolved, arena=arena)
 
     clone = pickle.loads(pickle.dumps(arena))
     assert clone is not arena
@@ -193,9 +204,7 @@ def test_arena_pickle_round_trip():
     assert clone.ref_base_uid == arena.ref_base_uid
     assert clone.width == arena.width
 
-    redo = analyze_side_effects(
-        clone.resolved, gmod_method="reference", arena=clone
-    )
+    redo = analyze_side_effects(clone.resolved, arena=clone)
     for kind in KINDS:
         assert redo.solutions[kind].gmod == baseline.solutions[kind].gmod
         assert redo.solutions[kind].mod == baseline.solutions[kind].mod
@@ -211,9 +220,7 @@ def test_deep_chain_50k_procs_stays_iterative():
     resolved = compile_source(chain(50_000))
     clear_arena_cache()
     try:
-        summary = analyze_side_effects(
-            resolved, kinds=(EffectKind.MOD,), gmod_method="figure2"
-        )
+        summary = analyze_side_effects(resolved, kinds=(EffectKind.MOD,))
         solution = summary.solutions[EffectKind.MOD]
         assert all(solution.rmod.node_value)
         (main_site,) = [

@@ -5,7 +5,7 @@ import pytest
 from repro.baselines.iterative import solve_gmod_iterative
 from repro.baselines.naive import solve_gmod_naive
 from repro.core.gmod import findgmod
-from repro.core.gmod_nested import solve_equation4_reference
+from repro.baselines.gmod_oracles import solve_equation4_reference
 from repro.core.imod_plus import compute_imod_plus
 from repro.core.local import LocalAnalysis
 from repro.core.rmod import solve_rmod

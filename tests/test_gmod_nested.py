@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.core.gmod_nested import (
-    findgmod_multilevel,
-    findgmod_per_level,
-    solve_equation4_reference,
-)
+from repro.baselines.gmod_oracles import findgmod_per_level, solve_equation4_reference
+from repro.core.gmod_nested import findgmod_multilevel
 from repro.core.imod_plus import compute_imod_plus
 from repro.core.local import LocalAnalysis
 from repro.core.rmod import solve_rmod

@@ -423,15 +423,13 @@ class TestLanePayloadPlumbing:
 
     def test_solve_lanes_on_shared_arena(self):
         """Driving the lane solver directly on an arena that already
-        served a GMOD solve adds no condensation passes.  The warm-up
-        uses the reference method — the same one lane mode forces —
-        because figure2's embedded walk is the one solver whose pass
-        cannot seed the shared cache (different root order)."""
+        served a GMOD solve adds no condensation passes: the lanes walk
+        the components the GMOD walk recorded."""
         resolved = generate_resolved(
             GeneratorConfig(seed=37, num_procs=14, recursion_prob=0.5)
         )
         clear_arena_cache()
-        analyze_side_effects(resolved, gmod_method="reference")
+        analyze_side_effects(resolved)
         arena = get_arena(resolved)
         before = dict(arena.condensation_counts)
         states = solve_lanes(arena, ALL_LANES, compute_aliases(arena))

@@ -314,8 +314,7 @@ def test_server_state_file(tmp_path):
         assert session.updates == 2
     assert payloads[1] is payloads[0] and payloads[2] is not payloads[1]
     for step, (blob, summary, key) in enumerate(written):
-        meta = {"name": "s", "gmod_method": session.gmod_method,
-                "key": key, "lanes": ["sections", "refalias"]}
+        meta = {"name": "s", "key": key, "lanes": ["sections", "refalias"]}
         sections = {
             SECTION_DEP_INDEX: index_to_bytes(summary.dep_index),
             SECTION_SESSION_META: json.dumps(meta, sort_keys=True).encode("utf-8"),

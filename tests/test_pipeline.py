@@ -1,9 +1,10 @@
-"""End-to-end pipeline tests: API surface, determinism, method choices."""
+"""End-to-end pipeline tests: API surface, determinism, and the GMOD
+walk production picks against every oracle solver."""
 
 import pytest
 
 from repro import analyze_side_effects, compile_source
-from repro.core.pipeline import GMOD_METHODS
+from repro.baselines.per_kind import analyze_per_kind
 from repro.core.varsets import EffectKind
 from repro.workloads import corpus, patterns
 from repro.workloads.generator import GeneratorConfig, generate_resolved
@@ -29,10 +30,6 @@ class TestApi:
         summary = analyze_side_effects(patterns.chain(3), kinds=(EffectKind.MOD,))
         assert set(summary.solutions) == {EffectKind.MOD}
 
-    def test_invalid_method_rejected(self):
-        with pytest.raises(ValueError):
-            analyze_side_effects(patterns.chain(3), gmod_method="quantum")
-
     def test_report_renders(self):
         summary = analyze_side_effects(patterns.chain(2))
         report = summary.report()
@@ -53,14 +50,19 @@ class TestApi:
 
 
 class TestMethodEquivalence:
-    @pytest.mark.parametrize("method", [m for m in GMOD_METHODS if m != "auto"])
+    """Production runs one walk per nesting depth; every per-kind
+    solver of the oracle must reach the same sets."""
+
+    @pytest.mark.parametrize(
+        "method", ["figure2", "multilevel", "per-level", "reference"]
+    )
     def test_all_methods_same_answer_flat(self, method):
         resolved = generate_resolved(GeneratorConfig(seed=9, num_procs=25))
-        auto = analyze_side_effects(resolved, gmod_method="auto")
-        other = analyze_side_effects(resolved, gmod_method=method)
+        production = analyze_side_effects(resolved)
+        other = analyze_per_kind(resolved, gmod_method=method)
         for kind in (EffectKind.MOD, EffectKind.USE):
-            assert auto.solutions[kind].gmod == other.solutions[kind].gmod
-            assert auto.solutions[kind].mod == other.solutions[kind].mod
+            assert production.solutions[kind].gmod == other.solutions[kind].gmod
+            assert production.solutions[kind].mod == other.solutions[kind].mod
 
     @pytest.mark.parametrize(
         "method", ["multilevel", "per-level", "reference"]
@@ -69,9 +71,12 @@ class TestMethodEquivalence:
         resolved = generate_resolved(
             GeneratorConfig(seed=10, num_procs=25, max_depth=4, nesting_prob=0.5)
         )
-        auto = analyze_side_effects(resolved, gmod_method="auto")
-        other = analyze_side_effects(resolved, gmod_method=method)
-        assert auto.solutions[EffectKind.MOD].gmod == other.solutions[EffectKind.MOD].gmod
+        production = analyze_side_effects(resolved)
+        other = analyze_per_kind(resolved, gmod_method=method)
+        assert (
+            production.solutions[EffectKind.MOD].gmod
+            == other.solutions[EffectKind.MOD].gmod
+        )
 
     def test_auto_picks_figure2_for_flat(self):
         summary = analyze_side_effects(patterns.chain(3))

@@ -72,11 +72,13 @@ class TestNoReducibilityAssumption:
     @pytest.mark.parametrize("pairs", [1, 3, 6])
     def test_analysis_exact_on_irreducible_graphs(self, pairs):
         from repro import analyze_side_effects
+        from repro.baselines.per_kind import analyze_per_kind
 
         resolved = compile_source(patterns.irreducible(pairs))
         assert not call_graph_reducible(build_call_graph(resolved)).reducible
-        fast = analyze_side_effects(resolved, gmod_method="figure2")
-        reference = analyze_side_effects(resolved, gmod_method="reference")
+        fast = analyze_side_effects(resolved)
+        assert fast.solutions[EffectKind.MOD].gmod_method == "figure2"
+        reference = analyze_per_kind(resolved, gmod_method="reference")
         for kind in (EffectKind.MOD, EffectKind.USE):
             assert fast.solutions[kind].gmod == reference.solutions[kind].gmod
             assert fast.solutions[kind].mod == reference.solutions[kind].mod

@@ -29,6 +29,7 @@ from repro.server import (
 from repro.server.lru import LRUCache
 from repro.server.metrics import LatencyHistogram
 from repro.service.batch import run_batch
+from repro.service.cache import content_key
 from repro.workloads import patterns
 from repro.workloads.generator import GeneratorConfig, generate_program
 from repro.lang.pretty import pretty
@@ -101,11 +102,6 @@ class TestProtocol:
             client.request("analyze")
         assert excinfo.value.code == "bad_request"
 
-    def test_bad_gmod_method(self, client):
-        with pytest.raises(ServerError) as excinfo:
-            client.analyze(patterns.chain(2), gmod_method="nope")
-        assert excinfo.value.code == "bad_request"
-
     def test_analysis_error_is_structured(self, client):
         with pytest.raises(ServerError) as excinfo:
             client.analyze("program t begin x := end")
@@ -159,15 +155,26 @@ class TestAnalyze:
         assert warm["cached"] == "lru"
         assert canon(warm["summary"]) == canon(cold["summary"])
 
-    def test_gmod_method_is_part_of_the_key(self, client):
-        source = patterns.chain(3)
-        client.analyze(source, gmod_method="figure2")
-        other = client.analyze(source, gmod_method="reference")
-        # Different solver → different key → not an LRU hit of the first.
-        assert other["cached"] is False or other["cached"] == "lru"
-        assert (
-            client.analyze(source, gmod_method="reference")["cached"] == "lru"
-        )
+    def test_stale_gmod_method_is_ignored(self, client):
+        """The retired ``gmod_method`` field is ignored like any unknown
+        field: a stale client gets the one summary there is, from the
+        entry a request without the field warmed."""
+        source = head_edit(5)
+        warm = client.analyze(source)
+        for stale in ("reference", "nope"):
+            response = client.analyze(source, session="stale", gmod_method=stale)
+            assert response["cached"] == "lru"
+            assert response["key"] == warm["key"]
+            assert canon(response["summary"]) == canon(scratch_summary(source))
+            assert "gmod_method" not in response["session"]
+
+    def test_key_matches_earlier_builds(self, client):
+        """Keys hash the literal ``auto`` where the retired solver choice
+        went, so disk-cache entries and persisted session keys written
+        before stay valid."""
+        key = "6903f6d6571b93dca8b238f370c32d8370d917c1060149ce60d84a140d7df7fa"
+        assert content_key(patterns.chain(3)) == key
+        assert client.analyze(patterns.chain(3))["key"] == key
 
     def test_disk_cache_shared_with_batch(self, tmp_path):
         source_path = tmp_path / "prog.ck"
@@ -590,6 +597,37 @@ class TestSessionPersistence:
                 assert canon(response["summary"]) == canon(
                     scratch_summary(self.EDIT))
                 assert c.stats()["incremental"]["full_resolves"] == 1
+
+    @pytest.mark.parametrize(
+        "meta",
+        [[], "auto", 7, {"name": "meta", "gmod_method": "reference", "lanes": []}],
+        ids=["list", "string", "number", "earlier_build"],
+    )
+    def test_session_meta_of_any_shape_restores(self, tmp_path, meta):
+        """Session metadata that is JSON but not an object, or one an
+        earlier build wrote with its ``gmod_method``, still restores the
+        session: the update proceeds from the index with no lanes."""
+        from repro.core.persist import SECTION_SESSION_META, summary_to_bytes
+
+        path = self._open_session(str(tmp_path), name="meta")
+        if isinstance(meta, dict):
+            meta = dict(meta, key=content_key(self.BASE))
+        blob = summary_to_bytes(
+            analyze_side_effects(self.BASE),
+            include_index=True,
+            sections={SECTION_SESSION_META: json.dumps(meta).encode("utf-8")},
+        )
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        with ServerThread(ServerConfig(port=0, state_dir=str(tmp_path))) as h:
+            with ServerClient(port=h.port) as c:
+                response = c.update("meta", self.EDIT)
+                assert response["update_stats"]["index_reloaded"] is True
+                assert response["update_stats"]["full_resolve"] is False
+                assert canon(response["summary"]) == canon(
+                    scratch_summary(self.EDIT))
+                assert response["session"]["lanes"] == []
+                assert "gmod_method" not in response["session"]
 
     def test_corrupt_state_file_is_unknown_session(self, tmp_path):
         path = self._open_session(str(tmp_path), name="corrupt")
