@@ -17,10 +17,10 @@ test:
 # that iterate on solver fast paths).  Includes the front-end golden
 # equivalence suite (the batched lexer and token-stream parser must
 # stay byte-identical to the frozen reference scanner), the fused
-# solver against the per-kind oracle, the .cka arena-image and
-# container-loader round trips, the mask-native summary writer
-# against the dict-route encoder (byte identity), and the alias mask
-# drain against the pair-set oracle (table identity).
+# solver against the per-kind oracle, the container-loader round
+# trips, the mask-native summary writer against the dict-route
+# encoder (byte identity), and the alias mask drain against the
+# pair-set oracle (table identity).
 differential:
 	$(PP) $(PY) -m pytest -q tests/test_differential.py tests/test_batch.py \
 	    tests/test_linearity_guard.py tests/test_persist_roundtrip.py \
@@ -71,11 +71,10 @@ bench:
 bench-frontend:
 	$(PP) $(PY) -m pytest -q benchmarks/test_bench_frontend.py -s
 
-# The fused middle-end measurement (E12 + E16): writes BENCH_core.json
-# at the repo root and asserts the ≥1.5x fused-vs-per-kind solve and
-# ≥1.25x end-to-end claims on the 10k workload, plus the
-# mmap-vs-pickle warm-start claim.  Resize with CK_CORE_BENCH_PROCS /
-# CK_CORE_BENCH_REPEATS.
+# The fused middle-end measurement (E12): writes BENCH_core.json at
+# the repo root and asserts the ≥1.5x fused-vs-per-kind solve and
+# ≥1.25x end-to-end claims on the 10k workload.  Resize with
+# CK_CORE_BENCH_PROCS / CK_CORE_BENCH_REPEATS.
 bench-core:
 	$(PP) $(PY) -m pytest -q benchmarks/test_bench_core.py -s
 
@@ -105,6 +104,7 @@ profile:
 # process with --state-dir, open a laned session, run one update + one
 # query through the client, shut it down cleanly and verify the
 # --metrics-json dump; then restart on the same state dir and check the
-# next update reloads the index and keeps the lanes.
+# next update reloads the index and keeps the lanes, and that the state
+# dir holds only .cki files.
 server-smoke:
 	$(PP) $(PY) tests/server_smoke.py

@@ -23,11 +23,6 @@ reported, and each path's summary is dropped before the other path
 runs — at 10k scale a retained summary holds hundreds of MB of masks
 and its heap pressure alone visibly taxes the successor measurement.
 
-**E16 — warm starts.**  The same record carries ``warm_start``:
-loading the dense 10k arena from its memory-mapped ``.cka`` image vs
-unpickling the equivalent pickle blob vs a cold build.  Claim: mmap
-≥5x faster than unpickling.
-
 The result is written to ``BENCH_core.json`` at the repo root.
 
 Environment knobs: ``CK_CORE_BENCH_PROCS`` (default 10000) and
@@ -49,18 +44,10 @@ if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
 from repro.baselines.per_kind import analyze_per_kind
-from repro.core.arena import (
-    arena_from_image,
-    arena_image_nbytes,
-    clear_arena_cache,
-    get_arena,
-    load_arena_image,
-    write_arena_image,
-)
+from repro.core.arena import clear_arena_cache
 from repro.core.pipeline import analyze_side_effects
 from repro.lang.pretty import pretty
 from repro.workloads.generator import (
-    GeneratorConfig,
     generate_program,
     generate_resolved,
     large_scale_config,
@@ -189,89 +176,6 @@ def measure_end_to_end(num_procs: int, num_globals: int) -> Dict:
     return record
 
 
-# ---------------------------------------------------------------------------
-# E16: zero-copy warm starts.
-# ---------------------------------------------------------------------------
-
-
-def _dense_config(num_procs: int, num_globals: int) -> GeneratorConfig:
-    """The density-*high* workload: every variable is a global or a
-    formal, so the whole universe is interprocedurally shared and the
-    fixed-width image rows are population-dense."""
-    return GeneratorConfig(
-        seed=DEFAULT_SEED,
-        num_procs=num_procs,
-        num_globals=num_globals,
-        max_depth=1,
-        scale_free=True,
-        formals_range=(0, 1),
-        locals_range=(0, 0),
-        calls_per_proc_range=(2, 5),
-        globals_modified_per_proc=2.0,
-        allow_recursion=True,
-        recursion_prob=0.05,
-        control_flow_prob=0.0,
-    )
-
-
-def measure_warm_start(num_procs: int, num_globals: int) -> Dict:
-    """Cold arena build vs unpickling vs the memory-mapped ``.cka``
-    image, on the dense workload (the one whose image is affordable —
-    mask rows are fixed-width, so density is what keeps it compact)."""
-    import pickle
-    import tempfile
-
-    resolved = generate_resolved(_dense_config(num_procs, num_globals))
-
-    clear_arena_cache()
-    gc.collect()
-    tick = time.perf_counter()
-    arena = get_arena(resolved)
-    cold_build_s = time.perf_counter() - tick
-
-    # The resolved program rides the pickle (deep AST → deep recursion).
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 200_000))
-    try:
-        blob = pickle.dumps(arena, protocol=pickle.HIGHEST_PROTOCOL)
-        gc.collect()
-        tick = time.perf_counter()
-        clone = pickle.loads(blob)
-        unpickle_s = time.perf_counter() - tick
-        del clone
-    finally:
-        sys.setrecursionlimit(old_limit)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "arena.cka")
-        write_arena_image(arena, path, digest=b"bench")
-        image_bytes = os.path.getsize(path)
-        gc.collect()
-        tick = time.perf_counter()
-        image = load_arena_image(path)
-        warm = arena_from_image(resolved, image, expect_digest=b"bench")
-        mmap_load_s = time.perf_counter() - tick
-        warm._arena_image.close()
-        del warm
-
-    clear_arena_cache()
-    return {
-        "workload": {
-            "num_procs": num_procs,
-            "num_globals": num_globals,
-            "num_variables": len(resolved.variables),
-        },
-        "cold_build_s": cold_build_s,
-        "unpickle_s": unpickle_s,
-        "mmap_load_s": mmap_load_s,
-        "pickle_bytes": len(blob),
-        "image_bytes": image_bytes,
-        "image_bytes_estimate": arena_image_nbytes(arena),
-        "mmap_speedup_vs_pickle": unpickle_s / max(mmap_load_s, 1e-9),
-        "mmap_speedup_vs_cold": cold_build_s / max(mmap_load_s, 1e-9),
-    }
-
-
 def measure_core_benchmark(
     scales: Tuple[Tuple[str, int, int], ...] = (
         ("1k", 1000, 200),
@@ -279,11 +183,10 @@ def measure_core_benchmark(
     ),
     repeats: int = 3,
     end_to_end: bool = True,
-    warm_start_procs: Optional[int] = None,
 ) -> Dict:
     """Run every middle-end measurement; returns the BENCH record."""
     result: Dict = {
-        "schema": "ck-bench-core/3",
+        "schema": "ck-bench-core/4",
         "repeats": repeats,
         "scales": {},
     }
@@ -292,11 +195,6 @@ def measure_core_benchmark(
     if end_to_end:
         last_label, last_procs, last_globals = scales[-1]
         result["end_to_end"] = measure_end_to_end(last_procs, last_globals)
-    if warm_start_procs is None:
-        warm_start_procs = scales[-1][1]
-    result["warm_start"] = measure_warm_start(
-        warm_start_procs, max(scales[-1][2] // 2, 50)
-    )
     return result
 
 
@@ -333,19 +231,15 @@ def test_core_bench_smoke():
     assert scale["fused"]["solve_s"] > 0
     assert scale["condensations"] == {"beta": 1, "call": 1}
     assert scale["condensations_warm"] == {"call": 1}
-    # The warm-start block rides the same record.
-    warm = result["warm_start"]
-    assert warm["unpickle_s"] > 0 and warm["mmap_load_s"] > 0
-    assert warm["image_bytes_estimate"] <= warm["image_bytes"]
     path = write_bench_json(result)
-    assert json.loads(path.read_text())["schema"] == "ck-bench-core/3"
+    assert json.loads(path.read_text())["schema"] == "ck-bench-core/4"
 
 
 def test_core_bench_10k():
     """The tentpole claims: ≥1.5x on the combined MOD+USE solve phase
     at the 10k workload vs the per-kind oracle, ≥1.25x end to end vs
-    the recorded pre-arena baseline, exactly one condensation per graph
-    per analysis, and an mmap warm start ≥5x faster than unpickling."""
+    the recorded pre-arena baseline, and exactly one condensation per
+    graph per analysis."""
     num_procs = int(os.environ.get("CK_CORE_BENCH_PROCS", DEFAULT_PROCS))
     repeats = int(os.environ.get("CK_CORE_BENCH_REPEATS", 3))
     big_label = "10k" if num_procs == DEFAULT_PROCS else str(num_procs)
@@ -381,19 +275,3 @@ def test_core_bench_10k():
             assert speedup >= 1.25, (
                 "end-to-end only %.2fx the recorded baseline" % speedup
             )
-        warm = result["warm_start"]
-        print(
-            "warm start @%s: cold %.3fs unpickle %.3fs mmap %.4fs"
-            " (%.1fx vs pickle)"
-            % (
-                big_label,
-                warm["cold_build_s"],
-                warm["unpickle_s"],
-                warm["mmap_load_s"],
-                warm["mmap_speedup_vs_pickle"],
-            )
-        )
-        assert warm["mmap_speedup_vs_pickle"] >= 5.0, (
-            "mmap warm start only %.2fx faster than unpickling"
-            % warm["mmap_speedup_vs_pickle"]
-        )

@@ -29,7 +29,6 @@ cheap to build — one sweep over the call sites and one over β.
 
 from __future__ import annotations
 
-import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.local import LocalAnalysis, lmod_of, luse_of
@@ -256,34 +255,6 @@ class ProgramArena:
             return self.site_lmod
         return self.site_luse
 
-    # -- pickling -------------------------------------------------------------
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        # A backing arena image holds open file handles, which do not
-        # belong in a pickle.
-        state.pop("_arena_image", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-
-
-def _spliced_universe(new_resolved, donor, dirty_pids) -> VariableUniverse:
-    """The universe from the donor's structural masks when it carries
-    them (dependency indexes do), else rebuilt from declarations."""
-    donor_local = getattr(donor, "universe_local", None)
-    if donor_local is None:
-        return VariableUniverse(new_resolved)
-    return VariableUniverse.spliced(
-        new_resolved,
-        donor.universe_global,
-        donor_local,
-        donor.universe_formal,
-        donor.universe_level,
-        dirty_pids,
-    )
-
 
 def patch_arena(
     new_resolved: ResolvedProgram,
@@ -298,7 +269,9 @@ def patch_arena(
 
     ``donor`` is anything exposing the previous version's tables —
     in practice a :class:`~repro.core.depindex.DependencyIndex` —
-    with attributes ``imod_plain``/``iuse_plain`` (per-pid masks) and
+    with attributes ``universe_global``/``universe_local``/
+    ``universe_formal``/``universe_level`` (the structural masks),
+    ``imod_plain``/``iuse_plain`` (per-pid masks) and
     ``site_caller``/``site_callee``/``site_lmod``/``site_luse``/
     ``site_ref_heads``/``ref_formal_uid``/``ref_base_uid`` (per old
     site id).  ``site_map[new_sid]`` gives the old site id whose tables
@@ -326,7 +299,14 @@ def patch_arena(
     """
     arena = object.__new__(ProgramArena)
     arena.resolved = new_resolved
-    arena.universe = _spliced_universe(new_resolved, donor, dirty_pids)
+    arena.universe = VariableUniverse.spliced(
+        new_resolved,
+        donor.universe_global,
+        donor.universe_local,
+        donor.universe_formal,
+        donor.universe_level,
+        dirty_pids,
+    )
     arena.local = LocalAnalysis.patched(
         new_resolved, arena.universe, donor.imod_plain, donor.iuse_plain,
         dirty_pids,
@@ -533,464 +513,3 @@ def clear_arena_cache() -> None:
     """Benchmark/test hook: force the next :func:`get_arena` to lower
     from scratch."""
     _ARENA_CACHE.clear()
-
-
-# ---------------------------------------------------------------------------
-# The ``.cka`` arena image: a memory-mappable flat dump of one lowering.
-# ---------------------------------------------------------------------------
-#
-# An arena is already "plain ints and lists" — but unpickling one at
-# 10k-procedure scale still walks every list element through the
-# pickle machine (and drags the resolved program's AST along, since the
-# arena holds it).  The image stores *only* the lowering, as aligned
-# raw sections (see :mod:`repro.core.binio`): int32 index tables and
-# fixed-width 64-bit-limb mask rows.  A warm start memory-maps the
-# file and rebuilds the arena against a freshly compiled
-# ``ResolvedProgram`` — the int tables materialize through one
-# C-level ``array.frombytes`` each, the masks through one
-# ``int.from_bytes`` per row.
-
-#: First bytes of every arena image file.
-ARENA_IMAGE_MAGIC = b"CKAI"
-
-#: Bump when the section layout changes; readers reject mismatches
-#: loudly (a stale image degrades to a cold build, never a misread).
-#:
-#: History: 1 = magic, version, digest, counts, sections; 2 = a CRC-32
-#: of every byte after it follows the version, and readers check the
-#: file length against the header's layout.
-ARENA_IMAGE_VERSION = 2
-
-#: Bytes before the checksummed part: magic, version, CRC-32.
-_IMAGE_PREFIX = len(ARENA_IMAGE_MAGIC) + 2 + 4
-
-#: ``(name, kind)`` of every section, in file order.  ``i32`` sections
-#: hold int32 entries; ``mask`` sections hold fixed-width mask rows.
-#: Counts/rows are functions of the header, resolved in
-#: :meth:`ArenaImage._layout`.
-_IMAGE_SECTIONS = (
-    ("call_heads", "i32"),
-    ("call_succ", "i32"),
-    ("call_edge_site", "i32"),
-    ("beta_heads", "i32"),
-    ("beta_succ", "i32"),
-    ("beta_edge_site", "i32"),
-    ("beta_formal_pid", "i32"),
-    ("beta_formal_uid", "i32"),
-    ("site_caller", "i32"),
-    ("site_callee", "i32"),
-    ("site_ref_heads", "i32"),
-    ("ref_formal_uid", "i32"),
-    ("ref_base_uid", "i32"),
-    ("ref_formal_node", "i32"),
-    ("universe_global", "mask"),
-    ("universe_local", "mask"),
-    ("universe_formal", "mask"),
-    ("universe_level", "mask"),
-    ("imod_plain", "mask"),
-    ("iuse_plain", "mask"),
-    ("imod", "mask"),
-    ("iuse", "mask"),
-    ("site_lmod", "mask"),
-    ("site_luse", "mask"),
-    ("strip", "mask"),
-)
-
-
-def arena_image_nbytes(arena: ProgramArena) -> int:
-    """The (near-exact) on-disk size of this arena's ``.cka`` image.
-
-    Mask sections are fixed-width — ``words × 8`` bytes per row no
-    matter how sparse the row — because that is what lets a reader
-    index a row in place.  On a wide-sparse universe that fixed width is
-    the whole file, so writers gate on this estimate instead of
-    producing a multi-gigabyte image nobody will map profitably.
-    """
-    words = (arena.width + 63) // 64
-    num_procs = arena.call_csr.num_nodes
-    num_sites = len(arena.site_caller)
-    num_beta = arena.beta_csr.num_nodes
-    num_refs = len(arena.ref_formal_uid)
-    i32_entries = (
-        (num_procs + 1)
-        + 2 * arena.call_csr.num_edges
-        + (num_beta + 1)
-        + 2 * arena.beta_csr.num_edges
-        + 2 * num_beta
-        + 2 * num_sites
-        + (num_sites + 1)
-        + 3 * num_refs
-    )
-    mask_rows = 1 + 7 * num_procs + len(arena.universe.level_mask) + 2 * num_sites
-    return i32_entries * 4 + mask_rows * words * 8
-
-
-def write_arena_image(arena: ProgramArena, path: str, digest: bytes = b"") -> None:
-    """Serialize one arena's lowering to a ``.cka`` image (atomic
-    rename).  ``digest`` pins the image to its source revision — the
-    loader refuses an image whose digest does not match what the
-    caller expects, so a warm start never adopts tables for a
-    different program."""
-    import os as _os
-    import tempfile as _tempfile
-
-    from repro.core.binio import (
-        pad_to_alignment,
-        write_bytes,
-        write_i32_section,
-        write_mask_section,
-        write_varint,
-    )
-
-    universe = arena.universe
-    local = arena.local
-    words = (arena.width + 63) // 64
-    out = bytearray()
-    out += ARENA_IMAGE_MAGIC
-    out += ARENA_IMAGE_VERSION.to_bytes(2, "little")
-    out += bytes(4)  # The CRC-32, filled in once the rest is written.
-    write_bytes(out, digest)
-    for value in (
-        arena.call_csr.num_nodes,
-        len(arena.site_caller),
-        arena.beta_csr.num_nodes,
-        len(universe.level_mask),
-        len(arena.ref_formal_uid),
-        arena.call_csr.num_edges,
-        arena.beta_csr.num_edges,
-        arena.width,
-        words,
-    ):
-        write_varint(out, value)
-
-    tables = {
-        "call_heads": arena.call_csr.heads,
-        "call_succ": arena.call_csr.succ,
-        "call_edge_site": arena.call_csr.edge_site,
-        "beta_heads": arena.beta_csr.heads,
-        "beta_succ": arena.beta_csr.succ,
-        "beta_edge_site": arena.beta_csr.edge_site,
-        "beta_formal_pid": arena.beta_formal_pid,
-        "beta_formal_uid": arena.beta_formal_uid,
-        "site_caller": arena.site_caller,
-        "site_callee": arena.site_callee,
-        "site_ref_heads": arena.site_ref_heads,
-        "ref_formal_uid": arena.ref_formal_uid,
-        "ref_base_uid": arena.ref_base_uid,
-        "ref_formal_node": arena.ref_formal_node,
-        "universe_global": [universe.global_mask],
-        "universe_local": universe.local_mask,
-        "universe_formal": universe.formal_mask,
-        "universe_level": universe.level_mask,
-        "imod_plain": local.imod_plain,
-        "iuse_plain": local.iuse_plain,
-        "imod": local.imod,
-        "iuse": local.iuse,
-        "site_lmod": arena.site_lmod,
-        "site_luse": arena.site_luse,
-        "strip": arena.strip_masks(),
-    }
-    for name, kind in _IMAGE_SECTIONS:
-        if kind == "i32":
-            write_i32_section(out, tables[name])
-        else:
-            write_mask_section(out, tables[name], words)
-    pad_to_alignment(out)
-    checksum = zlib.crc32(memoryview(out)[_IMAGE_PREFIX:])
-    out[_IMAGE_PREFIX - 4 : _IMAGE_PREFIX] = checksum.to_bytes(4, "little")
-
-    directory = _os.path.dirname(path) or "."
-    fd, tmp_path = _tempfile.mkstemp(dir=directory, suffix=".cka.tmp")
-    try:
-        with _os.fdopen(fd, "wb") as handle:
-            handle.write(out)
-        _os.replace(tmp_path, path)
-    except BaseException:
-        if _os.path.exists(tmp_path):
-            _os.unlink(tmp_path)
-        raise
-
-
-class ArenaImage:
-    """A ``.cka`` file opened for reading — memory-mapped when the
-    platform allows, with a plain read fallback.
-
-    Opening checks the magic, the version, the CRC-32 over every byte
-    after it and the file length against the header's layout, so a
-    damaged or truncated image raises :class:`ValueError` here and
-    never rebuilds into a wrong arena.  Section accessors materialize
-    on demand: :meth:`i32` and :meth:`masks` build Python lists from
-    the mapped bytes.
-    """
-
-    def __init__(self, path: str):
-        import mmap as _mmap
-
-        self.path = path
-        self._handle = open(path, "rb")
-        try:
-            self._mm = _mmap.mmap(
-                self._handle.fileno(), 0, access=_mmap.ACCESS_READ
-            )
-            buffer = self._mm
-        except (ValueError, OSError):
-            # Empty file or a filesystem without mmap: read it whole.
-            self._mm = None
-            self._handle.seek(0)
-            buffer = self._handle.read()
-        self._buffer = buffer
-        try:
-            self._read_header(buffer)
-        except BaseException:
-            self.close()
-            raise
-
-    def _read_header(self, buffer) -> None:
-        from repro.core.binio import aligned, read_bytes, read_varint
-
-        path = self.path
-        if bytes(buffer[:4]) != ARENA_IMAGE_MAGIC:
-            raise ValueError(
-                "not an arena image: expected magic %r in %s"
-                % (ARENA_IMAGE_MAGIC, path)
-            )
-        version = int.from_bytes(bytes(buffer[4:6]), "little")
-        if version != ARENA_IMAGE_VERSION:
-            raise ValueError(
-                "unsupported arena image version %d in %s (this reader "
-                "supports version %d)" % (version, path, ARENA_IMAGE_VERSION)
-            )
-        stored = int.from_bytes(bytes(buffer[_IMAGE_PREFIX - 4 : _IMAGE_PREFIX]), "little")
-        if len(buffer) < _IMAGE_PREFIX or (
-            zlib.crc32(memoryview(buffer)[_IMAGE_PREFIX:]) != stored
-        ):
-            raise ValueError(
-                "arena image %s fails its checksum (damaged or truncated)" % path
-            )
-        pos = _IMAGE_PREFIX
-        try:  # A checksummed header can still be cut short by its writer.
-            self.digest, pos = read_bytes(buffer, pos)
-            values = []
-            for _ in range(9):
-                value, pos = read_varint(buffer, pos)
-                values.append(value)
-        except IndexError as exc:
-            raise ValueError("corrupt arena image %s: %s" % (path, exc)) from exc
-        (
-            self.num_procs,
-            self.num_sites,
-            self.num_beta_nodes,
-            self.num_levels,
-            self.num_refs,
-            self.call_edges,
-            self.beta_edges,
-            self.width,
-            self.words,
-        ) = values
-        self._offsets, end = self._layout(aligned(pos))
-        if aligned(end) != len(buffer):
-            raise ValueError(
-                "arena image %s is %d bytes, its header lays out %d"
-                % (path, len(buffer), aligned(end))
-            )
-
-    def _layout(self, pos: int) -> Tuple[Dict[str, Tuple[int, int]], int]:
-        """``({name: (byte offset, entry count)}, end)`` for every
-        section, resolved from the header counts; ``end`` is the byte
-        after the last section."""
-        from repro.core.binio import aligned
-
-        counts = {
-            "call_heads": self.num_procs + 1,
-            "call_succ": self.call_edges,
-            "call_edge_site": self.call_edges,
-            "beta_heads": self.num_beta_nodes + 1,
-            "beta_succ": self.beta_edges,
-            "beta_edge_site": self.beta_edges,
-            "beta_formal_pid": self.num_beta_nodes,
-            "beta_formal_uid": self.num_beta_nodes,
-            "site_caller": self.num_sites,
-            "site_callee": self.num_sites,
-            "site_ref_heads": self.num_sites + 1,
-            "ref_formal_uid": self.num_refs,
-            "ref_base_uid": self.num_refs,
-            "ref_formal_node": self.num_refs,
-            "universe_global": 1,
-            "universe_local": self.num_procs,
-            "universe_formal": self.num_procs,
-            "universe_level": self.num_levels,
-            "imod_plain": self.num_procs,
-            "iuse_plain": self.num_procs,
-            "imod": self.num_procs,
-            "iuse": self.num_procs,
-            "site_lmod": self.num_sites,
-            "site_luse": self.num_sites,
-            "strip": self.num_procs,
-        }
-        row_bytes = self.words * 8
-        offsets: Dict[str, Tuple[int, int]] = {}
-        for name, kind in _IMAGE_SECTIONS:
-            pos = aligned(pos)
-            count = counts[name]
-            offsets[name] = (pos, count)
-            pos += count * (4 if kind == "i32" else row_bytes)
-        return offsets, pos
-
-    def i32(self, name: str) -> List[int]:
-        from repro.core.binio import read_i32_section
-
-        offset, count = self._offsets[name]
-        return read_i32_section(self._buffer, offset, count)
-
-    def masks(self, name: str) -> List[int]:
-        from repro.core.binio import read_mask_section
-
-        offset, rows = self._offsets[name]
-        return read_mask_section(self._buffer, offset, rows, self.words)
-
-    def close(self) -> None:
-        # A memoryview still borrowing the mapped buffer makes close
-        # raise; tolerate that and let GC finish the job.
-        if self._mm is not None:
-            try:
-                self._mm.close()
-            except BufferError:
-                pass
-            self._mm = None
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "ArenaImage":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def load_arena_image(path: str) -> ArenaImage:
-    """Open (and memory-map) a ``.cka`` arena image."""
-    return ArenaImage(path)
-
-
-def arena_from_image(
-    resolved: ResolvedProgram,
-    image: ArenaImage,
-    expect_digest: Optional[bytes] = None,
-) -> ProgramArena:
-    """Rebuild a :class:`ProgramArena` for ``resolved`` from a mapped
-    image of a previous lowering of the *same* program.
-
-    The reconstruction mirrors :func:`patch_arena`'s fast path — the
-    multi-graph objects are rebuilt from the flat tables in the same
-    event order ``ProgramArena.build`` would produce, so the result is
-    field-for-field identical to a cold build (the image differential
-    test asserts it).
-    """
-    if expect_digest is not None and image.digest != expect_digest:
-        raise ValueError(
-            "arena image %s was written for a different source revision"
-            % image.path
-        )
-    num_procs = resolved.num_procs
-    num_sites = resolved.num_call_sites
-    if image.num_procs != num_procs or image.num_sites != num_sites:
-        raise ValueError(
-            "arena image %s does not match the program: image has %d procs/"
-            "%d sites, program has %d/%d"
-            % (image.path, image.num_procs, image.num_sites, num_procs, num_sites)
-        )
-
-    arena = object.__new__(ProgramArena)
-    arena.resolved = resolved
-    arena.universe = VariableUniverse.spliced(
-        resolved,
-        image.masks("universe_global")[0],
-        image.masks("universe_local"),
-        image.masks("universe_formal"),
-        image.masks("universe_level"),
-    )
-    arena.local = LocalAnalysis.from_rows(
-        resolved,
-        arena.universe,
-        image.masks("imod_plain"),
-        image.masks("iuse_plain"),
-        image.masks("imod"),
-        image.masks("iuse"),
-    )
-    arena.width = max(1, arena.universe.size)
-    if arena.width != image.width:
-        raise ValueError(
-            "arena image %s universe width %d does not match the program's %d"
-            % (image.path, image.width, arena.width)
-        )
-
-    arena.call_csr = CSRGraph(
-        num_procs,
-        image.i32("call_heads"),
-        image.i32("call_succ"),
-        image.i32("call_edge_site"),
-    )
-    arena.beta_csr = CSRGraph(
-        image.num_beta_nodes,
-        image.i32("beta_heads"),
-        image.i32("beta_succ"),
-        image.i32("beta_edge_site"),
-    )
-    arena.beta_formal_pid = image.i32("beta_formal_pid")
-    arena.beta_formal_uid = image.i32("beta_formal_uid")
-    arena.site_caller = image.i32("site_caller")
-    arena.site_callee = image.i32("site_callee")
-    arena.site_ref_heads = image.i32("site_ref_heads")
-    arena.ref_formal_uid = image.i32("ref_formal_uid")
-    arena.ref_base_uid = image.i32("ref_base_uid")
-    arena.ref_formal_node = image.i32("ref_formal_node")
-    arena.site_lmod = image.masks("site_lmod")
-    arena.site_luse = image.masks("site_luse")
-
-    # Multi-graph objects straight from the CSR forms, same event order
-    # as a cold build (the β successor lists and the call-site sweep).
-    formals_list = []
-    node_of_uid: Dict[int, int] = {}
-    for proc in resolved.procs:
-        for formal in proc.formals:
-            node_of_uid[formal.uid] = len(formals_list)
-            formals_list.append(formal)
-    heads = arena.beta_csr.heads
-    succ = arena.beta_csr.succ
-    arena.binding_graph = BindingMultiGraph(
-        resolved=resolved,
-        formals=formals_list,
-        node_of_uid=node_of_uid,
-        successors=[
-            succ[heads[node] : heads[node + 1]]
-            for node in range(image.num_beta_nodes)
-        ],
-    )
-    call_sites = resolved.call_sites
-    heads = arena.call_csr.heads
-    succ = arena.call_csr.succ
-    edge_site = arena.call_csr.edge_site
-    preds: List[List[int]] = [[] for _ in range(num_procs)]
-    for sid in range(num_sites):
-        preds[arena.site_callee[sid]].append(arena.site_caller[sid])
-    arena.call_graph = CallMultiGraph(
-        resolved=resolved,
-        successors=[
-            succ[heads[pid] : heads[pid + 1]] for pid in range(num_procs)
-        ],
-        edge_sites=[
-            [call_sites[sid] for sid in edge_site[heads[pid] : heads[pid + 1]]]
-            for pid in range(num_procs)
-        ],
-        predecessors=preds,
-    )
-
-    arena.condensation_counts = {}
-    arena._scc = {}
-    arena._condensations = {}
-    arena._strip = image.masks("strip")
-    # The arena remembers its backing image, so a writer can tell it
-    # is already on disk (see the daemon's session persistence).
-    arena._arena_image = image
-    return arena

@@ -1,34 +1,24 @@
 """Low-level binary encoding primitives shared by the serialization
 fast paths.
 
-Four consumers: the versioned binary summary container
+Three consumers: the versioned binary summary container
 (:mod:`repro.core.persist`, format v3), its v4 effect-lane trailer
-sections (:mod:`repro.lanes`, through the signed-mask strips), the
-dependency index (:mod:`repro.core.depindex`), and the ``.cka`` arena
-image (:mod:`repro.core.arena`).  All speak the same dialect —
-unsigned LEB128 varints, zigzag-mapped signed ints, and big-int bit
-masks as little-endian minimal-length byte strings — so a byte layout
-debugged once works everywhere.
+sections (:mod:`repro.lanes`, through the signed-mask strips), and the
+dependency index (:mod:`repro.core.depindex`).  All speak the same
+dialect — unsigned LEB128 varints, zigzag-mapped signed ints, and
+big-int bit masks as little-endian minimal-length byte strings — so a
+byte layout debugged once works everywhere.
 
 Bit masks are the workhorse: the analysis represents variable sets as
 arbitrary-precision ints, and ``int.to_bytes``/``int.from_bytes`` move
 those to and from the wire entirely inside CPython's C layer.  A
 2000-variable dense mask is a 250-byte blob, not a 20 kB JSON name
 list.
-
-The *aligned raw section* helpers at the bottom serve the arena image:
-fixed-width little-endian rows (``int32`` index tables, 64-bit-limb
-mask rows) starting on an 8-byte boundary, so a reader may interpret a
-memory-mapped section in place: an int table is one
-``array.frombytes``, and a mask row is one ``int.from_bytes`` over a
-memoryview slice.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 
 def write_varint(out: bytearray, value: int) -> None:
@@ -214,71 +204,3 @@ def read_bytes(data, pos: int) -> Tuple[bytes, int]:
     length, pos = read_varint(data, pos)
     end = _checked_end(data, pos, length)
     return bytes(data[pos:end]), end
-
-
-# ---------------------------------------------------------------------------
-# Aligned raw sections (the ``.cka`` arena image's building blocks).
-# ---------------------------------------------------------------------------
-
-#: Every raw section starts on this boundary so 64-bit views over a
-#: memory-mapped file are aligned loads.
-SECTION_ALIGN = 8
-
-
-def pad_to_alignment(out: bytearray, align: int = SECTION_ALIGN) -> None:
-    """Zero-pad ``out`` so the next byte lands on an ``align`` boundary."""
-    remainder = len(out) % align
-    if remainder:
-        out += b"\0" * (align - remainder)
-
-
-def aligned(pos: int, align: int = SECTION_ALIGN) -> int:
-    """``pos`` rounded up to the next ``align`` boundary."""
-    remainder = pos % align
-    return pos + (align - remainder) if remainder else pos
-
-
-def write_i32_section(out: bytearray, values: Sequence[int]) -> None:
-    """Append an aligned raw section of little-endian ``int32`` values."""
-    pad_to_alignment(out)
-    packed = array("i", values)
-    if packed.itemsize != 4:  # pragma: no cover - no 4-byte int C type
-        raise OverflowError("platform lacks a 4-byte array int type")
-    if sys.byteorder != "little":  # pragma: no cover - big-endian host
-        packed.byteswap()
-    out += packed.tobytes()
-
-
-def read_i32_section(buffer, offset: int, count: int) -> List[int]:
-    """Materialize an ``int32`` raw section as a plain int list (one
-    C-level bulk conversion, no per-element Python arithmetic)."""
-    packed = array("i")
-    packed.frombytes(bytes(buffer[offset : offset + count * 4]))
-    if sys.byteorder != "little":  # pragma: no cover - big-endian host
-        packed.byteswap()
-    return packed.tolist()
-
-
-def write_mask_section(
-    out: bytearray, masks: Sequence[int], words: int
-) -> None:
-    """Append an aligned raw section of fixed-width mask rows: each
-    row is ``words`` little-endian 64-bit limbs, the limb layout of
-    ``int.to_bytes(..., "little")``, so rows read back without
-    rewriting."""
-    pad_to_alignment(out)
-    nbytes = words * 8
-    out += b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
-
-
-def read_mask_section(
-    buffer, offset: int, rows: int, words: int
-) -> List[int]:
-    """Materialize a mask-row section as big-ints — one
-    ``int.from_bytes`` per row over a shared memoryview."""
-    nbytes = words * 8
-    view = memoryview(buffer)[offset : offset + rows * nbytes]
-    return [
-        int.from_bytes(view[row * nbytes : (row + 1) * nbytes], "little")
-        for row in range(rows)
-    ]

@@ -69,7 +69,6 @@ from repro.core.depindex import (
     DependencyIndex,
     build_dependency_index,
     fingerprint_digest,
-    fingerprint_text,
     fingerprints_equal,
 )
 from repro.core.persist import carry_render
@@ -77,7 +76,7 @@ from repro.core.rmod import RmodResult
 from repro.core.summary import EffectSolution, SideEffectSummary
 from repro.core.varsets import EffectKind
 from repro.graphs.dfs import reachable_from
-from repro.lang.symbols import ProcSymbol, ResolvedProgram
+from repro.lang.symbols import ResolvedProgram
 
 
 @dataclass
@@ -145,11 +144,6 @@ class UpdateStats:
             "full_resolve": self.full_resolve,
             "reuse_fraction": self.reuse_fraction,
         }
-
-
-def _fingerprint_proc(proc: ProcSymbol) -> str:
-    """Back-compat alias for :func:`repro.core.depindex.fingerprint_text`."""
-    return fingerprint_text(proc)
 
 
 def dirty_procedures(old: ResolvedProgram, new: ResolvedProgram) -> Set[str]:

@@ -198,29 +198,6 @@ class LocalAnalysis:
         self._extend()
         return self
 
-    @classmethod
-    def from_rows(
-        cls,
-        resolved: ResolvedProgram,
-        universe: VariableUniverse,
-        imod_plain: List[int],
-        iuse_plain: List[int],
-        imod: List[int],
-        iuse: List[int],
-    ) -> "LocalAnalysis":
-        """Adopt fully materialized rows — no statement walk, no
-        nesting extension.  The arena image loader uses this: its rows
-        were produced by this class on the same program, so re-running
-        :meth:`_extend` would only recompute what the image carries."""
-        self = object.__new__(cls)
-        self.resolved = resolved
-        self.universe = universe
-        self.imod_plain = imod_plain
-        self.iuse_plain = iuse_plain
-        self.imod = imod
-        self.iuse = iuse
-        return self
-
     def initial(self, kind: EffectKind) -> List[int]:
         """The extended initial sets for the requested problem."""
         if kind is EffectKind.MOD:

@@ -14,7 +14,9 @@ from the solution masks, never listing a set's names.
 from __future__ import annotations
 
 import json
+import os
 import struct
+import tempfile
 import warnings
 from bisect import bisect_right
 from typing import Callable, Dict, List, Optional, Tuple
@@ -998,6 +1000,26 @@ def load_summary_container_file(path: str) -> "Tuple[Dict, Dict[int, bytes]]":
             return json.loads(bytes(buffer).decode("utf-8")), {}
         finally:
             buffer.close()
+
+
+def write_file_atomic(path: str, blob: bytes) -> None:
+    """Write ``blob`` to ``path`` so readers see the old file or the new
+    one, never a torn one.  The bytes go to a temp file unique to this
+    call, in the same directory, and ``os.replace`` then moves it over
+    ``path``: concurrent writers of one path never share a temp file.
+    The temp file is removed if anything fails."""
+    directory, name = os.path.split(path)
+    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(blob)
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
 
 
 def load_summary_payload_file(path: str) -> Dict:

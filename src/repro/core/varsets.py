@@ -62,7 +62,7 @@ class VariableUniverse:
         local_mask: Iterable[int],
         formal_mask: Iterable[int],
         level_mask: Iterable[int],
-        dirty_pids: Iterable[int] = (),
+        dirty_pids: Iterable[int],
     ) -> "VariableUniverse":
         """Rebuild a universe from a previous version's masks instead of
         re-walking every declaration.

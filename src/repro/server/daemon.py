@@ -70,15 +70,6 @@ from repro.server.protocol import (
 from repro.server.sessions import Session, SessionStore
 from repro.service.cache import SummaryCache, content_key
 
-#: Sessions whose arena image would exceed this are persisted without
-#: one.  The ``.cka`` image stores fixed-width mask rows (``words × 8``
-#: bytes each), so a wide-but-sparse universe inflates it far past the
-#: container size — the estimator gates the write, the ``.cki`` alone
-#: still restores the session.
-ARENA_IMAGE_CAP_BYTES = (
-    int(os.environ.get("CK_ARENA_IMAGE_MAX_MB", "256")) * 1024 * 1024
-)
-
 
 @dataclass
 class ServerConfig:
@@ -361,16 +352,14 @@ class AnalysisServer:
         digest = hashlib.sha256(name.encode("utf-8")).hexdigest()[:24]
         return os.path.join(self.config.state_dir, digest + ".cki")
 
-    def _session_arena_path(self, name: str) -> str:
-        """The arena image riding beside a session's state file."""
-        root, _ext = os.path.splitext(self._session_state_path(name))
-        return root + ".cka"
-
     def _persist_session(self, session: Session) -> None:
         """Write a session's summary + dependency index + metadata as a
         v4 container (atomic rename) — runs on the solver pool."""
-        from repro.core.arena import peek_arena
-        from repro.core.persist import SECTION_SESSION_META, summary_to_bytes
+        from repro.core.persist import (
+            SECTION_SESSION_META,
+            summary_to_bytes,
+            write_file_atomic,
+        )
 
         summary = session.summary
         meta = {"name": session.name, "key": session.key,
@@ -385,36 +374,7 @@ class AnalysisServer:
                 ).encode("utf-8"),
             },
         )
-        path = self._session_state_path(session.name)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp, path)
-
-        # The arena image rides beside the state file: a restarted
-        # daemon re-serving this session memory-maps it and skips the
-        # whole arena build (binding walk, call graph, local sweep).
-        # Pinned to the session key, so an image for a stale source
-        # revision is refused at load instead of silently reused.
-        from repro.core.arena import arena_image_nbytes, write_arena_image
-
-        arena = peek_arena(summary.resolved)
-        arena_path = self._session_arena_path(session.name)
-        backing = getattr(arena, "_arena_image", None) if arena is not None else None
-        if backing is not None and backing.digest == session.key.encode("utf-8"):
-            pass  # This arena *is* the on-disk image; nothing to rewrite.
-        elif arena is not None and arena_image_nbytes(arena) <= ARENA_IMAGE_CAP_BYTES:
-            try:
-                write_arena_image(
-                    arena, arena_path, digest=session.key.encode("utf-8")
-                )
-            except OSError:
-                pass  # Best-effort: the .cki alone restores the session.
-        else:
-            try:
-                os.unlink(arena_path)  # Drop an image for an older revision.
-            except OSError:
-                pass
+        write_file_atomic(self._session_state_path(session.name), blob)
 
     async def _save_session_state(self, session: Session) -> None:
         if not self.config.state_dir:
@@ -474,41 +434,6 @@ class AnalysisServer:
                 index = None  # Version drift → full-re-solve downgrade.
         return index, lanes
 
-    def _warm_session_arena(self, name: str, key: str, source: str):
-        """``(resolved, arena)`` rebuilt zero-copy from the session's
-        memory-mapped ``.cka`` image, or None when no image matches this
-        exact source revision (absent file, digest mismatch, format
-        drift) — the caller then falls back to the cold build.  Runs on
-        the solver pool."""
-        if not self.config.state_dir:
-            return None
-        from repro.core.arena import (
-            arena_from_image,
-            install_arena,
-            load_arena_image,
-        )
-        from repro.lang.lexer import tokenize_stream
-        from repro.lang.parser import parse_token_stream
-        from repro.lang.semantic import analyze as semantic_analyze
-
-        try:
-            image = load_arena_image(self._session_arena_path(name))
-        except (OSError, ValueError):
-            return None
-        try:
-            resolved = semantic_analyze(parse_token_stream(tokenize_stream(source)))
-            arena = arena_from_image(
-                resolved, image, expect_digest=key.encode("utf-8")
-            )
-        except (CkError, ValueError):
-            image.close()
-            return None
-        # Register the warm arena so everything downstream keyed on the
-        # resolved program (session persistence, lanes, dep indexing)
-        # sees this lowering instead of rebuilding its own.
-        install_arena(resolved, arena)
-        return resolved, arena
-
     # -- verbs ---------------------------------------------------------------
 
     async def _verb_ping(self, request_id: Any, request: Dict) -> Dict:
@@ -544,21 +469,7 @@ class AnalysisServer:
                 def work():
                     if sleep:
                         time.sleep(sleep)
-                    warm = None
-                    if session_name is not None:
-                        # A re-opened session for an unchanged file: the
-                        # persisted arena image skips the arena build;
-                        # only the solve phases run cold.
-                        warm = self._warm_session_arena(
-                            session_name, key, source
-                        )
-                    if warm is not None:
-                        resolved, arena = warm
-                        live = analyze_side_effects(
-                            resolved, arena=arena, lanes=lanes
-                        )
-                    else:
-                        live = analyze_side_effects(source, lanes=lanes)
+                    live = analyze_side_effects(source, lanes=lanes)
                     return live, payload_from_summary(live)
 
                 summary, payload = await self._run_heavy(work)

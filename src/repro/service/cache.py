@@ -17,8 +17,9 @@ Entries are one binary file per key (``<key>.ckb``, the
 smaller than the JSON form it replaced) under the cache root; legacy
 ``<key>.json`` entries written by older builds are still read, so an
 existing cache stays warm across the format change.  Writes go
-through a temp file + ``os.replace`` so concurrent batch runs sharing
-a cache directory never observe torn entries.
+through :func:`~repro.core.persist.write_file_atomic` (a temp file of
+their own + ``os.replace``) so concurrent batch runs sharing a cache
+directory never observe torn entries.
 
 The cache is optionally *bounded*: with ``max_entries`` set, a store
 that pushes the directory past the limit evicts the least-recently
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -39,6 +39,7 @@ from repro.core.persist import (
     FORMAT_VERSION,
     encode_summary_payload,
     load_summary_payload_file,
+    write_file_atomic,
 )
 
 #: Version of the cache *record* envelope (not the summary payload —
@@ -164,15 +165,7 @@ class SummaryCache:
                 "result": result,
             }
         )
-        fd, tmp_path = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp_path, self.path_for(key))
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+        write_file_atomic(self.path_for(key), blob)
         self.stats.stores += 1
         self._evict_over_limit()
 

@@ -8,7 +8,8 @@ it down with the ``shutdown`` verb, and asserts a zero exit status plus
 a written ``--metrics-json`` dump carrying the incremental region
 counters.  It then starts a second daemon on the same ``--state-dir``
 and updates the session again: the update must reload the persisted
-dependency index and still carry both lanes.  Invoked by ``make
+dependency index and still carry both lanes, and the state directory
+must hold nothing but ``.cki`` state files.  Invoked by ``make
 server-smoke`` and the CI workflow — not collected by pytest (no
 ``test_`` prefix).
 """
@@ -124,6 +125,11 @@ def main() -> int:
         assert returncode == 0, "restarted daemon exited with %d" % returncode
     finally:
         stop_daemon(daemon)
+    # A session persists as one state file.
+    leftovers = [
+        name for name in os.listdir(state_dir) if not name.endswith(".cki")
+    ]
+    assert not leftovers, "state dir holds more than .cki files: %r" % leftovers
     print("server smoke: ok (port %d, %d requests, restart resumed the session)"
           % (port, requests))
     return 0

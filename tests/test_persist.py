@@ -1,6 +1,7 @@
 """Summary serialization round-trip and verification tests."""
 
 import json
+import os
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.core.persist import (
     summary_to_dict,
     summary_to_json,
     verify_against,
+    write_file_atomic,
 )
 from repro.core.varsets import EffectKind
 from repro.lang.semantic import compile_source
@@ -78,3 +80,21 @@ class TestSerialization:
         site = summary.resolved.call_sites[0]
         live = {v.qualified_name for v in summary.mod(site)}
         assert set(loaded.mod_names(site.site_id)) == live
+
+
+class TestWriteFileAtomic:
+    def test_failed_replace_keeps_the_old_file_and_no_temp(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "state.cki"
+        path.write_bytes(b"old")
+
+        def refuse(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            write_file_atomic(str(path), b"new")
+        monkeypatch.undo()
+        assert os.listdir(str(tmp_path)) == ["state.cki"]
+        assert path.read_bytes() == b"old"

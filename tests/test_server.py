@@ -10,7 +10,9 @@ the server must be an *optimization*, never a different answer.
 from __future__ import annotations
 
 import json
+import os
 import socket
+import sys
 import threading
 import time
 
@@ -676,3 +678,143 @@ class TestSessionPersistence:
                 assert response["update_stats"]["index_reloaded"] is True
                 assert canon(response["summary"]) == canon(
                     scratch_summary(self.BASE))
+
+    def _reopen(self, state_dir):
+        """Open the session, restart the daemon, then re-open it with the
+        same source and update it; returns the state dir's listing."""
+        self._open_session(state_dir)
+        with ServerThread(ServerConfig(port=0, state_dir=state_dir)) as h:
+            with ServerClient(port=h.port) as c:
+                reopened = c.analyze(self.BASE, session="persist")
+                updated = c.update("persist", self.EDIT)
+        assert reopened["cached"] is False
+        assert canon(reopened["summary"]) == canon(scratch_summary(self.BASE))
+        assert canon(updated["summary"]) == canon(scratch_summary(self.EDIT))
+        return sorted(os.listdir(state_dir))
+
+    @staticmethod
+    def _state_path(tmp_path, name="persist"):
+        from repro.server.daemon import AnalysisServer
+
+        server = AnalysisServer(ServerConfig(state_dir=str(tmp_path)))
+        return server._session_state_path(name)
+
+    def test_reopen_after_restart_solves_from_source(self, tmp_path):
+        """A restarted daemon re-opening an unchanged session builds it
+        as any analysis does, and the session persists as one file."""
+        assert self._reopen(str(tmp_path)) == [
+            os.path.basename(self._state_path(tmp_path))
+        ]
+
+    def test_reopen_leaves_an_earlier_builds_arena_image_alone(self, tmp_path):
+        """A ``.cka`` arena image an earlier build left beside the state
+        file is never read, rewritten or deleted."""
+        state = self._state_path(tmp_path)
+        stray = os.path.splitext(state)[0] + ".cka"
+        with open(stray, "wb") as handle:
+            handle.write(b"an arena image from an earlier build")
+        before = os.stat(stray).st_mtime_ns
+        assert self._reopen(str(tmp_path)) == sorted(
+            os.path.basename(path) for path in (state, stray)
+        )
+        with open(stray, "rb") as handle:
+            assert handle.read() == b"an arena image from an earlier build"
+        assert os.stat(stray).st_mtime_ns == before
+
+    def test_concurrent_saves_of_one_session(self, tmp_path, monkeypatch):
+        """Two saves of one session on two solver threads, each holding
+        its finished temp file at ``os.replace`` until the other gets
+        there too: both saves land, no temp file is left behind, and the
+        state file holds the session's summary."""
+        from repro.core.persist import load_summary_container_file
+        from repro.server.daemon import AnalysisServer
+        from repro.server.sessions import Session
+
+        server = AnalysisServer(ServerConfig(state_dir=str(tmp_path)))
+        summary = analyze_side_effects(self.BASE)
+        session = Session(
+            name="race", key=content_key(self.BASE), summary=summary, payload={}
+        )
+        barrier = threading.Barrier(2, timeout=10)
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if str(dst).endswith(".cki"):
+                barrier.wait()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        errors = []
+
+        def save():
+            try:
+                server._persist_session(session)
+            except Exception as error:
+                errors.append(error)
+
+        threads = [threading.Thread(target=save) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        monkeypatch.undo()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        path = server._session_state_path("race")
+        assert os.listdir(str(tmp_path)) == [os.path.basename(path)]
+        payload, _sections = load_summary_container_file(path)
+        assert payload == summary_to_dict(summary)
+
+    def test_concurrent_updates_of_one_session(self, tmp_path):
+        """Rounds of four ``update``s of one session from four clients
+        at once: every one answers ``ok`` with the summary of its own
+        source, and the state dir holds one state file."""
+        base = patterns.chain(40)
+        sources = [
+            base.replace(
+                "proc c%d(x)\n  begin" % link,
+                "proc c%d(x)\n  begin\n    g := 9" % link,
+            )
+            for link in (1, 2, 3, 4)
+        ]
+        expected = [canon(scratch_summary(source)) for source in sources]
+        config = ServerConfig(port=0, state_dir=str(tmp_path), max_concurrent=4)
+        with ServerThread(config) as h:
+            with ServerClient(port=h.port) as c:
+                c.analyze(base, session="shared")
+            start = threading.Barrier(len(sources), timeout=30)
+            failures = []
+
+            def client(which):
+                try:
+                    with ServerClient(port=h.port) as c:
+                        for _round in range(3):
+                            start.wait()
+                            response = c.request_raw(
+                                "update", session="shared", source=sources[which]
+                            )
+                            if not response.get("ok"):
+                                failures.append(response.get("error"))
+                            elif canon(response["summary"]) != expected[which]:
+                                failures.append((which, "diverged from scratch"))
+                except Exception as error:
+                    failures.append((which, repr(error)))
+
+            threads = [
+                threading.Thread(target=client, args=(which,))
+                for which in range(len(sources))
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-4)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert os.listdir(str(tmp_path)) == [
+            os.path.basename(self._state_path(tmp_path, "shared"))
+        ]

@@ -1,20 +1,17 @@
-"""The mask codecs of :mod:`repro.core.binio`.
+"""The signed-mask strip codec of :mod:`repro.core.binio`.
 
-Two encodings of bit masks live there.  *Signed-mask strips* carry the
-v4 container's effect-lane trailer sections (:mod:`repro.lanes`): a
-flag byte, then the length-prefixed magnitude of ``m`` or ``~m``.
-*Mask sections* carry the ``.cka`` arena image's mask tables: a list
-of masks as fixed-width rows of 64-bit little-endian limbs, starting
-on an 8-byte boundary.
+*Signed-mask strips* carry the v4 container's effect-lane trailer
+sections (:mod:`repro.lanes`): a flag byte, then the length-prefixed
+magnitude of ``m`` or ``~m``.
 
-Both began as the shard wire format's mask codecs, which is where this
-module's name comes from; the sharded solver is gone and the codecs
-stayed.  Lane partner and section masks are non-negative today, but
-the strip codec is defined over every int, so negative masks of
+The codec began as the shard wire format's mask codec, which is where
+this module's name comes from; the sharded solver is gone and the
+codec stayed.  Lane partner and section masks are non-negative today,
+but the strip codec is defined over every int, so negative masks of
 arbitrary width are first-class here, along with the degenerate shapes
-(zero, ``~0``, empty lists, all-zero lists) a structured corpus rarely
-produces.  A strip cut short must raise, and through the lane decoder
-it must raise :class:`ValueError`.
+(zero, ``~0``) a structured corpus rarely produces.  A strip cut short
+must raise, and through the lane decoder it must raise
+:class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -23,13 +20,7 @@ import random
 
 import pytest
 
-from repro.core.binio import (
-    aligned,
-    read_mask_section,
-    read_signed_mask,
-    write_mask_section,
-    write_signed_mask,
-)
+from repro.core.binio import read_signed_mask, write_signed_mask
 
 
 def _round_trip(mask: int) -> None:
@@ -40,26 +31,7 @@ def _round_trip(mask: int) -> None:
     assert pos == len(out)
 
 
-def _section_round_trip(masks, prefix: bytes = b"") -> None:
-    """``masks`` written as one mask section behind ``prefix`` read
-    back from the next aligned offset."""
-    words = max([1] + [-(-mask.bit_length() // 64) for mask in masks])
-    out = bytearray(prefix)
-    write_mask_section(out, masks, words)
-    offset = aligned(len(prefix))
-    assert len(out) == offset + len(masks) * words * 8
-    assert read_mask_section(bytes(out), offset, len(masks), words) == masks
-
-
 class TestMaskPrimitives:
-    def test_mask_list_round_trip(self):
-        masks = [0, 1, (1 << 300) | 5, 0xFFFF, 1 << 9999]
-        _section_round_trip(masks)
-        _section_round_trip(masks, prefix=b"\x01\x02\x03")
-
-    def test_empty_mask_list(self):
-        _section_round_trip([])
-
     @pytest.mark.parametrize(
         "mask", [0, 1, -1, -2, 0b1010, ~0b1010, 1 << 200, ~(1 << 200)]
     )
@@ -76,7 +48,7 @@ class TestMaskPrimitives:
 
 
 class TestMaskFuzz:
-    """Deterministic fuzz of both mask codecs, independent of the
+    """Deterministic fuzz of the strip codec, independent of the
     pipeline."""
 
     def test_signed_mask_fuzz_round_trip(self):
@@ -105,18 +77,6 @@ class TestMaskFuzz:
             decoded, pos = read_signed_mask(blob, pos)
             assert decoded == expected
         assert pos == len(blob)
-
-    def test_mask_list_fuzz_round_trip(self):
-        rng = random.Random(0xC003)
-        for _ in range(50):
-            masks = [
-                rng.getrandbits(rng.randrange(0, 300))
-                for _ in range(rng.randrange(0, 20))
-            ]
-            _section_round_trip(masks, prefix=bytes(rng.randrange(0, 8)))
-
-    def test_all_zero_mask_list(self):
-        _section_round_trip([0] * 17)
 
 
 class TestLaneSectionTruncation:
