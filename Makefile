@@ -36,13 +36,17 @@ incremental-differential:
 	$(PP) $(PY) -m pytest -q tests/test_incremental_fuzz.py \
 	    tests/test_incremental.py tests/test_depindex.py
 
-# The effect-lane oracles: every lane value-identical to its
-# standalone reference across the 30-program sweep and the fuzz
-# corpora, one condensation per graph at any lane count, the Dyck
-# precision baseline (ALIAS ⊆ DYCK, never loaded in the fast path),
-# and the v4 lane-section persistence round-trips.
+# The one regular-sections solver held to the sweep oracle
+# (baselines/sections_sweep.py) on both lattices (figure3, ranges) and
+# both kinds (MOD, USE) across the 30-program sweep, the corpus and the
+# fuzz corpora, plus the solver and range-lattice suites; the refalias
+# lane against the pair-set alias oracle, one condensation per graph
+# with all three lanes, the Dyck precision baseline (ALIAS ⊆ DYCK,
+# never loaded in the fast path), and the v4 lane-section persistence
+# round-trips.
 lane-differential:
-	$(PP) $(PY) -m pytest -q tests/test_lanes.py
+	$(PP) $(PY) -m pytest -q tests/test_lanes.py \
+	    tests/test_sections_solver.py tests/test_sections_ranges.py
 
 # One tiny batch benchmark plus the front-end, core, incremental and
 # lane benchmark smokes (each writes its BENCH_*.json), timing
@@ -88,10 +92,10 @@ bench-incremental:
 	$(PP) $(PY) -m pytest -q benchmarks/test_bench_incremental.py -s
 
 # The effect-lane measurement (E15): writes BENCH_lanes.json at the
-# repo root — 0/1/2/3-lane fused runs vs a standalone sections solve,
-# asserting the sections lane costs < 40% of the separate solve and
-# that per-lane marginal cost is sublinear, one condensation
-# throughout.  Resize with CK_LANE_BENCH_PROCS / CK_LANE_BENCH_REPEATS.
+# repo root — 0/1/2-lane fused runs against the sections sweep oracle,
+# asserting the sections lane costs < 40% of a sweep solve, one
+# condensation throughout.  Resize with CK_LANE_BENCH_PROCS /
+# CK_LANE_BENCH_REPEATS.
 bench-lanes:
 	$(PP) $(PY) -m pytest -q benchmarks/test_bench_lanes.py -s
 

@@ -488,7 +488,7 @@ def e13_incremental(quick: bool):
 
 def e15_lanes(quick: bool):
     header("E15", "Effect lanes: marginal cost per added lane  [lanes/]")
-    from test_bench_lanes import measure_lanes_benchmark, write_bench_json
+    from test_bench_lanes import SCHEMA, measure_lanes_benchmark, write_bench_json
 
     scales = [1000] if quick else [1000, 10000]
     records = []
@@ -504,15 +504,13 @@ def e15_lanes(quick: bool):
               f"{result['refalias_delta_s']:>9.3f}")
         print(f"{'+sections':>24} {result['two_lane_s']:>9.3f} "
               f"{result['sections_delta_s']:>9.3f}")
-        print(f"{'+tracer (pass-through)':>24} {result['three_lane_s']:>9.3f} "
-              f"{result['tracer_delta_s']:>9.3f}")
-        print(f"{'standalone sections':>24} "
-              f"{result['standalone_sections_s']:>9.3f} {'-':>9}")
-        print("-> sections-lane delta is %.0f%% of a standalone sections "
+        print(f"{'sweep oracle (sections)':>24} "
+              f"{result['sweep_sections_s']:>9.3f} {'-':>9}")
+        print("-> sections-lane delta is %.0f%% of a sweep sections "
               "solve; every run condensed the call graph exactly once."
               % (100.0 * result["sections_fraction"]))
     write_bench_json(records)
-    return {"schema": "ck-bench-lanes/1", "scales": records}
+    return {"schema": SCHEMA, "scales": records}
 
 
 class _Tee(io.TextIOBase):

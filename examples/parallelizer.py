@@ -50,10 +50,8 @@ end
 def main() -> None:
     resolved = compile_source(SOURCE)
     summary = analyze_side_effects(resolved)
-    mod_sections = analyze_sections(resolved, EffectKind.MOD,
-                                    summary.universe, summary.call_graph)
-    use_sections = analyze_sections(resolved, EffectKind.USE,
-                                    summary.universe, summary.call_graph)
+    mod_sections = analyze_sections(resolved, EffectKind.MOD)
+    use_sections = analyze_sections(resolved, EffectKind.USE)
     grid = resolved.var_named("grid")
 
     smooth_sites = [s for s in resolved.call_sites

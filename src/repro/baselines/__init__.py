@@ -20,7 +20,9 @@
   production does not run: the condensation-plus-fixpoint reference
   and the per-level repetition;
 * :mod:`repro.baselines.alias_pairs` — the pair-set alias worklist,
-  the table-for-table oracle of the production mask drain.
+  the table-for-table oracle of the production mask drain;
+* :mod:`repro.baselines.sections_sweep` — the Section 6 whole-map
+  sweep, the map-for-map oracle of the delta-driven sections solver.
 """
 
 from repro.baselines.alias_pairs import compute_alias_pairs
@@ -42,6 +44,7 @@ from repro.baselines.iterative import (
 from repro.baselines.swift import solve_rmod_swift
 from repro.baselines.naive import solve_gmod_naive
 from repro.baselines.per_kind import analyze_per_kind
+from repro.baselines.sections_sweep import analyze_sections_sweep
 
 __all__ = [
     "solve_direct_equation1",
@@ -54,6 +57,7 @@ __all__ = [
     "findgmod_per_level",
     "solve_equation4_reference",
     "compute_alias_pairs",
+    "analyze_sections_sweep",
     "compare_precision",
     "compute_dyck_aliases",
     "dyck_origins",

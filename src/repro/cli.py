@@ -37,22 +37,47 @@ from typing import List, Optional
 
 from repro.core.pipeline import analyze_side_effects
 from repro.core.varsets import EffectKind
-from repro.lang.errors import CkError
+from repro.lang.errors import CkError, LexError
 from repro.lang.interp import Interpreter
 from repro.lang.pretty import pretty
 from repro.lang.semantic import compile_source
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    with open(args.file) as handle:
-        source = handle.read()
-    lanes = ()
-    if args.lanes:
-        from repro.lanes import parse_lane_names
+def _read_source(path: str) -> str:
+    """The text of a CK source file, newlines normalized as text-mode
+    ``open`` does.  Bytes that are not UTF-8 end in a :class:`LexError`
+    at the line and column of the first bad byte."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        before = _normalize_newlines(data[: error.start].decode("utf-8"))
+        raise LexError(
+            "byte 0x%02x is not UTF-8 text" % data[error.start],
+            before.count("\n") + 1,
+            len(before) - before.rfind("\n"),
+        ) from None
+    return _normalize_newlines(text)
 
-        lanes = tuple(parse_lane_names(args.lanes))
-    resolved = compile_source(source)
-    summary = analyze_side_effects(resolved, lanes=lanes)
+
+def _normalize_newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _lane_list(text: str) -> tuple:
+    """The ``--lanes`` argument type: validated lane names."""
+    from repro.lanes import parse_lane_names
+
+    try:
+        return tuple(parse_lane_names(text))
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    resolved = compile_source(_read_source(args.file))
+    summary = analyze_side_effects(resolved, lanes=args.lanes)
     if args.dot_callgraph:
         print(summary.call_graph.to_dot())
         return 0
@@ -60,11 +85,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(summary.binding_graph.to_dot())
         return 0
     print(summary.report())
-    if lanes:
+    if args.lanes:
         from repro.lanes.driver import lane_payloads
 
         print("\neffect lanes (one shared condensation):")
-        for name, block in lane_payloads(summary.lanes).items():
+        for name, block in lane_payloads(summary).items():
             spent = summary.timings.get("lane.%s" % name, 0.0)
             if name == "sections":
                 filled = sum(
@@ -88,8 +113,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
         print("\nregular sections (MOD, %s lattice):" % args.lattice)
         section_analysis = analyze_sections(
-            resolved, EffectKind.MOD, summary.universe, summary.call_graph,
-            lattice=args.lattice,
+            resolved, EffectKind.MOD, lattice=args.lattice
         )
         for site in resolved.call_sites:
             rendered = section_analysis.describe_site(site)
@@ -101,9 +125,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    with open(args.file) as handle:
-        source = handle.read()
-    resolved = compile_source(source)
+    resolved = compile_source(_read_source(args.file))
     inputs = [int(token) for token in args.inputs.split(",")] if args.inputs else []
     interpreter = Interpreter(
         resolved, inputs=inputs, max_steps=args.max_steps, max_depth=args.max_depth
@@ -144,8 +166,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_constants(args: argparse.Namespace) -> int:
     from repro.extensions.constprop import solve_constants
 
-    with open(args.file) as handle:
-        resolved = compile_source(handle.read())
+    resolved = compile_source(_read_source(args.file))
     result = solve_constants(resolved, kill_policy=args.kill_policy)
     report = result.report()
     print(report or "(no constant formals found)")
@@ -159,8 +180,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 def _cmd_purity(args: argparse.Namespace) -> int:
     from repro.extensions.purity import purity_report
 
-    with open(args.file) as handle:
-        resolved = compile_source(handle.read())
+    resolved = compile_source(_read_source(args.file))
     print(purity_report(analyze_side_effects(resolved)))
     return 0
 
@@ -168,8 +188,7 @@ def _cmd_purity(args: argparse.Namespace) -> int:
 def _cmd_summary(args: argparse.Namespace) -> int:
     from repro.core.persist import summary_to_json
 
-    with open(args.file) as handle:
-        resolved = compile_source(handle.read())
+    resolved = compile_source(_read_source(args.file))
     text = summary_to_json(analyze_side_effects(resolved), indent=2)
     if args.output:
         with open(args.output, "w") as handle:
@@ -179,17 +198,33 @@ def _cmd_summary(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_recompile(args: argparse.Namespace) -> int:
-    import json
+def _load_summary_file(path: str) -> dict:
+    """The payload of a summary file (JSON or binary container), with a
+    ``procedures`` object and a ``call_sites`` list; anything else ends
+    in :class:`ValueError`."""
+    from repro.core.persist import LoadedSummary
 
+    with open(path, "rb") as handle:
+        payload = LoadedSummary.from_bytes(handle.read()).payload
+    if not isinstance(payload.get("procedures"), dict):
+        raise ValueError("summary has no 'procedures' object")
+    if not isinstance(payload.get("call_sites"), list):
+        raise ValueError("summary has no 'call_sites' list")
+    return payload
+
+
+def _cmd_recompile(args: argparse.Namespace) -> int:
     from repro.extensions.recompilation import recompilation_report
 
-    with open(args.old) as handle:
-        old_payload = json.load(handle)
-    with open(args.new) as handle:
-        new_payload = json.load(handle)
+    payloads = []
+    for path in (args.old, args.new):
+        try:
+            payloads.append(_load_summary_file(path))
+        except ValueError as error:
+            print("error: %s: %s" % (path, error), file=sys.stderr)
+            return 1
     edited = [name for name in args.edited.split(",") if name]
-    print(recompilation_report(old_payload, new_payload, edited=edited))
+    print(recompilation_report(*payloads, edited=edited))
     return 0
 
 
@@ -200,8 +235,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import time
 
     if args.file:
-        with open(args.file) as handle:
-            source = handle.read()
+        source = _read_source(args.file)
     else:
         from repro.workloads.generator import (
             generate_program,
@@ -265,11 +299,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not os.path.isdir(args.dir) and not os.path.isfile(args.dir):
         print("error: no such file or directory: %s" % args.dir, file=sys.stderr)
         return 1
-    lanes = ()
-    if args.lanes:
-        from repro.lanes import parse_lane_names
-
-        lanes = tuple(parse_lane_names(args.lanes))
     cache_dir = None
     if not args.no_cache:
         base = args.dir if os.path.isdir(args.dir) else os.path.dirname(args.dir) or "."
@@ -281,7 +310,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         timeout=args.timeout,
         pattern=args.pattern,
         cache_max_entries=args.cache_max_entries,
-        lanes=lanes,
+        lanes=args.lanes,
     )
     if not report.results:
         # An empty corpus is a misconfiguration (wrong directory or
@@ -360,8 +389,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
     fields = {}
     if args.file:
-        with open(args.file) as handle:
-            fields["source"] = handle.read()
+        fields["source"] = _read_source(args.file)
     if args.session:
         fields["session"] = args.session
     if args.select:
@@ -401,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                              default="figure3",
                              help="section lattice instance (with --sections)")
     analyze_cmd.add_argument(
-        "--lanes", default="",
+        "--lanes", type=_lane_list, default=(),
         help="extra effect lanes to solve on the shared condensation, "
         "comma-separated (e.g. sections,refalias)",
     )
@@ -522,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--pattern", default="*.ck", help="source file glob (default: *.ck)"
     )
     batch_cmd.add_argument(
-        "--lanes", default="",
+        "--lanes", type=_lane_list, default=(),
         help="extra effect lanes to solve per file, comma-separated "
              "(e.g. sections,refalias); lane blocks ride the payloads "
              "and the stats report",

@@ -51,11 +51,6 @@ def zigzag(value: int) -> int:
     return (value << 1) if value >= 0 else ((-value << 1) - 1)
 
 
-def unzigzag(value: int) -> int:
-    """Inverse of :func:`zigzag`."""
-    return (value >> 1) ^ -(value & 1)
-
-
 def write_signed(out: bytearray, value: int) -> None:
     """Append a signed int as a zigzag varint."""
     write_varint(out, (value << 1) if value >= 0 else ((-value << 1) - 1))
@@ -73,11 +68,6 @@ def mask_to_bytes(mask: int) -> bytes:
     if mask < 0:
         raise ValueError("mask must be non-negative, got %d" % mask)
     return mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-
-
-def mask_from_bytes(blob: bytes) -> int:
-    """Inverse of :func:`mask_to_bytes`."""
-    return int.from_bytes(blob, "little")
 
 
 def write_mask(out: bytearray, mask: int) -> None:

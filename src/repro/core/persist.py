@@ -128,7 +128,7 @@ _T_STRLIST_MASK = 9
 _FLOAT = struct.Struct("<d")
 
 
-def summary_to_dict(summary: SideEffectSummary, include_sections: bool = False) -> Dict:
+def summary_to_dict(summary: SideEffectSummary) -> Dict:
     """A JSON-safe dictionary of every externally meaningful set.
 
     The payload is **read-only**: entries with equal masks share one
@@ -136,16 +136,7 @@ def summary_to_dict(summary: SideEffectSummary, include_sections: bool = False) 
     :class:`_Render`) and may be returned again — by a later call, or
     for a successor summary whose sets all came out equal (see
     :func:`carry_render`).  Copy before editing.
-
-    ``include_sections`` additionally solves and embeds the Section 6
-    regular-section analysis (Figure 3 lattice) per call site — opt-in
-    because it is a separate solve, not a projection of the summary.
-    Such a payload is rendered afresh and never kept.
     """
-    if include_sections:
-        payload = _render(summary, None).payload
-        payload["sections"] = _sections_payload(summary)
-        return payload
     render = _render(summary, summary.render)
     summary.render = render
     return render.payload
@@ -278,30 +269,12 @@ def _rmod_names(solution, proc) -> List[str]:
     return [formal.name for formal in solution.rmod.formals_of(proc.pid)]
 
 
-def _sections_payload(summary: SideEffectSummary) -> Dict:
-    """The Section 6 regular sections of every call site (a separate
-    solve over the Figure 3 lattice)."""
-    from repro.sections import analyze_sections
-
-    resolved = summary.resolved
-    section_analysis = analyze_sections(
-        resolved, EffectKind.MOD, summary.universe, summary.call_graph
-    )
-    return {
-        "lattice": "figure3",
-        "sites": [
-            section_analysis.describe_site(site) for site in resolved.call_sites
-        ],
-    }
-
-
 def summary_to_json(summary: SideEffectSummary, indent: Optional[int] = None) -> str:
     return json.dumps(summary_to_dict(summary), indent=indent, sort_keys=True)
 
 
 def summary_to_bytes(
     summary: SideEffectSummary,
-    include_sections: bool = False,
     include_index: bool = False,
     include_lanes: bool = False,
     sections: Optional[Dict[int, bytes]] = None,
@@ -310,8 +283,8 @@ def summary_to_bytes(
 
     The container is written straight from the solution masks (see
     :class:`_MaskWriter`), byte-identical to
-    ``encode_summary_payload(summary_to_dict(summary, include_sections),
-    sections)`` without building that payload.
+    ``encode_summary_payload(summary_to_dict(summary), sections)``
+    without building that payload.
 
     ``include_index`` additionally embeds the fine-grained dependency
     index as a v4 trailer section (building and caching it on the
@@ -347,25 +320,21 @@ def summary_to_bytes(
             summary.dep_index = index
         trailer[SECTION_DEP_INDEX] = index_to_bytes(index)
     render = summary.render
-    if include_sections or render is None or render.carried:
-        return _container(*_summary_head(summary, include_sections), trailer)
+    if render is None or render.carried:
+        return _container(*_summary_head(summary), trailer)
     if render.head is None:
-        render.head = _summary_head(summary, False)
+        render.head = _summary_head(summary)
     return _container(*render.head, trailer)
 
 
-def _summary_head(
-    summary: SideEffectSummary, include_sections: bool
-) -> Tuple[bytes, bytes]:
+def _summary_head(summary: SideEffectSummary) -> Tuple[bytes, bytes]:
     """The container's string table and body, written from the masks."""
     strings, intern = _string_table()
-    body = _summary_body(summary, include_sections, intern)
+    body = _summary_body(summary, intern)
     return _table_bytes(strings), bytes(body)
 
 
-def _summary_body(
-    summary: SideEffectSummary, include_sections: bool, intern
-) -> bytearray:
+def _summary_body(summary: SideEffectSummary, intern) -> bytearray:
     """The tagged body of :func:`summary_to_dict`'s payload, written in
     the order :func:`_encode_value` would walk that payload, so every
     string is interned at the same table index."""
@@ -388,7 +357,7 @@ def _summary_body(
         _encode_value(item, body, intern)
 
     body.append(_T_DICT)
-    write_varint(body, 6 if include_sections else 5)
+    write_varint(body, 5)
     key("version")
     value(FORMAT_VERSION)
     key("program")
@@ -436,10 +405,6 @@ def _summary_body(
     for name, proc in procs_by_name.items():
         key(name)
         value(named_pairs(partner_mask[proc.pid], summary.universe.names))
-
-    if include_sections:
-        key("sections")
-        value(_sections_payload(summary))
     return body
 
 
@@ -1038,6 +1003,11 @@ class LoadedSummary:
     """
 
     def __init__(self, payload: Dict):
+        if not isinstance(payload, dict):
+            raise ValueError(
+                "a summary payload is a JSON object, not %s"
+                % type(payload).__name__
+            )
         found = payload.get("version")
         if found != FORMAT_VERSION:
             raise ValueError(
@@ -1085,6 +1055,9 @@ class LoadedSummary:
 
     @property
     def has_sections(self) -> bool:
+        """Does the payload carry a ``sections`` block (rendered Figure 3
+        sections per call site)?  :func:`summary_to_dict` writes none;
+        payloads from earlier builds may carry one."""
         return "sections" in self.payload
 
     def site_section_names(self, site_id: int) -> List[str]:
@@ -1094,5 +1067,7 @@ class LoadedSummary:
 
 def verify_against(loaded: LoadedSummary, summary: SideEffectSummary) -> bool:
     """Does a loaded summary match a live analysis of (supposedly) the
-    same program?  Used to validate stale summary files."""
-    return summary_to_dict(summary, include_sections=loaded.has_sections) == loaded.payload
+    same program?  Used to validate stale summary files.  A ``sections``
+    block (see :attr:`LoadedSummary.has_sections`) is not compared."""
+    payload = {key: value for key, value in loaded.payload.items() if key != "sections"}
+    return summary_to_dict(summary) == payload

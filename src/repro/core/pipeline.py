@@ -102,11 +102,11 @@ def analyze_side_effects(
     keyed on the resolved program).
 
     ``lanes`` names extra effect lanes (:mod:`repro.lanes`, e.g.
-    ``("sections", "refalias")``) advanced through the same arena after
-    the MOD/USE phases; finalized lane states land in ``summary.lanes``.
-    The ``refalias`` lane is a view of this run's alias result, not a
-    second fixpoint.  The lanes walk the components the GMOD walk
-    recorded, so a laned run still condenses each graph once.
+    ``("sections", "refalias")``) solved after the MOD/USE phases; their
+    results land in ``summary.lanes``.  The ``refalias`` lane is this
+    run's alias result, not a second fixpoint.  The sections solver
+    walks the components the GMOD walk recorded, so a laned run still
+    condenses each graph once.
     """
     timings: Dict[str, float] = {}
     started = time.perf_counter()
@@ -157,14 +157,14 @@ def analyze_side_effects(
         )
         for k, kind in enumerate(kind_list)
     }
-    lane_states: Optional[Dict[str, object]] = None
+    lane_results: Optional[Dict[str, object]] = None
     if lane_names:
         from repro.lanes.driver import solve_lanes
 
         # Before the condensation snapshot: a lane that triggered an
         # extra pass would show up in ``summary.condensations``, which
-        # the lane framework's counter test pins at one pass per graph.
-        lane_states = solve_lanes(arena, lane_names, aliases, timings)
+        # the lane tests pin at one pass per graph.
+        lane_results = solve_lanes(resolved, lane_names, aliases, timings)
     after = arena.snapshot_condensations()
     condensations = {
         name: count - before.get(name, 0)
@@ -188,7 +188,7 @@ def analyze_side_effects(
         timings=timings,
         kind_counters=dict(zip(kind_list, kind_counters)),
         condensations=condensations,
-        lanes=lane_states,
+        lanes=lane_results,
     )
 
 
@@ -221,7 +221,7 @@ def payload_from_summary(summary: SideEffectSummary) -> Dict:
     if summary.lanes:
         from repro.lanes.driver import lane_payloads
 
-        payload["lanes"] = lane_payloads(summary.lanes)
+        payload["lanes"] = lane_payloads(summary)
     return payload
 
 
@@ -238,10 +238,3 @@ def analyze_source_payload(source: str, lanes: Sequence[str] = ()) -> Dict:
     """
     summary = analyze_side_effects(source, lanes=list(lanes))
     return payload_from_summary(summary)
-
-
-def analyze_file_payload(path: str, lanes: Sequence[str] = ()) -> Dict:
-    """:func:`analyze_source_payload` over a file path (picklable)."""
-    with open(path) as handle:
-        source = handle.read()
-    return analyze_source_payload(source, lanes=lanes)

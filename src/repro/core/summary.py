@@ -67,11 +67,13 @@ class SideEffectSummary:
     #: here; serialized only into the v4 binary container's tagged
     #: section, never into the dataclass payload.
     dep_index: Optional[object] = None
-    #: Finalized effect-lane states (:mod:`repro.lanes`) keyed by lane
-    #: name, in request order, when the analysis was run with extra
-    #: lanes; None otherwise.  Lane payloads serialize into the service
-    #: payload's ``lanes`` block and, on request, into per-lane v4
-    #: container trailer sections.
+    #: Effect-lane results (:mod:`repro.lanes`) keyed by lane name, in
+    #: request order, when the analysis was run with extra lanes; None
+    #: otherwise.  A sections lane holds a
+    #: :class:`~repro.sections.solver.SectionAnalysis`, ``refalias``
+    #: holds :attr:`aliases` itself.  Lane payloads serialize into the
+    #: service payload's ``lanes`` block and, on request, into per-lane
+    #: v4 container trailer sections.
     lanes: Optional[Dict[str, object]] = None
     #: The last plain render (:func:`repro.core.persist.summary_to_dict`):
     #: its read-only payload, the name list of each distinct mask in it

@@ -1,23 +1,22 @@
-"""GPG-lite reference-parameter alias lane.
+"""The ``refalias`` lane block and its blob codec.
 
-The lane publishes the Banning may-alias pairs for reference formals
-as a **mask lane**: per-procedure partner tables (uid → mask of
-may-alias partners over the variable universe) and their domain masks,
-exactly the two structures the Section 5 factoring step consumes.
+The lane publishes the Banning may-alias pairs for reference formals:
+per-procedure partner tables (uid → mask of may-alias partners over the
+variable universe) and their domain masks, exactly the two structures
+the Section 5 factoring step consumes.
 
 It is a *view*, not a solver.  Every analysis already runs the one
 alias fixpoint, :func:`repro.core.aliases.compute_aliases`, before its
-MOD/USE phases; the lane driver hands that result in through
-:class:`~repro.lanes.driver.LaneContext` and the lane adopts its
-tables by reference.  What the lane adds is the publication: a
-``lanes`` payload block with per-procedure name pairs (derived from
-the masks on demand) and a v4 container trailer section holding the
-tables.
+MOD/USE phases, and the lane's result is that
+:class:`~repro.core.aliases.AliasResult` itself.  What the lane adds is
+the publication: a ``lanes`` payload block with per-procedure name
+pairs (derived from the masks on demand) and a container trailer
+section holding the tables.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from repro.core.aliases import AliasResult, named_pairs
 from repro.core.binio import (
@@ -26,60 +25,23 @@ from repro.core.binio import (
     write_signed_mask,
     write_varint,
 )
-from repro.lanes.spec import LaneSpec, register_lane
 
 
-class RefAliasLaneState:
-    """The run's alias tables, published as a lane."""
-
-    direction = "down"
-
-    def __init__(self, arena):
-        self.arena = arena
-        self.aliases: AliasResult = None
-
-    # -- driver hook ---------------------------------------------------------
-
-    def solve_down(self, ctx) -> None:
-        """Adopt the run's alias result; no fixpoint runs here."""
-        self.aliases = ctx.aliases
-
-    def finalize(self, ctx) -> None:
-        pass
-
-    # -- results -------------------------------------------------------------
-
-    @property
-    def partner(self) -> List[Dict[int, int]]:
-        """Per pid: uid -> mask of may-alias partners on entry."""
-        return self.aliases.partner_mask
-
-    @property
-    def domain(self) -> List[int]:
-        """Per pid: key set of ``partner`` as a mask."""
-        return self.aliases.domain_mask
-
-    def to_alias_result(self) -> AliasResult:
-        """The tables in the shape Section 5's factoring consumes."""
-        return self.aliases
-
-    def to_payload(self) -> Dict:
-        """JSON-safe lane block: per-procedure sorted name pairs (the
-        exact shape of the summary payload's ``aliases`` block) plus
-        mask-level totals."""
-        names = self.arena.universe.names
-        pairs = {
-            proc.qualified_name: named_pairs(table, names)
-            for proc, table in zip(self.arena.resolved.procs, self.partner)
-        }
-        return {
-            "pairs": pairs,
-            "total_pairs": self.aliases.total_pairs(),
-            "domain_procs": sum(1 for mask in self.domain if mask),
-        }
-
-    def to_blob(self) -> bytes:
-        return refalias_tables_to_blob(self.partner)
+def refalias_payload(
+    aliases: AliasResult, resolved, names: Sequence[str]
+) -> Dict:
+    """JSON-safe lane block: per-procedure sorted name pairs (the exact
+    shape of the summary payload's ``aliases`` block) plus mask-level
+    totals."""
+    pairs = {
+        proc.qualified_name: named_pairs(table, names)
+        for proc, table in zip(resolved.procs, aliases.partner_mask)
+    }
+    return {
+        "pairs": pairs,
+        "total_pairs": aliases.total_pairs(),
+        "domain_procs": sum(1 for mask in aliases.domain_mask if mask),
+    }
 
 
 # -- trailer-section codec (shared with core/persist.py) ---------------------
@@ -112,16 +74,3 @@ def refalias_tables_from_blob(data: bytes) -> List[Dict[int, int]]:
             table[uid] = mask
         partner.append(table)
     return partner
-
-
-REFALIAS_LANE = register_lane(
-    LaneSpec(
-        name="refalias",
-        description="GPG-lite reference-parameter may-alias pairs as "
-        "partner/domain masks (Banning rules 1-5)",
-        direction="down",
-        mask_width=lambda arena: arena.width,
-        make_state=RefAliasLaneState,
-        section_tag=4,  # == repro.core.persist.SECTION_LANE_REFALIAS
-    )
-)

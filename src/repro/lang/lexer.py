@@ -22,7 +22,7 @@ equivalent by the front-end equivalence suite.
 from __future__ import annotations
 
 import re
-from typing import Iterator, List, NamedTuple, Tuple
+from typing import List, NamedTuple
 
 from repro.lang.errors import LexError
 from repro.lang.tokens import KEYWORDS, KIND_BY_CODE, Token, TokenKind
@@ -201,30 +201,3 @@ def tokenize(source: str) -> List[Token]:
         Token(kinds[code], value, line, column)
         for code, value, line, column in zip(codes, values, lines, columns)
     ]
-
-
-def tokenize_with_codes(source: str) -> Tuple[List[Token], List[int]]:
-    """Tokenize ``source``; returns ``(tokens, kind codes)``.
-
-    Compatibility shim over :func:`tokenize_stream` for callers that
-    want materialized :class:`Token` records alongside the dense codes.
-    """
-    stream = tokenize_stream(source)
-    kinds = KIND_BY_CODE
-    tokens = [
-        Token(kinds[code], value, line, column)
-        for code, value, line, column in zip(
-            stream.codes, stream.values, stream.lines, stream.columns
-        )
-    ]
-    return tokens, list(stream.codes)
-
-
-def iter_tokens(source: str) -> Iterator[Token]:
-    """Yield tokens from ``source``, ending with a single EOF token.
-
-    Retained for API compatibility with the original streaming scanner;
-    the batched tokenizer produces the full stream up front, so this is
-    an iterator over :func:`tokenize`.
-    """
-    return iter(tokenize(source))

@@ -20,14 +20,13 @@ access conflicts, and the refinement is exactly what Section 6 is for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
-from repro.core.varsets import EffectKind, VariableUniverse
-from repro.graphs.callgraph import CallMultiGraph
+from repro.core.varsets import EffectKind
 from repro.lang.symbols import CallSite, ResolvedProgram
 from repro.sections.lattice import Section
-from repro.sections.solver import SectionAnalysis, analyze_sections
+from repro.sections.solver import analyze_sections
 
 
 @dataclass(frozen=True)
@@ -51,25 +50,12 @@ class Conflict:
 class DependenceTester:
     """Sectioned MOD/USE summaries plus pairwise conflict queries."""
 
-    def __init__(self, resolved: ResolvedProgram,
-                 universe: Optional[VariableUniverse] = None,
-                 call_graph: Optional[CallMultiGraph] = None,
-                 lattice=None):
+    def __init__(self, resolved: ResolvedProgram, lattice=None):
         self.resolved = resolved
-        if call_graph is None:
-            # Both kind runs share the arena's graph, as they share its
-            # call-graph condensation.
-            from repro.core.arena import get_arena
-
-            arena = get_arena(resolved)
-            call_graph = arena.call_graph
-            if universe is None:
-                universe = arena.universe
-        self.mod = analyze_sections(resolved, EffectKind.MOD, universe,
-                                    call_graph, lattice=lattice)
-        self.use = analyze_sections(resolved, EffectKind.USE,
-                                    self.mod.universe, call_graph,
-                                    lattice=lattice)
+        # Both kind runs read the program arena's universe and its one
+        # call-graph condensation.
+        self.mod = analyze_sections(resolved, EffectKind.MOD, lattice)
+        self.use = analyze_sections(resolved, EffectKind.USE, lattice)
 
     def _site_tables(self, site: CallSite) -> Tuple[Dict[int, Section], Dict[int, Section]]:
         return (

@@ -559,12 +559,11 @@ class AnalysisServer:
                 )
             if lanes:
                 # The incremental engine solves MOD+USE only; the
-                # session's lanes ride the updated arena.
-                from repro.core.arena import get_arena
+                # session's lanes are solved on the updated arena.
                 from repro.lanes.driver import solve_lanes
 
                 new_summary.lanes = solve_lanes(
-                    get_arena(new_summary.resolved),
+                    new_summary.resolved,
                     lanes,
                     new_summary.aliases,
                     new_summary.timings,
@@ -629,7 +628,12 @@ class AnalysisServer:
         elif select == "site":
             site_id = request.get("site")
             sites = summary_dict["call_sites"]
-            if not isinstance(site_id, int) or not 0 <= site_id < len(sites):
+            # A JSON boolean decodes to a bool, which is an int subclass.
+            if (
+                isinstance(site_id, bool)
+                or not isinstance(site_id, int)
+                or not 0 <= site_id < len(sites)
+            ):
                 raise ProtocolError(
                     E_BAD_REQUEST,
                     "field 'site' must be an integer in [0, %d)" % len(sites),

@@ -198,9 +198,9 @@ def run_batch(
     """
     lanes = tuple(lanes)
     if lanes:
-        from repro.lanes import validate_lane_names
+        from repro.lanes import parse_lane_names
 
-        validate_lane_names(lanes)
+        lanes = tuple(parse_lane_names(lanes))
     started = time.perf_counter()
     if isinstance(root, str):
         paths = discover_files(root, pattern)

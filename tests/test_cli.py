@@ -1,9 +1,15 @@
 """CLI driver tests (exercised in-process through main(argv))."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
 from repro.workloads import patterns
+
+#: Pinned ``analyze --sections`` output (see :class:`TestSectionsGolden`).
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture()
@@ -208,6 +214,90 @@ class TestSectionsLatticeFlag:
         out = capsys.readouterr().out
         assert "ranges lattice" in out
         assert "m(0:2,0)" in out
+
+
+class TestSectionsGolden:
+    """``analyze --sections [--lattice ranges]`` stdout on programs from
+    ``gen --seed N --procs 30 --depth 3``: the sections block equals its
+    golden file, and the whole stdout its pinned SHA-256."""
+
+    STDOUT_SHA256 = {
+        (0, "figure3"): "d37b710a62ab9b6b0ce591710110bd26f594a5e5215e5a69ebe3623b6a6edb98",
+        (0, "ranges"): "bfa35b5bba87ed840dcc078700e9997f4f1b2218e0b2674e7dcc3b60dc24e7ed",
+        (1, "figure3"): "893f428a3cc1797c439ff62b531e65e9fd2b50b356ea8206cbb4a2cdb2dbb4d4",
+        (1, "ranges"): "b430d3c89e97e91507e9f7273f488204ad87dd393ab0b860aeb5b4cc6e6333e0",
+        (2, "figure3"): "31871d1e382ad6c6c94a446127b167a53454151aaa44dfc1ac8d13ecea5f0495",
+        (2, "ranges"): "aaebf81cffb48ced60a9ced97f267ab941c4683b97b57195e674294b57055e81",
+    }
+
+    @pytest.mark.parametrize("lattice", ["figure3", "ranges"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sections_stdout(self, tmp_path, capsys, seed, lattice):
+        path = str(tmp_path / "p.ck")
+        assert main(["gen", "--seed", str(seed), "--procs", "30",
+                     "--depth", "3", "-o", path]) == 0
+        argv = ["analyze", path, "--sections"]
+        if lattice != "figure3":
+            argv += ["--lattice", lattice]
+        capsys.readouterr()
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        golden = GOLDEN / ("sections-seed%d-%s.txt" % (seed, lattice))
+        assert out[out.index("regular sections (MOD"):] == golden.read_text()
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == self.STDOUT_SHA256[seed, lattice]
+
+
+class TestBadInput:
+    """Every input ends in a summary or one ``error:`` line and exit 1:
+    never a traceback."""
+
+    @staticmethod
+    def _one_error_line(err: str) -> str:
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        return lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["run"], ["constants"], ["purity"], ["summary"],
+        ["profile"], ["query", "analyze", "--port", "1", "--file"],
+    ], ids=lambda argv: argv[0])
+    def test_non_utf8_source_is_a_located_error(self, tmp_path, capsys, argv):
+        path = tmp_path / "f.ck"
+        path.write_bytes(b"\xff\xfe\x00program t begin end")
+        assert main(argv + [str(path)]) == 1
+        line = self._one_error_line(capsys.readouterr().err)
+        assert "line 1, col 1" in line and "0xff" in line
+
+    def test_bad_byte_after_crlf_lines(self, tmp_path, capsys):
+        path = tmp_path / "f.ck"
+        path.write_bytes(b"program t\r\nbegin\r\n  x\xc3( end\r\n")
+        assert main(["analyze", str(path)]) == 1
+        line = self._one_error_line(capsys.readouterr().err)
+        assert "line 3, col 4" in line and "0xc3" in line
+
+    @pytest.mark.parametrize("text", ["not json", "[]", '{"version": 2}'],
+                             ids=["not-json", "list", "no-sets"])
+    def test_recompile_rejects_a_file_that_is_not_a_summary(
+        self, tmp_path, capsys, chain_file, text
+    ):
+        good = tmp_path / "good.json"
+        assert main(["summary", chain_file, "-o", str(good)]) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(["recompile", str(good), str(bad)]) == 1
+        line = self._one_error_line(capsys.readouterr().err)
+        assert line.startswith("error: %s: " % bad)
+
+    @pytest.mark.parametrize("command", ["analyze", "batch"])
+    def test_unknown_lane_is_a_usage_error(self, chain_file, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, chain_file, "--lanes", "sections,warp"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown lane 'warp'" in err and "Traceback" not in err
 
 
 class TestShard:

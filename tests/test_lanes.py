@@ -1,16 +1,16 @@
-"""Effect-lane framework tests.
+"""Effect-lane tests.
 
-Three pillars, matching the lane framework's contract:
+Three pillars, matching what the lanes promise:
 
-* **differential identity** — every lane, advanced through the fused
-  multi-lane driver, must be *value-identical* to its standalone
-  reference solver across the 30-program differential sweep and the
-  corpus/fuzz programs (sections vs :func:`analyze_sections`; refalias
-  is a view of the run's aliases, which must equal the pair-set oracle
-  :func:`compute_alias_pairs`);
-* **one condensation** — an N-lane fused run performs exactly one
-  Tarjan-equivalent pass per graph (counter-asserted, including with a
-  third synthetic lane registered just for the test);
+* **differential identity** — the one sections solver,
+  :func:`analyze_sections`, must be *value-identical* to the sweep
+  oracle :func:`analyze_sections_sweep` (sections, site tables and the
+  rendered lane block) for MOD and USE under both lattices, across the
+  30-program differential sweep and the corpus/fuzz programs; refalias
+  is the run's own alias result, which must equal the pair-set oracle
+  :func:`compute_alias_pairs`;
+* **one condensation** — a run with all three lanes performs exactly
+  one Tarjan-equivalent pass per graph (counter-asserted);
 * **persistence** — lane blobs round-trip through the v4 trailer
   sections, lane-less output stays byte-identical to pre-lane writers,
   and unknown future sections are skipped loudly-but-safely.
@@ -29,24 +29,20 @@ from hypothesis import strategies as st
 
 from repro.baselines.alias_pairs import compute_alias_pairs
 from repro.baselines.dyck import compare_precision, compute_dyck_aliases
+from repro.baselines.sections_sweep import analyze_sections_sweep
 from repro.core.aliases import compute_aliases, factor_aliases_fused
 from repro.core.arena import clear_arena_cache, get_arena
 from repro.core.bitvec import OpCounter
 from repro.core.pipeline import analyze_side_effects, payload_from_summary
 from repro.core.varsets import EffectKind
-from repro.lanes import (
-    LANE_NAMES,
-    LaneSpec,
-    get_lane,
-    parse_lane_names,
-    register_lane,
-)
-from repro.lanes.driver import LaneContext, lane_payloads, solve_lanes
+from repro.lanes import LANE_NAMES, parse_lane_names
+from repro.lanes.driver import lane_blobs, solve_lanes
 from repro.lanes.refalias import (
     refalias_tables_from_blob,
     refalias_tables_to_blob,
 )
 from repro.lanes.sections_lane import (
+    sections_payload,
     sections_payload_from_blob,
     sections_payload_to_blob,
 )
@@ -63,40 +59,37 @@ def _canon(value) -> str:
     return json.dumps(value, sort_keys=True)
 
 
+def _assert_same_sections(solved, reference):
+    """The production solve equals the sweep oracle: every ``GRS`` map,
+    every per-site table and the rendered lane block."""
+    assert solved.lattice_name == reference.lattice_name
+    assert solved.kind is reference.kind
+    assert solved.grs == reference.grs
+    assert solved.site_sections == reference.site_sections
+    assert _canon(sections_payload(solved)) == _canon(sections_payload(reference))
+
+
 def _assert_lanes_match_reference(resolved, summary):
-    """Each lane byte-identical (canonical JSON) to its standalone
-    solver on this program."""
-    # Sections lane vs the standalone Section 6 solver.
-    lane = summary.lanes["sections"]
-    reference = analyze_sections(resolved, EffectKind.MOD)
-    assert lane.grs == reference.grs
-    assert lane.site_sections == reference.site_sections
-    reference_payload = {
-        "lattice": reference.lattice_name,
-        "kind": reference.kind.value,
-        "sites": [
-            reference.describe_site(site) for site in resolved.call_sites
-        ],
-        "nonbottom": lane.to_payload()["nonbottom"],
-    }
-    assert _canon(lane.to_payload()) == _canon(reference_payload)
+    """Each lane identical to its oracle on this program: the sections
+    lanes (and the ``ranges`` solve of both kinds) to the sweep, the
+    refalias lane to the pair-set alias worklist."""
+    blocks = payload_from_summary(summary)["lanes"]
+    for name, kind in (("sections", EffectKind.MOD),
+                       ("sections-use", EffectKind.USE)):
+        reference = analyze_sections_sweep(resolved, kind)
+        _assert_same_sections(summary.lanes[name], reference)
+        assert _canon(blocks[name]) == _canon(sections_payload(reference))
+        _assert_same_sections(
+            analyze_sections(resolved, kind, lattice="ranges"),
+            analyze_sections_sweep(resolved, kind, lattice="ranges"),
+        )
 
-    # The USE-seeded sections lane vs the same standalone solver run
-    # with ``EffectKind.USE`` — one solver, two registrations.
-    use_lane = summary.lanes["sections-use"]
-    use_reference = analyze_sections(resolved, EffectKind.USE)
-    assert use_lane.grs == use_reference.grs
-    assert use_lane.site_sections == use_reference.site_sections
-    assert use_lane.to_payload()["kind"] == EffectKind.USE.value
-
-    # The refalias lane is the run's own alias tables, which equal
-    # the pair-set oracle's.
-    ref_lane = summary.lanes["refalias"]
-    assert ref_lane.partner is summary.aliases.partner_mask
-    assert ref_lane.domain is summary.aliases.domain_mask
+    # The refalias lane is the run's own alias result, whose tables
+    # equal the pair-set oracle's.
+    assert summary.lanes["refalias"] is summary.aliases
     oracle = compute_alias_pairs(resolved, summary.universe)
-    assert ref_lane.partner == oracle.partner_mask
-    assert list(ref_lane.domain) == list(oracle.domain_mask)
+    assert summary.aliases.partner_mask == oracle.partner_mask
+    assert list(summary.aliases.domain_mask) == list(oracle.domain_mask)
     for proc in resolved.procs:
         assert summary.aliases.pairs_of(proc) == oracle.pairs[proc.pid]
 
@@ -147,67 +140,44 @@ def test_lanes_identical_fuzz(seed):
 
 class TestLaneRegistry:
     def test_builtin_lanes_registered(self):
-        for name in LANE_NAMES:
-            spec = get_lane(name)
-            assert spec.name == name
-            assert spec.direction in ("up", "down")
+        assert LANE_NAMES == ("sections", "refalias", "sections-use")
+        assert parse_lane_names(list(LANE_NAMES)) == list(LANE_NAMES)
 
     def test_unknown_lane_rejected(self):
+        with pytest.raises(ValueError, match="unknown lane 'warp'"):
+            parse_lane_names("warp")
         with pytest.raises(ValueError, match="unknown lane"):
-            get_lane("warp")
+            parse_lane_names(["sections", "warp"])
+        resolved = generate_resolved(GeneratorConfig(seed=38, num_procs=10))
+        with pytest.raises(ValueError, match="unknown lane"):
+            analyze_side_effects(resolved, lanes=("warp",))
 
     def test_parse_lane_names(self):
         assert parse_lane_names("sections,refalias") == ["sections", "refalias"]
         assert parse_lane_names(" sections , sections ") == ["sections"]
         assert parse_lane_names("sections-use") == ["sections-use"]
+        assert parse_lane_names(("refalias", "refalias", "")) == ["refalias"]
         with pytest.raises(ValueError):
             parse_lane_names("sections,warp")
 
 
 class TestOneCondensation:
     def test_three_lane_run_single_condensation(self):
-        """Adding a third (synthetic) lane still costs one pass."""
-
-        class TracerLane:
-            direction = "up"
-
-            def __init__(self, arena):
-                self.arena = arena
-                self.components_seen = 0
-
-            def sweep_component(self, comp_index, members, ctx):
-                self.components_seen += 1
-                return False
-
-            def finalize(self, ctx):
-                pass
-
-        try:
-            get_lane("_test_tracer")
-        except ValueError:
-            register_lane(
-                LaneSpec(
-                    name="_test_tracer",
-                    description="test-only tracer lane",
-                    direction="up",
-                    mask_width=lambda arena: 1,
-                    make_state=TracerLane,
-                )
-            )
+        """All three lanes cost no pass beyond the GMOD walk's, and
+        each sections solve walks every recorded component."""
         resolved = generate_resolved(
             GeneratorConfig(seed=31, num_procs=20, max_depth=3,
                             nesting_prob=0.5, recursion_prob=0.5)
         )
         clear_arena_cache()
-        summary = analyze_side_effects(
-            resolved, lanes=("sections", "refalias", "_test_tracer")
-        )
+        summary = analyze_side_effects(resolved, lanes=ALL_LANES)
         assert summary.condensations == {"beta": 1, "call": 1}
-        tracer = summary.lanes["_test_tracer"]
         arena = get_arena(resolved)
         _component_of, components = arena.call_condensation()
-        assert tracer.components_seen == len(components)
-        # Still one pass after the lane solve consumed it N times over.
+        for name in ("sections", "sections-use"):
+            iterations = summary.lanes[name].component_iterations
+            assert len(iterations) == len(components), name
+        # Still one pass after both sections solves consumed it.
         assert arena.condensation_counts == {"beta": 1, "call": 1}
 
     def test_standalone_sections_shares_arena_condensation(self):
@@ -249,9 +219,7 @@ class TestRefAliasFactoring:
         clear_arena_cache()
         summary = analyze_side_effects(resolved, lanes=("refalias",))
         assert len(calls) == 1
-        lane = summary.lanes["refalias"]
-        assert lane.partner is summary.aliases.partner_mask
-        assert lane.to_alias_result() is summary.aliases
+        assert summary.lanes["refalias"] is summary.aliases
 
     def test_lane_masks_feed_fused_factoring(self):
         """The lane's AliasResult drives ``factor_aliases_fused`` to
@@ -262,7 +230,7 @@ class TestRefAliasFactoring:
         )
         clear_arena_cache()
         summary = analyze_side_effects(resolved, lanes=("refalias",))
-        lane_aliases = summary.lanes["refalias"].to_alias_result()
+        lane_aliases = summary.lanes["refalias"]
         arena = get_arena(resolved)
         solution = summary.solutions[EffectKind.MOD]
         counters = [OpCounter()]
@@ -283,13 +251,13 @@ class TestLanePersistence:
 
     def test_sections_blob_roundtrip(self):
         _resolved, summary = self._laned_summary()
-        payload = summary.lanes["sections"].to_payload()
+        payload = sections_payload(summary.lanes["sections"])
         blob = sections_payload_to_blob(payload)
         assert sections_payload_from_blob(blob) == payload
 
     def test_refalias_blob_roundtrip(self):
         _resolved, summary = self._laned_summary()
-        partner = summary.lanes["refalias"].partner
+        partner = summary.lanes["refalias"].partner_mask
         blob = refalias_tables_to_blob(partner)
         assert refalias_tables_from_blob(blob) == partner
 
@@ -312,10 +280,10 @@ class TestLanePersistence:
             SECTION_LANE_SECTIONS_USE,
         }
         decoded = decode_lane_sections(sections)
-        assert decoded["sections"] == summary.lanes["sections"].to_payload()
-        assert decoded["refalias"] == summary.lanes["refalias"].partner
-        assert (decoded["sections-use"]
-                == summary.lanes["sections-use"].to_payload())
+        blocks = payload_from_summary(summary)["lanes"]
+        assert decoded["sections"] == blocks["sections"]
+        assert decoded["refalias"] == summary.aliases.partner_mask
+        assert decoded["sections-use"] == blocks["sections-use"]
         assert decoded["sections-use"]["kind"] == "use"
 
         # Sectionless output is byte-identical to a lane-less solve.
@@ -343,7 +311,7 @@ class TestLanePersistence:
         fixture = encode_summary_payload(
             payload,
             sections={
-                SECTION_LANE_SECTIONS: summary.lanes["sections"].to_blob(),
+                SECTION_LANE_SECTIONS: lane_blobs(summary.lanes)[SECTION_LANE_SECTIONS],
                 99: b"\x01future-lane-data",
             },
         )
@@ -432,19 +400,11 @@ class TestLanePayloadPlumbing:
         analyze_side_effects(resolved)
         arena = get_arena(resolved)
         before = dict(arena.condensation_counts)
-        states = solve_lanes(arena, ALL_LANES, compute_aliases(arena))
+        aliases = compute_aliases(arena)
+        results = solve_lanes(resolved, ALL_LANES, aliases)
         assert dict(arena.condensation_counts) == before
-        assert list(lane_payloads(states)) == list(ALL_LANES)
-
-    def test_lane_context_sites_by_caller(self):
-        resolved = generate_resolved(GeneratorConfig(seed=38, num_procs=10))
-        clear_arena_cache()
-        arena = get_arena(resolved)
-        ctx = LaneContext.build(arena, compute_aliases(arena))
-        flattened = sorted(
-            sid for sids in ctx.sites_by_caller for sid in sids
-        )
-        assert flattened == list(range(resolved.num_call_sites))
+        assert list(results) == list(ALL_LANES)
+        assert results["refalias"] is aliases
 
 
 class TestDyckBaseline:
@@ -704,7 +664,7 @@ end
         decoded = decode_lane_sections(sections)
         reference = analyze_side_effects(self.SOURCE, lanes=ALL_LANES)
         assert _canon(decoded["sections"]) == _canon(
-            reference.lanes["sections"].to_payload()
+            payload_from_summary(reference)["lanes"]["sections"]
         )
 
     def test_update_keeps_lanes_across_a_restart(self, tmp_path):

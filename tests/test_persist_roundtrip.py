@@ -2,13 +2,15 @@
 
 The summary cache trusts the on-disk format version to detect stale
 entries, so this suite pins the schema: the payload round-trips with
-alias pairs and the optional regular-section block intact, and any
-payload stamped with another version is rejected — by the loader and
-by the cache.
+alias pairs intact, a payload that carries the regular-section block
+earlier builds could embed still loads and verifies, and any payload
+stamped with another version is rejected — by the loader and by the
+cache.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import struct
@@ -74,6 +76,30 @@ def summary():
     return analyze_side_effects(compile_source(SOURCE))
 
 
+#: SHA-256 of the container an earlier build wrote for :data:`SOURCE`
+#: with its ``sections`` block embedded; :func:`with_sections` encodes
+#: to the same bytes.
+EARLIER_SECTIONS_CONTAINER = (
+    "3cc8e62c4e63c4fc88c2bbe5173ae7e00f2c77202f34e7de451a47816e973fce"
+)
+
+
+def with_sections(summary):
+    """The payload with the ``sections`` block earlier builds could
+    embed: Figure 3 MOD sections rendered per call site, as the last
+    key."""
+    from repro.sections import analyze_sections
+
+    resolved = summary.resolved
+    analysis = analyze_sections(resolved)
+    payload = dict(summary_to_dict(summary))
+    payload["sections"] = {
+        "lattice": "figure3",
+        "sites": [analysis.describe_site(site) for site in resolved.call_sites],
+    }
+    return payload
+
+
 class TestSchemaV2:
     def test_version_stamp(self, summary):
         assert FORMAT_VERSION == 2
@@ -96,24 +122,16 @@ class TestSchemaV2:
         # Nested procedures inherit the enclosing alias environment.
         assert loaded.alias_pairs("post.stamp") == loaded.alias_pairs("post")
 
-    def test_sections_opt_in(self, summary):
-        plain = summary_to_dict(summary)
-        assert "sections" not in plain
-        rich = summary_to_dict(summary, include_sections=True)
-        assert rich["sections"]["lattice"] == "figure3"
-        assert len(rich["sections"]["sites"]) == len(summary.resolved.call_sites)
+    def test_sections_round_trip_and_verify(self, summary):
+        rich = with_sections(summary)
         # Some call site touches the book array with a known section.
         rendered = [s for site in rich["sections"]["sites"] for s in site]
         assert any(s.startswith("book") for s in rendered)
-
-    def test_sections_round_trip_and_verify(self, summary):
-        text = json.dumps(summary_to_dict(summary, include_sections=True))
-        loaded = LoadedSummary.from_json(text)
+        loaded = LoadedSummary.from_json(json.dumps(rich))
         assert loaded.has_sections
-        assert loaded.site_section_names(0) == summary_to_dict(
-            summary, include_sections=True
-        )["sections"]["sites"][0]
+        assert loaded.site_section_names(0) == rich["sections"]["sites"][0]
         assert verify_against(loaded, summary)
+        assert "sections" not in summary_to_dict(summary)
 
     def test_verify_without_sections_still_works(self, summary):
         loaded = LoadedSummary.from_json(summary_to_json(summary))
@@ -137,6 +155,12 @@ class TestSchemaDrift:
         stale["version"] = FORMAT_VERSION + 1
         with pytest.raises(ValueError):
             LoadedSummary(stale)
+
+    def test_loader_rejects_a_payload_that_is_not_an_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            LoadedSummary.from_json("[]")
+        with pytest.raises(ValueError, match="JSON object"):
+            LoadedSummary(7)
 
     def test_cache_key_depends_on_format_version(self, monkeypatch):
         key_now = content_key(SOURCE)
@@ -178,15 +202,15 @@ class TestBinaryContainer:
     """Persist v3: the binary summary container and its JSON fallback."""
 
     def test_payload_round_trips_exactly(self, summary):
-        payload = summary_to_dict(summary, include_sections=True)
+        payload = with_sections(summary)
         assert decode_summary_payload(encode_summary_payload(payload)) == payload
 
     def test_summary_to_bytes_loads(self, summary):
         loaded = LoadedSummary.from_bytes(summary_to_bytes(summary))
         assert verify_against(loaded, summary)
-        rich = LoadedSummary.from_bytes(
-            summary_to_bytes(summary, include_sections=True)
-        )
+        blob = encode_summary_payload(with_sections(summary))
+        assert hashlib.sha256(blob).hexdigest() == EARLIER_SECTIONS_CONTAINER
+        rich = LoadedSummary.from_bytes(blob)
         assert rich.has_sections
         assert verify_against(rich, summary)
 

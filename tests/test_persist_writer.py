@@ -30,7 +30,6 @@ import weakref
 import pytest
 
 import repro.core.persist as persist
-from repro.core.arena import get_arena
 from repro.core.bitvec import iter_bits
 from repro.core.depindex import index_to_bytes
 from repro.core.incremental import incremental_update
@@ -120,15 +119,13 @@ end
 """
 
 
-def _dict_route(summary, include_sections=False, sections=None) -> bytes:
-    return encode_summary_payload(
-        summary_to_dict(summary, include_sections), sections=sections or None
-    )
+def _dict_route(summary, sections=None) -> bytes:
+    return encode_summary_payload(summary_to_dict(summary), sections=sections or None)
 
 
-def assert_writer_matches(summary, include_sections=False) -> bytes:
-    blob = summary_to_bytes(summary, include_sections=include_sections)
-    assert blob == _dict_route(summary, include_sections)
+def assert_writer_matches(summary) -> bytes:
+    blob = summary_to_bytes(summary)
+    assert blob == _dict_route(summary)
     return blob
 
 
@@ -179,11 +176,17 @@ def test_incremental_steps(config, seed, monkeypatch):
     assert spliced_steps
 
 
+#: Each combination keeps the id it had when a leading ``False`` stood
+#: for a flag, since removed, that embedded a sections block.
+TRAILER_COMBINATIONS = list(itertools.product((False, True), repeat=2))
+
+
 @pytest.mark.parametrize(
-    "include_sections, include_index, include_lanes",
-    list(itertools.product((False, True), repeat=3)),
+    "include_index, include_lanes",
+    TRAILER_COMBINATIONS,
+    ids=["False-%s-%s" % combination for combination in TRAILER_COMBINATIONS],
 )
-def test_every_trailer_combination(include_sections, include_index, include_lanes):
+def test_every_trailer_combination(include_index, include_lanes):
     resolved = generate_resolved(
         GeneratorConfig(seed=34, num_procs=15, max_depth=3,
                         nesting_prob=0.5, prob_arg_global=0.3)
@@ -192,17 +195,14 @@ def test_every_trailer_combination(include_sections, include_index, include_lane
         resolved, lanes=("sections", "refalias", "sections-use")
     )
     blob = summary_to_bytes(
-        summary,
-        include_sections=include_sections,
-        include_index=include_index,
-        include_lanes=include_lanes,
+        summary, include_index=include_index, include_lanes=include_lanes
     )
     sections = {}
     if include_lanes:
         sections.update(lane_blobs(summary.lanes))
     if include_index:
         sections[SECTION_DEP_INDEX] = index_to_bytes(summary.dep_index)
-    assert blob == _dict_route(summary, include_sections, sections)
+    assert blob == _dict_route(summary, sections)
     assert blob[4] == (4 if include_index or include_lanes else 3)
 
 
@@ -219,7 +219,7 @@ def test_caller_sections_join_the_trailer():
 def test_collisions():
     summary = analyze_side_effects(COLLISIONS)
     assert [proc.qualified_name for proc in summary.resolved.procs].count("level") == 2
-    blob = assert_writer_matches(summary, include_sections=True)
+    blob = assert_writer_matches(summary)
     payload, _sections = decode_summary_container(blob)
     assert payload["procedures"]["level"]["level"] == 1  # The later entry.
 
@@ -237,16 +237,20 @@ def test_single_kind_summary():
 
 
 def test_writer_never_builds_the_payload(monkeypatch):
-    """No route through ``summary_to_bytes`` reaches the dict form."""
-    summary = analyze_side_effects(COLLISIONS)
-    expected = _dict_route(summary, include_sections=True)
+    """No route through ``summary_to_bytes`` reaches the dict form:
+    neither a summary that never rendered nor one that did."""
+    fresh = analyze_side_effects(COLLISIONS)
+    rendered = analyze_side_effects(COLLISIONS)
+    expected = _dict_route(rendered)
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("the writer must not build the payload dict")
 
     monkeypatch.setattr(persist, "summary_to_dict", refuse)
     monkeypatch.setattr(persist, "encode_summary_payload", refuse)
-    assert summary_to_bytes(summary, include_sections=True) == expected
+    assert fresh.render is None
+    assert summary_to_bytes(fresh) == expected
+    assert summary_to_bytes(rendered) == expected
 
 
 def test_mask_writer_matches_generic_lists():
@@ -402,7 +406,7 @@ def test_carried_render_matches_scratch(config, seed):
         previous = payload
         summary, _stats = incremental_update(summary, compile_source(source))
         summary.lanes = solve_lanes(
-            get_arena(summary.resolved), ("sections", "refalias"), summary.aliases
+            summary.resolved, ("sections", "refalias"), summary.aliases
         )
         context = "step %d (%s)" % (step, op)
         scratch = analyze_side_effects(source)

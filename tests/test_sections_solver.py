@@ -3,6 +3,7 @@
 import pytest
 
 from repro import analyze_side_effects
+from repro.baselines.sections_sweep import analyze_sections_sweep
 from repro.core.varsets import EffectKind, VariableUniverse
 from repro.lang.semantic import compile_source
 from repro.sections import analyze_sections
@@ -266,8 +267,7 @@ class TestConsistencyWithBitAnalysis:
         )
         summary = analyze_side_effects(resolved)
         for kind in (EffectKind.MOD, EffectKind.USE):
-            analysis = analyze_sections(resolved, kind, summary.universe,
-                                        summary.call_graph)
+            analysis = analyze_sections(resolved, kind)
             for proc in resolved.procs:
                 assert analysis.nonbottom_mask(proc.pid) == summary.solutions[kind].gmod[proc.pid], (
                     proc.qualified_name, kind)
@@ -285,3 +285,33 @@ class TestConsistencyWithBitAnalysis:
         for resolved in corpus_programs.values():
             analysis = analyze_sections(resolved, EffectKind.MOD)
             assert all(count <= 4 for count in analysis.component_iterations)
+
+
+class TestSweepOracle:
+    """The delta-driven solve against the whole-map sweep it replaced:
+    the same sections and site tables, the same sweeps per component,
+    and never more meets."""
+
+    @pytest.mark.parametrize("lattice", ["figure3", "ranges"])
+    @pytest.mark.parametrize("kind", [EffectKind.MOD, EffectKind.USE],
+                             ids=["mod", "use"])
+    def test_corpus_matches_sweep(self, corpus_programs, kind, lattice):
+        for name, resolved in corpus_programs.items():
+            solved = analyze_sections(resolved, kind, lattice)
+            sweep = analyze_sections_sweep(resolved, kind, lattice)
+            assert solved.grs == sweep.grs, name
+            assert solved.site_sections == sweep.site_sections, name
+            assert solved.component_iterations == sweep.component_iterations, name
+            assert (solved.counter.meet_operations
+                    <= sweep.counter.meet_operations), name
+
+    def test_evaluator_and_scheduler_meet_fewer(self, corpus_programs):
+        """Where a component is swept more than once, each fact is
+        translated once per change instead of once per sweep."""
+        for name, solved_meets, sweep_meets in (("evaluator", 16, 30),
+                                                ("scheduler", 11, 21)):
+            resolved = corpus_programs[name]
+            solved = analyze_sections(resolved, EffectKind.MOD)
+            sweep = analyze_sections_sweep(resolved, EffectKind.MOD)
+            assert solved.counter.meet_operations == solved_meets, name
+            assert sweep.counter.meet_operations == sweep_meets, name

@@ -298,6 +298,16 @@ class TestSessions:
         assert site["callee"] == "c1"
         assert "mod" in site and "use" in site
 
+    def test_query_site_takes_only_an_integer(self, client):
+        """``true``/``false`` are not site ids 1/0, as ``1.0`` and
+        ``"1"`` are not."""
+        client.analyze(patterns.chain(4), session="qsite")
+        for value in (True, False, 1.0, "1"):
+            with pytest.raises(ServerError) as excinfo:
+                client.query("qsite", "site", site=value)
+            assert excinfo.value.code == "bad_request", value
+        assert client.query("qsite", "site", site=1)["result"]["site_id"] == 1
+
     def test_query_who_modifies(self, client):
         source = patterns.chain(4)
         client.analyze(source, session="whom")
