@@ -7,7 +7,7 @@ PP := PYTHONPATH=src
 .PHONY: test differential incremental-differential \
 	lane-differential bench-smoke bench \
 	bench-frontend bench-core bench-incremental \
-	bench-lanes profile server-smoke
+	bench-lanes profile server-smoke perfbench-smoke
 
 # Tier-1 gate: the full unit/integration/property suite.
 test:
@@ -18,9 +18,9 @@ test:
 # equivalence suite (the batched lexer and token-stream parser must
 # stay byte-identical to the frozen reference scanner), the fused
 # solver against the per-kind oracle, the container-loader round
-# trips, the mask-native summary writer against the dict-route
-# encoder (byte identity), and the alias mask drain against the
-# pair-set oracle (table identity).
+# trips, the v5 summary writer against the decode oracle (every
+# container decodes to exactly the summary_to_dict payload), and the
+# alias mask drain against the pair-set oracle (table identity).
 differential:
 	$(PP) $(PY) -m pytest -q tests/test_differential.py tests/test_batch.py \
 	    tests/test_linearity_guard.py tests/test_persist_roundtrip.py \
@@ -112,3 +112,20 @@ profile:
 # dir holds only .cki files.
 server-smoke:
 	$(PP) $(PY) tests/server_smoke.py
+
+# End-to-end benchmark smoke, about 5 s per workload: one short
+# perfbench run of flat-1k and one of session-500.  Each run reads back
+# what it wrote or was sent through the public loaders and holds it to
+# the digests recorded in perfbench/record.json; the target fails
+# unless each run's last line reports "correct": true and "failed": 0.
+perfbench-smoke:
+	@for workload in flat-1k session-500; do \
+	    out=$$($(PY) perfbench/run.py --workload $$workload --seed 0 --seconds 1) \
+	        || { echo "$$out"; exit 1; }; \
+	    echo "$$out"; \
+	    echo "$$out" | tail -n 1 | $(PY) -c 'import json, sys; \
+	        result = json.loads(sys.stdin.read()); \
+	        ok = result["correct"] is True and result["failed"] == 0; \
+	        sys.exit(0 if ok else "perfbench-smoke: %s failed its checks" % sys.argv[1])' \
+	        $$workload || exit 1; \
+	done

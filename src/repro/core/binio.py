@@ -2,8 +2,9 @@
 fast paths.
 
 Three consumers: the versioned binary summary container
-(:mod:`repro.core.persist`, format v3), its v4 effect-lane trailer
-sections (:mod:`repro.lanes`, through the signed-mask strips), and the
+(:mod:`repro.core.persist`; its v5 body writes every variable set with
+the adaptive mask codec), the effect-lane trailer sections
+(:mod:`repro.lanes`, through the signed-mask strips), and the
 dependency index (:mod:`repro.core.depindex`).  All speak the same
 dialect — unsigned LEB128 varints, zigzag-mapped signed ints, and
 big-int bit masks as little-endian minimal-length byte strings — so a
@@ -119,6 +120,11 @@ def read_signed_mask(data, pos: int) -> Tuple[int, int]:
     return (~mask if flag else mask), pos
 
 
+#: Most set bits :func:`write_mask_adaptive` peels off one at a time;
+#: past this, reading the binary string once is cheaper.
+_PEEL_BITS = 8
+
+
 def write_mask_adaptive(out: bytearray, mask: int) -> None:
     """Append a mask in whichever of two encodings is smaller.
 
@@ -138,14 +144,25 @@ def write_mask_adaptive(out: bytearray, mask: int) -> None:
     # empty mask goes raw: tag 0, length 0 — two bytes.
     if popcount and popcount * 2 < raw_len:
         write_varint(out, popcount)
-        previous = -1
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            position = low.bit_length() - 1
-            write_varint(out, position - previous - 1)
-            previous = position
-            remaining ^= low
+        if popcount <= _PEEL_BITS:
+            # A few bits: peel each off the int (one copy per bit).
+            previous = -1
+            while mask:
+                low = mask & -mask
+                position = low.bit_length() - 1
+                write_varint(out, position - previous - 1)
+                previous = position
+                mask ^= low
+            return
+        # Each gap is a zero run of the binary string read from bit 0
+        # up: one pass over the string, where peeling every bit off the
+        # int would copy it once per bit.
+        gaps = list(map(len, bin(mask)[:1:-1].split("1")[:-1]))
+        if max(gaps) < 0x80:
+            out += bytes(gaps)  # One byte per varint.
+        else:
+            for gap in gaps:
+                write_varint(out, gap)
     else:
         out.append(0)
         write_mask(out, mask)

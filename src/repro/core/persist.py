@@ -8,7 +8,10 @@ names, so a summary written by one process can be loaded against a
 freshly parsed copy of the same program — or diffed against the next
 version's summary by the recompilation analysis.  The binary container
 holds the same payload; :func:`summary_to_bytes` writes it straight
-from the solution masks, never listing a set's names.
+from the solution masks, as the paper decomposes them: each call
+site's sets are stored as XOR deltas against its callee's GMOD
+(equation (2)) and its own DMOD (the §5 alias step), never as name
+lists.
 """
 
 from __future__ import annotations
@@ -18,19 +21,20 @@ import os
 import struct
 import tempfile
 import warnings
-from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import compress, islice
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.aliases import named_pairs
 from repro.core.binio import (
     read_bytes,
+    read_mask_adaptive,
     read_signed,
     read_varint,
     write_bytes,
+    write_mask_adaptive,
     write_signed,
     write_varint,
 )
-from repro.core.bitvec import iter_bits
 from repro.core.summary import SideEffectSummary
 from repro.core.varsets import EffectKind
 from repro.lang.symbols import ResolvedProgram
@@ -46,36 +50,53 @@ FORMAT_VERSION = 2
 #: Version of the binary *container*.  The container wraps the same
 #: logical payload as the v2 JSON form — ``version`` inside the payload
 #: stays :data:`FORMAT_VERSION` — but stores it as a struct-packed
-#: header, an interned string table, and tagged values with
-#: variable-set name lists compressed to index deltas or bit masks.
-#: Loaders sniff :data:`BINARY_MAGIC` and fall back to JSON, so v2
-#: files keep loading forever.
+#: header, an interned string table, a body and a trailer of tagged
+#: sections.  Loaders sniff :data:`BINARY_MAGIC` and fall back to JSON,
+#: so v2 files keep loading forever.
 #:
-#: History: 3 = header + string table + tagged body; 4 = appends a
-#: trailer of tagged sections after the body (the dependency index,
-#: :data:`SECTION_DEP_INDEX`, the analysis server's session metadata,
-#: :data:`SECTION_SESSION_META`, and one section per persisted effect
-#: lane, :data:`SECTION_LANE_SECTIONS` /
-#: :data:`SECTION_LANE_REFALIAS`).  The writer emits a
-#: byte-identical v3 container whenever there are no sections, so v3
-#: readers only ever reject files that genuinely carry data they cannot
-#: represent.
-BINARY_FORMAT_VERSION = 4
+#: History:
+#:
+#: * 3 = header + string table + tagged body, variable-set name lists
+#:   compressed to index deltas or bit masks;
+#: * 4 = appends a trailer of tagged sections after the body (the
+#:   dependency index, :data:`SECTION_DEP_INDEX`, the analysis server's
+#:   session metadata, :data:`SECTION_SESSION_META`, and, from earlier
+#:   writers, one section per effect lane); written as v3 when there
+#:   are no sections;
+#: * 5 = the body of a live summary (:func:`summary_to_bytes`) is the
+#:   paper's decomposition rather than its expansion: the string table
+#:   opens with the variable table (the universe's names in uid order)
+#:   and the body holds the GLOBAL mask, each procedure's G row as a
+#:   mask (or its XOR with GLOBAL, whichever is smaller), and each call
+#:   site's D set as an XOR delta against its callee's G row and its
+#:   MOD/USE set as one against its D set (see :func:`_summary_body`).
+#:   The trailer is always present, possibly empty.
+#:
+#: :func:`encode_summary_payload` still writes v3/v4 (the summary
+#: cache's records); the reader takes all three.
+BINARY_FORMAT_VERSION = 5
 
-#: The newest container version carrying no section trailer.
+#: The generic encoder's container versions: without and with a
+#: section trailer.
 _SECTIONLESS_BINARY_VERSION = 3
+_TRAILER_BINARY_VERSION = 4
 
 #: Section tag of a serialized :class:`repro.core.depindex.DependencyIndex`.
 SECTION_DEP_INDEX = 1
 
 #: Section tag of the analysis server's session metadata (a small JSON
-#: blob: session name, requested gmod method).  Written by ``ck-analyze
-#: serve --state-dir`` next to the index so a restarted daemon can
-#: resume ``update`` verbs for sessions it has never seen in memory.
+#: blob: session name, cache key and effect-lane names).  Written by
+#: ``ck-analyze serve --state-dir`` next to the index so a restarted
+#: daemon can resume ``update`` verbs for sessions it has never seen in
+#: memory.
 SECTION_SESSION_META = 2
 
 #: Section tag of the regular-sections effect lane
-#: (:mod:`repro.lanes.sections_lane` owns the blob codec).
+#: (:mod:`repro.lanes.sections_lane` owns the blob codec).  The lane
+#: tags are written only for callers that pass
+#: ``sections=lane_blobs(summary.lanes)``; the daemon's state files no
+#: longer carry them (a restarted session re-solves its lanes from the
+#: names in its metadata), but files that do still load.
 SECTION_LANE_SECTIONS = 3
 
 #: Section tag of the reference-parameter alias lane
@@ -127,6 +148,15 @@ _T_STRLIST_MASK = 9
 
 _FLOAT = struct.Struct("<d")
 
+#: Turns the digits of ``bin()`` into the selector bytes 0 and 1.
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+
+#: Deepest list/dict nesting the readers follow.  The payloads this
+#: package writes nest fewer than ten levels deep (a cache record
+#: around a laned summary); anything past the cap is corrupt, and ends
+#: in :class:`ValueError` instead of exhausting the interpreter stack.
+_MAX_DEPTH = 100
+
 
 def summary_to_dict(summary: SideEffectSummary) -> Dict:
     """A JSON-safe dictionary of every externally meaningful set.
@@ -152,9 +182,9 @@ class _Render:
     (partner tables are final once solved, and carried between
     summaries by reference, never written), so a summary naming its
     variables alike can look its sets up here instead of listing them.
-    ``head`` is the container's string table and body, written from
-    ``payload`` (a pure function of it) once :func:`summary_to_bytes`
-    has run.
+    ``head`` is the container's string table and body, written from the
+    masks behind ``payload`` (a function of it and the universe's names)
+    once :func:`summary_to_bytes` has run.
 
     A ``carried`` render is a predecessor's, seeded by
     :func:`carry_render`: its maps serve this summary's first render,
@@ -276,27 +306,22 @@ def summary_to_json(summary: SideEffectSummary, indent: Optional[int] = None) ->
 def summary_to_bytes(
     summary: SideEffectSummary,
     include_index: bool = False,
-    include_lanes: bool = False,
     sections: Optional[Dict[int, bytes]] = None,
 ) -> bytes:
-    """Serialize a live summary to the binary container.
+    """Serialize a live summary to the binary container (v5).
 
     The container is written straight from the solution masks (see
-    :class:`_MaskWriter`), byte-identical to
-    ``encode_summary_payload(summary_to_dict(summary), sections)``
-    without building that payload.
+    :func:`_summary_body`) without building :func:`summary_to_dict`'s
+    payload; :func:`decode_summary_container` expands it back to exactly
+    that payload, key order included.
 
     ``include_index`` additionally embeds the fine-grained dependency
-    index as a v4 trailer section (building and caching it on the
-    summary if absent) so a later process can run demand-driven
-    incremental updates without re-deriving it.  ``include_lanes``
-    embeds one tagged trailer section per persistable lane the summary
-    was solved with (``summary.lanes``); lanes the analysis never ran
-    are simply absent — a loader re-solves on demand.  ``sections``
-    adds caller-owned trailer sections (tag → blob), such as the
-    analysis server's :data:`SECTION_SESSION_META`.  With none of the
-    three the output is a plain v3 container, byte-identical to earlier
-    writers.
+    index as a trailer section (building and caching it on the summary
+    if absent) so a later process can run demand-driven incremental
+    updates without re-deriving it.  ``sections`` adds caller-owned
+    trailer sections (tag → blob), such as the analysis server's
+    :data:`SECTION_SESSION_META`, or ``lane_blobs(summary.lanes)``
+    (:mod:`repro.lanes.driver`) for a laned summary's lane results.
 
     Once the summary has rendered its own payload (see
     :class:`_Render`), the string table and body are written once and
@@ -304,10 +329,6 @@ def summary_to_bytes(
     reuses them by reference, and only the trailer is rebuilt.
     """
     trailer: Dict[int, bytes] = dict(sections or {})
-    if include_lanes and summary.lanes:
-        from repro.lanes.driver import lane_blobs
-
-        trailer.update(lane_blobs(summary.lanes))
     if include_index:
         from repro.core.arena import peek_arena
         from repro.core.depindex import build_dependency_index, index_to_bytes
@@ -321,275 +342,150 @@ def summary_to_bytes(
         trailer[SECTION_DEP_INDEX] = index_to_bytes(index)
     render = summary.render
     if render is None or render.carried:
-        return _container(*_summary_head(summary), trailer)
-    if render.head is None:
-        render.head = _summary_head(summary)
-    return _container(*render.head, trailer)
+        head = _summary_head(summary)
+    else:
+        if render.head is None:
+            render.head = _summary_head(summary)
+        head = render.head
+    return _container(BINARY_FORMAT_VERSION, *head, trailer)
 
 
 def _summary_head(summary: SideEffectSummary) -> Tuple[bytes, bytes]:
-    """The container's string table and body, written from the masks."""
-    strings, intern = _string_table()
+    """The v5 string table and body, written from the masks."""
+    strings, intern = _string_table(summary.universe.names)
     body = _summary_body(summary, intern)
     return _table_bytes(strings), bytes(body)
 
 
 def _summary_body(summary: SideEffectSummary, intern) -> bytearray:
-    """The tagged body of :func:`summary_to_dict`'s payload, written in
-    the order :func:`_encode_value` would walk that payload, so every
-    string is interned at the same table index."""
+    """The v5 body: :func:`summary_to_dict`'s payload as the paper
+    decomposes it.  The string table behind ``intern`` opens with the
+    variable table, so a variable's uid is its string index and every
+    variable set is a mask over that table, written with
+    :func:`~repro.core.binio.write_mask_adaptive`.
+
+    In order (counts, ints and string indices are varints; "tagged" is
+    a value written by :func:`_encode_value`):
+
+    * the number of variables, then the GLOBAL mask;
+    * the payload version, the program name, the kind count and each
+      kind's tag (``mod``, ``use``);
+    * the procedure count, then per procedure its name and level, per
+      kind its G row (:func:`_write_row`) and its R list (tagged), and
+      then its alias pairs (:func:`_write_partners`);
+    * the call-site count, then per site its id, caller, callee and
+      line, and per kind its D set XOR its callee's G row (equation
+      (2)'s base), then its MOD/USE set XOR its D set (the §5 alias
+      step's).
+
+    The procedures are the payload's dict entries: a procedure sharing
+    a qualified name with an earlier one (the main program and a
+    procedure named after the program) keeps the earlier one's place
+    and gives the entry, so a site's base is the G row the payload shows
+    under its callee's name.
+    """
     resolved = summary.resolved
-    solutions = list(summary.solutions.items())
-    sets = _MaskWriter(summary.universe.names, intern)
-    # Keyed like the payload's dicts: a procedure sharing a qualified
-    # name with an earlier one (the main program and a procedure named
-    # after the program) keeps the first one's slot and the last one's
-    # entry.
+    universe = summary.universe
+    names = universe.names
+    solutions = list(summary.solutions.values())
     procs_by_name = {}
     for proc in resolved.procs:
         procs_by_name[proc.qualified_name] = proc
+    # pid → the pid whose G rows the payload shows under its name.
+    shown = [procs_by_name[proc.qualified_name].pid for proc in resolved.procs]
+    everything = universe.global_mask
+    partner_mask = summary.aliases.partner_mask
     body = bytearray()
+    write_varint(body, len(names))
+    write_mask_adaptive(body, everything)
+    write_varint(body, FORMAT_VERSION)
+    write_varint(body, intern(resolved.program.name))
+    write_varint(body, len(solutions))
+    for kind in summary.solutions:
+        write_varint(body, intern(kind.value))
 
-    def key(text: str) -> None:
-        write_varint(body, intern(text))
-
-    def value(item) -> None:
-        _encode_value(item, body, intern)
-
-    body.append(_T_DICT)
-    write_varint(body, 5)
-    key("version")
-    value(FORMAT_VERSION)
-    key("program")
-    value(resolved.program.name)
-
-    key("procedures")
-    body.append(_T_DICT)
     write_varint(body, len(procs_by_name))
     for name, proc in procs_by_name.items():
-        key(name)
-        body.append(_T_DICT)
-        write_varint(body, 1 + 2 * len(solutions))
-        key("level")
-        value(proc.level)
-        for kind, solution in solutions:
-            key("g%s" % kind.value)
-            body += sets.encode(solution.gmod[proc.pid])
-            key("r%s" % kind.value)
-            value(_rmod_names(solution, proc))
+        write_varint(body, intern(name))
+        write_varint(body, proc.level)
+        for solution in solutions:
+            _write_row(body, solution.gmod[proc.pid], everything)
+            _encode_value(_rmod_names(solution, proc), body, intern)
+        _write_partners(body, partner_mask[proc.pid])
 
-    key("call_sites")
-    body.append(_T_LIST)
     write_varint(body, len(resolved.call_sites))
     for site in resolved.call_sites:
-        body.append(_T_DICT)
-        write_varint(body, 4 + 2 * len(solutions))
-        key("site_id")
-        value(site.site_id)
-        key("caller")
-        value(site.caller.qualified_name)
-        key("callee")
-        value(site.callee.qualified_name)
-        key("line")
-        value(site.line)
-        for kind, solution in solutions:
-            key("d%s" % kind.value)
-            body += sets.encode(solution.dmod[site.site_id])
-            key(kind.value)
-            body += sets.encode(solution.mod[site.site_id])
-
-    key("aliases")
-    body.append(_T_DICT)
-    write_varint(body, len(procs_by_name))
-    partner_mask = summary.aliases.partner_mask
-    for name, proc in procs_by_name.items():
-        key(name)
-        value(named_pairs(partner_mask[proc.pid], summary.universe.names))
+        sid = site.site_id
+        write_varint(body, sid)
+        write_varint(body, intern(site.caller.qualified_name))
+        write_varint(body, intern(site.callee.qualified_name))
+        write_varint(body, site.line)
+        callee = shown[site.callee.pid]
+        for solution in solutions:
+            dmod = solution.dmod[sid]
+            write_mask_adaptive(body, dmod ^ solution.gmod[callee])
+            write_mask_adaptive(body, solution.mod[sid] ^ dmod)
     return body
 
 
-#: Shortest uid run :class:`_MaskWriter` maps with one shift.
-_MIN_RUN = 8
+def _write_row(body: bytearray, row: int, everything: int) -> None:
+    """A G row as a flag byte and a mask: ``row`` itself (flag 0) or
+    its XOR with GLOBAL (flag 1), whichever is smaller.  A generated
+    procedure's GMOD holds most globals, so the XOR is the sparse one."""
+    plain = bytearray((0,))
+    write_mask_adaptive(plain, row)
+    flipped = bytearray((1,))
+    write_mask_adaptive(flipped, row ^ everything)
+    body += flipped if len(flipped) < len(plain) else plain
 
-class _MaskWriter:
-    """Writes variable masks as the container's name-list values without
-    listing the names.
 
-    The dict route turns a mask into its qualified names in uid order
-    and interns each one.  This writer interns the same names in the
-    same order — a mask's not-yet-seen uids, uid-ascending, by name
-    through the shared ``intern``, so a variable named like a payload
-    key or a procedure gets the index the dict route gives it — and
-    then maps the mask's bits to table indices directly.  Every stretch
-    of at least :data:`_MIN_RUN` consecutive uids interned to
-    consecutive indices is kept as one run, whose bits move with one
-    shift; only bits outside the runs are mapped one by one.  On the
-    generated shapes the globals, interned together by the main
-    program's GMOD, form one run.
-
-    A mask's bytes are final once its uids are interned, so each
-    distinct mask is encoded once.
-    """
-
-    def __init__(self, names: List[str], intern) -> None:
-        self.names = names
-        self.intern = intern
-        #: uid → string-table index, -1 until first written.
-        self.index = [-1] * len(names)
-        self.seen = 0
-        #: Runs as ``(uid_lo, width, index_lo)``, uid-ascending; a uid
-        #: ``u`` in a run sits at index ``index_lo + u - uid_lo``.
-        self.runs: List[Tuple[int, int, int]] = []
-        self.run_starts: List[int] = []
-        self.in_runs = 0
-        self.encoded: Dict[int, bytes] = {}
-
-    def encode(self, mask: int) -> bytes:
-        blob = self.encoded.get(mask)
-        if blob is None:
-            fresh = mask & ~self.seen
-            if fresh:
-                self._intern(fresh)
-            blob = self.encoded[mask] = self._write(mask)
-        return blob
-
-    def _intern(self, fresh: int) -> None:
-        index, names, intern = self.index, self.names, self.intern
-        lo = base = -1
-        width = 0
-        for uid in iter_bits(fresh):
-            at = intern(names[uid])
-            index[uid] = at
-            if uid == lo + width and at == base + width:
-                width += 1
-            else:
-                self._add_run(lo, width, base)
-                lo, base, width = uid, at, 1
-        self._add_run(lo, width, base)
-        self.seen |= fresh
-
-    def _add_run(self, lo: int, width: int, base: int) -> None:
-        if width >= _MIN_RUN:
-            at = bisect_right(self.run_starts, lo)
-            self.run_starts.insert(at, lo)
-            self.runs.insert(at, (lo, width, base))
-            self.in_runs |= ((1 << width) - 1) << lo
-
-    def _write(self, mask: int) -> bytes:
-        if not mask:
-            return bytes((_T_LIST, 0))  # The generic encoder's empty list.
-        # Pieces of the mask in uid order: (first uid, first index, last
-        # index, member offsets from the first index as a bit mask).
-        pieces = []
-        covered = mask & self.in_runs
-        rest = covered
-        while rest:
-            uid = (rest & -rest).bit_length() - 1
-            lo, width, base = self.runs[bisect_right(self.run_starts, uid) - 1]
-            end = lo + width
-            part = (rest >> uid) & ((1 << (end - uid)) - 1)
-            first = base + uid - lo
-            pieces.append((uid, first, first + part.bit_length() - 1, part))
-            rest = rest >> end << end
-        index = self.index
-        for uid in iter_bits(mask ^ covered):
-            at = index[uid]
-            pieces.append((uid, at, at, 1))
-        pieces.sort()
-        count = mask.bit_count()
-        out = bytearray()
-        last = -1
-        for _uid, first, top, _part in pieces:
-            if first <= last:
-                # Not table-ascending: the generic encoder's list form.
-                names = [self.names[uid] for uid in iter_bits(mask)]
-                _encode_value(names, out, self.intern)
-                return bytes(out)
-            last = top
-        first = pieces[0][1]
-
-        def offsets() -> int:
-            bits = 0
-            for _uid, at, _top, part in pieces:
-                bits |= part << (at - first)
-            return bits
-
-        def gaps(out: bytearray) -> None:
-            previous = first
-            for _uid, at, top, part in pieces:
-                if at != first:
-                    write_varint(out, at - previous - 1)
-                if part != 1:
-                    out += _bit_gaps(part)
-                previous = top
-
-        _write_ascending(out, first, last, count, offsets, gaps)
-        return bytes(out)
+def _write_partners(body: bytearray, table: Dict[int, int]) -> None:
+    """A partner table (uid → mask of its alias partners, symmetric) as
+    its lower triangle: the number of uids with a partner below them,
+    then per such uid, ascending, its distance from the one before
+    minus one and the mask of those partners.  A formal's row holds the
+    globals it may alias, so there are few rows and each is small."""
+    rows = []
+    for uid in sorted(table):
+        below = table[uid] & ((1 << uid) - 1)
+        if below:
+            rows.append((uid, below))
+    write_varint(body, len(rows))
+    previous = -1
+    for uid, below in rows:
+        write_varint(body, uid - previous - 1)
+        write_mask_adaptive(body, below)
+        previous = uid
 
 
 # ---------------------------------------------------------------------------
-# Binary container (format v3)
+# Binary container: the generic tagged encoding (v3/v4) and the reader
 # ---------------------------------------------------------------------------
 
 
-def _write_ascending(
-    body: bytearray,
-    first: int,
-    last: int,
-    count: int,
-    offsets: Callable[[], int],
-    gaps: Callable[[bytearray], None],
-) -> None:
-    """Write ``count`` strictly ascending string-table indices from
-    ``first`` to ``last`` in the denser of the two layouts — the one
-    rule both the generic encoder and the mask writer follow.
-
-    ``offsets()`` returns the indices as a bit mask whose bit 0 is
-    ``first``; ``gaps(out)`` appends, as varints, each later index's
-    distance from the one before, minus one.  Only the chosen layout's
-    callback runs.
-    """
-    span = last - first + 1
-    if span <= 8 * count:
-        # Dense: a bit mask over [first, last] costs at most one byte
-        # per member, while delta varints cost at least one.
+def _write_ascending(body: bytearray, indices: List[int]) -> None:
+    """Write strictly ascending string-table indices in the denser of
+    two layouts: a bit mask over ``[first, last]`` while that costs at
+    most one byte per member (delta varints cost at least one), else
+    each index's distance from the one before, minus one."""
+    first = indices[0]
+    span = indices[-1] - first + 1
+    if span <= 8 * len(indices):
         body.append(_T_STRLIST_MASK)
         write_varint(body, first)
-        write_bytes(body, offsets().to_bytes((span + 7) >> 3, "little"))
+        bits = bytearray((span + 7) >> 3)
+        for index in indices:
+            offset = index - first
+            bits[offset >> 3] |= 1 << (offset & 7)
+        write_bytes(body, bytes(bits))
     else:
         body.append(_T_STRLIST_DELTA)
-        write_varint(body, count)
+        write_varint(body, len(indices))
         write_varint(body, first)
-        gaps(body)
-
-
-def _bit_gaps(bits: int) -> bytes:
-    """The delta varints between consecutive set bits of ``bits``
-    (whose bit 0 is set), from the zero runs of its binary string."""
-    gaps = list(map(len, bin(bits)[:1:-1].split("1")[1:-1]))
-    if max(gaps, default=0) < 0x80:
-        return bytes(gaps)  # One byte per varint.
-    out = bytearray()
-    for gap in gaps:
-        write_varint(out, gap)
-    return bytes(out)
-
-
-def _index_offsets(indices: List[int], first: int) -> int:
-    """Ascending table indices as a bit mask whose bit 0 is ``first``."""
-    bits = bytearray(((indices[-1] - first) >> 3) + 1)
-    for index in indices:
-        offset = index - first
-        bits[offset >> 3] |= 1 << (offset & 7)
-    return int.from_bytes(bits, "little")
-
-
-def _index_gaps(out: bytearray, indices: List[int]) -> None:
-    """Append the delta varints of an ascending index list."""
-    previous = indices[0]
-    for index in indices[1:]:
-        write_varint(out, index - previous - 1)
-        previous = index
+        previous = first
+        for index in indices[1:]:
+            write_varint(body, index - previous - 1)
+            previous = index
 
 
 def _encode_value(value, body: bytearray, intern) -> None:
@@ -619,12 +515,7 @@ def _encode_value(value, body: bytearray, intern) -> None:
                     break
                 previous = index
             if ascending:
-                first = indices[0]
-                _write_ascending(
-                    body, first, indices[-1], len(indices),
-                    lambda: _index_offsets(indices, first),
-                    lambda out: _index_gaps(out, indices),
-                )
+                _write_ascending(body, indices)
                 return
             # Not table-ascending (e.g. alias name pairs): fall through
             # to the generic list form, which preserves order exactly.
@@ -648,12 +539,12 @@ def _encode_value(value, body: bytearray, intern) -> None:
         )
 
 
-def _string_table():
-    """An empty string table: ``(strings, intern)``, where
-    ``intern(text)`` returns the index of ``text``, appending it on
-    first sight."""
-    strings: List[str] = []
-    index_of: Dict[str, int] = {}
+def _string_table(initial: Sequence[str] = ()):
+    """A string table opening with ``initial``, verbatim: ``(strings,
+    intern)``, where ``intern(text)`` returns an index holding ``text``,
+    appending it on first sight."""
+    strings: List[str] = list(initial)
+    index_of: Dict[str, int] = dict(zip(strings, range(len(strings))))
 
     def intern(text: str) -> int:
         found = index_of.get(text)
@@ -676,21 +567,17 @@ def _table_bytes(strings: List[str]) -> bytes:
 
 
 def _container(
-    table: bytes, body: bytes, sections: Optional[Dict[int, bytes]]
+    version: int, table: bytes, body: bytes, sections: Optional[Dict[int, bytes]]
 ) -> bytes:
-    """Magic, header, string table, body and — when there are sections
-    — the v4 trailer."""
-    if not sections:
-        version = _SECTIONLESS_BINARY_VERSION
-        trailer = b""
-    else:
-        version = BINARY_FORMAT_VERSION
-        trailer_buf = bytearray()
-        write_varint(trailer_buf, len(sections))
+    """Magic, header, string table, body and — from v4 on — the trailer
+    of ``sections``."""
+    trailer = bytearray()
+    if version >= _TRAILER_BINARY_VERSION:
+        sections = sections or {}
+        write_varint(trailer, len(sections))
         for tag in sorted(sections):
-            write_varint(trailer_buf, tag)
-            write_bytes(trailer_buf, sections[tag])
-        trailer = bytes(trailer_buf)
+            write_varint(trailer, tag)
+            write_bytes(trailer, sections[tag])
     return b"".join((
         BINARY_MAGIC,
         _HEADER.pack(version, len(table), len(body)),
@@ -703,8 +590,9 @@ def _container(
 def encode_summary_payload(
     payload: Dict, sections: Optional[Dict[int, bytes]] = None
 ) -> bytes:
-    """Encode a summary payload dict (the :func:`summary_to_dict` shape)
-    into the binary container.
+    """Encode a payload dict (any JSON-safe dict; the summary cache
+    stores its records this way) into a v3 binary container, or v4 when
+    there are ``sections``.
 
     Round-trips exactly: ``decode_summary_payload(encode_summary_payload(p))
     == p`` for any JSON-safe payload.  Strings are interned in a table
@@ -714,20 +602,20 @@ def encode_summary_payload(
     emission order).
 
     ``sections`` maps section tags (e.g. :data:`SECTION_DEP_INDEX`) to
-    opaque blobs appended as a v4 trailer; when empty or None the output
+    opaque blobs appended as the trailer; when empty or None the output
     is a v3 container, byte-for-byte what pre-v4 writers produced.
 
-    :func:`summary_to_bytes` writes the same bytes for a live summary
-    without building the payload; this generic form serves cache
-    records and is the writer's test oracle.
+    A live summary is written by :func:`summary_to_bytes` instead, as v5.
     """
     strings, intern = _string_table()
     body = bytearray()
     _encode_value(payload, body, intern)
-    return _container(_table_bytes(strings), body, sections)
+    version = _TRAILER_BINARY_VERSION if sections else _SECTIONLESS_BINARY_VERSION
+    return _container(version, _table_bytes(strings), body, sections)
 
 
-def _decode_value(data, pos: int, strings: List[str]):
+def _decode_value(data, pos: int, strings: List[str], depth: int = 0):
+    """One tagged value at ``pos``, ``depth`` lists or dicts deep."""
     tag = data[pos]
     pos += 1
     if tag == _T_STR:
@@ -735,21 +623,25 @@ def _decode_value(data, pos: int, strings: List[str]):
         return strings[index], pos
     if tag == _T_INT:
         return read_signed(data, pos)
-    if tag == _T_DICT:
+    if tag == _T_DICT or tag == _T_LIST:
+        if depth >= _MAX_DEPTH:
+            raise ValueError(
+                "corrupt binary summary: values nest deeper than %d levels"
+                % _MAX_DEPTH
+            )
         count, pos = read_varint(data, pos)
+        if tag == _T_LIST:
+            items = []
+            for _ in range(count):
+                value, pos = _decode_value(data, pos, strings, depth + 1)
+                items.append(value)
+            return items, pos
         result = {}
         for _ in range(count):
             key_index, pos = read_varint(data, pos)
-            value, pos = _decode_value(data, pos, strings)
+            value, pos = _decode_value(data, pos, strings, depth + 1)
             result[strings[key_index]] = value
         return result, pos
-    if tag == _T_LIST:
-        count, pos = read_varint(data, pos)
-        items = []
-        for _ in range(count):
-            value, pos = _decode_value(data, pos, strings)
-            items.append(value)
-        return items, pos
     if tag == _T_STRLIST_DELTA:
         count, pos = read_varint(data, pos)
         index, pos = read_varint(data, pos)
@@ -763,13 +655,7 @@ def _decode_value(data, pos: int, strings: List[str]):
         first, pos = read_varint(data, pos)
         blob, pos = read_bytes(data, pos)
         mask = int.from_bytes(blob, "little")
-        items = []
-        base = first
-        while mask:
-            low = mask & -mask
-            items.append(strings[base + low.bit_length() - 1])
-            mask ^= low
-        return items, pos
+        return _mask_names(mask, strings, first), pos
     if tag == _T_NONE:
         return None, pos
     if tag == _T_TRUE:
@@ -781,19 +667,146 @@ def _decode_value(data, pos: int, strings: List[str]):
     raise ValueError("corrupt binary summary: unknown value tag %d" % tag)
 
 
+def _mask_names(mask: int, strings: List[str], first: int = 0) -> List[str]:
+    """The strings at ``first`` plus each set bit of ``mask``, ascending:
+    the binary string, read from bit 0 up, selects them in one C-level
+    pass however dense the mask."""
+    if first + mask.bit_length() > len(strings):
+        raise ValueError(
+            "corrupt binary summary: a name set runs past the string table"
+        )
+    selectors = bin(mask)[:1:-1].encode("ascii").translate(_BIT_SELECTORS)
+    return list(compress(islice(strings, first, None), selectors))
+
+
+def _decode_summary_body(data, pos: int, strings: List[str]) -> Tuple[Dict, int]:
+    """Expand a v5 body (:func:`_summary_body`) to the
+    :func:`summary_to_dict` payload, key order included.  Every set is
+    read with the variable count as its width, so no bit lands past the
+    variable table; each distinct set is named once, and every entry
+    gets a list of its own."""
+    width, pos = read_varint(data, pos)
+    if width > len(strings):
+        raise ValueError(
+            "corrupt binary summary: %d variables, but the string table "
+            "holds %d strings" % (width, len(strings))
+        )
+    everything, pos = read_mask_adaptive(data, pos, width)
+    listed: Dict[int, List[str]] = {}
+
+    def named(mask: int) -> List[str]:
+        found = listed.get(mask)
+        if found is None:
+            found = listed[mask] = _mask_names(mask, strings)
+        return list(found)
+
+    def string(pos: int) -> Tuple[str, int]:
+        index, pos = read_varint(data, pos)
+        return strings[index], pos
+
+    version, pos = read_varint(data, pos)
+    program, pos = string(pos)
+    count, pos = read_varint(data, pos)
+    tags = []
+    for _ in range(count):
+        tag, pos = string(pos)
+        tags.append(tag)
+
+    procedures: Dict = {}
+    aliases: Dict = {}
+    rows: Dict[str, List[int]] = {}
+    count, pos = read_varint(data, pos)
+    for _ in range(count):
+        name, pos = string(pos)
+        level, pos = read_varint(data, pos)
+        entry: Dict = {"level": level}
+        masks = rows[name] = []
+        for tag in tags:
+            flag = data[pos]
+            if flag > 1:
+                raise ValueError(
+                    "corrupt binary summary: G row flag %d is neither 0 nor 1"
+                    % flag
+                )
+            row, pos = read_mask_adaptive(data, pos + 1, width)
+            if flag:
+                row ^= everything
+            masks.append(row)
+            entry["g" + tag] = named(row)
+            entry["r" + tag], pos = _decode_value(data, pos, strings, 3)
+        procedures[name] = entry
+        aliases[name], pos = _read_partners(data, pos, strings, width)
+
+    call_sites = []
+    count, pos = read_varint(data, pos)
+    for _ in range(count):
+        site_id, pos = read_varint(data, pos)
+        caller, pos = string(pos)
+        callee, pos = string(pos)
+        line, pos = read_varint(data, pos)
+        bases = rows.get(callee)
+        if bases is None:
+            raise ValueError(
+                "corrupt binary summary: call site %d names callee %r, "
+                "which has no procedure entry" % (site_id, callee)
+            )
+        entry = {"site_id": site_id, "caller": caller, "callee": callee,
+                 "line": line}
+        for tag, base in zip(tags, bases):
+            delta, pos = read_mask_adaptive(data, pos, width)
+            dmod = base ^ delta
+            delta, pos = read_mask_adaptive(data, pos, width)
+            entry["d" + tag] = named(dmod)
+            entry[tag] = named(dmod ^ delta)
+        call_sites.append(entry)
+
+    payload = {
+        "version": version,
+        "program": program,
+        "procedures": procedures,
+        "call_sites": call_sites,
+        "aliases": aliases,
+    }
+    return payload, pos
+
+
+def _read_partners(data, pos: int, strings: List[str], width: int):
+    """A :func:`_write_partners` table as :func:`named_pairs` lists it:
+    each pair sorted by name, the list sorted."""
+    count, pos = read_varint(data, pos)
+    pairs = []
+    uid = -1
+    for _ in range(count):
+        gap, pos = read_varint(data, pos)
+        uid += gap + 1
+        if uid >= width:
+            raise ValueError(
+                "corrupt binary summary: alias row %d past the %d variables"
+                % (uid, width)
+            )
+        below, pos = read_mask_adaptive(data, pos, uid)
+        second = strings[uid]
+        for first in _mask_names(below, strings):
+            pairs.append([first, second] if first < second else [second, first])
+    pairs.sort()
+    return pairs, pos
+
+
 def is_binary_summary(data: bytes) -> bool:
-    """Do these bytes start with the v3 binary container magic?"""
+    """Do these bytes start with the binary container magic (any
+    container version)?"""
     return data[: len(BINARY_MAGIC)] == BINARY_MAGIC
 
 
 def decode_summary_container(data: bytes) -> "Tuple[Dict, Dict[int, bytes]]":
-    """Decode a binary container into its payload dict and trailer
-    sections (``{tag: blob}``; empty for a v3 file).
+    """Decode a binary container (v3, v4 or v5) into its payload dict
+    and trailer sections (``{tag: blob}``; empty for a v3 file).
 
     Raises :class:`ValueError` with an explicit message when the magic
     or the container version does not match — a future writer and this
     reader must fail loudly, never misread — and on every truncated or
-    corrupt container: no other exception class escapes.
+    corrupt container, values nested past :data:`_MAX_DEPTH` included:
+    no other exception class escapes.
     """
     magic = data[: len(BINARY_MAGIC)]
     if magic != BINARY_MAGIC:
@@ -808,10 +821,10 @@ def decode_summary_container(data: bytes) -> "Tuple[Dict, Dict[int, bytes]]":
             % (len(data), table_start)
         )
     version, table_len, body_len = _HEADER.unpack_from(data, len(BINARY_MAGIC))
-    if version not in (_SECTIONLESS_BINARY_VERSION, BINARY_FORMAT_VERSION):
+    if not _SECTIONLESS_BINARY_VERSION <= version <= BINARY_FORMAT_VERSION:
         raise ValueError(
             "unsupported binary summary container version %d (this reader "
-            "supports versions %d and %d); re-export the summary or upgrade"
+            "supports versions %d to %d); re-export the summary or upgrade"
             % (version, _SECTIONLESS_BINARY_VERSION, BINARY_FORMAT_VERSION)
         )
     body_start = table_start + table_len
@@ -832,14 +845,17 @@ def decode_summary_container(data: bytes) -> "Tuple[Dict, Dict[int, bytes]]":
                 "corrupt binary summary: string table ends at byte %d, "
                 "header says %d" % (pos, body_start)
             )
-        payload, pos = _decode_value(data, body_start, strings)
+        if version == BINARY_FORMAT_VERSION:
+            payload, pos = _decode_summary_body(data, body_start, strings)
+        else:
+            payload, pos = _decode_value(data, body_start, strings)
         if pos != expected:
             raise ValueError(
                 "corrupt binary summary: body ends at byte %d, header says %d"
                 % (pos, expected)
             )
         sections: Dict[int, bytes] = {}
-        if version >= BINARY_FORMAT_VERSION:
+        if version >= _TRAILER_BINARY_VERSION:
             count, pos = read_varint(data, pos)
             for _ in range(count):
                 tag, pos = read_varint(data, pos)
@@ -929,19 +945,36 @@ def decode_summary_payload(data: bytes) -> Dict:
 
 
 def loads_summary_payload(data) -> Dict:
-    """Decode a serialized summary payload from either format: the v3
-    binary container (sniffed by magic) or the legacy v2 JSON text.
-    ``data`` may be any byte buffer — ``bytes``, a ``memoryview``, or a
-    memory-mapped file (see :func:`load_summary_container_file`)."""
+    """Decode a serialized summary payload from either format: the
+    binary container (any version, sniffed by magic) or the legacy v2
+    JSON text.  ``data`` may be any byte buffer — ``bytes``, a
+    ``memoryview``, or a memory-mapped file (see
+    :func:`load_summary_container_file`).  Malformed input of either
+    form, nested too deeply included, ends in :class:`ValueError`."""
+    return _loads_container(data)[0]
+
+
+def _loads_container(data) -> "Tuple[Dict, Dict[int, bytes]]":
+    """``(payload, sections)`` of a container or, with no sections, of
+    legacy JSON text."""
     if is_binary_summary(data):
-        return decode_summary_payload(data)
-    return json.loads(bytes(data).decode("utf-8"))
+        return decode_summary_container(data)
+    return _json_loads(bytes(data).decode("utf-8")), {}
+
+
+def _json_loads(text: str):
+    """``json.loads``, with nesting too deep for the parser reported as
+    :class:`ValueError` like any other malformed JSON."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("summary JSON nests too deeply to decode") from None
 
 
 def load_summary_container_file(path: str) -> "Tuple[Dict, Dict[int, bytes]]":
     """Decode a container file through ``mmap``: the decoder walks the
     mapped pages in place, so only the bytes a section actually touches
-    are read — a v4 file whose trailer (dependency index, lane blobs)
+    are read — a file whose trailer (dependency index, lane blobs)
     dwarfs its body decodes without pulling the whole file through a
     read buffer first.  Falls back to a plain read where mmap is
     unavailable (empty files, exotic filesystems).
@@ -955,14 +988,9 @@ def load_summary_container_file(path: str) -> "Tuple[Dict, Dict[int, bytes]]":
         try:
             buffer = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
         except (ValueError, OSError):
-            data = handle.read()
-            if is_binary_summary(data):
-                return decode_summary_container(data)
-            return json.loads(data.decode("utf-8")), {}
+            return _loads_container(handle.read())
         try:
-            if is_binary_summary(buffer):
-                return decode_summary_container(buffer)
-            return json.loads(bytes(buffer).decode("utf-8")), {}
+            return _loads_container(buffer)
         finally:
             buffer.close()
 
@@ -1019,12 +1047,12 @@ class LoadedSummary:
 
     @classmethod
     def from_json(cls, text: str) -> "LoadedSummary":
-        return cls(json.loads(text))
+        return cls(_json_loads(text))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LoadedSummary":
-        """Load from either serialized form: the v3 binary container or
-        the legacy v2 JSON text (sniffed by magic)."""
+        """Load from either serialized form: the binary container (any
+        version) or the legacy v2 JSON text (sniffed by magic)."""
         return cls(loads_summary_payload(data))
 
     @property

@@ -72,8 +72,8 @@ class SideEffectSummary:
     #: otherwise.  A sections lane holds a
     #: :class:`~repro.sections.solver.SectionAnalysis`, ``refalias``
     #: holds :attr:`aliases` itself.  Lane payloads serialize into the
-    #: service payload's ``lanes`` block and, on request, into per-lane
-    #: v4 container trailer sections.
+    #: service payload's ``lanes`` block and, on request
+    #: (``lane_blobs``), into per-lane container trailer sections.
     lanes: Optional[Dict[str, object]] = None
     #: The last plain render (:func:`repro.core.persist.summary_to_dict`):
     #: its read-only payload, the name list of each distinct mask in it

@@ -86,7 +86,7 @@ class ServerConfig:
     cache_dir: str = ""  # Optional disk summary cache (batch-shared).
     cache_max_entries: Optional[int] = None  # Disk-cache LRU bound.
     #: Optional session-state directory.  When set, every session's
-    #: summary is persisted as a v4 container with its dependency index
+    #: summary is persisted as a container with its dependency index
     #: after each analyze/update, and an ``update`` for a session this
     #: process has never seen reloads that index and re-solves only the
     #: invalidated region — incremental serving survives restarts.
@@ -353,8 +353,9 @@ class AnalysisServer:
         return os.path.join(self.config.state_dir, digest + ".cki")
 
     def _persist_session(self, session: Session) -> None:
-        """Write a session's summary + dependency index + metadata as a
-        v4 container (atomic rename) — runs on the solver pool."""
+        """Write a session's summary + dependency index + metadata as one
+        container (atomic rename) — runs on the solver pool.  The lanes
+        are named in the metadata, not stored: an update re-solves them."""
         from repro.core.persist import (
             SECTION_SESSION_META,
             summary_to_bytes,
@@ -367,7 +368,6 @@ class AnalysisServer:
         blob = summary_to_bytes(
             summary,
             include_index=True,
-            include_lanes=True,
             sections={
                 SECTION_SESSION_META: json.dumps(
                     meta, sort_keys=True

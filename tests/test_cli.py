@@ -291,6 +291,15 @@ class TestBadInput:
         line = self._one_error_line(capsys.readouterr().err)
         assert line.startswith("error: %s: " % bad)
 
+    def test_recompile_rejects_a_deeply_nested_container(self, tmp_path, capsys):
+        from tests.test_persist_roundtrip import nested_lists_container
+
+        deep = tmp_path / "deep.ckb"
+        deep.write_bytes(nested_lists_container(5000))
+        assert main(["recompile", str(deep), str(deep)]) == 1
+        line = self._one_error_line(capsys.readouterr().err)
+        assert line.startswith("error: %s: " % deep) and "nest" in line
+
     @pytest.mark.parametrize("command", ["analyze", "batch"])
     def test_unknown_lane_is_a_usage_error(self, chain_file, capsys, command):
         with pytest.raises(SystemExit) as excinfo:

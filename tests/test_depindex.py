@@ -154,11 +154,11 @@ class TestBlobRoundTrip:
 
 
 class TestContainerEmbedding:
-    def test_plain_summary_stays_v3(self):
+    def test_plain_summary_has_no_sections(self):
         summary, _index = _indexed_summary(patterns.chain(4))
         blob = summary_to_bytes(summary)
         version = int.from_bytes(blob[4:6], "little")
-        assert version == BINARY_FORMAT_VERSION - 1
+        assert version == BINARY_FORMAT_VERSION
         _payload, sections = decode_summary_container(blob)
         assert sections == {}
 

@@ -272,7 +272,7 @@ class TestLanePersistence:
         )
 
         resolved, summary = self._laned_summary()
-        laned = summary_to_bytes(summary, include_lanes=True)
+        laned = summary_to_bytes(summary, sections=lane_blobs(summary.lanes))
         _payload, sections = decode_summary_container(laned)
         assert set(sections) == {
             SECTION_LANE_SECTIONS,
@@ -639,11 +639,13 @@ end
             client.query("plain", "lane", lane="sections")
         assert "re-analyze with a 'lanes' field" in str(excinfo.value)
 
-    def test_state_file_carries_lane_sections(self, tmp_path):
+    def test_state_file_carries_no_lane_sections(self, tmp_path):
+        """The state file names the session's lanes in its metadata and
+        stores none of their results: a restarted session re-solves
+        them on its next update."""
         from repro.core.persist import (
-            SECTION_LANE_REFALIAS,
-            SECTION_LANE_SECTIONS,
-            decode_lane_sections,
+            SECTION_DEP_INDEX,
+            SECTION_SESSION_META,
             decode_summary_container,
         )
         from repro.server import ServerClient, ServerConfig, ServerThread
@@ -656,28 +658,49 @@ end
             path = handle.server._session_state_path("laned")
         with open(path, "rb") as fh:
             _payload, sections = decode_summary_container(fh.read())
-        from repro.core.persist import SECTION_LANE_SECTIONS_USE
+        assert set(sections) == {SECTION_DEP_INDEX, SECTION_SESSION_META}
+        meta = json.loads(sections[SECTION_SESSION_META].decode("utf-8"))
+        assert meta["lanes"] == list(ALL_LANES)
 
-        assert SECTION_LANE_SECTIONS in sections
-        assert SECTION_LANE_REFALIAS in sections
-        assert SECTION_LANE_SECTIONS_USE in sections
-        decoded = decode_lane_sections(sections)
-        reference = analyze_side_effects(self.SOURCE, lanes=ALL_LANES)
-        assert _canon(decoded["sections"]) == _canon(
-            payload_from_summary(reference)["lanes"]["sections"]
+    def test_earlier_state_file_with_lane_sections_restores(self, tmp_path):
+        """A state file an earlier build wrote, with its lane sections,
+        still restores its session: the next update reloads the index,
+        keeps the lanes its metadata names and re-solves them."""
+        import shutil
+
+        from repro.server import ServerClient, ServerConfig, ServerThread
+        from tests.test_persist_roundtrip import GOLDEN_V4
+        from tests.test_persist_roundtrip import SOURCE as LEDGER
+
+        lanes = ("sections", "refalias")
+        edited = LEDGER.replace("  slot := 2\n", "  slot := 3\n")
+        assert edited != LEDGER
+        with ServerThread(ServerConfig(port=0, state_dir=str(tmp_path))) as handle:
+            shutil.copy(
+                GOLDEN_V4 + ".cki",
+                handle.server._session_state_path("golden"),
+            )
+            with ServerClient(port=handle.port) as c:
+                reply = c.update("golden", edited)
+        assert reply["update_stats"]["index_reloaded"] is True
+        assert reply["session"]["lanes"] == list(lanes)
+        reference = analyze_side_effects(edited, lanes=lanes)
+        assert _canon(reply["lanes"]) == _canon(
+            payload_from_summary(reference)["lanes"]
         )
 
     def test_update_keeps_lanes_across_a_restart(self, tmp_path):
         """A laned session keeps its lanes through ``update``, in memory
         and after a restart: the reply's lane blocks equal a fresh laned
         analysis of the edited source, ``query select=lanes`` still
-        lists them, and the state file carries their sections."""
+        lists them, and the state file names them without storing their
+        sections."""
         from repro.core.persist import (
             SECTION_LANE_REFALIAS,
             SECTION_LANE_SECTIONS,
+            SECTION_SESSION_META,
             decode_summary_container,
         )
-        from repro.lanes.driver import lane_blobs
         from repro.server import ServerClient, ServerConfig, ServerThread
 
         lanes = ("sections", "refalias")
@@ -692,9 +715,9 @@ end
             assert client.query("laned", "lanes")["result"] == ["refalias", "sections"]
             with open(path, "rb") as fh:
                 _payload, sections = decode_summary_container(fh.read())
-            expected = lane_blobs(reference.lanes)
-            for tag in (SECTION_LANE_SECTIONS, SECTION_LANE_REFALIAS):
-                assert sections[tag] == expected[tag]
+            assert not {SECTION_LANE_SECTIONS, SECTION_LANE_REFALIAS} & set(sections)
+            meta = json.loads(sections[SECTION_SESSION_META].decode("utf-8"))
+            assert meta["lanes"] == list(lanes)
 
         config = ServerConfig(port=0, state_dir=str(tmp_path))
         with ServerThread(config) as handle:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import struct
 
@@ -19,17 +20,20 @@ import pytest
 
 from repro import analyze_side_effects
 from repro.core.persist import (
+    _T_LIST,
     BINARY_FORMAT_VERSION,
     FORMAT_VERSION,
     SECTION_DEP_INDEX,
     SECTION_LANE_REFALIAS,
     SECTION_LANE_SECTIONS,
     SECTION_LANE_SECTIONS_USE,
+    SECTION_SESSION_META,
     LoadedSummary,
     decode_lane_sections,
     decode_summary_container,
     decode_summary_payload,
     encode_summary_payload,
+    load_summary_container_file,
     loads_summary_payload,
     summary_to_bytes,
     summary_to_dict,
@@ -303,17 +307,132 @@ class TestBinaryContainer:
         assert cache.stats.hits == 1
 
 
+def nested_lists_container(depth: int) -> bytes:
+    """A v3 container, two bytes per level, whose body is ``depth``
+    lists each holding the next."""
+    body = bytes((_T_LIST, 1)) * (depth - 1) + bytes((_T_LIST, 0))
+    table = b"\x00"  # No strings.
+    return b"CKSB" + struct.pack("<HQQ", 3, len(table), len(body)) + table + body
+
+
+def flip_outcomes(blob: bytes, start: int, seed: int, flips: int = 400):
+    """Decode ``flips`` seeded single-bit flips of ``blob`` at or past
+    byte ``start``: the decoded ``(payload, sections)`` or the
+    :class:`ValueError`, one per flip.  Any other exception escapes."""
+    rng = random.Random(seed)
+    outcomes = []
+    for _ in range(flips):
+        damaged = bytearray(blob)
+        damaged[rng.randrange(start, len(blob))] ^= 1 << rng.randrange(8)
+        try:
+            outcomes.append(decode_summary_container(bytes(damaged)))
+        except ValueError as error:
+            outcomes.append(error)
+    return outcomes
+
+
+class TestDeepNesting:
+    """Nesting far past anything this package writes ends in
+    :class:`ValueError` on every loading route, never in
+    :class:`RecursionError`."""
+
+    def test_nested_container(self, tmp_path):
+        blob = nested_lists_container(5000)
+        assert len(blob) < 11_000
+        for load in (decode_summary_container, loads_summary_payload,
+                     LoadedSummary.from_bytes):
+            with pytest.raises(ValueError, match="nest"):
+                load(blob)
+        path = tmp_path / "deep.ckb"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match="nest"):
+            load_summary_container_file(str(path))
+
+    def test_nesting_up_to_the_cap_decodes(self):
+        from repro.core.persist import _MAX_DEPTH
+
+        payload = decode_summary_payload(nested_lists_container(_MAX_DEPTH))
+        for _ in range(_MAX_DEPTH - 1):
+            (payload,) = payload
+        assert payload == []
+        with pytest.raises(ValueError, match="nest"):
+            decode_summary_payload(nested_lists_container(_MAX_DEPTH + 1))
+
+    def test_nested_json(self, tmp_path):
+        text = "[" * 100_000 + "]" * 100_000
+        with pytest.raises(ValueError, match="nest"):
+            loads_summary_payload(text.encode("utf-8"))
+        with pytest.raises(ValueError, match="nest"):
+            LoadedSummary.from_json(text)
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="nest"):
+            load_summary_container_file(str(path))
+
+    def test_cache_counts_a_nested_entry_invalid(self, tmp_path):
+        cache = SummaryCache(str(tmp_path))
+        key = content_key(SOURCE)
+        with open(cache.path_for(key), "wb") as handle:
+            handle.write(nested_lists_container(5000))
+        assert cache.get(key) is None
+        assert cache.stats.invalid == 1
+
+
+#: A daemon state file an earlier build wrote for :data:`SOURCE`, as
+#: ``.cki``, and its payload, as ``.json``: container v4 (the payload as
+#: tagged values, then the dependency index, the session metadata
+#: naming session ``golden`` and the ``sections`` and ``refalias`` lane
+#: sections).
+GOLDEN_V4 = os.path.join(os.path.dirname(__file__), "golden", "ledger-v4")
+
+
+class TestGoldenV4:
+    """The earlier build's v4 state file still loads, to the payload
+    recorded beside it."""
+
+    def test_decodes_to_its_recorded_payload(self, summary):
+        with open(GOLDEN_V4 + ".json") as handle:
+            recorded = json.load(handle)
+        with open(GOLDEN_V4 + ".cki", "rb") as handle:
+            blob = handle.read()
+        assert blob[4] == 4
+        payload, sections = decode_summary_container(blob)
+        assert payload == recorded
+        assert json.dumps(payload) == json.dumps(recorded)  # Key order too.
+        assert load_summary_container_file(GOLDEN_V4 + ".cki") == (payload, sections)
+        assert payload == summary_to_dict(summary)
+        assert set(sections) == {
+            SECTION_DEP_INDEX, SECTION_SESSION_META,
+            SECTION_LANE_SECTIONS, SECTION_LANE_REFALIAS,
+        }
+        assert set(decode_lane_sections(sections)) == {"sections", "refalias"}
+
+
 class TestDamagedContainer:
     """A truncated or corrupt container ends in :class:`ValueError` or
     a decoded payload — never another exception class, never a section
     quietly cut short."""
 
     @pytest.fixture(scope="class")
-    def rich_blob(self):
-        summary = analyze_side_effects(
+    def laned(self):
+        return analyze_side_effects(
             compile_source(SOURCE), lanes=("sections", "refalias")
         )
-        return summary_to_bytes(summary, include_index=True, include_lanes=True)
+
+    @pytest.fixture(scope="class")
+    def indexed_blob(self, laned):
+        """A v5 container with the index and the lane sections."""
+        from repro.lanes.driver import lane_blobs
+
+        return summary_to_bytes(
+            laned, include_index=True, sections=lane_blobs(laned.lanes)
+        )
+
+    @pytest.fixture(scope="class")
+    def rich_blob(self, indexed_blob):
+        """The same payload and sections in an earlier writer's v4
+        container."""
+        return encode_summary_payload(*decode_summary_container(indexed_blob))
 
     def test_header_cut_short(self, summary):
         blob = summary_to_bytes(summary)
@@ -323,7 +442,7 @@ class TestDamagedContainer:
 
     def test_every_cut_of_a_v4_container(self, rich_blob):
         _payload, sections = decode_summary_container(rich_blob)
-        assert rich_blob[4] == BINARY_FORMAT_VERSION
+        assert rich_blob[4] == 4
         assert {
             SECTION_DEP_INDEX, SECTION_LANE_SECTIONS, SECTION_LANE_REFALIAS
         } <= set(sections)
@@ -335,21 +454,58 @@ class TestDamagedContainer:
     def test_bit_flips(self, summary, rich_blob, with_trailer):
         """Seeded single-bit flips: in the body of a v3 container, and
         anywhere past the header of a v4 one."""
-        blob = rich_blob if with_trailer else summary_to_bytes(summary)
+        if with_trailer:
+            blob, start = rich_blob, 22
+        else:
+            blob = encode_summary_payload(summary_to_dict(summary))
+            _version, table_len, _body_len = struct.unpack_from("<HQQ", blob, 4)
+            start = 22 + table_len
+        outcomes = flip_outcomes(blob, start, 4242)
+        assert any(isinstance(item, ValueError) for item in outcomes)
+        assert not all(isinstance(item, ValueError) for item in outcomes)
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["plain", "indexed"])
+    def test_every_cut_of_a_v5_container(self, summary, indexed_blob, indexed):
+        blob = indexed_blob if indexed else summary_to_bytes(summary)
+        assert blob[4] == BINARY_FORMAT_VERSION == 5
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                decode_summary_container(blob[:cut])
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["plain", "indexed"])
+    def test_v5_bit_flips(self, summary, indexed_blob, indexed):
+        """Seeded single-bit flips anywhere past the header of a v5
+        container, with and without the index trailer."""
+        blob = indexed_blob if indexed else summary_to_bytes(summary)
+        outcomes = flip_outcomes(blob, 22, 5005)
+        assert any(isinstance(item, ValueError) for item in outcomes)
+        assert not all(isinstance(item, ValueError) for item in outcomes)
+
+    def test_flipped_sets_stay_in_the_variable_table(self):
+        """A flip in the body of a v5 container cannot name a variable
+        the table does not hold: every set is read with the variable
+        count as its width, so a flipped sparse gap that jumps past the
+        table ends in :class:`ValueError`."""
+        from repro.workloads.generator import GeneratorConfig, generate_resolved
+
+        summary = analyze_side_effects(generate_resolved(GeneratorConfig(
+            seed=5, num_procs=40, num_globals=30, max_depth=2)))
+        blob = summary_to_bytes(summary)
         _version, table_len, _body_len = struct.unpack_from("<HQQ", blob, 4)
-        start = 22 if with_trailer else 22 + table_len
-        rng = random.Random(4242)
-        decoded = rejected = 0
-        for _ in range(400):
-            damaged = bytearray(blob)
-            damaged[rng.randrange(start, len(blob))] ^= 1 << rng.randrange(8)
-            try:
-                decode_summary_container(bytes(damaged))
-            except ValueError:
-                rejected += 1
-            else:
-                decoded += 1
-        assert rejected and decoded
+        variables = set(summary.universe.names)
+        past_the_table = 0
+        for outcome in flip_outcomes(blob, 22 + table_len, 77, flips=1000):
+            if isinstance(outcome, ValueError):
+                past_the_table += "past the width" in str(outcome)
+                continue
+            payload, _sections = outcome
+            for entry in payload["procedures"].values():
+                for key in ("gmod", "guse"):
+                    assert set(entry[key]) <= variables
+            for entry in payload["call_sites"]:
+                for key in ("dmod", "mod", "duse", "use"):
+                    assert set(entry[key]) <= variables
+        assert past_the_table
 
     @pytest.fixture(scope="class")
     def lane_blobs(self):

@@ -1,14 +1,18 @@
-"""Byte-identity oracle for the mask-native summary writer.
+"""Decode oracle for the v5 summary writer.
 
 ``summary_to_bytes`` writes the container straight from the solution
-masks: it never lists a set's names.  The generic route it replaced —
-``encode_summary_payload(summary_to_dict(summary), sections)`` — stays
-as the oracle, and the two must agree byte for byte on every shape that
-can move the string table: the 30-program sweep, the corpus, deep
-nesting, incremental summaries over spliced universes, every trailer
-combination, the analysis server's state file, empty sets, programs
-without call sites, and names that collide with payload keys,
-procedure names or each other.
+masks, as the paper decomposes them: it never lists a set's names, and
+each call site's sets are XOR deltas against its callee's G row and its
+own D set.  ``decode_summary_container`` must expand every such
+container back to exactly ``summary_to_dict``'s payload — the second,
+independent route from the masks to names — key order included, with
+exactly the trailer sections asked for.  It is held to that on every
+shape that can move the variable table or a delta's base: the
+30-program sweep, the corpus, deep nesting, incremental summaries over
+spliced universes, every trailer combination, the analysis server's
+state file, empty sets, programs without call sites, a USE-only
+summary, and names that collide with payload keys, procedure names or
+each other.
 
 The render carried across ``incremental_update`` is pinned here too:
 after every edit the carried payload and container equal a scratch
@@ -30,14 +34,13 @@ import weakref
 import pytest
 
 import repro.core.persist as persist
-from repro.core.bitvec import iter_bits
 from repro.core.depindex import index_to_bytes
 from repro.core.incremental import incremental_update
 from repro.core.persist import (
+    BINARY_FORMAT_VERSION,
     SECTION_DEP_INDEX,
     SECTION_SESSION_META,
     decode_summary_container,
-    encode_summary_payload,
     summary_to_bytes,
     summary_to_dict,
 )
@@ -119,13 +122,19 @@ end
 """
 
 
-def _dict_route(summary, sections=None) -> bytes:
-    return encode_summary_payload(summary_to_dict(summary), sections=sections or None)
+def assert_decodes_to(blob: bytes, payload, sections=None) -> None:
+    """``blob`` is a v5 container holding ``payload``, key order
+    included, and exactly ``sections``."""
+    assert blob[4] == BINARY_FORMAT_VERSION
+    decoded, found = decode_summary_container(blob)
+    assert decoded == payload
+    assert json.dumps(decoded) == json.dumps(payload)
+    assert found == (sections or {})
 
 
 def assert_writer_matches(summary) -> bytes:
     blob = summary_to_bytes(summary)
-    assert blob == _dict_route(summary)
+    assert_decodes_to(blob, summary_to_dict(summary))
     return blob
 
 
@@ -135,9 +144,8 @@ def test_sweep(config):
 
 
 def test_corpus(corpus_programs):
-    for name, resolved in corpus_programs.items():
-        summary = analyze_side_effects(resolved)
-        assert summary_to_bytes(summary) == _dict_route(summary), name
+    for resolved in corpus_programs.values():
+        assert_writer_matches(analyze_side_effects(resolved))
 
 
 @pytest.mark.parametrize("depth", [1, 2, 5, 13, 40])
@@ -172,21 +180,23 @@ def test_incremental_steps(config, seed, monkeypatch):
         assert summary.universe.names == [
             var.qualified_name for var in summary.resolved.variables
         ], step
-        assert summary_to_bytes(summary) == _dict_route(summary), step
+        assert_writer_matches(summary)
     assert spliced_steps
 
 
-#: Each combination keeps the id it had when a leading ``False`` stood
-#: for a flag, since removed, that embedded a sections block.
+#: Each combination keeps the id it had when the leading ``False``
+#: stood for a flag, since removed, that embedded a sections block, and
+#: the last value for another, also removed, that embedded the lane
+#: results; a caller now passes those as ``sections``.
 TRAILER_COMBINATIONS = list(itertools.product((False, True), repeat=2))
 
 
 @pytest.mark.parametrize(
-    "include_index, include_lanes",
+    "include_index, caller_sections",
     TRAILER_COMBINATIONS,
     ids=["False-%s-%s" % combination for combination in TRAILER_COMBINATIONS],
 )
-def test_every_trailer_combination(include_index, include_lanes):
+def test_every_trailer_combination(include_index, caller_sections):
     resolved = generate_resolved(
         GeneratorConfig(seed=34, num_procs=15, max_depth=3,
                         nesting_prob=0.5, prob_arg_global=0.3)
@@ -194,16 +204,12 @@ def test_every_trailer_combination(include_index, include_lanes):
     summary = analyze_side_effects(
         resolved, lanes=("sections", "refalias", "sections-use")
     )
-    blob = summary_to_bytes(
-        summary, include_index=include_index, include_lanes=include_lanes
-    )
-    sections = {}
-    if include_lanes:
-        sections.update(lane_blobs(summary.lanes))
+    sections = lane_blobs(summary.lanes) if caller_sections else None
+    blob = summary_to_bytes(summary, include_index=include_index, sections=sections)
+    expected = dict(sections or {})
     if include_index:
-        sections[SECTION_DEP_INDEX] = index_to_bytes(summary.dep_index)
-    assert blob == _dict_route(summary, sections)
-    assert blob[4] == (4 if include_index or include_lanes else 3)
+        expected[SECTION_DEP_INDEX] = index_to_bytes(summary.dep_index)
+    assert_decodes_to(blob, summary_to_dict(summary), expected)
 
 
 def test_caller_sections_join_the_trailer():
@@ -212,7 +218,7 @@ def test_caller_sections_join_the_trailer():
     blob = summary_to_bytes(summary, include_index=True, sections=extra)
     expected = dict(extra)
     expected[SECTION_DEP_INDEX] = index_to_bytes(summary.dep_index)
-    assert blob == _dict_route(summary, sections=expected)
+    assert_decodes_to(blob, summary_to_dict(summary), expected)
     assert extra == {SECTION_SESSION_META: b'{"name": "s"}'}  # Not mutated.
 
 
@@ -241,7 +247,7 @@ def test_writer_never_builds_the_payload(monkeypatch):
     neither a summary that never rendered nor one that did."""
     fresh = analyze_side_effects(COLLISIONS)
     rendered = analyze_side_effects(COLLISIONS)
-    expected = _dict_route(rendered)
+    expected = summary_to_dict(rendered)
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("the writer must not build the payload dict")
@@ -249,49 +255,19 @@ def test_writer_never_builds_the_payload(monkeypatch):
     monkeypatch.setattr(persist, "summary_to_dict", refuse)
     monkeypatch.setattr(persist, "encode_summary_payload", refuse)
     assert fresh.render is None
-    assert summary_to_bytes(fresh) == expected
-    assert summary_to_bytes(rendered) == expected
-
-
-def test_mask_writer_matches_generic_lists():
-    """Random masks over random name tables — runs, duplicate names,
-    names already in the table, strings interned between masks — give
-    the generic encoder's bytes and leave the same string table."""
-    rng = random.Random(1313)
-    for _trial in range(300):
-        width = rng.randint(1, 80)
-        names = ["v%d" % uid for uid in range(width)]
-        for uid in rng.sample(range(width), k=width // 10):
-            names[uid] = rng.choice(names[:uid + 1] + ["key", "level"])
-        strings, intern = persist._string_table()
-        oracle_strings, oracle_intern = persist._string_table()
-        for text in ("key", "level"):
-            intern(text)
-            oracle_intern(text)
-        writer = persist._MaskWriter(names, intern)
-        for _set in range(rng.randint(1, 10)):
-            lo = rng.randrange(width)
-            mask = ((1 << rng.randint(1, width - lo)) - 1) << lo
-            mask &= rng.getrandbits(width) | rng.choice((0, -1))
-            sparse = rng.getrandbits(width) & rng.getrandbits(width)
-            mask |= sparse & rng.getrandbits(width)
-            want = bytearray()
-            persist._encode_value(
-                [names[uid] for uid in iter_bits(mask)], want, oracle_intern
-            )
-            assert writer.encode(mask) == bytes(want), (names, mask)
-            if rng.random() < 0.3:
-                text = "x%d" % rng.randrange(4)
-                intern(text)
-                oracle_intern(text)
-        assert strings == oracle_strings
+    blobs = [summary_to_bytes(fresh), summary_to_bytes(rendered)]
+    monkeypatch.undo()
+    assert blobs[0] == blobs[1]
+    for blob in blobs:
+        assert_decodes_to(blob, expected)
 
 
 def test_server_state_file(tmp_path):
-    """The daemon's ``--state-dir`` container is the dict route's bytes
-    with the index, lane and session-metadata sections — when the
-    session opens, after an update that moves no set (whose table and
-    body are the predecessor's) and after one that inserts a line."""
+    """The daemon's ``--state-dir`` container holds the session's
+    payload with the index and session-metadata sections, and no lane
+    sections — when the session opens, after an update that moves no
+    set (whose table and body are the predecessor's) and after one that
+    inserts a line."""
     from repro.server.client import ServerClient
     from repro.server.daemon import ServerConfig, ServerThread
 
@@ -323,11 +299,8 @@ def test_server_state_file(tmp_path):
             SECTION_DEP_INDEX: index_to_bytes(summary.dep_index),
             SECTION_SESSION_META: json.dumps(meta, sort_keys=True).encode("utf-8"),
         }
-        sections.update(lane_blobs(summary.lanes))
-        assert len(sections) == 4, step
-        assert blob == _dict_route(summary, sections=sections), step
         scratch = summary_to_dict(analyze_side_effects(versions[step]))
-        assert decode_summary_container(blob)[0] == scratch, step
+        assert_decodes_to(blob, scratch, sections)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +363,8 @@ def test_carried_render_matches_scratch(config, seed):
     """Literal edits, line-inserting edits and the fuzzer's structural
     edits (new, deleted and renamed variables permute the uid space),
     chained: each step's dict is a scratch render's, key order
-    included, and its laned, indexed container is the dict route's."""
+    included, and its indexed container, with the lane results as
+    caller sections, decodes to it."""
     fuzzer = EditFuzzer(config, seed)
     rng = random.Random(seed)
     summary = analyze_side_effects(pretty(fuzzer.program))
@@ -415,14 +389,12 @@ def test_carried_render_matches_scratch(config, seed):
         assert summary_to_bytes(summary) == summary_to_bytes(scratch), context
         payload = summary_to_dict(summary)
         assert payload == summary_to_dict(scratch), context
-        assert encode_summary_payload(payload) == summary_to_bytes(scratch), context
-        blob = summary_to_bytes(
-            summary, include_index=True, include_lanes=True, sections=SESSION_META
-        )
+        assert decode_summary_container(summary_to_bytes(scratch)) == (payload, {}), context
         sections = dict(SESSION_META)
-        sections[SECTION_DEP_INDEX] = index_to_bytes(summary.dep_index)
         sections.update(lane_blobs(summary.lanes))
-        assert blob == encode_summary_payload(payload, sections), context
+        blob = summary_to_bytes(summary, include_index=True, sections=sections)
+        sections[SECTION_DEP_INDEX] = index_to_bytes(summary.dep_index)
+        assert_decodes_to(blob, payload, sections)
         assert summary_to_dict(summary) is payload, context
         if summary.universe.names != names:
             seen["permuted"] += 1
@@ -459,7 +431,7 @@ def test_literal_edit_returns_the_predecessors_payload_and_body(monkeypatch):
     monkeypatch.undo()
     sections = dict(SESSION_META)
     sections[SECTION_DEP_INDEX] = index_to_bytes(new.dep_index)
-    assert blob == encode_summary_payload(payload, sections)
+    assert_decodes_to(blob, payload, sections)
     # The head is the predecessor's; the index trailer is rebuilt (its
     # fingerprints saw the edit).
     _version, table_len, body_len = persist._HEADER.unpack_from(first, 4)

@@ -597,7 +597,8 @@ class TestSessionPersistence:
         from repro.core.pipeline import analyze_side_effects
 
         path = self._open_session(str(tmp_path), name="legacy")
-        # Overwrite with a v3 container: valid summary, no index section.
+        # Overwrite with a container holding a valid summary and no
+        # index section.
         with open(path, "wb") as handle:
             handle.write(summary_to_bytes(analyze_side_effects(self.BASE)))
         with ServerThread(ServerConfig(port=0, state_dir=str(tmp_path))) as h:
