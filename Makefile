@@ -7,7 +7,7 @@ PP := PYTHONPATH=src
 .PHONY: test differential incremental-differential \
 	lane-differential bench-smoke bench \
 	bench-frontend bench-core bench-incremental \
-	bench-lanes profile server-smoke perfbench-smoke
+	bench-lanes profile server-smoke batch-smoke perfbench-smoke
 
 # Tier-1 gate: the full unit/integration/property suite.
 test:
@@ -112,6 +112,14 @@ profile:
 # dir holds only .cki files.
 server-smoke:
 	$(PP) $(PY) tests/server_smoke.py
+
+# End-to-end batch check: run `ck-analyze batch` as a real OS process on
+# a generated three-file corpus (one of 300 procedures), cold then warm,
+# lane-less and with --lanes sections,refalias; each warm run must be all
+# cache hits with zero bit-vector steps and the cold run's per-lane file
+# counts, and every .ck-cache entry must load to its source's summary.
+batch-smoke:
+	$(PP) $(PY) tests/batch_smoke.py
 
 # End-to-end benchmark smoke, about 5 s per workload: one short
 # perfbench run of flat-1k and one of session-500.  Each run reads back

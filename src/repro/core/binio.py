@@ -1,14 +1,16 @@
 """Low-level binary encoding primitives shared by the serialization
 fast paths.
 
-Three consumers: the versioned binary summary container
+Two consumers: the versioned binary summary container
 (:mod:`repro.core.persist`; its v5 body writes every variable set with
-the adaptive mask codec), the effect-lane trailer sections
-(:mod:`repro.lanes`, through the signed-mask strips), and the
-dependency index (:mod:`repro.core.depindex`).  All speak the same
-dialect — unsigned LEB128 varints, zigzag-mapped signed ints, and
-big-int bit masks as little-endian minimal-length byte strings — so a
-byte layout debugged once works everywhere.
+the adaptive mask codec, and its reader takes the zigzag ints of
+earlier builds' v3/v4 bodies) and the dependency index
+(:mod:`repro.core.depindex`).  The signed-mask strips encoded the
+effect-lane trailer sections that earlier builds wrote; nothing in the
+package writes them now.  All speak the same dialect — unsigned LEB128
+varints, zigzag-mapped signed ints, and big-int bit masks as
+little-endian minimal-length byte strings — so a byte layout debugged
+once works everywhere.
 
 Bit masks are the workhorse: the analysis represents variable sets as
 arbitrary-precision ints, and ``int.to_bytes``/``int.from_bytes`` move

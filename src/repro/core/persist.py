@@ -11,7 +11,10 @@ holds the same payload; :func:`summary_to_bytes` writes it straight
 from the solution masks, as the paper decomposes them: each call
 site's sets are stored as XOR deltas against its callee's GMOD
 (equation (2)) and its own DMOD (the §5 alias step), never as name
-lists.
+lists.  It is the one binary writer: summary-cache records and the
+analysis server's state files are containers it wrote, and
+:func:`read_container_trailer` reads a container's trailer sections
+without decoding its summary.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import os
 import struct
 import tempfile
 import warnings
+import zlib
 from itertools import compress, islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,7 +36,6 @@ from repro.core.binio import (
     read_varint,
     write_bytes,
     write_mask_adaptive,
-    write_signed,
     write_varint,
 )
 from repro.core.summary import SideEffectSummary
@@ -72,12 +75,12 @@ FORMAT_VERSION = 2
 #:   MOD/USE set as one against its D set (see :func:`_summary_body`).
 #:   The trailer is always present, possibly empty.
 #:
-#: :func:`encode_summary_payload` still writes v3/v4 (the summary
-#: cache's records); the reader takes all three.
+#: Only v5 is written; the reader takes all three, so v3/v4 files that
+#: earlier builds wrote (summary-cache records, state files) still load.
 BINARY_FORMAT_VERSION = 5
 
-#: The generic encoder's container versions: without and with a
-#: section trailer.
+#: The container versions earlier builds wrote for a tagged-value
+#: payload: without and with a section trailer.
 _SECTIONLESS_BINARY_VERSION = 3
 _TRAILER_BINARY_VERSION = 4
 
@@ -91,22 +94,20 @@ SECTION_DEP_INDEX = 1
 #: memory.
 SECTION_SESSION_META = 2
 
-#: Section tag of the regular-sections effect lane
-#: (:mod:`repro.lanes.sections_lane` owns the blob codec).  The lane
-#: tags are written only for callers that pass
-#: ``sections=lane_blobs(summary.lanes)``; the daemon's state files no
-#: longer carry them (a restarted session re-solves its lanes from the
-#: names in its metadata), but files that do still load.
+#: Reserved section tags of the ``sections``, ``refalias`` and
+#: ``sections-use`` effect lanes' results, which earlier builds wrote
+#: into state files.  Nothing writes or reads them now (a restarted
+#: session re-solves its lanes from the names in its metadata); they
+#: stay known so that such files load without a warning.
 SECTION_LANE_SECTIONS = 3
-
-#: Section tag of the reference-parameter alias lane
-#: (:mod:`repro.lanes.refalias` owns the blob codec).
 SECTION_LANE_REFALIAS = 4
-
-#: Section tag of the USE-kind regular-sections lane (same codec as
-#: :data:`SECTION_LANE_SECTIONS`; the payload's ``kind`` field tells
-#: the two apart).
 SECTION_LANE_SECTIONS_USE = 5
+
+#: Section tag of a summary-cache record's result metadata (a small JSON
+#: object: the analysis's timings, tallies, counts and lane blocks, the
+#: record schema and a CRC of the container's string table and body —
+#: see :mod:`repro.service.cache`).
+SECTION_RESULT_META = 6
 
 #: Every trailer tag this reader understands.  Anything else is a
 #: *future* section: skipped loudly-but-safely (one warning, then the
@@ -119,6 +120,7 @@ KNOWN_SECTION_TAGS = frozenset(
         SECTION_LANE_SECTIONS,
         SECTION_LANE_REFALIAS,
         SECTION_LANE_SECTIONS_USE,
+        SECTION_RESULT_META,
     }
 )
 
@@ -129,7 +131,8 @@ BINARY_MAGIC = b"CKSB"
 #: byte length, body byte length.
 _HEADER = struct.Struct("<HQQ")
 
-# Value tags of the binary body encoding.
+# Value tags of the v3/v4 body encoding.  A v5 body writes its R lists
+# with the string-list tags (see :func:`_write_names`).
 _T_NONE = 0
 _T_FALSE = 1
 _T_TRUE = 2
@@ -151,10 +154,10 @@ _FLOAT = struct.Struct("<d")
 #: Turns the digits of ``bin()`` into the selector bytes 0 and 1.
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 
-#: Deepest list/dict nesting the readers follow.  The payloads this
-#: package writes nest fewer than ten levels deep (a cache record
-#: around a laned summary); anything past the cap is corrupt, and ends
-#: in :class:`ValueError` instead of exhausting the interpreter stack.
+#: Deepest list/dict nesting the readers follow.  The payloads earlier
+#: builds wrote nest fewer than ten levels deep (a cache record around a
+#: laned summary); anything past the cap is corrupt, and ends in
+#: :class:`ValueError` instead of exhausting the interpreter stack.
 _MAX_DEPTH = 100
 
 
@@ -189,14 +192,15 @@ class _Render:
     A ``carried`` render is a predecessor's, seeded by
     :func:`carry_render`: its maps serve this summary's first render,
     but its payload and head are the predecessor's until that render
-    finds the new payload equal.
+    finds the new payload equal.  A summary written before it rendered
+    keeps its head on a render whose ``payload`` is None.
     """
 
     __slots__ = ("kinds", "payload", "names", "aliases", "head", "carried")
 
     def __init__(self, kinds, payload, names, aliases, head=None, carried=False):
         self.kinds: Tuple[EffectKind, ...] = kinds
-        self.payload: Dict = payload
+        self.payload: Optional[Dict] = payload
         self.names: Dict[int, List[str]] = names
         self.aliases: Dict[int, Tuple[Dict[int, int], List[List[str]]]] = aliases
         self.head: Optional[Tuple[bytes, bytes]] = head
@@ -320,13 +324,12 @@ def summary_to_bytes(
     if absent) so a later process can run demand-driven incremental
     updates without re-deriving it.  ``sections`` adds caller-owned
     trailer sections (tag → blob), such as the analysis server's
-    :data:`SECTION_SESSION_META`, or ``lane_blobs(summary.lanes)``
-    (:mod:`repro.lanes.driver`) for a laned summary's lane results.
+    :data:`SECTION_SESSION_META` or a cache record's
+    :data:`SECTION_RESULT_META`.
 
-    Once the summary has rendered its own payload (see
-    :class:`_Render`), the string table and body are written once and
-    kept with it; a successor whose render returned that same payload
-    reuses them by reference, and only the trailer is rebuilt.
+    The string table and body are written once and kept on the summary
+    (see :class:`_Render`); a successor whose render returned the same
+    payload reuses them by reference, and only the trailer is rebuilt.
     """
     trailer: Dict[int, bytes] = dict(sections or {})
     if include_index:
@@ -340,14 +343,31 @@ def summary_to_bytes(
             )
             summary.dep_index = index
         trailer[SECTION_DEP_INDEX] = index_to_bytes(index)
+    return _container(*_head(summary), trailer)
+
+
+def summary_crc32(summary: SideEffectSummary) -> int:
+    """``zlib.crc32`` of the string table and body that
+    :func:`summary_to_bytes` writes for ``summary`` — what
+    :func:`read_container_trailer` reports for that container.  A
+    trailer section can carry it to vouch for the summary it rides
+    with."""
+    table, body = _head(summary)
+    return zlib.crc32(body, zlib.crc32(table))
+
+
+def _head(summary: SideEffectSummary) -> Tuple[bytes, bytes]:
+    """The summary's v5 string table and body, written once and kept
+    on its render.  A carried render's head is the predecessor's, so a
+    summary that has not rendered since writes its own each time."""
     render = summary.render
-    if render is None or render.carried:
-        head = _summary_head(summary)
-    else:
-        if render.head is None:
-            render.head = _summary_head(summary)
-        head = render.head
-    return _container(BINARY_FORMAT_VERSION, *head, trailer)
+    if render is not None and render.carried:
+        return _summary_head(summary)
+    if render is None:
+        render = summary.render = _Render(tuple(summary.solutions), None, {}, {})
+    if render.head is None:
+        render.head = _summary_head(summary)
+    return render.head
 
 
 def _summary_head(summary: SideEffectSummary) -> Tuple[bytes, bytes]:
@@ -364,15 +384,15 @@ def _summary_body(summary: SideEffectSummary, intern) -> bytearray:
     variable set is a mask over that table, written with
     :func:`~repro.core.binio.write_mask_adaptive`.
 
-    In order (counts, ints and string indices are varints; "tagged" is
-    a value written by :func:`_encode_value`):
+    In order (counts, ints and string indices are varints):
 
     * the number of variables, then the GLOBAL mask;
     * the payload version, the program name, the kind count and each
       kind's tag (``mod``, ``use``);
     * the procedure count, then per procedure its name and level, per
-      kind its G row (:func:`_write_row`) and its R list (tagged), and
-      then its alias pairs (:func:`_write_partners`);
+      kind its G row (:func:`_write_row`) and its R list
+      (:func:`_write_names`), and then its alias pairs
+      (:func:`_write_partners`);
     * the call-site count, then per site its id, caller, callee and
       line, and per kind its D set XOR its callee's G row (equation
       (2)'s base), then its MOD/USE set XOR its D set (the §5 alias
@@ -410,7 +430,7 @@ def _summary_body(summary: SideEffectSummary, intern) -> bytearray:
         write_varint(body, proc.level)
         for solution in solutions:
             _write_row(body, solution.gmod[proc.pid], everything)
-            _encode_value(_rmod_names(solution, proc), body, intern)
+            _write_names(body, _rmod_names(solution, proc), intern)
         _write_partners(body, partner_mask[proc.pid])
 
     write_varint(body, len(resolved.call_sites))
@@ -459,8 +479,24 @@ def _write_partners(body: bytearray, table: Dict[int, int]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Binary container: the generic tagged encoding (v3/v4) and the reader
+# Binary container: framing, the R lists' string-list encoding, the reader
 # ---------------------------------------------------------------------------
+
+
+def _write_names(body: bytearray, names: List[str], intern) -> None:
+    """A list of strings as the v3/v4 tagged encoding writes it: one of
+    the two ascending layouts (:func:`_write_ascending`) when the names'
+    table indices ascend, else a list of string values, which keeps
+    their order exactly."""
+    indices = [intern(name) for name in names]
+    if indices and all(a < b for a, b in zip(indices, indices[1:])):
+        _write_ascending(body, indices)
+        return
+    body.append(_T_LIST)
+    write_varint(body, len(indices))
+    for index in indices:
+        body.append(_T_STR)
+        write_varint(body, index)
 
 
 def _write_ascending(body: bytearray, indices: List[int]) -> None:
@@ -488,58 +524,7 @@ def _write_ascending(body: bytearray, indices: List[int]) -> None:
             previous = index
 
 
-def _encode_value(value, body: bytearray, intern) -> None:
-    if value is None:
-        body.append(_T_NONE)
-    elif value is True:
-        body.append(_T_TRUE)
-    elif value is False:
-        body.append(_T_FALSE)
-    elif type(value) is str:
-        body.append(_T_STR)
-        write_varint(body, intern(value))
-    elif type(value) is int:
-        body.append(_T_INT)
-        write_signed(body, value)
-    elif type(value) is float:
-        body.append(_T_FLOAT)
-        body += _FLOAT.pack(value)
-    elif isinstance(value, (list, tuple)):
-        if value and all(type(item) is str for item in value):
-            indices = [intern(item) for item in value]
-            ascending = True
-            previous = -1
-            for index in indices:
-                if index <= previous:
-                    ascending = False
-                    break
-                previous = index
-            if ascending:
-                _write_ascending(body, indices)
-                return
-            # Not table-ascending (e.g. alias name pairs): fall through
-            # to the generic list form, which preserves order exactly.
-        body.append(_T_LIST)
-        write_varint(body, len(value))
-        for item in value:
-            _encode_value(item, body, intern)
-    elif isinstance(value, dict):
-        body.append(_T_DICT)
-        write_varint(body, len(value))
-        for key, item in value.items():
-            if type(key) is not str:
-                raise TypeError(
-                    "binary summary payload keys must be str, got %r" % (key,)
-                )
-            write_varint(body, intern(key))
-            _encode_value(item, body, intern)
-    else:
-        raise TypeError(
-            "cannot encode %r in a binary summary payload" % type(value).__name__
-        )
-
-
-def _string_table(initial: Sequence[str] = ()):
+def _string_table(initial: Sequence[str]):
     """A string table opening with ``initial``, verbatim: ``(strings,
     intern)``, where ``intern(text)`` returns an index holding ``text``,
     appending it on first sight."""
@@ -566,52 +551,21 @@ def _table_bytes(strings: List[str]) -> bytes:
     return bytes(table)
 
 
-def _container(
-    version: int, table: bytes, body: bytes, sections: Optional[Dict[int, bytes]]
-) -> bytes:
-    """Magic, header, string table, body and — from v4 on — the trailer
-    of ``sections``."""
+def _container(table: bytes, body: bytes, sections: Dict[int, bytes]) -> bytes:
+    """A v5 container: magic, header, string table, body and the trailer
+    of ``sections`` (a count, then each tag and blob, tags ascending)."""
     trailer = bytearray()
-    if version >= _TRAILER_BINARY_VERSION:
-        sections = sections or {}
-        write_varint(trailer, len(sections))
-        for tag in sorted(sections):
-            write_varint(trailer, tag)
-            write_bytes(trailer, sections[tag])
+    write_varint(trailer, len(sections))
+    for tag in sorted(sections):
+        write_varint(trailer, tag)
+        write_bytes(trailer, sections[tag])
     return b"".join((
         BINARY_MAGIC,
-        _HEADER.pack(version, len(table), len(body)),
+        _HEADER.pack(BINARY_FORMAT_VERSION, len(table), len(body)),
         table,
         body,
         trailer,
     ))
-
-
-def encode_summary_payload(
-    payload: Dict, sections: Optional[Dict[int, bytes]] = None
-) -> bytes:
-    """Encode a payload dict (any JSON-safe dict; the summary cache
-    stores its records this way) into a v3 binary container, or v4 when
-    there are ``sections``.
-
-    Round-trips exactly: ``decode_summary_payload(encode_summary_payload(p))
-    == p`` for any JSON-safe payload.  Strings are interned in a table
-    written once; name-set lists collapse to delta varints or bit masks
-    whenever their interned indices are ascending (which they are for
-    every ``universe.to_names`` product, since those share one stable
-    emission order).
-
-    ``sections`` maps section tags (e.g. :data:`SECTION_DEP_INDEX`) to
-    opaque blobs appended as the trailer; when empty or None the output
-    is a v3 container, byte-for-byte what pre-v4 writers produced.
-
-    A live summary is written by :func:`summary_to_bytes` instead, as v5.
-    """
-    strings, intern = _string_table()
-    body = bytearray()
-    _encode_value(payload, body, intern)
-    version = _TRAILER_BINARY_VERSION if sections else _SECTIONLESS_BINARY_VERSION
-    return _container(version, _table_bytes(strings), body, sections)
 
 
 def _decode_value(data, pos: int, strings: List[str], depth: int = 0):
@@ -798,16 +752,9 @@ def is_binary_summary(data: bytes) -> bool:
     return data[: len(BINARY_MAGIC)] == BINARY_MAGIC
 
 
-def decode_summary_container(data: bytes) -> "Tuple[Dict, Dict[int, bytes]]":
-    """Decode a binary container (v3, v4 or v5) into its payload dict
-    and trailer sections (``{tag: blob}``; empty for a v3 file).
-
-    Raises :class:`ValueError` with an explicit message when the magic
-    or the container version does not match — a future writer and this
-    reader must fail loudly, never misread — and on every truncated or
-    corrupt container, values nested past :data:`_MAX_DEPTH` included:
-    no other exception class escapes.
-    """
+def _read_header(data) -> Tuple[int, int, int, int]:
+    """``(version, table_start, body_start, body_end)`` of a binary
+    container whose header checks out against the data's length."""
     magic = data[: len(BINARY_MAGIC)]
     if magic != BINARY_MAGIC:
         raise ValueError(
@@ -828,12 +775,38 @@ def decode_summary_container(data: bytes) -> "Tuple[Dict, Dict[int, bytes]]":
             % (version, _SECTIONLESS_BINARY_VERSION, BINARY_FORMAT_VERSION)
         )
     body_start = table_start + table_len
-    expected = body_start + body_len
-    if len(data) < expected:
+    body_end = body_start + body_len
+    if len(data) < body_end:
         raise ValueError(
             "truncated binary summary: header promises %d bytes, found %d"
-            % (expected, len(data))
+            % (body_end, len(data))
         )
+    return version, table_start, body_start, body_end
+
+
+def _read_sections(data, version: int, pos: int) -> Dict[int, bytes]:
+    """The trailer starting at ``pos`` (none before v4)."""
+    sections: Dict[int, bytes] = {}
+    if version >= _TRAILER_BINARY_VERSION:
+        count, pos = read_varint(data, pos)
+        for _ in range(count):
+            tag, pos = read_varint(data, pos)
+            blob, pos = read_bytes(data, pos)
+            sections[tag] = blob
+    return sections
+
+
+def decode_summary_container(data: bytes) -> "Tuple[Dict, Dict[int, bytes]]":
+    """Decode a binary container (v3, v4 or v5) into its payload dict
+    and trailer sections (``{tag: blob}``; empty for a v3 file).
+
+    Raises :class:`ValueError` with an explicit message when the magic
+    or the container version does not match — a future writer and this
+    reader must fail loudly, never misread — and on every truncated or
+    corrupt container, values nested past :data:`_MAX_DEPTH` included:
+    no other exception class escapes.
+    """
+    version, table_start, body_start, body_end = _read_header(data)
     try:
         count, pos = read_varint(data, table_start)
         strings: List[str] = []
@@ -849,22 +822,38 @@ def decode_summary_container(data: bytes) -> "Tuple[Dict, Dict[int, bytes]]":
             payload, pos = _decode_summary_body(data, body_start, strings)
         else:
             payload, pos = _decode_value(data, body_start, strings)
-        if pos != expected:
+        if pos != body_end:
             raise ValueError(
                 "corrupt binary summary: body ends at byte %d, header says %d"
-                % (pos, expected)
+                % (pos, body_end)
             )
-        sections: Dict[int, bytes] = {}
-        if version >= _TRAILER_BINARY_VERSION:
-            count, pos = read_varint(data, pos)
-            for _ in range(count):
-                tag, pos = read_varint(data, pos)
-                blob, pos = read_bytes(data, pos)
-                sections[tag] = blob
+        sections = _read_sections(data, version, pos)
     except (IndexError, struct.error) as exc:
         # A varint, string index or float running off the data.
         raise ValueError("corrupt binary summary: %s" % exc) from exc
     return payload, sections
+
+
+def read_container_trailer(data) -> "Tuple[Dict[int, bytes], int]":
+    """The trailer sections of a binary container (v3, v4 or v5; none
+    for v3) and the ``zlib.crc32`` of its string table and body, without
+    decoding either: the header's lengths locate the trailer.  This is
+    the whole read of a summary-cache hit and of a restarted analysis
+    server's session state; the CRC lets a section vouch for the
+    summary it rides with (see :func:`summary_crc32`).
+
+    Raises :class:`ValueError` on the header faults
+    :func:`decode_summary_container` reports and on a trailer cut short.
+    """
+    version, table_start, _body_start, body_end = _read_header(data)
+    try:
+        sections = _read_sections(data, version, body_end)
+    except IndexError as exc:
+        # A varint running off the data.
+        raise ValueError("corrupt binary summary: %s" % exc) from exc
+    with memoryview(data) as view:
+        crc = zlib.crc32(view[table_start:body_end])
+    return sections, crc
 
 
 def split_unknown_sections(
@@ -897,43 +886,6 @@ def split_unknown_sections(
 class UnknownSectionWarning(UserWarning):
     """A v4 container carried a trailer section this reader does not
     understand; it was skipped and its content will be re-derived."""
-
-
-def decode_lane_sections(sections: Dict[int, bytes]) -> Dict[str, object]:
-    """Decode every known *lane* trailer section, ignoring non-lane
-    tags.  Value shapes are lane-specific (each lane module owns its
-    codec): ``"sections"`` decodes to its payload dict, ``"refalias"``
-    to its per-procedure partner tables.
-
-    Call :func:`split_unknown_sections` first if the container may come
-    from a newer writer.  A truncated or corrupt blob raises
-    :class:`ValueError`.
-    """
-    try:
-        return _decode_lane_sections(sections)
-    except IndexError as exc:
-        # A varint, mask or string table running off the blob.
-        raise ValueError("corrupt lane section: %s" % exc) from exc
-
-
-def _decode_lane_sections(sections: Dict[int, bytes]) -> Dict[str, object]:
-    out: Dict[str, object] = {}
-    blob = sections.get(SECTION_LANE_SECTIONS)
-    if blob is not None:
-        from repro.lanes.sections_lane import sections_payload_from_blob
-
-        out["sections"] = sections_payload_from_blob(blob)
-    blob = sections.get(SECTION_LANE_REFALIAS)
-    if blob is not None:
-        from repro.lanes.refalias import refalias_tables_from_blob
-
-        out["refalias"] = refalias_tables_from_blob(blob)
-    blob = sections.get(SECTION_LANE_SECTIONS_USE)
-    if blob is not None:
-        from repro.lanes.sections_lane import sections_payload_from_blob
-
-        out["sections-use"] = sections_payload_from_blob(blob)
-    return out
 
 
 def decode_summary_payload(data: bytes) -> Dict:
@@ -974,10 +926,10 @@ def _json_loads(text: str):
 def load_summary_container_file(path: str) -> "Tuple[Dict, Dict[int, bytes]]":
     """Decode a container file through ``mmap``: the decoder walks the
     mapped pages in place, so only the bytes a section actually touches
-    are read — a file whose trailer (dependency index, lane blobs)
-    dwarfs its body decodes without pulling the whole file through a
-    read buffer first.  Falls back to a plain read where mmap is
-    unavailable (empty files, exotic filesystems).
+    are read — a file whose trailer (a dependency index) dwarfs its body
+    decodes without pulling the whole file through a read buffer first.
+    Falls back to a plain read where mmap is unavailable (empty files,
+    exotic filesystems).
 
     Returns ``(payload, sections)`` like :func:`decode_summary_container`,
     and understands the legacy JSON form (``(payload, {})``).

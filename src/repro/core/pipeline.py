@@ -193,19 +193,25 @@ def analyze_side_effects(
 
 
 def payload_from_summary(summary: SideEffectSummary) -> Dict:
-    """The JSON-safe service payload for one finished analysis.
-
-    Shared by every serving surface — the batch workers, the summary
-    cache, and the analysis daemon — so a payload is byte-identical no
-    matter which path produced it.  Bundles the serialized summary
-    (:func:`repro.core.persist.summary_to_dict`) with the per-phase
-    wall times and the :class:`~repro.core.bitvec.OpCounter` tallies
-    the corpus statistics aggregator consumes.
-    """
+    """The JSON-safe service payload for one finished analysis: the
+    serialized summary (:func:`repro.core.persist.summary_to_dict`)
+    under ``summary``, then :func:`result_meta`'s fields.  The analysis
+    daemon replies with it."""
     from repro.core.persist import summary_to_dict
 
-    payload = {
-        "summary": summary_to_dict(summary),
+    payload = {"summary": summary_to_dict(summary)}
+    payload.update(result_meta(summary))
+    return payload
+
+
+def result_meta(summary: SideEffectSummary) -> Dict:
+    """What a service payload carries besides the summary: the per-phase
+    wall times, the :class:`~repro.core.bitvec.OpCounter` tallies the
+    corpus statistics aggregator consumes, the program's size and, when
+    the analysis ran lanes, their ``lanes`` block.  The daemon's replies
+    and the summary cache's records (:mod:`repro.service.cache`) both
+    take these fields from here, so the two cannot drift apart."""
+    meta = {
         "timings": dict(summary.timings),
         "ops": {
             "bit_vector_steps": summary.counter.bit_vector_steps,
@@ -221,20 +227,5 @@ def payload_from_summary(summary: SideEffectSummary) -> Dict:
     if summary.lanes:
         from repro.lanes.driver import lane_payloads
 
-        payload["lanes"] = lane_payloads(summary)
-    return payload
-
-
-def analyze_source_payload(source: str, lanes: Sequence[str] = ()) -> Dict:
-    """Analyze source text and return a JSON-safe, picklable payload.
-
-    This is the per-unit entry point for the batch service layer: a
-    plain module-level function whose argument and result both pickle,
-    so :class:`concurrent.futures.ProcessPoolExecutor` workers can call
-    it directly.
-
-    ``lanes`` adds the named effect lanes (:mod:`repro.lanes`) and their
-    ``lanes`` payload block.
-    """
-    summary = analyze_side_effects(source, lanes=list(lanes))
-    return payload_from_summary(summary)
+        meta["lanes"] = lane_payloads(summary)
+    return meta

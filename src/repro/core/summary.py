@@ -72,12 +72,12 @@ class SideEffectSummary:
     #: otherwise.  A sections lane holds a
     #: :class:`~repro.sections.solver.SectionAnalysis`, ``refalias``
     #: holds :attr:`aliases` itself.  Lane payloads serialize into the
-    #: service payload's ``lanes`` block and, on request
-    #: (``lane_blobs``), into per-lane container trailer sections.
+    #: service payload's ``lanes`` block.
     lanes: Optional[Dict[str, object]] = None
     #: The last plain render (:func:`repro.core.persist.summary_to_dict`):
     #: its read-only payload, the name list of each distinct mask in it
-    #: and, once written, the binary container's string table and body.
+    #: and, once written, the binary container's string table and body
+    #: (a summary written before it rendered keeps only those).
     #: :func:`repro.core.incremental.incremental_update` seeds it from
     #: the predecessor's render until this summary's first render
     #: replaces it.  Never serialized.

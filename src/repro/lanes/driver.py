@@ -1,4 +1,4 @@
-"""Solve, render and persist the effect lanes of one analysis.
+"""Solve and render the effect lanes of one analysis.
 
 ``solve_lanes`` runs :func:`~repro.sections.solver.analyze_sections`
 once per requested sections kind and hands back the run's
@@ -14,25 +14,13 @@ from __future__ import annotations
 import time
 from typing import Dict, Sequence
 
-from repro.core.persist import (
-    SECTION_LANE_REFALIAS,
-    SECTION_LANE_SECTIONS,
-    SECTION_LANE_SECTIONS_USE,
-)
 from repro.core.varsets import EffectKind
-from repro.lanes.refalias import refalias_payload, refalias_tables_to_blob
-from repro.lanes.sections_lane import sections_payload, sections_payload_to_blob
+from repro.lanes.refalias import refalias_payload
+from repro.lanes.sections_lane import sections_payload
 from repro.lanes.spec import parse_lane_names
 
 #: The effect kind of each sections lane.
 _SECTION_KINDS = {"sections": EffectKind.MOD, "sections-use": EffectKind.USE}
-
-#: The container trailer tag of each lane.
-_SECTION_TAGS = {
-    "sections": SECTION_LANE_SECTIONS,
-    "refalias": SECTION_LANE_REFALIAS,
-    "sections-use": SECTION_LANE_SECTIONS_USE,
-}
 
 
 def solve_lanes(
@@ -79,16 +67,4 @@ def lane_payloads(summary) -> Dict[str, Dict]:
             )
         else:
             out[name] = sections_payload(result)
-    return out
-
-
-def lane_blobs(lanes: Dict[str, object]) -> Dict[int, bytes]:
-    """Container trailer sections for a summary's ``lanes``, by tag."""
-    out: Dict[int, bytes] = {}
-    for name, result in lanes.items():
-        if name == "refalias":
-            blob = refalias_tables_to_blob(result.partner_mask)
-        else:
-            blob = sections_payload_to_blob(sections_payload(result))
-        out[_SECTION_TAGS[name]] = blob
     return out

@@ -8,11 +8,14 @@ back, on an ``analyze`` request:
    summaries (content-hash keyed, same key function as the disk
    cache) — a hit answers immediately and can still seed a session;
 2. the on-disk :class:`~repro.service.cache.SummaryCache` shared with
-   ``ck-analyze batch`` — a hit serves the stored payload without
+   ``ck-analyze batch`` — a hit decodes the stored container instead of
    re-solving (skipped when the request opens a session, which needs
    the live object);
-3. the full pipeline, run on a bounded thread pool so the event loop
-   stays responsive.
+3. the full pipeline.
+
+Tiers 2 and 3, the disk-cache store after a solve and a restarted
+session's state reload all run on a bounded thread pool, under the same
+admission control, so the event loop stays responsive.
 
 Robustness contract (each clause has a test):
 
@@ -68,7 +71,7 @@ from repro.server.protocol import (
     require_str,
 )
 from repro.server.sessions import Session, SessionStore
-from repro.service.cache import SummaryCache, content_key
+from repro.service.cache import SummaryCache, content_key, encode_record
 
 
 @dataclass
@@ -386,29 +389,27 @@ class AnalysisServer:
 
     def _load_session_state(self, name: str):
         """``(dep_index or None, lanes)`` for a persisted session, or
-        ``None`` when nothing usable is on disk.  A legacy container
-        without an index section (or an index this reader cannot parse)
-        degrades to ``(None, lanes)`` — the update falls back to a full
-        re-solve instead of failing the session.  Session metadata that
-        does not parse, or is not a JSON object, means no lanes."""
+        ``None`` when nothing usable is on disk.  Only the container's
+        trailer is read: the update works from the index, never from
+        the stored summary.  A legacy container without an index section
+        (or an index this reader cannot parse) degrades to ``(None,
+        lanes)`` — the update falls back to a full re-solve instead of
+        failing the session.  Session metadata that does not parse, or
+        is not a JSON object, means no lanes.  Runs on the solver pool."""
         if not self.config.state_dir:
             return None
         from repro.core.depindex import index_from_bytes
         from repro.core.persist import (
             SECTION_DEP_INDEX,
             SECTION_SESSION_META,
-            load_summary_container_file,
+            read_container_trailer,
             split_unknown_sections,
         )
 
-        path = self._session_state_path(name)
         try:
-            # mmap-decode: the container is walked over the mapped
-            # pages, not pulled through a read buffer first.
-            _payload, sections = load_summary_container_file(path)
-        except OSError:
-            return None
-        except ValueError:
+            with open(self._session_state_path(name), "rb") as handle:
+                sections, _crc = read_container_trailer(handle.read())
+        except (OSError, ValueError):
             return None
         # A state file written by a newer build may carry sections this
         # reader has never heard of (a future lane, a new index kind) —
@@ -457,26 +458,28 @@ class AnalysisServer:
             summary, payload = entry
             cached = "lru"
         else:
-            payload = None
             # The disk cache can only serve payloads; a session needs
             # the live summary, so it must go through the solver.
-            if self.disk_cache is not None and session_name is None:
-                payload = self.disk_cache.get(key)
-                if payload is not None:
-                    cached = "disk"
-            if payload is None:
+            use_disk = self.disk_cache is not None and session_name is None
 
-                def work():
-                    if sleep:
-                        time.sleep(sleep)
-                    live = analyze_side_effects(source, lanes=lanes)
-                    return live, payload_from_summary(live)
+            def work():
+                if use_disk:
+                    payload = self._disk_payload(key)
+                    if payload is not None:
+                        return None, payload
+                if sleep:
+                    time.sleep(sleep)
+                live = analyze_side_effects(source, lanes=lanes)
+                if self.disk_cache is not None:
+                    self.disk_cache.put(key, encode_record(live))
+                return live, payload_from_summary(live)
 
-                summary, payload = await self._run_heavy(work)
+            summary, payload = await self._run_heavy(work)
+            if summary is None:
+                cached = "disk"
+            else:
                 self.metrics.observe_phases(summary.timings)
                 self.lru.put(key, (summary, payload))
-                if self.disk_cache is not None:
-                    self.disk_cache.put(key, payload)
 
         response = ok_response(
             request_id,
@@ -509,6 +512,27 @@ class AnalysisServer:
             response["session"] = session.brief()
         return response
 
+    def _disk_payload(self, key: str) -> Optional[Dict]:
+        """The service payload of the disk cache's record for ``key``,
+        or None on a miss.  A record whose summary then fails to decode
+        counts as the ``invalid`` miss it is.  Runs on the solver pool."""
+        from repro.core.persist import decode_summary_payload
+
+        hit = self.disk_cache.get(key)
+        if hit is None:
+            return None
+        record, meta = hit
+        try:
+            summary = decode_summary_payload(record)
+        except ValueError:
+            self.disk_cache.reject_hit()
+            return None
+        payload = {"summary": summary}
+        for name in ("timings", "ops", "num_procs", "num_call_sites", "lanes"):
+            if name in meta:
+                payload[name] = meta[name]
+        return payload
+
     async def _verb_update(self, request_id: Any, request: Dict) -> Dict:
         from repro.core.incremental import (
             _full_resolve,
@@ -521,24 +545,23 @@ class AnalysisServer:
         session_name = require_str(request, "session")
         source = require_str(request, "source")
         session = self.sessions.get(session_name)
-        reloaded_index = None
-        if session is None:
-            # Not in memory — maybe a previous process persisted it.
-            state = self._load_session_state(session_name)
-            if state is None:
-                raise ProtocolError(
-                    E_UNKNOWN_SESSION,
-                    "no session %r; open one with analyze+session first"
-                    % session_name,
-                )
-            reloaded_index, lanes = state
-        else:
-            lanes = session.lanes
-        key = content_key(source, lanes)
         sleep = self._request_sleep(request)
         old_summary = session.summary if session is not None else None
 
         def work():
+            reloaded_index = None
+            if session is None:
+                # Not in memory — maybe a previous process persisted it.
+                state = self._load_session_state(session_name)
+                if state is None:
+                    raise ProtocolError(
+                        E_UNKNOWN_SESSION,
+                        "no session %r; open one with analyze+session first"
+                        % session_name,
+                    )
+                reloaded_index, lanes = state
+            else:
+                lanes = session.lanes
             if sleep:
                 time.sleep(sleep)
             new_resolved = compile_source(source)
@@ -568,9 +591,16 @@ class AnalysisServer:
                     new_summary.aliases,
                     new_summary.timings,
                 )
-            return new_summary, payload_from_summary(new_summary), stats
+            payload = payload_from_summary(new_summary)
+            key = content_key(source, lanes)
+            # The incremental result is bit-identical to a from-scratch
+            # solve (asserted by the test suite), so it may warm both
+            # cache tiers under the new content key.
+            if self.disk_cache is not None:
+                self.disk_cache.put(key, encode_record(new_summary))
+            return new_summary, payload, stats, lanes, key
 
-        new_summary, payload, stats = await self._run_heavy(work)
+        new_summary, payload, stats, lanes, key = await self._run_heavy(work)
         self.metrics.observe_update(stats)
 
         if session is None:
@@ -587,12 +617,7 @@ class AnalysisServer:
         session.payload = payload
         session.updates += 1
         session.last_update = stats.to_dict()
-        # The incremental result is bit-identical to a from-scratch
-        # solve (asserted by the test suite), so it may warm both
-        # cache tiers under the new content key.
         self.lru.put(key, (new_summary, payload))
-        if self.disk_cache is not None:
-            self.disk_cache.put(key, payload)
         await self._save_session_state(session)
 
         response = ok_response(

@@ -9,14 +9,20 @@ with three guarantees the single-file CLI cannot give:
   already has a stored summary is never re-solved
   (:mod:`repro.service.cache`);
 * **determinism** — results are reported in sorted path order and the
-  per-file payloads are byte-identical whether produced sequentially,
-  by a process pool, or read back from the cache (the differential
-  suite asserts this).
+  per-file summaries are identical whether produced sequentially, by a
+  process pool, or read back from the cache (the differential suite
+  asserts this).
 
-Workers run :func:`repro.core.pipeline.analyze_source_payload`, a
-module-level picklable entry point, via
-:class:`concurrent.futures.ProcessPoolExecutor`.
-
+Each file's result is its summary-cache record
+(:func:`repro.service.cache.encode_record`): the v5 summary container
+with the analysis's timings, tallies and lane blocks in a metadata
+section.  Workers run :func:`_analyze_task`, a module-level picklable
+entry point, via :class:`concurrent.futures.ProcessPoolExecutor`; the
+cache stores the record they return unchanged, and a hit hands it back
+without decoding the summary.  A caller that wants a file's summary
+decodes :attr:`FileResult.container` with the persist loaders
+(:func:`repro.core.persist.decode_summary_payload`,
+:class:`repro.core.persist.LoadedSummary`).
 """
 
 from __future__ import annotations
@@ -30,9 +36,15 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.core.pipeline import analyze_source_payload
+from repro.core.pipeline import analyze_side_effects
 from repro.lang.errors import CkError
-from repro.service.cache import CacheStats, SummaryCache, content_key
+from repro.service.cache import (
+    CacheStats,
+    SummaryCache,
+    content_key,
+    encode_record,
+    record_meta,
+)
 
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
@@ -47,8 +59,8 @@ def _analyze_task(task) -> Dict:
     """
     path, source, lanes = task
     try:
-        result = analyze_source_payload(source, lanes=lanes)
-        return {"status": STATUS_OK, "path": path, "result": result}
+        container = encode_record(analyze_side_effects(source, lanes=lanes))
+        return {"status": STATUS_OK, "path": path, "container": container}
     except CkError as error:
         message = "%s: %s" % (type(error).__name__, error)
         return {"status": STATUS_ERROR, "path": path, "error": message}
@@ -66,8 +78,13 @@ class FileResult:
     path: str
     status: str  # STATUS_OK / STATUS_ERROR / STATUS_TIMEOUT
     cached: bool = False
-    #: The :func:`analyze_source_payload` payload (None unless ok).
-    result: Optional[Dict] = None
+    #: The file's record (:func:`~repro.service.cache.encode_record`): a
+    #: v5 summary container (None unless ok).
+    container: Optional[bytes] = None
+    #: The record's metadata (:func:`~repro.service.cache.record_meta`):
+    #: timings, ops, num_procs, num_call_sites, the ``lanes`` block when
+    #: lanes ran, and the record's schema fields (None unless ok).
+    meta: Optional[Dict] = None
     error: str = ""
     key: str = ""  # Content-hash cache key ("" if the source was unreadable).
     elapsed: float = 0.0  # Wall seconds spent obtaining this result.
@@ -76,7 +93,7 @@ class FileResult:
     def ok(self) -> bool:
         return self.status == STATUS_OK
 
-    def to_dict(self, include_summary: bool = False) -> Dict:
+    def to_dict(self) -> Dict:
         entry: Dict = {
             "path": self.path,
             "status": self.status,
@@ -87,13 +104,11 @@ class FileResult:
             entry["error"] = self.error
         if self.key:
             entry["key"] = self.key
-        if self.result is not None:
-            entry["timings"] = self.result["timings"]
-            entry["ops"] = self.result["ops"]
-            entry["num_procs"] = self.result["num_procs"]
-            entry["num_call_sites"] = self.result["num_call_sites"]
-            if include_summary:
-                entry["summary"] = self.result["summary"]
+        if self.meta is not None:
+            entry["timings"] = self.meta["timings"]
+            entry["ops"] = self.meta["ops"]
+            entry["num_procs"] = self.meta["num_procs"]
+            entry["num_call_sites"] = self.meta["num_call_sites"]
         return entry
 
 
@@ -142,17 +157,6 @@ class BatchReport:
     def errors(self) -> List[FileResult]:
         return [r for r in self.results if not r.ok]
 
-    def to_dict(self, include_summaries: bool = False) -> Dict:
-        return {
-            "root": self.root,
-            "jobs": self.jobs,
-            "lanes": list(self.lanes),
-            "wall_time": self.wall_time,
-            "files": [r.to_dict(include_summaries) for r in self.results],
-            "cache": self.cache_stats.to_dict() if self.cache_stats else None,
-            "cache_dir": self.cache_dir,
-        }
-
 
 def discover_files(root: str, pattern: str = "*.ck") -> List[str]:
     """Corpus files under ``root`` matching ``pattern``, sorted.
@@ -193,7 +197,7 @@ def run_batch(
     bounds the cache directory (LRU eviction; None = unbounded).
 
     ``lanes`` requests extra effect lanes (:mod:`repro.lanes`) for
-    every file; lane blocks ride the per-file payloads and the cache
+    every file; lane blocks ride the per-file metadata and the cache
     key, so laned and lane-less runs never serve each other's entries.
     """
     lanes = tuple(lanes)
@@ -235,7 +239,7 @@ def run_batch(
             if hit is not None:
                 record.status = STATUS_OK
                 record.cached = True
-                record.result = hit
+                record.container, record.meta = hit
                 continue
         sources[path] = source
         work.append(record)
@@ -246,11 +250,13 @@ def run_batch(
 
     def _apply(record: FileResult, outcome: Dict, elapsed: float) -> None:
         record.status = outcome["status"]
-        record.result = outcome.get("result")
         record.error = outcome.get("error", "")
         record.elapsed = elapsed
-        if record.status == STATUS_OK and cache is not None:
-            cache.put(record.key, record.result)
+        if record.status == STATUS_OK:
+            record.container = outcome["container"]
+            record.meta = record_meta(record.container)
+            if cache is not None:
+                cache.put(record.key, record.container)
 
     if effective_jobs <= 1:
         for record in work:

@@ -1,11 +1,11 @@
 """Corpus-level statistics aggregation.
 
-Rolls the per-file payloads of a :class:`~repro.service.batch.BatchReport`
-up into one JSON document: per-phase wall-time totals, the paper's
-bit-vector/single-bit step tallies summed across the corpus, cache
-accounting, and throughput.  The schema is version-stamped so
-downstream dashboards can detect drift the same way the summary cache
-does.
+Rolls the per-file record metadata of a
+:class:`~repro.service.batch.BatchReport` up into one JSON document:
+per-phase wall-time totals, the paper's bit-vector/single-bit step
+tallies summed across the corpus, cache accounting, and throughput.
+The schema is version-stamped so downstream dashboards can detect
+drift the same way the summary cache does.
 
 This docstring is the one authoritative catalogue of every top-level
 stats-JSON key (mirrored as a table in the README; the schema-check
@@ -38,8 +38,8 @@ Key-by-key:
 * ``ops`` — the paper's operation tallies, summed likewise.
 * ``cache`` — local summary-cache accounting, or null without a cache.
 * ``lanes`` — which extra effect lanes the run requested and what they
-  cost: per lane, the number of payloads carrying its block and the
-  summed ``lane.<name>`` solver seconds.
+  cost: per lane, the number of files whose metadata carries its block
+  and the summed ``lane.<name>`` solver seconds.
 * ``throughput`` — wall time, files/second, pool width, summed
   per-file analysis seconds.
 * ``files`` — per-file outcome records (no full summaries).
@@ -82,26 +82,27 @@ def aggregate_stats(report: BatchReport) -> Dict:
         name: {"files": 0, "seconds": 0.0} for name in report.lanes
     }
     for record in report.results:
-        if record.result is None:
+        meta = record.meta
+        if meta is None:
             continue
-        procs += record.result["num_procs"]
-        call_sites += record.result["num_call_sites"]
-        for name in record.result.get("lanes") or ():
+        procs += meta["num_procs"]
+        call_sites += meta["num_call_sites"]
+        for name in meta.get("lanes") or ():
             per_lane.setdefault(name, {"files": 0, "seconds": 0.0})
             per_lane[name]["files"] += 1
         if record.cached:
             # A cache hit did no solver work this run; its stored
             # timings/ops describe the original solve, not this one.
             continue
-        for phase, seconds in record.result["timings"].items():
+        for phase, seconds in meta["timings"].items():
             phases[phase] = phases.get(phase, 0.0) + seconds
             if phase.startswith("lane."):
                 lane_name = phase[len("lane."):]
                 per_lane.setdefault(lane_name, {"files": 0, "seconds": 0.0})
                 per_lane[lane_name]["seconds"] += seconds
         for key in OP_KEYS:
-            ops[key] += record.result["ops"][key]
-        analysis_seconds += record.result["timings"].get("total", 0.0)
+            ops[key] += meta["ops"][key]
+        analysis_seconds += meta["timings"].get("total", 0.0)
     total_files = len(report.results)
     return {
         "schema": STATS_SCHEMA_VERSION,

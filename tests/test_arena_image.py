@@ -1,11 +1,11 @@
 """The mmap container loader and the dependency floor.
 
-* the **container loader** — v4 payloads and legacy JSON files load
-  through the same mmap path, and torn or missing files fail with the
-  documented exception classes;
-* the **dependency floor** — analysis, persistence and the container
-  load that serves the batch cache's warm runs use the standard
-  library alone: NumPy is never imported.
+* the **container loader** — earlier builds' v3 payloads and legacy
+  JSON files load through the same mmap path, and torn or missing files
+  fail with the documented exception classes;
+* the **dependency floor** — analysis, persistence, the container load
+  and the summary cache's store and hit use the standard library
+  alone: NumPy is never imported.
 """
 
 from __future__ import annotations
@@ -17,11 +17,8 @@ import textwrap
 
 import pytest
 
-from repro.core.persist import (
-    encode_summary_payload,
-    load_summary_container_file,
-    load_summary_payload_file,
-)
+from repro.core.persist import load_summary_container_file, load_summary_payload_file
+from tests.container_reference import encode_summary_payload
 
 SRC_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
@@ -72,9 +69,10 @@ class TestContainerLoader:
 
 def test_analysis_and_warm_start_never_import_numpy(tmp_path):
     """A 1000-procedure flat program, analyzed from source, written as
-    a container and loaded back through the mmap path the batch cache's
-    warm runs take, runs on the standard library alone.  A fresh
-    interpreter keeps modules other tests imported out of the check."""
+    a container, loaded back through the mmap path, and stored in and
+    served from the summary cache as a batch run does, runs on the
+    standard library alone.  A fresh interpreter keeps modules other
+    tests imported out of the check."""
     script = textwrap.dedent(
         """
         import sys
@@ -85,6 +83,7 @@ def test_analysis_and_warm_start_never_import_numpy(tmp_path):
         )
         from repro.core.pipeline import analyze_side_effects
         from repro.lang.pretty import pretty
+        from repro.service.cache import SummaryCache, encode_record
         from repro.workloads.generator import GeneratorConfig, generate_program
 
         out_dir = sys.argv[1]
@@ -96,6 +95,9 @@ def test_analysis_and_warm_start_never_import_numpy(tmp_path):
             handle.write(blob)
         loaded = load_summary_container_file(out_dir + "/summary.ckb")
         assert loaded == decode_summary_container(blob)
+        cache = SummaryCache(out_dir + "/cache")
+        cache.put("key", encode_record(summary))
+        assert cache.get("key") is not None
         assert "numpy" not in sys.modules, "numpy was imported"
         print("ok")
         """

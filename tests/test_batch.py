@@ -4,14 +4,27 @@ from __future__ import annotations
 
 import json
 import os
+import random
+import sys
+import threading
 
 import pytest
 
+import repro.core.persist as persist
+import repro.service.cache as cache_module
 from repro.cli import main
-from repro.core.persist import summary_to_dict
-from repro.core.pipeline import analyze_side_effects
-from repro.service.batch import discover_files, run_batch
-from repro.service.stats import STATS_SCHEMA_VERSION, aggregate_stats
+from repro.core.persist import (
+    SECTION_RESULT_META,
+    decode_summary_payload,
+    read_container_trailer,
+    summary_to_bytes,
+    summary_to_dict,
+)
+from repro.core.pipeline import analyze_side_effects, result_meta
+from repro.service.batch import STATUS_TIMEOUT, discover_files, run_batch
+from repro.service.cache import SummaryCache, _meta_crc, content_key, encode_record
+from repro.service.stats import STATS_SCHEMA_VERSION, aggregate_stats, write_stats_json
+from repro.workloads import patterns
 from repro.workloads.files import write_generated_corpus, write_handwritten_corpus
 from repro.workloads.generator import GeneratorConfig
 
@@ -30,21 +43,28 @@ def corpus_dir(tmp_path_factory):
 
 def _summaries(report):
     return {
-        os.path.basename(r.path): json.dumps(r.result["summary"], sort_keys=True)
+        os.path.basename(r.path): json.dumps(
+            decode_summary_payload(r.container), sort_keys=True
+        )
         for r in report.results
         if r.ok
     }
+
+
+def assert_records_match_scratch(report):
+    """Every file's record decodes to a scratch analysis of its source."""
+    for record in report.results:
+        with open(record.path) as handle:
+            source = handle.read()
+        direct = summary_to_dict(analyze_side_effects(source))
+        assert decode_summary_payload(record.container) == direct, record.path
 
 
 class TestEquivalence:
     def test_batch_equals_per_file_analysis(self, corpus_dir):
         report = run_batch(corpus_dir, jobs=1, cache_dir=None)
         assert report.ok_count == N_FILES
-        for record in report.results:
-            with open(record.path) as handle:
-                source = handle.read()
-            direct = summary_to_dict(analyze_side_effects(source))
-            assert record.result["summary"] == direct
+        assert_records_match_scratch(report)
 
     def test_parallel_equals_sequential(self, corpus_dir):
         sequential = run_batch(corpus_dir, jobs=1, cache_dir=None)
@@ -105,16 +125,15 @@ class TestCache:
 class TestCacheBound:
     """The ``max_entries`` LRU bound on the disk summary cache."""
 
-    def _payload(self, tag):
-        return {"summary": {"tag": tag}, "timings": {}, "ops": {},
-                "num_procs": 1, "num_call_sites": 0}
+    def _record(self, tag):
+        return encode_record(analyze_side_effects(patterns.chain(1 + tag)))
 
     def test_eviction_caps_entry_count(self, tmp_path):
         from repro.service.cache import SummaryCache
 
         cache = SummaryCache(str(tmp_path), max_entries=2)
         for index in range(5):
-            cache.put("k%d" % index, self._payload(index))
+            cache.put("k%d" % index, self._record(index))
         entries = [n for n in os.listdir(str(tmp_path)) if n.endswith(".ckb")]
         assert len(entries) == 2
         assert cache.stats.evictions == 3
@@ -124,14 +143,14 @@ class TestCacheBound:
         from repro.service.cache import SummaryCache
 
         cache = SummaryCache(str(tmp_path), max_entries=2)
-        cache.put("old", self._payload("old"))
-        cache.put("hot", self._payload("hot"))
+        cache.put("old", self._record(0))
+        cache.put("hot", self._record(1))
         # Make recency unambiguous regardless of filesystem timestamp
         # granularity, then touch "old" through a hit.
         os.utime(cache.path_for("old"), (1000, 1000))
         os.utime(cache.path_for("hot"), (2000, 2000))
         assert cache.get("old") is not None  # Refreshes "old" to now.
-        cache.put("new", self._payload("new"))  # Evicts "hot".
+        cache.put("new", self._record(2))  # Evicts "hot".
         assert cache.get("hot") is None
         assert cache.get("old") is not None
         assert cache.get("new") is not None
@@ -142,7 +161,7 @@ class TestCacheBound:
 
         cache = SummaryCache(str(tmp_path))
         for index in range(5):
-            cache.put("k%d" % index, self._payload(index))
+            cache.put("k%d" % index, self._record(index))
         entries = [n for n in os.listdir(str(tmp_path)) if n.endswith(".ckb")]
         assert len(entries) == 5
         assert cache.stats.evictions == 0
@@ -156,6 +175,190 @@ class TestCacheBound:
         entries = [n for n in os.listdir(cache_dir) if n.endswith(".ckb")]
         assert len(entries) == 3
         assert report.cache_stats.evictions == N_FILES - 3
+
+
+class TestRecords:
+    """A file's result is its cache record: the v5 container
+    ``summary_to_bytes`` writes, with the analysis's metadata as one
+    trailer section.  A cold run writes each record once and renders no
+    payload; a warm run decodes no summary."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        calls = {"summary_to_bytes": 0, "_summary_head": 0}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, count)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a batch run must not build the payload dict")
+
+        counting(cache_module, "summary_to_bytes")
+        counting(persist, "_summary_head")
+        monkeypatch.setattr(persist, "summary_to_dict", refuse)
+        return calls
+
+    def test_cold_run_writes_each_record_once(self, corpus_dir, tmp_path, counted):
+        """One write per file: the CRC the metadata carries reuses the
+        string table and body the container holds."""
+        cold = run_batch(corpus_dir, jobs=1, cache_dir=str(tmp_path / "cache"))
+        assert cold.analyzed_count == N_FILES
+        assert counted == {"summary_to_bytes": N_FILES, "_summary_head": N_FILES}
+        assert not hasattr(persist, "encode_summary_payload")
+        cache = SummaryCache(str(tmp_path / "cache"))
+        for record in cold.results:
+            with open(cache.path_for(record.key), "rb") as handle:
+                assert handle.read() == record.container
+
+    def test_warm_run_decodes_no_summary(self, corpus_dir, tmp_path, monkeypatch):
+        cache_dir = str(tmp_path / "cache")
+        cold = run_batch(corpus_dir, jobs=1, cache_dir=cache_dir)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a cache hit must not decode the summary")
+
+        monkeypatch.setattr(persist, "_decode_summary_body", refuse)
+        monkeypatch.setattr(persist, "_decode_value", refuse)
+        warm = run_batch(corpus_dir, jobs=1, cache_dir=cache_dir)
+        monkeypatch.undo()
+        assert warm.cached_count == N_FILES
+        assert [r.meta for r in warm.results] == [r.meta for r in cold.results]
+        assert [r.container for r in warm.results] == [
+            r.container for r in cold.results
+        ]
+        assert_records_match_scratch(warm)
+
+    @pytest.fixture(scope="class")
+    def summary(self):
+        return analyze_side_effects(
+            patterns.call_tree(3), lanes=("sections", "refalias")
+        )
+
+    def _rejected(self, tmp_path, blob) -> bool:
+        """Is ``blob``, stored as a record, an ``invalid`` miss?"""
+        cache = SummaryCache(str(tmp_path))
+        with open(cache.path_for("k"), "wb") as handle:
+            handle.write(blob)
+        found = cache.get("k")
+        assert (cache.stats.invalid, cache.stats.misses) == (
+            (1, 1) if found is None else (0, 0)
+        )
+        return found is None
+
+    def test_metadata_of_the_wrong_shape_is_an_invalid_miss(self, tmp_path, summary):
+        meta = result_meta(summary)
+        meta.update(cache_schema=cache_module.CACHE_SCHEMA_VERSION,
+                    format_version=persist.FORMAT_VERSION)
+        head_crc = read_container_trailer(summary_to_bytes(summary))[1]
+
+        def record(blob):
+            return summary_to_bytes(summary, sections={SECTION_RESULT_META: blob})
+
+        def sealed(fields):
+            fields = dict(fields, crc32=0)
+            fields["crc32"] = _meta_crc(fields, head_crc)
+            return json.dumps(fields).encode("utf-8")
+
+        assert not self._rejected(tmp_path, record(sealed(meta)))
+        lacking = {name: value for name, value in meta.items() if name != "ops"}
+        for blob in (
+            None,  # No metadata section: a plain container.
+            b"{not json",
+            b"\xff\xfe",
+            b"[1, 2, 3]",
+            b"[" * 100_000 + b"]" * 100_000,
+            sealed(lacking),
+            sealed(dict(meta, cache_schema=meta["cache_schema"] + 1)),
+            sealed(meta).replace(b'"num_procs": ', b'"num_procs": 1'),
+        ):
+            blob = summary_to_bytes(summary) if blob is None else record(blob)
+            assert self._rejected(tmp_path, blob), blob[-80:]
+
+    def test_damaged_records(self, tmp_path, summary):
+        """Every cut of a record, and 200 seeded bit flips anywhere in
+        it, end in an ``invalid`` miss or in a hit whose container
+        decodes to the stored summary; ``get`` never raises."""
+        blob = encode_record(summary)
+        stored = summary_to_dict(summary)
+        cache = SummaryCache(str(tmp_path))
+        path = cache.path_for("k")
+
+        def outcome(damaged):
+            with open(path, "wb") as handle:
+                handle.write(damaged)
+            before = cache.stats.invalid
+            found = cache.get("k")
+            if found is None:
+                assert cache.stats.invalid == before + 1
+                return "invalid"
+            assert decode_summary_payload(found[0]) == stored
+            return "hit"
+
+        assert outcome(blob) == "hit"
+        for cut in range(len(blob)):
+            assert outcome(blob[:cut]) == "invalid", cut
+        rng = random.Random(2121)
+        seen = set()
+        for _ in range(200):
+            damaged = bytearray(blob)
+            damaged[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
+            seen.add(outcome(bytes(damaged)))
+        assert "invalid" in seen
+
+
+    def test_stats_survive_concurrent_threads(self, tmp_path, summary):
+        """The analysis server reads and stores from several solver
+        threads at once; no count may be lost."""
+        cache = SummaryCache(str(tmp_path))
+        record = encode_record(summary)
+        rounds, workers = 40, 6
+
+        def work(which):
+            for step in range(rounds):
+                cache.put("k%d" % (step % 4), record)
+                cache.get("k%d" % ((step + which) % 6))  # k4, k5: misses.
+
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = cache.stats
+        assert stats.stores == rounds * workers
+        assert stats.hits + stats.misses == rounds * workers
+        assert stats.misses >= 2 * workers * (rounds // 6)
+
+
+class TestTimeout:
+    def test_timed_out_file_is_reported_and_not_cached(self, corpus_dir, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        report = run_batch(corpus_dir, jobs=2, timeout=1e-6, cache_dir=cache_dir)
+        first = report.results[0]
+        assert first.status == STATUS_TIMEOUT
+        assert first.container is None and first.meta is None
+        assert "exceeded" in first.error
+        assert report.exit_code == 1
+        stats_path = str(tmp_path / "stats.json")
+        write_stats_json(report, stats_path)
+        with open(stats_path) as handle:
+            stats = json.load(handle)
+        timed_out = [r for r in report.results if r.status == STATUS_TIMEOUT]
+        assert stats["corpus"]["timeouts"] == len(timed_out) >= 1
+        assert stats["files"][0]["status"] == STATUS_TIMEOUT
+        for record in timed_out:
+            assert not os.path.exists(SummaryCache(cache_dir).path_for(record.key))
 
 
 class TestIsolation:
@@ -237,17 +440,13 @@ class TestAcceptanceCorpus:
         cold = run_batch(big_corpus, jobs=4, cache_dir=cache_dir)
         assert cold.ok_count == 50
         assert cold.exit_code == 0
-        for record in cold.results:
-            with open(record.path) as handle:
-                source = handle.read()
-            direct = summary_to_dict(analyze_side_effects(source))
-            assert record.result["summary"] == direct
+        assert_records_match_scratch(cold)
 
         warm = run_batch(big_corpus, jobs=4, cache_dir=cache_dir)
         assert warm.analyzed_count == 0
         assert warm.cache_stats.hits == 50
         assert warm.cache_stats.hit_rate() == 1.0
-        assert _summaries(warm) == _summaries(cold)
+        assert_records_match_scratch(warm)
 
 
 class TestCli:

@@ -11,9 +11,10 @@ Three pillars, matching what the lanes promise:
   :func:`compute_alias_pairs`;
 * **one condensation** — a run with all three lanes performs exactly
   one Tarjan-equivalent pass per graph (counter-asserted);
-* **persistence** — lane blobs round-trip through the v4 trailer
-  sections, lane-less output stays byte-identical to pre-lane writers,
-  and unknown future sections are skipped loudly-but-safely.
+* **persistence** — lane blocks round-trip through a summary-cache
+  record's metadata section, lane-less output stays byte-identical to
+  pre-lane writers, and unknown future sections are skipped
+  loudly-but-safely.
 
 The Dyck-reachability baseline rides along as the precision oracle:
 ``ALIAS(q) ⊆ DYCK(q)`` on every program, never the other way.
@@ -36,16 +37,8 @@ from repro.core.bitvec import OpCounter
 from repro.core.pipeline import analyze_side_effects, payload_from_summary
 from repro.core.varsets import EffectKind
 from repro.lanes import LANE_NAMES, parse_lane_names
-from repro.lanes.driver import lane_blobs, solve_lanes
-from repro.lanes.refalias import (
-    refalias_tables_from_blob,
-    refalias_tables_to_blob,
-)
-from repro.lanes.sections_lane import (
-    sections_payload,
-    sections_payload_from_blob,
-    sections_payload_to_blob,
-)
+from repro.lanes.driver import solve_lanes
+from repro.lanes.sections_lane import sections_payload
 from repro.sections.solver import analyze_sections
 from repro.workloads import corpus
 from repro.workloads.generator import GeneratorConfig, generate_resolved
@@ -249,42 +242,28 @@ class TestLanePersistence:
         clear_arena_cache()
         return resolved, analyze_side_effects(resolved, lanes=ALL_LANES)
 
-    def test_sections_blob_roundtrip(self):
-        _resolved, summary = self._laned_summary()
-        payload = sections_payload(summary.lanes["sections"])
-        blob = sections_payload_to_blob(payload)
-        assert sections_payload_from_blob(blob) == payload
-
-    def test_refalias_blob_roundtrip(self):
-        _resolved, summary = self._laned_summary()
-        partner = summary.lanes["refalias"].partner_mask
-        blob = refalias_tables_to_blob(partner)
-        assert refalias_tables_from_blob(blob) == partner
-
     def test_v4_trailer_roundtrip_and_sectionless_identity(self):
+        """A laned summary's cache record carries the lane blocks in its
+        metadata section, and its summary is the lane-less one."""
         from repro.core.persist import (
-            SECTION_LANE_REFALIAS,
-            SECTION_LANE_SECTIONS,
-            SECTION_LANE_SECTIONS_USE,
-            decode_lane_sections,
+            SECTION_RESULT_META,
             decode_summary_container,
             summary_to_bytes,
         )
+        from repro.service.cache import encode_record, record_meta
 
         resolved, summary = self._laned_summary()
-        laned = summary_to_bytes(summary, sections=lane_blobs(summary.lanes))
-        _payload, sections = decode_summary_container(laned)
-        assert set(sections) == {
-            SECTION_LANE_SECTIONS,
-            SECTION_LANE_REFALIAS,
-            SECTION_LANE_SECTIONS_USE,
-        }
-        decoded = decode_lane_sections(sections)
+        laned = encode_record(summary)
+        payload, sections = decode_summary_container(laned)
+        assert set(sections) == {SECTION_RESULT_META}
+        decoded = record_meta(laned)["lanes"]
         blocks = payload_from_summary(summary)["lanes"]
-        assert decoded["sections"] == blocks["sections"]
-        assert decoded["refalias"] == summary.aliases.partner_mask
-        assert decoded["sections-use"] == blocks["sections-use"]
+        assert list(decoded) == sorted(ALL_LANES)
+        for name in ALL_LANES:
+            assert _canon(decoded[name]) == _canon(blocks[name])
         assert decoded["sections-use"]["kind"] == "use"
+        assert decoded["refalias"]["total_pairs"] == summary.aliases.total_pairs()
+        assert payload == payload_from_summary(summary)["summary"]
 
         # Sectionless output is byte-identical to a lane-less solve.
         clear_arena_cache()
@@ -298,20 +277,20 @@ class TestLanePersistence:
             SECTION_LANE_SECTIONS,
             UnknownSectionWarning,
             decode_summary_container,
-            encode_summary_payload,
+            decode_summary_payload,
             split_unknown_sections,
             summary_to_bytes,
         )
+        from tests.container_reference import encode_summary_payload
 
         _resolved, summary = self._laned_summary()
-        # Re-wrap the real payload with one known and one future tag.
-        from repro.core.persist import decode_summary_payload
-
+        # Re-wrap the real payload with one known (reserved) and one
+        # future tag, as an earlier writer's v4 container.
         payload = decode_summary_payload(summary_to_bytes(summary))
         fixture = encode_summary_payload(
             payload,
             sections={
-                SECTION_LANE_SECTIONS: lane_blobs(summary.lanes)[SECTION_LANE_SECTIONS],
+                SECTION_LANE_SECTIONS: b"\x00earlier-lane-data",
                 99: b"\x01future-lane-data",
             },
         )
@@ -360,7 +339,6 @@ class TestLanePayloadPlumbing:
         """A stale client that still asks the daemon for a sharded
         solve gets the one lane block there is: the daemon ignores the
         retired ``shards`` field like any unknown field."""
-        from repro.core.pipeline import analyze_source_payload
         from repro.lang.pretty import pretty
         from repro.server import ServerClient, ServerConfig, ServerThread
         from repro.workloads.generator import generate_program
@@ -377,7 +355,7 @@ class TestLanePayloadPlumbing:
                 )
         assert sharded["ok"], sharded.get("error")
         clear_arena_cache()
-        plain = analyze_source_payload(source, lanes=ALL_LANES)
+        plain = payload_from_summary(analyze_side_effects(source, lanes=ALL_LANES))
         assert _canon(sharded["lanes"]) == _canon(plain["lanes"])
         assert sharded["lanes"]["refalias"]["total_pairs"] > 0
 
@@ -540,7 +518,7 @@ class TestStatsSchema:
         assert json.loads(json.dumps(cold, sort_keys=True)) == cold
 
         # Warm run: every file comes from the cache, yet the cached
-        # payloads still carry their lane blocks, so lane file counts
+        # records' metadata still carries the lane blocks, so lane file counts
         # hold while lane seconds drop to zero (no solver ran).
         assert main(["batch", root, "--jobs", "1",
                      "--lanes", ",".join(ALL_LANES),

@@ -26,22 +26,22 @@ from repro.core.persist import (
     SECTION_DEP_INDEX,
     SECTION_LANE_REFALIAS,
     SECTION_LANE_SECTIONS,
-    SECTION_LANE_SECTIONS_USE,
+    SECTION_RESULT_META,
     SECTION_SESSION_META,
     LoadedSummary,
-    decode_lane_sections,
     decode_summary_container,
     decode_summary_payload,
-    encode_summary_payload,
     load_summary_container_file,
     loads_summary_payload,
+    read_container_trailer,
     summary_to_bytes,
     summary_to_dict,
     summary_to_json,
     verify_against,
 )
 from repro.lang.semantic import compile_source
-from repro.service.cache import SummaryCache, content_key
+from repro.service.cache import SummaryCache, _meta_crc, content_key, encode_record
+from tests.container_reference import encode_summary_payload
 
 #: Nested procedures (an up-level formal modified from below), a
 #: global array reached through a reference formal (regular sections),
@@ -173,20 +173,19 @@ class TestSchemaDrift:
         monkeypatch.setattr(cache_module, "FORMAT_VERSION", FORMAT_VERSION + 1)
         assert cache_module.content_key(SOURCE) != key_now
 
-    def test_cache_rejects_entry_with_stale_format(self, tmp_path):
+    def test_cache_rejects_entry_with_stale_format(self, tmp_path, summary):
         cache = SummaryCache(str(tmp_path))
         key = content_key(SOURCE)
-        cache.put(key, {"summary": {"version": FORMAT_VERSION}})
-        assert cache.get(key) is not None
+        cache.put(key, encode_record(summary))
+        record, meta = cache.get(key)
 
         # Rewrite the stored record as if an older build had written
-        # it: same key on disk, older format stamp inside.
-        path = cache.path_for(key)
-        with open(path, "rb") as handle:
-            record = loads_summary_payload(handle.read())
-        record["format_version"] = FORMAT_VERSION - 1
-        with open(path, "wb") as handle:
-            handle.write(encode_summary_payload(record))
+        # it: same key on disk, older format stamp inside, CRC intact.
+        meta["format_version"] = FORMAT_VERSION - 1
+        meta["crc32"] = _meta_crc(meta, read_container_trailer(record)[1])
+        blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+        with open(cache.path_for(key), "wb") as handle:
+            handle.write(summary_to_bytes(summary, sections={SECTION_RESULT_META: blob}))
 
         fresh = SummaryCache(str(tmp_path))
         assert fresh.get(key) is None
@@ -203,7 +202,9 @@ class TestSchemaDrift:
 
 
 class TestBinaryContainer:
-    """Persist v3: the binary summary container and its JSON fallback."""
+    """The binary summary container and its JSON fallback: v5 as this
+    package writes it, v3 as the reference writer
+    (``tests/container_reference.py``) does."""
 
     def test_payload_round_trips_exactly(self, summary):
         payload = with_sections(summary)
@@ -290,20 +291,31 @@ class TestBinaryContainer:
         assert "\n" in pretty
         assert json.loads(compact) == json.loads(pretty)
 
-    def test_cache_reads_legacy_json_entries(self, tmp_path):
+    def test_cache_ignores_earlier_builds_entries(self, tmp_path, summary):
+        """No record an earlier build wrote is served: a JSON entry at
+        ``<key>.json`` is never read, and a v3 record envelope at
+        ``<key>.ckb`` has no metadata section, so it is an ``invalid``
+        miss that the next store overwrites."""
         cache = SummaryCache(str(tmp_path))
         key = content_key(SOURCE)
         record = {
             "cache_schema": 1,
             "format_version": FORMAT_VERSION,
             "key": key,
-            "result": {"summary": {"version": FORMAT_VERSION}},
+            "result": {"summary": summary_to_dict(summary)},
         }
-        # Simulate an entry written by a pre-binary build: JSON at the
-        # legacy path, nothing at the binary path.
-        with open(cache.legacy_path_for(key), "w") as handle:
+        with open(os.path.join(str(tmp_path), key + ".json"), "w") as handle:
             json.dump(record, handle)
-        assert cache.get(key) == record["result"]
+        assert cache.get(key) is None
+        assert (cache.stats.misses, cache.stats.invalid) == (1, 0)
+
+        with open(cache.path_for(key), "wb") as handle:
+            handle.write(encode_summary_payload(record))
+        assert cache.get(key) is None
+        assert (cache.stats.misses, cache.stats.invalid) == (2, 1)
+        cache.put(key, encode_record(summary))
+        container, _meta = cache.get(key)
+        assert decode_summary_payload(container) == summary_to_dict(summary)
         assert cache.stats.hits == 1
 
 
@@ -405,7 +417,7 @@ class TestGoldenV4:
             SECTION_DEP_INDEX, SECTION_SESSION_META,
             SECTION_LANE_SECTIONS, SECTION_LANE_REFALIAS,
         }
-        assert set(decode_lane_sections(sections)) == {"sections", "refalias"}
+        assert read_container_trailer(blob)[0] == sections
 
 
 class TestDamagedContainer:
@@ -421,11 +433,17 @@ class TestDamagedContainer:
 
     @pytest.fixture(scope="class")
     def indexed_blob(self, laned):
-        """A v5 container with the index and the lane sections."""
-        from repro.lanes.driver import lane_blobs
+        """A v5 container with the index, session metadata naming the
+        lanes and result metadata carrying their blocks."""
+        from repro.core.pipeline import result_meta
 
         return summary_to_bytes(
-            laned, include_index=True, sections=lane_blobs(laned.lanes)
+            laned,
+            include_index=True,
+            sections={
+                SECTION_SESSION_META: b'{"lanes": ["sections", "refalias"]}',
+                SECTION_RESULT_META: json.dumps(result_meta(laned)).encode("utf-8"),
+            },
         )
 
     @pytest.fixture(scope="class")
@@ -443,12 +461,14 @@ class TestDamagedContainer:
     def test_every_cut_of_a_v4_container(self, rich_blob):
         _payload, sections = decode_summary_container(rich_blob)
         assert rich_blob[4] == 4
-        assert {
-            SECTION_DEP_INDEX, SECTION_LANE_SECTIONS, SECTION_LANE_REFALIAS
-        } <= set(sections)
+        assert set(sections) == {
+            SECTION_DEP_INDEX, SECTION_SESSION_META, SECTION_RESULT_META
+        }
         for cut in range(len(rich_blob)):
             with pytest.raises(ValueError):
                 decode_summary_container(rich_blob[:cut])
+            with pytest.raises(ValueError):
+                read_container_trailer(rich_blob[:cut])
 
     @pytest.mark.parametrize("with_trailer", [False, True], ids=["v3", "v4"])
     def test_bit_flips(self, summary, rich_blob, with_trailer):
@@ -466,11 +486,15 @@ class TestDamagedContainer:
 
     @pytest.mark.parametrize("indexed", [False, True], ids=["plain", "indexed"])
     def test_every_cut_of_a_v5_container(self, summary, indexed_blob, indexed):
+        """Through the full decoder and the trailer-only reader."""
         blob = indexed_blob if indexed else summary_to_bytes(summary)
         assert blob[4] == BINARY_FORMAT_VERSION == 5
+        assert read_container_trailer(blob)[0] == decode_summary_container(blob)[1]
         for cut in range(len(blob)):
             with pytest.raises(ValueError):
                 decode_summary_container(blob[:cut])
+            with pytest.raises(ValueError):
+                read_container_trailer(blob[:cut])
 
     @pytest.mark.parametrize("indexed", [False, True], ids=["plain", "indexed"])
     def test_v5_bit_flips(self, summary, indexed_blob, indexed):
@@ -507,47 +531,10 @@ class TestDamagedContainer:
                     assert set(entry[key]) <= variables
         assert past_the_table
 
-    @pytest.fixture(scope="class")
-    def lane_blobs(self):
-        from repro.lanes.driver import lane_blobs
-
-        summary = analyze_side_effects(
-            compile_source(SOURCE),
-            lanes=("sections", "refalias", "sections-use"),
-        )
-        return lane_blobs(summary.lanes)
-
-    @pytest.mark.parametrize(
-        "tag",
-        [SECTION_LANE_SECTIONS, SECTION_LANE_REFALIAS, SECTION_LANE_SECTIONS_USE],
-        ids=["sections", "refalias", "sections-use"],
-    )
-    def test_lane_blob_cuts_and_flips(self, lane_blobs, tag):
-        """Every cut of a lane trailer blob, and 400 seeded bit flips,
-        end in ``ValueError`` or a decoded value — never the
-        ``IndexError`` of a read off the end."""
-        blob = lane_blobs[tag]
-        assert decode_lane_sections({tag: blob})
-        for cut in range(len(blob)):
-            with pytest.raises(ValueError):
-                decode_lane_sections({tag: blob[:cut]})
-        rng = random.Random(tag)
-        decoded = rejected = 0
-        for _ in range(400):
-            damaged = bytearray(blob)
-            damaged[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
-            try:
-                decode_lane_sections({tag: bytes(damaged)})
-            except ValueError:
-                rejected += 1
-            else:
-                decoded += 1
-        assert rejected and decoded
-
     def test_cache_counts_a_torn_entry_invalid(self, tmp_path, summary):
         cache = SummaryCache(str(tmp_path))
         key = content_key(SOURCE)
-        cache.put(key, {"summary": summary_to_dict(summary)})
+        cache.put(key, encode_record(summary))
         path = cache.path_for(key)
         with open(path, "rb") as handle:
             blob = handle.read()

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import hashlib
 import itertools
 import json
 import random
@@ -39,17 +40,19 @@ from repro.core.incremental import incremental_update
 from repro.core.persist import (
     BINARY_FORMAT_VERSION,
     SECTION_DEP_INDEX,
+    SECTION_RESULT_META,
     SECTION_SESSION_META,
     decode_summary_container,
+    decode_summary_payload,
     summary_to_bytes,
     summary_to_dict,
 )
-from repro.core.pipeline import analyze_side_effects, payload_from_summary
+from repro.core.pipeline import analyze_side_effects, result_meta
 from repro.core.varsets import EffectKind, VariableUniverse
 from repro.lang.nodes import Assign, IntLit, VarRef
 from repro.lang.pretty import pretty
 from repro.lang.semantic import compile_source
-from repro.lanes.driver import lane_blobs, solve_lanes
+from repro.lanes.driver import solve_lanes
 from repro.workloads.generator import (
     GeneratorConfig,
     generate_program,
@@ -138,6 +141,34 @@ def assert_writer_matches(summary) -> bytes:
     return blob
 
 
+#: SHA-256 of what ``summary_to_bytes`` wrote, without and with the
+#: index, for the flat 1000-procedure program of each seed, when its
+#: R lists were still written by the generic v3/v4 value encoder: the
+#: v5 bytes may not move.
+PINNED_BYTES = {
+    0: (
+        "501514dbfb36d520649eed613a6bae46e199503b33112766ccc8dc9dd309d3b8",
+        "ccb93b96ffa3192e3dea674bf92884533a9cf6574f28d75962e77db041bc3319",
+    ),
+    7: (
+        "a1f32e277e574d05fb41391eca8115e0f4ecf35f82d46842625197d90cca39c9",
+        "94967c521efff3479e6f04d6e52c9924aaeaa01d136fbaa56fb02cb39f966584",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_BYTES))
+def test_bytes_are_pinned(seed):
+    source = pretty(generate_program(
+        GeneratorConfig(seed=seed, num_procs=1000, num_globals=200)))
+    summary = analyze_side_effects(source)
+    found = tuple(
+        hashlib.sha256(summary_to_bytes(summary, include_index=index)).hexdigest()
+        for index in (False, True)
+    )
+    assert found == PINNED_BYTES[seed]
+
+
 @pytest.mark.parametrize("config", CONFIGS, ids=_config_id)
 def test_sweep(config):
     assert_writer_matches(analyze_side_effects(generate_resolved(config)))
@@ -187,16 +218,27 @@ def test_incremental_steps(config, seed, monkeypatch):
 #: Each combination keeps the id it had when the leading ``False``
 #: stood for a flag, since removed, that embedded a sections block, and
 #: the last value for another, also removed, that embedded the lane
-#: results; a caller now passes those as ``sections``.
+#: results; a caller now passes its own sections.
 TRAILER_COMBINATIONS = list(itertools.product((False, True), repeat=2))
 
 
+def caller_sections(summary):
+    """Caller-owned trailer sections of a laned summary: session
+    metadata naming its lanes, and a cache record's metadata carrying
+    their blocks."""
+    lanes = json.dumps({"lanes": list(summary.lanes)})
+    return {
+        SECTION_SESSION_META: lanes.encode("utf-8"),
+        SECTION_RESULT_META: json.dumps(result_meta(summary)).encode("utf-8"),
+    }
+
+
 @pytest.mark.parametrize(
-    "include_index, caller_sections",
+    "include_index, with_sections",
     TRAILER_COMBINATIONS,
     ids=["False-%s-%s" % combination for combination in TRAILER_COMBINATIONS],
 )
-def test_every_trailer_combination(include_index, caller_sections):
+def test_every_trailer_combination(include_index, with_sections):
     resolved = generate_resolved(
         GeneratorConfig(seed=34, num_procs=15, max_depth=3,
                         nesting_prob=0.5, prob_arg_global=0.3)
@@ -204,7 +246,7 @@ def test_every_trailer_combination(include_index, caller_sections):
     summary = analyze_side_effects(
         resolved, lanes=("sections", "refalias", "sections-use")
     )
-    sections = lane_blobs(summary.lanes) if caller_sections else None
+    sections = caller_sections(summary) if with_sections else None
     blob = summary_to_bytes(summary, include_index=include_index, sections=sections)
     expected = dict(sections or {})
     if include_index:
@@ -253,7 +295,6 @@ def test_writer_never_builds_the_payload(monkeypatch):
         raise AssertionError("the writer must not build the payload dict")
 
     monkeypatch.setattr(persist, "summary_to_dict", refuse)
-    monkeypatch.setattr(persist, "encode_summary_payload", refuse)
     assert fresh.render is None
     blobs = [summary_to_bytes(fresh), summary_to_bytes(rendered)]
     monkeypatch.undo()
@@ -363,8 +404,8 @@ def test_carried_render_matches_scratch(config, seed):
     """Literal edits, line-inserting edits and the fuzzer's structural
     edits (new, deleted and renamed variables permute the uid space),
     chained: each step's dict is a scratch render's, key order
-    included, and its indexed container, with the lane results as
-    caller sections, decodes to it."""
+    included, and its indexed container, with the lane blocks in caller
+    sections, decodes to it."""
     fuzzer = EditFuzzer(config, seed)
     rng = random.Random(seed)
     summary = analyze_side_effects(pretty(fuzzer.program))
@@ -390,8 +431,7 @@ def test_carried_render_matches_scratch(config, seed):
         payload = summary_to_dict(summary)
         assert payload == summary_to_dict(scratch), context
         assert decode_summary_container(summary_to_bytes(scratch)) == (payload, {}), context
-        sections = dict(SESSION_META)
-        sections.update(lane_blobs(summary.lanes))
+        sections = caller_sections(summary)
         blob = summary_to_bytes(summary, include_index=True, sections=sections)
         sections[SECTION_DEP_INDEX] = index_to_bytes(summary.dep_index)
         assert_decodes_to(blob, payload, sections)
@@ -531,7 +571,7 @@ def test_reordered_payload_is_not_the_predecessors():
 
 
 def test_payload_readers_leave_the_shared_lists_alone(tmp_path):
-    """The query verbs, the recompilation analysis and the batch cache
+    """The query verbs, the recompilation analysis and a summary-cache
     round trip read a payload whose lists are shared between entries
     and between summaries; none of them may write it."""
     from repro.extensions.recompilation import (
@@ -540,7 +580,7 @@ def test_payload_readers_leave_the_shared_lists_alone(tmp_path):
     )
     from repro.server.client import ServerClient
     from repro.server.daemon import ServerConfig, ServerThread
-    from repro.service.cache import SummaryCache
+    from repro.service.cache import SummaryCache, encode_record
 
     old = analyze_side_effects(COLLISIONS)
     old_payload = summary_to_dict(old)
@@ -551,9 +591,9 @@ def test_payload_readers_leave_the_shared_lists_alone(tmp_path):
     assert recompilation_set(old_payload, new_payload, edited=["level"])
     recompilation_report(old_payload, new_payload)
     cache = SummaryCache(str(tmp_path / "cache"))
-    result = payload_from_summary(new)
-    cache.put("k", result)
-    assert cache.get("k") == result
+    cache.put("k", encode_record(new))
+    record, _meta = cache.get("k")
+    assert decode_summary_payload(record) == new_payload
     assert (old_payload, new_payload) == frozen
 
     with ServerThread(ServerConfig(port=0)) as handle:

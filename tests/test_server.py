@@ -829,3 +829,95 @@ class TestSessionPersistence:
         assert os.listdir(str(tmp_path)) == [
             os.path.basename(self._state_path(tmp_path, "shared"))
         ]
+
+
+class TestOffTheLoop:
+    """The disk cache and the session-state reload read and write files
+    (a cache store encodes a whole summary), so they run on the solver
+    pool: none of them may hold up the event loop."""
+
+    BASE = patterns.chain(6)
+    EDIT = BASE.replace("proc c1(x)\n  begin", "proc c1(x)\n  begin\n    g := 9")
+
+    def test_disk_tier_and_state_reload_leave_the_loop(self, tmp_path, monkeypatch):
+        from repro.server.daemon import AnalysisServer
+        from repro.service.cache import SummaryCache
+
+        threads = []
+
+        def recording(cls, name):
+            real = getattr(cls, name)
+
+            def spy(*args, **kwargs):
+                threads.append((name, threading.current_thread().name))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, spy)
+
+        recording(SummaryCache, "get")
+        recording(SummaryCache, "put")
+        recording(AnalysisServer, "_load_session_state")
+        config = ServerConfig(
+            port=0, cache_dir=str(tmp_path / "cache"), state_dir=str(tmp_path / "state")
+        )
+        with ServerThread(config) as h:
+            with ServerClient(port=h.port) as c:
+                assert c.analyze(self.BASE)["cached"] is False  # A miss, stored.
+                c.analyze(self.BASE, session="s")
+        with ServerThread(config) as h:
+            with ServerClient(port=h.port) as c:
+                hit = c.analyze(self.BASE)
+                assert hit["cached"] == "disk"
+                assert canon(hit["summary"]) == canon(scratch_summary(self.BASE))
+                reply = c.update("s", self.EDIT)  # Restart, then update.
+                assert reply["update_stats"]["index_reloaded"] is True
+        assert {name for name, _thread in threads} == {
+            "get", "put", "_load_session_state"
+        }
+        on_loop = [name for name, thread in threads if thread == "ck-analysis-server"]
+        assert on_loop == []
+
+    def test_disk_hit_that_fails_to_decode_is_resolved(self, tmp_path, monkeypatch):
+        """A record whose summary does not decode counts as ``invalid``
+        and is solved again; the reply is never ``internal_error``."""
+        import repro.core.persist as persist
+
+        config = ServerConfig(port=0, cache_dir=str(tmp_path))
+        with ServerThread(config) as h:
+            with ServerClient(port=h.port) as c:
+                c.analyze(self.BASE)
+
+        def corrupt(_data):
+            raise ValueError("corrupt binary summary: injected")
+
+        monkeypatch.setattr(persist, "decode_summary_payload", corrupt)
+        with ServerThread(config) as h:
+            with ServerClient(port=h.port) as c:
+                response = c.analyze(self.BASE)
+                disk = c.stats()["disk_cache"]
+        assert response["cached"] is False
+        assert canon(response["summary"]) == canon(scratch_summary(self.BASE))
+        assert (disk["hits"], disk["invalid"], disk["misses"], disk["stores"]) == (
+            0, 1, 1, 1
+        )
+
+    def test_restarted_update_decodes_no_summary(self, tmp_path, monkeypatch):
+        """A restarted daemon's first ``update`` reads the state file's
+        trailer only: the stored summary's body is never decoded."""
+        import repro.core.persist as persist
+
+        config = ServerConfig(port=0, state_dir=str(tmp_path))
+        with ServerThread(config) as h:
+            with ServerClient(port=h.port) as c:
+                c.analyze(self.BASE, session="s")
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the stored summary was decoded")
+
+        monkeypatch.setattr(persist, "_decode_summary_body", refuse)
+        monkeypatch.setattr(persist, "_decode_value", refuse)
+        with ServerThread(config) as h:
+            with ServerClient(port=h.port) as c:
+                reply = c.update("s", self.EDIT)
+        assert reply["update_stats"]["index_reloaded"] is True
+        assert canon(reply["summary"]) == canon(scratch_summary(self.EDIT))

@@ -1,20 +1,18 @@
 """The mask codecs of :mod:`repro.core.binio`.
 
-*Signed-mask strips* carry the container's effect-lane trailer
-sections (:mod:`repro.lanes`): a flag byte, then the length-prefixed
-magnitude of ``m`` or ``~m``.  The *adaptive* codec, raw bytes or
+*Signed-mask strips* carried the effect-lane trailer sections that
+earlier builds wrote: a flag byte, then the length-prefixed magnitude
+of ``m`` or ``~m``.  The *adaptive* codec, raw bytes or
 gap-encoded bit positions, carries the dependency index's masks and
 every variable set of a v5 summary container; its writer is pinned,
 byte for byte, to the bit-by-bit loop it replaced.
 
 The codec began as the shard wire format's mask codec, which is where
 this module's name comes from; the sharded solver is gone and the
-codec stayed.  Lane partner and section masks are non-negative today,
-but the strip codec is defined over every int, so negative masks of
-arbitrary width are first-class here, along with the degenerate shapes
-(zero, ``~0``) a structured corpus rarely produces.  A strip cut short
-must raise, and through the lane decoder it must raise
-:class:`ValueError`.
+codec stayed.  The strip codec is defined over every int, so negative
+masks of arbitrary width are first-class here, along with the
+degenerate shapes (zero, ``~0``) a structured corpus rarely produces.
+A strip cut short must raise.
 """
 
 from __future__ import annotations
@@ -141,34 +139,3 @@ class TestMaskFuzz:
             decoded, pos = read_signed_mask(blob, pos)
             assert decoded == expected
         assert pos == len(blob)
-
-
-class TestLaneSectionTruncation:
-    """Every cut of a lane trailer section is a :class:`ValueError`
-    from :func:`repro.core.persist.decode_lane_sections`."""
-
-    @pytest.fixture(scope="class")
-    def sections(self):
-        from repro.core.persist import decode_summary_container, summary_to_bytes
-        from repro.lanes.driver import lane_blobs
-        from repro.core.pipeline import analyze_side_effects
-        from repro.lang.pretty import pretty
-        from repro.workloads.generator import GeneratorConfig, generate_program
-
-        source = pretty(generate_program(GeneratorConfig(
-            seed=11, num_procs=8, num_globals=4, max_depth=2,
-            nesting_prob=0.4, prob_arg_global=0.4)))
-        summary = analyze_side_effects(
-            source, lanes=["sections", "refalias", "sections-use"])
-        _payload, sections = decode_summary_container(
-            summary_to_bytes(summary, sections=lane_blobs(summary.lanes)))
-        assert len(sections) == 3
-        return sections
-
-    def test_every_cut_is_a_value_error(self, sections):
-        from repro.core.persist import decode_lane_sections
-
-        for tag, blob in sections.items():
-            for cut in range(len(blob)):
-                with pytest.raises(ValueError):
-                    decode_lane_sections({tag: blob[:cut]})
