@@ -42,8 +42,10 @@ incremental-differential:
 # fuzz corpora, plus the solver and range-lattice suites; the refalias
 # lane against the pair-set alias oracle, one condensation per graph
 # with all three lanes, the Dyck precision baseline (ALIAS ⊆ DYCK,
-# never loaded in the fast path), and the v4 lane-section persistence
-# round-trips.
+# never loaded in the fast path), lane blocks in a cache record's
+# metadata, and daemon sessions that keep their lanes across updates
+# and restarts (the state file names the lanes; an update re-solves
+# them).
 lane-differential:
 	$(PP) $(PY) -m pytest -q tests/test_lanes.py \
 	    tests/test_sections_solver.py tests/test_sections_ranges.py

@@ -120,7 +120,7 @@ def measure_incremental_benchmark(
     clear_arena_cache()
     old_resolved = analyze(copy.deepcopy(program))
     old_summary = analyze_side_effects(old_resolved)
-    index = build_dependency_index(old_summary, arena=peek_arena(old_resolved))
+    index = build_dependency_index(old_summary)
     old_summary.dep_index = index
     blob = index_to_bytes(index)
 

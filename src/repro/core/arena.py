@@ -35,7 +35,7 @@ from repro.core.local import LocalAnalysis, lmod_of, luse_of
 from repro.core.varsets import EffectKind, VariableUniverse
 from repro.graphs.binding import BindingMultiGraph, build_binding_graph
 from repro.graphs.callgraph import CallMultiGraph, build_call_graph
-from repro.graphs.scc import Condensation, tarjan_scc_csr
+from repro.graphs.scc import tarjan_scc_csr
 from repro.lang.symbols import ResolvedProgram
 
 
@@ -147,7 +147,6 @@ class ProgramArena:
         #: runs on every analysis while β's pass stays cached.
         self.condensation_counts: Dict[str, int] = {}
         self._scc: Dict[str, Tuple[List[int], List[List[int]]]] = {}
-        self._condensations: Dict[str, Condensation] = {}
         self._strip: Optional[List[int]] = None
 
     # -- construction ---------------------------------------------------------
@@ -175,8 +174,8 @@ class ProgramArena:
         """``(component_of, components)`` of the call multi-graph —
         the GMOD walk's record when an analysis has run (see
         :meth:`adopt_call_condensation`), else one Tarjan pass; shared
-        by the sections solver, the effect lanes and the dependency
-        index."""
+        by the sections solver, the effect lanes and the incremental
+        engine."""
         return self._scc_of("call", self.call_csr)
 
     def adopt_call_condensation(
@@ -190,42 +189,6 @@ class ProgramArena:
         and member order — and a cached record is kept as it is."""
         self._scc.setdefault("call", (component_of, components))
         self.note_condensation("call")
-
-    def _condense_full(self, name: str, csr: CSRGraph) -> Condensation:
-        cached = self._condensations.get(name)
-        if cached is None:
-            component_of, components = self._scc_of(name, csr)
-            heads = csr.heads
-            succ = csr.succ
-            num_components = len(components)
-            comp_successors: List[List[int]] = [[] for _ in range(num_components)]
-            last_seen = [-1] * num_components
-            for comp_index, members in enumerate(components):
-                for node in members:
-                    for target in succ[heads[node]:heads[node + 1]]:
-                        succ_comp = component_of[target]
-                        if succ_comp == comp_index:
-                            continue
-                        if last_seen[succ_comp] != comp_index:
-                            last_seen[succ_comp] = comp_index
-                            comp_successors[comp_index].append(succ_comp)
-            cached = Condensation(
-                component_of=component_of,
-                components=components,
-                successors=comp_successors,
-            )
-            self._condensations[name] = cached
-        return cached
-
-    def call_condense_full(self) -> Condensation:
-        """The call graph's full :class:`Condensation` (deduplicated
-        cross-component successors), derived from the cached SCC pass —
-        no additional Tarjan run."""
-        return self._condense_full("call", self.call_csr)
-
-    def beta_condense_full(self) -> Condensation:
-        """β's full :class:`Condensation`, from the cached SCC pass."""
-        return self._condense_full("beta", self.beta_csr)
 
     def note_condensation(self, name: str) -> None:
         """Record one condensation-equivalent pass over graph ``name``
@@ -464,7 +427,6 @@ def patch_arena(
 
     arena.condensation_counts = {}
     arena._scc = {}
-    arena._condensations = {}
     arena._strip = None
     return arena
 

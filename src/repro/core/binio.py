@@ -5,9 +5,8 @@ Two consumers: the versioned binary summary container
 (:mod:`repro.core.persist`; its v5 body writes every variable set with
 the adaptive mask codec, and its reader takes the zigzag ints of
 earlier builds' v3/v4 bodies) and the dependency index
-(:mod:`repro.core.depindex`).  The signed-mask strips encoded the
-effect-lane trailer sections that earlier builds wrote; nothing in the
-package writes them now.  All speak the same dialect — unsigned LEB128
+(:mod:`repro.core.depindex`).  Both write alias partner tables with
+:func:`write_partners`.  All speak the same dialect — unsigned LEB128
 varints, zigzag-mapped signed ints, and big-int bit masks as
 little-endian minimal-length byte strings — so a byte layout debugged
 once works everywhere.
@@ -21,7 +20,7 @@ list.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 def write_varint(out: bytearray, value: int) -> None:
@@ -46,17 +45,6 @@ def read_varint(data, pos: int) -> Tuple[int, int]:
         if byte < 0x80:
             return result, pos
         shift += 7
-
-
-def zigzag(value: int) -> int:
-    """Map a signed int to an unsigned one (0, -1, 1, -2 → 0, 1, 2, 3)
-    so small negatives stay small on the wire."""
-    return (value << 1) if value >= 0 else ((-value << 1) - 1)
-
-
-def write_signed(out: bytearray, value: int) -> None:
-    """Append a signed int as a zigzag varint."""
-    write_varint(out, (value << 1) if value >= 0 else ((-value << 1) - 1))
 
 
 def read_signed(data, pos: int) -> Tuple[int, int]:
@@ -99,27 +87,6 @@ def read_mask(data, pos: int) -> Tuple[int, int]:
     length, pos = read_varint(data, pos)
     end = _checked_end(data, pos, length)
     return int.from_bytes(data[pos:end], "little"), end
-
-
-def write_signed_mask(out: bytearray, mask: int) -> None:
-    """Append a possibly-negative mask: a flag byte, then the
-    length-prefixed magnitude of ``mask`` (flag 0) or ``~mask``
-    (flag 1), both non-negative."""
-    if mask >= 0:
-        out.append(0)
-        write_mask(out, mask)
-    else:
-        out.append(1)
-        write_mask(out, ~mask)
-
-
-def read_signed_mask(data, pos: int) -> Tuple[int, int]:
-    """Inverse of :func:`write_signed_mask`; returns ``(mask, next
-    position)``.  A strip cut short raises :class:`IndexError` (flag
-    byte or length varint) or :class:`ValueError` (magnitude)."""
-    flag = data[pos]
-    mask, pos = read_mask(data, pos + 1)
-    return (~mask if flag else mask), pos
 
 
 #: Most set bits :func:`write_mask_adaptive` peels off one at a time;
@@ -213,3 +180,45 @@ def read_bytes(data, pos: int) -> Tuple[bytes, int]:
     length, pos = read_varint(data, pos)
     end = _checked_end(data, pos, length)
     return bytes(data[pos:end]), end
+
+
+def write_partners(out: bytearray, table: Dict[int, int]) -> None:
+    """An alias partner table (uid → mask of its partners, symmetric)
+    as its lower triangle: the number of uids with a partner below
+    them, then per such uid, ascending, its distance from the one
+    before minus one and the adaptive mask of those partners.  A
+    formal's row holds the globals it may alias, so there are few rows
+    and each is small."""
+    rows = []
+    for uid in sorted(table):
+        below = table[uid] & ((1 << uid) - 1)
+        if below:
+            rows.append((uid, below))
+    write_varint(out, len(rows))
+    previous = -1
+    for uid, below in rows:
+        write_varint(out, uid - previous - 1)
+        write_mask_adaptive(out, below)
+        previous = uid
+
+
+def read_partner_rows(
+    data, pos: int, width: int
+) -> Tuple[List[Tuple[int, int]], int]:
+    """Inverse of :func:`write_partners`, mask by mask: the rows
+    ``(uid, mask of its partners below uid)``, ascending, and the next
+    position.  A row at or past ``width``, or a partner at or past its
+    own row, raises :class:`ValueError`."""
+    count, pos = read_varint(data, pos)
+    rows: List[Tuple[int, int]] = []
+    uid = -1
+    for _ in range(count):
+        gap, pos = read_varint(data, pos)
+        uid += gap + 1
+        if uid >= width:
+            raise ValueError(
+                "alias row %d past the %d variables" % (uid, width)
+            )
+        below, pos = read_mask_adaptive(data, pos, uid)
+        rows.append((uid, below))
+    return rows, pos

@@ -5,62 +5,65 @@ over the call multi-graph and ``RMOD`` over the binding graph β.  Both
 solvers consume a strongly connected region's inputs only through its
 frontier — a component's least fixpoint is a function of its members'
 ``IMOD+`` (resp. ``IMOD`` bits) and its successor components' exported
-values.  That makes a solved summary *re-solvable region by region*: an
-edit invalidates the components it touches, and propagation stops at
-the first component whose exported facts come out unchanged.
+values (equation (4)'s ``GMOD(q) − LOCAL(q)``).  That makes a solved
+summary *re-solvable region by region*: an edit invalidates the
+components it touches, and propagation stops at the first component
+whose exported facts come out unchanged.
 
-:class:`DependencyIndex` is the persistent record that makes this
-possible across edits **and across processes**.  It snapshots, in the
-old program's pid/uid/site-id spaces:
+:class:`DependencyIndex` is the persistent record of those inputs, the
+rows :func:`repro.core.incremental.incremental_update_from_index`
+reads, across edits **and across processes**.  It snapshots, in the old
+program's pid/uid/site-id spaces:
 
 * per-procedure structural fingerprints (for dirty detection without
   the old AST),
-* the solved ``GMOD``/``IMOD+`` rows and the *exports* ``GMOD − LOCAL``
-  each component shows its callers (the cutoff comparand),
-* the packed per-β-node ``RMOD`` verdicts,
-* the alias pair sets and their domain masks (warm-start capital for
-  the alias fixpoint),
+* the variable universe's structural masks and the solved
+  ``GMOD``/``IMOD+`` rows — a procedure's exports are its ``GMOD`` row
+  minus its ``LOCAL`` mask, derived, never stored,
+* the packed per-β-node ``RMOD`` verdicts and β's component count (all
+  the update needs of β when no β input moved),
+* the alias partner tables (warm-start capital for the alias fixpoint;
+  a table's domain is its key set, derived),
 * the per-site local-effect and binding tables plus the final
   ``DMOD``/``MOD`` masks (so untouched call sites are copied, not
-  recomputed),
-* and the SCC-level structure of both graphs — component membership
-  plus the deduplicated component edge lists, from
-  :func:`repro.graphs.scc.condense`.
+  recomputed).
+
+The condensations themselves are not stored: an update condenses the
+edited program's graphs on its own arena.
 
 Everything is keyed by qualified names or plain ints, never by live
 symbol objects, so an index deserialized in a fresh process can drive
-:func:`repro.core.incremental.incremental_update_from_index` directly.
+the update directly.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
-from repro.core.aliases import iter_pairs
+from repro.core.arena import ProgramArena, peek_arena
 from repro.core.binio import (
     read_bytes,
     read_mask_adaptive,
+    read_partner_rows,
     read_varint,
     write_bytes,
     write_mask_adaptive,
+    write_partners,
     write_varint,
 )
-from repro.graphs.scc import Condensation, condense
 from repro.lang.symbols import ProcSymbol
 
 #: First bytes of a serialized dependency index section.
 INDEX_MAGIC = b"CKDI"
 
 #: Schema version of the serialized index.  Bumped independently of the
-#: summary container version; an unknown version raises, never
-#: misreads.  Version 2 appended a trailer behind a presence byte that
-#: once held a call-graph separator tree.  This writer always emits the
-#: byte as 0 (no tree); the reader accepts version-1 blobs (no byte)
-#: and version-2 blobs, and never interprets a tree an older writer
-#: left behind.
-INDEX_FORMAT_VERSION = 2
+#: summary container version; any other version raises, never
+#: misreads.  Versions 1 and 2 also stored the condensations' component
+#: maps and edge lists, the export rows and the alias pairs as pair
+#: lists; a daemon that finds one re-solves in full instead.
+INDEX_FORMAT_VERSION = 3
 
 
 def fingerprint_text(proc: ProcSymbol) -> str:
@@ -122,8 +125,6 @@ class DependencyIndex:
     identical, by direct position.
     """
 
-    program: str
-    gmod_method: str
     #: ``EffectKind.value`` strings, in the summary's solution order.
     kinds: List[str]
 
@@ -138,6 +139,8 @@ class DependencyIndex:
     #: can splice them instead of re-walking every declaration (valid
     #: whenever the uid/pid spaces are pinned — see
     #: :meth:`repro.core.varsets.VariableUniverse.spliced`).
+    #: ``gmod[k][pid] & ~universe_local[pid]`` is what callers read of
+    #: ``pid`` (:func:`_export_rows`).
     universe_global: int
     universe_local: List[int]  # per pid
     universe_formal: List[int]  # per pid
@@ -145,7 +148,6 @@ class DependencyIndex:
 
     # -- solved per-procedure rows (one list per kind) ------------------------
     gmod: List[List[int]]
-    exports: List[List[int]]  # GMOD & strip — what callers actually read
     imod_plus: List[List[int]]
     #: §3.3 *extended* IMOD/IUSE per kind — both an input snapshot and
     #: the serialization base: ``imod_plus`` is stored as an XOR delta
@@ -158,10 +160,11 @@ class DependencyIndex:
     # -- β / RMOD -------------------------------------------------------------
     beta_node_uid: List[int]  # formal uid per β node
     rmod_node_bits: List[int]  # packed K-bit verdicts per β node
+    beta_sccs: int  # β's component count, reported when β is carried
 
     # -- aliases --------------------------------------------------------------
-    alias_pairs: List[List[Tuple[int, int]]]  # per pid, sorted (a<b) pairs
-    alias_domains: List[int]  # per pid domain mask
+    #: Per pid: :attr:`repro.core.aliases.AliasResult.partner_mask`.
+    partner_mask: List[Dict[int, int]]
 
     # -- call sites -----------------------------------------------------------
     site_caller: List[int]
@@ -174,12 +177,6 @@ class DependencyIndex:
     dmod: List[List[int]]  # per kind, per site
     mod: List[List[int]]  # per kind, per site (alias-expanded)
 
-    # -- SCC-level structure (the compact component edge lists) ---------------
-    call_comp_of: List[int]
-    call_comp_edges: List[Tuple[int, int]]
-    beta_comp_of: List[int]
-    beta_comp_edges: List[Tuple[int, int]]
-
     @property
     def num_procs(self) -> int:
         return len(self.proc_names)
@@ -187,14 +184,6 @@ class DependencyIndex:
     @property
     def num_sites(self) -> int:
         return len(self.site_caller)
-
-    @property
-    def num_call_components(self) -> int:
-        return (max(self.call_comp_of) + 1) if self.call_comp_of else 0
-
-    @property
-    def num_beta_components(self) -> int:
-        return (max(self.beta_comp_of) + 1) if self.beta_comp_of else 0
 
     def sites_by_caller(self) -> List[List[int]]:
         """Old site ids grouped by caller pid, in site-id order."""
@@ -204,98 +193,37 @@ class DependencyIndex:
         return grouped
 
 
-def _comp_edges(cond: Condensation) -> List[Tuple[int, int]]:
-    return [
-        (comp, succ)
-        for comp, successors in enumerate(cond.successors)
-        for succ in successors
-    ]
+def _export_rows(gmod: List[int], local: List[int]) -> List[int]:
+    """Per procedure, equation (4)'s ``GMOD(q) − LOCAL(q)``: the part
+    of its ``GMOD`` row its callers read."""
+    return [row & ~mask for row, mask in zip(gmod, local)]
 
 
-def build_dependency_index(summary, arena=None) -> "DependencyIndex":
+def build_dependency_index(summary) -> "DependencyIndex":
     """Snapshot a live :class:`SideEffectSummary` into an index.
 
-    ``arena`` (the program's :class:`~repro.core.arena.ProgramArena`)
-    is optional: when available its cached condensations and flat site
-    tables are reused; otherwise everything is derived from the summary
-    itself, condensing both graphs with :func:`~repro.graphs.scc.condense`.
+    The site and binding tables come from the program's arena: the
+    cached one, or a fresh uncached :class:`ProgramArena` when the cache
+    has dropped it.  β's component count reuses the arena's condensation
+    when one is cached (a full analysis, or an update that re-solved
+    RMOD); otherwise counting it is the one Tarjan pass over β.
     """
     resolved = summary.resolved
-    universe = summary.universe
+    arena = peek_arena(resolved) or ProgramArena(resolved)
     local = summary.local
-    num_procs = resolved.num_procs
-    kind_list = list(summary.solutions.keys())
-
-    width = max(1, universe.size)
-    limit = (1 << width) - 1
-    strip = [limit & ~mask for mask in universe.local_mask]
-
-    gmod_rows: List[List[int]] = []
-    export_rows: List[List[int]] = []
-    imod_plus_rows: List[List[int]] = []
-    dmod_rows: List[List[int]] = []
-    mod_rows: List[List[int]] = []
-    for kind in kind_list:
-        solution = summary.solutions[kind]
-        gmod_rows.append(list(solution.gmod))
-        export_rows.append([g & s for g, s in zip(solution.gmod, strip)])
-        imod_plus_rows.append(list(solution.imod_plus))
-        dmod_rows.append(list(solution.dmod))
-        mod_rows.append(list(solution.mod))
+    kind_list = list(summary.solutions)
+    solutions = [summary.solutions[kind] for kind in kind_list]
 
     # Packed K-bit RMOD verdicts per β node.
     binding_graph = summary.binding_graph
-    num_beta_nodes = binding_graph.num_formals
-    rmod_node_bits = [0] * num_beta_nodes
-    for k, kind in enumerate(kind_list):
-        node_value = summary.solutions[kind].rmod.node_value
-        for node in range(num_beta_nodes):
-            if node_value[node]:
+    rmod_node_bits = [0] * binding_graph.num_formals
+    for k, solution in enumerate(solutions):
+        for node, value in enumerate(solution.rmod.node_value):
+            if value:
                 rmod_node_bits[node] |= 1 << k
 
-    if arena is not None and arena.resolved is resolved:
-        call_cond = arena.call_condense_full()
-        beta_cond = arena.beta_condense_full()
-        site_lmod = list(arena.site_lmod)
-        site_luse = list(arena.site_luse)
-        site_ref_heads = list(arena.site_ref_heads)
-        ref_formal_uid = list(arena.ref_formal_uid)
-        ref_base_uid = list(arena.ref_base_uid)
-    else:
-        call_cond = condense(
-            summary.call_graph.num_nodes, summary.call_graph.successors
-        )
-        beta_cond = condense(num_beta_nodes, binding_graph.successors)
-        from repro.core.local import lmod_of, luse_of
-
-        num_sites = resolved.num_call_sites
-        site_lmod = [0] * num_sites
-        site_luse = [0] * num_sites
-        site_ref_heads = [0] * (num_sites + 1)
-        ref_formal_uid = []
-        ref_base_uid = []
-        for site in resolved.call_sites:
-            site_lmod[site.site_id] = lmod_of(site.stmt)
-            site_luse[site.site_id] = luse_of(site.stmt)
-        for site in resolved.call_sites:
-            formals = site.callee.formals
-            for binding in site.bindings:
-                if not binding.by_reference:
-                    continue
-                ref_formal_uid.append(formals[binding.position].uid)
-                ref_base_uid.append(binding.base.uid)
-            site_ref_heads[site.site_id + 1] = len(ref_formal_uid)
-
-    alias_pairs = [list(iter_pairs(table)) for table in summary.aliases.partner_mask]
-    alias_domains = list(summary.aliases.domain_mask)
-
-    gmod_method = ""
-    if kind_list:
-        gmod_method = summary.solutions[kind_list[0]].gmod_method
-
+    universe = summary.universe
     return DependencyIndex(
-        program=resolved.program.name,
-        gmod_method=gmod_method,
         kinds=[kind.value for kind in kind_list],
         proc_names=[proc.qualified_name for proc in resolved.procs],
         proc_parent=[
@@ -308,29 +236,24 @@ def build_dependency_index(summary, arena=None) -> "DependencyIndex":
         universe_local=list(universe.local_mask),
         universe_formal=list(universe.formal_mask),
         universe_level=list(universe.level_mask),
-        gmod=gmod_rows,
-        exports=export_rows,
-        imod_plus=imod_plus_rows,
+        gmod=[list(solution.gmod) for solution in solutions],
+        imod_plus=[list(solution.imod_plus) for solution in solutions],
         imod_ext=[list(local.initial(kind)) for kind in kind_list],
         imod_plain=list(local.imod_plain),
         iuse_plain=list(local.iuse_plain),
         beta_node_uid=[formal.uid for formal in binding_graph.formals],
         rmod_node_bits=rmod_node_bits,
-        alias_pairs=alias_pairs,
-        alias_domains=alias_domains,
-        site_caller=[site.caller.pid for site in resolved.call_sites],
-        site_callee=[site.callee.pid for site in resolved.call_sites],
-        site_lmod=site_lmod,
-        site_luse=site_luse,
-        site_ref_heads=site_ref_heads,
-        ref_formal_uid=ref_formal_uid,
-        ref_base_uid=ref_base_uid,
-        dmod=dmod_rows,
-        mod=mod_rows,
-        call_comp_of=list(call_cond.component_of),
-        call_comp_edges=_comp_edges(call_cond),
-        beta_comp_of=list(beta_cond.component_of),
-        beta_comp_edges=_comp_edges(beta_cond),
+        beta_sccs=len(arena.beta_condensation()[1]),
+        partner_mask=list(summary.aliases.partner_mask),
+        site_caller=list(arena.site_caller),
+        site_callee=list(arena.site_callee),
+        site_lmod=list(arena.site_lmod),
+        site_luse=list(arena.site_luse),
+        site_ref_heads=list(arena.site_ref_heads),
+        ref_formal_uid=list(arena.ref_formal_uid),
+        ref_base_uid=list(arena.ref_base_uid),
+        dmod=[list(solution.dmod) for solution in solutions],
+        mod=[list(solution.mod) for solution in solutions],
     )
 
 
@@ -410,21 +333,34 @@ def _read_mask_delta(
     return masks, pos
 
 
-def _write_pair_list(out: bytearray, pairs: List[Tuple[int, int]]) -> None:
-    write_varint(out, len(pairs))
-    for a, b in pairs:
-        write_varint(out, a)
-        write_varint(out, b)
+def _site_bases(kinds, site_lmod, site_luse, site_callee, gmod, local):
+    """Per kind, each site's ``DMOD`` base: equation (2) without the
+    formal translation, ``LMOD(s) ∪ (GMOD(q) − LOCAL(q))``."""
+    bases = []
+    for k, kind in enumerate(kinds):
+        site_local = site_lmod if kind == "mod" else site_luse
+        exports = _export_rows(gmod[k], local)
+        bases.append([
+            mask | exports[callee]
+            for mask, callee in zip(site_local, site_callee)
+        ])
+    return bases
 
 
-def _read_pair_list(data, pos: int) -> Tuple[List[Tuple[int, int]], int]:
-    count, pos = read_varint(data, pos)
-    pairs: List[Tuple[int, int]] = []
-    for _ in range(count):
-        a, pos = read_varint(data, pos)
-        b, pos = read_varint(data, pos)
-        pairs.append((a, b))
-    return pairs, pos
+def _read_partner_table(data, pos: int, width: int) -> Tuple[Dict[int, int], int]:
+    """A :func:`~repro.core.binio.write_partners` table back as the
+    symmetric partner table it was written from."""
+    rows, pos = read_partner_rows(data, pos, width)
+    table: Dict[int, int] = {}
+    for uid, below in rows:
+        table[uid] = table.get(uid, 0) | below
+        bit = 1 << uid
+        while below:
+            low = below & -below
+            partner = low.bit_length() - 1
+            table[partner] = table.get(partner, 0) | bit
+            below ^= low
+    return table, pos
 
 
 def index_to_bytes(index: DependencyIndex) -> bytes:
@@ -432,8 +368,6 @@ def index_to_bytes(index: DependencyIndex) -> bytes:
     out = bytearray()
     out += INDEX_MAGIC
     write_varint(out, INDEX_FORMAT_VERSION)
-    write_bytes(out, index.program.encode("utf-8"))
-    write_bytes(out, index.gmod_method.encode("utf-8"))
     _write_str_list(out, index.kinds)
 
     _write_str_list(out, index.proc_names)
@@ -457,16 +391,14 @@ def index_to_bytes(index: DependencyIndex) -> bytes:
         _write_mask_delta(out, index.imod_plus[k], index.imod_ext[k])
     for k in range(num_kinds):
         _write_mask_delta(out, index.gmod[k], index.imod_plus[k])
-    for k in range(num_kinds):
-        _write_mask_delta(out, index.exports[k], index.gmod[k])
 
     _write_int_list(out, index.beta_node_uid)
     _write_int_list(out, index.rmod_node_bits)
+    write_varint(out, index.beta_sccs)
 
-    write_varint(out, len(index.alias_pairs))
-    for pairs in index.alias_pairs:
-        _write_pair_list(out, pairs)
-    _write_mask_list(out, index.alias_domains)
+    write_varint(out, len(index.partner_mask))
+    for table in index.partner_mask:
+        write_partners(out, table)
 
     _write_int_list(out, index.site_caller)
     _write_int_list(out, index.site_callee)
@@ -475,23 +407,12 @@ def index_to_bytes(index: DependencyIndex) -> bytes:
     _write_int_list(out, index.site_ref_heads)
     _write_int_list(out, index.ref_formal_uid)
     _write_int_list(out, index.ref_base_uid)
-    for k, kind in enumerate(index.kinds):
-        site_local = index.site_lmod if kind == "mod" else index.site_luse
-        exports = index.exports[k]
-        bases = [
-            site_local[sid] | exports[index.site_callee[sid]]
-            for sid in range(len(site_local))
-        ]
-        _write_mask_delta(out, index.dmod[k], bases)
+    bases = _site_bases(index.kinds, index.site_lmod, index.site_luse,
+                        index.site_callee, index.gmod, index.universe_local)
+    for k in range(num_kinds):
+        _write_mask_delta(out, index.dmod[k], bases[k])
     for k in range(num_kinds):
         _write_mask_delta(out, index.mod[k], index.dmod[k])
-
-    _write_int_list(out, index.call_comp_of)
-    _write_pair_list(out, index.call_comp_edges)
-    _write_int_list(out, index.beta_comp_of)
-    _write_pair_list(out, index.beta_comp_edges)
-
-    out.append(0)  # Version-2 trailer presence byte: no tree.
     return bytes(out)
 
 
@@ -515,16 +436,12 @@ def _index_from_bytes(data: bytes) -> DependencyIndex:
         )
     pos = len(INDEX_MAGIC)
     version, pos = read_varint(data, pos)
-    if version not in (1, INDEX_FORMAT_VERSION):
+    if version != INDEX_FORMAT_VERSION:
         raise ValueError(
             "unsupported dependency index version %d (this reader supports "
-            "versions 1..%d); re-analyze to rebuild the index"
+            "version %d only); re-analyze to rebuild the index"
             % (version, INDEX_FORMAT_VERSION)
         )
-    blob, pos = read_bytes(data, pos)
-    program = blob.decode("utf-8")
-    blob, pos = read_bytes(data, pos)
-    gmod_method = blob.decode("utf-8")
     kinds, pos = _read_str_list(data, pos)
 
     proc_names, pos = _read_str_list(data, pos)
@@ -558,26 +475,21 @@ def _index_from_bytes(data: bytes) -> DependencyIndex:
     for k in range(num_kinds):
         row, pos = _read_mask_delta(data, pos, imod_plus[k], width)
         gmod.append(row)
-    exports: List[List[int]] = []
-    for k in range(num_kinds):
-        row, pos = _read_mask_delta(data, pos, gmod[k], width)
-        exports.append(row)
 
     beta_node_uid, pos = _read_int_list(data, pos)
     rmod_node_bits, pos = _read_int_list(data, pos)
+    beta_sccs, pos = read_varint(data, pos)
 
     count, pos = read_varint(data, pos)
-    alias_pairs: List[List[Tuple[int, int]]] = []
+    if count != len(proc_names):
+        raise ValueError(
+            "corrupt dependency index: %d alias tables for %d procedures"
+            % (count, len(proc_names))
+        )
+    partner_mask: List[Dict[int, int]] = []
     for _ in range(count):
-        pairs, pos = _read_pair_list(data, pos)
-        for a, b in pairs:
-            if not a < b < width:
-                raise ValueError(
-                    "alias pair (%d, %d) out of order or past the width %d"
-                    % (a, b, width)
-                )
-        alias_pairs.append(pairs)
-    alias_domains, pos = _read_mask_list(data, pos, width)
+        table, pos = _read_partner_table(data, pos, width)
+        partner_mask.append(table)
 
     site_caller, pos = _read_int_list(data, pos)
     site_callee, pos = _read_int_list(data, pos)
@@ -586,33 +498,23 @@ def _index_from_bytes(data: bytes) -> DependencyIndex:
     site_ref_heads, pos = _read_int_list(data, pos)
     ref_formal_uid, pos = _read_int_list(data, pos)
     ref_base_uid, pos = _read_int_list(data, pos)
+    bases = _site_bases(kinds, site_lmod, site_luse, site_callee, gmod,
+                        universe_local)
     dmod: List[List[int]] = []
-    for k, kind in enumerate(kinds):
-        site_local = site_lmod if kind == "mod" else site_luse
-        bases = [
-            site_local[sid] | exports[k][site_callee[sid]]
-            for sid in range(len(site_local))
-        ]
-        row, pos = _read_mask_delta(data, pos, bases, width)
+    for k in range(num_kinds):
+        row, pos = _read_mask_delta(data, pos, bases[k], width)
         dmod.append(row)
     mod: List[List[int]] = []
     for k in range(num_kinds):
         row, pos = _read_mask_delta(data, pos, dmod[k], width)
         mod.append(row)
-
-    call_comp_of, pos = _read_int_list(data, pos)
-    call_comp_edges, pos = _read_pair_list(data, pos)
-    beta_comp_of, pos = _read_int_list(data, pos)
-    beta_comp_edges, pos = _read_pair_list(data, pos)
-
-    if version >= 2 and pos >= len(data):
-        raise ValueError("corrupt dependency index: no version-2 trailer byte")
-    # Whatever follows that byte is an older writer's separator tree;
-    # nothing reads it.
+    if pos != len(data):
+        raise ValueError(
+            "corrupt dependency index: %d bytes past its last field"
+            % (len(data) - pos)
+        )
 
     return DependencyIndex(
-        program=program,
-        gmod_method=gmod_method,
         kinds=kinds,
         proc_names=proc_names,
         proc_parent=proc_parent,
@@ -623,15 +525,14 @@ def _index_from_bytes(data: bytes) -> DependencyIndex:
         universe_formal=universe_formal,
         universe_level=universe_level,
         gmod=gmod,
-        exports=exports,
         imod_plus=imod_plus,
         imod_ext=imod_ext,
         imod_plain=imod_plain,
         iuse_plain=iuse_plain,
         beta_node_uid=beta_node_uid,
         rmod_node_bits=rmod_node_bits,
-        alias_pairs=alias_pairs,
-        alias_domains=alias_domains,
+        beta_sccs=beta_sccs,
+        partner_mask=partner_mask,
         site_caller=site_caller,
         site_callee=site_callee,
         site_lmod=site_lmod,
@@ -641,8 +542,4 @@ def _index_from_bytes(data: bytes) -> DependencyIndex:
         ref_base_uid=ref_base_uid,
         dmod=dmod,
         mod=mod,
-        call_comp_of=call_comp_of,
-        call_comp_edges=call_comp_edges,
-        beta_comp_of=beta_comp_of,
-        beta_comp_edges=beta_comp_edges,
     )

@@ -208,8 +208,8 @@ def findgmod_fused(
     (main is pid 0), so the components it closes are exactly
     :func:`~repro.graphs.scc.tarjan_scc_csr`'s, ids and member order
     included.  It hands them to the arena as the call graph's one
-    condensation, which the sections solver, the effect lanes and the
-    dependency index then read instead of condensing again.
+    condensation, which the sections solver and the effect lanes then
+    read instead of condensing again.
     """
     csr = arena.call_csr
     heads = csr.heads

@@ -20,15 +20,18 @@ that problem *by condensation region*, driven by a persisted
      editor case — skips both re-solves outright;
    * **RMOD** over β — seeds are the formals whose own ``IMOD`` bit
      moved and the endpoints of binding edges at binding-dirty call
-     sites; no seeds means every verdict is carried without even
-     condensing β, and a strongly connected region whose solved boolean
+     sites; no seeds means every verdict is carried and the update
+     never condenses β (building the *next* index counts β's
+     components, which is the one Tarjan pass over β such an update
+     pays), and a strongly connected region whose solved boolean
      comes out equal to the indexed value stops the propagation;
    * **IMOD+** — recomputed only for procedures whose extended ``IMOD``
      or whose bound formals' ``RMOD`` verdicts changed, copied
      otherwise;
    * **GMOD** over the call multi-graph — components start *candidate*
      if they hold a changed equation; re-solving a candidate whose
-     exports (``GMOD − LOCAL``, the only part a caller reads) come out
+     exports (``GMOD − LOCAL``, the only part a caller reads, derived
+     from the index's ``GMOD`` and ``LOCAL`` rows) come out
      unchanged stops the propagation (*cutoff*), otherwise the caller
      components are marked through a reverse adjacency built on first
      use; non-candidates copy indexed rows without scanning their
@@ -37,10 +40,10 @@ that problem *by condensation region*, driven by a persisted
    * **aliases** — the re-derived cone is seeded by the binding-dirty
      procedures *and* the old callees of their (and removed
      procedures') former call sites — a rewired or deleted site starves
-     its old callee of pair inflow, so pairs can shrink there; final
-     partner tables outside the cone are carried into the one alias
-     solver by reference, or remapped when the uid space changed
-     (pairs only flow caller → callee and parent → nested);
+     its old callee of pair inflow, so pairs can shrink there; the
+     index's final partner tables outside the cone are carried into the
+     one alias solver by reference, or remapped when the uid space
+     changed (pairs only flow caller → callee and parent → nested);
    * **DMOD/MOD** — a call site is copied from the index unless its
      caller was edited, its callee's ``GMOD`` changed, or its caller's
      alias pairs changed.
@@ -56,7 +59,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.aliases import AliasResult, Carried, compute_aliases
+from repro.core.aliases import Carried, compute_aliases
 from repro.core.arena import (
     ProgramArena,
     get_arena,
@@ -246,18 +249,6 @@ def _remap_table(
     return remapped
 
 
-def _tables_from_pairs(pair_lists) -> List[Dict[int, int]]:
-    """Partner tables from the dependency index's ``(a, b)`` lists."""
-    tables: List[Dict[int, int]] = []
-    for pairs in pair_lists:
-        table: Dict[int, int] = {}
-        for a, b in pairs:
-            table[a] = table.get(a, 0) | (1 << b)
-            table[b] = table.get(b, 0) | (1 << a)
-        tables.append(table)
-    return tables
-
-
 def _full_resolve(
     new_resolved: ResolvedProgram,
     kind_list: List[EffectKind],
@@ -288,16 +279,14 @@ def incremental_update_from_index(
     kinds: Iterable[EffectKind] = (EffectKind.MOD, EffectKind.USE),
     dirty_hint: Optional[Iterable[str]] = None,
     reloaded: bool = False,
-    live_aliases: Optional[AliasResult] = None,
 ) -> Tuple[SideEffectSummary, UpdateStats]:
     """Re-analyse ``new_resolved`` against a dependency index.
 
     The index is self-contained: this function runs without the old
     program version in memory, which is what keeps the server's
-    ``update`` verb warm across process restarts.  ``live_aliases``
-    optionally donates the previous summary's in-memory alias tables,
-    so tables outside the re-derived cone are shared instead of
-    rebuilt from the index.
+    ``update`` verb warm across process restarts.  An index built from
+    a live summary holds that summary's alias tables, so tables outside
+    the re-derived cone are shared, not copied.
 
     Returns the new summary — byte-identical to a from-scratch solve —
     and the reuse statistics.
@@ -532,15 +521,13 @@ def incremental_update_from_index(
     beta_region_nodes = 0
     if not beta_seeds:
         # No β input moved: every verdict is carried and the fixpoint
-        # is untouched — β is never even condensed.  The component
+        # is untouched — the update does not condense β.  The component
         # count shown in the stats is carried from the index.
         if permutation is None:
             node_bits = [old_bits_of_uid[uid] for uid in formal_uid]
         else:
             node_bits = [old_node_bits(uid) for uid in formal_uid]
-        beta_total_sccs = (
-            max(index.beta_comp_of) + 1 if index.beta_comp_of else 0
-        )
+        beta_total_sccs = index.beta_sccs
     else:
         beta_component_of, beta_components = arena.beta_condensation()
         beta_total_sccs = len(beta_components)
@@ -657,11 +644,9 @@ def incremental_update_from_index(
 
     # -- GMOD: demand re-solve over the call condensation ---------------------
     t0 = time.perf_counter()
-    condensation = arena.call_condense_full()
+    component_of, components = arena.call_condensation()
     cheads = arena.call_csr.heads
     csucc = arena.call_csr.succ
-    component_of = condensation.component_of
-    components = condensation.components
     gmod_seeds = dirty_pid_set | imod_changed
     gmod_rows: List[List[int]] = [[0] * num_procs for _ in kind_list]
     changed_gmod = [False] * num_procs
@@ -731,12 +716,14 @@ def incremental_update_from_index(
                 continue
             gmod_diff = False
             export_diff = False
+            old_local = index.universe_local[old_pid]
             for k in range(num_kinds):
                 new_value = gmod_rows[k][member]
-                if new_value != _remap_mask(index.gmod[k][old_pid], permutation):
+                old_value = index.gmod[k][old_pid]
+                if new_value != _remap_mask(old_value, permutation):
                     gmod_diff = True
                 if (new_value & strip[member]) != _remap_mask(
-                    index.exports[k][old_pid], permutation
+                    old_value & ~old_local, permutation
                 ):
                     export_diff = True
             changed_gmod[member] = gmod_diff
@@ -798,22 +785,14 @@ def incremental_update_from_index(
         affected_fwd = [False] * num_procs
         alias_seeds = set()
 
-    if live_aliases is not None:
-        old_tables = live_aliases.partner_mask
-        old_domains = live_aliases.domain_mask
-    else:
-        old_tables = _tables_from_pairs(index.alias_pairs)
-        old_domains = index.alias_domains
+    old_tables = index.partner_mask
     carried: List[Optional[Carried]] = [None] * num_procs
     for pid in range(num_procs):
         old_pid = old_pid_for[pid]
         if affected_fwd[pid] or old_pid is None:
             continue
-        if permutation is None:
-            carried[pid] = (old_tables[old_pid], old_domains[old_pid])
-        else:
-            table = _remap_table(old_tables[old_pid], permutation)
-            carried[pid] = (table, mask_of(table))
+        table = _remap_table(old_tables[old_pid], permutation)
+        carried[pid] = (table, mask_of(table))  # The domain: its key set.
     aliases = compute_aliases(arena, carried, alias_seeds)
 
     alias_changed: Set[int] = set()
@@ -956,16 +935,9 @@ def incremental_update(
     """
     index = getattr(old_summary, "dep_index", None)
     if index is None:
-        index = build_dependency_index(
-            old_summary, arena=peek_arena(old_summary.resolved)
-        )
-        old_summary.dep_index = index
+        index = old_summary.dep_index = build_dependency_index(old_summary)
     summary, stats = incremental_update_from_index(
-        index,
-        new_resolved,
-        kinds=kinds,
-        dirty_hint=dirty_hint,
-        live_aliases=old_summary.aliases,
+        index, new_resolved, kinds=kinds, dirty_hint=dirty_hint
     )
     carry_render(old_summary, summary)
     return summary, stats

@@ -32,10 +32,12 @@ from repro.core.aliases import named_pairs
 from repro.core.binio import (
     read_bytes,
     read_mask_adaptive,
+    read_partner_rows,
     read_signed,
     read_varint,
     write_bytes,
     write_mask_adaptive,
+    write_partners,
     write_varint,
 )
 from repro.core.summary import SideEffectSummary
@@ -333,15 +335,11 @@ def summary_to_bytes(
     """
     trailer: Dict[int, bytes] = dict(sections or {})
     if include_index:
-        from repro.core.arena import peek_arena
         from repro.core.depindex import build_dependency_index, index_to_bytes
 
         index = summary.dep_index
         if index is None:
-            index = build_dependency_index(
-                summary, arena=peek_arena(summary.resolved)
-            )
-            summary.dep_index = index
+            index = summary.dep_index = build_dependency_index(summary)
         trailer[SECTION_DEP_INDEX] = index_to_bytes(index)
     return _container(*_head(summary), trailer)
 
@@ -392,7 +390,7 @@ def _summary_body(summary: SideEffectSummary, intern) -> bytearray:
     * the procedure count, then per procedure its name and level, per
       kind its G row (:func:`_write_row`) and its R list
       (:func:`_write_names`), and then its alias pairs
-      (:func:`_write_partners`);
+      (:func:`~repro.core.binio.write_partners`);
     * the call-site count, then per site its id, caller, callee and
       line, and per kind its D set XOR its callee's G row (equation
       (2)'s base), then its MOD/USE set XOR its D set (the §5 alias
@@ -431,7 +429,7 @@ def _summary_body(summary: SideEffectSummary, intern) -> bytearray:
         for solution in solutions:
             _write_row(body, solution.gmod[proc.pid], everything)
             _write_names(body, _rmod_names(solution, proc), intern)
-        _write_partners(body, partner_mask[proc.pid])
+        write_partners(body, partner_mask[proc.pid])
 
     write_varint(body, len(resolved.call_sites))
     for site in resolved.call_sites:
@@ -457,25 +455,6 @@ def _write_row(body: bytearray, row: int, everything: int) -> None:
     flipped = bytearray((1,))
     write_mask_adaptive(flipped, row ^ everything)
     body += flipped if len(flipped) < len(plain) else plain
-
-
-def _write_partners(body: bytearray, table: Dict[int, int]) -> None:
-    """A partner table (uid → mask of its alias partners, symmetric) as
-    its lower triangle: the number of uids with a partner below them,
-    then per such uid, ascending, its distance from the one before
-    minus one and the mask of those partners.  A formal's row holds the
-    globals it may alias, so there are few rows and each is small."""
-    rows = []
-    for uid in sorted(table):
-        below = table[uid] & ((1 << uid) - 1)
-        if below:
-            rows.append((uid, below))
-    write_varint(body, len(rows))
-    previous = -1
-    for uid, below in rows:
-        write_varint(body, uid - previous - 1)
-        write_mask_adaptive(body, below)
-        previous = uid
 
 
 # ---------------------------------------------------------------------------
@@ -725,20 +704,12 @@ def _decode_summary_body(data, pos: int, strings: List[str]) -> Tuple[Dict, int]
 
 
 def _read_partners(data, pos: int, strings: List[str], width: int):
-    """A :func:`_write_partners` table as :func:`named_pairs` lists it:
-    each pair sorted by name, the list sorted."""
-    count, pos = read_varint(data, pos)
+    """A :func:`~repro.core.binio.write_partners` table as
+    :func:`named_pairs` lists it: each pair sorted by name, the list
+    sorted."""
+    rows, pos = read_partner_rows(data, pos, width)
     pairs = []
-    uid = -1
-    for _ in range(count):
-        gap, pos = read_varint(data, pos)
-        uid += gap + 1
-        if uid >= width:
-            raise ValueError(
-                "corrupt binary summary: alias row %d past the %d variables"
-                % (uid, width)
-            )
-        below, pos = read_mask_adaptive(data, pos, uid)
+    for uid, below in rows:
         second = strings[uid]
         for first in _mask_names(below, strings):
             pairs.append([first, second] if first < second else [second, first])

@@ -63,8 +63,9 @@ class SideEffectSummary:
     condensations: Optional[Dict[str, int]] = None
     #: Fine-grained dependency index driving demand-driven incremental
     #: updates (:mod:`repro.core.depindex`).  Built lazily by
-    #: :func:`repro.core.incremental.incremental_update` and cached
-    #: here; serialized only into the v4 binary container's tagged
+    #: :func:`repro.core.incremental.incremental_update` or
+    #: ``summary_to_bytes(include_index=True)`` and cached here;
+    #: serialized only into the binary container's index trailer
     #: section, never into the dataclass payload.
     dep_index: Optional[object] = None
     #: Effect-lane results (:mod:`repro.lanes`) keyed by lane name, in

@@ -158,6 +158,19 @@ class BatchReport:
         return [r for r in self.results if not r.ok]
 
 
+def _stop_workers(executor: ProcessPoolExecutor) -> None:
+    """Shut ``executor`` down without waiting for the tasks it is still
+    running: terminate its worker processes and reap them.  The
+    executor offers no public way to stop its workers before Python
+    3.14's ``terminate_workers``, so this reads its process table."""
+    processes = list((executor._processes or {}).values())
+    executor.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        process.terminate()
+    for process in processes:
+        process.join()
+
+
 def discover_files(root: str, pattern: str = "*.ck") -> List[str]:
     """Corpus files under ``root`` matching ``pattern``, sorted.
 
@@ -193,7 +206,9 @@ def run_batch(
     with no pool).  ``cache_dir`` enables the content-hash summary
     cache.  ``timeout`` bounds the wait for each file's result once the
     driver turns to it (pool mode only); a file that exceeds it gets a
-    ``timeout`` record and the run continues.  ``cache_max_entries``
+    ``timeout`` record and the run continues, and when the run ends the
+    pool's workers are terminated rather than joined, so a file that
+    never finishes cannot hold the run.  ``cache_max_entries``
     bounds the cache directory (LRU eviction; None = unbounded).
 
     ``lanes`` requests extra effect lanes (:mod:`repro.lanes`) for
@@ -264,22 +279,22 @@ def run_batch(
             outcome = _analyze_task((record.path, sources[record.path], lanes))
             _apply(record, outcome, time.perf_counter() - tick)
     else:
-        with ProcessPoolExecutor(max_workers=effective_jobs) as executor:
-            submitted = [
-                (
+        executor = ProcessPoolExecutor(max_workers=effective_jobs)
+        submitted = []
+        try:
+            for record in work:
+                submitted.append((
                     record,
                     time.perf_counter(),
                     executor.submit(
                         _analyze_task, (record.path, sources[record.path], lanes)
                     ),
-                )
-                for record in work
-            ]
+                ))
             for record, tick, future in submitted:
                 try:
                     outcome = future.result(timeout=timeout)
                 except FutureTimeoutError:
-                    future.cancel()
+                    future.cancel()  # Still queued: never start it.
                     record.status = STATUS_TIMEOUT
                     record.error = "analysis exceeded %.3gs" % timeout
                     record.elapsed = time.perf_counter() - tick
@@ -290,6 +305,13 @@ def run_batch(
                     record.elapsed = time.perf_counter() - tick
                     continue
                 _apply(record, outcome, time.perf_counter() - tick)
+        finally:
+            # A task still running past its timeout would hold a joining
+            # shutdown for as long as it runs: stop the workers instead.
+            if all(future.done() for _record, _tick, future in submitted):
+                executor.shutdown()
+            else:
+                _stop_workers(executor)
 
     return BatchReport(
         root=report_root,

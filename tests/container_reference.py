@@ -20,7 +20,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Optional
 
-from repro.core.binio import write_bytes, write_signed, write_varint
+from repro.core.binio import write_bytes, write_varint
 
 MAGIC = b"CKSB"
 HEADER = struct.Struct("<HQQ")  # Container version, table length, body length.
@@ -117,7 +117,8 @@ def _encode_value(value, body: bytearray, intern) -> None:
         write_varint(body, intern(value))
     elif type(value) is int:
         body.append(T_INT)
-        write_signed(body, value)
+        # Zigzag: 0, -1, 1, -2 → 0, 1, 2, 3, so small negatives stay small.
+        write_varint(body, (value << 1) if value >= 0 else ((-value << 1) - 1))
     elif type(value) is float:
         body.append(T_FLOAT)
         body += _FLOAT.pack(value)

@@ -118,6 +118,9 @@ def main() -> int:
         with wait_for_server(port) as client:
             resumed = client.update("smoke", source)
             assert resumed["update_stats"]["index_reloaded"] is True
+            # A refused index also reports ``index_reloaded``; only
+            # ``full_resolve`` tells that the index drove the update.
+            assert resumed["update_stats"]["full_resolve"] is False
             assert sorted(resumed["lanes"]) == LANES, "restart dropped the lanes"
             assert client.query("smoke", "lanes")["result"] == LANES
             client.shutdown()

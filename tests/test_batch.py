@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import random
 import sys
 import threading
+import time
 
 import pytest
 
 import repro.core.persist as persist
+import repro.service.batch as batch_module
 import repro.service.cache as cache_module
 from repro.cli import main
 from repro.core.persist import (
@@ -21,7 +24,13 @@ from repro.core.persist import (
     summary_to_dict,
 )
 from repro.core.pipeline import analyze_side_effects, result_meta
-from repro.service.batch import STATUS_TIMEOUT, discover_files, run_batch
+from repro.service.batch import (
+    STATUS_ERROR,
+    STATUS_OK,
+    STATUS_TIMEOUT,
+    discover_files,
+    run_batch,
+)
 from repro.service.cache import SummaryCache, _meta_crc, content_key, encode_record
 from repro.service.stats import STATS_SCHEMA_VERSION, aggregate_stats, write_stats_json
 from repro.workloads import patterns
@@ -359,6 +368,62 @@ class TestTimeout:
         assert stats["files"][0]["status"] == STATUS_TIMEOUT
         for record in timed_out:
             assert not os.path.exists(SummaryCache(cache_dir).path_for(record.key))
+
+
+_ANALYZE_TASK = batch_module._analyze_task
+
+
+def _hang_or_die(task):
+    """A worker body for the pool tests (the fork start method carries
+    the patch into the workers): ``hang.ck`` never finishes, ``die.ck``
+    kills its worker, every other file is analyzed."""
+    name = os.path.basename(task[0])
+    if name == "hang.ck":
+        time.sleep(600)
+    if name == "die.ck":
+        os._exit(3)
+    return _ANALYZE_TASK(task)
+
+
+@pytest.fixture()
+def forked_workers(monkeypatch):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched worker body reaches the pool only by fork")
+    monkeypatch.setattr(batch_module, "_analyze_task", _hang_or_die)
+
+
+def _pool_corpus(tmp_path, special: str) -> str:
+    root = tmp_path / "pool"
+    root.mkdir()
+    (root / "a.ck").write_text(patterns.chain(3))
+    (root / special).write_text(patterns.chain(4))
+    return str(root)
+
+
+class TestPoolWorkers:
+    def test_a_file_that_never_finishes_does_not_hold_the_run(
+        self, forked_workers, tmp_path
+    ):
+        """The timed-out file's worker is terminated, not joined: the
+        run returns soon after the timeout and leaves no child behind."""
+        root = _pool_corpus(tmp_path, "hang.ck")
+        started = time.perf_counter()
+        report = run_batch(root, jobs=2, timeout=0.5)
+        elapsed = time.perf_counter() - started
+        statuses = {os.path.basename(r.path): r.status for r in report.results}
+        assert statuses == {"a.ck": STATUS_OK, "hang.ck": STATUS_TIMEOUT}
+        assert report.exit_code == 1
+        assert elapsed < 0.5 + 5
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_is_an_error_record(self, forked_workers, tmp_path):
+        root = _pool_corpus(tmp_path, "die.ck")
+        report = run_batch(root, jobs=2, timeout=30)
+        (died,) = [r for r in report.results if r.path.endswith("die.ck")]
+        assert died.status == STATUS_ERROR
+        assert "BrokenProcessPool" in died.error
+        assert report.exit_code == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestIsolation:

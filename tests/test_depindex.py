@@ -2,17 +2,23 @@
 embedding, version fencing, and the restored-index update path.
 
 The index is what lets a *different process* run demand-driven
-incremental updates: everything the invalidation algorithm needs —
-fingerprints, condensation shapes, per-SCC verdicts, the variable
-universe — must survive ``index_to_bytes`` → ``index_from_bytes``
+incremental updates: everything the invalidation algorithm reads —
+fingerprints, the variable universe, the solved rows, the per-β-node
+verdicts and β's component count, the alias partner tables and the
+per-site tables — must survive ``index_to_bytes`` → ``index_from_bytes``
 exactly, and an update driven by the deserialized index must produce
-the same bytes as one driven by the live summary.
+the same bytes as one driven by the live summary.  Only format 3 is
+read: an earlier format ends in :class:`ValueError`, which the daemon
+turns into a full re-solve.  The edit-sequence fuzz
+(``tests/test_incremental_fuzz.py``) drives the reloaded path after
+every step.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.binio import read_partner_rows, write_mask_adaptive, write_varint
 from repro.core.depindex import (
     INDEX_FORMAT_VERSION,
     INDEX_MAGIC,
@@ -31,6 +37,7 @@ from repro.core.persist import (
     summary_to_bytes,
 )
 from repro.core.pipeline import analyze_side_effects
+from repro.core.varsets import EffectKind
 from repro.lang.pretty import pretty
 from repro.lang.semantic import compile_source
 from repro.workloads import patterns
@@ -96,12 +103,32 @@ class TestBlobRoundTrip:
             index_from_bytes(index_to_bytes(index))
 
     def test_alias_pair_past_the_width_is_a_value_error(self):
+        """A partner table row at or past the variable count is
+        corruption."""
         _summary, index = _indexed_summary(patterns.chain(3))
         width = len(index.var_names)
-        for bad in [(width - 1, width), (1, 0), (0, 0)]:
-            index.alias_pairs[0] = [bad]
-            with pytest.raises(ValueError, match="alias pair"):
-                index_from_bytes(index_to_bytes(index))
+        index.partner_mask[0] = {width - 1: 1 << width, width: 1 << (width - 1)}
+        with pytest.raises(ValueError, match="alias row %d past" % width):
+            index_from_bytes(index_to_bytes(index))
+
+    @pytest.mark.parametrize("row, partner", [(0, 0), (3, 3), (3, 4), (3, 9)])
+    def test_alias_partner_at_or_past_its_row_is_a_value_error(self, row, partner):
+        """Rows hold each pair once, under its higher uid: a partner at
+        or above its own row is corruption."""
+        out = bytearray()
+        write_varint(out, 1)  # One row,
+        write_varint(out, row)  # at uid ``row``,
+        write_mask_adaptive(out, 1 << partner)  # naming ``partner``.
+        with pytest.raises(ValueError, match="past the width %d" % row):
+            read_partner_rows(bytes(out), 0, 10)
+
+    def test_partner_tables_come_back_symmetric(self):
+        """The blob stores each pair once; the reader rebuilds both
+        halves, equal to the live tables."""
+        summary, index = _indexed_summary(_aliased_source())
+        tables = index_from_bytes(index_to_bytes(index)).partner_mask
+        assert tables == summary.aliases.partner_mask
+        assert any(tables)
 
     def test_bit_flips_end_in_value_error_or_an_index(self):
         """400 seeded single-bit flips of a nested program's index, in
@@ -150,6 +177,29 @@ class TestBlobRoundTrip:
         assert blob[len(INDEX_MAGIC)] == INDEX_FORMAT_VERSION
         blob[len(INDEX_MAGIC)] = INDEX_FORMAT_VERSION + 1
         with pytest.raises(ValueError, match="version"):
+            index_from_bytes(bytes(blob))
+
+    def test_writer_emits_format_3(self):
+        """Version 3, ending at its last field: no trailer byte, and a
+        byte past the end is corruption."""
+        _summary, index = _indexed_summary(pretty(generate_program(NESTED)))
+        blob = index_to_bytes(index)
+        assert blob[len(INDEX_MAGIC)] == INDEX_FORMAT_VERSION == 3
+        assert index_from_bytes(blob) == index
+        with pytest.raises(ValueError, match="1 bytes past its last field"):
+            index_from_bytes(blob + b"\x00")
+
+    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+    def test_earlier_format_is_refused(self, version):
+        """The format-2 index an earlier build wrote into the golden
+        state file, and the same blob as format 1 (no trailer byte),
+        end in a :class:`ValueError` naming the version."""
+        blob = _golden_index_blob()
+        assert blob[len(INDEX_MAGIC)] == 2
+        if version == 1:
+            blob = bytearray(blob[:-1])
+            blob[len(INDEX_MAGIC)] = 1
+        with pytest.raises(ValueError, match="version %d " % version):
             index_from_bytes(bytes(blob))
 
 
@@ -217,6 +267,48 @@ class TestRestoredIndexUpdates:
         assert 0.0 <= stats.reuse_fraction <= 1.0
         assert stats.to_dict()["index_reloaded"] is True
 
+    @pytest.mark.parametrize(
+        "indexed, requested",
+        [((EffectKind.MOD,), (EffectKind.MOD, EffectKind.USE)),
+         ((EffectKind.MOD, EffectKind.USE), (EffectKind.MOD,))],
+        ids=["mod-index-drives-mod-use", "mod-use-index-drives-mod"],
+    )
+    def test_kinds_mismatch_downgrades_to_a_full_solve(self, indexed, requested):
+        """An index solved for other kinds than the update asks for
+        cannot drive it: the update solves from scratch and says so,
+        whether the index is live or came back from its blob."""
+        source = pretty(generate_program(NESTED))
+        edited = source.replace(":= 1", ":= 4", 1)
+        assert edited != source
+        index = build_dependency_index(
+            analyze_side_effects(source, kinds=indexed))
+        scratch = summary_to_bytes(analyze_side_effects(edited, kinds=requested))
+        for reloaded, driver in ((False, index),
+                                 (True, index_from_bytes(index_to_bytes(index)))):
+            updated, stats = incremental_update_from_index(
+                driver, compile_source(edited), kinds=requested,
+                reloaded=reloaded)
+            assert stats.full_resolve is True
+            assert stats.to_dict()["full_resolve"] is True
+            assert stats.index_reloaded is reloaded
+            assert summary_to_bytes(updated) == scratch
+
+    def test_reloaded_update_re_solves_one_island(self):
+        """Two disjoint call chains: an edit in one re-solves a region
+        inside that island only, and the reloaded update equals a
+        scratch solve."""
+        base = _two_island_source(12)
+        edited = base.replace("ga := 1", "ga := 1\n    gc := 1")
+        assert edited != base
+        _old, index = _indexed_summary(base)
+        updated, stats = incremental_update_from_index(
+            index_from_bytes(index_to_bytes(index)),
+            compile_source(edited), reloaded=True)
+        assert summary_to_bytes(updated) == summary_to_bytes(
+            analyze_side_effects(edited))
+        assert stats.index_reloaded and not stats.full_resolve
+        assert 0 < stats.region_procs < stats.total_procs
+
 
 def _two_island_source(length: int = 40) -> str:
     """Two disjoint call chains under one main: edits in island ``a``
@@ -237,137 +329,19 @@ def _two_island_source(length: int = 40) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: The separator tree an older writer persisted for
-#: ``_two_island_source(12)``, verbatim: node → parent (-1 the root),
-#: node → kind (0 region, 1 group, 3 leaf), shard → leaf, pid → shard,
-#: and each shard's scope.
-ISLANDS_TREE = (
-    [-1, 0, 1, 1, 3, 3, 0, 6, 7, 7, 9, 9, 6, 12, 12],
-    [0, 0, 3, 1, 3, 3, 1, 0, 3, 0, 3, 3, 0, 3, 3],
-    [2, 4, 5, 8, 10, 11, 13, 14],
-    [0, 0, 1, 1, 1, 3, 3, 3, 4, 4, 5, 5, 5,
-     0, 2, 2, 2, 6, 6, 6, 7, 7, 7, 7, 7],
-    [[0], [0, 1], [0, 2], [1, 3], [3, 4], [4, 5], [2, 6], [6, 7]],
-)
+def _golden_index_blob() -> bytes:
+    """The format-2 dependency index inside ``tests/golden/ledger-v4.cki``."""
+    from repro.core.persist import read_container_trailer
+    from tests.test_persist_roundtrip import GOLDEN_V4
+
+    with open(GOLDEN_V4 + ".cki", "rb") as handle:
+        sections, _crc = read_container_trailer(handle.read())
+    return sections[SECTION_DEP_INDEX]
 
 
-def _root_over_leaves(shard_of_pid, num_shards: int):
-    """A one-level tree: a root region over one leaf per shard, each
-    shard its own scope."""
-    return ([-1] + [0] * num_shards, [0] + [3] * num_shards,
-            list(range(1, num_shards + 1)), shard_of_pid,
-            [[shard] for shard in range(num_shards)])
-
-
-def _with_legacy_tree(blob: bytes, tree) -> bytes:
-    """``blob`` with the separator-tree trailer an older writer put
-    behind the version-2 presence byte: the parent, kind, shard → leaf
-    and pid → shard lists of ``tree``, then its scopes.  Every int
-    list is a count then ``value + 1`` varints."""
-    from repro.core.binio import write_varint
-
-    def int_list(out, items):
-        write_varint(out, len(items))
-        for item in items:
-            write_varint(out, item + 1)
-
-    parent, kind, node_of_shard, shard_of_pid, scopes = tree
-    out = bytearray(blob)
-    assert out[-1] == 0  # This writer's tree-absent presence byte.
-    out[-1] = 1
-    for items in (parent, kind, node_of_shard, shard_of_pid):
-        int_list(out, items)
-    write_varint(out, len(scopes))
-    for scope in scopes:
-        int_list(out, scope)
-    return bytes(out)
-
-
-class TestSeparatorTreeTrailer:
-    """The version-2 trailer once held the call graph's separator
-    tree.  The writer emits only the presence byte, as 0; the reader
-    accepts version-1 blobs (no byte) and never interprets a tree an
-    older writer left behind."""
-
-    def test_writer_emits_no_tree(self):
-        _summary, index = _indexed_summary(pretty(generate_program(NESTED)))
-        blob = index_to_bytes(index)
-        assert blob[len(INDEX_MAGIC)] == INDEX_FORMAT_VERSION == 2
-        assert blob[-1] == 0  # The tree-absent presence byte.
-
-    def test_version_1_blob_reads_with_tree_fields_none(self):
-        """A version-1 blob, which never had tree fields, reads back
-        as the same index."""
-        _summary, index = _indexed_summary(patterns.chain(5))
-        blob = bytearray(index_to_bytes(index))
-        # A version-1 blob is exactly this minus the presence byte.
-        blob[len(INDEX_MAGIC)] = 1
-        assert index_from_bytes(bytes(blob[:-1])) == index
-
-    def test_tree_fields_populated_and_sound(self):
-        """A populated, sound tree an older writer persisted loads as
-        the tree-less index: no tree field survives the read."""
-        from dataclasses import fields
-
-        parent, kind, node_of_shard, shard_of_pid, scopes = ISLANDS_TREE
-        _summary, index = _indexed_summary(_two_island_source(12))
-        # The recorded tree is the well-formed one an older writer
-        # built for this program, not a corrupt trailer.
-        num_shards = len(node_of_shard)
-        assert parent.count(-1) == 1 and len(parent) == len(kind)
-        assert all(kind[node] == 3 for node in node_of_shard)
-        assert len(shard_of_pid) == len(index.proc_names)
-        assert all(0 <= shard < num_shards for shard in shard_of_pid)
-        assert all(shard in scope for shard, scope in enumerate(scopes))
-
-        loaded = index_from_bytes(
-            _with_legacy_tree(index_to_bytes(index), ISLANDS_TREE))
-        assert loaded == index
-        assert not any(f.name.startswith("tree_") for f in fields(loaded))
-
-    def test_tree_scoped_update_matches_full_scan_region(self):
-        """An update from a blob carrying an older writer's tree and
-        one from the same blob without it agree on the re-solve region
-        and the bytes: the caller scan is the whole call graph either
-        way."""
-        base = _two_island_source(12)
-        edited = base.replace("ga := 1", "ga := 1\n    gc := 1")
-        assert edited != base
-        _old, index = _indexed_summary(base)
-        blob = index_to_bytes(index)
-
-        treed, treed_stats = incremental_update_from_index(
-            index_from_bytes(_with_legacy_tree(blob, ISLANDS_TREE)),
-            compile_source(edited), reloaded=True)
-        full, full_stats = incremental_update_from_index(
-            index_from_bytes(blob), compile_source(edited), reloaded=True)
-
-        assert summary_to_bytes(treed) == summary_to_bytes(full)
-        assert summary_to_bytes(full) == summary_to_bytes(
-            analyze_side_effects(edited))
-        assert treed_stats.region_procs == full_stats.region_procs
-        assert 0 < full_stats.region_procs < full_stats.total_procs
-
-    def test_out_of_range_legacy_tree_is_ignored(self):
-        """A well-formed trailer whose pid → shard map names a shard
-        past its two scopes once crashed the next update with an
-        ``IndexError``.  Now it loads as the tree-less index, and an
-        update from it equals a scratch solve."""
-        source = pretty(generate_program(NESTED))
-        _summary, index = _indexed_summary(source)
-        num_procs = len(index.proc_names)
-        shard_of_pid = [0] * (num_procs - 1) + [num_procs + 6]
-        blob = _with_legacy_tree(
-            index_to_bytes(index), _root_over_leaves(shard_of_pid, 2))
-        loaded = index_from_bytes(blob)
-        assert loaded == index
-
-        edited = source.replace(":= 1", ":= 4", 1)
-        assert edited != source
-        updated, stats = incremental_update_from_index(
-            loaded, compile_source(edited), reloaded=True)
-        assert summary_to_bytes(updated) == summary_to_bytes(
-            analyze_side_effects(edited))
-        assert stats.index_reloaded and not stats.full_resolve
-        assert "tree_scoped" not in stats.to_dict()
-        assert "tree_scan_procs" not in stats.to_dict()
+def _aliased_source() -> str:
+    """Globals and formals bound together by reference, so every alias
+    rule fires and the partner tables are not empty."""
+    return pretty(generate_program(GeneratorConfig(
+        seed=3, num_procs=30, max_depth=3, nesting_prob=0.4,
+        prob_arg_global=0.4)))

@@ -151,7 +151,7 @@ def _assert_one_call_condensation(resolved, tag):
     arena = get_arena(resolved)
     counts = dict(arena.condensation_counts)
     record = arena.call_condensation()
-    build_dependency_index(summary, arena)
+    build_dependency_index(summary)  # Reads the cached arena.
     DependenceTester(resolved)
     assert arena.condensation_counts == counts, tag
     csr = arena.call_csr

@@ -38,7 +38,11 @@ import pytest
 
 from repro.baselines.alias_pairs import compute_alias_pairs
 from repro.baselines.per_kind import analyze_per_kind
-from repro.core.incremental import incremental_update
+from repro.core.depindex import index_from_bytes, index_to_bytes
+from repro.core.incremental import (
+    incremental_update,
+    incremental_update_from_index,
+)
 from repro.core.persist import summary_to_bytes, summary_to_dict
 from repro.core.pipeline import analyze_side_effects
 from repro.lang.nodes import (
@@ -264,24 +268,42 @@ def test_edit_sequence_oracle(config, seed):
     """20 random edits; after each, the chained incremental summary is
     byte-identical to from-scratch analyses by the fused solver and
     the per-kind oracle, and its alias tables (carried, remapped or
-    re-derived) equal the pair-set oracle's."""
+    re-derived) equal the pair-set oracle's.
+
+    Each step also runs the restarted daemon's path: the predecessor's
+    index through ``index_to_bytes`` → ``index_from_bytes``, then
+    :func:`incremental_update_from_index` on it.  That update must meet
+    the same oracles and report the same statistics, apart from
+    ``index_reloaded``."""
     fuzzer = EditFuzzer(config, seed)
     summary = analyze_side_effects(pretty(fuzzer.program))
     for step in range(20):
         op = fuzzer.step()
         source = pretty(fuzzer.program)
-        summary, stats = incremental_update(summary, compile_source(source))
-        got = summary_to_bytes(summary)
+        previous = summary
+        summary, stats = incremental_update(previous, compile_source(source))
+        reloaded, reloaded_stats = incremental_update_from_index(
+            index_from_bytes(index_to_bytes(previous.dep_index)),
+            compile_source(source),
+            reloaded=True,
+        )
         fused = summary_to_bytes(analyze_side_effects(source))
         legacy = summary_to_bytes(analyze_per_kind(compile_source(source)))
         context = "step %d (%s), config seed %d, fuzz seed %d" % (
             step, op, config.seed, seed)
-        assert got == fused, "fused-path divergence at " + context
-        assert got == legacy, "legacy-path divergence at " + context
-        oracle = compute_alias_pairs(summary.resolved, summary.universe)
-        assert summary.aliases.partner_mask == oracle.partner_mask, context
-        assert summary.aliases.domain_mask == oracle.domain_mask, context
+        for path, updated in (("live", summary), ("reloaded", reloaded)):
+            where = "%s update, %s" % (path, context)
+            got = summary_to_bytes(updated)
+            assert got == fused, "fused-path divergence at " + where
+            assert got == legacy, "legacy-path divergence at " + where
+            oracle = compute_alias_pairs(updated.resolved, updated.universe)
+            assert updated.aliases.partner_mask == oracle.partner_mask, where
+            assert updated.aliases.domain_mask == oracle.domain_mask, where
         assert stats.total_procs == summary.resolved.num_procs
+        assert not stats.full_resolve and not reloaded_stats.full_resolve
+        assert reloaded_stats.index_reloaded and not stats.index_reloaded
+        reloaded_stats.index_reloaded = False
+        assert reloaded_stats == stats, context
 
 
 def test_fuzzer_is_reproducible():

@@ -642,8 +642,11 @@ end
 
     def test_earlier_state_file_with_lane_sections_restores(self, tmp_path):
         """A state file an earlier build wrote, with its lane sections,
-        still restores its session: the next update reloads the index,
-        keeps the lanes its metadata names and re-solves them."""
+        still restores its session.  Its dependency index is format 2,
+        which this reader refuses, so the next update is the documented
+        downgrade: a full re-solve (``full_resolve``) whose summary
+        equals a scratch solve, keeping the lanes its metadata names and
+        re-solving them."""
         import shutil
 
         from repro.server import ServerClient, ServerConfig, ServerThread
@@ -661,11 +664,11 @@ end
             with ServerClient(port=handle.port) as c:
                 reply = c.update("golden", edited)
         assert reply["update_stats"]["index_reloaded"] is True
+        assert reply["update_stats"]["full_resolve"] is True
         assert reply["session"]["lanes"] == list(lanes)
-        reference = analyze_side_effects(edited, lanes=lanes)
-        assert _canon(reply["lanes"]) == _canon(
-            payload_from_summary(reference)["lanes"]
-        )
+        reference = payload_from_summary(analyze_side_effects(edited, lanes=lanes))
+        assert _canon(reply["summary"]) == _canon(reference["summary"])
+        assert _canon(reply["lanes"]) == _canon(reference["lanes"])
 
     def test_update_keeps_lanes_across_a_restart(self, tmp_path):
         """A laned session keeps its lanes through ``update``, in memory
@@ -709,5 +712,6 @@ end
             with ServerClient(port=handle.port) as c:
                 reply = c.update("laned", self.SOURCE)
                 assert reply["update_stats"]["index_reloaded"] is True
+                assert reply["update_stats"]["full_resolve"] is False
                 assert reply["session"]["lanes"] == list(lanes)
                 check(c, reply, self.SOURCE, path)

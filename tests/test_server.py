@@ -687,6 +687,7 @@ class TestSessionPersistence:
             with ServerClient(port=h.port) as c:
                 response = c.update("persist", self.BASE)
                 assert response["update_stats"]["index_reloaded"] is True
+                assert response["update_stats"]["full_resolve"] is False
                 assert canon(response["summary"]) == canon(
                     scratch_summary(self.BASE))
 
@@ -871,6 +872,7 @@ class TestOffTheLoop:
                 assert canon(hit["summary"]) == canon(scratch_summary(self.BASE))
                 reply = c.update("s", self.EDIT)  # Restart, then update.
                 assert reply["update_stats"]["index_reloaded"] is True
+                assert reply["update_stats"]["full_resolve"] is False
         assert {name for name, _thread in threads} == {
             "get", "put", "_load_session_state"
         }
@@ -920,4 +922,5 @@ class TestOffTheLoop:
             with ServerClient(port=h.port) as c:
                 reply = c.update("s", self.EDIT)
         assert reply["update_stats"]["index_reloaded"] is True
+        assert reply["update_stats"]["full_resolve"] is False
         assert canon(reply["summary"]) == canon(scratch_summary(self.EDIT))
