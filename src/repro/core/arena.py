@@ -22,19 +22,29 @@ at 10k-procedure scale it *loses* to the per-kind path on big-int byte
 traffic.)  The only packed state is RMOD's per-β-node booleans, which
 fit ``K`` *bits* per node.
 
-Everything here is plain ints and lists: the arena pickles (so a
-cached lowering can cross a process boundary with the program) and is
-cheap to build — one sweep over the call sites and one over β.
+There is one lowering.  It walks the call sites once, in site order,
+into flat tables, and derives β's edges, both CSR forms and both graph
+objects (``CallMultiGraph``, ``BindingMultiGraph``) from those tables —
+the paper's one sweep of the call sites (§3.1).  An incremental update
+runs the same lowering with the previous version's dependency index as
+a donor (:func:`patch_arena`): the rows of every site the edit left
+alone are copied instead of walked.  ``build_call_graph`` and
+``build_binding_graph`` stay the paper's reference constructions; the
+differential tests hold the arena equal to them.
+
+Everything here is plain ints and lists, so the arena pickles: a
+cached lowering can cross a process boundary with the program.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.local import LocalAnalysis, lmod_of, luse_of
 from repro.core.varsets import EffectKind, VariableUniverse
-from repro.graphs.binding import BindingMultiGraph, build_binding_graph
-from repro.graphs.callgraph import CallMultiGraph, build_call_graph
+from repro.graphs.binding import BindingMultiGraph
+from repro.graphs.callgraph import CallMultiGraph
 from repro.graphs.scc import tarjan_scc_csr
 from repro.lang.symbols import ResolvedProgram
 
@@ -63,6 +73,20 @@ class CSRGraph:
         self.succ = succ
         self.edge_site = edge_site
 
+    @classmethod
+    def from_adjacency(
+        cls, successors: List[List[int]], edge_sites: List[List[int]]
+    ) -> "CSRGraph":
+        """Flatten a list-of-lists adjacency and its aligned site ids."""
+        heads = [0]
+        heads += accumulate(map(len, successors))
+        return cls(
+            len(successors),
+            heads,
+            list(chain.from_iterable(successors)),
+            list(chain.from_iterable(edge_sites)),
+        )
+
     @property
     def num_edges(self) -> int:
         return len(self.succ)
@@ -80,65 +104,144 @@ class CSRGraph:
 class ProgramArena:
     """Shared flat lowering of one resolved program (see module doc).
 
-    Build with :func:`get_arena` (cached) or :meth:`ProgramArena.build`.
+    ``ProgramArena(resolved)`` lowers from scratch; :func:`get_arena`
+    caches one per program, and :func:`patch_arena` lowers an edited
+    program against its previous version's dependency index.
     """
 
     def __init__(self, resolved: ResolvedProgram):
+        universe = VariableUniverse(resolved)
+        self._lower(resolved, universe, LocalAnalysis(resolved, universe))
+
+    def _lower(
+        self,
+        resolved: ResolvedProgram,
+        universe: VariableUniverse,
+        local: LocalAnalysis,
+        donor=None,
+        site_map: Sequence[int] = (),
+    ) -> None:
+        """The one lowering: a single pass over ``resolved.call_sites``
+        fills the flat site tables, and β, both CSRs and both graph
+        objects are derived from those tables.
+
+        With a ``donor`` (see :func:`patch_arena`), each run of sites
+        that ``site_map`` maps onto consecutive donor sites copies the
+        donor's rows instead of walking the call statements.
+        """
         self.resolved = resolved
-        self.universe = VariableUniverse(resolved)
-        self.call_graph = build_call_graph(resolved)
-        self.binding_graph = build_binding_graph(resolved)
-        self.local = LocalAnalysis(resolved, self.universe)
-
+        self.universe = universe
+        self.local = local
         #: Variable-universe width in bits (mask width of every lane).
-        self.width = max(1, self.universe.size)
+        self.width = max(1, universe.size)
 
-        heads, succ, edge_site = self.call_graph.to_csr()
-        self.call_csr = CSRGraph(self.call_graph.num_nodes, heads, succ, edge_site)
-        heads, succ, edge_site = self.binding_graph.to_csr()
-        self.beta_csr = CSRGraph(
-            self.binding_graph.num_formals, heads, succ, edge_site
-        )
-
-        # β node attributes as parallel arrays (owner pid, variable uid)
+        # β's nodes are the program's formals, procedure by procedure;
+        # their attributes as parallel arrays (owner pid, variable uid)
         # so the RMOD sweeps never touch a VarSymbol.
-        self.beta_formal_pid: List[int] = []
-        self.beta_formal_uid: List[int] = []
-        for formal in self.binding_graph.formals:
-            self.beta_formal_pid.append(formal.proc.pid)
-            self.beta_formal_uid.append(formal.uid)
+        formals = []
+        node_of_uid: Dict[int, int] = {}
+        for proc in resolved.procs:
+            for formal in proc.formals:
+                node_of_uid[formal.uid] = len(formals)
+                formals.append(formal)
+        self.beta_formal_pid = [formal.proc.pid for formal in formals]
+        self.beta_formal_uid = [formal.uid for formal in formals]
 
         # Per-call-site flat tables.  The by-reference bindings of site
         # ``s`` occupy ``ref_*[site_ref_heads[s]:site_ref_heads[s+1]]``.
-        num_sites = resolved.num_call_sites
-        self.site_caller: List[int] = [0] * num_sites
-        self.site_callee: List[int] = [0] * num_sites
+        call_sites = resolved.call_sites
+        num_sites = len(call_sites)
+        site_caller: List[int] = []
+        site_callee: List[int] = []
         #: LMOD/LUSE of the call statement itself (subscript/value-arg
         #: evaluation) — equation (2)'s ``LMOD(s)`` term.
-        self.site_lmod: List[int] = [0] * num_sites
-        self.site_luse: List[int] = [0] * num_sites
-        self.site_ref_heads: List[int] = [0] * (num_sites + 1)
-        self.ref_formal_uid: List[int] = []
-        self.ref_base_uid: List[int] = []
-        #: β node id of the bound formal (for RMOD lookups).
-        self.ref_formal_node: List[int] = []
-        node_of_uid = self.binding_graph.node_of_uid
-        for site in resolved.call_sites:
-            sid = site.site_id
-            self.site_caller[sid] = site.caller.pid
-            self.site_callee[sid] = site.callee.pid
-            self.site_lmod[sid] = lmod_of(site.stmt)
-            self.site_luse[sid] = luse_of(site.stmt)
-        for site in resolved.call_sites:
-            formals = site.callee.formals
+        site_lmod: List[int] = []
+        site_luse: List[int] = []
+        ref_heads = [0]
+        ref_formal_uid: List[int] = []
+        ref_base_uid: List[int] = []
+        sid = 0
+        while sid < num_sites:
+            old = site_map[sid] if site_map else -1
+            if old >= 0:
+                # The donor still holds this site's rows: copy the longest
+                # run of sites mapped to consecutive donor sites in one
+                # go, its ref heads shifted to where its refs now start.
+                end = sid + 1
+                while end < num_sites and site_map[end] == old + end - sid:
+                    end += 1
+                old_end = old + end - sid
+                site_caller += donor.site_caller[old:old_end]
+                site_callee += donor.site_callee[old:old_end]
+                site_lmod += donor.site_lmod[old:old_end]
+                site_luse += donor.site_luse[old:old_end]
+                lo = donor.site_ref_heads[old]
+                hi = donor.site_ref_heads[old_end]
+                run_heads = donor.site_ref_heads[old + 1:old_end + 1]
+                shift = len(ref_formal_uid) - lo
+                ref_heads += [h + shift for h in run_heads] if shift else run_heads
+                ref_formal_uid += donor.ref_formal_uid[lo:hi]
+                ref_base_uid += donor.ref_base_uid[lo:hi]
+                sid = end
+                continue
+            site = call_sites[sid]
+            callee = site.callee
+            site_caller.append(site.caller.pid)
+            site_callee.append(callee.pid)
+            site_lmod.append(lmod_of(site.stmt))
+            site_luse.append(luse_of(site.stmt))
             for binding in site.bindings:
-                if not binding.by_reference:
-                    continue
-                formal = formals[binding.position]
-                self.ref_formal_uid.append(formal.uid)
-                self.ref_base_uid.append(binding.base.uid)
-                self.ref_formal_node.append(node_of_uid[formal.uid])
-            self.site_ref_heads[site.site_id + 1] = len(self.ref_formal_uid)
+                if binding.by_reference:
+                    ref_formal_uid.append(callee.formals[binding.position].uid)
+                    ref_base_uid.append(binding.base.uid)
+            ref_heads.append(len(ref_formal_uid))
+            sid += 1
+        self.site_caller = site_caller
+        self.site_callee = site_callee
+        self.site_lmod = site_lmod
+        self.site_luse = site_luse
+        self.site_ref_heads = ref_heads
+        self.ref_formal_uid = ref_formal_uid
+        self.ref_base_uid = ref_base_uid
+        #: β node id of the bound formal (for RMOD lookups).
+        self.ref_formal_node = [node_of_uid[uid] for uid in ref_formal_uid]
+
+        # β's edges, one per binding event in site order: a base bound
+        # by reference is an edge source exactly when it is a formal.
+        get_node = node_of_uid.get
+        ref_node = self.ref_formal_node
+        beta_succ: List[List[int]] = [[] for _ in formals]
+        beta_sites: List[List[int]] = [[] for _ in formals]
+        for sid in range(num_sites):
+            for r in range(ref_heads[sid], ref_heads[sid + 1]):
+                source = get_node(ref_base_uid[r])
+                if source is not None:
+                    beta_succ[source].append(ref_node[r])
+                    beta_sites[source].append(sid)
+        self.binding_graph = BindingMultiGraph(
+            resolved=resolved,
+            formals=formals,
+            node_of_uid=node_of_uid,
+            successors=beta_succ,
+        )
+        self.beta_csr = CSRGraph.from_adjacency(beta_succ, beta_sites)
+
+        # The call multi-graph: one edge per site, in site order.
+        num_procs = resolved.num_procs
+        call_succ: List[List[int]] = [[] for _ in range(num_procs)]
+        call_sids: List[List[int]] = [[] for _ in range(num_procs)]
+        preds: List[List[int]] = [[] for _ in range(num_procs)]
+        for sid, caller, callee in zip(range(num_sites), site_caller, site_callee):
+            call_succ[caller].append(callee)
+            call_sids[caller].append(sid)
+            preds[callee].append(caller)
+        self.call_graph = CallMultiGraph(
+            resolved=resolved,
+            successors=call_succ,
+            edge_sites=[[call_sites[sid] for sid in sids] for sids in call_sids],
+            predecessors=preds,
+        )
+        self.call_csr = CSRGraph.from_adjacency(call_succ, call_sids)
 
         #: How many ``tarjan_scc``-equivalent passes have run per graph
         #: ("beta" and "call").  Cached condensations do not re-count —
@@ -148,12 +251,6 @@ class ProgramArena:
         self.condensation_counts: Dict[str, int] = {}
         self._scc: Dict[str, Tuple[List[int], List[List[int]]]] = {}
         self._strip: Optional[List[int]] = None
-
-    # -- construction ---------------------------------------------------------
-
-    @classmethod
-    def build(cls, resolved: ResolvedProgram) -> "ProgramArena":
-        return cls(resolved)
 
     # -- shared condensations -------------------------------------------------
 
@@ -224,11 +321,10 @@ def patch_arena(
     donor,
     dirty_pids: Sequence[int],
     site_map: Sequence[int],
-    fast: bool = False,
 ) -> ProgramArena:
-    """Build an arena for ``new_resolved`` by splicing a previous
-    version's flat site tables instead of re-walking every call
-    statement.
+    """Lower ``new_resolved`` against a previous version's tables: the
+    same lowering as :class:`ProgramArena`, with the donor's rows copied
+    for every site it still holds.
 
     ``donor`` is anything exposing the previous version's tables —
     in practice a :class:`~repro.core.depindex.DependencyIndex` —
@@ -237,32 +333,22 @@ def patch_arena(
     ``imod_plain``/``iuse_plain`` (per-pid masks) and
     ``site_caller``/``site_callee``/``site_lmod``/``site_luse``/
     ``site_ref_heads``/``ref_formal_uid``/``ref_base_uid`` (per old
-    site id).  ``site_map[new_sid]`` gives the old site id whose tables
-    are still valid (same caller, same statement) or ``-1`` to
-    recompute — the caller guarantees mapped sites belong to procedures
-    whose bodies did not change.
+    site id).  ``site_map[new_sid]`` gives the old site id whose rows
+    are still valid (same caller, same statement) or ``-1`` to walk the
+    site — the caller guarantees mapped sites belong to procedures
+    whose bodies did not change.  The universe and the local rows are
+    spliced from the donor, re-deriving only ``dirty_pids``.
 
     Precondition (checked by the caller): the pid and uid spaces of
     both versions are identical — qualified procedure and variable name
     lists match positionally.
 
-    ``fast`` asserts a stronger precondition the incremental engine
-    proves before calling: every site id is unchanged (per-caller site
-    counts survived the edit) *and* every edited procedure is
-    binding-clean (callees and by-reference bindings intact, ordinal
-    for ordinal).  The donor's site tables are then valid wholesale —
-    bulk list copies instead of a per-site splice — and both graphs'
-    CSR forms are derived straight from the flat binding tables; only
-    the ``LMOD``/``LUSE`` of the edited procedures' own call statements
-    (their subscript expressions may have changed) are re-walked.
-
-    The result is field-for-field identical to ``ProgramArena.build``
-    on the same program — the patched-arena differential test asserts
-    it — so every downstream solver is oblivious to the splice.
+    The result is field-for-field identical to ``ProgramArena`` on the
+    same program — ``tests/test_incremental_fuzz.py::
+    test_edit_sequence_oracle`` asserts it after every edit — so every
+    downstream solver is oblivious to the splice.
     """
-    arena = object.__new__(ProgramArena)
-    arena.resolved = new_resolved
-    arena.universe = VariableUniverse.spliced(
+    universe = VariableUniverse.spliced(
         new_resolved,
         donor.universe_global,
         donor.universe_local,
@@ -270,164 +356,11 @@ def patch_arena(
         donor.universe_level,
         dirty_pids,
     )
-    arena.local = LocalAnalysis.patched(
-        new_resolved, arena.universe, donor.imod_plain, donor.iuse_plain,
-        dirty_pids,
+    local = LocalAnalysis.patched(
+        new_resolved, universe, donor.imod_plain, donor.iuse_plain, dirty_pids
     )
-    arena.width = max(1, arena.universe.size)
-    num_sites = new_resolved.num_call_sites
-    num_procs = new_resolved.num_procs
-
-    if fast:
-        # -- site tables: valid wholesale (see docstring) -------------
-        arena.site_caller = list(donor.site_caller)
-        arena.site_callee = list(donor.site_callee)
-        arena.site_lmod = list(donor.site_lmod)
-        arena.site_luse = list(donor.site_luse)
-        arena.site_ref_heads = list(donor.site_ref_heads)
-        arena.ref_formal_uid = list(donor.ref_formal_uid)
-        arena.ref_base_uid = list(donor.ref_base_uid)
-        dirty_set = set(dirty_pids)
-        call_sites = new_resolved.call_sites
-        for sid, caller in enumerate(arena.site_caller):
-            if caller in dirty_set:
-                stmt = call_sites[sid].stmt
-                arena.site_lmod[sid] = lmod_of(stmt)
-                arena.site_luse[sid] = luse_of(stmt)
-
-        # -- β nodes: one formals walk; edges straight from the flat
-        # ref tables (a by-reference base is an edge source exactly
-        # when it is itself a formal), in site order — the same event
-        # sequence build_binding_graph + to_csr would produce.
-        formals_list = []
-        node_of_uid: Dict[int, int] = {}
-        for proc in new_resolved.procs:
-            for formal in proc.formals:
-                node_of_uid[formal.uid] = len(formals_list)
-                formals_list.append(formal)
-        num_nodes = len(formals_list)
-        get_node = node_of_uid.get
-        arena.ref_formal_node = [
-            node_of_uid[uid] for uid in arena.ref_formal_uid
-        ]
-        succ_lists: List[List[int]] = [[] for _ in range(num_nodes)]
-        site_lists: List[List[int]] = [[] for _ in range(num_nodes)]
-        ref_heads = arena.site_ref_heads
-        ref_base = arena.ref_base_uid
-        ref_node = arena.ref_formal_node
-        for sid in range(num_sites):
-            for r in range(ref_heads[sid], ref_heads[sid + 1]):
-                source = get_node(ref_base[r])
-                if source is not None:
-                    succ_lists[source].append(ref_node[r])
-                    site_lists[source].append(sid)
-        arena.binding_graph = BindingMultiGraph(
-            resolved=new_resolved,
-            formals=formals_list,
-            node_of_uid=node_of_uid,
-            successors=succ_lists,
-        )
-        heads = [0] * (num_nodes + 1)
-        succ: List[int] = []
-        edge_site: List[int] = []
-        for node in range(num_nodes):
-            succ.extend(succ_lists[node])
-            edge_site.extend(site_lists[node])
-            heads[node + 1] = len(succ)
-        arena.beta_csr = CSRGraph(num_nodes, heads, succ, edge_site)
-
-        # -- call multi-graph from the flat tables, same edge order as
-        # build_call_graph's call-site sweep.
-        call_succ: List[List[int]] = [[] for _ in range(num_procs)]
-        call_sids: List[List[int]] = [[] for _ in range(num_procs)]
-        preds: List[List[int]] = [[] for _ in range(num_procs)]
-        site_caller = arena.site_caller
-        site_callee = arena.site_callee
-        for sid in range(num_sites):
-            caller = site_caller[sid]
-            callee = site_callee[sid]
-            call_succ[caller].append(callee)
-            call_sids[caller].append(sid)
-            preds[callee].append(caller)
-        arena.call_graph = CallMultiGraph(
-            resolved=new_resolved,
-            successors=call_succ,
-            edge_sites=[
-                [call_sites[sid] for sid in sids] for sids in call_sids
-            ],
-            predecessors=preds,
-        )
-        heads = [0] * (num_procs + 1)
-        succ = []
-        edge_site = []
-        for pid in range(num_procs):
-            succ.extend(call_succ[pid])
-            edge_site.extend(call_sids[pid])
-            heads[pid + 1] = len(succ)
-        arena.call_csr = CSRGraph(num_procs, heads, succ, edge_site)
-    else:
-        arena.call_graph = build_call_graph(new_resolved)
-        arena.binding_graph = build_binding_graph(new_resolved)
-        heads, succ, edge_site = arena.call_graph.to_csr()
-        arena.call_csr = CSRGraph(num_procs, heads, succ, edge_site)
-        heads, succ, edge_site = arena.binding_graph.to_csr()
-        arena.beta_csr = CSRGraph(
-            arena.binding_graph.num_formals, heads, succ, edge_site
-        )
-
-        arena.site_caller = [0] * num_sites
-        arena.site_callee = [0] * num_sites
-        arena.site_lmod = [0] * num_sites
-        arena.site_luse = [0] * num_sites
-        arena.site_ref_heads = [0] * (num_sites + 1)
-        arena.ref_formal_uid = []
-        arena.ref_base_uid = []
-        arena.ref_formal_node = []
-        node_of_uid = arena.binding_graph.node_of_uid
-        donor_heads = donor.site_ref_heads
-        donor_formal = donor.ref_formal_uid
-        donor_base = donor.ref_base_uid
-        for site in new_resolved.call_sites:
-            sid = site.site_id
-            arena.site_caller[sid] = site.caller.pid
-            arena.site_callee[sid] = site.callee.pid
-            old_sid = site_map[sid]
-            if old_sid >= 0:
-                arena.site_lmod[sid] = donor.site_lmod[old_sid]
-                arena.site_luse[sid] = donor.site_luse[old_sid]
-            else:
-                arena.site_lmod[sid] = lmod_of(site.stmt)
-                arena.site_luse[sid] = luse_of(site.stmt)
-        for site in new_resolved.call_sites:
-            old_sid = site_map[site.site_id]
-            if old_sid >= 0:
-                lo = donor_heads[old_sid]
-                hi = donor_heads[old_sid + 1]
-                for r in range(lo, hi):
-                    formal_uid = donor_formal[r]
-                    arena.ref_formal_uid.append(formal_uid)
-                    arena.ref_base_uid.append(donor_base[r])
-                    arena.ref_formal_node.append(node_of_uid[formal_uid])
-            else:
-                formals = site.callee.formals
-                for binding in site.bindings:
-                    if not binding.by_reference:
-                        continue
-                    formal = formals[binding.position]
-                    arena.ref_formal_uid.append(formal.uid)
-                    arena.ref_base_uid.append(binding.base.uid)
-                    arena.ref_formal_node.append(node_of_uid[formal.uid])
-            arena.site_ref_heads[site.site_id + 1] = len(arena.ref_formal_uid)
-
-    arena.beta_formal_pid = []
-    arena.beta_formal_uid = []
-    for formal in arena.binding_graph.formals:
-        arena.beta_formal_pid.append(formal.proc.pid)
-        arena.beta_formal_uid.append(formal.uid)
-
-    arena.condensation_counts = {}
-    arena._scc = {}
-    arena._strip = None
+    arena = ProgramArena.__new__(ProgramArena)
+    arena._lower(new_resolved, universe, local, donor, site_map)
     return arena
 
 

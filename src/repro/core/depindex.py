@@ -103,18 +103,6 @@ def fingerprint_digest(proc: ProcSymbol) -> bytes:
     return hashlib.sha256(fingerprint_text(proc).encode("utf-8")).digest()
 
 
-def fingerprints_equal(old_proc: ProcSymbol, new_proc: ProcSymbol) -> bool:
-    """Structural equality of two procedure versions.
-
-    Token hashes are compared only when *both* sides have them; a
-    mixed pair (one parsed, one AST-built) falls back to the exact
-    text fingerprint so programmatic edits still diff precisely.
-    """
-    if old_proc.token_hash and new_proc.token_hash:
-        return old_proc.token_hash == new_proc.token_hash
-    return fingerprint_text(old_proc) == fingerprint_text(new_proc)
-
-
 @dataclass
 class DependencyIndex:
     """Self-contained re-solve state for one analyzed program version.

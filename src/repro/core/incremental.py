@@ -60,19 +60,12 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.aliases import Carried, compute_aliases
-from repro.core.arena import (
-    ProgramArena,
-    get_arena,
-    install_arena,
-    patch_arena,
-    peek_arena,
-)
+from repro.core.arena import get_arena, install_arena, patch_arena, peek_arena
 from repro.core.bitvec import OpCounter, iter_bits, mask_of
 from repro.core.depindex import (
     DependencyIndex,
     build_dependency_index,
     fingerprint_digest,
-    fingerprints_equal,
 )
 from repro.core.persist import carry_render
 from repro.core.rmod import RmodResult
@@ -149,35 +142,12 @@ class UpdateStats:
         }
 
 
-def dirty_procedures(old: ResolvedProgram, new: ResolvedProgram) -> Set[str]:
-    """Qualified names of procedures that differ between versions
-    (changed body/signature, added, or removed — a removed procedure
-    dirties its former parent so the region is grown from a node that
-    still exists)."""
-    old_procs = {proc.qualified_name: proc for proc in old.procs}
-    new_procs = {proc.qualified_name: proc for proc in new.procs}
-    dirty: Set[str] = set()
-    for name, new_proc in new_procs.items():
-        old_proc = old_procs.get(name)
-        if old_proc is None:
-            dirty.add(name)
-        elif not fingerprints_equal(old_proc, new_proc):
-            dirty.add(name)
-    for name, old_proc in old_procs.items():
-        if name not in new_procs:
-            parent = old_proc.parent
-            while parent is not None and parent.qualified_name not in new_procs:
-                parent = parent.parent
-            if parent is not None:
-                dirty.add(parent.qualified_name)
-            else:
-                dirty.add(new.main.qualified_name)
-    return dirty
-
-
 def _dirty_from_index(index: DependencyIndex, new: ResolvedProgram) -> Set[str]:
-    """:func:`dirty_procedures` against an index instead of the old AST
-    — the fingerprints were hashed at index-build time."""
+    """Qualified names of procedures that differ between the indexed
+    version and ``new`` (changed body/signature, added, or removed — a
+    removed procedure dirties its former parent so the region is grown
+    from a node that still exists).  The old side's fingerprints were
+    hashed at index-build time."""
     dirty: Set[str] = set()
     old_pid_of = {name: pid for pid, name in enumerate(index.proc_names)}
     new_names = set()
@@ -354,8 +324,8 @@ def incremental_update_from_index(
     # have changed and the call-site signatures are the whole story.  A
     # dirty procedure whose signature is intact is *binding-clean* —
     # its edit cannot perturb RMOD or aliases anywhere.  Computed from
-    # the edited AST (dirty procedures only) *before* the arena, so the
-    # arena patch itself can exploit an all-clean edit.
+    # the edited AST (dirty procedures only); the binding-dirty set
+    # seeds the RMOD re-solve and the alias cone below.
     if patchable:
         binding_dirty: Set[int] = set()
         old_ref_heads = index.site_ref_heads
@@ -393,15 +363,7 @@ def incremental_update_from_index(
     arena = peek_arena(new_resolved)
     if arena is None:
         if patchable:
-            # All-binding-clean edits with stable site ids let the
-            # patch bulk-copy the donor's site tables outright.
-            fast = (
-                not binding_dirty
-                and old_sites_by_caller == new_sites_by_caller
-            )
-            arena = patch_arena(
-                new_resolved, index, dirty_pids, site_map, fast=fast
-            )
+            arena = patch_arena(new_resolved, index, dirty_pids, site_map)
             install_arena(new_resolved, arena)
         else:
             arena = get_arena(new_resolved)

@@ -31,7 +31,7 @@ their initial values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.lang.symbols import CallSite, ResolvedProgram, VarSymbol
 
@@ -59,10 +59,10 @@ class BindingMultiGraph:
     #: successors[node] -> target node ids (one entry per binding event).
     successors: List[List[int]] = field(default_factory=list)
     #: Full edge records (edge list), or ``None`` when built lazily —
-    #: the incremental arena patch derives ``successors`` straight from
-    #: its flat binding tables and only materializes the ``BindingEdge``
-    #: objects if a consumer (DOT rendering, the sections solver)
-    #: actually asks for them.
+    #: the arena derives ``successors`` straight from its flat binding
+    #: tables and only materializes the ``BindingEdge`` objects if a
+    #: consumer (DOT rendering, the sections solver) actually asks for
+    #: them.
     _edges: Optional[List[BindingEdge]] = None
 
     @property
@@ -97,31 +97,6 @@ class BindingMultiGraph:
 
     def formal_at(self, node: int) -> VarSymbol:
         return self.formals[node]
-
-    def to_csr(self) -> Tuple[List[int], List[int], List[int]]:
-        """Flatten to CSR arrays ``(heads, succ, edge_site)``.
-
-        ``succ[heads[n]:heads[n+1]]`` lists node ``n``'s targets in the
-        same order as ``successors[n]``; ``edge_site`` is aligned with
-        ``succ`` and holds the originating call site's ``site_id``.
-        """
-        site_of: Dict[Tuple[int, int], List[int]] = {}
-        for edge in self.edges:
-            key = (self.node_of(edge.source), self.node_of(edge.target))
-            site_of.setdefault(key, []).append(edge.site.site_id)
-        heads = [0] * (self.num_formals + 1)
-        succ: List[int] = []
-        edge_site: List[int] = []
-        taken: Dict[Tuple[int, int], int] = {}
-        for node, targets in enumerate(self.successors):
-            for target in targets:
-                key = (node, target)
-                index = taken.get(key, 0)
-                taken[key] = index + 1
-                succ.append(target)
-                edge_site.append(site_of[key][index])
-            heads[node + 1] = len(succ)
-        return heads, succ, edge_site
 
     def to_dot(self) -> str:
         """Render β in Graphviz DOT format (node labels are fp_i^p)."""

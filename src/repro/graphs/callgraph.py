@@ -9,7 +9,7 @@ parallel edges, exactly as in the paper.  All of the complexity bounds
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
 from repro.graphs.dfs import reachable_from
 from repro.lang.symbols import CallSite, ProcSymbol, ResolvedProgram
@@ -54,24 +54,6 @@ class CallMultiGraph:
     def unreachable_procs(self) -> List[ProcSymbol]:
         reachable = self.reachable_procs()
         return [proc for proc in self.resolved.procs if not reachable[proc.pid]]
-
-    def to_csr(self) -> "Tuple[List[int], List[int], List[int]]":
-        """Flatten to CSR arrays ``(heads, succ, edge_site)``.
-
-        ``succ[heads[p]:heads[p+1]]`` lists ``p``'s callee pids in the
-        same order as ``successors[p]``; ``edge_site`` is aligned with
-        ``succ`` and holds each edge's ``site_id``.
-        """
-        heads = [0] * (self.num_nodes + 1)
-        succ: List[int] = []
-        edge_site: List[int] = []
-        for pid, (targets, sites) in enumerate(
-            zip(self.successors, self.edge_sites)
-        ):
-            succ.extend(targets)
-            edge_site.extend(site.site_id for site in sites)
-            heads[pid + 1] = len(succ)
-        return heads, succ, edge_site
 
     def to_dot(self) -> str:
         """Render the graph in Graphviz DOT format."""

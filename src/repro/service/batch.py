@@ -160,15 +160,16 @@ class BatchReport:
 
 def _stop_workers(executor: ProcessPoolExecutor) -> None:
     """Shut ``executor`` down without waiting for the tasks it is still
-    running: terminate its worker processes and reap them.  The
-    executor offers no public way to stop its workers before Python
-    3.14's ``terminate_workers``, so this reads its process table."""
-    processes = list((executor._processes or {}).values())
-    executor.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
+    running: terminate its worker processes, then let the executor reap
+    them.  The executor offers no public way to stop its workers before
+    Python 3.14's ``terminate_workers``, so this reads its process
+    table.  Only the executor joins the workers: a second joiner races
+    its manager thread for each exit status, and the loser returns
+    before the winner records it, so a dead worker could stay listed in
+    ``multiprocessing.active_children()``."""
+    for process in list((executor._processes or {}).values()):
         process.terminate()
-    for process in processes:
-        process.join()
+    executor.shutdown(wait=True, cancel_futures=True)
 
 
 def discover_files(root: str, pattern: str = "*.ck") -> List[str]:

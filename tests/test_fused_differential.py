@@ -14,7 +14,8 @@ or a tally fails here first.
 Also covered: the arena's condensation accounting (exactly one
 ``tarjan_scc``-equivalent pass per graph per analysis, shared across
 kinds and across subsystems — the GMOD walk's components *are* the
-call graph's condensation), arena pickling, and a 50k-procedure
+call graph's condensation), the arena's lowering against the paper's
+reference graph constructions, arena pickling, and a 50k-procedure
 deep-chain regression guarding the iterative (non-recursive) graph
 traversals.
 """
@@ -26,10 +27,13 @@ import pickle
 import pytest
 
 from repro.baselines.per_kind import analyze_per_kind
-from repro.core.arena import clear_arena_cache, get_arena
+from repro.core.arena import ProgramArena, clear_arena_cache, get_arena
 from repro.core.depindex import build_dependency_index
+from repro.core.local import lmod_of, luse_of
 from repro.core.pipeline import analyze_side_effects
 from repro.core.varsets import EffectKind
+from repro.graphs.binding import build_binding_graph
+from repro.graphs.callgraph import build_call_graph
 from repro.graphs.scc import tarjan_scc_csr
 from repro.lang.semantic import compile_source
 from repro.sections.dependence import DependenceTester
@@ -184,6 +188,107 @@ def test_sections_and_partitioner_share_the_arena_condensation():
     tester = DependenceTester(resolved)  # Solves both MOD and USE.
     assert arena.snapshot_condensations() == base
     assert tester.mod.grs and tester.use.grs
+
+
+def _flatten(successors, edge_sites):
+    """CSR arrays of a list-of-lists graph, in its successor order."""
+    heads = [0]
+    succ = []
+    edge_site = []
+    for targets, sites in zip(successors, edge_sites):
+        succ.extend(targets)
+        edge_site.extend(sites)
+        heads.append(len(succ))
+    return heads, succ, edge_site
+
+
+def _assert_arena_matches_references(resolved, tag):
+    """A fresh arena equals the paper's reference constructions
+    (``build_call_graph``, ``build_binding_graph``) and a direct walk of
+    the call sites: graphs, both CSRs and the flat site tables."""
+    arena = ProgramArena(resolved)
+    calls = build_call_graph(resolved)
+    beta = build_binding_graph(resolved)
+
+    got = arena.call_graph
+    call_sites = [[s.site_id for s in sites] for sites in calls.edge_sites]
+    assert got.successors == calls.successors, tag
+    assert got.predecessors == calls.predecessors, tag
+    assert [[s.site_id for s in sites] for sites in got.edge_sites] == call_sites, tag
+    csr = arena.call_csr
+    assert csr.num_nodes == resolved.num_procs, tag
+    assert (csr.heads, csr.succ, csr.edge_site) == _flatten(
+        calls.successors, call_sites
+    ), tag
+
+    got = arena.binding_graph
+    assert got.formals == beta.formals, tag
+    assert got.node_of_uid == beta.node_of_uid, tag
+    assert got.successors == beta.successors, tag
+    assert got.edges == beta.edges, tag
+    assert arena.beta_formal_pid == [f.proc.pid for f in beta.formals], tag
+    assert arena.beta_formal_uid == [f.uid for f in beta.formals], tag
+    # β's CSR in binding-event order: each node's edges in the order
+    # its events occur, each with its site id.
+    targets = [[] for _ in beta.formals]
+    sites = [[] for _ in beta.formals]
+    for edge in beta.edges:
+        source = beta.node_of(edge.source)
+        targets[source].append(beta.node_of(edge.target))
+        sites[source].append(edge.site.site_id)
+    assert targets == beta.successors, tag
+    csr = arena.beta_csr
+    assert csr.num_nodes == len(beta.formals), tag
+    assert (csr.heads, csr.succ, csr.edge_site) == _flatten(targets, sites), tag
+
+    num_sites = resolved.num_call_sites
+    assert len(arena.site_ref_heads) == num_sites + 1, tag
+    assert arena.site_ref_heads[0] == 0, tag
+    assert arena.site_ref_heads[-1] == len(arena.ref_formal_uid), tag
+    assert len(arena.ref_base_uid) == len(arena.ref_formal_node) == len(
+        arena.ref_formal_uid
+    ), tag
+    for site in resolved.call_sites:
+        sid = site.site_id
+        where = (tag, sid)
+        assert arena.site_caller[sid] == site.caller.pid, where
+        assert arena.site_callee[sid] == site.callee.pid, where
+        assert arena.site_lmod[sid] == lmod_of(site.stmt), where
+        assert arena.site_luse[sid] == luse_of(site.stmt), where
+        formals = site.callee.formals
+        refs = [
+            (formals[b.position].uid, b.base.uid)
+            for b in site.bindings
+            if b.by_reference
+        ]
+        lo, hi = arena.site_ref_heads[sid], arena.site_ref_heads[sid + 1]
+        assert list(zip(arena.ref_formal_uid[lo:hi],
+                        arena.ref_base_uid[lo:hi])) == refs, where
+        assert arena.ref_formal_node[lo:hi] == [
+            beta.node_of_uid[formal_uid] for formal_uid, _ in refs
+        ], where
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=_config_id)
+def test_arena_matches_reference_graphs(config):
+    _assert_arena_matches_references(
+        generate_resolved(config), _config_id(config)
+    )
+
+
+def test_arena_matches_reference_graphs_corpus(corpus_programs):
+    for name, resolved in corpus_programs.items():
+        _assert_arena_matches_references(resolved, name)
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33, 34])
+def test_arena_matches_reference_graphs_nested(seed):
+    config = GeneratorConfig(
+        num_procs=30, num_globals=8, seed=seed, max_depth=4, nesting_prob=0.7
+    )
+    resolved = generate_resolved(config)
+    assert resolved.max_nesting_level >= 2
+    _assert_arena_matches_references(resolved, seed)
 
 
 def test_arena_pickle_round_trip():

@@ -5,7 +5,8 @@ import copy
 import pytest
 
 from repro import analyze_side_effects
-from repro.core.incremental import dirty_procedures, incremental_update
+from repro.core.depindex import build_dependency_index
+from repro.core.incremental import _dirty_from_index, incremental_update
 from repro.core.varsets import EffectKind
 from repro.lang.builder import ProgramBuilder
 from repro.lang.nodes import Assign, IntLit, VarRef
@@ -26,6 +27,14 @@ def assert_same_solution(incremental, scratch):
         assert left.dmod == right.dmod
         assert left.mod == right.mod
         assert left.rmod.node_value == right.rmod.node_value
+
+
+def dirty_procedures(old, new):
+    """The index diff an update runs: ``new`` against the index of
+    ``old``'s analysis."""
+    return _dirty_from_index(
+        build_dependency_index(analyze_side_effects(old)), new
+    )
 
 
 class TestDirtyDetection:

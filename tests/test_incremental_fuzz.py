@@ -38,6 +38,7 @@ import pytest
 
 from repro.baselines.alias_pairs import compute_alias_pairs
 from repro.baselines.per_kind import analyze_per_kind
+from repro.core.arena import ProgramArena, peek_arena
 from repro.core.depindex import index_from_bytes, index_to_bytes
 from repro.core.incremental import (
     incremental_update,
@@ -260,6 +261,40 @@ FUZZ_CASES = [
 ]
 
 
+def _assert_arenas_equal(got, want, where):
+    """Field-for-field equality of two arenas over the same program:
+    universe masks, local rows, site and ref tables, both CSRs and both
+    graphs."""
+    assert got is not None and got is not want, where
+    assert got.resolved is want.resolved, where
+    assert got.width == want.width, where
+    for field in ("size", "global_mask", "local_mask", "formal_mask",
+                  "level_mask"):
+        assert getattr(got.universe, field) == getattr(want.universe, field), (
+            where, "universe", field)
+    for field in ("imod_plain", "iuse_plain", "imod", "iuse"):
+        assert getattr(got.local, field) == getattr(want.local, field), (
+            where, "local", field)
+    for field in ("site_caller", "site_callee", "site_lmod", "site_luse",
+                  "site_ref_heads", "ref_formal_uid", "ref_base_uid",
+                  "ref_formal_node", "beta_formal_pid", "beta_formal_uid"):
+        assert getattr(got, field) == getattr(want, field), (where, field)
+    for name in ("call_csr", "beta_csr"):
+        left, right = getattr(got, name), getattr(want, name)
+        assert (left.num_nodes, left.heads, left.succ, left.edge_site) == (
+            right.num_nodes, right.heads, right.succ, right.edge_site
+        ), (where, name)
+    left, right = got.call_graph, want.call_graph
+    assert left.successors == right.successors, (where, "call successors")
+    assert left.predecessors == right.predecessors, (where, "call predecessors")
+    assert left.edge_sites == right.edge_sites, (where, "call edge sites")
+    left, right = got.binding_graph, want.binding_graph
+    assert left.formals == right.formals, (where, "β formals")
+    assert left.node_of_uid == right.node_of_uid, (where, "β node_of_uid")
+    assert left.successors == right.successors, (where, "β successors")
+    assert left.edges == right.edges, (where, "β edges")
+
+
 @pytest.mark.parametrize(
     "config, seed", FUZZ_CASES,
     ids=["small-a", "small-b", "medium", "nested"],
@@ -287,10 +322,15 @@ def test_edit_sequence_oracle(config, seed):
             compile_source(source),
             reloaded=True,
         )
-        fused = summary_to_bytes(analyze_side_effects(source))
-        legacy = summary_to_bytes(analyze_per_kind(compile_source(source)))
         context = "step %d (%s), config seed %d, fuzz seed %d" % (
             step, op, config.seed, seed)
+        for path, updated in (("live", summary), ("reloaded", reloaded)):
+            _assert_arenas_equal(
+                peek_arena(updated.resolved), ProgramArena(updated.resolved),
+                "%s update's arena, %s" % (path, context),
+            )
+        fused = summary_to_bytes(analyze_side_effects(source))
+        legacy = summary_to_bytes(analyze_per_kind(compile_source(source)))
         for path, updated in (("live", summary), ("reloaded", reloaded)):
             where = "%s update, %s" % (path, context)
             got = summary_to_bytes(updated)
@@ -304,6 +344,41 @@ def test_edit_sequence_oracle(config, seed):
         assert reloaded_stats.index_reloaded and not stats.index_reloaded
         reloaded_stats.index_reloaded = False
         assert reloaded_stats == stats, context
+
+
+def _lowering_case(index, summary) -> str:
+    """How an update lowered its arena: ``fresh`` when the uid or pid
+    space moved (nothing to patch against), ``kept`` when every site's
+    caller, callee and by-reference rows survived from the donor index,
+    else ``rewalked`` (site ids shifted or an edited call was rebound)."""
+    resolved = summary.resolved
+    if index.var_names != [v.qualified_name for v in resolved.variables] or (
+        index.proc_names != [p.qualified_name for p in resolved.procs]
+    ):
+        return "fresh"
+    arena = peek_arena(resolved)
+    rows = ("site_caller", "site_callee", "site_ref_heads", "ref_formal_uid",
+            "ref_base_uid")
+    if all(getattr(arena, row) == getattr(index, row) for row in rows):
+        return "kept"
+    return "rewalked"
+
+
+def test_edit_sequences_exercise_every_lowering_case():
+    """The 80 live steps of the four fuzz sequences reach every way an
+    update lowers its arena, so the per-step arena check above covers
+    all of them."""
+    counts = {"fresh": 0, "kept": 0, "rewalked": 0}
+    for config, seed in FUZZ_CASES:
+        fuzzer = EditFuzzer(config, seed)
+        summary = analyze_side_effects(pretty(fuzzer.program))
+        for _ in range(20):
+            fuzzer.step()
+            previous = summary
+            summary, _stats = incremental_update(
+                previous, compile_source(pretty(fuzzer.program)))
+            counts[_lowering_case(previous.dep_index, summary)] += 1
+    assert counts == {"fresh": 36, "kept": 18, "rewalked": 26}, counts
 
 
 def test_fuzzer_is_reproducible():
