@@ -6,7 +6,7 @@ PP := PYTHONPATH=src
 
 .PHONY: test differential incremental-differential \
 	lane-differential bench-smoke bench \
-	bench-frontend bench-core bench-incremental \
+	bench-frontend bench-incremental \
 	bench-lanes profile server-smoke batch-smoke perfbench-smoke
 
 # Tier-1 gate: the full unit/integration/property suite.
@@ -50,16 +50,14 @@ lane-differential:
 	$(PP) $(PY) -m pytest -q tests/test_lanes.py \
 	    tests/test_sections_solver.py tests/test_sections_ranges.py
 
-# One tiny batch benchmark plus the front-end, core, incremental and
-# lane benchmark smokes (each writes its BENCH_*.json), timing
-# assertions disabled — keeps the benchmark suite import-clean without
-# paying for a real measurement run.
+# One tiny batch benchmark plus the front-end, incremental and lane
+# benchmark smokes (each writes its BENCH_*.json), timing assertions
+# disabled — keeps the benchmark suite import-clean without paying for
+# a real measurement run.
 bench-smoke:
 	$(PP) $(PY) -m pytest -q benchmarks/test_bench_batch.py -k smoke \
 	    --benchmark-disable
 	$(PP) $(PY) -m pytest -q benchmarks/test_bench_frontend.py -k smoke \
-	    --benchmark-disable
-	$(PP) $(PY) -m pytest -q benchmarks/test_bench_core.py -k smoke \
 	    --benchmark-disable
 	$(PP) $(PY) -m pytest -q benchmarks/test_bench_incremental.py -k smoke \
 	    --benchmark-disable
@@ -76,13 +74,6 @@ bench:
 # CK_FRONTEND_BENCH_PROCS / CK_FRONTEND_BENCH_REPEATS.
 bench-frontend:
 	$(PP) $(PY) -m pytest -q benchmarks/test_bench_frontend.py -s
-
-# The fused middle-end measurement (E12): writes BENCH_core.json at
-# the repo root and asserts the ≥1.5x fused-vs-per-kind solve and
-# ≥1.25x end-to-end claims on the 10k workload.  Resize with
-# CK_CORE_BENCH_PROCS / CK_CORE_BENCH_REPEATS.
-bench-core:
-	$(PP) $(PY) -m pytest -q benchmarks/test_bench_core.py -s
 
 # The incremental-engine measurement (E13): writes
 # BENCH_incremental.json at the repo root and asserts the ≥10x

@@ -10,13 +10,14 @@ pre-built inputs (program generation excluded).
 
 Besides the human-readable tables, a run leaves artifacts in ``--out``
 (default: the repo root): ``bench_report.txt`` (the full table text),
-the E12 run refreshes ``BENCH_core.json`` (fused vs legacy middle
-end), the E13 run refreshes ``BENCH_incremental.json`` (demand-driven
+the E13 run refreshes ``BENCH_incremental.json`` (demand-driven
 update vs scratch), the E15 run refreshes ``BENCH_lanes.json``
 (marginal cost per added effect lane), and ``BENCH_all.json``
-aggregates per-experiment wall times plus the core, incremental and
-lane records.  E10 (sharded solver) and E14 (fleet) are retired with
-the code they measured; EXPERIMENTS.md keeps their last numbers.
+aggregates per-experiment wall times plus the incremental and lane
+records.  E10 (sharded solver) and E14 (fleet) are retired with the
+code they measured, E12 (fused vs per-kind solve) because the per-kind
+path is a test oracle, not a choice the system makes; EXPERIMENTS.md
+keeps their last numbers.
 """
 
 from __future__ import annotations
@@ -422,39 +423,6 @@ def a4_lattice_instances():
           "Figure 3 must widen rows to '*'.")
 
 
-def e12_core(quick: bool):
-    header("E12", "Fused arena solve vs legacy per-kind path  [core/arena]")
-    from test_bench_core import measure_core_benchmark, write_bench_json
-
-    result = measure_core_benchmark(
-        scales=(("1k", 1000, 200),) if quick
-        else (("1k", 1000, 200), ("10k", 10000, 2000)),
-        repeats=2 if quick else 3,
-        end_to_end=not quick,
-    )
-    write_bench_json(result)
-    print(f"{'scale':>6} {'legacy solve(s)':>16} {'fused solve(s)':>15} "
-          f"{'speedup':>8} {'condensations':>22}")
-    for label, scale in sorted(result["scales"].items()):
-        print(f"{label:>6} {scale['legacy']['solve_s']:>16.3f} "
-              f"{scale['fused']['solve_s']:>15.3f} "
-              f"{scale['solve_speedup']:>7.2f}x "
-              f"{json.dumps(scale['condensations'], sort_keys=True):>22}")
-    if "end_to_end" in result:
-        e2e = result["end_to_end"]
-        line = "end-to-end (from source, fused): %.3fs" % e2e["end_to_end_s"]
-        if "end_to_end_speedup_vs_baseline" in e2e:
-            line += " = %.2fx the pre-arena baseline (%.2fs)" % (
-                e2e["end_to_end_speedup_vs_baseline"],
-                e2e["baseline"]["end_to_end_s"],
-            )
-        print(line)
-    print("-> one graph traversal, one condensation, and one site decode "
-          "serve both MOD and USE; every mask and counter stays "
-          "bit-identical to the per-kind path.")
-    return result
-
-
 def e13_incremental(quick: bool):
     header("E13", "Demand-driven update vs scratch, warm + reloaded  "
                   "[core/incremental]")
@@ -550,7 +518,6 @@ def main() -> int:
         ("E7", e7_precision),
         ("E8", lambda: e8_sections(ranks)),
         ("E9", e9_section_precision),
-        ("E12", lambda: e12_core(args.quick)),
         ("E13", lambda: e13_incremental(args.quick)),
         ("E15", lambda: e15_lanes(args.quick)),
         ("A1", a1_incremental),
@@ -564,7 +531,6 @@ def main() -> int:
     original_stdout = sys.stdout
     sys.stdout = _Tee(original_stdout, buffer)
     wall: dict = {}
-    core_result = None
     incremental_result = None
     lanes_result = None
     try:
@@ -572,9 +538,7 @@ def main() -> int:
             tick = time.perf_counter()
             returned = run()
             wall[name] = time.perf_counter() - tick
-            if name == "E12":
-                core_result = returned
-            elif name == "E13":
+            if name == "E13":
                 incremental_result = returned
             elif name == "E15":
                 lanes_result = returned
@@ -587,7 +551,6 @@ def main() -> int:
         "schema": "ck-bench-all/1",
         "quick": args.quick,
         "experiment_seconds": wall,
-        "core": core_result,
         "incremental": incremental_result,
         "lanes": lanes_result,
     }

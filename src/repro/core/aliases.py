@@ -258,20 +258,29 @@ def factor_aliases_fused(
     arena,
     num_kinds: int,
     counters: Sequence[OpCounter],
+    sites: Optional[Sequence[int]] = None,
 ) -> List[List[int]]:
     """Section 5 step (2) over the per-kind per-site DMOD rows.
 
     The caller decode and domain lookup run once per site and feed
     every lane; expansion happens lane by lane (the partner tables are
-    per-uid), so each kind's counter is charged exactly the legacy
-    tally: one bit-vector step per expanded member of that kind's set.
+    per-uid).
+
+    ``sites`` restricts the expansion to those call sites; every other
+    entry of the result is its ``DMOD`` row's, for an incremental update
+    to overlay with the rows it carries.  ``None`` expands every site.
+
+    Counter identity: each kind's counter is charged exactly the legacy
+    tally, one bit-vector step per expanded member of that kind's set,
+    summed over the expanded sites.
     """
     domains = aliases.domain_mask
     partner_mask = aliases.partner_mask
     site_caller = arena.site_caller
-    num_sites = len(site_caller)
+    if sites is None:
+        sites = range(len(site_caller))
     result: List[List[int]] = [list(row) for row in dmod_rows]
-    for sid in range(num_sites):
+    for sid in sites:
         caller_pid = site_caller[sid]
         domain = domains[caller_pid]
         if not domain:

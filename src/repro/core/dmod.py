@@ -19,7 +19,7 @@ single-bit formal tests per call site.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.bitvec import OpCounter
 from repro.core.local import local_effect_of
@@ -75,6 +75,7 @@ def compute_dmod_fused(
     gmod_rows: Sequence[Sequence[int]],
     kinds: Sequence[EffectKind],
     counters: Sequence[OpCounter],
+    sites: Optional[Sequence[int]] = None,
 ) -> List[List[int]]:
     """Equation (2) for every site and kind in one sweep over the
     arena's flat site tables; returns one per-site mask row per kind.
@@ -85,10 +86,15 @@ def compute_dmod_fused(
     in real programs, and this is the dominant cost of the legacy
     sweep.
 
+    ``sites`` restricts the sweep to those call sites; every other
+    entry of the result is ``0``, for an incremental update to overlay
+    with the rows it carries.  ``None`` solves every site.
+
     Counter identity: the per-kind solver charges one bit-vector step per
     site (the pass-through union) and one single-bit step per
     by-reference binding, per kind — both structural, so each counter
-    receives ``num_sites`` and ``total_refs`` in one add each.
+    receives the solved sites' count and their reference-binding count
+    in one add each: ``num_sites`` and ``total_refs`` on a full solve.
     """
     num_kinds = len(kinds)
     strip = arena.strip_masks()
@@ -98,6 +104,8 @@ def compute_dmod_fused(
     ref_formal_uid = arena.ref_formal_uid
     ref_base_uid = arena.ref_base_uid
     num_sites = len(site_callee)
+    if sites is None:
+        sites = range(num_sites)
 
     # Per-callee pass-through cache: GMOD(q) & strip(q) per pid.
     pass_rows = [
@@ -105,10 +113,12 @@ def compute_dmod_fused(
     ]
 
     result: List[List[int]] = [[0] * num_sites for _ in range(num_kinds)]
-    for sid in range(num_sites):
+    solved_refs = 0
+    for sid in sites:
         callee_pid = site_callee[sid]
         lo = ref_heads[sid]
         hi = ref_heads[sid + 1]
+        solved_refs += hi - lo
         for k in range(num_kinds):
             mask = site_local[k][sid] | pass_rows[k][callee_pid]
             callee_gmod = gmod_rows[k][callee_pid]
@@ -118,8 +128,7 @@ def compute_dmod_fused(
                         mask |= 1 << ref_base_uid[r]
             result[k][sid] = mask
 
-    total_refs = len(ref_base_uid)
     for counter in counters:
-        counter.bit_vector_steps += num_sites
-        counter.single_bit_steps += total_refs
+        counter.bit_vector_steps += len(sites)
+        counter.single_bit_steps += solved_refs
     return result

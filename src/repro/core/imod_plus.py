@@ -60,6 +60,7 @@ def compute_imod_plus_fused(
     rmod_node_bits: Sequence[int],
     kinds: Sequence[EffectKind],
     counters: Sequence[OpCounter],
+    sites: Optional[Sequence[int]] = None,
 ) -> List[List[int]]:
     """Equation (5) for every kind at once, over the arena's flat
     binding tables.
@@ -69,9 +70,16 @@ def compute_imod_plus_fused(
     RMOD verdict).  The result is one per-pid ``IMOD+`` mask row per
     kind — the site/binding decode runs once and feeds every lane.
 
+    ``sites`` restricts the union to those call sites, so a procedure's
+    row is final only when all of its sites are listed: an incremental
+    update lists every site of the procedures it re-derives and
+    overlays the other rows with the ones it carries.  ``None`` solves
+    every site.
+
     Counter identity: the per-kind solver charges one single-bit RMOD test
     per by-reference binding per kind, so each counter receives exactly
-    the total reference-binding count.
+    the reference-binding count of the solved sites — the program's
+    total on a full solve.
     """
     num_kinds = len(kinds)
     rows = [list(arena.local.initial(kind)) for kind in kinds]
@@ -80,9 +88,14 @@ def compute_imod_plus_fused(
     ref_heads = arena.site_ref_heads
     ref_base_uid = arena.ref_base_uid
     ref_formal_node = arena.ref_formal_node
-    for sid in range(len(site_caller)):
+    if sites is None:
+        sites = range(len(site_caller))
+    total_refs = 0
+    for sid in sites:
         caller_pid = site_caller[sid]
-        for r in range(ref_heads[sid], ref_heads[sid + 1]):
+        lo, hi = ref_heads[sid], ref_heads[sid + 1]
+        total_refs += hi - lo
+        for r in range(lo, hi):
             bits = rmod_node_bits[ref_formal_node[r]]
             if not bits:
                 continue
@@ -91,7 +104,6 @@ def compute_imod_plus_fused(
                 if (bits >> k) & 1:
                     rows[k][caller_pid] |= base_bit
 
-    total_refs = len(ref_base_uid)
     for counter in counters:
         counter.single_bit_steps += total_refs
     return rows

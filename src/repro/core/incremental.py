@@ -5,48 +5,55 @@ environment, Carroll & Ryder's incremental algorithms — all cited in
 its introduction) is about keeping interprocedural summaries current
 while a programmer edits one procedure at a time.  This module solves
 that problem *by condensation region*, driven by a persisted
-:class:`~repro.core.depindex.DependencyIndex`:
+:class:`~repro.core.depindex.DependencyIndex`.
+
+The engine decides *what* to re-solve; the equations are evaluated by
+the same kernels a fresh analysis runs (:mod:`repro.core.pipeline`),
+warm-started on that decision:
 
 1. procedures of the indexed and edited versions are matched by
    qualified name and diffed by structural fingerprint (or a trusted
-   ``dirty_hint`` skips the diff);
-2. every solver re-runs only where its inputs changed, walking the SCC
-   condensation of its graph in reverse topological order:
+   ``dirty_hint`` skips the diff), and call sites of clean procedures
+   are mapped onto their indexed ids;
+2. every phase re-runs only where its inputs changed:
 
    * **binding signature** — a dirty procedure whose call sites kept
      their callee and by-reference bindings (ordinal for ordinal) is
      *binding-clean*: β and the alias fixpoint are functions of the
      binding structure alone, so a pure body edit — the dominant
      editor case — skips both re-solves outright;
-   * **RMOD** over β — seeds are the formals whose own ``IMOD`` bit
-     moved and the endpoints of binding edges at binding-dirty call
-     sites; no seeds means every verdict is carried and the update
-     never condenses β (building the *next* index counts β's
-     components, which is the one Tarjan pass over β such an update
-     pays), and a strongly connected region whose solved boolean
-     comes out equal to the indexed value stops the propagation;
-   * **IMOD+** — recomputed only for procedures whose extended ``IMOD``
-     or whose bound formals' ``RMOD`` verdicts changed, copied
-     otherwise;
-   * **GMOD** over the call multi-graph — components start *candidate*
-     if they hold a changed equation; re-solving a candidate whose
-     exports (``GMOD − LOCAL``, the only part a caller reads, derived
-     from the index's ``GMOD`` and ``LOCAL`` rows) come out
-     unchanged stops the propagation (*cutoff*), otherwise the caller
-     components are marked through a reverse adjacency built on first
-     use; non-candidates copy indexed rows without scanning their
-     edges, and shrinking edits are exact because affected regions
-     restart from ``IMOD+``, never warm-start monotonically;
-   * **aliases** — the re-derived cone is seeded by the binding-dirty
-     procedures *and* the old callees of their (and removed
-     procedures') former call sites — a rewired or deleted site starves
-     its old callee of pair inflow, so pairs can shrink there; the
-     index's final partner tables outside the cone are carried into the
-     one alias solver by reference, or remapped when the uid space
-     changed (pairs only flow caller → callee and parent → nested);
-   * **DMOD/MOD** — a call site is copied from the index unless its
-     caller was edited, its callee's ``GMOD`` changed, or its caller's
-     alias pairs changed.
+   * **RMOD** — :func:`~repro.core.rmod.solve_rmod_fused` with the
+     indexed verdicts carried, seeded by the formals whose own ``IMOD``
+     bit moved and the endpoints of binding edges at binding-dirty
+     call sites; with no seeds the update never condenses β;
+   * **IMOD+** — :func:`~repro.core.imod_plus.compute_imod_plus_fused`
+     on the sites of procedures whose extended ``IMOD`` or whose bound
+     formals' verdicts moved; every other row is the index's;
+   * **GMOD** — the one walk kept here, because cutoff propagation has
+     no counterpart in the fresh path's one-pass DFS: over the call
+     condensation, components start *candidate* if they hold a changed
+     equation; re-solving a candidate whose exports (``GMOD − LOCAL``,
+     the only part a caller reads) come out unchanged stops the
+     propagation (*cutoff*), otherwise its callers' components become
+     candidates; non-candidates copy indexed rows without scanning
+     their edges, and shrinking edits are exact because affected
+     regions restart from ``IMOD+``;
+   * **aliases** — :func:`~repro.core.aliases.compute_aliases` on the
+     re-derived cone, seeded by the binding-dirty procedures *and* the
+     old callees of their (and removed procedures') former call sites
+     — a rewired or deleted site starves its old callee of pair inflow,
+     so pairs can shrink there; the index's final partner tables
+     outside the cone are carried in by reference, or remapped when the
+     uid space changed (pairs only flow caller → callee and parent →
+     nested);
+   * **DMOD/MOD** — :func:`~repro.core.dmod.compute_dmod_fused` and
+     :func:`~repro.core.aliases.factor_aliases_fused` on the call sites
+     the update cannot copy: those whose caller was edited, whose
+     callee's ``GMOD`` changed, or whose caller's alias pairs changed
+     (every site when the uid space moved).
+
+Each kernel charges the kind tallies for what it solved, and the
+summary's ``counter`` is their fold, as in a fresh analysis.
 
 The hard invariant, asserted by the fuzz oracle in
 ``tests/test_incremental_fuzz.py``: every incremental summary is
@@ -59,7 +66,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.aliases import Carried, compute_aliases
+from repro.core.aliases import Carried, compute_aliases, factor_aliases_fused
 from repro.core.arena import get_arena, install_arena, patch_arena, peek_arena
 from repro.core.bitvec import OpCounter, iter_bits, mask_of
 from repro.core.depindex import (
@@ -67,8 +74,10 @@ from repro.core.depindex import (
     build_dependency_index,
     fingerprint_digest,
 )
+from repro.core.dmod import compute_dmod_fused
+from repro.core.imod_plus import compute_imod_plus_fused
 from repro.core.persist import carry_render
-from repro.core.rmod import RmodResult
+from repro.core.rmod import solve_rmod_fused
 from repro.core.summary import EffectSolution, SideEffectSummary
 from repro.core.varsets import EffectKind
 from repro.graphs.dfs import reachable_from
@@ -374,55 +383,39 @@ def incremental_update_from_index(
     site_caller = arena.site_caller
     site_callee = arena.site_callee
     ref_heads = arena.site_ref_heads
-    ref_formal_uid = arena.ref_formal_uid
     ref_base_uid = arena.ref_base_uid
     ref_formal_node = arena.ref_formal_node
 
     kind_counters = [OpCounter() for _ in kind_list]
 
-    # -- RMOD: demand re-solve over β's condensation --------------------------
+    # -- RMOD: seeds for the warm start over β's condensation -----------------
     t0 = time.perf_counter()
-    binding_graph = arena.binding_graph
-    bheads = arena.beta_csr.heads
-    bsucc = arena.beta_csr.succ
-    num_nodes = arena.beta_csr.num_nodes
-    formal_pid = arena.beta_formal_pid
-    formal_uid = arena.beta_formal_uid
     initial_rows = [arena.local.initial(kind) for kind in kind_list]
+    formal_uid = arena.beta_formal_uid
 
     # Indexed verdicts, addressable from the new program: by uid when
-    # the uid space is unchanged, by qualified name otherwise.
+    # the uid space is unchanged, by qualified name otherwise.  A β
+    # node without one is re-solved by the kernel.
     if permutation is None:
-        old_bits_of_uid: Dict[int, int] = dict(
-            zip(index.beta_node_uid, index.rmod_node_bits)
-        )
-
-        def old_node_bits(uid: int) -> Optional[int]:
-            return old_bits_of_uid.get(uid)
+        old_bits_of_uid = dict(zip(index.beta_node_uid, index.rmod_node_bits))
+        carried_bits = [old_bits_of_uid.get(uid) for uid in formal_uid]
     else:
         bits_by_name = {
             index.var_names[uid]: bits
             for uid, bits in zip(index.beta_node_uid, index.rmod_node_bits)
         }
+        carried_bits = [bits_by_name.get(new_var_names[uid]) for uid in formal_uid]
 
-        def old_node_bits(uid: int) -> Optional[int]:
-            return bits_by_name.get(new_var_names[uid])
-
-    node_of_uid = binding_graph.node_of_uid
+    node_of_uid = arena.binding_graph.node_of_uid
     beta_seeds: Set[int] = set()
     if patchable:
         # Equation (6) reads two inputs per node: the formal's own
         # IMOD bit and β's edges.  Edges are pinned at binding-clean
-        # sites, so only formals whose IMOD bit actually moved seed —
-        # plus any formal with no indexed verdict at all (a variable
-        # that became a formal without moving in the uid space).
+        # sites, so only formals whose IMOD bit actually moved seed.
         for pid in initial_dirty:
             old_ext = [index.imod_ext[k][pid] for k in range(num_kinds)]
             for formal in new_procs[pid].formals:
                 uid = formal.uid
-                if uid not in old_bits_of_uid:
-                    beta_seeds.add(node_of_uid[uid])
-                    continue
                 for k in range(num_kinds):
                     if ((initial_rows[k][pid] >> uid) & 1) != (
                         (old_ext[k] >> uid) & 1
@@ -433,9 +426,6 @@ def incremental_update_from_index(
         for pid in initial_dirty:
             for formal in new_procs[pid].formals:
                 beta_seeds.add(node_of_uid[formal.uid])
-        for node in range(num_nodes):
-            if old_node_bits(formal_uid[node]) is None:
-                beta_seeds.add(node)
     # Sources of binding edges that existed at binding-dirty or removed
     # call sites (the edge may have vanished — a shrink the region must
     # see).
@@ -475,94 +465,19 @@ def incremental_update_from_index(
                 source = node_of_uid.get(ref_base_uid[r])
                 if source is not None:
                     beta_seeds.add(source)
-
-    kind_mask = (1 << num_kinds) - 1
-    changed_node = [False] * num_nodes
-    beta_any_changed = False
-    beta_affected_sccs = 0
-    beta_region_nodes = 0
-    if not beta_seeds:
-        # No β input moved: every verdict is carried and the fixpoint
-        # is untouched — the update does not condense β.  The component
-        # count shown in the stats is carried from the index.
-        if permutation is None:
-            node_bits = [old_bits_of_uid[uid] for uid in formal_uid]
-        else:
-            node_bits = [old_node_bits(uid) for uid in formal_uid]
-        beta_total_sccs = index.beta_sccs
-    else:
-        beta_component_of, beta_components = arena.beta_condensation()
-        beta_total_sccs = len(beta_components)
-        node_bits = [0] * num_nodes
-        for comp_index, members in enumerate(beta_components):
-            affected = False
-            for member in members:
-                if member in beta_seeds:
-                    affected = True
-                    break
-            if not affected:
-                for member in members:
-                    for target in bsucc[bheads[member]:bheads[member + 1]]:
-                        if changed_node[target]:
-                            affected = True
-                            break
-                    if affected:
-                        break
-            if not affected:
-                for member in members:
-                    node_bits[member] = old_node_bits(formal_uid[member])
-                continue
-            beta_affected_sccs += 1
-            beta_region_nodes += len(members)
-            # Equation (6)'s key property: the solution is identical at
-            # every node of a strongly connected region, so one OR over
-            # the members' IMOD bits and the (final) out-of-region
-            # successor values is the region's least fixpoint.
-            value = 0
-            for member in members:
-                pid = formal_pid[member]
-                uid = formal_uid[member]
-                for k in range(num_kinds):
-                    value |= ((initial_rows[k][pid] >> uid) & 1) << k
-                for target in bsucc[bheads[member]:bheads[member + 1]]:
-                    if beta_component_of[target] != comp_index:
-                        value |= node_bits[target]
-                if value == kind_mask:
-                    break
-            for member in members:
-                node_bits[member] = value
-                old = old_node_bits(formal_uid[member])
-                if old is None or old != value:
-                    changed_node[member] = True
-                    beta_any_changed = True
-    for counter in kind_counters:
-        counter.single_bit_steps += 3 * beta_region_nodes
-
-    rmod_results: List[RmodResult] = []
-    for k, kind in enumerate(kind_list):
-        node_value = [bool((bits >> k) & 1) for bits in node_bits]
-        proc_mask = [0] * num_procs
-        for node in range(num_nodes):
-            if node_value[node]:
-                proc_mask[formal_pid[node]] |= 1 << formal_uid[node]
-        rmod_results.append(
-            RmodResult(
-                kind=kind,
-                graph=binding_graph,
-                node_value=node_value,
-                proc_mask=proc_mask,
-                counter=kind_counters[k],
-            )
-        )
+    rmod_results, beta = solve_rmod_fused(
+        arena, kind_list, kind_counters, carried_bits, beta_seeds
+    )
     timings["rmod"] = time.perf_counter() - t0
 
-    # -- IMOD+: copy rows whose inputs did not move ---------------------------
+    # -- IMOD+: re-derive the procedures whose inputs moved -------------------
     t0 = time.perf_counter()
     recompute_imod = set(initial_dirty)
-    if beta_any_changed:
+    moved = beta.moved
+    if True in moved:
         for sid in range(num_sites):
             for r in range(ref_heads[sid], ref_heads[sid + 1]):
-                if changed_node[ref_formal_node[r]]:
+                if moved[ref_formal_node[r]]:
                     recompute_imod.add(site_caller[sid])
                     break
     old_pid_for: List[Optional[int]] = [
@@ -573,35 +488,22 @@ def incremental_update_from_index(
         if old_pid_for[pid] is None:
             recompute_imod.add(pid)
 
-    imod_plus_rows: List[List[int]] = [[0] * num_procs for _ in kind_list]
+    imod_plus_rows = compute_imod_plus_fused(
+        arena, beta.node_bits, kind_list, kind_counters,
+        [sid for pid in recompute_imod for sid in new_sites_by_caller[pid]],
+    )
     imod_changed: Set[int] = set()
     for pid in range(num_procs):
         old_pid = old_pid_for[pid]
-        if pid not in recompute_imod:
-            for k in range(num_kinds):
-                imod_plus_rows[k][pid] = _remap_mask(
-                    index.imod_plus[k][old_pid], permutation
-                )
-            continue
-        rows = [initial_rows[k][pid] for k in range(num_kinds)]
-        for sid in new_sites_by_caller[pid]:
-            for r in range(ref_heads[sid], ref_heads[sid + 1]):
-                bits = node_bits[ref_formal_node[r]]
-                if not bits:
-                    continue
-                base_bit = 1 << ref_base_uid[r]
-                for k in range(num_kinds):
-                    if (bits >> k) & 1:
-                        rows[k] |= base_bit
-        changed = old_pid is None
-        for k in range(num_kinds):
-            imod_plus_rows[k][pid] = rows[k]
-            if not changed and rows[k] != _remap_mask(
-                index.imod_plus[k][old_pid], permutation
-            ):
-                changed = True
-        if changed:
+        if old_pid is None:
             imod_changed.add(pid)
+            continue
+        for k in range(num_kinds):
+            old_row = _remap_mask(index.imod_plus[k][old_pid], permutation)
+            if pid not in recompute_imod:
+                imod_plus_rows[k][pid] = old_row
+            elif imod_plus_rows[k][pid] != old_row:
+                imod_changed.add(pid)
     timings["imod_plus"] = time.perf_counter() - t0
 
     # -- GMOD: demand re-solve over the call condensation ---------------------
@@ -617,14 +519,14 @@ def incremental_update_from_index(
     # A component needs re-solving exactly when it holds a changed
     # equation (a seed) or reads a changed export.  Seeds mark their
     # components up front; export changes mark the caller components of
-    # the changed member through a reverse adjacency built on first use
-    # (reverse topological order guarantees callers are still ahead).
+    # the changed member through the call graph's caller lists (reverse
+    # topological order guarantees callers are still ahead).
     # Everything never marked copies its indexed rows without a single
     # edge scan — that skip is what makes a cutoff edit O(region).
+    callers_of = arena.call_graph.predecessors
     candidate = comp_affected[:]  # same shape; False everywhere
     for pid in gmod_seeds:
         candidate[component_of[pid]] = True
-    reverse_adj: Optional[List[List[int]]] = None
     affected_sccs = 0
     cutoff_sccs = 0
     region_pids: Set[int] = set()
@@ -695,16 +597,9 @@ def incremental_update_from_index(
         if not comp_export_changed:
             cutoff_sccs += 1
             continue
-        if reverse_adj is None:
-            # One O(N + E) pass over the whole call CSR, the bound the
-            # paper's linear-time solve already pays.
-            reverse_adj = [[] for _ in range(num_procs)]
-            for node in range(num_procs):
-                for target in csucc[cheads[node]:cheads[node + 1]]:
-                    reverse_adj[target].append(node)
         for member in members:
             if changed_export[member]:
-                for caller in reverse_adj[member]:
+                for caller in callers_of[member]:
                     candidate[component_of[caller]] = True
     for counter in kind_counters:
         counter.bit_vector_steps += len(region_pids)
@@ -768,58 +663,34 @@ def incremental_update_from_index(
             alias_changed.add(pid)
     timings["aliases"] = time.perf_counter() - t0
 
-    # -- DMOD/MOD: copy untouched call sites ----------------------------------
+    # -- DMOD/MOD: re-derive the call sites whose inputs moved ---------------
     t0 = time.perf_counter()
-    site_local = [arena.site_local(kind) for kind in kind_list]
-    domains = aliases.domain_mask
-    partner_mask = aliases.partner_mask
-    dmod_rows: List[List[int]] = [[0] * num_sites for _ in kind_list]
-    mod_rows: List[List[int]] = [[0] * num_sites for _ in kind_list]
-    pass_cache: List[Dict[int, int]] = [{} for _ in kind_list]
-    sites_reused = 0
-    recomputed_site_callers: Set[int] = set()
+    recompute_sites: List[int] = []
+    reused_sites: List[int] = []
     for sid in range(num_sites):
-        caller_pid = site_caller[sid]
-        callee_pid = site_callee[sid]
-        old_sid = site_map[sid]
         if (
-            old_sid >= 0
+            site_map[sid] >= 0
             and permutation is None
-            and not changed_gmod[callee_pid]
-            and caller_pid not in alias_changed
+            and not changed_gmod[site_callee[sid]]
+            and site_caller[sid] not in alias_changed
         ):
-            for k in range(num_kinds):
-                dmod_rows[k][sid] = index.dmod[k][old_sid]
-                mod_rows[k][sid] = index.mod[k][old_sid]
-            sites_reused += 1
-            continue
-        recomputed_site_callers.add(caller_pid)
-        lo = ref_heads[sid]
-        hi = ref_heads[sid + 1]
-        domain = domains[caller_pid]
-        for k in range(num_kinds):
-            cache = pass_cache[k]
-            passed = cache.get(callee_pid)
-            if passed is None:
-                passed = gmod_rows[k][callee_pid] & strip[callee_pid]
-                cache[callee_pid] = passed
-            mask = site_local[k][sid] | passed
-            callee_gmod = gmod_rows[k][callee_pid]
-            if callee_gmod:
-                for r in range(lo, hi):
-                    if (callee_gmod >> ref_formal_uid[r]) & 1:
-                        mask |= 1 << ref_base_uid[r]
-            dmod_rows[k][sid] = mask
-            expanded = mask
-            hits = mask & domain
-            if hits:
-                partners = partner_mask[caller_pid]
-                kind_counters[k].bit_vector_steps += hits.bit_count()
-                while hits:
-                    low = hits & -hits
-                    expanded |= partners[low.bit_length() - 1]
-                    hits ^= low
-            mod_rows[k][sid] = expanded
+            reused_sites.append(sid)
+        else:
+            recompute_sites.append(sid)
+    dmod_rows = compute_dmod_fused(
+        arena, gmod_rows, kind_list, kind_counters, recompute_sites
+    )
+    mod_rows = factor_aliases_fused(
+        dmod_rows, aliases, arena, num_kinds, kind_counters, recompute_sites
+    )
+    for k in range(num_kinds):
+        dmod_row, old_dmod = dmod_rows[k], index.dmod[k]
+        mod_row, old_mod = mod_rows[k], index.mod[k]
+        for sid in reused_sites:
+            old_sid = site_map[sid]
+            dmod_row[sid] = old_dmod[old_sid]
+            mod_row[sid] = old_mod[old_sid]
+    recomputed_site_callers = {site_caller[sid] for sid in recompute_sites}
     timings["dmod"] = time.perf_counter() - t0
 
     solutions: Dict[EffectKind, EffectSolution] = {}
@@ -847,24 +718,31 @@ def incremental_update_from_index(
         cutoff_sccs=cutoff_sccs,
         region_procs=sum(len(components[c]) for c in range(len(components))
                          if comp_affected[c]),
-        beta_total_sccs=beta_total_sccs,
-        beta_affected_sccs=beta_affected_sccs,
-        beta_region_nodes=beta_region_nodes,
+        beta_total_sccs=(
+            index.beta_sccs if beta.num_components is None
+            else beta.num_components
+        ),
+        beta_affected_sccs=beta.solved_components,
+        beta_region_nodes=beta.solved_nodes,
         sites_total=num_sites,
-        sites_reused=sites_reused,
+        sites_reused=len(reused_sites),
         index_reloaded=reloaded,
         affected_names=sorted(new_names[pid] for pid in affected_union),
     )
 
+    counter = OpCounter()
+    for kind_counter in kind_counters:
+        counter.merge(kind_counter)
     timings["total"] = time.perf_counter() - t_start
     summary = SideEffectSummary(
         resolved=new_resolved,
         universe=universe,
         call_graph=arena.call_graph,
-        binding_graph=binding_graph,
+        binding_graph=arena.binding_graph,
         local=arena.local,
         aliases=aliases,
         solutions=solutions,
+        counter=counter,
         timings=timings,
         kind_counters=dict(zip(kind_list, kind_counters)),
         condensations=arena.snapshot_condensations(),

@@ -24,7 +24,9 @@ so lanes and later consumers never condense that graph again.  Each
 kind's :class:`~repro.core.bitvec.OpCounter` tally in
 ``summary.kind_counters`` is exactly the step count of the paper's
 per-kind solver (see each fused solver's docstring), and
-``summary.counter`` is their fold.  The per-kind transcriptions stay
+``summary.counter`` is their fold.  An index-driven update
+(:mod:`repro.core.incremental`) runs the same kernels, warm-started on
+what an edit can reach.  The per-kind transcriptions stay
 as the test oracle :func:`repro.baselines.per_kind.analyze_per_kind`,
 which the differential suites hold this driver to, set for set and
 tally for tally.
@@ -132,10 +134,10 @@ def analyze_side_effects(
     num_kinds = len(kind_list)
     kind_counters = [OpCounter() for _ in kind_list]
     before = arena.snapshot_condensations()
-    rmod_results, rmod_bits = solve_rmod_fused(arena, kind_list, kind_counters)
+    rmod_results, beta = solve_rmod_fused(arena, kind_list, kind_counters)
     tick = mark_phase(timings, "rmod", tick)
     imod_plus_rows = compute_imod_plus_fused(
-        arena, rmod_bits, kind_list, kind_counters
+        arena, beta.node_bits, kind_list, kind_counters
     )
     tick = mark_phase(timings, "imod_plus", tick)
     gmod_rows = solve_gmod(arena, imod_plus_rows, num_kinds, kind_counters)

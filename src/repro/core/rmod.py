@@ -27,7 +27,7 @@ accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.bitvec import OpCounter
 from repro.core.local import LocalAnalysis
@@ -129,77 +129,113 @@ def solve_rmod(
     )
 
 
+@dataclass
+class RmodSweep:
+    """What one :func:`solve_rmod_fused` call solved."""
+
+    #: Per β node: the packed K-bit verdict (bit ``k`` = kind ``k``'s
+    #: boolean), consumed by
+    #: :func:`repro.core.imod_plus.compute_imod_plus_fused`.
+    node_bits: List[int]
+    #: β's component count, or ``None`` when nothing was seeded and β
+    #: was not condensed.
+    num_components: Optional[int]
+    #: Components, and their member nodes, that equation (6) was
+    #: evaluated on.
+    solved_components: int
+    solved_nodes: int
+    #: Per β node: its verdict differs from the carried one (or none
+    #: was carried).
+    moved: List[bool]
+
+
 def solve_rmod_fused(
     arena,
     kinds: Sequence[EffectKind],
     counters: Sequence[OpCounter],
-) -> Tuple[List[RmodResult], List[int]]:
+    carried: Optional[Sequence[Optional[int]]] = None,
+    seeds: Optional[Iterable[int]] = None,
+) -> Tuple[List[RmodResult], RmodSweep]:
     """Figure 1 for every kind in one sweep over the arena's β CSR.
 
     The per-node state is a K-bit int (bit ``k`` = kind ``k``'s
     boolean), so one integer OR advances all kinds, and the SCC
     condensation comes from the arena — computed once and shared with
-    anything else that asks.  Returns the per-kind :class:`RmodResult`
-    list plus the packed K-bit node vector (consumed directly by
-    :func:`repro.core.imod_plus.compute_imod_plus_fused`).
+    anything else that asks.  Steps (2)–(4) are one pass over the
+    components in reverse topological order: a component's value is
+    the OR of its members' ``IMOD`` bits and their successors' values
+    (final, or zero inside the component), copied to every member.
+    Returns the per-kind :class:`RmodResult` list plus the
+    :class:`RmodSweep` report.
+
+    Warm starts, for incremental re-analysis: ``carried[node]`` is the
+    node's packed verdict from an earlier solve, or ``None`` where there
+    is none, and ``seeds`` names the nodes whose inputs moved.  A
+    component with no seeded or uncarried member and no moved successor
+    keeps its carried verdicts; with no seeds and every verdict carried,
+    β is not condensed at all.  Equation (6)'s least fixpoint is unique,
+    so a warm start is value-identical to a cold one (``seeds=None``,
+    which solves every component).
 
     Counter identity with the per-kind solver: Figure 1 charges one
     single-bit step per node in each of steps (init), (2) and (4) and
     one per β edge in step (3) — all structural, identical for every
-    kind — so each kind's counter receives exactly ``3·Nβ + Eβ``, the
-    same tally :func:`solve_rmod` accumulates one increment at a time.
+    kind — so each kind's counter receives ``3·n + e`` for the ``n``
+    solved nodes and their ``e`` out-edges: exactly ``3·Nβ + Eβ`` on a
+    cold start, the tally :func:`solve_rmod` accumulates one increment
+    at a time.
     """
-    resolved = arena.resolved
-    local = arena.local
     csr = arena.beta_csr
     heads = csr.heads
     succ = csr.succ
     num_nodes = csr.num_nodes
     num_kinds = len(kinds)
-
-    initial = [local.initial(kind) for kind in kinds]
+    initial = [arena.local.initial(kind) for kind in kinds]
     formal_pid = arena.beta_formal_pid
     formal_uid = arena.beta_formal_uid
+    if carried is None:
+        carried = [None] * num_nodes
+    seeded = None if seeds is None else set(seeds)
 
-    node_imod = [0] * num_nodes
-    for node in range(num_nodes):
-        pid = formal_pid[node]
-        uid = formal_uid[node]
-        bits = 0
-        for k in range(num_kinds):
-            bits |= ((initial[k][pid] >> uid) & 1) << k
-        node_imod[node] = bits
+    moved = [False] * num_nodes
+    num_components: Optional[int] = None
+    solved_components = solved_nodes = solved_edges = 0
+    if seeded is not None and not seeded and None not in carried:
+        node_bits = list(carried)
+    else:
+        components = arena.beta_condensation()[1]
+        num_components = len(components)
+        node_bits = [0] * num_nodes
+        is_moved = moved.__getitem__
+        for members in components:
+            if seeded is not None and not any(
+                member in seeded
+                or carried[member] is None
+                or any(map(is_moved, succ[heads[member]:heads[member + 1]]))
+                for member in members
+            ):
+                for member in members:
+                    node_bits[member] = carried[member]
+                continue
+            solved_components += 1
+            solved_nodes += len(members)
+            value = 0
+            for member in members:
+                pid = formal_pid[member]
+                uid = formal_uid[member]
+                for k in range(num_kinds):
+                    value |= ((initial[k][pid] >> uid) & 1) << k
+                lo, hi = heads[member], heads[member + 1]
+                solved_edges += hi - lo
+                for target in succ[lo:hi]:
+                    value |= node_bits[target]
+            for member in members:
+                node_bits[member] = value
+                if carried[member] != value:
+                    moved[member] = True
 
-    # Step (1): the shared condensation of β.
-    component_of, components = arena.beta_condensation()
-
-    # Step (2): representer IMOD = OR of member IMODs.
-    num_components = len(components)
-    comp_value = [0] * num_components
-    for comp_index, members in enumerate(components):
-        value = 0
-        for member in members:
-            value |= node_imod[member]
-        comp_value[comp_index] = value
-
-    # Step (3): leaves-to-roots sweep applying equation (6); components
-    # are in reverse topological order, so successors are final.
-    for comp_index, members in enumerate(components):
-        value = comp_value[comp_index]
-        for member in members:
-            for target in succ[heads[member]:heads[member + 1]]:
-                value |= comp_value[component_of[target]]
-        comp_value[comp_index] = value
-
-    # Step (4): copy back.
-    node_bits = [0] * num_nodes
-    for comp_index, members in enumerate(components):
-        value = comp_value[comp_index]
-        for member in members:
-            node_bits[member] = value
-
-    per_kind_steps = 3 * num_nodes + csr.num_edges
-    num_procs = resolved.num_procs
+    per_kind_steps = 3 * solved_nodes + solved_edges
+    num_procs = arena.resolved.num_procs
     results: List[RmodResult] = []
     for k, kind in enumerate(kinds):
         counters[k].single_bit_steps += per_kind_steps
@@ -217,4 +253,11 @@ def solve_rmod_fused(
                 counter=counters[k],
             )
         )
-    return results, node_bits
+    sweep = RmodSweep(
+        node_bits=node_bits,
+        num_components=num_components,
+        solved_components=solved_components,
+        solved_nodes=solved_nodes,
+        moved=moved,
+    )
+    return results, sweep

@@ -5,7 +5,9 @@ The daemon keys this by the same content hash as the disk
 the :class:`~repro.core.summary.SideEffectSummary` plus its serialized
 payload — so a warm ``analyze`` can both answer instantly and seed an
 incremental session without re-solving.  The disk cache cannot do
-that: JSON round-trips only the name-level sets.
+that: its record is the v5 summary container plus a metadata trailer,
+which carries neither a live summary nor a dependency index, so a
+session opened from it would have nothing to update against.
 
 Single-threaded by construction: the daemon mutates the cache from
 event-loop coroutines only (solver work happens in executor threads,

@@ -5,8 +5,10 @@ import copy
 import pytest
 
 from repro import analyze_side_effects
+from repro.core import incremental as engine
 from repro.core.depindex import build_dependency_index
 from repro.core.incremental import _dirty_from_index, incremental_update
+from repro.core.pipeline import result_meta
 from repro.core.varsets import EffectKind
 from repro.lang.builder import ProgramBuilder
 from repro.lang.nodes import Assign, IntLit, VarRef
@@ -194,3 +196,62 @@ class TestReuse:
         _, stats = incremental_update(old, reparse(edit_chain_tail(3)))
         assert stats.total_procs == 4
         assert 0.0 <= stats.reuse_fraction <= 1.0
+
+
+class TestKernels:
+    """An update runs the fresh analysis's phase kernels (warm-started
+    on what it re-derives) and reports their tallies like one."""
+
+    KERNELS = (
+        "solve_rmod_fused",
+        "compute_imod_plus_fused",
+        "compute_dmod_fused",
+        "factor_aliases_fused",
+        "compute_aliases",
+    )
+
+    def count_kernel_calls(self, monkeypatch):
+        calls = dict.fromkeys(self.KERNELS, 0)
+        for name in self.KERNELS:
+            kernel = getattr(engine, name)
+
+            def counted(*args, _name=name, _kernel=kernel, **kwargs):
+                calls[_name] += 1
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, counted)
+        return calls
+
+    def test_literal_edit_runs_each_kernel_once(self, monkeypatch):
+        old = analyze_side_effects(reparse(patterns.chain(6)))
+        calls = self.count_kernel_calls(monkeypatch)
+        updated, stats = incremental_update(old, reparse(edit_chain_tail(6)))
+        assert calls == dict.fromkeys(self.KERNELS, 1)
+        # No formal's IMOD bit and no binding moved: β is not condensed.
+        assert "beta" not in updated.condensations
+        assert stats.beta_affected_sccs == 0
+        assert_same_solution(
+            updated, analyze_side_effects(reparse(edit_chain_tail(6)))
+        )
+
+    def test_rewired_call_condenses_beta_once(self, monkeypatch):
+        edited = patterns.chain(6).replace("call c2(x)", "call c3(x)")
+        old = analyze_side_effects(reparse(patterns.chain(6)))
+        calls = self.count_kernel_calls(monkeypatch)
+        updated, stats = incremental_update(old, reparse(edited))
+        assert calls == dict.fromkeys(self.KERNELS, 1)
+        assert updated.condensations["beta"] == 1
+        assert stats.beta_affected_sccs > 0
+        assert_same_solution(updated, analyze_side_effects(reparse(edited)))
+
+    def test_counter_folds_kind_tallies(self):
+        old = analyze_side_effects(reparse(patterns.chain(6)))
+        updated, _ = incremental_update(old, reparse(edit_chain_head(6)))
+        tallies = list(updated.kind_counters.values())
+        ops = result_meta(updated)["ops"]
+        assert ops == {
+            field: sum(getattr(tally, field) for tally in tallies)
+            for field in ("bit_vector_steps", "single_bit_steps",
+                          "meet_operations")
+        }
+        assert ops["bit_vector_steps"] > 0

@@ -31,6 +31,8 @@ Everything is seeded: a failure reproduces with the printed
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from typing import List
 
@@ -379,6 +381,39 @@ def test_edit_sequences_exercise_every_lowering_case():
                 previous, compile_source(pretty(fuzzer.program)))
             counts[_lowering_case(previous.dep_index, summary)] += 1
     assert counts == {"fresh": 36, "kept": 18, "rewalked": 26}, counts
+
+
+#: sha256 over what the four fuzz sequences' updates report, live and
+#: reloaded (see :func:`test_update_digest_is_pinned`).
+UPDATE_DIGEST = "c501fe0a87a327ec8c4fd61f705f8702e389de5acdc178ef909b7df7e6b5f10f"
+
+
+def test_update_digest_is_pinned():
+    """Every update of the four fuzz sequences, live and after an index
+    round trip, hashed step by step: its container bytes, then its
+    statistics with the invalidation region's names.  A refactor of the
+    engine or its kernels that moves one byte or one count moves the
+    digest."""
+    digest = hashlib.sha256()
+    for config, seed in FUZZ_CASES:
+        fuzzer = EditFuzzer(config, seed)
+        summary = analyze_side_effects(pretty(fuzzer.program))
+        for _ in range(20):
+            fuzzer.step()
+            source = pretty(fuzzer.program)
+            previous = summary
+            summary, stats = incremental_update(previous, compile_source(source))
+            reloaded = incremental_update_from_index(
+                index_from_bytes(index_to_bytes(previous.dep_index)),
+                compile_source(source),
+                reloaded=True,
+            )
+            for updated, update_stats in ((summary, stats), reloaded):
+                digest.update(summary_to_bytes(updated))
+                record = dict(update_stats.to_dict(),
+                              affected_names=update_stats.affected_names)
+                digest.update(json.dumps(record, sort_keys=True).encode())
+    assert digest.hexdigest() == UPDATE_DIGEST
 
 
 def test_fuzzer_is_reproducible():
