@@ -31,10 +31,14 @@ differential:
 # The incremental-engine oracle: randomized edit-sequence fuzzing
 # (byte-identity against scratch on both solver paths after every
 # step), the invalidation-region soundness property, the incremental
-# unit suite, and the dependency-index persistence round-trips.
+# unit suite, the dependency-index persistence round-trips, and the
+# daemon's update replies (the summary the client returns, full or put
+# back for the empty delta, equals a scratch render after every fuzz
+# step).
 incremental-differential:
 	$(PP) $(PY) -m pytest -q tests/test_incremental_fuzz.py \
-	    tests/test_incremental.py tests/test_depindex.py
+	    tests/test_incremental.py tests/test_depindex.py \
+	    tests/test_server_delta.py
 
 # The one regular-sections solver held to the sweep oracle
 # (baselines/sections_sweep.py) on both lattices (figure3, ranges) and

@@ -718,8 +718,12 @@ def incremental_update_from_index(
         cutoff_sccs=cutoff_sccs,
         region_procs=sum(len(components[c]) for c in range(len(components))
                          if comp_affected[c]),
+        # An uncondensed β had no seed, so it kept or dropped old nodes
+        # and added none; a dropped node had no β edge (its component
+        # was itself).
         beta_total_sccs=(
-            index.beta_sccs if beta.num_components is None
+            index.beta_sccs - (len(index.beta_node_uid) - len(formal_uid))
+            if beta.num_components is None
             else beta.num_components
         ),
         beta_affected_sccs=beta.solved_components,

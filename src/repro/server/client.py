@@ -5,13 +5,19 @@ plain socket they can reason about, not an event loop.  One client
 holds one connection and pipelines requests serially over it; create
 one client per thread for concurrent load (the daemon multiplexes
 connections, not the client).
+
+The client keeps each session's last ``key`` and summary on its
+connection and sends the key as ``since`` on ``update``; when the
+daemon answers that nothing changed (``"delta": {}``) the client puts
+the summary it holds back into the reply, so every verb returns what a
+full reply decodes to.
 """
 
 from __future__ import annotations
 
 import socket
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.server.protocol import (
     E_PAYLOAD_TOO_LARGE,
@@ -50,14 +56,27 @@ class ServerClient:
         self.port = port
         self.max_payload = max_payload
         self._next_id = 0
+        #: Session name → the ``(key, summary)`` of its last
+        #: ``analyze``/``update`` reply on this connection.
+        self._held: Dict[str, Tuple[str, Dict[str, Any]]] = {}
         self._socket = socket.create_connection((host, port), timeout=timeout)
         self._file = self._socket.makefile("rwb")
 
     # -- plumbing ------------------------------------------------------------
 
     def request_raw(self, verb: str, **fields: Any) -> Dict[str, Any]:
-        """Send one request, return the decoded response dict as-is
-        (``ok`` may be false; nothing raises but transport errors).
+        """Send one request, return the decoded response dict (``ok``
+        may be false; nothing raises but transport errors).
+
+        An ``update`` of a session this client holds a summary for is
+        sent with ``since`` (that summary's ``key``), and a ``delta``
+        reply comes back with the held ``summary`` in its place: the
+        caller gets a full reply's keys and values.  The summary is
+        read-only, and an unchanged one is the very object an earlier
+        reply returned, as :func:`~repro.core.persist.summary_to_dict`
+        may return one payload again.  A ``delta`` reply the client
+        cannot match to what it holds (the caller passed another
+        ``since`` itself) comes back as the daemon sent it.
 
         A reply longer than ``max_payload`` bytes raises
         :class:`ProtocolError` (``payload_too_large``) and closes the
@@ -65,6 +84,12 @@ class ServerClient:
         next reply."""
         if self._file.closed:
             raise ConnectionError("client connection is closed")
+        session = fields.get("session")
+        if not isinstance(session, str):
+            session = None
+        held = self._held.get(session)
+        if verb == "update" and held is not None:
+            fields.setdefault("since", held[0])
         self._next_id += 1
         message: Dict[str, Any] = {"verb": verb, "id": self._next_id}
         message.update(fields)
@@ -82,7 +107,18 @@ class ServerClient:
                 "reply exceeds the client's max_payload of %d bytes;"
                 " connection closed" % self.max_payload,
             )
-        return decode(line)
+        reply = decode(line)
+        if not (reply.get("ok") and verb in ("analyze", "update") and session):
+            return reply
+        if "delta" in reply:
+            if held is None or held[0] != fields.get("since") or reply["delta"]:
+                return reply
+            del reply["delta"]
+            reply["summary"] = held[1]
+            # The key order of the full reply line, which sorts its keys.
+            reply = dict(sorted(reply.items()))
+        self._held[session] = (reply["key"], reply["summary"])
+        return reply
 
     def request(self, verb: str, **fields: Any) -> Dict[str, Any]:
         """Send one request; raise :class:`ServerError` on failure."""

@@ -544,9 +544,20 @@ class AnalysisServer:
 
         session_name = require_str(request, "session")
         source = require_str(request, "source")
+        since = request.get("since")
+        if since is not None and not isinstance(since, str):
+            raise ProtocolError(E_BAD_REQUEST, "field 'since' must be a string")
         session = self.sessions.get(session_name)
         sleep = self._request_sleep(request)
         old_summary = session.summary if session is not None else None
+        # The summary the client holds, when ``since`` names the
+        # session's key as this request arrives (a concurrent update of
+        # the session may replace its payload meanwhile).
+        held = (
+            session.payload["summary"]
+            if session is not None and since == session.key
+            else None
+        )
 
         def work():
             reloaded_index = None
@@ -601,7 +612,10 @@ class AnalysisServer:
             return new_summary, payload, stats, lanes, key
 
         new_summary, payload, stats, lanes, key = await self._run_heavy(work)
-        self.metrics.observe_update(stats)
+        # The render hands back its predecessor's payload object when no
+        # set moved: then the client already holds this summary.
+        unchanged = held is not None and payload["summary"] is held
+        self.metrics.observe_update(stats, unchanged)
 
         if session is None:
             session = Session(
@@ -624,10 +638,13 @@ class AnalysisServer:
             request_id,
             "update",
             key=key,
-            summary=payload["summary"],
             update_stats=session.last_update,
             session=session.brief(),
         )
+        if unchanged:
+            response["delta"] = {}
+        else:
+            response["summary"] = payload["summary"]
         if payload.get("lanes") is not None:
             response["lanes"] = payload["lanes"]
         return response

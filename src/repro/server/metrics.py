@@ -79,6 +79,9 @@ class ServerMetrics:
         self.total_sccs = 0
         self.reloaded_updates = 0
         self.full_resolves = 0
+        #: ``update`` replies sent as the empty delta (the client's
+        #: ``since`` summary is unchanged) and with the whole summary.
+        self.update_replies = {"delta": 0, "full": 0}
         self.connections = 0
 
     def uptime(self) -> float:
@@ -100,9 +103,11 @@ class ServerMetrics:
         for phase, seconds in timings.items():
             self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds
 
-    def observe_update(self, stats) -> None:
-        """Accumulate one ``UpdateStats`` from an ``update`` request."""
+    def observe_update(self, stats, delta: bool) -> None:
+        """Accumulate one ``UpdateStats`` from an ``update`` request,
+        and whether its reply was the empty delta."""
         self.incremental_updates += 1
+        self.update_replies["delta" if delta else "full"] += 1
         self.reused_procs += stats.reused_procs
         self.affected_procs += stats.affected_procs
         self.region_procs += stats.region_procs
@@ -127,6 +132,7 @@ class ServerMetrics:
             },
             "phase_seconds": dict(self.phase_seconds),
             "analyses": self.analyses,
+            "update_replies": dict(self.update_replies),
             "incremental": {
                 "updates": self.incremental_updates,
                 "reused_procs": self.reused_procs,

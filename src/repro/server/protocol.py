@@ -16,6 +16,17 @@ The protocol is versioned (:data:`PROTOCOL_VERSION`): ``ping`` and
 ``stats`` report it, and the version is bumped whenever a field is
 renamed or re-typed, mirroring how the persist layer versions its
 on-disk schema.
+
+Version 2 lets an ``update`` name the summary its client already
+holds: ``since`` is the ``key`` of the client's last ``analyze`` or
+``update`` reply for that session.  A key is a content hash of the
+source and lanes (:func:`repro.service.cache.content_key`), and a
+session's payload is a function of its key, so when ``since`` equals
+the session's key the client holds that payload.  If the update then
+leaves every set as it was (the render hands back the very payload
+object it had), the reply carries ``"delta": {}`` in place of
+``summary``: the client reuses what it holds.  Any other reply, and
+every reply to a request without ``since``, carries the whole summary.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ import json
 from typing import Any, Dict, Optional
 
 #: Bump on any incompatible change to request/response shapes.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Default cap on one request line (bytes), including the newline.
 MAX_PAYLOAD_DEFAULT = 4 * 1024 * 1024

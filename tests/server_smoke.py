@@ -2,16 +2,19 @@
 
 Launches ``ck-analyze serve`` as a subprocess on an ephemeral port
 (with ``--state-dir`` so sessions persist), opens a session with the
-``sections`` and ``refalias`` lanes, performs one ``update`` (whose
-reply must carry both lanes) + one ``query`` through the client, shuts
-it down with the ``shutdown`` verb, and asserts a zero exit status plus
-a written ``--metrics-json`` dump carrying the incremental region
-counters.  It then starts a second daemon on the same ``--state-dir``
-and updates the session again: the update must reload the persisted
-dependency index and still carry both lanes, and the state directory
-must hold nothing but ``.cki`` state files.  Invoked by ``make
-server-smoke`` and the CI workflow — not collected by pytest (no
-``test_`` prefix).
+``sections`` and ``refalias`` lanes, performs two updates and one
+``query`` through the client, shuts it down with the ``shutdown`` verb,
+and asserts a zero exit status plus a written ``--metrics-json`` dump
+carrying the incremental region counters.  Both update replies must
+carry both lanes; the first edit moves sets and is answered in full,
+the second changes only a literal and is answered with the empty delta,
+and the summary the client returns for it must equal a second client's
+fresh ``analyze`` of that source.  It then starts a second daemon on
+the same ``--state-dir`` and updates the session again: the update must
+reload the persisted dependency index, be answered in full and still
+carry both lanes, and the state directory must hold nothing but
+``.cki`` state files.  Invoked by ``make server-smoke`` and the CI
+workflow — not collected by pytest (no ``test_`` prefix).
 """
 
 from __future__ import annotations
@@ -73,6 +76,8 @@ def main() -> int:
     edited = source.replace(
         "proc c1(x)\n  begin", "proc c1(x)\n  begin\n    g := 9"
     )
+    # A literal edit of ``edited``: no set moves.
+    retouched = edited.replace("g := 9", "g := 7")
     daemon, port = start_daemon(state_dir, metrics_path)
     try:
         with wait_for_server(port) as client:
@@ -84,12 +89,22 @@ def main() -> int:
             assert updated["ok"]
             assert updated["update_stats"]["reuse_fraction"] > 0.0
             assert sorted(updated["lanes"]) == LANES, "update dropped the lanes"
+            retouched_reply = client.update("smoke", retouched)
+            assert sorted(retouched_reply["lanes"]) == LANES
 
             result = client.query("smoke", "who_modifies", variable="g")["result"]
             assert "chain" in result["procedures"]
 
             stats = client.stats()
             assert stats["requests"]["analyze"] == 1
+            assert stats["update_replies"] == {"delta": 1, "full": 1}, (
+                "the literal edit was not answered with the empty delta")
+            # The summary the client put back for that delta is what a
+            # second client's fresh analysis of the same source gets.
+            with wait_for_server(port) as fresh:
+                scratch = fresh.analyze(retouched)
+            assert retouched_reply["summary"] == scratch["summary"], (
+                "the held summary differs from a fresh analyze")
 
             client.shutdown()
 
@@ -98,11 +113,12 @@ def main() -> int:
         assert os.listdir(state_dir), "no session state persisted"
         with open(metrics_path) as handle:
             metrics = json.load(handle)
-        assert metrics["requests"]["analyze"] == 1
-        assert metrics["requests"]["update"] == 1
+        assert metrics["requests"]["analyze"] == 2
+        assert metrics["requests"]["update"] == 2
+        assert metrics["update_replies"] == {"delta": 1, "full": 1}
         assert metrics["requests"]["query"] == 1
         incremental = metrics["incremental"]
-        assert incremental["updates"] == 1
+        assert incremental["updates"] == 2
         assert incremental["reused_procs"] > 0
         assert incremental["region_procs"] >= 1
         assert incremental["total_sccs"] > 0
@@ -126,6 +142,10 @@ def main() -> int:
             client.shutdown()
         returncode = daemon.wait(timeout=30)
         assert returncode == 0, "restarted daemon exited with %d" % returncode
+        with open(metrics_path) as handle:
+            replies = json.load(handle)["update_replies"]
+        assert replies == {"delta": 0, "full": 1}, (
+            "the restarted daemon's update was not answered in full")
     finally:
         stop_daemon(daemon)
     # A session persists as one state file.

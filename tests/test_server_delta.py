@@ -1,0 +1,282 @@
+"""Update replies that name the summary the client already holds.
+
+:class:`ServerClient` sends the ``key`` of its last reply for a session
+as ``since`` on ``update``.  When the update moves no set, the daemon
+answers ``"delta": {}`` in place of the whole summary and the client
+puts back the summary it holds.  The oracle is the full reply a client
+would otherwise have decoded: after every step of the edit-sequence
+fuzz, and after re-sending each step's source (which moves nothing),
+the returned summary equals the JSON round trip of a from-scratch
+``summary_to_dict``, key order included, and the line the daemon wrote
+carried ``delta`` only where no set moved.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+import sys
+import threading
+
+import pytest
+
+import repro.server.daemon as daemon_module
+from repro.core.persist import summary_to_dict
+from repro.core.pipeline import analyze_side_effects, payload_from_summary
+from repro.lang.pretty import pretty
+from repro.server import ServerClient, ServerConfig, ServerError, ServerThread
+from repro.server.protocol import encode
+from repro.workloads import patterns
+from repro.workloads.generator import GeneratorConfig, generate_program
+from tests.test_incremental_fuzz import FUZZ_CASES, EditFuzzer
+
+#: The four fuzz cases plus one 500-procedure sequence.
+SEQUENCES = FUZZ_CASES + [(GeneratorConfig(seed=7, num_procs=500, num_globals=100), 7)]
+SEQUENCE_IDS = ["small-a", "small-b", "medium", "nested", "p500"]
+STEPS = 20
+
+#: The fields of a protocol-1 ``update`` reply of a lane-less session.
+FULL_REPLY = {"ok", "id", "verb", "key", "summary", "update_stats", "session"}
+
+BASE = patterns.chain(8)
+#: ``BASE`` with a global write added to ``c1``: the sets move.
+EDITED = BASE.replace("proc c1(x)\n  begin", "proc c1(x)\n  begin\n    g := 9")
+
+
+def scratch(source: str):
+    """What ``json.loads`` of a full reply gives for the summary of a
+    from-scratch analysis of ``source``."""
+    return json.loads(encode(summary_to_dict(analyze_side_effects(source))))
+
+
+def as_sent(summary_dict) -> str:
+    """``summary_dict`` as compact JSON in its own key order."""
+    return json.dumps(summary_dict, separators=(",", ":"))
+
+
+def literal_edit(source: str) -> str:
+    """``source`` with its first assigned one-digit literal changed: no
+    set and no line moves."""
+    match = re.search(r":= (\d)\b", source)
+    assert match is not None, "no one-digit literal to edit"
+    digit = "2" if match.group(1) != "2" else "3"
+    return source[: match.start(1)] + digit + source[match.end(1):]
+
+
+@pytest.fixture()
+def wire(monkeypatch):
+    """Every line the daemon writes, as bytes, in order."""
+    lines = []
+    encode_line = daemon_module.encode
+
+    def recording(message):
+        line = encode_line(message)
+        lines.append(line)
+        return line
+
+    monkeypatch.setattr(daemon_module, "encode", recording)
+    return lines
+
+
+def last(wire):
+    """The last line the daemon wrote, decoded."""
+    return json.loads(wire[-1])
+
+
+class TestDaemonOracle:
+    @pytest.mark.parametrize("config, seed", SEQUENCES, ids=SEQUENCE_IDS)
+    def test_edit_sequences_match_scratch(self, config, seed, wire):
+        """One client walks the sequence by ``update``, sending every
+        step's source twice.  Each reply's summary equals a scratch
+        render's JSON round trip, values and key order; the first
+        update of a step carried ``delta`` only if no set moved, and
+        the second always did."""
+        fuzzer = EditFuzzer(config, seed)
+        source = pretty(fuzzer.program)
+        old_text = as_sent(scratch(source))
+        with ServerThread(ServerConfig(port=0)) as handle:
+            with ServerClient(port=handle.port, max_payload=1 << 26) as client:
+                client.analyze(source, session="fuzz")
+                for step in range(STEPS):
+                    op = fuzzer.step()
+                    source = pretty(fuzzer.program)
+                    context = "step %d (%s)" % (step, op)
+                    new_text = as_sent(scratch(source))
+                    reply = client.update("fuzz", source)
+                    assert as_sent(reply["summary"]) == new_text, context
+                    line = last(wire)
+                    if "delta" in line:
+                        assert line["delta"] == {} and "summary" not in line, context
+                        assert new_text == old_text, context
+                    again = client.update("fuzz", source)
+                    line = last(wire)
+                    assert line["delta"] == {} and "summary" not in line, context
+                    assert again["summary"] is reply["summary"], context
+                    assert set(again) == FULL_REPLY, context
+                    assert list(again) == sorted(again), context
+                    old_text = new_text
+                replies = client.stats()["update_replies"]
+        assert replies["delta"] + replies["full"] == 2 * STEPS
+        assert replies["delta"] >= STEPS
+
+    def test_literal_edit_line_is_small(self, wire):
+        """At 500 procedures / 100 globals a literal edit leaves every
+        set and line as it was: the update line is the empty delta plus
+        the statistics, under 2 KB against megabytes for the summary."""
+        source = pretty(generate_program(
+            GeneratorConfig(seed=7, num_procs=500, num_globals=100)))
+        edited = literal_edit(source)
+        with ServerThread(ServerConfig(port=0)) as handle:
+            with ServerClient(port=handle.port, max_payload=1 << 26) as client:
+                opened = client.analyze(source, session="s")
+                full = len(wire[-1])
+                updated = client.update("s", edited)
+        assert last(wire)["delta"] == {}
+        assert len(wire[-1]) < 2048 < full
+        assert updated["summary"] is opened["summary"]
+        assert updated["summary"] == scratch(edited)
+
+
+class TestEdgeCases:
+    def test_without_since_the_reply_is_protocol_one(self, wire):
+        with ServerThread(ServerConfig(port=0)) as handle:
+            with ServerClient(port=handle.port) as opener:
+                opener.analyze(BASE, session="s")
+            with ServerClient(port=handle.port) as client:
+                reply = client.update("s", literal_edit(BASE))
+        assert set(last(wire)) == FULL_REPLY
+        assert reply["summary"] == scratch(literal_edit(BASE))
+
+    def test_a_second_clients_update_makes_the_next_reply_full(self, wire):
+        with ServerThread(ServerConfig(port=0)) as handle:
+            with ServerClient(port=handle.port) as first, \
+                    ServerClient(port=handle.port) as second:
+                first.analyze(BASE, session="s")
+                second.update("s", EDITED)
+                reply = first.update("s", literal_edit(EDITED))
+                assert "summary" in last(wire)
+                assert reply["summary"] == scratch(literal_edit(EDITED))
+                # The full reply re-synchronised the first client.
+                reply = first.update("s", EDITED)
+                assert last(wire)["delta"] == {}
+                assert reply["summary"] == scratch(EDITED)
+                replies = first.stats()["update_replies"]
+        assert replies == {"delta": 1, "full": 2}
+
+    def test_a_session_edited_back_still_answers_a_delta(self, wire):
+        """``since`` names a source, not a moment: a session another
+        client took away and back to the held source matches it."""
+        with ServerThread(ServerConfig(port=0)) as handle:
+            with ServerClient(port=handle.port) as first, \
+                    ServerClient(port=handle.port) as second:
+                first.analyze(BASE, session="s")
+                second.update("s", EDITED)
+                second.update("s", BASE)
+                reply = first.update("s", literal_edit(BASE))
+        assert last(wire)["delta"] == {}
+        assert reply["summary"] == scratch(literal_edit(BASE))
+
+    def test_a_restarted_daemon_answers_its_first_update_in_full(self, tmp_path, wire):
+        """A reloaded session is not in memory until its first update,
+        which is answered in full whatever ``since`` says."""
+        config = ServerConfig(port=0, state_dir=str(tmp_path))
+        with ServerThread(config) as handle:
+            with ServerClient(port=handle.port) as client:
+                key = client.analyze(BASE, session="s")["key"]
+        with ServerThread(config) as handle:
+            with ServerClient(port=handle.port) as client:
+                reply = client.request_raw(
+                    "update", session="s", source=literal_edit(BASE), since=key)
+                assert reply["ok"] and "summary" in last(wire)
+                assert reply["summary"] == scratch(literal_edit(BASE))
+                reply = client.update("s", BASE)
+                assert last(wire)["delta"] == {}
+                assert reply["summary"] == scratch(BASE)
+                replies = client.stats()["update_replies"]
+        assert replies == {"delta": 1, "full": 1}
+
+    def test_non_string_since_is_bad_request(self):
+        with ServerThread(ServerConfig(port=0)) as handle:
+            with ServerClient(port=handle.port) as client:
+                client.analyze(BASE, session="s")
+                for bad in (7, ["x"], {"g": 1}, True):
+                    reply = client.request_raw(
+                        "update", session="s", source=BASE, since=bad)
+                    assert not reply["ok"]
+                    assert reply["error"]["code"] == "bad_request"
+
+    def test_failed_update_keeps_the_held_summary(self, wire):
+        with ServerThread(ServerConfig(port=0)) as handle:
+            with ServerClient(port=handle.port) as client:
+                client.analyze(BASE, session="s")
+                with pytest.raises(ServerError) as excinfo:
+                    client.update("s", "program broken begin call nosuch( end")
+                assert excinfo.value.code == "analysis_error"
+                reply = client.update("s", literal_edit(BASE))
+        assert last(wire)["delta"] == {}
+        assert reply["summary"] == scratch(literal_edit(BASE))
+
+    def test_laned_session_keeps_its_lanes_block(self, wire):
+        lanes = ("refalias", "sections")
+        edited = literal_edit(BASE)
+        with ServerThread(ServerConfig(port=0)) as handle:
+            with ServerClient(port=handle.port) as client:
+                client.analyze(BASE, session="s", lanes=list(lanes))
+                reply = client.update("s", edited)
+        assert last(wire)["delta"] == {} and "lanes" in last(wire)
+        fresh = payload_from_summary(analyze_side_effects(edited, lanes=lanes))
+        assert reply["lanes"] == json.loads(encode(fresh["lanes"]))
+        assert reply["summary"] == scratch(edited)
+
+    def test_concurrent_updates_return_each_clients_summary(self, tmp_path):
+        """Four clients update one session at once, each with another
+        source every round: two sources and a literal edit of each.
+        With a state dir each reply waits on a save while the others
+        land.  Every returned summary equals its own source's scratch
+        render, whichever replies came as deltas."""
+        sources = [BASE, literal_edit(BASE), EDITED, literal_edit(EDITED)]
+        expected = [scratch(source) for source in sources]
+        rounds = 6
+        config = ServerConfig(port=0, state_dir=str(tmp_path), max_concurrent=4,
+                              allow_sleep=True)
+        with ServerThread(config) as handle:
+            with ServerClient(port=handle.port) as opener:
+                opener.analyze(BASE, session="shared")
+            start = threading.Barrier(len(sources), timeout=30)
+            failures = []
+
+            def client(which):
+                try:
+                    with ServerClient(port=handle.port) as c:
+                        c.analyze(BASE, session="shared")
+                        for round_no in range(rounds):
+                            start.wait()
+                            pick = (which + round_no) % len(sources)
+                            # The sleep lets every request of a round
+                            # arrive before any of them lands.
+                            reply = c.request_raw("update", session="shared",
+                                                  source=sources[pick], sleep=0.02)
+                            if not reply.get("ok"):
+                                failures.append(reply.get("error"))
+                            elif reply["summary"] != expected[pick]:
+                                failures.append((which, round_no, "diverged"))
+                except Exception as error:
+                    failures.append((which, repr(error)))
+
+            threads = [threading.Thread(target=client, args=(which,))
+                       for which in range(len(sources))]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-4)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            with ServerClient(port=handle.port) as observer:
+                replies = observer.stats()["update_replies"]
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert replies["delta"] + replies["full"] == rounds * len(sources)
+        assert replies["delta"] > 0
