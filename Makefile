@@ -30,8 +30,11 @@ differential:
 
 # The incremental-engine oracle: randomized edit-sequence fuzzing
 # (byte-identity against scratch on both solver paths after every
-# step), the invalidation-region soundness property, the incremental
-# unit suite, the dependency-index persistence round-trips, and the
+# step, live and from the index read back out of a written container,
+# including a program named after one of its procedures), the
+# invalidation-region soundness property, the incremental unit suite,
+# the dependency-index persistence round-trips (format-3 state files
+# and bodies cut, flipped or swapped end in a full re-solve), and the
 # daemon's update replies (the summary the client returns, full or put
 # back for the empty delta, equals a scratch render after every fuzz
 # step).

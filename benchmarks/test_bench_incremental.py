@@ -3,7 +3,8 @@
 Protocol (mirrors an editor session on a large program):
 
 1. Generate a 10k-procedure scale-free program, analyze it from
-   scratch, and build + serialize the dependency index.
+   scratch, and write its container with the dependency index
+   section, as the analysis server writes a session's state file.
 2. Pick a *leaf-local* edit target: the first procedure that forms a
    singleton call-graph SCC and owns a local that nothing modifies,
    and append ``local := local + 1`` to its body — a real edit whose
@@ -13,8 +14,9 @@ Protocol (mirrors an editor session on a large program):
    * **scratch** — full ``analyze_side_effects`` on a cold arena;
    * **warm** — ``incremental_update`` against the live old summary
      (the in-process server session path);
-   * **reloaded** — ``incremental_update_from_index`` against a
-     deserialized index, cold arena (the post-restart server path).
+   * **reloaded** — ``incremental_update_from_index`` against the
+     index read back from that container, cold arena (the
+     post-restart server path).
 
    Each variant's summary must serialize to the *same bytes* as the
    scratch solve — the speedups are only meaningful because the answer
@@ -48,14 +50,14 @@ if str(REPO_ROOT) not in sys.path:
 from repro.core.arena import clear_arena_cache, peek_arena
 from repro.core.depindex import (
     build_dependency_index,
-    index_from_bytes,
-    index_to_bytes,
+    index_from_container,
+    index_section,
 )
 from repro.core.incremental import (
     incremental_update,
     incremental_update_from_index,
 )
-from repro.core.persist import summary_to_bytes
+from repro.core.persist import SECTION_DEP_INDEX, summary_to_bytes
 from repro.core.pipeline import analyze_side_effects
 from repro.core.varsets import EffectKind
 from repro.lang.nodes import Assign, BinOp, IntLit, VarRef
@@ -120,9 +122,9 @@ def measure_incremental_benchmark(
     clear_arena_cache()
     old_resolved = analyze(copy.deepcopy(program))
     old_summary = analyze_side_effects(old_resolved)
-    index = build_dependency_index(old_summary)
-    old_summary.dep_index = index
-    blob = index_to_bytes(index)
+    old_summary.dep_index = build_dependency_index(old_summary)
+    blob = index_section(old_summary)
+    state = summary_to_bytes(old_summary, sections={SECTION_DEP_INDEX: blob})
 
     proc, local = _pick_leaf_edit(old_resolved, old_summary)
     edited = _apply_edit(program, proc.qualified_name, local.name)
@@ -155,8 +157,9 @@ def measure_incremental_benchmark(
                 "warm incremental summary diverged from scratch")
             del warm
 
-        # Reloaded: deserialized index, cold arena (post-restart).
-        reloaded_index = index_from_bytes(blob)
+        # Reloaded: the index read back from the state file, cold
+        # arena (post-restart).
+        reloaded_index = index_from_container(state)
         reloaded_s = float("inf")
         reloaded_stats = None
         for _ in range(repeats):

@@ -386,6 +386,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     import json
 
     from repro.server.client import ServerClient
+    from repro.server.protocol import ProtocolError
 
     fields = {}
     if args.file:
@@ -407,7 +408,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             port=args.port, host=args.host, timeout=args.timeout
         ) as client:
             response = client.request_raw(args.verb, **fields)
-    except ConnectionError as error:
+    except (ConnectionError, ProtocolError) as error:  # A reply past max_payload.
         print("error: %s" % error, file=sys.stderr)
         return 1
     print(json.dumps(response, indent=2, sort_keys=True))

@@ -78,11 +78,14 @@ def iter_pairs(table: Dict[int, int]) -> Iterator[Tuple[int, int]]:
             higher ^= low
 
 
-def named_pairs(table: Dict[int, int], names: Sequence[str]) -> List[List[str]]:
-    """A partner table's pairs as name pairs: each pair sorted by
-    name, the list sorted — the serialized ``aliases`` form."""
+def named_pairs(
+    pairs: Iterable[Tuple[int, int]], names: Sequence[str]
+) -> List[List[str]]:
+    """Uid pairs (a partner table's :func:`iter_pairs`) as name pairs:
+    each pair sorted by name, the list sorted — the serialized
+    ``aliases`` form."""
     out = []
-    for a, b in iter_pairs(table):
+    for a, b in pairs:
         first, second = names[a], names[b]
         out.append([first, second] if first < second else [second, first])
     out.sort()

@@ -251,6 +251,8 @@ class ProgramArena:
         self.condensation_counts: Dict[str, int] = {}
         self._scc: Dict[str, Tuple[List[int], List[List[int]]]] = {}
         self._strip: Optional[List[int]] = None
+        #: β's component count when an update carried it uncondensed.
+        self.carried_beta_sccs: Optional[int] = None
 
     # -- shared condensations -------------------------------------------------
 

@@ -5,11 +5,11 @@ Two consumers: the versioned binary summary container
 (:mod:`repro.core.persist`; its v5 body writes every variable set with
 the adaptive mask codec, and its reader takes the zigzag ints of
 earlier builds' v3/v4 bodies) and the dependency index
-(:mod:`repro.core.depindex`).  Both write alias partner tables with
-:func:`write_partners`.  All speak the same dialect — unsigned LEB128
-varints, zigzag-mapped signed ints, and big-int bit masks as
-little-endian minimal-length byte strings — so a byte layout debugged
-once works everywhere.
+(:mod:`repro.core.depindex`).  The container's body holds the alias
+partner tables (:func:`write_partners`, :func:`read_partner_rows`).  All
+speak the same dialect — unsigned LEB128 varints, zigzag-mapped signed
+ints, and big-int bit masks as little-endian minimal-length byte
+strings — so a byte layout debugged once works everywhere.
 
 Bit masks are the workhorse: the analysis represents variable sets as
 arbitrary-precision ints, and ``int.to_bytes``/``int.from_bytes`` move
@@ -53,21 +53,6 @@ def read_signed(data, pos: int) -> Tuple[int, int]:
     return ((raw >> 1) if not raw & 1 else -((raw + 1) >> 1)), pos
 
 
-def mask_to_bytes(mask: int) -> bytes:
-    """A non-negative big-int mask as little-endian minimal bytes
-    (``b""`` for the empty mask)."""
-    if mask < 0:
-        raise ValueError("mask must be non-negative, got %d" % mask)
-    return mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-
-
-def write_mask(out: bytearray, mask: int) -> None:
-    """Append a length-prefixed mask blob."""
-    blob = mask_to_bytes(mask)
-    write_varint(out, len(blob))
-    out += blob
-
-
 def _checked_end(data, pos: int, length: int) -> int:
     """``pos + length``, provided ``data`` holds that many bytes: a
     slice past the end would silently come back short."""
@@ -78,15 +63,6 @@ def _checked_end(data, pos: int, length: int) -> int:
             "end (%d bytes)" % (length, pos, len(data))
         )
     return end
-
-
-def read_mask(data, pos: int) -> Tuple[int, int]:
-    """Read a length-prefixed mask blob; returns ``(mask, next
-    position)``.  Raises :class:`ValueError` if the blob runs past the
-    end of ``data``."""
-    length, pos = read_varint(data, pos)
-    end = _checked_end(data, pos, length)
-    return int.from_bytes(data[pos:end], "little"), end
 
 
 #: Most set bits :func:`write_mask_adaptive` peels off one at a time;
@@ -134,7 +110,8 @@ def write_mask_adaptive(out: bytearray, mask: int) -> None:
                 write_varint(out, gap)
     else:
         out.append(0)
-        write_mask(out, mask)
+        write_varint(out, raw_len)
+        out += mask.to_bytes(raw_len, "little")
 
 
 def read_mask_adaptive(
@@ -148,10 +125,12 @@ def read_mask_adaptive(
     """
     popcount, pos = read_varint(data, pos)
     if popcount == 0:
-        mask, pos = read_mask(data, pos)
+        length, pos = read_varint(data, pos)
+        end = _checked_end(data, pos, length)
+        mask = int.from_bytes(data[pos:end], "little")
         if width is not None and mask.bit_length() > width:
             raise ValueError("mask bit past the width %d" % width)
-        return mask, pos
+        return mask, end
     if width is not None and popcount > width:
         raise ValueError("%d mask bits exceed the width %d" % (popcount, width))
     mask = 0

@@ -34,24 +34,35 @@ edited program's graphs on its own arena.
 Everything is keyed by qualified names or plain ints, never by live
 symbol objects, so an index deserialized in a fresh process can drive
 the update directly.
+
+On disk the index rides in the trailer of the summary's v5 container
+(:func:`index_section`), whose body holds the variable table, the
+``GMOD`` rows, every site's ``DMOD``/``MOD`` and the alias tables: the
+blob stores the rest, and :func:`index_from_container` reads those
+back from the body, so each solved set is stored once.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Tuple
 
 from repro.core.arena import ProgramArena, peek_arena
 from repro.core.binio import (
     read_bytes,
     read_mask_adaptive,
-    read_partner_rows,
     read_varint,
     write_bytes,
     write_mask_adaptive,
-    write_partners,
     write_varint,
+)
+from repro.core.persist import (
+    SECTION_DEP_INDEX,
+    read_container_trailer,
+    read_summary_body,
+    summary_crc32,
 )
 from repro.lang.symbols import ProcSymbol
 
@@ -62,8 +73,11 @@ INDEX_MAGIC = b"CKDI"
 #: summary container version; any other version raises, never
 #: misreads.  Versions 1 and 2 also stored the condensations' component
 #: maps and edge lists, the export rows and the alias pairs as pair
-#: lists; a daemon that finds one re-solves in full instead.
-INDEX_FORMAT_VERSION = 3
+#: lists; version 3 also stored the variable names, every ``GMOD``
+#: row, the alias partner tables and every site's ``DMOD``/``MOD``,
+#: which the container's body holds.  A daemon that finds one of them
+#: re-solves in full instead.
+INDEX_FORMAT_VERSION = 4
 
 
 def fingerprint_text(proc: ProcSymbol) -> str:
@@ -128,7 +142,7 @@ class DependencyIndex:
     #: whenever the uid/pid spaces are pinned — see
     #: :meth:`repro.core.varsets.VariableUniverse.spliced`).
     #: ``gmod[k][pid] & ~universe_local[pid]`` is what callers read of
-    #: ``pid`` (:func:`_export_rows`).
+    #: ``pid`` (equation (4)'s ``GMOD(q) − LOCAL(q)``).
     universe_global: int
     universe_local: List[int]  # per pid
     universe_formal: List[int]  # per pid
@@ -137,10 +151,8 @@ class DependencyIndex:
     # -- solved per-procedure rows (one list per kind) ------------------------
     gmod: List[List[int]]
     imod_plus: List[List[int]]
-    #: §3.3 *extended* IMOD/IUSE per kind — both an input snapshot and
-    #: the serialization base: ``imod_plus`` is stored as an XOR delta
-    #: against it, ``gmod`` against ``imod_plus``, and so on down the
-    #: derivation chain, which keeps each stored mask nearly empty.
+    #: §3.3 *extended* IMOD/IUSE per kind — an input snapshot, and the
+    #: base ``imod_plus`` is stored against as an XOR delta.
     imod_ext: List[List[int]]
     imod_plain: List[int]  # unextended IMOD (arena patch donor)
     iuse_plain: List[int]
@@ -169,10 +181,6 @@ class DependencyIndex:
     def num_procs(self) -> int:
         return len(self.proc_names)
 
-    @property
-    def num_sites(self) -> int:
-        return len(self.site_caller)
-
     def sites_by_caller(self) -> List[List[int]]:
         """Old site ids grouped by caller pid, in site-id order."""
         grouped: List[List[int]] = [[] for _ in range(self.num_procs)]
@@ -181,20 +189,15 @@ class DependencyIndex:
         return grouped
 
 
-def _export_rows(gmod: List[int], local: List[int]) -> List[int]:
-    """Per procedure, equation (4)'s ``GMOD(q) − LOCAL(q)``: the part
-    of its ``GMOD`` row its callers read."""
-    return [row & ~mask for row, mask in zip(gmod, local)]
-
-
 def build_dependency_index(summary) -> "DependencyIndex":
     """Snapshot a live :class:`SideEffectSummary` into an index.
 
     The site and binding tables come from the program's arena: the
     cached one, or a fresh uncached :class:`ProgramArena` when the cache
-    has dropped it.  β's component count reuses the arena's condensation
-    when one is cached (a full analysis, or an update that re-solved
-    RMOD); otherwise counting it is the one Tarjan pass over β.
+    has dropped it.  β's component count is the one an update carried
+    without condensing β (``arena.carried_beta_sccs``), else the
+    condensation's.  Every list is the summary's or the arena's own,
+    shared, not copied: none is written after its solve.
     """
     resolved = summary.resolved
     arena = peek_arena(resolved) or ProgramArena(resolved)
@@ -211,6 +214,9 @@ def build_dependency_index(summary) -> "DependencyIndex":
                 rmod_node_bits[node] |= 1 << k
 
     universe = summary.universe
+    beta_sccs = arena.carried_beta_sccs
+    if beta_sccs is None:
+        beta_sccs = len(arena.beta_condensation()[1])
     return DependencyIndex(
         kinds=[kind.value for kind in kind_list],
         proc_names=[proc.qualified_name for proc in resolved.procs],
@@ -219,203 +225,135 @@ def build_dependency_index(summary) -> "DependencyIndex":
             for proc in resolved.procs
         ],
         fingerprints=[fingerprint_digest(proc) for proc in resolved.procs],
-        var_names=[var.qualified_name for var in resolved.variables],
+        var_names=universe.names,
         universe_global=universe.global_mask,
-        universe_local=list(universe.local_mask),
-        universe_formal=list(universe.formal_mask),
-        universe_level=list(universe.level_mask),
-        gmod=[list(solution.gmod) for solution in solutions],
-        imod_plus=[list(solution.imod_plus) for solution in solutions],
-        imod_ext=[list(local.initial(kind)) for kind in kind_list],
-        imod_plain=list(local.imod_plain),
-        iuse_plain=list(local.iuse_plain),
+        universe_local=universe.local_mask,
+        universe_formal=universe.formal_mask,
+        universe_level=universe.level_mask,
+        gmod=[solution.gmod for solution in solutions],
+        imod_plus=[solution.imod_plus for solution in solutions],
+        imod_ext=[local.initial(kind) for kind in kind_list],
+        imod_plain=local.imod_plain,
+        iuse_plain=local.iuse_plain,
         beta_node_uid=[formal.uid for formal in binding_graph.formals],
         rmod_node_bits=rmod_node_bits,
-        beta_sccs=len(arena.beta_condensation()[1]),
-        partner_mask=list(summary.aliases.partner_mask),
-        site_caller=list(arena.site_caller),
-        site_callee=list(arena.site_callee),
-        site_lmod=list(arena.site_lmod),
-        site_luse=list(arena.site_luse),
-        site_ref_heads=list(arena.site_ref_heads),
-        ref_formal_uid=list(arena.ref_formal_uid),
-        ref_base_uid=list(arena.ref_base_uid),
-        dmod=[list(solution.dmod) for solution in solutions],
-        mod=[list(solution.mod) for solution in solutions],
+        beta_sccs=beta_sccs,
+        partner_mask=summary.aliases.partner_mask,
+        site_caller=arena.site_caller,
+        site_callee=arena.site_callee,
+        site_lmod=arena.site_lmod,
+        site_luse=arena.site_luse,
+        site_ref_heads=arena.site_ref_heads,
+        ref_formal_uid=arena.ref_formal_uid,
+        ref_base_uid=arena.ref_base_uid,
+        dmod=[solution.dmod for solution in solutions],
+        mod=[solution.mod for solution in solutions],
     )
 
 
 # ---------------------------------------------------------------------------
-# Serialization (one tagged blob, embedded in the summary container)
+# Serialization (one tagged blob in the trailer of the summary's container)
 # ---------------------------------------------------------------------------
 
 
-def _write_str_list(out: bytearray, items: List[str]) -> None:
+def index_section(summary) -> bytes:
+    """The dependency index section of ``summary``'s container: its
+    index (built and cached on the summary if absent) written against
+    the string table and body :func:`~repro.core.persist.summary_to_bytes`
+    writes for it.  Pass it as ``sections={SECTION_DEP_INDEX: ...}``."""
+    index = summary.dep_index
+    if index is None:
+        index = summary.dep_index = build_dependency_index(summary)
+    return index_to_bytes(index, summary_crc32(summary))
+
+
+def _hidden_pids(proc_names: List[str]) -> List[int]:
+    """The pids whose rows the body, keyed by name, does not show: the
+    main program when a level-1 procedure is named after it.  Main has
+    no formals and is never called, so only its ``GMOD`` rows are
+    missing (its alias table is empty)."""
+    last = {name: pid for pid, name in enumerate(proc_names)}
+    return [pid for pid, name in enumerate(proc_names) if last[name] != pid]
+
+
+def _write_list(out: bytearray, items: list, write_item) -> None:
+    """A count, then each item as ``write_item(out, item)`` appends it."""
     write_varint(out, len(items))
     for item in items:
-        write_bytes(out, item.encode("utf-8"))
+        write_item(out, item)
 
 
-def _read_str_list(data, pos: int) -> Tuple[List[str], int]:
+def _read_list(data, pos: int, read_item) -> Tuple[list, int]:
+    """Inverse of :func:`_write_list`, given ``read_item(data, pos) ->
+    (item, next position)``."""
     count, pos = read_varint(data, pos)
-    items: List[str] = []
+    items = []
     for _ in range(count):
-        blob, pos = read_bytes(data, pos)
-        items.append(blob.decode("utf-8"))
+        item, pos = read_item(data, pos)
+        items.append(item)
     return items, pos
 
 
-def _write_int_list(out: bytearray, items: List[int]) -> None:
-    write_varint(out, len(items))
-    for item in items:
-        write_varint(out, item + 1)  # shift so -1 (no parent) stays valid
+#: The blob's list fields, in order: int lists, then masks over the
+#: variable uids.
+_INT_FIELDS = ("proc_parent", "beta_node_uid", "rmod_node_bits", "site_caller",
+               "site_callee", "site_ref_heads", "ref_formal_uid", "ref_base_uid")
+_MASK_FIELDS = ("universe_local", "universe_formal", "universe_level",
+                "imod_plain", "iuse_plain", "site_lmod", "site_luse")
 
 
-def _read_int_list(data, pos: int) -> Tuple[List[int], int]:
-    count, pos = read_varint(data, pos)
-    items: List[int] = []
-    for _ in range(count):
-        value, pos = read_varint(data, pos)
-        items.append(value - 1)
-    return items, pos
-
-
-def _write_mask_list(out: bytearray, masks: List[int]) -> None:
-    write_varint(out, len(masks))
-    for mask in masks:
-        write_mask_adaptive(out, mask)
-
-
-def _read_mask_list(data, pos: int, width: int) -> Tuple[List[int], int]:
-    count, pos = read_varint(data, pos)
-    masks: List[int] = []
-    for _ in range(count):
-        mask, pos = read_mask_adaptive(data, pos, width)
-        masks.append(mask)
-    return masks, pos
-
-
-def _write_mask_delta(out: bytearray, masks: List[int],
-                      bases: List[int]) -> None:
-    """Write masks XORed against aligned base masks.
-
-    The solved sets are supersets of what they were derived from
-    (``GMOD ⊇ IMOD+``, ``MOD ⊇ DMOD``, …), so the delta holds only the
-    increment — usually a handful of bits the adaptive sparse form
-    stores in a few bytes, where the full mask costs a byte per eight
-    universe slots.  XOR makes reconstruction exact either way.
-    """
-    write_varint(out, len(masks))
-    for mask, base in zip(masks, bases):
-        write_mask_adaptive(out, mask ^ base)
-
-
-def _read_mask_delta(
-    data, pos: int, bases: List[int], width: int
-) -> Tuple[List[int], int]:
-    count, pos = read_varint(data, pos)
-    masks: List[int] = []
-    for index in range(count):
-        delta, pos = read_mask_adaptive(data, pos, width)
-        masks.append(delta ^ bases[index])
-    return masks, pos
-
-
-def _site_bases(kinds, site_lmod, site_luse, site_callee, gmod, local):
-    """Per kind, each site's ``DMOD`` base: equation (2) without the
-    formal translation, ``LMOD(s) ∪ (GMOD(q) − LOCAL(q))``."""
-    bases = []
-    for k, kind in enumerate(kinds):
-        site_local = site_lmod if kind == "mod" else site_luse
-        exports = _export_rows(gmod[k], local)
-        bases.append([
-            mask | exports[callee]
-            for mask, callee in zip(site_local, site_callee)
-        ])
-    return bases
-
-
-def _read_partner_table(data, pos: int, width: int) -> Tuple[Dict[int, int], int]:
-    """A :func:`~repro.core.binio.write_partners` table back as the
-    symmetric partner table it was written from."""
-    rows, pos = read_partner_rows(data, pos, width)
-    table: Dict[int, int] = {}
-    for uid, below in rows:
-        table[uid] = table.get(uid, 0) | below
-        bit = 1 << uid
-        while below:
-            low = below & -below
-            partner = low.bit_length() - 1
-            table[partner] = table.get(partner, 0) | bit
-            below ^= low
-    return table, pos
-
-
-def index_to_bytes(index: DependencyIndex) -> bytes:
-    """Serialize an index to its tagged-section blob."""
-    out = bytearray()
-    out += INDEX_MAGIC
+def index_to_bytes(index: DependencyIndex, crc: int) -> bytes:
+    """Serialize an index to its tagged-section blob (format 4), written
+    against the container head whose ``zlib.crc32`` is ``crc``
+    (:func:`~repro.core.persist.summary_crc32`): what that body lacks,
+    and no variable name, alias table or site ``DMOD``/``MOD``."""
+    out = bytearray(INDEX_MAGIC)
     write_varint(out, INDEX_FORMAT_VERSION)
-    _write_str_list(out, index.kinds)
-
-    _write_str_list(out, index.proc_names)
-    _write_int_list(out, index.proc_parent)
-    write_varint(out, len(index.fingerprints))
-    for digest in index.fingerprints:
-        write_bytes(out, digest)
-    _write_str_list(out, index.var_names)
+    out += crc.to_bytes(4, "little")
+    _write_list(out, [name.encode("utf-8") for name in index.proc_names], write_bytes)
+    _write_list(out, index.fingerprints, write_bytes)
+    for name in _INT_FIELDS:
+        # Shifted by one, so -1 (no parent) stays valid.
+        _write_list(out, [item + 1 for item in getattr(index, name)], write_varint)
     write_mask_adaptive(out, index.universe_global)
-    _write_mask_list(out, index.universe_local)
-    _write_mask_list(out, index.universe_formal)
-    _write_mask_list(out, index.universe_level)
-
-    num_kinds = len(index.kinds)
-    _write_mask_list(out, index.imod_plain)
-    _write_mask_list(out, index.iuse_plain)
-    for k in range(num_kinds):
-        _write_mask_list(out, index.imod_ext[k])
-    # The derivation chain, each level a sparse XOR delta on the last.
-    for k in range(num_kinds):
-        _write_mask_delta(out, index.imod_plus[k], index.imod_ext[k])
-    for k in range(num_kinds):
-        _write_mask_delta(out, index.gmod[k], index.imod_plus[k])
-
-    _write_int_list(out, index.beta_node_uid)
-    _write_int_list(out, index.rmod_node_bits)
+    for name in _MASK_FIELDS:
+        _write_list(out, getattr(index, name), write_mask_adaptive)
+    hidden = _hidden_pids(index.proc_names)
+    for ext, plus, gmod in zip(index.imod_ext, index.imod_plus, index.gmod):
+        _write_list(out, ext, write_mask_adaptive)
+        # IMOD+ ⊇ the extended IMOD it grew from: the XOR is only the
+        # increment, a few bits the sparse form stores in a byte or two.
+        deltas = [row ^ base for row, base in zip(plus, ext)]
+        _write_list(out, deltas, write_mask_adaptive)
+        for pid in hidden:
+            write_mask_adaptive(out, gmod[pid] ^ plus[pid])
     write_varint(out, index.beta_sccs)
-
-    write_varint(out, len(index.partner_mask))
-    for table in index.partner_mask:
-        write_partners(out, table)
-
-    _write_int_list(out, index.site_caller)
-    _write_int_list(out, index.site_callee)
-    _write_mask_list(out, index.site_lmod)
-    _write_mask_list(out, index.site_luse)
-    _write_int_list(out, index.site_ref_heads)
-    _write_int_list(out, index.ref_formal_uid)
-    _write_int_list(out, index.ref_base_uid)
-    bases = _site_bases(index.kinds, index.site_lmod, index.site_luse,
-                        index.site_callee, index.gmod, index.universe_local)
-    for k in range(num_kinds):
-        _write_mask_delta(out, index.dmod[k], bases[k])
-    for k in range(num_kinds):
-        _write_mask_delta(out, index.mod[k], index.dmod[k])
     return bytes(out)
 
 
-def index_from_bytes(data: bytes) -> DependencyIndex:
-    """Deserialize an index blob; raises :class:`ValueError` with an
-    explicit message on a magic or version mismatch, and on a truncated
-    or corrupt blob."""
+def index_from_container(data, trailer=None) -> DependencyIndex:
+    """The dependency index of a container written with
+    :func:`index_section`: its trailer's blob, with the variable names,
+    the ``GMOD`` rows, the alias tables and every site's ``DMOD``/``MOD``
+    read from the body as masks, nothing named.  ``trailer`` is
+    :func:`~repro.core.persist.read_container_trailer`'s result for
+    ``data`` when the caller has read it already.  The blob's format and
+    CRC are checked before the body is read.  Raises :class:`ValueError`
+    when there is no index section, on another format, on an index
+    written against another body (its CRC) and on a corrupt container or
+    blob."""
+    sections, crc = trailer if trailer is not None else read_container_trailer(data)
+    blob = sections.get(SECTION_DEP_INDEX)
+    if blob is None:
+        raise ValueError("the container holds no dependency index")
     try:
-        return _index_from_bytes(data)
+        return _index_from_bytes(blob, crc, data)
     except IndexError as exc:
         # A varint, list or mask table running off the blob.
         raise ValueError("corrupt dependency index: %s" % exc) from exc
 
 
-def _index_from_bytes(data: bytes) -> DependencyIndex:
+def _index_from_bytes(data: bytes, crc: int, container) -> DependencyIndex:
     magic = bytes(data[: len(INDEX_MAGIC)])
     if magic != INDEX_MAGIC:
         raise ValueError(
@@ -430,104 +368,79 @@ def _index_from_bytes(data: bytes) -> DependencyIndex:
             "version %d only); re-analyze to rebuild the index"
             % (version, INDEX_FORMAT_VERSION)
         )
-    kinds, pos = _read_str_list(data, pos)
-
-    proc_names, pos = _read_str_list(data, pos)
-    proc_parent, pos = _read_int_list(data, pos)
-    count, pos = read_varint(data, pos)
-    fingerprints: List[bytes] = []
-    for _ in range(count):
-        digest, pos = read_bytes(data, pos)
-        fingerprints.append(digest)
-    var_names, pos = _read_str_list(data, pos)
+    written = int.from_bytes(data[pos:pos + 4], "little")
+    pos += 4
+    if written != crc:
+        raise ValueError(
+            "dependency index written against another summary body "
+            "(CRC %08x, the container's is %08x)" % (written, crc)
+        )
+    body = read_summary_body(container)  # Only once the blob vouches for it.
+    names, pos = _read_list(data, pos, read_bytes)
+    proc_names = [name.decode("utf-8") for name in names]
+    fingerprints, pos = _read_list(data, pos, read_bytes)
+    fields: Dict[str, List[int]] = {}
+    for name in _INT_FIELDS:
+        items, pos = _read_list(data, pos, read_varint)
+        fields[name] = [item - 1 for item in items]
     # Every mask is over the variable uids: a bit at or past the
     # width is corruption, and decoding it would allocate that many.
-    width = len(var_names)
-    universe_global, pos = read_mask_adaptive(data, pos, width)
-    universe_local, pos = _read_mask_list(data, pos, width)
-    universe_formal, pos = _read_mask_list(data, pos, width)
-    universe_level, pos = _read_mask_list(data, pos, width)
+    read_mask = partial(read_mask_adaptive, width=len(body.variables))
+    universe_global, pos = read_mask(data, pos)
+    for name in _MASK_FIELDS:
+        fields[name], pos = _read_list(data, pos, read_mask)
 
-    num_kinds = len(kinds)
-    imod_plain, pos = _read_mask_list(data, pos, width)
-    iuse_plain, pos = _read_mask_list(data, pos, width)
-    imod_ext: List[List[int]] = []
-    for _ in range(num_kinds):
-        row, pos = _read_mask_list(data, pos, width)
-        imod_ext.append(row)
-    imod_plus: List[List[int]] = []
-    for k in range(num_kinds):
-        row, pos = _read_mask_delta(data, pos, imod_ext[k], width)
-        imod_plus.append(row)
-    gmod: List[List[int]] = []
-    for k in range(num_kinds):
-        row, pos = _read_mask_delta(data, pos, imod_plus[k], width)
-        gmod.append(row)
-
-    beta_node_uid, pos = _read_int_list(data, pos)
-    rmod_node_bits, pos = _read_int_list(data, pos)
-    beta_sccs, pos = read_varint(data, pos)
-
-    count, pos = read_varint(data, pos)
-    if count != len(proc_names):
+    # G rows and alias tables are the body's, by name, except for the
+    # pids it does not show.
+    shown = {entry.name: entry for entry in body.procedures}
+    if set(shown) != set(proc_names):
         raise ValueError(
-            "corrupt dependency index: %d alias tables for %d procedures"
-            % (count, len(proc_names))
+            "corrupt dependency index: its procedures are not the body's"
         )
-    partner_mask: List[Dict[int, int]] = []
-    for _ in range(count):
-        table, pos = _read_partner_table(data, pos, width)
-        partner_mask.append(table)
-
-    site_caller, pos = _read_int_list(data, pos)
-    site_callee, pos = _read_int_list(data, pos)
-    site_lmod, pos = _read_mask_list(data, pos, width)
-    site_luse, pos = _read_mask_list(data, pos, width)
-    site_ref_heads, pos = _read_int_list(data, pos)
-    ref_formal_uid, pos = _read_int_list(data, pos)
-    ref_base_uid, pos = _read_int_list(data, pos)
-    bases = _site_bases(kinds, site_lmod, site_luse, site_callee, gmod,
-                        universe_local)
-    dmod: List[List[int]] = []
-    for k in range(num_kinds):
-        row, pos = _read_mask_delta(data, pos, bases[k], width)
-        dmod.append(row)
-    mod: List[List[int]] = []
-    for k in range(num_kinds):
-        row, pos = _read_mask_delta(data, pos, dmod[k], width)
-        mod.append(row)
+    entries = [shown[name] for name in proc_names]
+    hidden = _hidden_pids(proc_names)
+    kinds = range(len(body.tags))
+    imod_ext: List[List[int]] = []
+    imod_plus: List[List[int]] = []
+    gmod: List[List[int]] = []
+    for k in kinds:
+        ext, pos = _read_list(data, pos, read_mask)
+        deltas, pos = _read_list(data, pos, read_mask)
+        plus = [delta ^ base for delta, base in zip(deltas, ext)]
+        rows = [entry.g_rows[k] for entry in entries]
+        for pid in hidden:
+            delta, pos = read_mask(data, pos)
+            rows[pid] = delta ^ plus[pid]
+        imod_ext.append(ext)
+        imod_plus.append(plus)
+        gmod.append(rows)
+    beta_sccs, pos = read_varint(data, pos)
     if pos != len(data):
         raise ValueError(
             "corrupt dependency index: %d bytes past its last field"
             % (len(data) - pos)
         )
-
+    sites = body.sites
+    if len(fields["site_caller"]) != len(sites):
+        raise ValueError(
+            "corrupt dependency index: %d call sites, the body holds %d"
+            % (len(fields["site_caller"]), len(sites))
+        )
+    partner_mask = [entry.partners for entry in entries]
+    for pid in hidden:
+        partner_mask[pid] = {}
     return DependencyIndex(
-        kinds=kinds,
+        kinds=body.tags,
         proc_names=proc_names,
-        proc_parent=proc_parent,
         fingerprints=fingerprints,
-        var_names=var_names,
+        var_names=body.variables,
         universe_global=universe_global,
-        universe_local=universe_local,
-        universe_formal=universe_formal,
-        universe_level=universe_level,
         gmod=gmod,
         imod_plus=imod_plus,
         imod_ext=imod_ext,
-        imod_plain=imod_plain,
-        iuse_plain=iuse_plain,
-        beta_node_uid=beta_node_uid,
-        rmod_node_bits=rmod_node_bits,
         beta_sccs=beta_sccs,
         partner_mask=partner_mask,
-        site_caller=site_caller,
-        site_callee=site_callee,
-        site_lmod=site_lmod,
-        site_luse=site_luse,
-        site_ref_heads=site_ref_heads,
-        ref_formal_uid=ref_formal_uid,
-        ref_base_uid=ref_base_uid,
-        dmod=dmod,
-        mod=mod,
+        dmod=[[site.dmod[k] for site in sites] for k in kinds],
+        mod=[[site.mod[k] for site in sites] for k in kinds],
+        **fields,
     )

@@ -708,6 +708,14 @@ def incremental_update_from_index(
     affected_union = (
         region_pids | dirty_pid_set | alias_changed | recomputed_site_callers
     )
+    beta_total_sccs = beta.num_components
+    if beta_total_sccs is None:
+        # An uncondensed β had no seed, so it kept or dropped old nodes
+        # and added none; a dropped node had no β edge (its component
+        # was itself).  The next index build reads the count here.
+        beta_total_sccs = arena.carried_beta_sccs = index.beta_sccs - (
+            len(index.beta_node_uid) - len(formal_uid)
+        )
     stats = UpdateStats(
         dirty_procs=sorted(dirty_names),
         affected_procs=len(affected_union),
@@ -718,14 +726,7 @@ def incremental_update_from_index(
         cutoff_sccs=cutoff_sccs,
         region_procs=sum(len(components[c]) for c in range(len(components))
                          if comp_affected[c]),
-        # An uncondensed β had no seed, so it kept or dropped old nodes
-        # and added none; a dropped node had no β edge (its component
-        # was itself).
-        beta_total_sccs=(
-            index.beta_sccs - (len(index.beta_node_uid) - len(formal_uid))
-            if beta.num_components is None
-            else beta.num_components
-        ),
+        beta_total_sccs=beta_total_sccs,
         beta_affected_sccs=beta.solved_components,
         beta_region_nodes=beta.solved_nodes,
         sites_total=num_sites,

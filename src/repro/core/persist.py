@@ -25,10 +25,10 @@ import struct
 import tempfile
 import warnings
 import zlib
-from itertools import compress, islice
+from collections import namedtuple
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.aliases import named_pairs
+from repro.core.aliases import iter_pairs, named_pairs
 from repro.core.binio import (
     read_bytes,
     read_mask_adaptive,
@@ -40,6 +40,7 @@ from repro.core.binio import (
     write_partners,
     write_varint,
 )
+from repro.core.bitvec import iter_bits, members
 from repro.core.summary import SideEffectSummary
 from repro.core.varsets import EffectKind
 from repro.lang.symbols import ResolvedProgram
@@ -153,9 +154,6 @@ _T_STRLIST_MASK = 9
 
 _FLOAT = struct.Struct("<d")
 
-#: Turns the digits of ``bin()`` into the selector bytes 0 and 1.
-_BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
-
 #: Deepest list/dict nesting the readers follow.  The payloads earlier
 #: builds wrote nest fewer than ten levels deep (a cache record around a
 #: laned summary); anything past the cap is corrupt, and ends in
@@ -249,7 +247,7 @@ def _render(summary: SideEffectSummary, previous: Optional[_Render]) -> _Render:
         key = id(table)
         found = known_pairs.get(key)
         if found is None or found[0] is not table:
-            found = (table, named_pairs(table, universe.names))
+            found = (table, named_pairs(iter_pairs(table), universe.names))
         pairs[key] = found
         return found[1]
 
@@ -311,7 +309,6 @@ def summary_to_json(summary: SideEffectSummary, indent: Optional[int] = None) ->
 
 def summary_to_bytes(
     summary: SideEffectSummary,
-    include_index: bool = False,
     sections: Optional[Dict[int, bytes]] = None,
 ) -> bytes:
     """Serialize a live summary to the binary container (v5).
@@ -321,27 +318,16 @@ def summary_to_bytes(
     payload; :func:`decode_summary_container` expands it back to exactly
     that payload, key order included.
 
-    ``include_index`` additionally embeds the fine-grained dependency
-    index as a trailer section (building and caching it on the summary
-    if absent) so a later process can run demand-driven incremental
-    updates without re-deriving it.  ``sections`` adds caller-owned
-    trailer sections (tag → blob), such as the analysis server's
-    :data:`SECTION_SESSION_META` or a cache record's
+    ``sections`` adds caller-owned trailer sections (tag → blob): the
+    analysis server's :data:`SECTION_DEP_INDEX` and
+    :data:`SECTION_SESSION_META`, or a cache record's
     :data:`SECTION_RESULT_META`.
 
     The string table and body are written once and kept on the summary
     (see :class:`_Render`); a successor whose render returned the same
     payload reuses them by reference, and only the trailer is rebuilt.
     """
-    trailer: Dict[int, bytes] = dict(sections or {})
-    if include_index:
-        from repro.core.depindex import build_dependency_index, index_to_bytes
-
-        index = summary.dep_index
-        if index is None:
-            index = summary.dep_index = build_dependency_index(summary)
-        trailer[SECTION_DEP_INDEX] = index_to_bytes(index)
-    return _container(*_head(summary), trailer)
+    return _container(*_head(summary), dict(sections or {}))
 
 
 def summary_crc32(summary: SideEffectSummary) -> int:
@@ -588,7 +574,11 @@ def _decode_value(data, pos: int, strings: List[str], depth: int = 0):
         first, pos = read_varint(data, pos)
         blob, pos = read_bytes(data, pos)
         mask = int.from_bytes(blob, "little")
-        return _mask_names(mask, strings, first), pos
+        if first + mask.bit_length() > len(strings):
+            raise ValueError(
+                "corrupt binary summary: a name set runs past the string table"
+            )
+        return members(mask, strings, first), pos
     if tag == _T_NONE:
         return None, pos
     if tag == _T_TRUE:
@@ -600,24 +590,31 @@ def _decode_value(data, pos: int, strings: List[str], depth: int = 0):
     raise ValueError("corrupt binary summary: unknown value tag %d" % tag)
 
 
-def _mask_names(mask: int, strings: List[str], first: int = 0) -> List[str]:
-    """The strings at ``first`` plus each set bit of ``mask``, ascending:
-    the binary string, read from bit 0 up, selects them in one C-level
-    pass however dense the mask."""
-    if first + mask.bit_length() > len(strings):
-        raise ValueError(
-            "corrupt binary summary: a name set runs past the string table"
-        )
-    selectors = bin(mask)[:1:-1].encode("ascii").translate(_BIT_SELECTORS)
-    return list(compress(islice(strings, first, None), selectors))
+#: A v5 body (:func:`_summary_body`) as stored: the variable table (the
+#: first strings, by uid), the payload's version, program and kind tags,
+#: one :data:`BodyProcedure` per payload name and one :data:`BodySite`
+#: per call site.  Every set is a mask or, read for the payload, its names.
+SummaryBody = namedtuple(
+    "SummaryBody", "variables version program tags procedures sites")
+#: A v5 body's procedure entry; per-kind lists in ``tags`` order.
+#: ``r_lists`` holds each kind's formal names, ``None`` unless read for
+#: the payload; ``partners`` is the symmetric alias table or, read for
+#: the payload, its name pairs (:func:`~repro.core.aliases.named_pairs`).
+BodyProcedure = namedtuple("BodyProcedure", "name level g_rows r_lists partners")
+#: A v5 body's call-site entry; ``dmod`` and ``mod`` per kind.
+BodySite = namedtuple("BodySite", "site_id caller callee line dmod mod")
 
 
-def _decode_summary_body(data, pos: int, strings: List[str]) -> Tuple[Dict, int]:
-    """Expand a v5 body (:func:`_summary_body`) to the
-    :func:`summary_to_dict` payload, key order included.  Every set is
-    read with the variable count as its width, so no bit lands past the
-    variable table; each distinct set is named once, and every entry
-    gets a list of its own."""
+def _read_summary_body(
+    data, pos: int, strings: List[str], naming: bool = False
+) -> Tuple[SummaryBody, int]:
+    """The one reader of a v5 body.  Every set is read with the variable
+    count as its width, so no bit lands past the variable table.  With
+    ``naming`` (the payload decode), each set is kept as its name list,
+    each distinct set named once and every entry a list of its own, and
+    each alias table as its name pairs: no mask outlives its read.
+    Without it, nothing is named: the R lists are stepped over
+    (:func:`_skip_names`) and each alias table comes back symmetric."""
     width, pos = read_varint(data, pos)
     if width > len(strings):
         raise ValueError(
@@ -627,10 +624,12 @@ def _decode_summary_body(data, pos: int, strings: List[str]) -> Tuple[Dict, int]
     everything, pos = read_mask_adaptive(data, pos, width)
     listed: Dict[int, List[str]] = {}
 
-    def named(mask: int) -> List[str]:
+    def keep(mask: int):
+        if not naming:
+            return mask
         found = listed.get(mask)
         if found is None:
-            found = listed[mask] = _mask_names(mask, strings)
+            found = listed[mask] = members(mask, strings)
         return list(found)
 
     def string(pos: int) -> Tuple[str, int]:
@@ -645,16 +644,16 @@ def _decode_summary_body(data, pos: int, strings: List[str]) -> Tuple[Dict, int]
         tag, pos = string(pos)
         tags.append(tag)
 
-    procedures: Dict = {}
-    aliases: Dict = {}
-    rows: Dict[str, List[int]] = {}
+    read_names = _decode_value if naming else _skip_names
+    procedures = []
+    rows_of: Dict[str, List[int]] = {}
     count, pos = read_varint(data, pos)
     for _ in range(count):
         name, pos = string(pos)
         level, pos = read_varint(data, pos)
-        entry: Dict = {"level": level}
-        masks = rows[name] = []
-        for tag in tags:
+        rows: List[int] = []
+        r_lists = []
+        for _tag in tags:
             flag = data[pos]
             if flag > 1:
                 raise ValueError(
@@ -662,59 +661,99 @@ def _decode_summary_body(data, pos: int, strings: List[str]) -> Tuple[Dict, int]
                     % flag
                 )
             row, pos = read_mask_adaptive(data, pos + 1, width)
-            if flag:
-                row ^= everything
-            masks.append(row)
-            entry["g" + tag] = named(row)
-            entry["r" + tag], pos = _decode_value(data, pos, strings, 3)
-        procedures[name] = entry
-        aliases[name], pos = _read_partners(data, pos, strings, width)
+            rows.append(row ^ everything if flag else row)
+            names, pos = read_names(data, pos, strings, 3)
+            r_lists.append(names)
+        partner_rows, pos = read_partner_rows(data, pos, width)
+        if naming:  # Each pair once, from its row: no symmetric table.
+            partners = named_pairs(((low, uid) for uid, below in partner_rows
+                                    for low in iter_bits(below)), strings)
+        else:
+            partners = _partner_table(partner_rows)
+        procedures.append(BodyProcedure(
+            name, level, [keep(row) for row in rows], r_lists, partners))
+        rows_of[name] = rows
 
-    call_sites = []
+    sites = []
     count, pos = read_varint(data, pos)
     for _ in range(count):
         site_id, pos = read_varint(data, pos)
         caller, pos = string(pos)
         callee, pos = string(pos)
         line, pos = read_varint(data, pos)
-        bases = rows.get(callee)
+        bases = rows_of.get(callee)
         if bases is None:
             raise ValueError(
                 "corrupt binary summary: call site %d names callee %r, "
                 "which has no procedure entry" % (site_id, callee)
             )
-        entry = {"site_id": site_id, "caller": caller, "callee": callee,
-                 "line": line}
-        for tag, base in zip(tags, bases):
+        dmods: List[int] = []
+        mods: List[int] = []
+        for base in bases:
             delta, pos = read_mask_adaptive(data, pos, width)
             dmod = base ^ delta
             delta, pos = read_mask_adaptive(data, pos, width)
-            entry["d" + tag] = named(dmod)
-            entry[tag] = named(dmod ^ delta)
-        call_sites.append(entry)
+            dmods.append(keep(dmod))
+            mods.append(keep(dmod ^ delta))
+        sites.append(BodySite(site_id, caller, callee, line, dmods, mods))
+    return SummaryBody(strings[:width], version, program, tags, procedures, sites), pos
 
-    payload = {
-        "version": version,
-        "program": program,
+
+def _skip_names(data, pos: int, _strings, _depth) -> Tuple[None, int]:
+    """``(None, the position past a name list)`` in a layout
+    :func:`_write_names` writes, read without naming it."""
+    tag = data[pos]
+    count, pos = read_varint(data, pos + 1)
+    if tag == _T_STRLIST_MASK:  # the first index, then the bit mask
+        return None, read_bytes(data, pos)[1]
+    if tag != _T_STRLIST_DELTA and tag != _T_LIST:
+        raise ValueError("corrupt binary summary: R list value tag %d" % tag)
+    skip = 1 if tag == _T_LIST else 0  # each string value's tag
+    for _ in range(count):  # the first index and the gaps, or the values
+        _index, pos = read_varint(data, pos + skip)
+    return None, pos
+
+
+def _partner_table(rows: List[Tuple[int, int]]) -> Dict[int, int]:
+    """The symmetric partner table :func:`~repro.core.binio.write_partners`
+    wrote ``rows`` from: each pair, stored once under its higher uid,
+    comes back in both rows."""
+    table: Dict[int, int] = {}
+    for uid, below in rows:
+        table[uid] = table.get(uid, 0) | below
+        bit = 1 << uid
+        for partner in iter_bits(below):
+            table[partner] = table.get(partner, 0) | bit
+    return table
+
+
+def _payload_of(body: SummaryBody) -> Dict:
+    """A body read with ``naming`` as the :func:`summary_to_dict`
+    payload, key order included."""
+    procedures: Dict = {}
+    aliases: Dict = {}
+    for name, level, rows, r_lists, pairs in body.procedures:
+        entry: Dict = {"level": level}
+        for tag, row, r_list in zip(body.tags, rows, r_lists):
+            entry["g" + tag] = row
+            entry["r" + tag] = r_list
+        procedures[name] = entry
+        aliases[name] = pairs
+    call_sites = []
+    for site_id, caller, callee, line, dmods, mods in body.sites:
+        entry = {"site_id": site_id, "caller": caller, "callee": callee,
+                 "line": line}
+        for tag, dmod, mod in zip(body.tags, dmods, mods):
+            entry["d" + tag] = dmod
+            entry[tag] = mod
+        call_sites.append(entry)
+    return {
+        "version": body.version,
+        "program": body.program,
         "procedures": procedures,
         "call_sites": call_sites,
         "aliases": aliases,
     }
-    return payload, pos
-
-
-def _read_partners(data, pos: int, strings: List[str], width: int):
-    """A :func:`~repro.core.binio.write_partners` table as
-    :func:`named_pairs` lists it: each pair sorted by name, the list
-    sorted."""
-    rows, pos = read_partner_rows(data, pos, width)
-    pairs = []
-    for uid, below in rows:
-        second = strings[uid]
-        for first in _mask_names(below, strings):
-            pairs.append([first, second] if first < second else [second, first])
-    pairs.sort()
-    return pairs, pos
 
 
 def is_binary_summary(data: bytes) -> bool:
@@ -759,11 +798,15 @@ def _read_sections(data, version: int, pos: int) -> Dict[int, bytes]:
     """The trailer starting at ``pos`` (none before v4)."""
     sections: Dict[int, bytes] = {}
     if version >= _TRAILER_BINARY_VERSION:
-        count, pos = read_varint(data, pos)
-        for _ in range(count):
-            tag, pos = read_varint(data, pos)
-            blob, pos = read_bytes(data, pos)
-            sections[tag] = blob
+        try:
+            count, pos = read_varint(data, pos)
+            for _ in range(count):
+                tag, pos = read_varint(data, pos)
+                blob, pos = read_bytes(data, pos)
+                sections[tag] = blob
+        except IndexError as exc:
+            # A varint running off the data.
+            raise ValueError("corrupt binary summary: %s" % exc) from exc
     return sections
 
 
@@ -777,6 +820,25 @@ def decode_summary_container(data: bytes) -> "Tuple[Dict, Dict[int, bytes]]":
     corrupt container, values nested past :data:`_MAX_DEPTH` included:
     no other exception class escapes.
     """
+    version, body, body_end = _read_body(data, naming=True)
+    if isinstance(body, SummaryBody):
+        body = _payload_of(body)
+    return body, _read_sections(data, version, body_end)
+
+
+def read_summary_body(data) -> SummaryBody:
+    """A v5 container's :class:`SummaryBody` with every set a mask and
+    nothing named; its trailer is not read.  :class:`ValueError` on what
+    :func:`decode_summary_container` rejects and on a v3/v4 container."""
+    if _read_header(data)[0] != BINARY_FORMAT_VERSION:
+        raise ValueError("a v3/v4 container body holds names, not masks")
+    return _read_body(data, naming=False)[1]
+
+
+def _read_body(data, naming: bool) -> "Tuple[int, object, int]":
+    """A container's version, its body — a :class:`SummaryBody` for v5
+    (see :func:`_read_summary_body` for ``naming``), the payload of
+    tagged values for v3/v4 — and where the body ends."""
     version, table_start, body_start, body_end = _read_header(data)
     try:
         count, pos = read_varint(data, table_start)
@@ -790,38 +852,32 @@ def decode_summary_container(data: bytes) -> "Tuple[Dict, Dict[int, bytes]]":
                 "header says %d" % (pos, body_start)
             )
         if version == BINARY_FORMAT_VERSION:
-            payload, pos = _decode_summary_body(data, body_start, strings)
+            body, pos = _read_summary_body(data, body_start, strings, naming)
         else:
-            payload, pos = _decode_value(data, body_start, strings)
-        if pos != body_end:
-            raise ValueError(
-                "corrupt binary summary: body ends at byte %d, header says %d"
-                % (pos, body_end)
-            )
-        sections = _read_sections(data, version, pos)
+            body, pos = _decode_value(data, body_start, strings)
     except (IndexError, struct.error) as exc:
         # A varint, string index or float running off the data.
         raise ValueError("corrupt binary summary: %s" % exc) from exc
-    return payload, sections
+    if pos != body_end:
+        raise ValueError(
+            "corrupt binary summary: body ends at byte %d, header says %d"
+            % (pos, body_end)
+        )
+    return version, body, body_end
 
 
 def read_container_trailer(data) -> "Tuple[Dict[int, bytes], int]":
     """The trailer sections of a binary container (v3, v4 or v5; none
     for v3) and the ``zlib.crc32`` of its string table and body, without
     decoding either: the header's lengths locate the trailer.  This is
-    the whole read of a summary-cache hit and of a restarted analysis
-    server's session state; the CRC lets a section vouch for the
-    summary it rides with (see :func:`summary_crc32`).
+    the whole read of a summary-cache hit; the CRC lets a section vouch
+    for the summary it rides with (see :func:`summary_crc32`).
 
     Raises :class:`ValueError` on the header faults
     :func:`decode_summary_container` reports and on a trailer cut short.
     """
     version, table_start, _body_start, body_end = _read_header(data)
-    try:
-        sections = _read_sections(data, version, body_end)
-    except IndexError as exc:
-        # A varint running off the data.
-        raise ValueError("corrupt binary summary: %s" % exc) from exc
+    sections = _read_sections(data, version, body_end)
     with memoryview(data) as view:
         crc = zlib.crc32(view[table_start:body_end])
     return sections, crc

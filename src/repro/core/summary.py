@@ -64,7 +64,7 @@ class SideEffectSummary:
     #: Fine-grained dependency index driving demand-driven incremental
     #: updates (:mod:`repro.core.depindex`).  Built lazily by
     #: :func:`repro.core.incremental.incremental_update` or
-    #: ``summary_to_bytes(include_index=True)`` and cached here;
+    #: :func:`repro.core.depindex.index_section` and cached here;
     #: serialized only into the binary container's index trailer
     #: section, never into the dataclass payload.
     dep_index: Optional[object] = None

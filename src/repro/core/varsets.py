@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
-from repro.core.bitvec import iter_bits, mask_of
+from repro.core.bitvec import mask_of, members
 from repro.lang.symbols import ProcSymbol, ResolvedProgram, VarSymbol
 
 
@@ -101,12 +101,11 @@ class VariableUniverse:
 
     def to_symbols(self, mask: int) -> List[VarSymbol]:
         """Decode a mask to its symbols, uid-ascending."""
-        return [self.resolved.variables[uid] for uid in iter_bits(mask)]
+        return members(mask, self.resolved.variables)
 
     def to_names(self, mask: int) -> List[str]:
         """Decode a mask to qualified names, uid-ascending."""
-        names = self.names
-        return [names[uid] for uid in iter_bits(mask)]
+        return members(mask, self.names)
 
     def mask_of_symbols(self, symbols: Iterable[VarSymbol]) -> int:
         return mask_of(symbol.uid for symbol in symbols)

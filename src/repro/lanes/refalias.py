@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.core.aliases import AliasResult, named_pairs
+from repro.core.aliases import AliasResult, iter_pairs, named_pairs
 
 
 def refalias_payload(
@@ -27,7 +27,7 @@ def refalias_payload(
     shape of the summary payload's ``aliases`` block) plus mask-level
     totals."""
     pairs = {
-        proc.qualified_name: named_pairs(table, names)
+        proc.qualified_name: named_pairs(iter_pairs(table), names)
         for proc, table in zip(resolved.procs, aliases.partner_mask)
     }
     return {

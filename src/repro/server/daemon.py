@@ -359,7 +359,9 @@ class AnalysisServer:
         """Write a session's summary + dependency index + metadata as one
         container (atomic rename) — runs on the solver pool.  The lanes
         are named in the metadata, not stored: an update re-solves them."""
+        from repro.core.depindex import index_section
         from repro.core.persist import (
+            SECTION_DEP_INDEX,
             SECTION_SESSION_META,
             summary_to_bytes,
             write_file_atomic,
@@ -370,8 +372,8 @@ class AnalysisServer:
                 "lanes": list(session.lanes)}
         blob = summary_to_bytes(
             summary,
-            include_index=True,
             sections={
+                SECTION_DEP_INDEX: index_section(summary),
                 SECTION_SESSION_META: json.dumps(
                     meta, sort_keys=True
                 ).encode("utf-8"),
@@ -389,18 +391,17 @@ class AnalysisServer:
 
     def _load_session_state(self, name: str):
         """``(dep_index or None, lanes)`` for a persisted session, or
-        ``None`` when nothing usable is on disk.  Only the container's
-        trailer is read: the update works from the index, never from
-        the stored summary.  A legacy container without an index section
-        (or an index this reader cannot parse) degrades to ``(None,
-        lanes)`` — the update falls back to a full re-solve instead of
-        failing the session.  Session metadata that does not parse, or
-        is not a JSON object, means no lanes.  Runs on the solver pool."""
+        ``None`` when nothing usable is on disk.  The update works from
+        the index (its blob and the body's masks), never from the
+        payload.  A container without an index section, an index of an
+        earlier format or a damaged body degrades to ``(None, lanes)`` —
+        the update falls back to a full re-solve instead of failing the
+        session.  Session metadata that does not parse, or is not a JSON
+        object, means no lanes.  Runs on the solver pool."""
         if not self.config.state_dir:
             return None
-        from repro.core.depindex import index_from_bytes
+        from repro.core.depindex import index_from_container
         from repro.core.persist import (
-            SECTION_DEP_INDEX,
             SECTION_SESSION_META,
             read_container_trailer,
             split_unknown_sections,
@@ -408,7 +409,8 @@ class AnalysisServer:
 
         try:
             with open(self._session_state_path(name), "rb") as handle:
-                sections, _crc = read_container_trailer(handle.read())
+                data = handle.read()
+            sections, crc = read_container_trailer(data)
         except (OSError, ValueError):
             return None
         # A state file written by a newer build may carry sections this
@@ -426,13 +428,11 @@ class AnalysisServer:
                     lanes = self._lanes(meta)
             except (ValueError, UnicodeDecodeError, ProtocolError):
                 pass
-        index = None
-        index_blob = sections.get(SECTION_DEP_INDEX)
-        if index_blob is not None:
-            try:
-                index = index_from_bytes(index_blob)
-            except ValueError:
-                index = None  # Version drift → full-re-solve downgrade.
+        try:
+            index = index_from_container(data, (sections, crc))
+        except ValueError:
+            # No index, format drift or a damaged body → full re-solve.
+            index = None
         return index, lanes
 
     # -- verbs ---------------------------------------------------------------

@@ -21,8 +21,10 @@ Generation is deterministic in ``seed``.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lang.nodes import (
     Assign,
@@ -108,6 +110,26 @@ class _ProcInfo:
         return out
 
 
+class _Runs:
+    """List suffixes ``items[start:]`` read in place as one sequence:
+    ``random.choice`` reads only ``len`` and one index, so a pick draws
+    the RNG exactly as a pick from the concatenated copy would."""
+
+    def __init__(self, runs: Sequence[Tuple[list, int]]):
+        self.runs = runs
+        self.length = sum(len(items) - start for items, start in runs)
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, index: int):
+        for items, start in self.runs:
+            if index < len(items) - start:
+                return items[start + index]
+            index -= len(items) - start
+        raise IndexError(index)
+
+
 class _Generator:
     def __init__(self, config: GeneratorConfig):
         self.config = config
@@ -118,6 +140,10 @@ class _Generator:
         #: index appears once per incoming call plus once at birth, so
         #: sampling the list uniformly is degree-proportional in O(1).
         self._attachment: List[int] = []
+        #: Built once the structure is: the scalar global names and the
+        #: top-level procedures.
+        self._scalars: List[str] = []
+        self._top: List[_ProcInfo] = []
 
     # -- structure ------------------------------------------------------------
 
@@ -129,6 +155,8 @@ class _Generator:
             else:
                 self.globals.append(VarDecl(name="g%d" % index))
 
+        # The procedures so far that may take a nested one.
+        candidates: List[_ProcInfo] = []
         for index in range(config.num_procs):
             parent: Optional[_ProcInfo] = None
             if (
@@ -136,7 +164,6 @@ class _Generator:
                 and self.procs
                 and self.rng.random() < config.nesting_prob
             ):
-                candidates = [p for p in self.procs if p.depth < config.max_depth]
                 if candidates:
                     parent = self.rng.choice(candidates)
             depth = 1 if parent is None else parent.depth + 1
@@ -158,26 +185,34 @@ class _Generator:
                 parent.decl.nested.append(decl)
                 parent.children.append(info)
             self.procs.append(info)
+            if depth < config.max_depth:
+                candidates.append(info)
+        self._scalars = [g.name for g in self.globals if not g.is_array]
+        self._top = [p for p in self.procs if p.parent is None]
 
-    def visible_procs(self, info: Optional[_ProcInfo]) -> List[_ProcInfo]:
-        """Call targets lexically visible from ``info`` (None = main)."""
-        visible: List[_ProcInfo] = []
+    def visible_procs(self, info: Optional[_ProcInfo]) -> _Runs:
+        """Call targets lexically visible from ``info`` (None = main):
+        its children, then the siblings of each procedure on its lexical
+        chain, each list in index order."""
         if info is None:
-            return [p for p in self.procs if p.parent is None]
-        visible.extend(info.children)
+            return _Runs([(self._top, 0)])
+        lists = [info.children]
         node: Optional[_ProcInfo] = info
         while node is not None:
-            siblings = node.parent.children if node.parent else [
-                p for p in self.procs if p.parent is None
-            ]
-            visible.extend(siblings)
+            lists.append(node.parent.children if node.parent else self._top)
             node = node.parent
-        return visible
+        return _Runs([(procs, 0) for procs in lists])
+
+    @staticmethod
+    def later_procs(visible: _Runs, caller_index: int) -> _Runs:
+        """The visible procedures with an index past ``caller_index``,
+        in order: a suffix of each list."""
+        return _Runs([
+            (procs, bisect_right(procs, caller_index, key=attrgetter("index")))
+            for procs, _start in visible.runs
+        ])
 
     # -- expressions / arguments -----------------------------------------------
-
-    def scalar_globals(self) -> List[str]:
-        return [g.name for g in self.globals if not g.is_array]
 
     def pick_argument(self, caller: Optional[_ProcInfo]) -> Expr:
         """An actual argument for a call made from ``caller``."""
@@ -195,18 +230,15 @@ class _Generator:
             if roll < config.prob_arg_local and caller.locals:
                 return VarRef(self.rng.choice(caller.locals))
             roll -= config.prob_arg_local
-        scalars = self.scalar_globals()
+        scalars = self._scalars
         if roll < config.prob_arg_global and scalars:
             return VarRef(self.rng.choice(scalars))
         return IntLit(self.rng.randint(0, 9))
 
     def simple_rhs(self, caller: Optional[_ProcInfo]) -> Expr:
         """A small arithmetic right-hand side over visible scalars."""
-        names: List[str] = []
-        if caller is not None:
-            names.extend(caller.formals)
-            names.extend(caller.locals)
-        names.extend(self.scalar_globals())
+        runs = [] if caller is None else [(caller.formals, 0), (caller.locals, 0)]
+        names = _Runs(runs + [(self._scalars, 0)])
         if names and self.rng.random() < 0.7:
             base: Expr = VarRef(self.rng.choice(names))
             if self.rng.random() < 0.5:
@@ -245,7 +277,7 @@ class _Generator:
                         pick = candidate
                         break
             if pick is None:
-                later = [p for p in visible if p.index > caller_index]
+                later = self.later_procs(visible, caller_index)
                 if later:
                     callees.append(rng.choice(later))
                 elif config.allow_recursion:
@@ -270,7 +302,7 @@ class _Generator:
             if config.allow_recursion and self.rng.random() < config.recursion_prob:
                 callees.append(self.rng.choice(visible))
             else:
-                later = [p for p in visible if p.index > caller_index]
+                later = self.later_procs(visible, caller_index)
                 if later:
                     callees.append(self.rng.choice(later))
                 elif config.allow_recursion:
@@ -299,7 +331,7 @@ class _Generator:
         for local in info.locals:
             if self.rng.random() < config.prob_modify_local:
                 statements.append(Assign(target=VarRef(local), value=self.simple_rhs(info)))
-        scalars = self.scalar_globals()
+        scalars = self._scalars
         if scalars:
             expected = config.globals_modified_per_proc
             count = int(expected)
@@ -372,7 +404,7 @@ class _Generator:
         program.globals = self.globals
         program.procs = [info.decl for info in self.procs if info.parent is None]
         main_statements: List[Stmt] = []
-        scalars = self.scalar_globals()
+        scalars = self._scalars
         for name in scalars[: min(3, len(scalars))]:
             main_statements.append(
                 Assign(target=VarRef(name), value=IntLit(self.rng.randint(1, 9)))

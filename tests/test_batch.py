@@ -232,7 +232,7 @@ class TestRecords:
         def refuse(*_args, **_kwargs):
             raise AssertionError("a cache hit must not decode the summary")
 
-        monkeypatch.setattr(persist, "_decode_summary_body", refuse)
+        monkeypatch.setattr(persist, "_read_summary_body", refuse)
         monkeypatch.setattr(persist, "_decode_value", refuse)
         warm = run_batch(corpus_dir, jobs=1, cache_dir=cache_dir)
         monkeypatch.undo()

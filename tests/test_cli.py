@@ -291,6 +291,27 @@ class TestBadInput:
         line = self._one_error_line(capsys.readouterr().err)
         assert line.startswith("error: %s: " % bad)
 
+    def test_query_reply_over_the_client_limit(self, tmp_path, capsys, monkeypatch):
+        """A reply longer than the client's ``max_payload`` is one
+        ``error:`` line and exit 1, not a ``ProtocolError`` traceback."""
+        from repro.server import ServerConfig, ServerThread
+        from repro.server.client import ServerClient
+
+        real_init = ServerClient.__init__
+
+        def small_limit(self, *args, **kwargs):
+            real_init(self, *args, **dict(kwargs, max_payload=1024))
+
+        monkeypatch.setattr(ServerClient, "__init__", small_limit)
+        path = tmp_path / "chain.ck"
+        path.write_text(patterns.chain(20))
+        with ServerThread(ServerConfig(port=0)) as handle:
+            argv = ["query", "analyze", "--file", str(path),
+                    "--port", str(handle.port)]
+            assert main(argv) == 1
+        line = self._one_error_line(capsys.readouterr().err)
+        assert "max_payload of 1024 bytes" in line
+
     def test_recompile_rejects_a_deeply_nested_container(self, tmp_path, capsys):
         from tests.test_persist_roundtrip import nested_lists_container
 

@@ -162,3 +162,45 @@ class TestScaleFree:
     def test_rejects_non_positive_sizes(self):
         with pytest.raises(ValueError):
             large_scale_config(0)
+
+
+#: sha256 of ``pretty(generate_program(config))``, recorded before the
+#: generator's lists were cached: perfbench's recorded digests and the
+#: pinned container bytes rest on these programs, so the same seed must
+#: give the same program byte for byte, the RNG drawn exactly as then.
+PINNED_PROGRAMS = {
+    "flat-1k-0": (
+        GeneratorConfig(seed=0, num_procs=1000, num_globals=200),
+        "f7ecac349432f805d91f21749ea10235d822fe432def8bdcac1fc4d9ad1153a1",
+    ),
+    "flat-1k-7": (
+        GeneratorConfig(seed=7, num_procs=1000, num_globals=200),
+        "9e03434671fdab7efc7ec21338d7593bc14a6e403b7535fd9a91374be01673f9",
+    ),
+    "session-500-0": (
+        GeneratorConfig(seed=0, num_procs=500, num_globals=100),
+        "af487d298648a6134140ee1fcb17aeb9c02c2595ef965fed7c12f570ad17a5f4",
+    ),
+    "session-500-7": (
+        GeneratorConfig(seed=7, num_procs=500, num_globals=100),
+        "c9710e967822f7601d4040089c03a54f00f6f6405cca3d685478d12e6b3b6610",
+    ),
+    "nested": (
+        GeneratorConfig(seed=5, num_procs=200, num_globals=30, max_depth=3,
+                        nesting_prob=0.5, array_global_fraction=0.2),
+        "3ce51675ba0e93d6e522441538df548b365868f7e6e01fe1edf503b4b7233651",
+    ),
+    "scale-free": (
+        large_scale_config(600, seed=3),
+        "6ebbe430050897fca2857356cf5289fd9506d884ce15a0fcd747815d747c5a56",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PROGRAMS))
+def test_programs_are_pinned(name):
+    import hashlib
+
+    config, digest = PINNED_PROGRAMS[name]
+    text = pretty(generate_program(config))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

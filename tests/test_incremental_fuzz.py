@@ -41,12 +41,12 @@ import pytest
 from repro.baselines.alias_pairs import compute_alias_pairs
 from repro.baselines.per_kind import analyze_per_kind
 from repro.core.arena import ProgramArena, peek_arena
-from repro.core.depindex import index_from_bytes, index_to_bytes
+from repro.core.depindex import index_from_container, index_section
 from repro.core.incremental import (
     incremental_update,
     incremental_update_from_index,
 )
-from repro.core.persist import summary_to_bytes, summary_to_dict
+from repro.core.persist import SECTION_DEP_INDEX, summary_to_bytes, summary_to_dict
 from repro.core.pipeline import analyze_side_effects
 from repro.graphs.scc import tarjan_scc
 from repro.lang.nodes import (
@@ -132,11 +132,15 @@ def _rename_in_stmts(stmts, old: str, new: str) -> None:
 
 
 class EditFuzzer:
-    """Owns a pristine (never-analysed) AST and mutates it in place."""
+    """Owns a pristine (never-analysed) AST and mutates it in place.
+    With ``program_name``, the program is renamed (to one of its
+    procedures' names, say)."""
 
-    def __init__(self, config: GeneratorConfig, seed: int):
+    def __init__(self, config: GeneratorConfig, seed: int, program_name=None):
         self.rng = random.Random(seed)
         self.program = generate_program(config)
+        if program_name is not None:
+            self.program.name = program_name
         self.added: List[str] = []
         self.counter = 0
 
@@ -263,6 +267,20 @@ FUZZ_CASES = [
                      max_depth=3, nesting_prob=0.6), 104),
 ]
 
+#: A program named after its level-1 procedure ``p0``: the main program
+#: and ``p0`` share a qualified name, so the container's body shows
+#: ``p0``'s rows under it and the index alone holds main's G rows.
+COLLISION_CASE = (GeneratorConfig(seed=15, num_procs=12, num_globals=6), 105, "p0")
+
+
+def reloaded_index(summary):
+    """``summary``'s dependency index as a restarted daemon reads it:
+    through the container its state file holds."""
+    blob = summary_to_bytes(
+        summary, sections={SECTION_DEP_INDEX: index_section(summary)}
+    )
+    return index_from_container(blob)
+
 
 def _assert_arenas_equal(got, want, where):
     """Field-for-field equality of two arenas over the same program:
@@ -299,31 +317,33 @@ def _assert_arenas_equal(got, want, where):
 
 
 @pytest.mark.parametrize(
-    "config, seed", FUZZ_CASES,
-    ids=["small-a", "small-b", "medium", "nested"],
+    "config, seed, program_name",
+    [case + (None,) for case in FUZZ_CASES] + [COLLISION_CASE],
+    ids=["small-a", "small-b", "medium", "nested", "collision"],
 )
-def test_edit_sequence_oracle(config, seed):
+def test_edit_sequence_oracle(config, seed, program_name):
     """20 random edits; after each, the chained incremental summary is
     byte-identical to from-scratch analyses by the fused solver and
     the per-kind oracle, and its alias tables (carried, remapped or
     re-derived) equal the pair-set oracle's.
 
     Each step also runs the restarted daemon's path: the predecessor's
-    index through ``index_to_bytes`` → ``index_from_bytes``, then
-    :func:`incremental_update_from_index` on it.  That update must meet
-    the same oracles and report the same statistics, apart from
-    ``index_reloaded``."""
-    fuzzer = EditFuzzer(config, seed)
+    container with its index section written and read back
+    (:func:`reloaded_index`), then :func:`incremental_update_from_index`
+    on that index.  It must equal the live index field for field, and
+    its update must meet the same oracles and report the same
+    statistics, apart from ``index_reloaded``."""
+    fuzzer = EditFuzzer(config, seed, program_name)
     summary = analyze_side_effects(pretty(fuzzer.program))
     for step in range(20):
         op = fuzzer.step()
         source = pretty(fuzzer.program)
         previous = summary
         summary, stats = incremental_update(previous, compile_source(source))
+        index = reloaded_index(previous)
+        assert index == previous.dep_index
         reloaded, reloaded_stats = incremental_update_from_index(
-            index_from_bytes(index_to_bytes(previous.dep_index)),
-            compile_source(source),
-            reloaded=True,
+            index, compile_source(source), reloaded=True,
         )
         context = "step %d (%s), config seed %d, fuzz seed %d" % (
             step, op, config.seed, seed)
@@ -395,11 +415,11 @@ UPDATE_DIGEST = "daf01d0ea64e83166bbb21719557628db0634fe7c01f05ad64e9416ddcb8eea
 
 
 def test_update_digest_is_pinned():
-    """Every update of the four fuzz sequences, live and after an index
-    round trip, hashed step by step: its container bytes, then its
-    statistics with the invalidation region's names.  A refactor of the
-    engine or its kernels that moves one byte or one count moves the
-    digest."""
+    """Every update of the four fuzz sequences, live and after its index
+    went through a written container, hashed step by step: its
+    container bytes, then its statistics with the invalidation region's
+    names.  A refactor of the engine or its kernels that moves one byte
+    or one count moves the digest."""
     digest = hashlib.sha256()
     for config, seed in FUZZ_CASES:
         fuzzer = EditFuzzer(config, seed)
@@ -410,9 +430,7 @@ def test_update_digest_is_pinned():
             previous = summary
             summary, stats = incremental_update(previous, compile_source(source))
             reloaded = incremental_update_from_index(
-                index_from_bytes(index_to_bytes(previous.dep_index)),
-                compile_source(source),
-                reloaded=True,
+                reloaded_index(previous), compile_source(source), reloaded=True
             )
             for updated, update_stats in ((summary, stats), reloaded):
                 digest.update(summary_to_bytes(updated))

@@ -435,12 +435,13 @@ class TestDamagedContainer:
     def indexed_blob(self, laned):
         """A v5 container with the index, session metadata naming the
         lanes and result metadata carrying their blocks."""
+        from repro.core.depindex import index_section
         from repro.core.pipeline import result_meta
 
         return summary_to_bytes(
             laned,
-            include_index=True,
             sections={
+                SECTION_DEP_INDEX: index_section(laned),
                 SECTION_SESSION_META: b'{"lanes": ["sections", "refalias"]}',
                 SECTION_RESULT_META: json.dumps(result_meta(laned)).encode("utf-8"),
             },

@@ -35,7 +35,7 @@ import weakref
 import pytest
 
 import repro.core.persist as persist
-from repro.core.depindex import index_to_bytes
+from repro.core.depindex import index_section
 from repro.core.incremental import incremental_update
 from repro.core.persist import (
     BINARY_FORMAT_VERSION,
@@ -141,21 +141,29 @@ def assert_writer_matches(summary) -> bytes:
     return blob
 
 
+def with_index(sections=None, summary=None):
+    """``sections`` (copied) plus ``summary``'s dependency index section,
+    as the analysis server writes a state file."""
+    sections = dict(sections or {})
+    sections[SECTION_DEP_INDEX] = index_section(summary)
+    return sections
+
+
 #: SHA-256 of what ``summary_to_bytes`` wrote, without and with the
-#: index, for the flat 1000-procedure program of each seed.  The first
-#: was recorded when its R lists were still written by the generic
-#: v3/v4 value encoder: the v5 bytes may not move.  The second was
-#: recorded when the index moved to format 3; it moves only with the
-#: index format, since the container with the index is the plain one
-#: up to the trailer.
+#: index section, for the flat 1000-procedure program of each seed.
+#: The first was recorded when its R lists were still written by the
+#: generic v3/v4 value encoder: the v5 bytes may not move.  The second
+#: was recorded when the index moved to format 4; it moves only with
+#: the index format, since the container with the index is the plain
+#: one up to the trailer.
 PINNED_BYTES = {
     0: (
         "501514dbfb36d520649eed613a6bae46e199503b33112766ccc8dc9dd309d3b8",
-        "c1aceefe6dd28fcae5c280c3f21c6f52dc5da859295aa2f56fce673104df0d2d",
+        "4705ec7fd07954482277ee2af61ec98e6c56f8921023ccbff9058a8a2d413d19",
     ),
     7: (
         "a1f32e277e574d05fb41391eca8115e0f4ecf35f82d46842625197d90cca39c9",
-        "e07b6936133539fda20563f4a963f746a7cd0b3ab4284f2c9e03ae728487779b",
+        "8d6f7d9853195b5da0611cd0bb96af8710d5d2c6bec17f5afca5c7113b944942",
     ),
 }
 
@@ -165,9 +173,8 @@ def test_bytes_are_pinned(seed):
     source = pretty(generate_program(
         GeneratorConfig(seed=seed, num_procs=1000, num_globals=200)))
     summary = analyze_side_effects(source)
-    plain, indexed = (
-        summary_to_bytes(summary, include_index=index) for index in (False, True)
-    )
+    plain = summary_to_bytes(summary)
+    indexed = summary_to_bytes(summary, sections=with_index(summary=summary))
     # Identical up to the trailer, whose section count is the plain
     # container's last byte.
     assert plain[-1] == 0
@@ -241,11 +248,11 @@ def caller_sections(summary):
 
 
 @pytest.mark.parametrize(
-    "include_index, with_sections",
+    "index, with_sections",
     TRAILER_COMBINATIONS,
     ids=["False-%s-%s" % combination for combination in TRAILER_COMBINATIONS],
 )
-def test_every_trailer_combination(include_index, with_sections):
+def test_every_trailer_combination(index, with_sections):
     resolved = generate_resolved(
         GeneratorConfig(seed=34, num_procs=15, max_depth=3,
                         nesting_prob=0.5, prob_arg_global=0.3)
@@ -253,22 +260,20 @@ def test_every_trailer_combination(include_index, with_sections):
     summary = analyze_side_effects(
         resolved, lanes=("sections", "refalias", "sections-use")
     )
-    sections = caller_sections(summary) if with_sections else None
-    blob = summary_to_bytes(summary, include_index=include_index, sections=sections)
-    expected = dict(sections or {})
-    if include_index:
-        expected[SECTION_DEP_INDEX] = index_to_bytes(summary.dep_index)
-    assert_decodes_to(blob, summary_to_dict(summary), expected)
+    sections = caller_sections(summary) if with_sections else {}
+    if index:
+        sections = with_index(sections, summary)
+    blob = summary_to_bytes(summary, sections=sections)
+    assert_decodes_to(blob, summary_to_dict(summary), sections)
 
 
 def test_caller_sections_join_the_trailer():
     summary = analyze_side_effects(COLLISIONS)
-    extra = {SECTION_SESSION_META: b'{"name": "s"}'}
-    blob = summary_to_bytes(summary, include_index=True, sections=extra)
+    extra = with_index({SECTION_SESSION_META: b'{"name": "s"}'}, summary)
     expected = dict(extra)
-    expected[SECTION_DEP_INDEX] = index_to_bytes(summary.dep_index)
+    blob = summary_to_bytes(summary, sections=extra)
     assert_decodes_to(blob, summary_to_dict(summary), expected)
-    assert extra == {SECTION_SESSION_META: b'{"name": "s"}'}  # Not mutated.
+    assert extra == expected  # Not mutated.
 
 
 def test_collisions():
@@ -343,10 +348,10 @@ def test_server_state_file(tmp_path):
     assert payloads[1] is payloads[0] and payloads[2] is not payloads[1]
     for step, (blob, summary, key) in enumerate(written):
         meta = {"name": "s", "key": key, "lanes": ["sections", "refalias"]}
-        sections = {
-            SECTION_DEP_INDEX: index_to_bytes(summary.dep_index),
-            SECTION_SESSION_META: json.dumps(meta, sort_keys=True).encode("utf-8"),
-        }
+        sections = with_index(
+            {SECTION_SESSION_META: json.dumps(meta, sort_keys=True).encode("utf-8")},
+            summary,
+        )
         scratch = summary_to_dict(analyze_side_effects(versions[step]))
         assert_decodes_to(blob, scratch, sections)
 
@@ -417,7 +422,7 @@ def test_carried_render_matches_scratch(config, seed):
     rng = random.Random(seed)
     summary = analyze_side_effects(pretty(fuzzer.program))
     payload = summary_to_dict(summary)
-    summary_to_bytes(summary, include_index=True)
+    summary_to_bytes(summary, sections=with_index(summary=summary))
     edits = (_literal_edit, _insert_line, _literal_edit, None)
     seen = {"reused": 0, "moved": 0, "permuted": 0}
     for step in range(16):
@@ -438,9 +443,8 @@ def test_carried_render_matches_scratch(config, seed):
         payload = summary_to_dict(summary)
         assert payload == summary_to_dict(scratch), context
         assert decode_summary_container(summary_to_bytes(scratch)) == (payload, {}), context
-        sections = caller_sections(summary)
-        blob = summary_to_bytes(summary, include_index=True, sections=sections)
-        sections[SECTION_DEP_INDEX] = index_to_bytes(summary.dep_index)
+        sections = with_index(caller_sections(summary), summary)
+        blob = summary_to_bytes(summary, sections=sections)
         assert_decodes_to(blob, payload, sections)
         assert summary_to_dict(summary) is payload, context
         if summary.universe.names != names:
@@ -464,7 +468,7 @@ def test_literal_edit_returns_the_predecessors_payload_and_body(monkeypatch):
     program = _sized_program()
     old = analyze_side_effects(pretty(program))
     payload = summary_to_dict(old)
-    first = summary_to_bytes(old, include_index=True, sections=SESSION_META)
+    first = summary_to_bytes(old, sections=with_index(SESSION_META, old))
     _literal_edit(program, rng)
     new, stats = incremental_update(old, compile_source(pretty(program)))
     assert stats.dirty_procs
@@ -474,10 +478,9 @@ def test_literal_edit_returns_the_predecessors_payload_and_body(monkeypatch):
         raise AssertionError("the body was rewritten")
 
     monkeypatch.setattr(persist, "_summary_body", refuse)
-    blob = summary_to_bytes(new, include_index=True, sections=SESSION_META)
+    sections = with_index(SESSION_META, new)
+    blob = summary_to_bytes(new, sections=sections)
     monkeypatch.undo()
-    sections = dict(SESSION_META)
-    sections[SECTION_DEP_INDEX] = index_to_bytes(new.dep_index)
     assert_decodes_to(blob, payload, sections)
     # The head is the predecessor's; the index trailer is rebuilt (its
     # fingerprints saw the edit).
@@ -519,13 +522,13 @@ def test_chained_updates_leave_the_first_summary_collectable():
     program = _sized_program(seed=22)
     summary = analyze_side_effects(pretty(program))
     summary_to_dict(summary)
-    summary_to_bytes(summary, include_index=True)
+    summary_to_bytes(summary, sections=with_index(summary=summary))
     first = weakref.ref(summary)
     for step in range(30):
         (_insert_line if step % 3 == 2 else _literal_edit)(program, rng)
         summary, _stats = incremental_update(summary, compile_source(pretty(program)))
         summary_to_dict(summary)
-        summary_to_bytes(summary, include_index=True)
+        summary_to_bytes(summary, sections=with_index(summary=summary))
     gc.collect()
     assert first() is None
 

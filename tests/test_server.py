@@ -620,15 +620,23 @@ class TestSessionPersistence:
         """Session metadata that is JSON but not an object, or one an
         earlier build wrote with its ``gmod_method``, still restores the
         session: the update proceeds from the index with no lanes."""
-        from repro.core.persist import SECTION_SESSION_META, summary_to_bytes
+        from repro.core.depindex import index_section
+        from repro.core.persist import (
+            SECTION_DEP_INDEX,
+            SECTION_SESSION_META,
+            summary_to_bytes,
+        )
 
         path = self._open_session(str(tmp_path), name="meta")
         if isinstance(meta, dict):
             meta = dict(meta, key=content_key(self.BASE))
+        summary = analyze_side_effects(self.BASE)
         blob = summary_to_bytes(
-            analyze_side_effects(self.BASE),
-            include_index=True,
-            sections={SECTION_SESSION_META: json.dumps(meta).encode("utf-8")},
+            summary,
+            sections={
+                SECTION_DEP_INDEX: index_section(summary),
+                SECTION_SESSION_META: json.dumps(meta).encode("utf-8"),
+            },
         )
         with open(path, "wb") as handle:
             handle.write(blob)
@@ -905,7 +913,10 @@ class TestOffTheLoop:
 
     def test_restarted_update_decodes_no_summary(self, tmp_path, monkeypatch):
         """A restarted daemon's first ``update`` reads the state file's
-        trailer only: the stored summary's body is never decoded."""
+        body as masks, for its index: no stored set, R list or alias
+        pair is named, and no payload is built from it.  The trailer is
+        read once, for the session metadata and the index alike."""
+        import repro.core.depindex as depindex
         import repro.core.persist as persist
 
         config = ServerConfig(port=0, state_dir=str(tmp_path))
@@ -914,10 +925,12 @@ class TestOffTheLoop:
                 c.analyze(self.BASE, session="s")
 
         def refuse(*_args, **_kwargs):
-            raise AssertionError("the stored summary was decoded")
+            raise AssertionError("the reload named a set or reread the trailer")
 
-        monkeypatch.setattr(persist, "_decode_summary_body", refuse)
         monkeypatch.setattr(persist, "_decode_value", refuse)
+        monkeypatch.setattr(persist, "members", refuse)
+        monkeypatch.setattr(persist, "_payload_of", refuse)
+        monkeypatch.setattr(depindex, "read_container_trailer", refuse)
         with ServerThread(config) as h:
             with ServerClient(port=h.port) as c:
                 reply = c.update("s", self.EDIT)
