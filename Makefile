@@ -34,14 +34,18 @@ differential:
 # including a program named after one of its procedures), the
 # invalidation-region soundness property, the incremental unit suite,
 # the dependency-index persistence round-trips (format-3 state files
-# and bodies cut, flipped or swapped end in a full re-solve), and the
+# and bodies cut, flipped or swapped end in a full re-solve), the
 # daemon's update replies (the summary the client returns, full or put
 # back for the empty delta, equals a scratch render after every fuzz
-# step).
+# step), and the front end's splice (a text-edit fuzz: the program
+# compiled against the previous version equals a full compile, or both
+# raise the same error; body edits splice, line-moving, call-adding,
+# declaration and cross-procedure edits compile in full; the previous
+# version is never changed).
 incremental-differential:
 	$(PP) $(PY) -m pytest -q tests/test_incremental_fuzz.py \
 	    tests/test_incremental.py tests/test_depindex.py \
-	    tests/test_server_delta.py
+	    tests/test_server_delta.py tests/test_splice.py
 
 # The one regular-sections solver held to the sweep oracle
 # (baselines/sections_sweep.py) on both lattices (figure3, ranges) and

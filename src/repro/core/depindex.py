@@ -64,7 +64,7 @@ from repro.core.persist import (
     read_summary_body,
     summary_crc32,
 )
-from repro.lang.symbols import ProcSymbol
+from repro.lang.symbols import ProcSymbol, ResolvedProgram
 
 #: First bytes of a serialized dependency index section.
 INDEX_MAGIC = b"CKDI"
@@ -80,28 +80,29 @@ INDEX_MAGIC = b"CKDI"
 INDEX_FORMAT_VERSION = 4
 
 
-def fingerprint_text(proc: ProcSymbol) -> str:
-    """A structural fingerprint of one procedure: signature, locals,
-    the *names* of directly nested procedures, and its own body — but
-    not the nested bodies, so an inner edit dirties only the inner
-    procedure (the invalidation seeds add the lexical ancestors whose
-    extended ``IMOD`` depends on it separately)."""
+def fingerprint_text(resolved: ResolvedProgram, proc: ProcSymbol) -> str:
+    """A structural fingerprint of one procedure of ``resolved``:
+    signature, locals, the *names* of directly nested procedures, and
+    its own body — but not the nested bodies, so an inner edit dirties
+    only the inner procedure (the invalidation seeds add the lexical
+    ancestors whose extended ``IMOD`` depends on it separately)."""
     from repro.lang.pretty import _emit_statements, _format_var_decl
 
     lines: List[str] = []
-    if proc.decl is not None:
-        lines.append("proc %s(%s)" % (proc.name, ", ".join(proc.decl.params)))
-        for var_decl in proc.decl.locals:
+    decl = resolved.decls[proc.pid]
+    if decl is not None:
+        lines.append("proc %s(%s)" % (proc.name, ", ".join(decl.params)))
+        for var_decl in decl.locals:
             lines.append("local %s" % _format_var_decl(var_decl))
-        for nested in proc.decl.nested:
+        for nested in decl.nested:
             lines.append("nested %s/%d" % (nested.name, len(nested.params)))
     else:
         lines.append("main %s" % proc.name)
-    _emit_statements(proc.body, lines, 1)
+    _emit_statements(resolved.body_of(proc), lines, 1)
     return "\n".join(lines)
 
 
-def fingerprint_digest(proc: ProcSymbol) -> bytes:
+def fingerprint_digest(resolved: ResolvedProgram, proc: ProcSymbol) -> bytes:
     """The fingerprint as a fixed-width digest (what the index stores).
 
     Parsed procedures carry a token-span hash computed during the
@@ -112,9 +113,10 @@ def fingerprint_digest(proc: ProcSymbol) -> bytes:
     against the other conservatively reports "changed" — a spurious
     re-solve, never an unsound reuse.
     """
-    if proc.token_hash:
-        return proc.token_hash
-    return hashlib.sha256(fingerprint_text(proc).encode("utf-8")).digest()
+    token_hash = resolved.token_hash_of(proc)
+    if token_hash:
+        return token_hash
+    return hashlib.sha256(fingerprint_text(resolved, proc).encode("utf-8")).digest()
 
 
 @dataclass
@@ -224,7 +226,7 @@ def build_dependency_index(summary) -> "DependencyIndex":
             proc.parent.pid if proc.parent is not None else -1
             for proc in resolved.procs
         ],
-        fingerprints=[fingerprint_digest(proc) for proc in resolved.procs],
+        fingerprints=[fingerprint_digest(resolved, proc) for proc in resolved.procs],
         var_names=universe.names,
         universe_global=universe.global_mask,
         universe_local=universe.local_mask,

@@ -164,7 +164,7 @@ def _dirty_from_index(index: DependencyIndex, new: ResolvedProgram) -> Set[str]:
         name = proc.qualified_name
         new_names.add(name)
         old_pid = old_pid_of.get(name)
-        if old_pid is None or index.fingerprints[old_pid] != fingerprint_digest(proc):
+        if old_pid is None or index.fingerprints[old_pid] != fingerprint_digest(new, proc):
             dirty.add(name)
     for old_pid, name in enumerate(index.proc_names):
         if name not in new_names:

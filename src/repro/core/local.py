@@ -143,7 +143,7 @@ class LocalAnalysis:
         for proc in resolved.procs:
             mod_mask = 0
             use_mask = 0
-            for stmt in walk_statements(proc.body):
+            for stmt in walk_statements(resolved.body_of(proc)):
                 mod_mask |= lmod_of(stmt)
                 use_mask |= luse_of(stmt)
             self.imod_plain[proc.pid] = mod_mask
@@ -190,7 +190,7 @@ class LocalAnalysis:
         for pid in recompute_pids:
             mod_mask = 0
             use_mask = 0
-            for stmt in walk_statements(resolved.procs[pid].body):
+            for stmt in walk_statements(resolved.body_of(resolved.procs[pid])):
                 mod_mask |= lmod_of(stmt)
                 use_mask |= luse_of(stmt)
             self.imod_plain[pid] = mod_mask

@@ -192,11 +192,13 @@ class _Render:
     A ``carried`` render is a predecessor's, seeded by
     :func:`carry_render`: its maps serve this summary's first render,
     but its payload and head are the predecessor's until that render
-    finds the new payload equal.  A summary written before it rendered
-    keeps its head on a render whose ``payload`` is None.
+    finds the new payload equal.  A head the summary writes meanwhile
+    is kept as ``written``, and becomes the first render's head.  A
+    summary written before it rendered keeps its head on a render
+    whose ``payload`` is None.
     """
 
-    __slots__ = ("kinds", "payload", "names", "aliases", "head", "carried")
+    __slots__ = ("kinds", "payload", "names", "aliases", "head", "carried", "written")
 
     def __init__(self, kinds, payload, names, aliases, head=None, carried=False):
         self.kinds: Tuple[EffectKind, ...] = kinds
@@ -205,6 +207,7 @@ class _Render:
         self.aliases: Dict[int, Tuple[Dict[int, int], List[List[str]]]] = aliases
         self.head: Optional[Tuple[bytes, bytes]] = head
         self.carried: bool = carried
+        self.written: Optional[Tuple[bytes, bytes]] = None
 
 
 def carry_render(old: SideEffectSummary, new: SideEffectSummary) -> None:
@@ -294,7 +297,9 @@ def _render(summary: SideEffectSummary, previous: Optional[_Render]) -> _Render:
         # entries only.  Dict equality ignores key order, which the
         # container keeps: hence the kinds and procedure-order checks.
         payload = previous.payload
-        head = previous.head
+        head = previous.head or previous.written
+    elif previous is not None:
+        head = previous.written  # Set only while previous was carried.
     return _Render(kinds, payload, names, pairs, head)
 
 
@@ -343,10 +348,12 @@ def summary_crc32(summary: SideEffectSummary) -> int:
 def _head(summary: SideEffectSummary) -> Tuple[bytes, bytes]:
     """The summary's v5 string table and body, written once and kept
     on its render.  A carried render's head is the predecessor's, so a
-    summary that has not rendered since writes its own each time."""
+    summary that has not rendered since keeps its own beside it."""
     render = summary.render
     if render is not None and render.carried:
-        return _summary_head(summary)
+        if render.written is None:
+            render.written = _summary_head(summary)
+        return render.written
     if render is None:
         render = summary.render = _Render(tuple(summary.solutions), None, {}, {})
     if render.head is None:

@@ -80,6 +80,7 @@ def run_front_end(
     ast = parse_token_stream(stream)
     tick = mark_phase(timings, "parse", tick)
     resolved = semantic_analyze(ast)
+    resolved.source = program
     tick = mark_phase(timings, "resolve", tick)
     timings["compile"] = timings["lex"] + timings["parse"] + timings["resolve"]
     return resolved, tick

@@ -148,8 +148,8 @@ class ConstResult:
         return "\n".join(lines)
 
 
-def _caller_has_calls(proc: ProcSymbol) -> bool:
-    return any(isinstance(s, CallStmt) for s in walk_statements(proc.body))
+def _has_calls(body) -> bool:
+    return any(isinstance(s, CallStmt) for s in walk_statements(body))
 
 
 def solve_constants(
@@ -175,7 +175,7 @@ def solve_constants(
     # also checks f's alias partners — a formal aliased to a modified
     # variable shares its storage, so its entry value dies too.
     survives: Dict[int, bool] = {}
-    has_calls = {proc.pid: _caller_has_calls(proc) for proc in resolved.procs}
+    has_calls = [_has_calls(resolved.body_of(proc)) for proc in resolved.procs]
     for proc in resolved.procs:
         for formal in proc.formals:
             if kill_policy == "precise":
@@ -189,7 +189,7 @@ def solve_constants(
 
                 locally_written = any(
                     (lmod_of(s) >> formal.uid) & 1
-                    for s in walk_statements(proc.body)
+                    for s in walk_statements(resolved.body_of(proc))
                 )
                 survives[formal.uid] = not locally_written and not has_calls[proc.pid]
 

@@ -54,7 +54,7 @@ def _performs_io(resolved: ResolvedProgram, proc: ProcSymbol,
     for other in resolved.procs:
         if not reaches[other.pid]:
             continue
-        for stmt in walk_statements(other.body):
+        for stmt in walk_statements(resolved.body_of(other)):
             if isinstance(stmt, (Print, Read)):
                 return True
     return False

@@ -106,7 +106,7 @@ def count_redundant_loads(resolved: ResolvedProgram,
     eliminated = 0
     for proc in resolved.procs:
         known: Set[VarSymbol] = set()
-        for stmt in walk_statements(proc.body):
+        for stmt in walk_statements(resolved.body_of(proc)):
             for symbol in _statement_loads(stmt):
                 total += 1
                 if symbol in known:

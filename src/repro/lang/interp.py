@@ -518,7 +518,7 @@ class Interpreter:
                     for storage in storages
                 )
             try:
-                self._exec_body(callee.body, callee_activation)
+                self._exec_body(self.resolved.body_of(callee), callee_activation)
             except _ReturnSignal:
                 pass
             finally:
@@ -571,7 +571,7 @@ class Interpreter:
         reason = "completed"
         try:
             try:
-                self._exec_body(main.body, root)
+                self._exec_body(self.resolved.body_of(main), root)
             except _ReturnSignal:
                 pass
         except _Halt as halt:

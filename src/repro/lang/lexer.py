@@ -111,8 +111,16 @@ class TokenStream(NamedTuple):
         )
 
 
-def tokenize_stream(source: str) -> TokenStream:
-    """Scan ``source`` into a :class:`TokenStream` (ends with EOF)."""
+def tokenize_stream(
+    source: str, start: int = 0, stop: int = -1, line: int = 1
+) -> TokenStream:
+    """Scan ``source`` into a :class:`TokenStream` (ends with EOF).
+
+    ``start``/``stop`` scan only ``source[start:stop]`` (``stop`` -1 is
+    the end), as if the text ended at ``stop``, with ``start`` on line
+    ``line``: positions are those of the whole text.  The front end's
+    splice re-reads one procedure this way.
+    """
     codes: List[int] = []
     values: List[object] = []
     lines: List[int] = []
@@ -125,10 +133,10 @@ def tokenize_stream(source: str) -> TokenStream:
     operators = _OPERATOR_CODES
     ident_code = _IDENT_CODE
     int_code = _INT_CODE
-    line = 1
-    line_start = 0  # Offset of the first character of the current line.
-    n = len(source)
-    for match in _MASTER.finditer(source):
+    n = len(source) if stop < 0 else stop
+    # Offset of the first character of the current line.
+    line_start = source.rfind("\n", 0, start) + 1
+    for match in _MASTER.finditer(source, start, n):
         group_index = match.lastindex
         if group_index == _WORD_G:
             skip = match.group(1)

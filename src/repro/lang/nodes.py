@@ -202,6 +202,12 @@ class ProcDecl:
     #: at parse time (nested bodies replaced by name/arity markers);
     #: ``b""`` for ASTs built programmatically rather than parsed.
     token_hash: bytes = b""
+    #: Where the body's ``begin`` and ``end`` tokens stand, as (begin
+    #: line, begin column, end line, end column); None for ASTs built
+    #: programmatically.  Not part of the node's value.
+    body_span: Optional[Tuple[int, int, int, int]] = field(
+        default=None, compare=False, repr=False
+    )
 
 
 @dataclass(slots=True)
@@ -220,6 +226,10 @@ class Program:
     column: int = 0
     #: Token-span fingerprint of the main body (see ProcDecl.token_hash).
     token_hash: bytes = b""
+    #: The main body's ``begin``/``end`` positions (see ProcDecl.body_span).
+    body_span: Optional[Tuple[int, int, int, int]] = field(
+        default=None, compare=False, repr=False
+    )
 
 
 def walk_statements(body: List[Stmt]):

@@ -24,6 +24,11 @@ Expressions use conventional precedence (``or`` < ``and`` < ``not`` <
 comparisons < additive < multiplicative < unary minus).  Optional
 semicolons may separate statements and declarations.
 
+Nesting inside a procedure body is bounded by :data:`MAX_NESTING`: a
+program that nests deeper ends in a :class:`ParseError` at the token
+that crosses the bound, never in a ``RecursionError`` here or in any
+later walk over its AST.
+
 Implementation note: the parser runs directly over the lexer's
 :class:`~repro.lang.lexer.TokenStream` — four parallel lists of dense
 kind codes, values, lines, and columns.  All lookahead decisions
@@ -38,7 +43,7 @@ replaced.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro.lang.errors import ParseError
 from repro.lang.lexer import TokenStream, tokenize_stream
@@ -62,6 +67,20 @@ from repro.lang.nodes import (
     While,
 )
 from repro.lang.tokens import KIND_BY_CODE, TokenKind
+
+#: The deepest nesting a procedure body may have.  Each enclosing
+#: ``if``/``while``/``for`` body, parenthesis, subscript and unary
+#: operator adds one level, and so does each operator of a chain such
+#: as ``a + b + c`` (its AST is left-deep: one level per operator).  A
+#: chain's operator counts on top of the levels inside its left
+#: operand, so the count is the depth of the AST below the statement
+#: plus the parentheses it passes through.  Procedure declarations do
+#: not count.  The parser recurses at most ten frames per level (a
+#: parenthesis passes through every precedence level) and each later
+#: walk over the AST (resolver, lowering, renderers, interpreter) at
+#: most a few, so a body within the bound stays well inside Python's
+#: default recursion limit, on a worker thread too.
+MAX_NESTING = 64
 
 # Dense int codes for every kind the parser dispatches on.
 _INT_C = TokenKind.INT.code
@@ -88,6 +107,12 @@ _LBRACKET_C = TokenKind.LBRACKET.code
 _COMMA_C = TokenKind.COMMA.code
 _SEMI_C = TokenKind.SEMI.code
 _EOF_C = TokenKind.EOF.code
+_BEGIN_C = TokenKind.BEGIN.code
+
+#: Fingerprint salts: a procedure's, and main's (formatted with the
+#: program's name).
+_PROC_SALT = b"proc\x00"
+_MAIN_SALT = b"main\x00%s\x00"
 
 # Operator tables keyed by kind code; values are the AST ``op`` strings.
 _COMPARISON_OPS = {
@@ -114,7 +139,7 @@ _STATEMENT_STARTERS = frozenset(
 
 
 class _Parser:
-    __slots__ = ("codes", "values", "lines", "columns", "pos")
+    __slots__ = ("codes", "values", "lines", "columns", "pos", "depth", "heights")
 
     def __init__(self, stream: TokenStream):
         self.codes = stream.codes
@@ -122,6 +147,12 @@ class _Parser:
         self.lines = stream.lines
         self.columns = stream.columns
         self.pos = 0
+        #: Nesting level of what is being parsed (see MAX_NESTING).
+        self.depth = 0
+        #: id(node) → the levels below it, for every node built where
+        #: nesting grows (operators, subscripted references); a node
+        #: missing here is a leaf.
+        self.heights = {}
 
     # -- token plumbing -----------------------------------------------------
 
@@ -143,6 +174,39 @@ class _Parser:
             self.pos += 1
             return True
         return False
+
+    def nest(self, at: int) -> int:
+        """Enter one more level of nesting at token ``at``; returns the
+        level to restore when it closes."""
+        depth = self.depth
+        if depth >= MAX_NESTING:
+            self.too_deep(at)
+        self.depth = depth + 1
+        return depth
+
+    def chain(self, left: Expr, at: int) -> int:
+        """The operator at token ``at`` pushes ``left`` one level down:
+        its height as the new node's operand, checked against the
+        bound."""
+        height = self.heights.get(id(left), 0) + 1
+        if self.depth + height > MAX_NESTING:
+            self.too_deep(at)
+        return height
+
+    def binop(self, op: str, left: Expr, right: Expr, height: int, at: int) -> BinOp:
+        """The chain's node for operator ``op`` at token ``at``;
+        ``height`` is :meth:`chain`'s."""
+        node = BinOp(op, left, right, line=self.lines[at], column=self.columns[at])
+        right_height = self.heights.get(id(right), 0) + 1
+        self.heights[id(node)] = height if height >= right_height else right_height
+        return node
+
+    def too_deep(self, at: int) -> None:
+        raise ParseError(
+            "nesting deeper than %d levels" % MAX_NESTING,
+            self.lines[at],
+            self.columns[at],
+        )
 
     def skip_separators(self) -> None:
         codes = self.codes
@@ -220,7 +284,7 @@ class _Parser:
         # mirroring fingerprint_text, which handles globals and
         # procedure declarations through their own fingerprints.
         token_hash = self._span_hash(
-            b"main\x00%s\x00" % name.encode("utf-8"), begin_at, end_at + 1, []
+            _MAIN_SALT % name.encode("utf-8"), begin_at, end_at + 1, []
         )
         self.skip_separators()
         pos = self.pos
@@ -238,6 +302,7 @@ class _Parser:
             line=self.lines[start],
             column=self.columns[start],
             token_hash=token_hash,
+            body_span=self.body_span(begin_at, end_at),
         )
 
     def parse_var_decls(self, keyword: TokenKind) -> List[VarDecl]:
@@ -308,7 +373,7 @@ class _Parser:
             else:
                 break
             self.skip_separators()
-        self.expect(TokenKind.BEGIN, "procedure body")
+        begin_at = self.expect(TokenKind.BEGIN, "procedure body")
         body = self.parse_statements()
         end_at = self.expect(TokenKind.END, "procedure body")
         return ProcDecl(
@@ -319,10 +384,14 @@ class _Parser:
             body=body,
             line=self.lines[start],
             column=self.columns[start],
-            token_hash=self._span_hash(
-                b"proc\x00", start, end_at + 1, child_spans
-            ),
+            token_hash=self._span_hash(_PROC_SALT, start, end_at + 1, child_spans),
+            body_span=self.body_span(begin_at, end_at),
         )
+
+    def body_span(self, begin_at: int, end_at: int) -> Tuple[int, int, int, int]:
+        lines = self.lines
+        columns = self.columns
+        return (lines[begin_at], columns[begin_at], lines[end_at], columns[end_at])
 
     # -- statements -----------------------------------------------------------
 
@@ -384,15 +453,21 @@ class _Parser:
     def parse_lvalue(self) -> VarRef:
         name_at = self.expect(TokenKind.IDENT, "variable reference")
         indices: List[Expr] = []
-        while self.accept(_LBRACKET_C):
-            indices.append(self.parse_expr())
-            self.expect(TokenKind.RBRACKET, "subscript")
-        return VarRef(
+        node = VarRef(
             name=self.values[name_at],
             indices=indices,
             line=self.lines[name_at],
             column=self.columns[name_at],
         )
+        if self.codes[self.pos] == _LBRACKET_C:
+            outer = self.nest(self.pos)
+            while self.accept(_LBRACKET_C):
+                indices.append(self.parse_expr())
+                self.expect(TokenKind.RBRACKET, "subscript")
+            self.depth = outer
+            heights = self.heights
+            heights[id(node)] = 1 + max(heights.get(id(index), 0) for index in indices)
+        return node
 
     def parse_call(self) -> CallStmt:
         start = self.expect(TokenKind.CALL, "call statement")
@@ -412,11 +487,13 @@ class _Parser:
         start = self.expect(TokenKind.IF, "if statement")
         cond = self.parse_expr()
         self.expect(TokenKind.THEN, "if statement")
+        outer = self.nest(start)
         then_body = self.parse_statements()
         else_body: List[Stmt] = []
         if self.accept(_ELSE_C):
             else_body = self.parse_statements()
         self.expect(TokenKind.END, "if statement")
+        self.depth = outer
         return If(
             cond=cond,
             then_body=then_body,
@@ -429,8 +506,10 @@ class _Parser:
         start = self.expect(TokenKind.WHILE, "while statement")
         cond = self.parse_expr()
         self.expect(TokenKind.DO, "while statement")
+        outer = self.nest(start)
         body = self.parse_statements()
         self.expect(TokenKind.END, "while statement")
+        self.depth = outer
         return While(
             cond=cond, body=body, line=self.lines[start], column=self.columns[start]
         )
@@ -448,8 +527,10 @@ class _Parser:
         self.expect(TokenKind.TO, "for statement")
         hi = self.parse_expr()
         self.expect(TokenKind.DO, "for statement")
+        outer = self.nest(start)
         body = self.parse_statements()
         self.expect(TokenKind.END, "for statement")
+        self.depth = outer
         return For(
             var=var,
             lo=lo,
@@ -469,9 +550,12 @@ class _Parser:
         codes = self.codes
         while codes[self.pos] == _OR_C:
             at = self.pos
+            height = self.chain(left, at)
             self.pos = at + 1
+            self.depth += 1
             right = self.parse_and()
-            left = BinOp("or", left, right, line=self.lines[at], column=self.columns[at])
+            self.depth -= 1
+            left = self.binop("or", left, right, height, at)
         return left
 
     def parse_and(self) -> Expr:
@@ -479,18 +563,29 @@ class _Parser:
         codes = self.codes
         while codes[self.pos] == _AND_C:
             at = self.pos
+            height = self.chain(left, at)
             self.pos = at + 1
+            self.depth += 1
             right = self.parse_not()
-            left = BinOp("and", left, right, line=self.lines[at], column=self.columns[at])
+            self.depth -= 1
+            left = self.binop("and", left, right, height, at)
         return left
 
     def parse_not(self) -> Expr:
         at = self.pos
         if self.codes[at] == _NOT_C:
-            self.pos = at + 1
-            operand = self.parse_not()
-            return UnOp("not", operand, line=self.lines[at], column=self.columns[at])
+            return self.unary("not", at, self.parse_not)
         return self.parse_comparison()
+
+    def unary(self, op: str, at: int, parse_operand) -> UnOp:
+        """The unary operator ``op`` at token ``at`` and its operand."""
+        outer = self.nest(at)
+        self.pos = at + 1
+        operand = parse_operand()
+        self.depth = outer
+        node = UnOp(op, operand, line=self.lines[at], column=self.columns[at])
+        self.heights[id(node)] = self.heights.get(id(operand), 0) + 1
+        return node
 
     def parse_comparison(self) -> Expr:
         # Left-associative, like the arithmetic operators: a < b < c
@@ -503,9 +598,12 @@ class _Parser:
             op = ops_get(codes[at])
             if op is None:
                 return left
+            height = self.chain(left, at)
             self.pos = at + 1
+            self.depth += 1
             right = self.parse_additive()
-            left = BinOp(op, left, right, line=self.lines[at], column=self.columns[at])
+            self.depth -= 1
+            left = self.binop(op, left, right, height, at)
 
     def parse_additive(self) -> Expr:
         left = self.parse_multiplicative()
@@ -516,9 +614,12 @@ class _Parser:
             op = ops_get(codes[at])
             if op is None:
                 return left
+            height = self.chain(left, at)
             self.pos = at + 1
+            self.depth += 1
             right = self.parse_multiplicative()
-            left = BinOp(op, left, right, line=self.lines[at], column=self.columns[at])
+            self.depth -= 1
+            left = self.binop(op, left, right, height, at)
 
     def parse_multiplicative(self) -> Expr:
         left = self.parse_unary()
@@ -529,16 +630,17 @@ class _Parser:
             op = ops_get(codes[at])
             if op is None:
                 return left
+            height = self.chain(left, at)
             self.pos = at + 1
+            self.depth += 1
             right = self.parse_unary()
-            left = BinOp(op, left, right, line=self.lines[at], column=self.columns[at])
+            self.depth -= 1
+            left = self.binop(op, left, right, height, at)
 
     def parse_unary(self) -> Expr:
         at = self.pos
         if self.codes[at] == _MINUS_C:
-            self.pos = at + 1
-            operand = self.parse_unary()
-            return UnOp("-", operand, line=self.lines[at], column=self.columns[at])
+            return self.unary("-", at, self.parse_unary)
         return self.parse_primary()
 
     def parse_primary(self) -> Expr:
@@ -552,9 +654,11 @@ class _Parser:
                 self.values[pos], line=self.lines[pos], column=self.columns[pos]
             )
         if code == _LPAREN_C:
+            outer = self.nest(pos)
             self.pos = pos + 1
             inner = self.parse_expr()
             self.expect(TokenKind.RPAREN, "parenthesized expression")
+            self.depth = outer
             return inner
         raise ParseError(
             "expected expression, found %s" % KIND_BY_CODE[code].value,
@@ -576,3 +680,70 @@ def parse_token_stream(stream: TokenStream) -> Program:
 def parse_program(source: str) -> Program:
     """Parse CK source text into a :class:`Program` AST (unresolved)."""
     return _Parser(tokenize_stream(source)).parse_program()
+
+
+def reparse_body(
+    source: str,
+    owner: Union[ProcDecl, Program],
+    offset: Callable[[int, int], int],
+    stop: int,
+) -> Optional[Tuple[List[Stmt], bytes, Tuple[int, int, int, int]]]:
+    """Re-read the body of ``owner`` — a procedure's declaration or the
+    program, parsed from an earlier text — out of ``source``: its
+    statement list, fingerprint and
+    :attr:`~repro.lang.nodes.ProcDecl.body_span`, each as
+    :meth:`_Parser.parse_program` would make them from ``source``.
+
+    ``offset(line, column)`` is the offset in ``source`` of a position
+    in ``owner`` before its body's ``begin`` ends (the text up to there
+    is unchanged), and ``stop`` the offset where the body's ``end``
+    token ends.  Only the text the fingerprint covers is scanned: for a
+    procedure, from its ``proc`` token to ``stop`` with each nested
+    declaration cut out; for the program, its ``begin`` to ``stop``.
+    Returns None unless that text still opens the body with ``begin``
+    where ``owner`` had it and ends it with ``end`` at ``stop``, so
+    scanning the whole text would have met the same tokens.  Errors
+    raise as in a full parse (not necessarily the same one).
+    """
+    begin_line, begin_column = owner.body_span[:2]
+    if isinstance(owner, Program):
+        salt = _MAIN_SALT % owner.name.encode("utf-8")
+        nested: List[ProcDecl] = []
+        starts = [(begin_line, begin_column)]
+    else:
+        salt = _PROC_SALT
+        nested = owner.nested
+        starts = [(owner.line, owner.column)]
+        starts += [(child.body_span[2], child.body_span[3] + len("end")) for child in nested]
+    stops = [offset(child.line, child.column) for child in nested] + [stop]
+    codes: List[int] = []
+    values: List[object] = []
+    lines: List[int] = []
+    columns: List[int] = []
+    cuts: List[int] = []
+    for (line, column), segment_stop in zip(starts, stops):
+        if codes:
+            for field in (codes, values, lines, columns):
+                field.pop()  # The previous segment's EOF.
+            cuts.append(len(codes))
+        stream = tokenize_stream(source, offset(line, column), segment_stop, line)
+        codes += stream.codes
+        values += stream.values
+        lines += stream.lines
+        columns += stream.columns
+    parser = _Parser(TokenStream(codes, values, lines, columns))
+    begin_at = cuts[-1] if cuts else 0
+    while codes[begin_at] != _BEGIN_C and codes[begin_at] != _EOF_C:
+        begin_at += 1
+    if lines[begin_at] != begin_line or columns[begin_at] != begin_column:
+        return None
+    parser.pos = begin_at + 1
+    body = parser.parse_statements()
+    end_at = parser.expect(TokenKind.END, "procedure body")
+    eof = len(codes) - 1
+    if end_at != eof - 1 or lines[end_at] != lines[eof] or columns[end_at] + 3 != columns[eof]:
+        return None
+    token_hash = parser._span_hash(
+        salt, 0, eof, [(cut, cut, child) for cut, child in zip(cuts, nested)]
+    )
+    return body, token_hash, parser.body_span(begin_at, end_at)

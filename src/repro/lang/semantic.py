@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.lang.errors import SemanticError
+from repro.lang.errors import CkError, SemanticError
 from repro.lang.nodes import (
     Assign,
     BinOp,
@@ -59,14 +59,16 @@ class _Analyzer:
     def __init__(self, program: Program):
         self.program = program
         self.procs: List[ProcSymbol] = []
+        self.decls: List[Optional[ProcDecl]] = []
         self.variables: List[VarSymbol] = []
         self.call_sites: List[CallSite] = []
-        # Per-procedure resolution state, installed by ``run`` before each
-        # procedure's body is resolved.  ``_var_scopes``/``_proc_scopes``
-        # are the procedure's lexical chain of scope dicts (innermost
-        # first, shared references — never copies); the caches memoize
-        # name → symbol so repeated uses of the same name inside one
-        # procedure cost a single dict probe instead of a chain walk.
+        # Per-procedure resolution state, installed by ``resolve_proc``
+        # before each procedure's body is resolved.  ``_var_scopes``/
+        # ``_proc_scopes`` are the procedure's lexical chain of scope
+        # dicts (innermost first, shared references — never copies);
+        # the caches memoize name → symbol so repeated uses of the same
+        # name inside one procedure cost a single dict probe instead of
+        # a chain walk.
         self._var_scopes: List[Dict[str, VarSymbol]] = []
         self._proc_scopes: List[Dict[str, ProcSymbol]] = []
         self._var_cache: Dict[str, VarSymbol] = {}
@@ -99,15 +101,9 @@ class _Analyzer:
         proc.scope[symbol.name] = symbol
 
     def build_main(self) -> ProcSymbol:
-        main = ProcSymbol(
-            pid=0,
-            name=self.program.name,
-            level=0,
-            parent=None,
-            token_hash=self.program.token_hash,
-        )
-        main.body = self.program.body
+        main = ProcSymbol(pid=0, name=self.program.name, level=0, parent=None)
         self.procs.append(main)
+        self.decls.append(None)
         for decl in self.program.globals:
             symbol = self.new_var(
                 decl.name, VarKind.GLOBAL, main, dims=decl.dims, line=decl.line,
@@ -125,11 +121,9 @@ class _Analyzer:
             name=decl.name,
             level=parent.level + 1,
             parent=parent,
-            decl=decl,
-            token_hash=decl.token_hash,
         )
-        proc.body = decl.body
         self.procs.append(proc)
+        self.decls.append(decl)
         if decl.name in parent.nested_by_name:
             raise SemanticError(
                 "duplicate procedure %r in %s" % (decl.name, parent.qualified_name),
@@ -331,22 +325,31 @@ class _Analyzer:
             else:
                 var_chains[proc.pid] = [proc.scope] + var_chains[proc.parent.pid]
                 proc_chains[proc.pid] = [proc.nested_by_name] + proc_chains[proc.parent.pid]
+        program = self.program
         # Resolve bodies in pid order so call-site ids are deterministic.
-        for proc in self.procs:
-            self._var_scopes = var_chains[proc.pid]
-            self._proc_scopes = proc_chains[proc.pid]
-            self._var_cache = {}
-            self._proc_cache = {}
-            self.resolve_body(proc.body, proc)
+        for proc, decl in zip(self.procs, self.decls):
+            self.resolve_proc(
+                proc, (decl or program).body, var_chains[proc.pid], proc_chains[proc.pid]
+            )
         globals_ = [var for var in self.variables if var.is_global]
         return ResolvedProgram(
-            program=self.program,
+            program=program,
             main=main,
             procs=self.procs,
             variables=self.variables,
             globals=globals_,
             call_sites=self.call_sites,
+            decls=self.decls,
         )
+
+    def resolve_proc(self, proc: ProcSymbol, body: List[Stmt], var_scopes, proc_scopes) -> None:
+        """Resolve ``proc``'s ``body`` against its lexical chain of
+        scopes (innermost first), appending its call sites."""
+        self._var_scopes = var_scopes
+        self._proc_scopes = proc_scopes
+        self._var_cache = {}
+        self._proc_cache = {}
+        self.resolve_body(body, proc)
 
 
 def analyze(program: Program) -> ResolvedProgram:
@@ -359,8 +362,33 @@ def analyze(program: Program) -> ResolvedProgram:
     return _Analyzer(program).run()
 
 
-def compile_source(source: str) -> ResolvedProgram:
-    """Convenience: parse + analyze CK source text."""
+def compile_source(
+    source: str, previous: Optional[ResolvedProgram] = None
+) -> ResolvedProgram:
+    """Parse + analyze CK source text.
+
+    ``previous`` is a program compiled from an earlier version of the
+    text.  When the edit between the two lies inside one procedure's
+    statement list (main's included), adds or removes no line and
+    keeps that procedure's number of calls, only that statement list
+    is lexed, parsed and resolved again, and the result shares every
+    other procedure's AST, its symbols and its call sites with
+    ``previous``.  Any other edit, and any error, compiles in full.
+    Either way the result equals a full compile of ``source``;
+    ``previous`` is read, never changed, and the result holds no
+    reference to it.
+    """
     from repro.lang.parser import parse_program
 
-    return analyze(parse_program(source))
+    if previous is not None and previous.source is not None:
+        from repro.lang.splice import splice
+
+        try:
+            spliced = splice(source, previous)
+        except CkError:
+            spliced = None  # The full compile reports the error.
+        if spliced is not None:
+            return spliced
+    resolved = analyze(parse_program(source))
+    resolved.source = source
+    return resolved

@@ -25,7 +25,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.lang.nodes import CallStmt, Expr, ProcDecl, Program, VarRef
+from repro.lang.nodes import CallStmt, Expr, ProcDecl, Program, Stmt, VarRef
 
 
 class VarKind(enum.Enum):
@@ -92,6 +92,12 @@ class ProcSymbol:
     """A procedure (the main program body is the level-0 procedure).
 
     ``pid`` is a dense program-wide integer; main always has pid 0.
+
+    A symbol holds what the procedure's declaration fixes — its place
+    in the tree, its formals, locals and nested procedures — and none
+    of its body: the statement list, the declaration node and the
+    fingerprint are per version, on :class:`ResolvedProgram`, so two
+    versions of a program that differ in one body share every symbol.
     """
 
     pid: int
@@ -101,17 +107,12 @@ class ProcSymbol:
     formals: List[VarSymbol] = field(default_factory=list)
     locals: List[VarSymbol] = field(default_factory=list)
     nested: List["ProcSymbol"] = field(default_factory=list)
-    decl: Optional[ProcDecl] = None  # None exactly for main.
     # Scope dictionary: every name declared directly in this procedure
     # (formals, locals, and for main the globals).  Used for lexical
     # name lookup; procedures live in a separate namespace
     # (``nested_by_name``).
     scope: Dict[str, VarSymbol] = field(default_factory=dict)
     nested_by_name: Dict[str, "ProcSymbol"] = field(default_factory=dict)
-    #: Parse-time token-span fingerprint (copied from the declaration;
-    #: ``b""`` for ASTs built programmatically).  Lets the incremental
-    #: engine's structural diff skip pretty-printing unchanged bodies.
-    token_hash: bytes = b""
 
     @property
     def is_main(self) -> bool:
@@ -122,15 +123,6 @@ class ProcSymbol:
         if self.parent is None or self.parent.parent is None:
             return self.name
         return "%s.%s" % (self.parent.qualified_name, self.name)
-
-    @property
-    def body(self):
-        """The statement list of this procedure's body."""
-        return self._body
-
-    @body.setter
-    def body(self, statements) -> None:
-        self._body = statements
 
     def local_set(self) -> List[VarSymbol]:
         """``LOCAL(p)``: every variable deallocated when p returns.
@@ -210,7 +202,14 @@ class CallSite:
 
 @dataclass(eq=False)
 class ResolvedProgram:
-    """A parsed, name-resolved CK program — what the analyses consume."""
+    """A parsed, name-resolved CK program — what the analyses consume.
+
+    ``program`` and ``decls`` belong to this version of the program:
+    they hold each procedure's statement list and fingerprint (read
+    them through :meth:`body_of` and :meth:`token_hash_of`).  The
+    symbols may be shared with other versions (see
+    :func:`repro.lang.semantic.compile_source`).
+    """
 
     program: Program
     main: ProcSymbol
@@ -218,6 +217,12 @@ class ResolvedProgram:
     variables: List[VarSymbol]  # uid order.
     globals: List[VarSymbol]
     call_sites: List[CallSite]  # site_id order.
+    #: Each procedure's declaration node, by pid; None exactly for
+    #: main, whose body is the program's.
+    decls: List[Optional[ProcDecl]]
+    #: The CK text this version was compiled from (None when it was
+    #: resolved from an AST).
+    source: Optional[str] = None
 
     @property
     def num_procs(self) -> int:
@@ -231,6 +236,16 @@ class ResolvedProgram:
     def max_nesting_level(self) -> int:
         """``d_P``: the deepest procedure declaration level."""
         return max(proc.level for proc in self.procs)
+
+    def body_of(self, proc: ProcSymbol) -> List[Stmt]:
+        """The statement list of ``proc``'s body in this version."""
+        return (self.decls[proc.pid] or self.program).body
+
+    def token_hash_of(self, proc: ProcSymbol) -> bytes:
+        """``proc``'s parse-time token-span fingerprint in this version
+        (``b""`` for ASTs built programmatically).  Lets the incremental
+        engine's structural diff skip pretty-printing unchanged bodies."""
+        return (self.decls[proc.pid] or self.program).token_hash
 
     def proc_named(self, qualified_name: str) -> ProcSymbol:
         """Look up a procedure by qualified name (e.g. ``"p.inner"``)."""

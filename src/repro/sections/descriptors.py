@@ -102,12 +102,15 @@ def _record_loads(expr: Expr, proc: ProcSymbol, table: SectionMap,
         _record_loads(expr.operand, proc, table, lattice)
 
 
-def local_sections_of(proc: ProcSymbol, kind: EffectKind, lattice=None) -> SectionMap:
-    """``lrsd``-style map for one procedure body (no nesting pull-up)."""
+def local_sections_of(
+    resolved: ResolvedProgram, proc: ProcSymbol, kind: EffectKind, lattice=None
+) -> SectionMap:
+    """``lrsd``-style map for one procedure body of ``resolved`` (no
+    nesting pull-up)."""
     if lattice is None:
         lattice = _default_lattice()
     table: SectionMap = {}
-    for stmt in walk_statements(proc.body):
+    for stmt in walk_statements(resolved.body_of(proc)):
         if kind is EffectKind.MOD:
             if isinstance(stmt, (Assign, Read)):
                 _merge(table, stmt.target.symbol.uid,
@@ -165,7 +168,7 @@ def extended_local_sections(
     if lattice is None:
         lattice = _default_lattice()
     tables: List[SectionMap] = [
-        local_sections_of(proc, kind, lattice) for proc in resolved.procs
+        local_sections_of(resolved, proc, kind, lattice) for proc in resolved.procs
     ]
     for proc in sorted(resolved.procs, key=lambda p: -p.level):
         for nested in proc.nested:

@@ -575,7 +575,10 @@ class AnalysisServer:
                 lanes = session.lanes
             if sleep:
                 time.sleep(sleep)
-            new_resolved = compile_source(source)
+            previous = old_summary.resolved if old_summary is not None else None
+            new_resolved = compile_source(source, previous=previous)
+            # A spliced program shares its symbols with its donor.
+            spliced = previous is not None and new_resolved.main is previous.main
             if old_summary is not None:
                 new_summary, stats = incremental_update(old_summary, new_resolved)
             elif reloaded_index is not None:
@@ -609,13 +612,13 @@ class AnalysisServer:
             # cache tiers under the new content key.
             if self.disk_cache is not None:
                 self.disk_cache.put(key, encode_record(new_summary))
-            return new_summary, payload, stats, lanes, key
+            return new_summary, payload, stats, lanes, key, spliced
 
-        new_summary, payload, stats, lanes, key = await self._run_heavy(work)
+        new_summary, payload, stats, lanes, key, spliced = await self._run_heavy(work)
         # The render hands back its predecessor's payload object when no
         # set moved: then the client already holds this summary.
         unchanged = held is not None and payload["summary"] is held
-        self.metrics.observe_update(stats, unchanged)
+        self.metrics.observe_update(stats, unchanged, spliced)
 
         if session is None:
             session = Session(

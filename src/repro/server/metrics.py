@@ -82,6 +82,9 @@ class ServerMetrics:
         #: ``update`` replies sent as the empty delta (the client's
         #: ``since`` summary is unchanged) and with the whole summary.
         self.update_replies = {"delta": 0, "full": 0}
+        #: ``update`` sources the front end spliced into the session's
+        #: previous program, and those it compiled in full.
+        self.update_front_end = {"spliced": 0, "full": 0}
         self.connections = 0
 
     def uptime(self) -> float:
@@ -103,11 +106,13 @@ class ServerMetrics:
         for phase, seconds in timings.items():
             self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds
 
-    def observe_update(self, stats, delta: bool) -> None:
+    def observe_update(self, stats, delta: bool, spliced: bool) -> None:
         """Accumulate one ``UpdateStats`` from an ``update`` request,
-        and whether its reply was the empty delta."""
+        whether its reply was the empty delta and whether its source
+        was spliced."""
         self.incremental_updates += 1
         self.update_replies["delta" if delta else "full"] += 1
+        self.update_front_end["spliced" if spliced else "full"] += 1
         self.reused_procs += stats.reused_procs
         self.affected_procs += stats.affected_procs
         self.region_procs += stats.region_procs
@@ -133,6 +138,7 @@ class ServerMetrics:
             "phase_seconds": dict(self.phase_seconds),
             "analyses": self.analyses,
             "update_replies": dict(self.update_replies),
+            "update_front_end": dict(self.update_front_end),
             "incremental": {
                 "updates": self.incremental_updates,
                 "reused_procs": self.reused_procs,

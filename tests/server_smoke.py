@@ -99,6 +99,10 @@ def main() -> int:
             assert stats["requests"]["analyze"] == 1
             assert stats["update_replies"] == {"delta": 1, "full": 1}, (
                 "the literal edit was not answered with the empty delta")
+            # The line-inserting edit compiled in full; the literal edit
+            # re-read one procedure.
+            assert stats["update_front_end"] == {"spliced": 1, "full": 1}, (
+                "the literal edit was not spliced into the previous program")
             # The summary the client put back for that delta is what a
             # second client's fresh analysis of the same source gets.
             with wait_for_server(port) as fresh:
@@ -116,6 +120,7 @@ def main() -> int:
         assert metrics["requests"]["analyze"] == 2
         assert metrics["requests"]["update"] == 2
         assert metrics["update_replies"] == {"delta": 1, "full": 1}
+        assert metrics["update_front_end"] == {"spliced": 1, "full": 1}
         assert metrics["requests"]["query"] == 1
         incremental = metrics["incremental"]
         assert incremental["updates"] == 2
@@ -143,9 +148,11 @@ def main() -> int:
         returncode = daemon.wait(timeout=30)
         assert returncode == 0, "restarted daemon exited with %d" % returncode
         with open(metrics_path) as handle:
-            replies = json.load(handle)["update_replies"]
-        assert replies == {"delta": 0, "full": 1}, (
+            metrics = json.load(handle)
+        assert metrics["update_replies"] == {"delta": 0, "full": 1}, (
             "the restarted daemon's update was not answered in full")
+        # No program was in memory to splice into.
+        assert metrics["update_front_end"] == {"spliced": 0, "full": 1}
     finally:
         stop_daemon(daemon)
     # A session persists as one state file.

@@ -382,10 +382,10 @@ _ANALYZE_TASK = batch_module._analyze_task
 
 def _hang_or_die(task):
     """A worker body for the pool tests (the fork start method carries
-    the patch into the workers): ``hang.ck`` never finishes, ``die.ck``
+    the patch into the workers): ``hang*.ck`` never finishes, ``die.ck``
     kills its worker, every other file is analyzed."""
     name = os.path.basename(task[0])
-    if name == "hang.ck":
+    if name.startswith("hang"):
         time.sleep(600)
     if name == "die.ck":
         os._exit(3)
@@ -414,18 +414,29 @@ class TestPoolWorkers:
         """The timed-out file's worker is terminated, not joined: the
         run returns soon after the timeout and leaves no child behind.
         Repeated, because a worker reaped by two threads at once could
-        stay listed as running in a few runs out of twenty."""
+        stay listed as running in a few runs out of twenty.
+
+        The healthy ``a.ck`` is answered from the cache, analyzed once
+        beforehand, so no attempt makes it race the 0.1 s budget on a
+        busy machine; a second never-finishing file keeps two workers
+        in the pool."""
         root = _pool_corpus(tmp_path, "hang.ck")
+        (tmp_path / "pool" / "hang2.ck").write_text(patterns.chain(5))
+        cache_dir = str(tmp_path / "cache")
+        warm = run_batch([os.path.join(root, "a.ck")], jobs=1, cache_dir=cache_dir)
+        assert warm.exit_code == 0
         for attempt in range(20):
             started = time.perf_counter()
-            report = run_batch(root, jobs=2, timeout=0.1)
+            report = run_batch(root, jobs=2, timeout=0.1, cache_dir=cache_dir)
             elapsed = time.perf_counter() - started
             statuses = {
                 os.path.basename(r.path): r.status for r in report.results
             }
             assert statuses == {
-                "a.ck": STATUS_OK, "hang.ck": STATUS_TIMEOUT
+                "a.ck": STATUS_OK, "hang.ck": STATUS_TIMEOUT, "hang2.ck": STATUS_TIMEOUT
             }, attempt
+            assert report.results[0].cached, attempt
+            assert report.jobs == 2, attempt
             assert report.exit_code == 1
             assert elapsed < 0.1 + 5, attempt
             assert multiprocessing.active_children() == [], attempt

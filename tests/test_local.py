@@ -14,7 +14,7 @@ def analyze(source):
 
 
 def stmt_of(resolved, proc_name, index=0):
-    return resolved.proc_named(proc_name).body[index]
+    return resolved.body_of(resolved.proc_named(proc_name))[index]
 
 
 def names(universe, mask):
@@ -49,7 +49,7 @@ class TestStatementSets:
             begin call f(g, h) end
             """
         )
-        self.body = self.resolved.proc_named("f").body
+        self.body = self.resolved.body_of(self.resolved.proc_named("f"))
 
     def lmod_names(self, index):
         return names(self.universe, lmod_of(self.body[index]))

@@ -30,6 +30,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import weakref
 
 import pytest
@@ -624,3 +625,39 @@ def test_payload_readers_leave_the_shared_lists_alone(tmp_path):
                 client.query("s", select, **fields)
             assert payload == frozen
 
+
+
+def test_a_carried_summary_writes_its_body_once(monkeypatch):
+    """An update's summary still carries its predecessor's render: the
+    index section and the container it rides in share one write of the
+    body, the predecessor's head stays its own, and the bytes are a
+    scratch summary's."""
+    source = pretty(generate_program(GeneratorConfig(seed=5, num_procs=30, num_globals=6)))
+    old = analyze_side_effects(source)
+    summary_to_dict(old)
+    old_bytes = summary_to_bytes(old)
+    old_head = old.render.head
+    edited = re.sub(r":= (\d)\n", lambda m: ":= %d\n" % ((int(m.group(1)) + 1) % 10),
+                    source, count=1)
+    assert edited != source
+    new, _stats = incremental_update(old, compile_source(edited, previous=old.resolved))
+    assert new.render is not None and new.render.carried
+    calls = []
+    body_writer = persist._summary_body
+
+    def counting(summary, intern):
+        calls.append(summary)
+        return body_writer(summary, intern)
+
+    scratch = analyze_side_effects(edited)
+    scratch_blob = summary_to_bytes(scratch, sections=with_index(summary=scratch))
+    monkeypatch.setattr(persist, "_summary_body", counting)
+    blob = summary_to_bytes(new, sections=with_index(summary=new))
+    assert len(calls) == 1 and calls[0] is new
+    assert blob == scratch_blob
+    assert old.render.head is old_head
+    assert summary_to_bytes(old) == old_bytes
+    # The first render keeps a head, so nothing is written again.
+    summary_to_dict(new)
+    assert summary_to_bytes(new, sections=with_index(summary=new)) == blob
+    assert len(calls) == 1

@@ -66,7 +66,7 @@ class TestLocalExtraction:
             """
         )
         proc = resolved.proc_named("f")
-        table = local_sections_of(proc, EffectKind.MOD)
+        table = local_sections_of(resolved, proc, EffectKind.MOD)
         section = table[resolved.var_named("m").uid]
         assert section.subs[0].kind is SubKind.FORMAL
         assert section.subs[1].kind is SubKind.CONST
@@ -82,7 +82,7 @@ class TestLocalExtraction:
             """
         )
         proc = resolved.proc_named("f")
-        table = local_sections_of(proc, EffectKind.MOD)
+        table = local_sections_of(resolved, proc, EffectKind.MOD)
         assert table[resolved.var_named("m").uid].subs[0].is_unknown
 
     def test_multiple_accesses_meet(self):
@@ -98,7 +98,7 @@ class TestLocalExtraction:
             begin call f(0, 1) end
             """
         )
-        table = local_sections_of(resolved.proc_named("f"), EffectKind.MOD)
+        table = local_sections_of(resolved, resolved.proc_named("f"), EffectKind.MOD)
         section = table[resolved.var_named("m").uid]
         assert section.subs[0].is_unknown  # i ∧ 2 = *.
         assert section.subs[1].kind is SubKind.FORMAL
@@ -113,7 +113,7 @@ class TestLocalExtraction:
             begin call f(1) end
             """
         )
-        table = local_sections_of(resolved.proc_named("f"), EffectKind.USE)
+        table = local_sections_of(resolved, resolved.proc_named("f"), EffectKind.USE)
         assert resolved.var_named("m").uid in table
         assert resolved.var_named("g").uid not in table
 

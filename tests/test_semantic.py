@@ -97,7 +97,7 @@ class TestNameResolution:
             begin call f() end
             """
         )
-        target = resolved.proc_named("f").body[0].target
+        target = resolved.body_of(resolved.proc_named("f"))[0].target
         assert target.symbol.qualified_name == "f::v"
 
     def test_nested_sees_enclosing_local(self):
@@ -115,7 +115,7 @@ class TestNameResolution:
             """
         )
         inner = resolved.proc_named("outer.inner")
-        assert inner.body[0].target.symbol.qualified_name == "outer::w"
+        assert resolved.body_of(inner)[0].target.symbol.qualified_name == "outer::w"
 
     def test_formal_of_enclosing_visible_in_nested(self):
         resolved = compile_source(
@@ -131,7 +131,7 @@ class TestNameResolution:
             """
         )
         inner = resolved.proc_named("outer.inner")
-        assert inner.body[0].target.symbol.qualified_name == "outer::p"
+        assert resolved.body_of(inner)[0].target.symbol.qualified_name == "outer::p"
 
     def test_undeclared_variable_rejected(self):
         with pytest.raises(SemanticError):

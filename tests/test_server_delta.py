@@ -24,6 +24,7 @@ import repro.server.daemon as daemon_module
 from repro.core.persist import summary_to_dict
 from repro.core.pipeline import analyze_side_effects, payload_from_summary
 from repro.lang.pretty import pretty
+from repro.lang.semantic import compile_source
 from repro.server import ServerClient, ServerConfig, ServerError, ServerThread
 from repro.server.protocol import encode
 from repro.workloads import patterns
@@ -94,12 +95,19 @@ class TestDaemonOracle:
         fuzzer = EditFuzzer(config, seed)
         source = pretty(fuzzer.program)
         old_text = as_sent(scratch(source))
+        # The front end's own verdicts along the chain: each step's
+        # first update splices exactly when this does, its resend
+        # always does.
+        local = compile_source(source)
+        spliced = STEPS
         with ServerThread(ServerConfig(port=0)) as handle:
             with ServerClient(port=handle.port, max_payload=1 << 26) as client:
                 client.analyze(source, session="fuzz")
                 for step in range(STEPS):
                     op = fuzzer.step()
                     source = pretty(fuzzer.program)
+                    previous, local = local, compile_source(source, previous=local)
+                    spliced += local.main is previous.main
                     context = "step %d (%s)" % (step, op)
                     new_text = as_sent(scratch(source))
                     reply = client.update("fuzz", source)
@@ -115,9 +123,13 @@ class TestDaemonOracle:
                     assert set(again) == FULL_REPLY, context
                     assert list(again) == sorted(again), context
                     old_text = new_text
-                replies = client.stats()["update_replies"]
+                stats = client.stats()
+        replies = stats["update_replies"]
         assert replies["delta"] + replies["full"] == 2 * STEPS
         assert replies["delta"] >= STEPS
+        assert stats["update_front_end"] == {
+            "spliced": spliced, "full": 2 * STEPS - spliced
+        }
 
     def test_literal_edit_line_is_small(self, wire):
         """At 500 procedures / 100 globals a literal edit leaves every
