@@ -37,7 +37,10 @@ differential:
 # and bodies cut, flipped or swapped end in a full re-solve), the
 # daemon's update replies (the summary the client returns, full or put
 # back for the empty delta, equals a scratch render after every fuzz
-# step), and the front end's splice (a text-edit fuzz: the program
+# step, both for the stock client, which gets container replies, and for
+# a protocol-2 JSON-lines client, which gets summary JSON; set-moving
+# updates, LRU and disk hits and laned sessions in both forms), and the
+# front end's splice (a text-edit fuzz: the program
 # compiled against the previous version equals a full compile, or both
 # raise the same error; body edits splice, line-moving, call-adding,
 # declaration and cross-procedure edits compile in full; the previous
@@ -109,11 +112,13 @@ profile:
 	$(PP) $(PY) -m repro.cli profile --gen-procs 2000 --gen-globals 200
 
 # End-to-end daemon check: spawn `ck-analyze serve` as a real OS
-# process with --state-dir, open a laned session, run one update + one
-# query through the client, shut it down cleanly and verify the
-# --metrics-json dump; then restart on the same state dir and check the
-# next update reloads the index and keeps the lanes, and that the state
-# dir holds only .cki files.
+# process with --state-dir, open a laned session through the client and
+# on a raw socket with and without "accept": "container" (the container
+# reply carries no summary JSON; the three summaries are equal), run one
+# update + one query through the client, shut it down cleanly and verify
+# the --metrics-json dump; then restart on the same state dir and check
+# the next update reloads the index and keeps the lanes, and that the
+# state dir holds only .cki files.
 server-smoke:
 	$(PP) $(PY) tests/server_smoke.py
 

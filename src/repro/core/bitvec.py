@@ -49,6 +49,40 @@ def members(mask: int, items: Sequence, first: int = 0) -> list:
     return list(compress(islice(items, first, None), selectors))
 
 
+def members_from(mask: int, base: int, named: Sequence, items: Sequence) -> list:
+    """``members(mask, items)``, built from ``named``, which must equal
+    ``members(base, items)``: the runs of ``named`` between the bits in
+    which ``mask`` and ``base`` differ are copied as slices, and each such
+    bit adds its item or drops it.  A flipped bit costs one rank, the
+    count of ``base``'s bits below it, so ``k`` flipped bits over a
+    ``W``-bit universe cost O(|output| + k·W/64) word operations, where
+    :func:`members` reads all ``W`` bits.  When at least as many bits
+    flip as ``base`` or ``mask`` holds, the base saves nothing, and the
+    mask is named by :func:`members`."""
+    flips = mask ^ base
+    count = flips.bit_count()
+    if count >= base.bit_count() or count >= mask.bit_count():
+        return members(mask, items)
+    limit = len(items)
+    out: list = []
+    copied = 0  # Items of ``named`` before this one are placed.
+    while flips:
+        low = flips & -flips
+        uid = low.bit_length() - 1
+        if uid >= limit:  # This bit and every later one select nothing.
+            break
+        flips ^= low
+        rank = (base & (low - 1)).bit_count()
+        out += named[copied:rank]
+        if mask & low:
+            out.append(items[uid])
+            copied = rank
+        else:
+            copied = rank + 1
+    out += named[copied:]
+    return out
+
+
 def popcount(mask: int) -> int:
     """Number of set bits.
 

@@ -40,7 +40,7 @@ from repro.core.binio import (
     write_partners,
     write_varint,
 )
-from repro.core.bitvec import iter_bits, members
+from repro.core.bitvec import iter_bits, members, members_from
 from repro.core.summary import SideEffectSummary
 from repro.core.varsets import EffectKind
 from repro.lang.symbols import ResolvedProgram
@@ -179,12 +179,13 @@ class _Render:
     """One plain :func:`summary_to_dict` render, kept on
     ``summary.render`` for the next one.
 
-    ``names`` maps each distinct mask of the payload to its name list
-    and ``aliases`` maps each non-empty partner table, by identity, to
-    its name pairs.  Both are functions of the universe's names alone
-    (partner tables are final once solved, and carried between
-    summaries by reference, never written), so a summary naming its
-    variables alike can look its sets up here instead of listing them.
+    ``names`` maps each distinct mask of the payload, and GLOBAL, to its
+    name list and ``aliases`` maps each non-empty partner table, by
+    identity, to its name pairs.  Both are functions of the universe's
+    names alone (partner tables are final once solved, and carried
+    between summaries by reference, never written), so a summary naming
+    its variables alike can look its sets up here instead of listing
+    them.
     ``head`` is the container's string table and body, written from the
     masks behind ``payload`` (a function of it and the universe's names)
     once :func:`summary_to_bytes` has run.
@@ -235,12 +236,14 @@ def _render(summary: SideEffectSummary, previous: Optional[_Render]) -> _Render:
     names: Dict[int, List[str]] = {}
     pairs: Dict[int, Tuple[Dict[int, int], List[List[str]]]] = {}
 
-    def named(mask: int) -> List[str]:
+    def named(mask: int, base: int = 0) -> List[str]:
+        """``mask``'s names, from those of ``base``, a mask named before."""
         found = names.get(mask)
         if found is None:
             found = known.get(mask)
             if found is None:
-                found = universe.to_names(mask)
+                found = (universe.to_names(mask, base, names[base]) if base
+                         else universe.to_names(mask))
             names[mask] = found
         return found
 
@@ -256,12 +259,17 @@ def _render(summary: SideEffectSummary, previous: Optional[_Render]) -> _Render:
 
     solutions = [(kind.value, solution) for kind, solution in summary.solutions.items()]
     partner_mask = summary.aliases.partner_mask
+    # Each set is named from the base the container stores it against:
+    # a G row from GLOBAL, a site's D set from its callee's G row
+    # (equation (2)) and its MOD set from its D set (the §5 alias step).
+    everything = universe.global_mask
+    named(everything)
     procedures: Dict = {}
     aliases: Dict = {}
     for proc in resolved.procs:
         entry: Dict = {"level": proc.level}
         for tag, solution in solutions:
-            entry["g" + tag] = named(solution.gmod[proc.pid])
+            entry["g" + tag] = named(solution.gmod[proc.pid], everything)
             entry["r" + tag] = _rmod_names(solution, proc)
         procedures[proc.qualified_name] = entry
         aliases[proc.qualified_name] = alias_names(partner_mask[proc.pid])
@@ -275,8 +283,9 @@ def _render(summary: SideEffectSummary, previous: Optional[_Render]) -> _Render:
             "line": site.line,
         }
         for tag, solution in solutions:
-            entry["d" + tag] = named(solution.dmod[sid])
-            entry[tag] = named(solution.mod[sid])
+            dmod = solution.dmod[sid]
+            entry["d" + tag] = named(dmod, solution.gmod[site.callee.pid])
+            entry[tag] = named(solution.mod[sid], dmod)
         call_sites.append(entry)
     payload: Dict = {
         "version": FORMAT_VERSION,
@@ -618,8 +627,10 @@ def _read_summary_body(
     """The one reader of a v5 body.  Every set is read with the variable
     count as its width, so no bit lands past the variable table.  With
     ``naming`` (the payload decode), each set is kept as its name list,
-    each distinct set named once and every entry a list of its own, and
-    each alias table as its name pairs: no mask outlives its read.
+    each distinct set named once, from the names of the base the body
+    stores it against (:func:`~repro.core.bitvec.members_from`), and
+    every entry a list of its own, and each alias table as its name
+    pairs: no mask outlives its read.
     Without it, nothing is named: the R lists are stepped over
     (:func:`_skip_names`) and each alias table comes back symmetric."""
     width, pos = read_varint(data, pos)
@@ -631,13 +642,19 @@ def _read_summary_body(
     everything, pos = read_mask_adaptive(data, pos, width)
     listed: Dict[int, List[str]] = {}
 
-    def keep(mask: int):
-        if not naming:
-            return mask
+    def named(mask: int, base: int) -> List[str]:
         found = listed.get(mask)
         if found is None:
-            found = listed[mask] = members(mask, strings)
-        return list(found)
+            found = listed[mask] = (
+                members_from(mask, base, named(base, 0), strings) if base
+                else members(mask, strings))
+        return found
+
+    def keep(mask: int, base: int = 0):
+        """``mask``, or with ``naming`` a list of its names of its own,
+        named from those of ``base``: the base the body stores it
+        against."""
+        return list(named(mask, base)) if naming else mask
 
     def string(pos: int) -> Tuple[str, int]:
         index, pos = read_varint(data, pos)
@@ -659,6 +676,7 @@ def _read_summary_body(
         name, pos = string(pos)
         level, pos = read_varint(data, pos)
         rows: List[int] = []
+        g_rows = []
         r_lists = []
         for _tag in tags:
             flag = data[pos]
@@ -668,7 +686,10 @@ def _read_summary_body(
                     % flag
                 )
             row, pos = read_mask_adaptive(data, pos + 1, width)
-            rows.append(row ^ everything if flag else row)
+            if flag:
+                row ^= everything
+            rows.append(row)
+            g_rows.append(keep(row, everything if flag else 0))
             names, pos = read_names(data, pos, strings, 3)
             r_lists.append(names)
         partner_rows, pos = read_partner_rows(data, pos, width)
@@ -677,8 +698,7 @@ def _read_summary_body(
                                     for low in iter_bits(below)), strings)
         else:
             partners = _partner_table(partner_rows)
-        procedures.append(BodyProcedure(
-            name, level, [keep(row) for row in rows], r_lists, partners))
+        procedures.append(BodyProcedure(name, level, g_rows, r_lists, partners))
         rows_of[name] = rows
 
     sites = []
@@ -700,8 +720,8 @@ def _read_summary_body(
             delta, pos = read_mask_adaptive(data, pos, width)
             dmod = base ^ delta
             delta, pos = read_mask_adaptive(data, pos, width)
-            dmods.append(keep(dmod))
-            mods.append(keep(dmod ^ delta))
+            dmods.append(keep(dmod, base))
+            mods.append(keep(dmod ^ delta, dmod))
         sites.append(BodySite(site_id, caller, callee, line, dmods, mods))
     return SummaryBody(strings[:width], version, program, tags, procedures, sites), pos
 

@@ -12,9 +12,9 @@ objects.
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
-from repro.core.bitvec import mask_of, members
+from repro.core.bitvec import mask_of, members, members_from
 from repro.lang.symbols import ProcSymbol, ResolvedProgram, VarSymbol
 
 
@@ -103,9 +103,13 @@ class VariableUniverse:
         """Decode a mask to its symbols, uid-ascending."""
         return members(mask, self.resolved.variables)
 
-    def to_names(self, mask: int) -> List[str]:
-        """Decode a mask to qualified names, uid-ascending."""
-        return members(mask, self.names)
+    def to_names(
+        self, mask: int, base: int = 0, base_names: Sequence[str] = ()
+    ) -> List[str]:
+        """Decode a mask to qualified names, uid-ascending; from
+        ``base_names``, the names of ``base``, where that is cheaper (see
+        :func:`~repro.core.bitvec.members_from`)."""
+        return members_from(mask, base, base_names, self.names)
 
     def mask_of_symbols(self, symbols: Iterable[VarSymbol]) -> int:
         return mask_of(symbol.uid for symbol in symbols)

@@ -24,9 +24,10 @@ Expressions use conventional precedence (``or`` < ``and`` < ``not`` <
 comparisons < additive < multiplicative < unary minus).  Optional
 semicolons may separate statements and declarations.
 
-Nesting inside a procedure body is bounded by :data:`MAX_NESTING`: a
+Nesting inside a procedure body is bounded by :data:`MAX_NESTING`, and
+the nesting of procedure declarations by :data:`MAX_PROC_NESTING`: a
 program that nests deeper ends in a :class:`ParseError` at the token
-that crosses the bound, never in a ``RecursionError`` here or in any
+that crosses a bound, never in a ``RecursionError`` here or in any
 later walk over its AST.
 
 Implementation note: the parser runs directly over the lexer's
@@ -81,6 +82,17 @@ from repro.lang.tokens import KIND_BY_CODE, TokenKind
 #: most a few, so a body within the bound stays well inside Python's
 #: default recursion limit, on a worker thread too.
 MAX_NESTING = 64
+
+#: The deepest procedure declarations may nest: a procedure declared in
+#: the program is at level 1, one declared inside it at level 2.  The
+#: parser, the resolver, the renderers and the interpreter each recurse
+#: about one frame per level, on top of what the body they reach costs
+#: (at most ten frames per :data:`MAX_NESTING` level).  A tower of 400
+#: levels whose innermost body nests parentheses to the body bound still
+#: goes through every walk under Python's default recursion limit; this
+#: bound leaves room below that for the frames of a caller, a test
+#: runner or the daemon's solver thread.
+MAX_PROC_NESTING = 256
 
 # Dense int codes for every kind the parser dispatches on.
 _INT_C = TokenKind.INT.code
@@ -139,7 +151,8 @@ _STATEMENT_STARTERS = frozenset(
 
 
 class _Parser:
-    __slots__ = ("codes", "values", "lines", "columns", "pos", "depth", "heights")
+    __slots__ = ("codes", "values", "lines", "columns", "pos", "depth", "heights",
+                 "proc_depth")
 
     def __init__(self, stream: TokenStream):
         self.codes = stream.codes
@@ -149,6 +162,8 @@ class _Parser:
         self.pos = 0
         #: Nesting level of what is being parsed (see MAX_NESTING).
         self.depth = 0
+        #: Procedure declarations open around it (see MAX_PROC_NESTING).
+        self.proc_depth = 0
         #: id(node) → the levels below it, for every node built where
         #: nesting grows (operators, subscripted references); a node
         #: missing here is a leaf.
@@ -348,6 +363,13 @@ class _Parser:
 
     def parse_proc(self) -> ProcDecl:
         start = self.expect(TokenKind.PROC, "procedure declaration")
+        if self.proc_depth >= MAX_PROC_NESTING:
+            raise ParseError(
+                "procedures nested deeper than %d levels" % MAX_PROC_NESTING,
+                self.lines[start],
+                self.columns[start],
+            )
+        self.proc_depth += 1
         name = self.values[self.expect(TokenKind.IDENT, "procedure declaration")]
         self.expect(TokenKind.LPAREN, "parameter list")
         params: List[str] = []
@@ -376,6 +398,7 @@ class _Parser:
         begin_at = self.expect(TokenKind.BEGIN, "procedure body")
         body = self.parse_statements()
         end_at = self.expect(TokenKind.END, "procedure body")
+        self.proc_depth -= 1
         return ProcDecl(
             name=name,
             params=params,

@@ -6,20 +6,26 @@ holds one connection and pipelines requests serially over it; create
 one client per thread for concurrent load (the daemon multiplexes
 connections, not the client).
 
-The client keeps each session's last ``key`` and summary on its
-connection and sends the key as ``since`` on ``update``; when the
-daemon answers that nothing changed (``"delta": {}``) the client puts
-the summary it holds back into the reply, so every verb returns what a
-full reply decodes to.
+The client asks for summaries as containers (``"accept":
+"container"`` on ``analyze`` and ``update``) and loads each one it gets
+into the ``summary`` a JSON reply would have carried.  It keeps each
+session's last ``key`` and summary on its connection and sends the key
+as ``since`` on ``update``; when the daemon answers that nothing
+changed (``"delta": {}``) the client puts the summary it holds back
+into the reply, so every verb returns what a full JSON reply decodes
+to.
 """
 
 from __future__ import annotations
 
+import base64
 import socket
 import time
 from typing import Any, Dict, Optional, Tuple
 
 from repro.server.protocol import (
+    ACCEPT_CONTAINER,
+    E_BAD_REQUEST,
     E_PAYLOAD_TOO_LARGE,
     MAX_PAYLOAD_DEFAULT,
     ProtocolError,
@@ -68,26 +74,32 @@ class ServerClient:
         """Send one request, return the decoded response dict (``ok``
         may be false; nothing raises but transport errors).
 
-        An ``update`` of a session this client holds a summary for is
-        sent with ``since`` (that summary's ``key``), and a ``delta``
-        reply comes back with the held ``summary`` in its place: the
-        caller gets a full reply's keys and values.  The summary is
-        read-only, and an unchanged one is the very object an earlier
-        reply returned, as :func:`~repro.core.persist.summary_to_dict`
-        may return one payload again.  A ``delta`` reply the client
-        cannot match to what it holds (the caller passed another
+        An ``analyze`` or ``update`` is sent with ``"accept":
+        "container"``, and a ``container`` reply comes back with the
+        ``summary`` it loads to (:func:`_summary_of`) in its place.  An
+        ``update`` of a session this client holds a summary for is sent
+        with ``since`` (that summary's ``key``), and a ``delta`` reply
+        comes back with the held ``summary`` in its place.  Either way
+        the caller gets a full JSON reply's keys and values, key order
+        included.  The summary is read-only, and an unchanged one is the
+        very object an earlier reply returned.  A ``delta`` reply the
+        client cannot match to what it holds (the caller passed another
         ``since`` itself) comes back as the daemon sent it.
 
         A reply longer than ``max_payload`` bytes raises
         :class:`ProtocolError` (``payload_too_large``) and closes the
         connection: the unread tail would otherwise be taken for the
-        next reply."""
+        next reply.  A container that does not load raises
+        :class:`ProtocolError` (``bad_request``, as a reply that is not
+        JSON does), and what the client holds stays as it was."""
         if self._file.closed:
             raise ConnectionError("client connection is closed")
         session = fields.get("session")
         if not isinstance(session, str):
             session = None
         held = self._held.get(session)
+        if verb in ("analyze", "update"):
+            fields.setdefault("accept", ACCEPT_CONTAINER)
         if verb == "update" and held is not None:
             fields.setdefault("since", held[0])
         self._next_id += 1
@@ -108,6 +120,10 @@ class ServerClient:
                 " connection closed" % self.max_payload,
             )
         reply = decode(line)
+        if "container" in reply:
+            reply["summary"] = _summary_of(reply.pop("container"))
+            # The key order of the JSON reply line, which sorts its keys.
+            reply = dict(sorted(reply.items()))
         if not (reply.get("ok") and verb in ("analyze", "update") and session):
             return reply
         if "delta" in reply:
@@ -167,6 +183,39 @@ class ServerClient:
 
     def shutdown(self) -> Dict[str, Any]:
         return self.request("shutdown")
+
+
+def _summary_of(container: Any) -> Dict[str, Any]:
+    """The ``summary`` a JSON reply carries, from the base64 text of a
+    reply's container: the payload loaded through
+    :func:`~repro.core.persist.decode_summary_payload`, every dict's keys
+    sorted as the JSON line sorts them.  Only dicts are rebuilt; the
+    name lists are the loader's own.  :class:`ProtocolError` when the
+    text is not base64 of a container that loads."""
+    from repro.core.persist import decode_summary_payload
+
+    try:
+        if not isinstance(container, str):
+            raise ValueError("not a string but %s" % type(container).__name__)
+        payload = decode_summary_payload(
+            base64.b64decode(container.encode("ascii"), validate=True)
+        )
+    except ValueError as error:  # binascii.Error and UnicodeError too.
+        raise ProtocolError(
+            E_BAD_REQUEST, "reply carries a container that does not load: %s" % error
+        )
+    return _sorted_dicts(payload)
+
+
+def _sorted_dicts(value: Any) -> Any:
+    """``value`` with the keys of every dict in it sorted.  A list is
+    entered only when it holds dicts (the call sites): a list of names or
+    of alias pairs is kept as it is, unread."""
+    if isinstance(value, dict):
+        return {key: _sorted_dicts(value[key]) for key in sorted(value)}
+    if isinstance(value, list) and value and isinstance(value[0], dict):
+        return [_sorted_dicts(item) for item in value]
+    return value
 
 
 def wait_for_server(

@@ -9,7 +9,8 @@ back, on an ``analyze`` request:
    cache) — a hit answers immediately and can still seed a session;
 2. the on-disk :class:`~repro.service.cache.SummaryCache` shared with
    ``ck-analyze batch`` — a hit decodes the stored container instead of
-   re-solving (skipped when the request opens a session, which needs
+   re-solving, or sends its bytes undecoded to a client that reads
+   containers (skipped when the request opens a session, which needs
    the live object);
 3. the full pipeline.
 
@@ -37,6 +38,7 @@ Robustness contract (each clause has a test):
 from __future__ import annotations
 
 import asyncio
+import base64
 import hashlib
 import json
 import os
@@ -64,6 +66,7 @@ from repro.server.protocol import (
     PROTOCOL_VERSION,
     VERBS,
     ProtocolError,
+    accepts_container,
     decode,
     encode,
     error_response,
@@ -446,6 +449,7 @@ class AnalysisServer:
         session_name = request.get("session")
         if session_name is not None and not isinstance(session_name, str):
             raise ProtocolError(E_BAD_REQUEST, "field 'session' must be a string")
+        containers = accepts_container(request)
         # ``lanes`` feeds the key: a laned payload carries extra blocks
         # a lane-less one does not.
         key = content_key(source, lanes)
@@ -453,10 +457,16 @@ class AnalysisServer:
 
         cached: Any = False
         summary = None
+        # The container the reply carries, for a client that reads them.
+        blob: Optional[bytes] = None
         entry = self.lru.get(key)
         if entry is not None:
             summary, payload = entry
             cached = "lru"
+            if containers:
+                blob = await asyncio.get_running_loop().run_in_executor(
+                    self._executor, _summary_container, summary
+                )
         else:
             # The disk cache can only serve payloads; a session needs
             # the live summary, so it must go through the solver.
@@ -464,17 +474,21 @@ class AnalysisServer:
 
             def work():
                 if use_disk:
-                    payload = self._disk_payload(key)
-                    if payload is not None:
-                        return None, payload
+                    hit = self._disk_hit(key, decode=not containers)
+                    if hit is not None:
+                        payload, record = hit
+                        return None, payload, record if containers else None
                 if sleep:
                     time.sleep(sleep)
                 live = analyze_side_effects(source, lanes=lanes)
+                payload = payload_from_summary(live)
+                # After the render, which keeps the container's head
+                # for the record, the reply and the state file alike.
                 if self.disk_cache is not None:
                     self.disk_cache.put(key, encode_record(live))
-                return live, payload_from_summary(live)
+                return live, payload, _summary_container(live) if containers else None
 
-            summary, payload = await self._run_heavy(work)
+            summary, payload, blob = await self._run_heavy(work)
             if summary is None:
                 cached = "disk"
             else:
@@ -486,10 +500,10 @@ class AnalysisServer:
             "analyze",
             key=key,
             cached=cached,
-            summary=payload["summary"],
             num_procs=payload["num_procs"],
             num_call_sites=payload["num_call_sites"],
         )
+        _add_summary(response, payload, blob)
         if payload.get("lanes") is not None:
             response["lanes"] = payload["lanes"]
         if session_name is not None:
@@ -512,26 +526,31 @@ class AnalysisServer:
             response["session"] = session.brief()
         return response
 
-    def _disk_payload(self, key: str) -> Optional[Dict]:
-        """The service payload of the disk cache's record for ``key``,
-        or None on a miss.  A record whose summary then fails to decode
-        counts as the ``invalid`` miss it is.  Runs on the solver pool."""
+    def _disk_hit(self, key: str, decode: bool) -> Optional[Tuple[Dict, bytes]]:
+        """``(payload, record)`` of the disk cache's record for ``key``,
+        or None on a miss.  The payload holds the record's result
+        metadata and, with ``decode``, its summary: a record whose summary
+        then fails to decode counts as the ``invalid`` miss it is.  Without
+        it the summary stays encoded in ``record``, which the cache's CRC
+        has checked.  Runs on the solver pool."""
         from repro.core.persist import decode_summary_payload
 
         hit = self.disk_cache.get(key)
         if hit is None:
             return None
         record, meta = hit
-        try:
-            summary = decode_summary_payload(record)
-        except ValueError:
-            self.disk_cache.reject_hit()
-            return None
-        payload = {"summary": summary}
-        for name in ("timings", "ops", "num_procs", "num_call_sites", "lanes"):
-            if name in meta:
-                payload[name] = meta[name]
-        return payload
+        payload = {
+            name: meta[name]
+            for name in ("timings", "ops", "num_procs", "num_call_sites", "lanes")
+            if name in meta
+        }
+        if decode:
+            try:
+                payload["summary"] = decode_summary_payload(record)
+            except ValueError:
+                self.disk_cache.reject_hit()
+                return None
+        return payload, record
 
     async def _verb_update(self, request_id: Any, request: Dict) -> Dict:
         from repro.core.incremental import (
@@ -544,6 +563,7 @@ class AnalysisServer:
 
         session_name = require_str(request, "session")
         source = require_str(request, "source")
+        containers = accepts_container(request)
         since = request.get("since")
         if since is not None and not isinstance(since, str):
             raise ProtocolError(E_BAD_REQUEST, "field 'since' must be a string")
@@ -612,12 +632,16 @@ class AnalysisServer:
             # cache tiers under the new content key.
             if self.disk_cache is not None:
                 self.disk_cache.put(key, encode_record(new_summary))
-            return new_summary, payload, stats, lanes, key, spliced
+            # The render hands back its predecessor's payload object
+            # when no set moved: then the client holds this summary.
+            unchanged = held is not None and payload["summary"] is held
+            blob = None
+            if containers and not unchanged:
+                blob = _summary_container(new_summary)
+            return new_summary, payload, stats, lanes, key, spliced, unchanged, blob
 
-        new_summary, payload, stats, lanes, key, spliced = await self._run_heavy(work)
-        # The render hands back its predecessor's payload object when no
-        # set moved: then the client already holds this summary.
-        unchanged = held is not None and payload["summary"] is held
+        (new_summary, payload, stats, lanes, key, spliced, unchanged,
+         blob) = await self._run_heavy(work)
         self.metrics.observe_update(stats, unchanged, spliced)
 
         if session is None:
@@ -647,7 +671,7 @@ class AnalysisServer:
         if unchanged:
             response["delta"] = {}
         else:
-            response["summary"] = payload["summary"]
+            _add_summary(response, payload, blob)
         if payload.get("lanes") is not None:
             response["lanes"] = payload["lanes"]
         return response
@@ -758,6 +782,24 @@ class AnalysisServer:
             }
         )
         return snapshot
+
+
+def _summary_container(summary) -> bytes:
+    """The v5 container a reply carries for a live summary, with no
+    trailer section.  Its string table and body are written once per
+    summary and shared with the state file and the cache record."""
+    from repro.core.persist import summary_to_bytes
+
+    return summary_to_bytes(summary)
+
+
+def _add_summary(response: Dict, payload: Dict, blob: Optional[bytes]) -> None:
+    """Put the summary into a reply: as ``container``, the base64 text of
+    ``blob``, for a client that reads containers, else as ``summary``."""
+    if blob is None:
+        response["summary"] = payload["summary"]
+    else:
+        response["container"] = base64.b64encode(blob).decode("ascii")
 
 
 class ServerThread:

@@ -121,14 +121,15 @@ def deep_nest(depth: int) -> str:
     per-level filtering.
     """
     lines = ["program nest", "  global g", ""]
-    pad = "  "
-
-    def emit(level: int, indent: int) -> None:
-        space = pad * indent
+    levels = range(1, max(depth, 1) + 1)
+    # Each level's heading and local, outermost first; its child's
+    # declaration follows them, so the bodies come innermost first.
+    for level in levels:
+        space = "  " * level
         lines.append("%sproc n%d(x)" % (space, level))
         lines.append("%s  local v%d" % (space, level))
-        if level < depth:
-            emit(level + 1, indent + 1)
+    for level in reversed(levels):
+        space = "  " * level
         lines.append("%sbegin" % space)
         lines.append("%s  v%d := x" % (space, level))
         if level < depth:
@@ -138,8 +139,6 @@ def deep_nest(depth: int) -> str:
                 lines.append("%s  v%d := %d" % (space, target, target))
             lines.append("%s  g := x" % space)
         lines.append("%send" % space)
-
-    emit(1, 1)
     lines.append("")
     lines += ["begin", "  call n1(g)", "end"]
     return "\n".join(lines) + "\n"

@@ -5,7 +5,11 @@ Launches ``ck-analyze serve`` as a subprocess on an ephemeral port
 ``sections`` and ``refalias`` lanes, performs two updates and one
 ``query`` through the client, shuts it down with the ``shutdown`` verb,
 and asserts a zero exit status plus a written ``--metrics-json`` dump
-carrying the incremental region counters.  Both update replies must
+carrying the incremental region counters.  The session is opened three
+times: through the stock client, and on a raw socket with and without
+``"accept": "container"``; the reply to the request with ``accept``
+carries ``container`` and no ``summary``, the other ``summary`` and no
+``container``, and the three summaries are equal.  Both update replies must
 carry both lanes; the first edit moves sets and is answered in full,
 the second changes only a literal and is answered with the empty delta,
 and the summary the client returns for it must equal a second client's
@@ -19,9 +23,11 @@ workflow — not collected by pytest (no ``test_`` prefix).
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import tempfile
@@ -31,6 +37,7 @@ REPO_SRC = os.path.abspath(
 )
 sys.path.insert(0, REPO_SRC)
 
+from repro.core.persist import decode_summary_payload  # noqa: E402
 from repro.server.client import wait_for_server  # noqa: E402
 from repro.workloads import patterns  # noqa: E402
 
@@ -62,6 +69,15 @@ def start_daemon(state_dir: str, metrics_path: str):
     return daemon, int(match.group(2))
 
 
+def raw_request(port: int, message: dict) -> dict:
+    """One JSON request line on a socket of its own; the reply, decoded."""
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+        with sock.makefile("rwb") as stream:
+            stream.write((json.dumps(message) + "\n").encode("utf-8"))
+            stream.flush()
+            return json.loads(stream.readline())
+
+
 def stop_daemon(daemon) -> None:
     if daemon.poll() is None:
         daemon.kill()
@@ -84,6 +100,19 @@ def main() -> int:
             analyzed = client.analyze(source, session="smoke", lanes=",".join(LANES))
             assert analyzed["ok"] and analyzed["num_procs"] == 6
             assert sorted(analyzed["lanes"]) == LANES
+            # The same open on a raw socket, as a JSON-only client and
+            # as one that reads containers.
+            request = {"verb": "analyze", "source": source, "session": "smoke",
+                       "lanes": LANES}
+            plain = raw_request(port, request)
+            packed = raw_request(port, dict(request, accept="container"))
+            assert "summary" in plain and "container" not in plain
+            assert "container" in packed and "summary" not in packed, (
+                "the reply to a container client carries the summary JSON")
+            loaded = decode_summary_payload(base64.b64decode(packed["container"]))
+            assert analyzed["summary"] == plain["summary"] == loaded, (
+                "the three opens returned different summaries")
+            assert analyzed["lanes"] == plain["lanes"] == packed["lanes"]
 
             updated = client.update("smoke", edited)
             assert updated["ok"]
@@ -96,7 +125,7 @@ def main() -> int:
             assert "chain" in result["procedures"]
 
             stats = client.stats()
-            assert stats["requests"]["analyze"] == 1
+            assert stats["requests"]["analyze"] == 3
             assert stats["update_replies"] == {"delta": 1, "full": 1}, (
                 "the literal edit was not answered with the empty delta")
             # The line-inserting edit compiled in full; the literal edit
@@ -117,7 +146,7 @@ def main() -> int:
         assert os.listdir(state_dir), "no session state persisted"
         with open(metrics_path) as handle:
             metrics = json.load(handle)
-        assert metrics["requests"]["analyze"] == 2
+        assert metrics["requests"]["analyze"] == 4
         assert metrics["requests"]["update"] == 2
         assert metrics["update_replies"] == {"delta": 1, "full": 1}
         assert metrics["update_front_end"] == {"spliced": 1, "full": 1}

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.bitvec import OpCounter, contains, iter_bits, mask_of, popcount
+from repro.core.bitvec import (
+    OpCounter,
+    contains,
+    iter_bits,
+    mask_of,
+    members,
+    members_from,
+    popcount,
+)
 from repro.core.varsets import EffectKind, VariableUniverse
 from repro.lang.semantic import compile_source
 
@@ -40,6 +48,41 @@ class TestBitHelpers:
         assert popcount(mask) == len(positions)
         for position in positions:
             assert contains(mask, position)
+
+    @given(st.data())
+    def test_members_from_equals_members(self, data):
+        """The kernel names any mask from any base exactly as
+        :func:`members` does: masks dense and sparse, bits past the
+        items, empty sets, a base equal to the mask or a few bits off."""
+        width = data.draw(st.integers(min_value=0, max_value=200), label="width")
+        items = ["v%d" % uid for uid in range(width)]
+        bits = st.integers(min_value=0, max_value=width + 70)
+        mask = mask_of(data.draw(st.sets(bits), label="mask"))
+        base = data.draw(st.one_of(
+            st.just(mask),
+            st.builds(lambda flips: mask ^ mask_of(flips), st.sets(bits, max_size=6)),
+            st.builds(mask_of, st.sets(bits)),
+        ), label="base")
+        named = members(base, items)
+        assert members_from(mask, base, named, items) == members(mask, items)
+
+    def test_members_from_edits_the_base(self, monkeypatch):
+        """Where few bits flip, the names come from the base: the mask
+        is never read in full.  Bits at and past the end of the items
+        select nothing."""
+        import repro.core.bitvec as bitvec
+
+        items = ["v%d" % uid for uid in range(300)]
+        base = mask_of(range(0, 300, 3)) | 1 << 301
+        named = members(base, items)
+        mask = base ^ mask_of([0, 4, 299, 150, 300, 301, 305])
+        expected = members(mask, items)
+
+        def refuse(*_args):
+            raise AssertionError("named the mask in full")
+
+        monkeypatch.setattr(bitvec, "members", refuse)
+        assert members_from(mask, base, named, items) == expected
 
     def test_counter_reset(self):
         counter = OpCounter(bit_vector_steps=3, single_bit_steps=5, meet_operations=7)

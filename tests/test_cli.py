@@ -303,8 +303,9 @@ class TestBadInput:
             real_init(self, *args, **dict(kwargs, max_payload=1024))
 
         monkeypatch.setattr(ServerClient, "__init__", small_limit)
+        # The reply's container is about 5 KB of base64.
         path = tmp_path / "chain.ck"
-        path.write_text(patterns.chain(20))
+        path.write_text(patterns.chain(80))
         with ServerThread(ServerConfig(port=0)) as handle:
             argv = ["query", "analyze", "--file", str(path),
                     "--port", str(handle.port)]
@@ -328,6 +329,35 @@ class TestBadInput:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "unknown lane 'warp'" in err and "Traceback" not in err
+
+
+class TestQueryOpen:
+    def test_a_1k_session_opens_with_default_limits(self, tmp_path, capsys):
+        """``ck-analyze query analyze --session`` on the generated 1k
+        program, against a daemon and a client at their default limits:
+        the reply carries the summary's container, about 160 KB of
+        base64, where the summary JSON is 14.6 MB, past the client's
+        4 MiB.  It prints what a protocol-2 reply decodes to."""
+        import json
+
+        from repro.lang.pretty import pretty
+        from repro.server import ServerConfig, ServerThread
+        from repro.workloads.generator import GeneratorConfig, generate_program
+        from tests.test_server_delta import LineClient
+
+        source = pretty(generate_program(
+            GeneratorConfig(seed=0, num_procs=1000, num_globals=200)))
+        path = tmp_path / "p1k.ck"
+        path.write_text(source)
+        with ServerThread(ServerConfig(port=0)) as handle:
+            argv = ["query", "analyze", "--file", str(path), "--session", "s",
+                    "--port", str(handle.port)]
+            assert main(argv) == 0
+            printed = json.loads(capsys.readouterr().out)
+            with LineClient(handle.port) as plain:
+                expected = plain.analyze(source)
+        assert printed["session"]["name"] == "s" and printed["num_procs"] == 1001
+        assert printed["summary"] == expected["summary"]
 
 
 class TestShard:

@@ -889,8 +889,10 @@ class TestOffTheLoop:
 
     def test_disk_hit_that_fails_to_decode_is_resolved(self, tmp_path, monkeypatch):
         """A record whose summary does not decode counts as ``invalid``
-        and is solved again; the reply is never ``internal_error``."""
+        and is solved again; the reply is never ``internal_error``.  The
+        daemon decodes a hit for a JSON client, which this one is."""
         import repro.core.persist as persist
+        from tests.test_server_delta import LineClient
 
         config = ServerConfig(port=0, cache_dir=str(tmp_path))
         with ServerThread(config) as h:
@@ -902,7 +904,7 @@ class TestOffTheLoop:
 
         monkeypatch.setattr(persist, "decode_summary_payload", corrupt)
         with ServerThread(config) as h:
-            with ServerClient(port=h.port) as c:
+            with LineClient(h.port) as c:
                 response = c.analyze(self.BASE)
                 disk = c.stats()["disk_cache"]
         assert response["cached"] is False
@@ -915,9 +917,11 @@ class TestOffTheLoop:
         """A restarted daemon's first ``update`` reads the state file's
         body as masks, for its index: no stored set, R list or alias
         pair is named, and no payload is built from it.  The trailer is
-        read once, for the session metadata and the index alike."""
+        read once, for the session metadata and the index alike.  The
+        update goes through a JSON client, which loads no container."""
         import repro.core.depindex as depindex
         import repro.core.persist as persist
+        from tests.test_server_delta import LineClient
 
         config = ServerConfig(port=0, state_dir=str(tmp_path))
         with ServerThread(config) as h:
@@ -929,10 +933,11 @@ class TestOffTheLoop:
 
         monkeypatch.setattr(persist, "_decode_value", refuse)
         monkeypatch.setattr(persist, "members", refuse)
+        monkeypatch.setattr(persist, "members_from", refuse)
         monkeypatch.setattr(persist, "_payload_of", refuse)
         monkeypatch.setattr(depindex, "read_container_trailer", refuse)
         with ServerThread(config) as h:
-            with ServerClient(port=h.port) as c:
+            with LineClient(h.port) as c:
                 reply = c.update("s", self.EDIT)
         assert reply["update_stats"]["index_reloaded"] is True
         assert reply["update_stats"]["full_resolve"] is False
