@@ -37,9 +37,12 @@ differential:
 # and bodies cut, flipped or swapped end in a full re-solve), the
 # daemon's update replies (the summary the client returns, full or put
 # back for the empty delta, equals a scratch render after every fuzz
-# step, both for the stock client, which gets container replies, and for
-# a protocol-2 JSON-lines client, which gets summary JSON; set-moving
-# updates, LRU and disk hits and laned sessions in both forms), and the
+# step, and an update answers the empty delta exactly when the two
+# versions' scratch containers are byte-identical, a row the container
+# hides included, both for the stock client, which gets container
+# replies, and for a protocol-2 JSON-lines client, which gets summary
+# JSON; set-moving updates, LRU and disk hits and laned sessions in both
+# forms; a stock-client session never renders), and the
 # front end's splice (a text-edit fuzz: the program
 # compiled against the previous version equals a full compile, or both
 # raise the same error; body edits splice, line-moving, call-adding,

@@ -76,7 +76,6 @@ from repro.core.depindex import (
 )
 from repro.core.dmod import compute_dmod_fused
 from repro.core.imod_plus import compute_imod_plus_fused
-from repro.core.persist import carry_render
 from repro.core.rmod import solve_rmod_fused
 from repro.core.summary import EffectSolution, SideEffectSummary
 from repro.core.varsets import EffectKind
@@ -770,19 +769,12 @@ def incremental_update(
     that tracks its own edits.  The hint must cover every change; it is
     trusted.
 
-    The new summary's render is seeded from ``old_summary``'s when the
-    variable names are unchanged (:func:`repro.core.persist.carry_render`),
-    so rendering it names only the sets the edit changed, and an edit
-    that changed none returns the previous payload and container body.
-
     Returns the new summary (byte-identical to a from-scratch run — the
     fuzz oracle asserts it) and the reuse statistics.
     """
     index = getattr(old_summary, "dep_index", None)
     if index is None:
         index = old_summary.dep_index = build_dependency_index(old_summary)
-    summary, stats = incremental_update_from_index(
+    return incremental_update_from_index(
         index, new_resolved, kinds=kinds, dirty_hint=dirty_hint
     )
-    carry_render(old_summary, summary)
-    return summary, stats

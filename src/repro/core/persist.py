@@ -43,7 +43,7 @@ from repro.core.binio import (
 from repro.core.bitvec import iter_bits, members, members_from
 from repro.core.summary import SideEffectSummary
 from repro.core.varsets import EffectKind
-from repro.lang.symbols import ResolvedProgram
+from repro.lang.symbols import ProcSymbol, ResolvedProgram
 
 #: On-disk schema version.  Bump whenever the payload shape changes so
 #: consumers (the recompilation analysis, the batch summary cache) can
@@ -165,97 +165,92 @@ def summary_to_dict(summary: SideEffectSummary) -> Dict:
     """A JSON-safe dictionary of every externally meaningful set.
 
     The payload is **read-only**: entries with equal masks share one
-    name list, and the payload itself is kept on the summary (see
-    :class:`_Render`) and may be returned again — by a later call, or
-    for a successor summary whose sets all came out equal (see
-    :func:`carry_render`).  Copy before editing.
+    name list, and the payload is kept on the summary
+    (``summary.payload``) and returned again by a later call, or by a
+    successor whose container is this one's (see :func:`carry`).  Copy
+    before editing.
     """
-    render = _render(summary, summary.render)
-    summary.render = render
-    return render.payload
+    if summary.payload is None:
+        summary.payload = _render(summary)
+    return summary.payload
 
 
-class _Render:
-    """One plain :func:`summary_to_dict` render, kept on
-    ``summary.render`` for the next one.
+def carry(old: SideEffectSummary, new: SideEffectSummary) -> bool:
+    """Would :func:`summary_to_bytes` write ``new`` the very string
+    table and body it writes ``old``?  If so, hand ``old``'s container
+    head and payload, where it holds them, to ``new``, which then writes
+    and renders neither.
 
-    ``names`` maps each distinct mask of the payload, and GLOBAL, to its
-    name list and ``aliases`` maps each non-empty partner table, by
-    identity, to its name pairs.  Both are functions of the universe's
-    names alone (partner tables are final once solved, and carried
-    between summaries by reference, never written), so a summary naming
-    its variables alike can look its sets up here instead of listing
-    them.
-    ``head`` is the container's string table and body, written from the
-    masks behind ``payload`` (a function of it and the universe's names)
-    once :func:`summary_to_bytes` has run.
-
-    A ``carried`` render is a predecessor's, seeded by
-    :func:`carry_render`: its maps serve this summary's first render,
-    but its payload and head are the predecessor's until that render
-    finds the new payload equal.  A head the summary writes meanwhile
-    is kept as ``written``, and becomes the first render's head.  A
-    summary written before it rendered keeps its head on a render
-    whose ``payload`` is None.
+    Decided by list equality over what :func:`_summary_body` stores: the
+    variable table and GLOBAL, the program name and kinds, each payload
+    procedure's name, level, G rows, R lists and alias table, and each
+    call site's id, ends, line, D set and MOD set.  Nothing is written
+    or named.  A row the body does not store does not count: a procedure
+    named after the program hides the main program's G rows (see
+    :func:`procedure_entries`).
     """
-
-    __slots__ = ("kinds", "payload", "names", "aliases", "head", "carried", "written")
-
-    def __init__(self, kinds, payload, names, aliases, head=None, carried=False):
-        self.kinds: Tuple[EffectKind, ...] = kinds
-        self.payload: Optional[Dict] = payload
-        self.names: Dict[int, List[str]] = names
-        self.aliases: Dict[int, Tuple[Dict[int, int], List[List[str]]]] = aliases
-        self.head: Optional[Tuple[bytes, bytes]] = head
-        self.carried: bool = carried
-        self.written: Optional[Tuple[bytes, bytes]] = None
+    if _stored_rows(old) != _stored_rows(new):
+        return False
+    if new.head is None:
+        new.head = old.head
+    if new.payload is None:
+        new.payload = old.payload
+    return True
 
 
-def carry_render(old: SideEffectSummary, new: SideEffectSummary) -> None:
-    """Seed ``new``'s next render with ``old``'s, when both universes
-    name their variables alike.  The seed shares ``old``'s maps, payload
-    and head by reference and points at nothing else, so no chain of
-    predecessors stays reachable; the first render drops it."""
-    render = old.render
-    if render is not None and old.universe.names == new.universe.names:
-        new.render = _Render(
-            render.kinds, render.payload, render.names, render.aliases,
-            render.head, carried=True,
-        )
+def _stored_rows(summary: SideEffectSummary) -> List:
+    """What :func:`_summary_body` stores, as lists of plain values."""
+    resolved = summary.resolved
+    entries = procedure_entries(resolved)
+    procs = list(entries.values())
+    names = [proc.qualified_name for proc in resolved.procs]
+    rows = [
+        summary.universe.names,
+        summary.universe.global_mask,
+        resolved.program.name,
+        list(summary.solutions),
+        list(entries),
+        [proc.level for proc in procs],
+        [summary.aliases.partner_mask[proc.pid] for proc in procs],
+        [(site.site_id, names[site.caller.pid], names[site.callee.pid], site.line)
+         for site in resolved.call_sites],
+    ]
+    for solution in summary.solutions.values():
+        rows += [
+            [solution.gmod[proc.pid] for proc in procs],
+            [_rmod_names(solution, proc) for proc in procs],
+            solution.dmod,
+            solution.mod,
+        ]
+    return rows
 
 
-def _render(summary: SideEffectSummary, previous: Optional[_Render]) -> _Render:
-    """Build the plain payload, naming each distinct mask once — from
-    ``previous``'s maps where they hold it — and return the predecessor's
-    payload object (and head) instead when the two are equal, key order
-    included."""
+def procedure_entries(resolved: ResolvedProgram) -> Dict[str, ProcSymbol]:
+    """The payload's procedure entries, in its order: each qualified
+    name and the procedure whose sets its entry shows.  A procedure
+    sharing a qualified name with an earlier one (the main program and a
+    procedure named after the program) keeps the earlier one's place and
+    gives the entry."""
+    entries: Dict[str, ProcSymbol] = {}
+    for proc in resolved.procs:
+        entries[proc.qualified_name] = proc
+    return entries
+
+
+def _render(summary: SideEffectSummary) -> Dict:
+    """Build the plain payload, naming each distinct mask once."""
     resolved = summary.resolved
     universe = summary.universe
-    known = previous.names if previous is not None else {}
-    known_pairs = previous.aliases if previous is not None else {}
     names: Dict[int, List[str]] = {}
-    pairs: Dict[int, Tuple[Dict[int, int], List[List[str]]]] = {}
 
     def named(mask: int, base: int = 0) -> List[str]:
-        """``mask``'s names, from those of ``base``, a mask named before."""
+        """``mask``'s names, from those of ``base``."""
         found = names.get(mask)
         if found is None:
-            found = known.get(mask)
-            if found is None:
-                found = (universe.to_names(mask, base, names[base]) if base
-                         else universe.to_names(mask))
-            names[mask] = found
+            found = names[mask] = (
+                universe.to_names(mask, base, named(base)) if base
+                else universe.to_names(mask))
         return found
-
-    def alias_names(table: Dict[int, int]) -> List[List[str]]:
-        if not table:
-            return []
-        key = id(table)
-        found = known_pairs.get(key)
-        if found is None or found[0] is not table:
-            found = (table, named_pairs(iter_pairs(table), universe.names))
-        pairs[key] = found
-        return found[1]
 
     solutions = [(kind.value, solution) for kind, solution in summary.solutions.items()]
     partner_mask = summary.aliases.partner_mask
@@ -263,16 +258,15 @@ def _render(summary: SideEffectSummary, previous: Optional[_Render]) -> _Render:
     # a G row from GLOBAL, a site's D set from its callee's G row
     # (equation (2)) and its MOD set from its D set (the §5 alias step).
     everything = universe.global_mask
-    named(everything)
     procedures: Dict = {}
     aliases: Dict = {}
-    for proc in resolved.procs:
+    for name, proc in procedure_entries(resolved).items():
         entry: Dict = {"level": proc.level}
         for tag, solution in solutions:
             entry["g" + tag] = named(solution.gmod[proc.pid], everything)
             entry["r" + tag] = _rmod_names(solution, proc)
-        procedures[proc.qualified_name] = entry
-        aliases[proc.qualified_name] = alias_names(partner_mask[proc.pid])
+        procedures[name] = entry
+        aliases[name] = named_pairs(iter_pairs(partner_mask[proc.pid]), universe.names)
     call_sites = []
     for site in resolved.call_sites:
         sid = site.site_id
@@ -287,29 +281,13 @@ def _render(summary: SideEffectSummary, previous: Optional[_Render]) -> _Render:
             entry["d" + tag] = named(dmod, solution.gmod[site.callee.pid])
             entry[tag] = named(solution.mod[sid], dmod)
         call_sites.append(entry)
-    payload: Dict = {
+    return {
         "version": FORMAT_VERSION,
         "program": resolved.program.name,
         "procedures": procedures,
         "call_sites": call_sites,
         "aliases": aliases,
     }
-    kinds = tuple(summary.solutions)
-    head = None
-    if (
-        previous is not None
-        and previous.kinds == kinds
-        and payload == previous.payload
-        and list(procedures) == list(previous.payload["procedures"])
-    ):
-        # Shared lists compare by identity, so the comparison walks the
-        # entries only.  Dict equality ignores key order, which the
-        # container keeps: hence the kinds and procedure-order checks.
-        payload = previous.payload
-        head = previous.head or previous.written
-    elif previous is not None:
-        head = previous.written  # Set only while previous was carried.
-    return _Render(kinds, payload, names, pairs, head)
 
 
 def _rmod_names(solution, proc) -> List[str]:
@@ -338,8 +316,9 @@ def summary_to_bytes(
     :data:`SECTION_RESULT_META`.
 
     The string table and body are written once and kept on the summary
-    (see :class:`_Render`); a successor whose render returned the same
-    payload reuses them by reference, and only the trailer is rebuilt.
+    (``summary.head``); a successor they were carried to (see
+    :func:`carry`) reuses them by reference, and only the trailer is
+    rebuilt.
     """
     return _container(*_head(summary), dict(sections or {}))
 
@@ -356,18 +335,10 @@ def summary_crc32(summary: SideEffectSummary) -> int:
 
 def _head(summary: SideEffectSummary) -> Tuple[bytes, bytes]:
     """The summary's v5 string table and body, written once and kept
-    on its render.  A carried render's head is the predecessor's, so a
-    summary that has not rendered since keeps its own beside it."""
-    render = summary.render
-    if render is not None and render.carried:
-        if render.written is None:
-            render.written = _summary_head(summary)
-        return render.written
-    if render is None:
-        render = summary.render = _Render(tuple(summary.solutions), None, {}, {})
-    if render.head is None:
-        render.head = _summary_head(summary)
-    return render.head
+    as ``summary.head``."""
+    if summary.head is None:
+        summary.head = _summary_head(summary)
+    return summary.head
 
 
 def _summary_head(summary: SideEffectSummary) -> Tuple[bytes, bytes]:
@@ -398,19 +369,15 @@ def _summary_body(summary: SideEffectSummary, intern) -> bytearray:
       (2)'s base), then its MOD/USE set XOR its D set (the §5 alias
       step's).
 
-    The procedures are the payload's dict entries: a procedure sharing
-    a qualified name with an earlier one (the main program and a
-    procedure named after the program) keeps the earlier one's place
-    and gives the entry, so a site's base is the G row the payload shows
-    under its callee's name.
+    The procedures are the payload's entries (:func:`procedure_entries`),
+    so a site's base is the G row the payload shows under its callee's
+    name.
     """
     resolved = summary.resolved
     universe = summary.universe
     names = universe.names
     solutions = list(summary.solutions.values())
-    procs_by_name = {}
-    for proc in resolved.procs:
-        procs_by_name[proc.qualified_name] = proc
+    procs_by_name = procedure_entries(resolved)
     # pid → the pid whose G rows the payload shows under its name.
     shown = [procs_by_name[proc.qualified_name].pid for proc in resolved.procs]
     everything = universe.global_mask

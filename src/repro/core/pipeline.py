@@ -195,18 +195,6 @@ def analyze_side_effects(
     )
 
 
-def payload_from_summary(summary: SideEffectSummary) -> Dict:
-    """The JSON-safe service payload for one finished analysis: the
-    serialized summary (:func:`repro.core.persist.summary_to_dict`)
-    under ``summary``, then :func:`result_meta`'s fields.  The analysis
-    daemon replies with it."""
-    from repro.core.persist import summary_to_dict
-
-    payload = {"summary": summary_to_dict(summary)}
-    payload.update(result_meta(summary))
-    return payload
-
-
 def result_meta(summary: SideEffectSummary) -> Dict:
     """What a service payload carries besides the summary: the per-phase
     wall times, the :class:`~repro.core.bitvec.OpCounter` tallies the

@@ -9,7 +9,7 @@ uid bit masks; translate via ``summary.universe``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.aliases import AliasResult
 from repro.core.bitvec import OpCounter
@@ -75,14 +75,14 @@ class SideEffectSummary:
     #: holds :attr:`aliases` itself.  Lane payloads serialize into the
     #: service payload's ``lanes`` block.
     lanes: Optional[Dict[str, object]] = None
-    #: The last plain render (:func:`repro.core.persist.summary_to_dict`):
-    #: its read-only payload, the name list of each distinct mask in it
-    #: and, once written, the binary container's string table and body
-    #: (a summary written before it rendered keeps only those).
-    #: :func:`repro.core.incremental.incremental_update` seeds it from
-    #: the predecessor's render until this summary's first render
-    #: replaces it.  Never serialized.
-    render: Optional[object] = field(default=None, repr=False, compare=False)
+    #: The binary container's string table and body, once
+    #: :func:`repro.core.persist.summary_to_bytes` has written them, and
+    #: the read-only payload, once :func:`repro.core.persist.summary_to_dict`
+    #: has rendered it.  :func:`repro.core.persist.carry` hands both to a
+    #: successor whose container would be byte-identical.  Never
+    #: serialized.
+    head: Optional[Tuple[bytes, bytes]] = field(default=None, repr=False, compare=False)
+    payload: Optional[Dict] = field(default=None, repr=False, compare=False)
 
     # -- mask accessors -------------------------------------------------------
 

@@ -46,9 +46,12 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.pipeline import analyze_side_effects, payload_from_summary
+from repro.core import persist
+from repro.core.bitvec import mask_of
+from repro.core.pipeline import analyze_side_effects, result_meta
+from repro.core.varsets import EffectKind
 from repro.lang.errors import CkError
 from repro.server.lru import LRUCache
 from repro.server.metrics import ServerMetrics
@@ -457,55 +460,39 @@ class AnalysisServer:
 
         cached: Any = False
         summary = None
-        # The container the reply carries, for a client that reads them.
-        blob: Optional[bytes] = None
         entry = self.lru.get(key)
         if entry is not None:
-            summary, payload = entry
+            summary, blocks = entry
             cached = "lru"
-            if containers:
-                blob = await asyncio.get_running_loop().run_in_executor(
-                    self._executor, _summary_container, summary
-                )
+            fields = await asyncio.get_running_loop().run_in_executor(
+                self._executor, _analyze_fields, summary, blocks, containers
+            )
         else:
-            # The disk cache can only serve payloads; a session needs
-            # the live summary, so it must go through the solver.
+            # The disk cache holds no live summary, which a session
+            # needs, so a session goes through the solver.
             use_disk = self.disk_cache is not None and session_name is None
 
             def work():
                 if use_disk:
                     hit = self._disk_hit(key, decode=not containers)
                     if hit is not None:
-                        payload, record = hit
-                        return None, payload, record if containers else None
+                        return None, None, hit
                 if sleep:
                     time.sleep(sleep)
                 live = analyze_side_effects(source, lanes=lanes)
-                payload = payload_from_summary(live)
-                # After the render, which keeps the container's head
-                # for the record, the reply and the state file alike.
                 if self.disk_cache is not None:
                     self.disk_cache.put(key, encode_record(live))
-                return live, payload, _summary_container(live) if containers else None
+                blocks = _lane_blocks(live)
+                return live, blocks, _analyze_fields(live, blocks, containers)
 
-            summary, payload, blob = await self._run_heavy(work)
+            summary, blocks, fields = await self._run_heavy(work)
             if summary is None:
                 cached = "disk"
             else:
                 self.metrics.observe_phases(summary.timings)
-                self.lru.put(key, (summary, payload))
+                self.lru.put(key, (summary, blocks))
 
-        response = ok_response(
-            request_id,
-            "analyze",
-            key=key,
-            cached=cached,
-            num_procs=payload["num_procs"],
-            num_call_sites=payload["num_call_sites"],
-        )
-        _add_summary(response, payload, blob)
-        if payload.get("lanes") is not None:
-            response["lanes"] = payload["lanes"]
+        response = ok_response(request_id, "analyze", key=key, cached=cached, **fields)
         if session_name is not None:
             assert summary is not None
             existing = self.sessions.get(session_name)
@@ -517,7 +504,7 @@ class AnalysisServer:
                     name=session_name,
                     key=key,
                     summary=summary,
-                    payload=payload,
+                    lane_blocks=blocks,
                     analyzes=1,
                     lanes=lanes,
                 )
@@ -526,31 +513,29 @@ class AnalysisServer:
             response["session"] = session.brief()
         return response
 
-    def _disk_hit(self, key: str, decode: bool) -> Optional[Tuple[Dict, bytes]]:
-        """``(payload, record)`` of the disk cache's record for ``key``,
-        or None on a miss.  The payload holds the record's result
-        metadata and, with ``decode``, its summary: a record whose summary
-        then fails to decode counts as the ``invalid`` miss it is.  Without
-        it the summary stays encoded in ``record``, which the cache's CRC
-        has checked.  Runs on the solver pool."""
-        from repro.core.persist import decode_summary_payload
-
+    def _disk_hit(self, key: str, decode: bool) -> Optional[Dict[str, Any]]:
+        """The reply fields of the disk cache's record for ``key`` (see
+        :func:`_analyze_fields`), or None on a miss.  The sizes and lane
+        blocks are the record's result metadata.  With ``decode`` the
+        summary goes as ``summary``, decoded, and a record whose summary
+        then fails to decode counts as the ``invalid`` miss it is;
+        without it, as ``container``, the record's bytes, which the
+        cache's CRC has checked.  Runs on the solver pool."""
         hit = self.disk_cache.get(key)
         if hit is None:
             return None
         record, meta = hit
-        payload = {
-            name: meta[name]
-            for name in ("timings", "ops", "num_procs", "num_call_sites", "lanes")
-            if name in meta
-        }
-        if decode:
-            try:
-                payload["summary"] = decode_summary_payload(record)
-            except ValueError:
-                self.disk_cache.reject_hit()
-                return None
-        return payload, record
+        fields = {name: meta[name] for name in ("num_procs", "num_call_sites", "lanes")
+                  if name in meta}
+        if not decode:
+            fields["container"] = base64.b64encode(record).decode("ascii")
+            return fields
+        try:
+            fields["summary"] = persist.decode_summary_payload(record)
+        except ValueError:
+            self.disk_cache.reject_hit()
+            return None
+        return fields
 
     async def _verb_update(self, request_id: Any, request: Dict) -> Dict:
         from repro.core.incremental import (
@@ -558,7 +543,6 @@ class AnalysisServer:
             incremental_update,
             incremental_update_from_index,
         )
-        from repro.core.varsets import EffectKind
         from repro.lang.semantic import compile_source
 
         session_name = require_str(request, "session")
@@ -570,14 +554,10 @@ class AnalysisServer:
         session = self.sessions.get(session_name)
         sleep = self._request_sleep(request)
         old_summary = session.summary if session is not None else None
-        # The summary the client holds, when ``since`` names the
-        # session's key as this request arrives (a concurrent update of
-        # the session may replace its payload meanwhile).
-        held = (
-            session.payload["summary"]
-            if session is not None and since == session.key
-            else None
-        )
+        # Does the client hold ``old_summary``?  It does when ``since``
+        # names the session's key as this request arrives (a concurrent
+        # update of the session may replace both meanwhile).
+        holds = session is not None and since == session.key
 
         def work():
             reloaded_index = None
@@ -599,8 +579,10 @@ class AnalysisServer:
             new_resolved = compile_source(source, previous=previous)
             # A spliced program shares its symbols with its donor.
             spliced = previous is not None and new_resolved.main is previous.main
+            carried = False
             if old_summary is not None:
                 new_summary, stats = incremental_update(old_summary, new_resolved)
+                carried = persist.carry(old_summary, new_summary)
             elif reloaded_index is not None:
                 new_summary, stats = incremental_update_from_index(
                     reloaded_index, new_resolved, reloaded=True
@@ -625,23 +607,21 @@ class AnalysisServer:
                     new_summary.aliases,
                     new_summary.timings,
                 )
-            payload = payload_from_summary(new_summary)
+            blocks = _lane_blocks(new_summary)
             key = content_key(source, lanes)
             # The incremental result is bit-identical to a from-scratch
             # solve (asserted by the test suite), so it may warm both
             # cache tiers under the new content key.
             if self.disk_cache is not None:
                 self.disk_cache.put(key, encode_record(new_summary))
-            # The render hands back its predecessor's payload object
-            # when no set moved: then the client holds this summary.
-            unchanged = held is not None and payload["summary"] is held
-            blob = None
-            if containers and not unchanged:
-                blob = _summary_container(new_summary)
-            return new_summary, payload, stats, lanes, key, spliced, unchanged, blob
+            # A container byte-identical to the one the client holds
+            # means no set moved: the client holds this summary.
+            unchanged = holds and carried
+            fields = {"delta": {}} if unchanged else _summary_field(new_summary, containers)
+            return new_summary, blocks, stats, lanes, key, spliced, unchanged, fields
 
-        (new_summary, payload, stats, lanes, key, spliced, unchanged,
-         blob) = await self._run_heavy(work)
+        (new_summary, blocks, stats, lanes, key, spliced, unchanged,
+         fields) = await self._run_heavy(work)
         self.metrics.observe_update(stats, unchanged, spliced)
 
         if session is None:
@@ -649,16 +629,15 @@ class AnalysisServer:
                 name=session_name,
                 key=key,
                 summary=new_summary,
-                payload=payload,
                 lanes=lanes,
             )
             self.sessions.put(session)
         session.key = key
         session.summary = new_summary
-        session.payload = payload
+        session.lane_blocks = blocks
         session.updates += 1
         session.last_update = stats.to_dict()
-        self.lru.put(key, (new_summary, payload))
+        self.lru.put(key, (new_summary, blocks))
         await self._save_session_state(session)
 
         response = ok_response(
@@ -668,12 +647,9 @@ class AnalysisServer:
             update_stats=session.last_update,
             session=session.brief(),
         )
-        if unchanged:
-            response["delta"] = {}
-        else:
-            _add_summary(response, payload, blob)
-        if payload.get("lanes") is not None:
-            response["lanes"] = payload["lanes"]
+        response.update(fields)
+        if blocks is not None:
+            response["lanes"] = blocks
         return response
 
     async def _verb_query(self, request_id: Any, request: Dict) -> Dict:
@@ -682,39 +658,46 @@ class AnalysisServer:
         if session is None:
             raise ProtocolError(E_UNKNOWN_SESSION, "no session %r" % session_name)
         select = require_str(request, "select")
-        summary_dict = session.payload["summary"]
+        summary = session.summary
 
         if select == "procedures":
-            result: Any = sorted(summary_dict["procedures"])
-        elif select == "proc":
-            name = require_str(request, "proc")
-            entry = summary_dict["procedures"].get(name)
-            if entry is None:
-                raise ProtocolError(
-                    E_BAD_REQUEST, "no procedure %r in session %r" % (name, session_name)
-                )
-            result = dict(entry, name=name)
-        elif select == "site":
-            site_id = request.get("site")
-            sites = summary_dict["call_sites"]
-            # A JSON boolean decodes to a bool, which is an int subclass.
-            if (
-                isinstance(site_id, bool)
-                or not isinstance(site_id, int)
-                or not 0 <= site_id < len(sites)
-            ):
-                raise ProtocolError(
-                    E_BAD_REQUEST,
-                    "field 'site' must be an integer in [0, %d)" % len(sites),
-                )
-            result = sites[site_id]
-        elif select == "sites":
-            result = summary_dict["call_sites"]
+            result: Any = sorted(persist.procedure_entries(summary.resolved))
+        elif select in ("proc", "site", "sites"):
+            # Set names, so the payload, rendered once per summary on
+            # the solver pool.
+            summary_dict = await asyncio.get_running_loop().run_in_executor(
+                self._executor, persist.summary_to_dict, summary
+            )
+            if select == "proc":
+                name = require_str(request, "proc")
+                entry = summary_dict["procedures"].get(name)
+                if entry is None:
+                    raise ProtocolError(
+                        E_BAD_REQUEST,
+                        "no procedure %r in session %r" % (name, session_name),
+                    )
+                result = dict(entry, name=name)
+            elif select == "site":
+                site_id = request.get("site")
+                sites = summary_dict["call_sites"]
+                # A JSON boolean decodes to a bool, which is an int subclass.
+                if (
+                    isinstance(site_id, bool)
+                    or not isinstance(site_id, int)
+                    or not 0 <= site_id < len(sites)
+                ):
+                    raise ProtocolError(
+                        E_BAD_REQUEST,
+                        "field 'site' must be an integer in [0, %d)" % len(sites),
+                    )
+                result = sites[site_id]
+            else:
+                result = summary_dict["call_sites"]
         elif select == "lanes":
-            result = sorted((session.payload.get("lanes") or {}))
+            result = sorted(session.lane_blocks or {})
         elif select == "lane":
             lane_name = require_str(request, "lane")
-            lane_blocks = session.payload.get("lanes") or {}
+            lane_blocks = session.lane_blocks or {}
             block = lane_blocks.get(lane_name)
             if block is None:
                 raise ProtocolError(
@@ -731,16 +714,7 @@ class AnalysisServer:
                 raise ProtocolError(
                     E_BAD_REQUEST, "field 'kind' must be 'mod' or 'use'"
                 )
-            procs = sorted(
-                name
-                for name, entry in summary_dict["procedures"].items()
-                if variable in entry["g%s" % kind]
-            )
-            sites = [
-                site["site_id"]
-                for site in summary_dict["call_sites"]
-                if variable in site[kind]
-            ]
+            procs, sites = _who_modifies(summary, variable, EffectKind(kind))
             result = {"variable": variable, "kind": kind,
                       "procedures": procs, "sites": sites}
         else:
@@ -784,22 +758,62 @@ class AnalysisServer:
         return snapshot
 
 
+def _who_modifies(summary, variable: str, kind: EffectKind) -> Tuple[List[str], List[int]]:
+    """The procedures, sorted, whose G row, and the call sites, in
+    order, whose MOD (or USE) set holds a variable named ``variable``:
+    what a scan of :func:`~repro.core.persist.summary_to_dict`'s name
+    lists finds, read from the masks with no set named."""
+    solution = summary.solutions[kind]
+    wanted = mask_of(
+        uid for uid, name in enumerate(summary.universe.names) if name == variable
+    )
+    procs = sorted(
+        name
+        for name, proc in persist.procedure_entries(summary.resolved).items()
+        if solution.gmod[proc.pid] & wanted
+    )
+    sites = [
+        site.site_id
+        for site in summary.resolved.call_sites
+        if solution.mod[site.site_id] & wanted
+    ]
+    return procs, sites
+
+
+def _lane_blocks(summary) -> Optional[Dict[str, Dict]]:
+    """A laned summary's ``lanes`` reply block, as its cache record
+    stores it, else None."""
+    return result_meta(summary).get("lanes")
+
+
+def _analyze_fields(summary, blocks, containers: bool) -> Dict[str, Any]:
+    """An ``analyze`` reply's fields for a live summary besides its key:
+    the program's size, the lane blocks if any and the summary itself
+    (see :func:`_summary_field`).  Runs on the solver pool."""
+    fields = _summary_field(summary, containers)
+    fields["num_procs"] = summary.resolved.num_procs
+    fields["num_call_sites"] = summary.resolved.num_call_sites
+    if blocks is not None:
+        fields["lanes"] = blocks
+    return fields
+
+
+def _summary_field(summary, containers: bool) -> Dict[str, Any]:
+    """The reply field a live summary travels in: ``container``, the
+    base64 text of its container, for a client that reads containers,
+    else ``summary``, its payload.  Runs on the solver pool: the payload
+    names every set, once per summary."""
+    if containers:
+        blob = _summary_container(summary)
+        return {"container": base64.b64encode(blob).decode("ascii")}
+    return {"summary": persist.summary_to_dict(summary)}
+
+
 def _summary_container(summary) -> bytes:
     """The v5 container a reply carries for a live summary, with no
     trailer section.  Its string table and body are written once per
     summary and shared with the state file and the cache record."""
-    from repro.core.persist import summary_to_bytes
-
-    return summary_to_bytes(summary)
-
-
-def _add_summary(response: Dict, payload: Dict, blob: Optional[bytes]) -> None:
-    """Put the summary into a reply: as ``container``, the base64 text of
-    ``blob``, for a client that reads containers, else as ``summary``."""
-    if blob is None:
-        response["summary"] = payload["summary"]
-    else:
-        response["container"] = base64.b64encode(blob).decode("ascii")
+    return persist.summary_to_bytes(summary)
 
 
 class ServerThread:

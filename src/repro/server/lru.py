@@ -2,12 +2,14 @@
 
 The daemon keys this by the same content hash as the disk
 :class:`repro.service.cache.SummaryCache`, but holds *live* values —
-the :class:`~repro.core.summary.SideEffectSummary` plus its serialized
-payload — so a warm ``analyze`` can both answer instantly and seed an
-incremental session without re-solving.  The disk cache cannot do
-that: its record is the v5 summary container plus a metadata trailer,
-which carries neither a live summary nor a dependency index, so a
-session opened from it would have nothing to update against.
+the :class:`~repro.core.summary.SideEffectSummary` plus, for a laned
+analysis, its lane blocks, and no payload of its own — so a warm
+``analyze`` can both answer without re-solving and seed an incremental
+session.  The reply's container or payload is written from the
+summary, once per summary (the summary keeps both).  The disk cache cannot seed a
+session: its record is the v5 summary container plus a metadata
+trailer, which carries neither a live summary nor a dependency index,
+so a session opened from it would have nothing to update against.
 
 Single-threaded by construction: the daemon mutates the cache from
 event-loop coroutines only (solver work happens in executor threads,

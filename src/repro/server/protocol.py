@@ -21,12 +21,15 @@ Version 2 lets an ``update`` name the summary its client already
 holds: ``since`` is the ``key`` of the client's last ``analyze`` or
 ``update`` reply for that session.  A key is a content hash of the
 source and lanes (:func:`repro.service.cache.content_key`), and a
-session's payload is a function of its key, so when ``since`` equals
-the session's key the client holds that payload.  If the update then
-leaves every set as it was (the render hands back the very payload
-object it had), the reply carries ``"delta": {}`` in place of
-``summary``: the client reuses what it holds.  Any other reply, and
-every reply to a request without ``since``, carries the whole summary.
+session's summary is a function of its key, so when ``since`` equals
+the session's key the client holds that summary.  If the update then
+leaves every set as it was, the reply carries ``"delta": {}`` in place
+of ``summary``: the client reuses what it holds.  "Every set as it
+was" means the two summaries' containers would be byte-identical
+(:func:`repro.core.persist.carry` compares the rows the container
+stores, and neither renders nor writes), so a row the container does
+not store does not count.  Any other reply, and every reply to a
+request without ``since``, carries the whole summary.
 
 Version 3 lets an ``analyze`` or ``update`` request say that its client
 reads summary containers: ``"accept": "container"``.  Wherever such a

@@ -1,9 +1,15 @@
 """Named analysis sessions — the incremental serving state.
 
 A session is the server-side mirror of one editor buffer: the most
-recent resolved program, its live summary, and its serialized payload.
-``analyze`` with a ``session`` field creates or resets one; ``update``
-re-submits edited source and is routed through
+recent live summary (its resolved program and solved masks) and, for a
+laned session, its lane blocks; no payload of its own.  An ``update``
+decides whether any set moved by comparing the rows the two summaries'
+containers store (:func:`repro.core.persist.carry`), ``who_modifies``
+reads the masks, and a reply or query that needs set names renders the
+summary on the solver pool, once per summary (the summary keeps it,
+as it keeps its container's head).  ``analyze`` with a
+``session`` field creates or resets one; ``update`` re-submits edited
+source and is routed through
 :func:`repro.core.incremental.incremental_update` against the stored
 summary, which is exactly the paper-lineage programming-environment
 workflow (edit one procedure, keep the rest of the fixpoint).
@@ -30,13 +36,14 @@ class Session:
     name: str
     key: str  # Content hash of the current source + lane choice.
     summary: SideEffectSummary
-    payload: Dict
     created: float = field(default_factory=time.time)
     analyzes: int = 0
     updates: int = 0
     #: Extra effect lanes this session was analyzed with (lane names,
     #: request order); () for plain MOD+USE sessions.
     lanes: tuple = ()
+    #: The ``lanes`` reply block of a laned summary; None otherwise.
+    lane_blocks: Optional[Dict] = None
     #: ``UpdateStats`` of the most recent ``update``, as a dict.
     last_update: Optional[Dict] = None
 

@@ -154,7 +154,7 @@ class TestBlobRoundTrip:
         damaged = dataclasses.replace(
             summary,
             aliases=AliasResult(tables, summary.aliases.domain_mask),
-            render=None,
+            head=None,
         )
         with pytest.raises(ValueError, match="alias row %d past" % width):
             _reload(damaged)

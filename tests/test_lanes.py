@@ -34,7 +34,8 @@ from repro.baselines.sections_sweep import analyze_sections_sweep
 from repro.core.aliases import compute_aliases, factor_aliases_fused
 from repro.core.arena import clear_arena_cache, get_arena
 from repro.core.bitvec import OpCounter
-from repro.core.pipeline import analyze_side_effects, payload_from_summary
+from repro.core.persist import summary_to_dict
+from repro.core.pipeline import analyze_side_effects, result_meta
 from repro.core.varsets import EffectKind
 from repro.lanes import LANE_NAMES, parse_lane_names
 from repro.lanes.driver import solve_lanes
@@ -66,7 +67,7 @@ def _assert_lanes_match_reference(resolved, summary):
     """Each lane identical to its oracle on this program: the sections
     lanes (and the ``ranges`` solve of both kinds) to the sweep, the
     refalias lane to the pair-set alias worklist."""
-    blocks = payload_from_summary(summary)["lanes"]
+    blocks = result_meta(summary)["lanes"]
     for name, kind in (("sections", EffectKind.MOD),
                        ("sections-use", EffectKind.USE)):
         reference = analyze_sections_sweep(resolved, kind)
@@ -257,13 +258,13 @@ class TestLanePersistence:
         payload, sections = decode_summary_container(laned)
         assert set(sections) == {SECTION_RESULT_META}
         decoded = record_meta(laned)["lanes"]
-        blocks = payload_from_summary(summary)["lanes"]
+        blocks = result_meta(summary)["lanes"]
         assert list(decoded) == sorted(ALL_LANES)
         for name in ALL_LANES:
             assert _canon(decoded[name]) == _canon(blocks[name])
         assert decoded["sections-use"]["kind"] == "use"
         assert decoded["refalias"]["total_pairs"] == summary.aliases.total_pairs()
-        assert payload == payload_from_summary(summary)["summary"]
+        assert payload == summary_to_dict(summary)
 
         # Sectionless output is byte-identical to a lane-less solve.
         clear_arena_cache()
@@ -323,17 +324,16 @@ class TestLanePayloadPlumbing:
     def test_payload_lane_block_only_when_requested(self):
         resolved = generate_resolved(GeneratorConfig(seed=35, num_procs=12))
         clear_arena_cache()
-        plain = payload_from_summary(analyze_side_effects(resolved))
-        assert "lanes" not in plain
+        plain = analyze_side_effects(resolved)
+        assert "lanes" not in result_meta(plain)
         clear_arena_cache()
-        laned = payload_from_summary(
-            analyze_side_effects(resolved, lanes=ALL_LANES)
-        )
-        assert list(laned["lanes"]) == list(ALL_LANES)
+        laned = analyze_side_effects(resolved, lanes=ALL_LANES)
+        blocks = result_meta(laned)["lanes"]
+        assert list(blocks) == list(ALL_LANES)
         # The summary block itself is untouched by lanes.
-        assert _canon(laned["summary"]) == _canon(plain["summary"])
+        assert _canon(summary_to_dict(laned)) == _canon(summary_to_dict(plain))
         # The refalias lane block agrees with the summary's aliases.
-        assert laned["lanes"]["refalias"]["pairs"] == laned["summary"]["aliases"]
+        assert blocks["refalias"]["pairs"] == summary_to_dict(laned)["aliases"]
 
     def test_sharded_route_lanes_match_monolithic(self):
         """A stale client that still asks the daemon for a sharded
@@ -355,7 +355,7 @@ class TestLanePayloadPlumbing:
                 )
         assert sharded["ok"], sharded.get("error")
         clear_arena_cache()
-        plain = payload_from_summary(analyze_side_effects(source, lanes=ALL_LANES))
+        plain = result_meta(analyze_side_effects(source, lanes=ALL_LANES))
         assert _canon(sharded["lanes"]) == _canon(plain["lanes"])
         assert sharded["lanes"]["refalias"]["total_pairs"] > 0
 
@@ -573,7 +573,7 @@ end
 
     def test_analyze_returns_lane_blocks(self, client):
         response = client.analyze(self.SOURCE, lanes=list(ALL_LANES))
-        direct = payload_from_summary(
+        direct = result_meta(
             analyze_side_effects(self.SOURCE, lanes=ALL_LANES)
         )
         assert _canon(response["lanes"]) == _canon(direct["lanes"])
@@ -606,7 +606,7 @@ end
         listed = client.query("laned", "lanes")
         assert listed["result"] == ["refalias", "sections"]
         block = client.query("laned", "lane", lane="sections")["result"]
-        direct = payload_from_summary(
+        direct = result_meta(
             analyze_side_effects(self.SOURCE, lanes=ALL_LANES)
         )
         assert _canon(block) == _canon(direct["lanes"]["sections"])
@@ -666,9 +666,9 @@ end
         assert reply["update_stats"]["index_reloaded"] is True
         assert reply["update_stats"]["full_resolve"] is True
         assert reply["session"]["lanes"] == list(lanes)
-        reference = payload_from_summary(analyze_side_effects(edited, lanes=lanes))
-        assert _canon(reply["summary"]) == _canon(reference["summary"])
-        assert _canon(reply["lanes"]) == _canon(reference["lanes"])
+        reference = analyze_side_effects(edited, lanes=lanes)
+        assert _canon(reply["summary"]) == _canon(summary_to_dict(reference))
+        assert _canon(reply["lanes"]) == _canon(result_meta(reference)["lanes"])
 
     def test_update_keeps_lanes_across_a_restart(self, tmp_path):
         """A laned session keeps its lanes through ``update``, in memory
@@ -691,7 +691,7 @@ end
         def check(client, reply, source, path):
             reference = analyze_side_effects(source, lanes=lanes)
             assert _canon(reply["lanes"]) == _canon(
-                payload_from_summary(reference)["lanes"]
+                result_meta(reference)["lanes"]
             )
             assert client.query("laned", "lanes")["result"] == ["refalias", "sections"]
             with open(path, "rb") as fh:

@@ -1,5 +1,6 @@
 """Summary serialization round-trip and verification tests."""
 
+import copy
 import json
 import os
 
@@ -65,7 +66,7 @@ class TestSerialization:
             LoadedSummary({"version": 999})
 
     def test_verify_detects_stale_summary(self, chain_summary):
-        stale = summary_to_dict(chain_summary)
+        stale = copy.deepcopy(summary_to_dict(chain_summary))  # Read-only.
         stale["procedures"]["c1"]["gmod"] = []
         changed = analyze_side_effects(compile_source(patterns.chain(4)))
         assert not verify_against(LoadedSummary(stale), changed)

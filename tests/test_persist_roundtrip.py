@@ -152,7 +152,7 @@ class TestSchemaV2:
 
 class TestSchemaDrift:
     def test_loader_rejects_other_versions(self, summary):
-        stale = summary_to_dict(summary)
+        stale = dict(summary_to_dict(summary))  # The payload is read-only.
         stale["version"] = 1
         with pytest.raises(ValueError):
             LoadedSummary(stale)
@@ -278,7 +278,7 @@ class TestBinaryContainer:
             decode_summary_payload(blob[: len(blob) // 2])
 
     def test_payload_version_inside_container_still_checked(self, summary):
-        payload = summary_to_dict(summary)
+        payload = dict(summary_to_dict(summary))  # The payload is read-only.
         payload["version"] = FORMAT_VERSION + 1
         blob = encode_summary_payload(payload)
         with pytest.raises(ValueError, match="payload version"):

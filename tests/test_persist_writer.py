@@ -14,12 +14,14 @@ state file, empty sets, programs without call sites, a USE-only
 summary, and names that collide with payload keys, procedure names or
 each other.
 
-The render carried across ``incremental_update`` is pinned here too:
-after every edit the carried payload and container equal a scratch
-render's, an edit that moves no set returns the predecessor's payload
-and container body, one that moves some reuses every unchanged name
-list, no chain of predecessors stays alive, and the payload's readers
-leave the shared lists alone.
+What :func:`~repro.core.persist.carry` hands across an update is pinned
+here too: it carries exactly when the two versions' containers are
+byte-identical, a procedure named after the program included; after
+every edit the payload and container equal a scratch render's; an edit
+that moves no set gets the predecessor's payload and container body; the
+body is written once per summary, whichever of writing and rendering
+comes first; no chain of predecessors stays alive; and the payload's
+readers leave the shared lists alone.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from repro.workloads.generator import (
     generate_program,
     generate_resolved,
 )
+from repro.workloads import patterns
 from repro.workloads.patterns import deep_nest
 from tests.test_differential import CONFIGS, _config_id
 from tests.test_incremental_fuzz import FUZZ_CASES, EditFuzzer, _walk_bodies
@@ -308,7 +311,7 @@ def test_writer_never_builds_the_payload(monkeypatch):
         raise AssertionError("the writer must not build the payload dict")
 
     monkeypatch.setattr(persist, "summary_to_dict", refuse)
-    assert fresh.render is None
+    assert fresh.payload is None and fresh.head is None
     blobs = [summary_to_bytes(fresh), summary_to_bytes(rendered)]
     monkeypatch.undo()
     assert blobs[0] == blobs[1]
@@ -321,7 +324,7 @@ def test_server_state_file(tmp_path):
     payload with the index and session-metadata sections, and no lane
     sections — when the session opens, after an update that moves no
     set (whose table and body are the predecessor's) and after one that
-    inserts a line."""
+    inserts a line.  The session renders no payload."""
     from repro.server.client import ServerClient
     from repro.server.daemon import ServerConfig, ServerThread
 
@@ -332,7 +335,7 @@ def test_server_state_file(tmp_path):
     ]
     assert len(set(versions)) == 3
     written = []
-    payloads = []
+    heads = []
     with ServerThread(ServerConfig(port=0, state_dir=str(tmp_path))) as handle:
         with ServerClient(port=handle.port) as client:
             for step, source in enumerate(versions):
@@ -344,9 +347,10 @@ def test_server_state_file(tmp_path):
                 session = handle.server.sessions.get("s")
                 with open(handle.server._session_state_path("s"), "rb") as state:
                     written.append((state.read(), session.summary, session.key))
-                payloads.append(session.payload["summary"])
+                heads.append(session.summary.head)
+                assert session.summary.payload is None
         assert session.updates == 2
-    assert payloads[1] is payloads[0] and payloads[2] is not payloads[1]
+    assert heads[1] is heads[0] and heads[2] is not heads[1]
     for step, (blob, summary, key) in enumerate(written):
         meta = {"name": "s", "key": key, "lanes": ["sections", "refalias"]}
         sections = with_index(
@@ -358,7 +362,7 @@ def test_server_state_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The render carried across incremental_update.
+# What carry hands across an update.
 # ---------------------------------------------------------------------------
 
 
@@ -416,14 +420,17 @@ SESSION_META = {SECTION_SESSION_META: b'{"name": "s"}'}
 def test_carried_render_matches_scratch(config, seed):
     """Literal edits, line-inserting edits and the fuzzer's structural
     edits (new, deleted and renamed variables permute the uid space),
-    chained: each step's dict is a scratch render's, key order
-    included, and its indexed container, with the lane blocks in caller
-    sections, decodes to it."""
+    chained: ``carry`` carries exactly when the two versions' scratch
+    containers are byte-identical, and each step's dict is a scratch
+    render's, key order included, and its indexed container, with the
+    lane blocks in caller sections, decodes to it."""
     fuzzer = EditFuzzer(config, seed)
     rng = random.Random(seed)
-    summary = analyze_side_effects(pretty(fuzzer.program))
+    source = pretty(fuzzer.program)
+    summary = analyze_side_effects(source)
     payload = summary_to_dict(summary)
     summary_to_bytes(summary, sections=with_index(summary=summary))
+    scratch_blob = summary_to_bytes(analyze_side_effects(source))
     edits = (_literal_edit, _insert_line, _literal_edit, None)
     seen = {"reused": 0, "moved": 0, "permuted": 0}
     for step in range(16):
@@ -431,30 +438,81 @@ def test_carried_render_matches_scratch(config, seed):
         op = fuzzer.step() if edit is None else edit(fuzzer.program, rng)
         source = pretty(fuzzer.program)
         names = summary.universe.names
-        previous = payload
-        summary, _stats = incremental_update(summary, compile_source(source))
+        previous, old = payload, summary
+        summary, _stats = incremental_update(old, compile_source(source))
+        carried = persist.carry(old, summary)
         summary.lanes = solve_lanes(
             summary.resolved, ("sections", "refalias"), summary.aliases
         )
         context = "step %d (%s)" % (step, op)
         scratch = analyze_side_effects(source)
-        # Written before its first render, a summary cannot know whether
-        # its predecessor's container head still holds.
-        assert summary_to_bytes(summary) == summary_to_bytes(scratch), context
+        previous_blob, scratch_blob = scratch_blob, summary_to_bytes(scratch)
+        assert carried == (scratch_blob == previous_blob), context
+        assert summary_to_bytes(summary) == scratch_blob, context
         payload = summary_to_dict(summary)
-        assert payload == summary_to_dict(scratch), context
-        assert decode_summary_container(summary_to_bytes(scratch)) == (payload, {}), context
+        assert json.dumps(payload) == json.dumps(summary_to_dict(scratch)), context
+        assert decode_summary_container(scratch_blob) == (payload, {}), context
         sections = with_index(caller_sections(summary), summary)
         blob = summary_to_bytes(summary, sections=sections)
         assert_decodes_to(blob, payload, sections)
         assert summary_to_dict(summary) is payload, context
         if summary.universe.names != names:
             seen["permuted"] += 1
-        elif payload is previous:
+        elif carried:
+            assert payload is previous, context
             seen["reused"] += 1
         else:
             seen["moved"] += 1
     assert all(seen.values()), seen
+
+
+#: ``COLLISIONS`` with main's ``g1 := 1`` made ``g1 := g2``: main's
+#: GUSE row gains ``g2``, and nothing else moves.  The body hides that
+#: row behind the procedure ``level``'s, so the two containers are
+#: byte-identical.
+HIDDEN_EDIT = COLLISIONS.replace("  g1 := 1\n", "  g1 := g2\n")
+
+
+def test_a_row_the_body_hides_does_not_count():
+    assert HIDDEN_EDIT != COLLISIONS
+    old = analyze_side_effects(COLLISIONS)
+    new, _stats = incremental_update(old, compile_source(HIDDEN_EDIT))
+    use = EffectKind.USE
+    (main,) = [proc for proc in new.resolved.procs if proc.level == 0]
+    assert new.solution(use).gmod[main.pid] != old.solution(use).gmod[main.pid]
+    blob = summary_to_bytes(analyze_side_effects(HIDDEN_EDIT))
+    assert blob == summary_to_bytes(analyze_side_effects(COLLISIONS))
+    payload = summary_to_dict(old)
+    assert persist.carry(old, new)
+    assert summary_to_dict(new) is payload
+    assert summary_to_bytes(new) == blob
+
+
+def test_the_body_is_written_once(monkeypatch):
+    """Written, rendered and written again, a summary writes its body
+    once; so does a write, a render, a carry to a successor whose
+    container is the same, and the successor's write."""
+    calls = []
+    body_writer = persist._summary_body
+
+    def counting(summary, intern):
+        calls.append(summary)
+        return body_writer(summary, intern)
+
+    monkeypatch.setattr(persist, "_summary_body", counting)
+    source = patterns.chain(8)
+    summary = analyze_side_effects(source)
+    first = summary_to_bytes(summary)
+    summary_to_dict(summary)
+    assert summary_to_bytes(summary) == first
+    assert calls == [summary]
+
+    edited = source.replace("x := 1", "x := 2")
+    assert edited != source
+    new, _stats = incremental_update(summary, compile_source(edited))
+    assert persist.carry(summary, new)
+    assert summary_to_bytes(new) == first
+    assert calls == [summary]
 
 
 def _sized_program(seed=21):
@@ -473,6 +531,7 @@ def test_literal_edit_returns_the_predecessors_payload_and_body(monkeypatch):
     _literal_edit(program, rng)
     new, stats = incremental_update(old, compile_source(pretty(program)))
     assert stats.dirty_procs
+    assert persist.carry(old, new)
     assert summary_to_dict(new) is payload
 
     def refuse(*_args, **_kwargs):
@@ -491,11 +550,13 @@ def test_literal_edit_returns_the_predecessors_payload_and_body(monkeypatch):
     assert blob[head_end:] != first[head_end:]
 
 
-def test_set_changing_edit_keeps_every_unchanged_list():
+def test_set_changing_edit_renders_afresh():
+    """An edit that moves a set is not carried: the successor renders a
+    payload of its own, a scratch render's, in which the entries with
+    one mask share one name list."""
     program = _sized_program()
     old = analyze_side_effects(pretty(program))
     old_payload = summary_to_dict(old)
-    before = _lists_by_mask(old, old_payload)
     # A global the procedure's GMOD lacks, assigned on a new first line.
     gmod = old.solution(EffectKind.MOD).gmod
     pid_of = {proc.qualified_name: proc.pid for proc in old.resolved.procs}
@@ -508,14 +569,11 @@ def test_set_changing_edit_keeps_every_unchanged_list():
     decl.body.insert(0, Assign(target=VarRef(var.name), value=IntLit(1)))
     new, _stats = incremental_update(old, compile_source(pretty(program)))
     assert new.universe.names == old.universe.names
+    assert not persist.carry(old, new)
     payload = summary_to_dict(new)
     assert payload != old_payload
     assert payload == summary_to_dict(analyze_side_effects(pretty(program)))
-    after = _lists_by_mask(new, payload)
-    kept = [mask for mask in after if mask in before]
-    assert kept and len(kept) < len(after)
-    for mask in kept:
-        assert after[mask] is before[mask]
+    _lists_by_mask(new, payload)
 
 
 def test_chained_updates_leave_the_first_summary_collectable():
@@ -527,7 +585,9 @@ def test_chained_updates_leave_the_first_summary_collectable():
     first = weakref.ref(summary)
     for step in range(30):
         (_insert_line if step % 3 == 2 else _literal_edit)(program, rng)
-        summary, _stats = incremental_update(summary, compile_source(pretty(program)))
+        old = summary
+        summary, _stats = incremental_update(old, compile_source(pretty(program)))
+        persist.carry(old, summary)
         summary_to_dict(summary)
         summary_to_bytes(summary, sections=with_index(summary=summary))
     gc.collect()
@@ -557,7 +617,8 @@ end
 
 def test_reordered_payload_is_not_the_predecessors():
     """Dict equality ignores key order and the container keeps it, so
-    a reorder — of the procedures, or of the kinds — renders afresh."""
+    a reorder — of the procedures, or of the kinds — is not carried and
+    renders afresh."""
     swapped = SWAPPABLE.replace(
         "  proc a()\n  begin\n    g := 1\n  end\n", ""
     ).replace("begin\n  call a()", "  proc a()\n  begin\n    g := 1\n  end\nbegin\n  call a()")
@@ -567,6 +628,7 @@ def test_reordered_payload_is_not_the_predecessors():
     summary_to_bytes(old)
     new, _stats = incremental_update(old, compile_source(swapped))
     assert new.universe.names == old.universe.names
+    assert not persist.carry(old, new)
     payload = summary_to_dict(new)
     assert payload == old_payload and payload is not old_payload
     assert list(payload["procedures"]) == ["swap", "b", "a"]
@@ -576,6 +638,7 @@ def test_reordered_payload_is_not_the_predecessors():
     use_payload = summary_to_dict(use_first)
     summary_to_bytes(use_first)
     new, _stats = incremental_update(use_first, compile_source(SWAPPABLE))
+    assert not persist.carry(use_first, new)
     payload = summary_to_dict(new)
     assert payload == use_payload and payload is not use_payload
     assert summary_to_bytes(new) == summary_to_bytes(analyze_side_effects(SWAPPABLE))
@@ -610,7 +673,9 @@ def test_payload_readers_leave_the_shared_lists_alone(tmp_path):
     with ServerThread(ServerConfig(port=0)) as handle:
         with ServerClient(port=handle.port) as client:
             client.analyze(COLLISIONS, session="s", lanes="refalias")
-            payload = handle.server.sessions.get("s").payload
+            session = handle.server.sessions.get("s")
+            # The render the queries read, and the lane blocks.
+            payload = (summary_to_dict(session.summary), session.lane_blocks)
             frozen = copy.deepcopy(payload)
             for select, fields in (
                 ("procedures", {}),
@@ -628,20 +693,21 @@ def test_payload_readers_leave_the_shared_lists_alone(tmp_path):
 
 
 def test_a_carried_summary_writes_its_body_once(monkeypatch):
-    """An update's summary still carries its predecessor's render: the
-    index section and the container it rides in share one write of the
-    body, the predecessor's head stays its own, and the bytes are a
-    scratch summary's."""
+    """An update's summary that nothing was carried to writes its body
+    once, for the index section and the container it rides in alike;
+    one that ``carry`` reached writes none.  The predecessor's head
+    stays its own, and the bytes are a scratch summary's."""
     source = pretty(generate_program(GeneratorConfig(seed=5, num_procs=30, num_globals=6)))
     old = analyze_side_effects(source)
     summary_to_dict(old)
     old_bytes = summary_to_bytes(old)
-    old_head = old.render.head
+    old_head = old.head
     edited = re.sub(r":= (\d)\n", lambda m: ":= %d\n" % ((int(m.group(1)) + 1) % 10),
                     source, count=1)
     assert edited != source
-    new, _stats = incremental_update(old, compile_source(edited, previous=old.resolved))
-    assert new.render is not None and new.render.carried
+    plain, _stats = incremental_update(old, compile_source(edited, previous=old.resolved))
+    carried, _stats = incremental_update(old, compile_source(edited, previous=old.resolved))
+    assert persist.carry(old, carried) and carried.head is old_head
     calls = []
     body_writer = persist._summary_body
 
@@ -652,12 +718,13 @@ def test_a_carried_summary_writes_its_body_once(monkeypatch):
     scratch = analyze_side_effects(edited)
     scratch_blob = summary_to_bytes(scratch, sections=with_index(summary=scratch))
     monkeypatch.setattr(persist, "_summary_body", counting)
-    blob = summary_to_bytes(new, sections=with_index(summary=new))
-    assert len(calls) == 1 and calls[0] is new
-    assert blob == scratch_blob
-    assert old.render.head is old_head
+    for summary in (plain, carried):
+        blob = summary_to_bytes(summary, sections=with_index(summary=summary))
+        assert blob == scratch_blob
+    assert calls == [plain]
+    assert old.head is old_head
     assert summary_to_bytes(old) == old_bytes
-    # The first render keeps a head, so nothing is written again.
-    summary_to_dict(new)
-    assert summary_to_bytes(new, sections=with_index(summary=new)) == blob
-    assert len(calls) == 1
+    # A render keeps the head, so nothing is written again.
+    summary_to_dict(plain)
+    assert summary_to_bytes(plain, sections=with_index(summary=plain)) == blob
+    assert calls == [plain]

@@ -355,6 +355,72 @@ class TestSessions:
                 assert stats["sessions"]["evictions"] == 1
 
 
+def payload_scan(payload: dict, variable: str, kind: str) -> dict:
+    """``who_modifies`` as a scan of a payload's name lists: the
+    procedures, sorted, whose G list, and the sites, in order, whose
+    MOD (or USE) list holds ``variable``."""
+    procs = sorted(
+        name for name, entry in payload["procedures"].items()
+        if variable in entry["g" + kind]
+    )
+    sites = [site["site_id"] for site in payload["call_sites"] if variable in site[kind]]
+    return {"variable": variable, "kind": kind, "procedures": procs, "sites": sites}
+
+
+def _global_write_added(source: str) -> str:
+    """``source`` with its first global assigned at the top of its last
+    procedure's body: the sets move."""
+    from repro.lang.nodes import Assign, IntLit, VarRef
+    from repro.lang.parser import parse_program
+
+    program = parse_program(source)
+    program.procs[-1].body.insert(
+        0, Assign(target=VarRef(program.globals[0].name), value=IntLit(1)))
+    return pretty(program)
+
+
+def _who_modifies_programs():
+    from repro.workloads import corpus
+    from tests.test_persist_writer import COLLISIONS
+
+    programs = {"collisions": COLLISIONS, "nested": pretty(generate_program(
+        GeneratorConfig(seed=3, num_procs=30, num_globals=10, max_depth=3,
+                        nesting_prob=0.6)))}
+    programs.update(corpus.ALL)
+    return programs
+
+
+class TestWhoModifies:
+    """``who_modifies`` is read from the masks; it answers what the scan
+    of the payload it replaced answered, for every variable name, a
+    procedure's name, a formal's unqualified name and an unknown name,
+    of both kinds, before and after an update."""
+
+    PROGRAMS = _who_modifies_programs()
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_masks_answer_as_the_payload_scan(self, client, name):
+        source = self.PROGRAMS[name]
+        edited = _global_write_added(source)
+        session = "who-" + name
+        client.analyze(source, session=session)
+        for step, version in enumerate((source, edited)):
+            if step:
+                client.update(session, version)
+            summary = analyze_side_effects(version)
+            payload = summary_to_dict(summary)
+            formal = next(var.name for var in summary.resolved.variables if var.is_formal)
+            asked = list(summary.universe.names) + [
+                summary.resolved.procs[-1].qualified_name, formal, "no_such_name"]
+            for variable in asked:
+                for kind in ("mod", "use"):
+                    result = client.query(
+                        session, "who_modifies", variable=variable, kind=kind)["result"]
+                    assert result == payload_scan(payload, variable, kind), (
+                        step, variable, kind)
+        assert payload != summary_to_dict(analyze_side_effects(source))
+
+
 class TestRobustness:
     def test_request_timeout(self):
         config = ServerConfig(port=0, allow_sleep=True, request_timeout=0.3)
@@ -753,7 +819,7 @@ class TestSessionPersistence:
         server = AnalysisServer(ServerConfig(state_dir=str(tmp_path)))
         summary = analyze_side_effects(self.BASE)
         session = Session(
-            name="race", key=content_key(self.BASE), summary=summary, payload={}
+            name="race", key=content_key(self.BASE), summary=summary
         )
         barrier = threading.Barrier(2, timeout=10)
         real_replace = os.replace
@@ -886,6 +952,32 @@ class TestOffTheLoop:
         }
         on_loop = [name for name, thread in threads if thread == "ck-analysis-server"]
         assert on_loop == []
+
+    def test_no_set_is_named_on_the_event_loop(self, monkeypatch):
+        """A JSON client's open, LRU hit and set-moving update, and the
+        ``proc``, ``site`` and ``sites`` queries, render the summary on
+        the solver pool only."""
+        import repro.core.persist as persist
+        from tests.test_server_delta import LineClient
+
+        threads = []
+        render = persist.summary_to_dict
+
+        def spy(summary):
+            threads.append(threading.current_thread().name)
+            return render(summary)
+
+        monkeypatch.setattr(persist, "summary_to_dict", spy)
+        with ServerThread(ServerConfig(port=0)) as h:
+            with LineClient(h.port) as c:
+                c.analyze(self.BASE, session="s")
+                assert c.analyze(self.BASE)["cached"] == "lru"
+                assert "summary" in c.update("s", self.EDIT)
+                for select, fields in (("proc", {"proc": "c1"}),
+                                       ("site", {"site": 0}), ("sites", {})):
+                    assert c.request("query", session="s", select=select, **fields)["ok"]
+        assert len(threads) == 6
+        assert all(name.startswith("ck-solver") for name in threads), threads
 
     def test_disk_hit_that_fails_to_decode_is_resolved(self, tmp_path, monkeypatch):
         """A record whose summary does not decode counts as ``invalid``

@@ -12,8 +12,9 @@ is the full JSON reply: after every step of the edit-sequence fuzz, and
 after re-sending each step's source (which moves nothing), the summary
 either client returns equals the JSON round trip of a from-scratch
 ``summary_to_dict``, key order included, and the line the daemon wrote
-carried ``delta`` only where no set moved and, elsewhere, the summary
-in the form its client asked for.
+carried ``delta`` exactly where the two versions' scratch containers
+are byte-identical and, elsewhere, the summary in the form its client
+asked for.  A session of the stock client's traffic never renders.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import random
 import re
 import socket
 import sys
@@ -30,7 +32,7 @@ import pytest
 
 import repro.server.daemon as daemon_module
 from repro.core.persist import summary_to_bytes, summary_to_dict
-from repro.core.pipeline import analyze_side_effects, payload_from_summary
+from repro.core.pipeline import analyze_side_effects, result_meta
 from repro.lang.pretty import pretty
 from repro.lang.semantic import compile_source
 from repro.server import ServerClient, ServerConfig, ServerError, ServerThread
@@ -61,6 +63,14 @@ def scratch(source: str):
     """What ``json.loads`` of a full reply gives for the summary of a
     from-scratch analysis of ``source``."""
     return json.loads(encode(summary_to_dict(analyze_side_effects(source))))
+
+
+def scratch_forms(source: str):
+    """A from-scratch analysis of ``source`` as :func:`as_sent` text of
+    its :func:`scratch` summary, and as its container."""
+    summary = analyze_side_effects(source)
+    text = as_sent(json.loads(encode(summary_to_dict(summary))))
+    return text, summary_to_bytes(summary)
 
 
 def as_sent(summary_dict) -> str:
@@ -173,11 +183,12 @@ def walk_sequence(config, seed, form: str, wire) -> None:
     and walks the sequence by ``update``, sending every step's source
     twice.  Each summary it returns equals a scratch render's JSON round
     trip, values and key order; the first update of a step carried
-    ``delta`` only if no set moved, and the second always did; every
-    other line carried the summary in ``form``."""
+    ``delta`` exactly when the two versions' scratch containers are
+    byte-identical, and the second always did; every other line carried
+    the summary in ``form``."""
     fuzzer = EditFuzzer(config, seed)
     source = pretty(fuzzer.program)
-    old_text = as_sent(scratch(source))
+    old_text, old_blob = scratch_forms(source)
     # The front end's own verdicts along the chain: each step's first
     # update splices exactly when this does, its resend always does.
     local = compile_source(source)
@@ -193,13 +204,13 @@ def walk_sequence(config, seed, form: str, wire) -> None:
                 previous, local = local, compile_source(source, previous=local)
                 spliced += local.main is previous.main
                 context = "step %d (%s)" % (step, op)
-                new_text = as_sent(scratch(source))
+                new_text, new_blob = scratch_forms(source)
                 reply = client.update("fuzz", source)
                 assert as_sent(reply["summary"]) == new_text, context
                 line = last(wire)
+                assert ("delta" in line) == (new_blob == old_blob), context
                 if "delta" in line:
                     assert line["delta"] == {} and no_summary(line), context
-                    assert new_text == old_text, context
                 else:
                     assert carries(line, form), context
                 again = client.update("fuzz", source)
@@ -208,7 +219,7 @@ def walk_sequence(config, seed, form: str, wire) -> None:
                 assert again["summary"] is reply["summary"], context
                 assert set(again) == FULL_REPLY, context
                 assert list(again) == sorted(again), context
-                old_text = new_text
+                old_text, old_blob = new_text, new_blob
             stats = client.stats()
     replies = stats["update_replies"]
     assert replies["delta"] + replies["full"] == 2 * STEPS
@@ -230,6 +241,22 @@ class TestDaemonOracle:
         """A protocol-2 client walks the same sequence; every full reply
         line carries ``summary``, as before protocol 3."""
         walk_sequence(config, seed, "summary", wire)
+
+    @pytest.mark.parametrize("form", sorted(OTHER_FORM))
+    def test_an_edit_of_a_row_the_body_hides_answers_a_delta(self, form, wire):
+        """Main's ``g1 := 1`` made ``g1 := g2`` moves only main's GUSE
+        row, which the container hides behind the procedure named after
+        the program: the containers are byte-identical, so the update
+        answers the empty delta."""
+        from tests.test_persist_writer import COLLISIONS, HIDDEN_EDIT
+
+        assert scratch_forms(HIDDEN_EDIT)[1] == scratch_forms(COLLISIONS)[1]
+        with ServerThread(ServerConfig(port=0)) as handle:
+            with connect(form, handle.port) as client:
+                client.analyze(COLLISIONS, session="s")
+                reply = client.update("s", HIDDEN_EDIT)
+        assert last(wire)["delta"] == {} and no_summary(last(wire))
+        assert as_sent(reply["summary"]) == scratch_forms(HIDDEN_EDIT)[0]
 
     def test_literal_edit_line_is_small(self, wire):
         """At 500 procedures / 100 globals a literal edit leaves every
@@ -339,7 +366,7 @@ class TestEdgeCases:
                 client.analyze(BASE, session="s", lanes=list(lanes))
                 reply = client.update("s", edited)
         assert last(wire)["delta"] == {} and "lanes" in last(wire)
-        fresh = payload_from_summary(analyze_side_effects(edited, lanes=lanes))
+        fresh = result_meta(analyze_side_effects(edited, lanes=lanes))
         assert reply["lanes"] == json.loads(encode(fresh["lanes"]))
         assert reply["summary"] == scratch(edited)
 
@@ -472,8 +499,51 @@ class TestReplyForms:
             assert carries(line, form) and "lanes" in line
         assert as_sent(opened["summary"]) == as_sent(scratch(BASE))
         assert as_sent(reply["summary"]) == as_sent(scratch(EDITED))
-        fresh = payload_from_summary(analyze_side_effects(EDITED, lanes=lanes))
+        fresh = result_meta(analyze_side_effects(EDITED, lanes=lanes))
         assert reply["lanes"] == json.loads(encode(fresh["lanes"]))
+
+    def test_a_stock_client_session_never_renders(self, tmp_path, wire, monkeypatch):
+        """An open, ten single-literal updates and a ``who_modifies``
+        query of each kind after each: the stock client's traffic.  With
+        the render refused, every reply comes, every update is the empty
+        delta, and each answer is the scratch payload's."""
+        import repro.core.persist as persist
+
+        source = pretty(generate_program(
+            GeneratorConfig(seed=7, num_procs=60, num_globals=20)))
+        rng = random.Random(7)
+        literal = re.compile(r"^(\s+\w+ := )(\d)$")
+        lines = source.split("\n")
+        candidates = [n for n, line in enumerate(lines) if literal.match(line)]
+        variable = "g0"
+        versions, answers = [], []
+
+        def refuse(_summary):
+            raise AssertionError("the session rendered a payload")
+
+        monkeypatch.setattr(persist, "summary_to_dict", refuse)
+        with ServerThread(ServerConfig(port=0, state_dir=str(tmp_path))) as handle:
+            with ServerClient(port=handle.port) as client:
+                client.analyze(source, session="s")
+                for _ in range(10):
+                    number = rng.choice(candidates)
+                    head, value = literal.match(lines[number]).groups()
+                    lines[number] = head + str((int(value) + rng.randint(1, 9)) % 10)
+                    versions.append("\n".join(lines))
+                    client.update("s", versions[-1])
+                    assert last(wire)["delta"] == {} and no_summary(last(wire))
+                    answers.append([
+                        client.query("s", "who_modifies", variable=variable,
+                                     kind=kind)["result"]
+                        for kind in ("mod", "use")])
+        monkeypatch.undo()
+        from tests.test_server import payload_scan
+
+        for version, answer in zip(versions, answers):
+            payload = scratch(version)
+            assert answer == [payload_scan(payload, variable, kind)
+                              for kind in ("mod", "use")]
+            assert answer[0]["procedures"] and answer[1]["procedures"]
 
     def test_a_json_reply_is_protocol_two_byte_for_byte(self, wire):
         """Without ``accept`` the line is the protocol-2 reply."""
