@@ -47,11 +47,20 @@ differential:
 # compiled against the previous version equals a full compile, or both
 # raise the same error; body edits splice, line-moving, call-adding,
 # declaration and cross-procedure edits compile in full; the previous
-# version is never changed).
+# version is never changed, and after every step the update's index
+# section equals a scratch index's, byte for byte), and the update's
+# early cutoff (a literal edit of a spliced version lowers, condenses
+# and solves nothing and writes no mask; thirty such updates leave the
+# first version collectable; identifier, argument-swap, nested and
+# value-argument edits that move an input, laned sessions and an
+# iterator hint take the engine's path and equal scratch), and the
+# update's "no set moved" test (`persist.carry` names no set and
+# carries exactly when the scratch containers are byte-identical).
 incremental-differential:
 	$(PP) $(PY) -m pytest -q tests/test_incremental_fuzz.py \
 	    tests/test_incremental.py tests/test_depindex.py \
-	    tests/test_server_delta.py tests/test_splice.py
+	    tests/test_server_delta.py tests/test_splice.py \
+	    tests/test_persist_writer.py::test_carry_names_nothing
 
 # The one regular-sections solver held to the sweep oracle
 # (baselines/sections_sweep.py) on both lattices (figure3, ranges) and

@@ -28,7 +28,9 @@ objects (``CallMultiGraph``, ``BindingMultiGraph``) from those tables —
 the paper's one sweep of the call sites (§3.1).  An incremental update
 runs the same lowering with the previous version's dependency index as
 a donor (:func:`patch_arena`): the rows of every site the edit left
-alone are copied instead of walked.  ``build_call_graph`` and
+alone are copied instead of walked.  An edit that moves no row at all
+lowers nothing: :func:`rebase_arena` hands the previous version's
+arena to the new one.  ``build_call_graph`` and
 ``build_binding_graph`` stay the paper's reference constructions; the
 differential tests hold the arena equal to them.
 
@@ -38,6 +40,7 @@ cached lowering can cross a process boundary with the program.
 
 from __future__ import annotations
 
+import copy
 from itertools import accumulate, chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -364,6 +367,36 @@ def patch_arena(
     arena = ProgramArena.__new__(ProgramArena)
     arena._lower(new_resolved, universe, local, donor, site_map)
     return arena
+
+
+def rebase_arena(
+    arena: ProgramArena, resolved: ResolvedProgram, moved_sites: Sequence[int]
+) -> ProgramArena:
+    """``arena`` for another version of its program that shares its
+    symbols, its ``∪ LMOD``/``∪ LUSE`` rows and every call site's row:
+    no lowering.  The tables, masks, local rows, CSRs and cached
+    condensations are ``arena``'s, shared, not copied; the program, the
+    universe, the local analysis and both graph objects are the
+    version's own, so the result holds no reference to ``arena``'s
+    program.
+
+    ``moved_sites`` are the site ids whose :class:`CallSite` record is
+    not ``arena``'s program's (the caller has checked that each lowers
+    to the same row); the call graph's site lists of their callers are
+    rebuilt from ``resolved``.  Condensation counts start afresh: a
+    cached condensation does not count (see :meth:`ProgramArena._scc_of`).
+    """
+    rebased = copy.copy(arena)
+    rebased.resolved = resolved
+    rebased.universe = arena.universe.for_program(resolved)
+    rebased.local = arena.local.for_program(resolved, rebased.universe)
+    rebased.binding_graph = arena.binding_graph.for_program(resolved)
+    rebased.call_graph = arena.call_graph.for_program(
+        resolved, {arena.site_caller[sid] for sid in moved_sites}
+    )
+    rebased.condensation_counts = {}
+    rebased._scc = dict(arena._scc)
+    return rebased
 
 
 #: Small LRU of arenas keyed by ResolvedProgram identity.  The cache

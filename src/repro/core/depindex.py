@@ -45,9 +45,10 @@ back from the body, so each solved set is stored once.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Tuple
+from operator import is_not
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.arena import ProgramArena, peek_arena
 from repro.core.binio import (
@@ -179,6 +180,16 @@ class DependencyIndex:
     dmod: List[List[int]]  # per kind, per site
     mod: List[List[int]]  # per kind, per site (alias-expanded)
 
+    #: What :func:`index_to_bytes` last wrote past the fingerprint list:
+    #: ``(crc, the fields it read, the bytes)``.  An update that moved
+    #: no input hands it on with every field but the fingerprints (see
+    #: :func:`repro.core.incremental.incremental_update`), and the bytes
+    #: are written again only when the CRC or one of those fields is
+    #: not the same.  Never compared or serialized.
+    tail: Optional[Tuple[int, tuple, bytes]] = field(
+        default=None, compare=False, repr=False
+    )
+
     @property
     def num_procs(self) -> int:
         return len(self.proc_names)
@@ -304,16 +315,37 @@ _MASK_FIELDS = ("universe_local", "universe_formal", "universe_level",
                 "imod_plain", "iuse_plain", "site_lmod", "site_luse")
 
 
+#: The fields the blob past the fingerprint list is written from.
+_TAIL_FIELDS = ("proc_names",) + _INT_FIELDS + ("universe_global",) + _MASK_FIELDS + (
+    "imod_ext", "imod_plus", "gmod", "beta_sccs")
+
+
 def index_to_bytes(index: DependencyIndex, crc: int) -> bytes:
     """Serialize an index to its tagged-section blob (format 4), written
     against the container head whose ``zlib.crc32`` is ``crc``
     (:func:`~repro.core.persist.summary_crc32`): what that body lacks,
-    and no variable name, alias table or site ``DMOD``/``MOD``."""
+    and no variable name, alias table or site ``DMOD``/``MOD``.
+
+    The magic, version, CRC, names and fingerprints are written each
+    time; the rest is :attr:`DependencyIndex.tail`'s bytes while its CRC
+    is ``crc`` and its fields are the index's own, else written afresh
+    and kept there."""
     out = bytearray(INDEX_MAGIC)
     write_varint(out, INDEX_FORMAT_VERSION)
     out += crc.to_bytes(4, "little")
     _write_list(out, [name.encode("utf-8") for name in index.proc_names], write_bytes)
     _write_list(out, index.fingerprints, write_bytes)
+    fields = tuple(getattr(index, name) for name in _TAIL_FIELDS)
+    tail = index.tail
+    if tail is None or tail[0] != crc or any(map(is_not, tail[1], fields)):
+        tail = index.tail = (crc, fields, _tail_bytes(index))
+    out += tail[2]
+    return bytes(out)
+
+
+def _tail_bytes(index: DependencyIndex) -> bytes:
+    """The blob past the fingerprint list."""
+    out = bytearray()
     for name in _INT_FIELDS:
         # Shifted by one, so -1 (no parent) stays valid.
         _write_list(out, [item + 1 for item in getattr(index, name)], write_varint)

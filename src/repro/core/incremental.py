@@ -55,6 +55,19 @@ warm-started on that decision:
 Each kernel charges the kind tallies for what it solved, and the
 summary's ``counter`` is their fold, as in a fresh analysis.
 
+Before any of that, :func:`incremental_update` tries the engine's
+cutoff at its earliest point, ahead of lowering: when the edited
+program shares the previous version's symbols (the front end's donor
+mode returns such a version), every procedure whose fingerprint moved
+keeps its plain ``IMOD``/``IUSE`` rows and every call site whose
+record changed keeps its callee, by-reference bindings and
+``LMOD``/``LUSE``, no input of equations (1)–(6) moved, so no solved
+set did.  The new summary then shares the previous one's rows, alias
+tables and arena tables, and its index is the previous index with the
+edited fingerprints replaced (see :func:`_shared_update`).  The update
+from a reloaded index (:func:`incremental_update_from_index`) has no
+previous version in memory and always takes the path above.
+
 The hard invariant, asserted by the fuzz oracle in
 ``tests/test_incremental_fuzz.py``: every incremental summary is
 byte-identical to a from-scratch solve of the edited program.
@@ -63,11 +76,18 @@ byte-identical to a from-scratch solve of the edited program.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import is_
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.aliases import Carried, compute_aliases, factor_aliases_fused
-from repro.core.arena import get_arena, install_arena, patch_arena, peek_arena
+from repro.core.arena import (
+    get_arena,
+    install_arena,
+    patch_arena,
+    peek_arena,
+    rebase_arena,
+)
 from repro.core.bitvec import OpCounter, iter_bits, mask_of
 from repro.core.depindex import (
     DependencyIndex,
@@ -76,11 +96,12 @@ from repro.core.depindex import (
 )
 from repro.core.dmod import compute_dmod_fused
 from repro.core.imod_plus import compute_imod_plus_fused
+from repro.core.local import lmod_of, luse_of, plain_rows
 from repro.core.rmod import solve_rmod_fused
 from repro.core.summary import EffectSolution, SideEffectSummary
 from repro.core.varsets import EffectKind
 from repro.graphs.dfs import reachable_from
-from repro.lang.symbols import ResolvedProgram
+from repro.lang.symbols import CallSite, ResolvedProgram
 
 
 @dataclass
@@ -227,6 +248,22 @@ def _remap_table(
     return remapped
 
 
+def _keeps_bindings(site: CallSite, index: DependencyIndex, old_sid: int) -> bool:
+    """Does ``site`` keep the callee and the by-reference bindings, in
+    order, of the indexed site ``old_sid``?  Both ends of each binding
+    are compared by uid (the bound formal and the actual's base)."""
+    if site.callee.pid != index.site_callee[old_sid]:
+        return False
+    formals = site.callee.formals
+    refs = [
+        (formals[binding.position].uid, binding.base.uid)
+        for binding in site.bindings
+        if binding.by_reference
+    ]
+    lo, hi = index.site_ref_heads[old_sid], index.site_ref_heads[old_sid + 1]
+    return refs == list(zip(index.ref_formal_uid[lo:hi], index.ref_base_uid[lo:hi]))
+
+
 def _full_resolve(
     new_resolved: ResolvedProgram,
     kind_list: List[EffectKind],
@@ -335,34 +372,16 @@ def incremental_update_from_index(
     # the edited AST (dirty procedures only); the binding-dirty set
     # seeds the RMOD re-solve and the alias cone below.
     if patchable:
-        binding_dirty: Set[int] = set()
-        old_ref_heads = index.site_ref_heads
         call_sites = new_resolved.call_sites
-        for pid in dirty_pids:
-            old_list = old_sites_by_caller[pid]
-            new_list = new_sites_by_caller[pid]
-            if len(old_list) != len(new_list):
-                binding_dirty.add(pid)
-                continue
-            for new_sid, old_sid in zip(new_list, old_list):
-                site = call_sites[new_sid]
-                if site.callee.pid != index.site_callee[old_sid]:
-                    binding_dirty.add(pid)
-                    break
-                formals = site.callee.formals
-                refs = [
-                    (formals[binding.position].uid, binding.base.uid)
-                    for binding in site.bindings
-                    if binding.by_reference
-                ]
-                olo, ohi = old_ref_heads[old_sid], old_ref_heads[old_sid + 1]
-                if len(refs) != ohi - olo or any(
-                    formal_uid != index.ref_formal_uid[olo + offset]
-                    or base_uid != index.ref_base_uid[olo + offset]
-                    for offset, (formal_uid, base_uid) in enumerate(refs)
-                ):
-                    binding_dirty.add(pid)
-                    break
+
+        def keeps_signature(pid: int) -> bool:
+            new_list, old_list = new_sites_by_caller[pid], old_sites_by_caller[pid]
+            return len(new_list) == len(old_list) and all(
+                _keeps_bindings(call_sites[new_sid], index, old_sid)
+                for new_sid, old_sid in zip(new_list, old_list)
+            )
+
+        binding_dirty = {pid for pid in dirty_pids if not keeps_signature(pid)}
     else:
         binding_dirty = set(dirty_pid_set)
 
@@ -762,7 +781,9 @@ def incremental_update(
 ) -> Tuple[SideEffectSummary, UpdateStats]:
     """Re-analyse ``new_resolved``, reusing ``old_summary``'s solved
     regions through its dependency index (built lazily on first use and
-    cached on the summary).
+    cached on the summary).  An edit that moves no input of the
+    equations takes the early cutoff (:func:`_shared_update`): the new
+    summary shares ``old_summary``'s solution.
 
     ``dirty_hint``, when given, names the edited procedures (qualified
     names) and skips the structural diff — the normal case in an editor
@@ -775,6 +796,127 @@ def incremental_update(
     index = getattr(old_summary, "dep_index", None)
     if index is None:
         index = old_summary.dep_index = build_dependency_index(old_summary)
+    kind_list = list(kinds)
+    # Worked out once: the hint may be an iterator, and both paths read it.
+    if dirty_hint is not None:
+        dirty_names = set(dirty_hint)
+    else:
+        dirty_names = _dirty_from_index(index, new_resolved)
+    shared = _shared_update(old_summary, index, new_resolved, kind_list, dirty_names)
+    if shared is not None:
+        return shared
     return incremental_update_from_index(
-        index, new_resolved, kinds=kinds, dirty_hint=dirty_hint
+        index, new_resolved, kinds=kind_list, dirty_hint=dirty_names
+    )
+
+
+def _shared_update(
+    old_summary: SideEffectSummary,
+    index: DependencyIndex,
+    new_resolved: ResolvedProgram,
+    kind_list: List[EffectKind],
+    dirty_names: Set[str],
+) -> Optional[Tuple[SideEffectSummary, UpdateStats]]:
+    """The early cutoff: ``old_summary``'s solution, rebased onto
+    ``new_resolved``, when the edit moved no input of equations (1)–(6);
+    None otherwise.  ``dirty_names`` are the procedures whose
+    fingerprint moved.
+
+    The equations read the variable and procedure symbols (the universe,
+    the formals, the nesting), each procedure's ``∪ LMOD``/``∪ LUSE``
+    and each call site's caller, callee, by-reference bindings and
+    ``LMOD``/``LUSE`` — nothing else.  So the cutoff fires when
+    ``new_resolved`` shares ``old_summary``'s symbols (the front end's
+    donor mode returns such a version), every procedure whose
+    fingerprint moved keeps its plain ``IMOD``/``IUSE`` rows, and every
+    call site whose record is not the old program's keeps its row.  The
+    summary then shares the old solved rows, alias tables and arena
+    tables (:func:`~repro.core.arena.rebase_arena`): no lowering, no
+    condensation, no solve and no row copy.  Its index is the old one
+    with the edited fingerprints replaced, so the blob past them is
+    reused (:func:`~repro.core.depindex.index_to_bytes`).  Neither holds
+    a reference to the old program, summary or index object.
+
+    A laned summary takes the engine's path: the conditions vouch for
+    the equations' sets only, and a lane reads statement detail (a
+    subscript, a value argument) that none of them looks at.  So does
+    an update whose old program's arena has left the cache.
+    """
+    t_start = time.perf_counter()
+    old = old_summary.resolved
+    if (
+        old_summary.lanes is not None
+        or [kind.value for kind in kind_list] != index.kinds
+        or not _shares_symbols(old, new_resolved)
+        or len(new_resolved.call_sites) != len(old.call_sites)
+    ):
+        return None
+    arena = peek_arena(old)
+    if arena is None:
+        return None
+    names = index.proc_names
+    dirty_pids = [pid for pid, name in enumerate(names) if name in dirty_names]
+    for pid in dirty_pids:
+        rows = plain_rows(new_resolved, new_resolved.procs[pid])
+        if rows != (index.imod_plain[pid], index.iuse_plain[pid]):
+            return None
+    new_sites, old_sites = new_resolved.call_sites, old.call_sites
+    moved = [sid for sid in range(len(new_sites)) if new_sites[sid] is not old_sites[sid]]
+    for sid in moved:
+        site = new_sites[sid]
+        if (
+            site.caller.pid != index.site_caller[sid]
+            or lmod_of(site.stmt) != index.site_lmod[sid]
+            or luse_of(site.stmt) != index.site_luse[sid]
+            or not _keeps_bindings(site, index, sid)
+        ):
+            return None
+
+    arena = rebase_arena(arena, new_resolved, moved)
+    install_arena(new_resolved, arena)
+    fingerprints = list(index.fingerprints)
+    for pid in dirty_pids:
+        fingerprints[pid] = fingerprint_digest(new_resolved, new_resolved.procs[pid])
+    solutions: Dict[EffectKind, EffectSolution] = {}
+    for kind in kind_list:
+        solution = old_summary.solutions[kind]
+        rmod = replace(solution.rmod, graph=arena.binding_graph, counter=OpCounter())
+        solutions[kind] = replace(solution, rmod=rmod, gmod_method="incremental")
+    num_procs = new_resolved.num_procs
+    num_sites = len(new_sites)
+    stats = UpdateStats(
+        dirty_procs=sorted(dirty_names),
+        affected_procs=len(dirty_pids),
+        reused_procs=num_procs - len(dirty_pids),
+        total_procs=num_procs,
+        total_sccs=len(arena.call_condensation()[1]),
+        beta_total_sccs=index.beta_sccs,
+        sites_total=num_sites,
+        sites_reused=num_sites,
+        affected_names=sorted(names[pid] for pid in dirty_pids),
+    )
+    summary = SideEffectSummary(
+        resolved=new_resolved,
+        universe=arena.universe,
+        call_graph=arena.call_graph,
+        binding_graph=arena.binding_graph,
+        local=arena.local,
+        aliases=old_summary.aliases,
+        solutions=solutions,
+        timings={"total": time.perf_counter() - t_start},
+        kind_counters={kind: OpCounter() for kind in kind_list},
+        condensations=arena.snapshot_condensations(),
+        dep_index=replace(index, fingerprints=fingerprints),
+    )
+    return summary, stats
+
+
+def _shares_symbols(old: ResolvedProgram, new: ResolvedProgram) -> bool:
+    """Is ``new`` a version of ``old`` on the very same procedure and
+    variable symbols?"""
+    return (
+        len(new.procs) == len(old.procs)
+        and all(map(is_, new.procs, old.procs))
+        and len(new.variables) == len(old.variables)
+        and all(map(is_, new.variables, old.variables))
     )

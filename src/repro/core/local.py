@@ -32,6 +32,7 @@ solution" remark, so both are computed in one pass.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Tuple
 
 from repro.core.varsets import EffectKind, VariableUniverse
@@ -125,6 +126,17 @@ def local_effect_of(stmt: Stmt, kind: EffectKind) -> int:
     return luse_of(stmt)
 
 
+def plain_rows(resolved: ResolvedProgram, proc: ProcSymbol) -> Tuple[int, int]:
+    """``proc``'s unextended ``IMOD`` and ``IUSE``: the ``LMOD``/``LUSE``
+    of every statement of its body in ``resolved``."""
+    mod_mask = 0
+    use_mask = 0
+    for stmt in walk_statements(resolved.body_of(proc)):
+        mod_mask |= lmod_of(stmt)
+        use_mask |= luse_of(stmt)
+    return mod_mask, use_mask
+
+
 class LocalAnalysis:
     """Per-procedure ``IMOD``/``IUSE`` (plain and nesting-extended).
 
@@ -141,13 +153,9 @@ class LocalAnalysis:
         self.imod_plain: List[int] = [0] * num_procs
         self.iuse_plain: List[int] = [0] * num_procs
         for proc in resolved.procs:
-            mod_mask = 0
-            use_mask = 0
-            for stmt in walk_statements(resolved.body_of(proc)):
-                mod_mask |= lmod_of(stmt)
-                use_mask |= luse_of(stmt)
-            self.imod_plain[proc.pid] = mod_mask
-            self.iuse_plain[proc.pid] = use_mask
+            self.imod_plain[proc.pid], self.iuse_plain[proc.pid] = plain_rows(
+                resolved, proc
+            )
 
         self._extend()
 
@@ -188,15 +196,23 @@ class LocalAnalysis:
         self.imod_plain = list(imod_plain)
         self.iuse_plain = list(iuse_plain)
         for pid in recompute_pids:
-            mod_mask = 0
-            use_mask = 0
-            for stmt in walk_statements(resolved.body_of(resolved.procs[pid])):
-                mod_mask |= lmod_of(stmt)
-                use_mask |= luse_of(stmt)
-            self.imod_plain[pid] = mod_mask
-            self.iuse_plain[pid] = use_mask
+            self.imod_plain[pid], self.iuse_plain[pid] = plain_rows(
+                resolved, resolved.procs[pid]
+            )
         self._extend()
         return self
+
+    def for_program(
+        self, resolved: ResolvedProgram, universe: VariableUniverse
+    ) -> "LocalAnalysis":
+        """This analysis for another version of its program, on the same
+        symbols and ``universe``'s masks, in which every procedure keeps
+        its ``∪ LMOD``/``∪ LUSE`` (the caller checks): the rows are
+        shared, not copied or re-extended."""
+        local = copy.copy(self)
+        local.resolved = resolved
+        local.universe = universe
+        return local
 
     def initial(self, kind: EffectKind) -> List[int]:
         """The extended initial sets for the requested problem."""

@@ -181,13 +181,14 @@ def carry(old: SideEffectSummary, new: SideEffectSummary) -> bool:
     head and payload, where it holds them, to ``new``, which then writes
     and renders neither.
 
-    Decided by list equality over what :func:`_summary_body` stores: the
-    variable table and GLOBAL, the program name and kinds, each payload
-    procedure's name, level, G rows, R lists and alias table, and each
-    call site's id, ends, line, D set and MOD set.  Nothing is written
-    or named.  A row the body does not store does not count: a procedure
-    named after the program hides the main program's G rows (see
-    :func:`procedure_entries`).
+    Decided by list equality over what :func:`_summary_body` stores, as
+    masks and ids: the variable table and GLOBAL, the program name and
+    kinds, the procedure names by pid, each payload procedure's level,
+    G rows, R rows with its formals' order, and alias table, and each
+    call site's id, caller and callee pids, line, D set and MOD set.
+    Nothing is written or named.  A row the body does not store does not
+    count: a procedure named after the program hides the main program's
+    G rows (see :func:`procedure_entries`).
     """
     if _stored_rows(old) != _stored_rows(new):
         return False
@@ -199,26 +200,30 @@ def carry(old: SideEffectSummary, new: SideEffectSummary) -> bool:
 
 
 def _stored_rows(summary: SideEffectSummary) -> List:
-    """What :func:`_summary_body` stores, as lists of plain values."""
+    """What :func:`_summary_body` stores, as lists of plain values.
+
+    Equal variable tables name each uid alike, and equal procedure names
+    by pid name each pid alike, so an R list is its procedure's R row
+    read in its formals' order, and a site's ends are its pids."""
     resolved = summary.resolved
     entries = procedure_entries(resolved)
     procs = list(entries.values())
-    names = [proc.qualified_name for proc in resolved.procs]
     rows = [
         summary.universe.names,
         summary.universe.global_mask,
         resolved.program.name,
         list(summary.solutions),
-        list(entries),
+        [proc.qualified_name for proc in resolved.procs],
         [proc.level for proc in procs],
+        [[formal.uid for formal in proc.formals] for proc in procs],
         [summary.aliases.partner_mask[proc.pid] for proc in procs],
-        [(site.site_id, names[site.caller.pid], names[site.callee.pid], site.line)
+        [(site.site_id, site.caller.pid, site.callee.pid, site.line)
          for site in resolved.call_sites],
     ]
     for solution in summary.solutions.values():
         rows += [
             [solution.gmod[proc.pid] for proc in procs],
-            [_rmod_names(solution, proc) for proc in procs],
+            [solution.rmod.proc_mask[proc.pid] for proc in procs],
             solution.dmod,
             solution.mod,
         ]

@@ -11,6 +11,7 @@ objects.
 
 from __future__ import annotations
 
+import copy
 import enum
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
@@ -88,6 +89,16 @@ class VariableUniverse:
         self._visible_cache = {}
         self._names = None
         return self
+
+    def for_program(self, resolved: ResolvedProgram) -> "VariableUniverse":
+        """This universe for another version of its program on the very
+        same procedure and variable symbols: every mask and the name
+        list are shared, not copied; what reads the program (the
+        visible sets) is worked out afresh from ``resolved``."""
+        universe = copy.copy(self)
+        universe.resolved = resolved
+        universe._visible_cache = {}
+        return universe
 
     # -- translations -------------------------------------------------------
 

@@ -30,7 +30,7 @@ their initial values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set
 
 from repro.lang.symbols import CallSite, ResolvedProgram, VarSymbol
@@ -64,6 +64,13 @@ class BindingMultiGraph:
     #: consumer (DOT rendering, the sections solver) actually asks for
     #: them.
     _edges: Optional[List[BindingEdge]] = None
+
+    def for_program(self, resolved: ResolvedProgram) -> "BindingMultiGraph":
+        """This graph for another version of its program with the same
+        binding events: the node tables are shared, and the edge
+        records, which hold call-site records, are built from
+        ``resolved`` on first use."""
+        return replace(self, resolved=resolved, _edges=None)
 
     @property
     def edges(self) -> List[BindingEdge]:

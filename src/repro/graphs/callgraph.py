@@ -8,8 +8,8 @@ parallel edges, exactly as in the paper.  All of the complexity bounds
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, List, Optional, Sequence
 
 from repro.graphs.dfs import reachable_from
 from repro.lang.symbols import CallSite, ProcSymbol, ResolvedProgram
@@ -26,6 +26,19 @@ class CallMultiGraph:
     edge_sites: List[List[CallSite]] = field(default_factory=list)
     #: predecessors[pid] -> list of caller pids, one entry per call site.
     predecessors: List[List[int]] = field(default_factory=list)
+
+    def for_program(
+        self, resolved: ResolvedProgram, moved_callers: Iterable[int]
+    ) -> "CallMultiGraph":
+        """This graph for another version of its program with the same
+        edges in the same order.  The site records of the edges out of
+        ``moved_callers`` are read from ``resolved``; every other list
+        is shared."""
+        call_sites = resolved.call_sites
+        edge_sites = list(self.edge_sites)
+        for pid in moved_callers:
+            edge_sites[pid] = [call_sites[site.site_id] for site in edge_sites[pid]]
+        return replace(self, resolved=resolved, edge_sites=edge_sites)
 
     @property
     def num_nodes(self) -> int:

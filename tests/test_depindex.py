@@ -114,6 +114,23 @@ class TestBlobRoundTrip:
         crc = summary_crc32(summary)
         assert index_to_bytes(index, crc) == index_to_bytes(index, crc)
 
+    def test_a_tail_of_other_fields_is_written_afresh(self):
+        """An index keeps the bytes it wrote past its fingerprints, and
+        one that shares that memo but not every field behind it (or is
+        written against another CRC) writes its own bytes."""
+        summary, index = _indexed_summary(patterns.chain(4))
+        crc = summary_crc32(summary)
+        blob = index_to_bytes(index, crc)
+        assert index.tail is not None and index.tail[0] == crc
+        _other, other = _indexed_summary(patterns.chain(4).replace("x := 1", "g := 1"))
+        for name in ("imod_plus", "imod_ext", "gmod", "site_luse", "proc_parent"):
+            mixed = dataclasses.replace(index, **{name: getattr(other, name)})
+            assert mixed.tail is index.tail
+            fresh = dataclasses.replace(mixed, tail=None)
+            assert index_to_bytes(mixed, crc) == index_to_bytes(fresh, crc), name
+        assert index_to_bytes(index, crc ^ 1)[9:] == blob[9:]
+        assert index.tail[0] == crc ^ 1
+
     def test_magic_mismatch_is_loud(self):
         summary, _index = _indexed_summary(patterns.chain(3))
         with pytest.raises(ValueError, match="magic"):

@@ -51,6 +51,7 @@ from repro.core.persist import (
     summary_to_dict,
 )
 from repro.core.pipeline import analyze_side_effects, result_meta
+from repro.core.rmod import RmodResult
 from repro.core.varsets import EffectKind, VariableUniverse
 from repro.lang.nodes import Assign, IntLit, VarRef
 from repro.lang.pretty import pretty
@@ -464,6 +465,45 @@ def test_carried_render_matches_scratch(config, seed):
         else:
             seen["moved"] += 1
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize(
+    "config, seed", FUZZ_CASES[:2] + FUZZ_CASES[3:],
+    ids=["small-a", "small-b", "nested"],
+)
+def test_carry_names_nothing(config, seed, monkeypatch):
+    """``carry`` compares masks and ids: it never lists an R set's
+    formals (``RmodResult.formals_of``) or names a set
+    (``VariableUniverse.to_names``), and it carries exactly when the two
+    versions' scratch containers are byte-identical, across literal
+    edits (spliced and compiled in full), line-inserting edits and the
+    fuzzer's structural edits."""
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("carry named a set")
+
+    fuzzer = EditFuzzer(config, seed)
+    rng = random.Random(seed)
+    source = pretty(fuzzer.program)
+    summary = analyze_side_effects(source)
+    blob = summary_to_bytes(analyze_side_effects(source))
+    edits = (_literal_edit, _insert_line, _literal_edit, None)
+    seen = set()
+    for step in range(16):
+        edit = edits[step % len(edits)]
+        op = fuzzer.step() if edit is None else edit(fuzzer.program, rng)
+        source = pretty(fuzzer.program)
+        previous = summary.resolved if step % 3 else None
+        old = summary
+        summary, _stats = incremental_update(old, compile_source(source, previous=previous))
+        previous_blob, blob = blob, summary_to_bytes(analyze_side_effects(source))
+        with monkeypatch.context() as refused:
+            refused.setattr(RmodResult, "formals_of", refuse)
+            refused.setattr(VariableUniverse, "to_names", refuse)
+            carried = persist.carry(old, summary)
+        assert carried == (blob == previous_blob), "step %d (%s)" % (step, op)
+        seen.add(carried)
+    assert seen == {True, False}
 
 
 #: ``COLLISIONS`` with main's ``g1 := 1`` made ``g1 := g2``: main's

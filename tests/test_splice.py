@@ -13,19 +13,39 @@ exactly as it did before.
 Edits that stay inside one statement list and move no line and no
 call-site id must splice (the new program shares its symbols with the
 old); every other edit must compile in full.
+
+An update of a spliced version whose edit moves no input of the
+equations takes the engine's early cutoff: it lowers, condenses and
+solves nothing, writes no mask, leaves every earlier version
+collectable, and its index section is a scratch index's, byte for
+byte.  Edits that move an input, and laned sessions, take the engine's
+path.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import re
+import weakref
 
 import pytest
 
+import repro.core.arena as arena_module
+import repro.core.binio as binio
+import repro.core.depindex as depindex
+import repro.core.incremental as engine
 import repro.core.persist as persist
-from repro.core.depindex import fingerprint_digest, index_section
+import repro.graphs.scc as scc
+from repro.core.arena import ProgramArena
+from repro.core.depindex import (
+    build_dependency_index,
+    fingerprint_digest,
+    index_section,
+    index_to_bytes,
+)
 from repro.core.incremental import incremental_update
-from repro.core.persist import SECTION_DEP_INDEX, summary_to_bytes
+from repro.core.persist import SECTION_DEP_INDEX, summary_crc32, summary_to_bytes
 from repro.core.pipeline import analyze_side_effects
 from repro.lang.errors import CkError
 from repro.lang.nodes import (
@@ -389,7 +409,10 @@ def _check_step(previous, previous_summary, source, must_splice):
         if must_splice is not None:
             assert _spliced(new, previous) is must_splice
         summary, _stats = incremental_update(previous_summary, new)
-        assert _indexed_bytes(summary) == _indexed_bytes(analyze_side_effects(source))
+        scratch = analyze_side_effects(source)
+        assert _indexed_bytes(summary) == _indexed_bytes(scratch)
+        assert index_section(summary) == index_to_bytes(
+            build_dependency_index(scratch), summary_crc32(scratch))
     else:
         new = summary = None
     assert _tables(previous) == before
@@ -569,3 +592,198 @@ def test_an_edit_right_after_begin_ends_in_the_full_compiles_error(case):
                 client.update("s", edited)
     assert excinfo.value.code == "analysis_error"
     assert str(_error(lambda: compile_source(edited))[1]) in str(excinfo.value)
+
+
+# -- the early cutoff ---------------------------------------------------------
+
+
+def _count_cutoffs(monkeypatch):
+    """The programs of the updates that take the early cutoff, which
+    rebases the previous version's arena exactly when it fires."""
+    fired = []
+    rebase = engine.rebase_arena
+
+    def counting(arena, resolved, moved_sites):
+        fired.append(resolved)
+        return rebase(arena, resolved, moved_sites)
+
+    monkeypatch.setattr(engine, "rebase_arena", counting)
+    return fired
+
+
+def _refuse_the_engines_path(monkeypatch):
+    """Make every lowering, condensation, alias and DMOD solve and mask
+    write raise."""
+
+    def refuse(name):
+        def refused(*_args, **_kwargs):
+            raise AssertionError("%s ran" % name)
+
+        return refused
+
+    for module, name in ((engine, "patch_arena"), (engine, "compute_aliases"),
+                         (engine, "compute_dmod_fused"), (arena_module, "tarjan_scc_csr"),
+                         (scc, "tarjan_scc_csr"), (binio, "write_mask_adaptive"),
+                         (depindex, "write_mask_adaptive"),
+                         (persist, "write_mask_adaptive")):
+        monkeypatch.setattr(module, name, refuse(name))
+    monkeypatch.setattr(ProgramArena, "_lower", refuse("ProgramArena._lower"))
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+def test_a_literal_edit_takes_the_early_cutoff(config, monkeypatch):
+    """A literal edit moves no input of the equations: the spliced
+    compile, the update, the carry and the index section lower nothing,
+    condense nothing, solve no alias or DMOD set and write no mask, and
+    what they return is a scratch analysis's container and index.  The
+    rebased arena, universe, local analysis and graphs are bound to the
+    new program, and so is every call-site record the graphs hold."""
+    rng = random.Random(config.seed)
+    resolved = compile_source(pretty(generate_program(config)))
+    summary = analyze_side_effects(resolved)
+    _indexed_bytes(summary)
+    cutoffs = _count_cutoffs(monkeypatch)
+    for step in range(8):
+        editor = TextEditor(resolved, rng)
+        assert editor.literal() == "literal"
+        with monkeypatch.context() as refused:
+            _refuse_the_engines_path(refused)
+            new = compile_source(editor.text(), previous=resolved)
+            updated, stats = incremental_update(summary, new)
+            assert persist.carry(summary, updated)
+            section = index_section(updated)
+        assert _spliced(new, resolved) and cutoffs[-1] is new, step
+        assert (stats.region_procs, stats.affected_sccs, stats.sites_reused) == (
+            0, 0, stats.sites_total)
+        scratch = analyze_side_effects(editor.text())
+        assert section == index_to_bytes(
+            build_dependency_index(scratch), summary_crc32(scratch)), step
+        assert summary_to_bytes(updated) == summary_to_bytes(scratch), step
+        arena = arena_module.peek_arena(new)
+        bound = (arena, arena.universe, arena.local, arena.call_graph, arena.binding_graph)
+        assert all(obj.resolved is new for obj in bound), step
+        sites = [site for row in arena.call_graph.edge_sites for site in row]
+        sites += [edge.site for edge in arena.binding_graph.edges]
+        assert all(site is new.call_sites[site.site_id] for site in sites), step
+        resolved, summary = new, updated
+    assert len(cutoffs) == 8
+
+
+def test_a_spliced_chain_leaves_the_first_version_collectable(monkeypatch):
+    """Thirty cutoff updates share their predecessors' rows and bytes
+    but hold none of their programs, summaries or indexes."""
+    rng = random.Random(7)
+    resolved = compile_source(pretty(generate_program(CONFIGS[2])))
+    summary = analyze_side_effects(resolved)
+    _indexed_bytes(summary)
+    first = [weakref.ref(summary), weakref.ref(summary.dep_index), weakref.ref(resolved)]
+    cutoffs = _count_cutoffs(monkeypatch)
+    for _step in range(30):
+        editor = TextEditor(resolved, rng)
+        editor.literal()
+        new = compile_source(editor.text(), previous=resolved)
+        updated, _stats = incremental_update(summary, new)
+        assert persist.carry(summary, updated)
+        _indexed_bytes(updated)
+        resolved, summary = new, updated
+    assert len(cutoffs) == 30
+    del cutoffs[:]
+    gc.collect()
+    assert [ref() for ref in first] == [None, None, None]
+
+
+#: A nested program; each edit below splices and moves one input.
+MOVING = """program t
+  global g, h
+  proc p(x, y)
+    proc inner()
+    begin
+      g := 1
+    end
+  begin
+    x := g + h
+    call q(x, y)
+    call r(g + 1)
+    call inner()
+  end
+  proc q(a, b)
+  begin
+    a := 3
+  end
+  proc r(c)
+  begin
+    c := 4
+  end
+begin
+  call p(g, h)
+end
+"""
+
+MOVING_EDITS = {
+    # p's IMOD trades x for y.
+    "identifier": ("    x := g + h\n", "    y := g + h\n"),
+    # q's first formal is bound to y, not x.
+    "argument-swap": ("call q(x, y)", "call q(y, x)"),
+    # inner's IMOD, and so p's extended IMOD, trades g for h.
+    "nested": ("      g := 1\n", "      h := 1\n"),
+    # The call's LUSE trades g for h; p's IUSE keeps both.
+    "value-argument": ("call r(g + 1)", "call r(h + 1)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOVING_EDITS))
+def test_an_edit_that_moves_an_input_takes_the_engines_path(name, monkeypatch):
+    old, new_text = MOVING_EDITS[name]
+    assert MOVING.count(old) == 1
+    edited = MOVING.replace(old, new_text)
+    previous = compile_source(MOVING)
+    summary = analyze_side_effects(previous)
+    cutoffs = _count_cutoffs(monkeypatch)
+    new = compile_source(edited, previous=previous)
+    assert _spliced(new, previous)
+    updated, _stats = incremental_update(summary, new)
+    assert cutoffs == []
+    scratch = analyze_side_effects(edited)
+    assert _indexed_bytes(updated) == _indexed_bytes(scratch)
+    assert summary_to_bytes(scratch) != summary_to_bytes(analyze_side_effects(MOVING))
+
+
+def test_a_hint_that_is_an_iterator_is_read_once(monkeypatch):
+    """A ``dirty_hint`` given as a generator drives both the cutoff's
+    check and, when the cutoff declines, the engine's path: the edited
+    procedure still counts as dirty there."""
+    old, new_text = MOVING_EDITS["identifier"]
+    edited = MOVING.replace(old, new_text)
+    previous = compile_source(MOVING)
+    summary = analyze_side_effects(previous)
+    cutoffs = _count_cutoffs(monkeypatch)
+    new = compile_source(edited, previous=previous)
+    updated, stats = incremental_update(summary, new, dirty_hint=(name for name in ["p"]))
+    assert cutoffs == []
+    assert stats.dirty_procs == ["p"]
+    assert _indexed_bytes(updated) == _indexed_bytes(analyze_side_effects(edited))
+
+
+def test_a_laned_session_takes_the_engines_path(monkeypatch):
+    """A literal edit of a laned session's source is solved on the
+    engine's path; the same edit of a lane-less session takes the
+    cutoff.  Both answer a scratch analysis's summary."""
+    lanes = ["sections", "refalias"]
+    source = pretty(generate_program(CONFIGS[1]))
+    editor = TextEditor(compile_source(source), random.Random(3))
+    assert editor.literal() == "literal"
+    edited = editor.text()
+    cutoffs = _count_cutoffs(monkeypatch)
+    with ServerThread(ServerConfig(port=0)) as handle:
+        with ServerClient(port=handle.port) as client:
+            client.analyze(source, session="laned", lanes=lanes)
+            laned = client.update("laned", edited)
+            assert cutoffs == []
+            client.analyze(source, session="plain")
+            plain = client.update("plain", edited)
+            assert len(cutoffs) == 1
+            assert client.stats()["update_front_end"] == {"spliced": 2, "full": 0}
+        with ServerClient(port=handle.port) as fresh:
+            scratch = fresh.analyze(edited, lanes=lanes)
+    assert laned["summary"] == plain["summary"] == scratch["summary"]
+    assert laned["lanes"] == scratch["lanes"]
